@@ -52,6 +52,10 @@ class AnalysisError(ValueError):
     pass
 
 
+#: shortest error window, in samples, that :func:`error_spectrum` accepts
+SPECTRUM_MIN_TICKS = 512
+
+
 # ---------------------------------------------------------------------------
 # empirical metrics
 
@@ -340,8 +344,8 @@ def error_spectrum(trace: FreqTrace, window, f_true=None) -> SpectrumResult:
     frequency resolution.
     """
     start, stop = _check_window(window, trace.f_hat_hz.shape[-1])
-    if stop - start < 512:
-        raise AnalysisError(f"window [{start}, {stop}) shorter than 512 samples")
+    if stop - start < SPECTRUM_MIN_TICKS:
+        raise AnalysisError(f"window [{start}, {stop}) shorter than {SPECTRUM_MIN_TICKS} samples")
     err = trace.f_hat_hz[start:stop] - _true_series(trace, f_true)[start:stop]
     t = np.arange(err.size, dtype=float)
     slope, intercept = np.polyfit(t, err, 1)

@@ -34,6 +34,7 @@ import numpy as np
 import yaml
 
 from .analysis import (
+    SPECTRUM_MIN_TICKS,
     MseReport,
     empirical_mse,
     error_spectrum,
@@ -240,19 +241,46 @@ def _build_weights(raw, path: str, diags: list) -> DiffusionWeights | None:
     if not isinstance(raw, Mapping) or set(raw) != {"beta", "gamma"}:
         diags.append(f"{path}: expected a mapping with exactly the keys beta and gamma")
         return None
-    rows = {}
+    rows, bad = {}, []
     for key in ("beta", "gamma"):
         if not isinstance(raw[key], Mapping) or not all(
             isinstance(r, Mapping) for r in raw[key].values()
         ):
             diags.append(f"{path}.{key}: expected mapping node -> (node -> weight)")
             return None
-        rows[key] = {n: {m: float(w) for m, w in row.items()} for n, row in raw[key].items()}
+        rows[key] = {n: dict(row) for n, row in raw[key].items()}
+        for n, row in rows[key].items():
+            for m, w in row.items():
+                try:
+                    row[m] = float(w)
+                except (TypeError, ValueError):
+                    bad.append(f"{path}.{key}[{n}][{m}]: expected a number, got {w!r}")
+    if bad:
+        diags.extend(bad)
+        return None
     try:
         return DiffusionWeights(beta=rows["beta"], gamma=rows["gamma"])
     except ValueError as exc:
         diags.append(f"{path}: {exc}")
         return None
+
+
+def _window(raw, path: str, fs: float, scenario, min_ticks: int, diags: list) -> tuple | None:
+    """A [start_s, stop_s] window inside the scenario, at least ``min_ticks`` samples long."""
+    if not isinstance(raw, list) or len(raw) != 2 or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+    ):
+        diags.append(f"{path}: expected [start_s, stop_s]")
+        return None
+    start, stop = float(raw[0]), float(raw[1])
+    lo, hi = _ticks((start, stop), fs)
+    if scenario is not None and not (0 <= lo and hi <= scenario.n_samples and hi - lo >= min_ticks):
+        diags.append(
+            f"{path}: samples [{lo}, {hi}) must lie inside the run's {scenario.n_samples}"
+            f" and number at least {min_ticks}"
+        )
+        return None
+    return start, stop
 
 
 @dataclass
@@ -369,12 +397,10 @@ def build_plan(cfg: Mapping) -> RunPlan:
             if not isinstance(raw, Mapping) or set(raw) - {"window_s", "theory"}:
                 diags.append("mse: expected mapping with window_s and optional theory")
             else:
-                win = raw.get("window_s")
-                if not isinstance(win, list) or len(win) != 2:
-                    diags.append("mse.window_s: expected [start_s, stop_s]")
-                else:
-                    mse_window = (float(win[0]), float(win[1]))
-                mse_theory = bool(raw.get("theory", False))
+                mse_window = _window(raw.get("window_s"), "mse.window_s", fs, scenario, 1, diags)
+                mse_theory = raw.get("theory", False)
+                if not isinstance(mse_theory, bool):
+                    diags.append(f"mse.theory: expected true or false, got {mse_theory!r}")
 
     filter_overrides = {}
     if "filter" in cfg and not networked:
@@ -392,11 +418,12 @@ def build_plan(cfg: Mapping) -> RunPlan:
     spectrum_window = None
     if "spectrum" in cfg and not networked:
         raw = cfg["spectrum"]
-        win = raw.get("window_s") if isinstance(raw, Mapping) else None
-        if not isinstance(raw, Mapping) or set(raw) != {"window_s"} or not isinstance(win, list) or len(win) != 2:
+        if not isinstance(raw, Mapping) or set(raw) != {"window_s"}:
             diags.append("spectrum: expected mapping with window_s: [start_s, stop_s]")
         else:
-            spectrum_window = (float(win[0]), float(win[1]))
+            spectrum_window = _window(
+                raw["window_s"], "spectrum.window_s", fs, scenario, SPECTRUM_MIN_TICKS, diags
+            )
 
     output_dir = _want(cfg, "output_dir", str, diags)
     messages_csv = bool(cfg.get("messages_csv", False))
@@ -669,6 +696,16 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridfreq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -676,7 +713,9 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate an experiment config")
     run.add_argument("config", help="config path or bundled experiment name")
     run.add_argument("--seed", type=int, default=None, help="override the config's seed")
-    run.add_argument("--seeds", type=int, default=1, help="Monte-Carlo repetitions (default 1)")
+    run.add_argument(
+        "--seeds", type=_positive_int, default=1, help="Monte-Carlo repetitions (default 1)"
+    )
     run.add_argument("--out-dir", default=None, help="output directory")
     run.set_defaults(handler=_cmd_run)
 

@@ -8,6 +8,10 @@ remaining node averages the results of its neighboring bridges.  The module
 also hosts a conventional one-stage variant (every node averages over its own
 closed neighborhood) used as the comparison baseline, and a mode that diffuses
 full state vectors instead of the shared increment alone.
+
+The simulation runs every node of every seed as one filter batch: a tick is
+one filter step per filter kind, and a diffusion round is one product with a
+nodes×nodes weight matrix built once per run from the dict combiners.
 """
 
 from __future__ import annotations
@@ -19,19 +23,20 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .augmented import AugmentedVector, augment
+from .augmented import AugmentedMatrix, AugmentedVector, augment
 from .estimators import (
     DEFAULT_COND_LIMIT,
     FilterDegenerateError,
     FilterState,
     FreqTrace,
     StateSpaceModel,
+    StepDiagnostics,
     _step,
     nss_model,
     shared_increment_model,
     with_sequence_observation,
 )
-from .signals import ClarkeSample, Scenario, clarke_arrays, generate_arrays
+from .signals import Scenario, clarke_arrays, generate_arrays
 
 __all__ = [
     "TopologyError",
@@ -42,7 +47,6 @@ __all__ = [
     "Topology",
     "BridgeAssignment",
     "DiffusionWeights",
-    "NodeRuntime",
     "TickRecord",
     "Message",
     "DistributedRun",
@@ -301,27 +305,7 @@ def nonbridge_diffuse(
 
 
 # ---------------------------------------------------------------------------
-# per-node runtime and the synchronous tick
-
-
-@dataclass
-class NodeRuntime:
-    """Mutable per-node simulation state.
-
-    ``shared`` is the 2-dim phase-increment filter whose estimate the network
-    exchanges; ``aux`` is the local sequence-voltage tracker that supplies the
-    shared filter's observation matrix.  In full-state mode only ``aux``
-    exists and the whole posterior is diffused.
-    """
-
-    node_id: Hashable
-    aux: FilterState
-    aux_model: StateSpaceModel
-    shared: FilterState | None = None
-    shared_model: StateSpaceModel | None = None
-    scenario: Scenario | None = None
-    diffused_x: AugmentedVector | None = None
-    innovation_power: float | np.ndarray = 0.0
+# diffusion as weight matrices, and the synchronous tick
 
 
 @dataclass(frozen=True)
@@ -345,81 +329,135 @@ class Message:
     payload: complex
 
 
-def _as_observation(obs) -> np.ndarray:
-    v = obs.v if isinstance(obs, ClarkeSample) else obs
-    arr = np.asarray(v, dtype=complex)
-    return arr.reshape(arr.shape + (1,))  # one observed voltage per node
+@dataclass(frozen=True)
+class _Mixing:
+    """One run's diffusion over the node axis, built once before the loop.
+
+    ``matrix`` maps the nodes' posteriors to their combined estimates (None:
+    no diffusion).  ``beta`` holds the bridges' aggregation rows, whose
+    outputs the ``from_bridge`` messages carry.  A route ``(phase, src, dst,
+    row)`` is one logged transfer per tick; ``row`` indexes the node
+    posteriors followed by the bridge aggregates.
+    """
+
+    matrix: np.ndarray | None
+    beta: np.ndarray | None
+    routes: tuple
 
 
-def _log_share(messages, k, phase, src, dst, vec: AugmentedVector):
-    if messages is None:
-        return
-    top = np.asarray(vec.top)
-    if top.ndim != 1:
-        raise ValueError("message logging requires an unbatched run")
-    for entry in top:
-        messages.append(Message(k=k, phase=phase, src=src, dst=dst, payload=complex(entry)))
-
-
-def _diffuse_all(
-    estimates: Mapping,
-    k: int,
+def _mixing(
     topology: Topology,
     assignment: BridgeAssignment | None,
     weights: DiffusionWeights,
     diffusion: str,
-    messages,
-) -> Mapping:
-    """Run one diffusion round and return the node→combined-estimate map."""
-    if diffusion == "none":
-        return estimates
-    if diffusion == "conventional":
-        out = {}
-        for i in topology.node_ids:
-            for nb in topology.neighbors(i):
-                _log_share(messages, k, "to_neighbor", nb, i, estimates[nb])
-            out[i] = bridge_diffuse(i, estimates, weights)
-        return out
-    if diffusion != "bridge":
-        raise DistributedConfigError(f"unknown diffusion mode {diffusion!r}")
+) -> _Mixing:
+    """Weight matrices of a resolved diffusion setup.
 
-    psi = {}
-    for l in sorted(assignment.bridges, key=str):
-        for nb in topology.neighbors(l):
-            _log_share(messages, k, "to_bridge", nb, l, estimates[nb])
-        psi[l] = bridge_diffuse(l, estimates, weights)
-        for nb in topology.neighbors(l):
-            _log_share(messages, k, "from_bridge", l, nb, psi[l])
-    out = {}
-    for i in topology.node_ids:
-        out[i] = psi[i] if i in assignment.bridges else nonbridge_diffuse(i, psi, weights)
-    return out
+    Each row is its node's combiner applied to unit vectors, so the dict
+    combiners stay the one definition of the weights, their normalization
+    and their missing-estimate errors.  Bridge diffusion composes the two
+    stages into Γ @ Β (a bridge serves itself with weight 1).
+    """
+    if diffusion == "none":
+        return _Mixing(None, None, ())
+    ids = topology.node_ids
+    pos = {n: j for j, n in enumerate(ids)}
+    units = {n: AugmentedVector(e) for n, e in zip(ids, np.eye(len(ids)))}
+    if diffusion == "conventional":
+        matrix = np.array([bridge_diffuse(i, units, weights).top for i in ids])
+        routes = [("to_neighbor", nb, i, pos[nb]) for i in ids for nb in topology.neighbors(i)]
+        return _Mixing(matrix, None, tuple(routes))
+    bridges = sorted(assignment.bridges, key=str)
+    beta = np.array([bridge_diffuse(b, units, weights).top for b in bridges])
+    bridge_units = {b: AugmentedVector(e) for b, e in zip(bridges, np.eye(len(bridges)))}
+    gamma = np.array(
+        [
+            bridge_units[i].top if i in assignment.bridges
+            else nonbridge_diffuse(i, bridge_units, weights).top
+            for i in ids
+        ]
+    )
+    routes = []
+    for r, b in enumerate(bridges):
+        routes += [("to_bridge", nb, b, pos[nb]) for nb in topology.neighbors(b)]
+        routes += [("from_bridge", b, nb, len(ids) + r) for nb in topology.neighbors(b)]
+    return _Mixing(gamma @ beta, beta, tuple(routes))
+
+
+def _diffuse_all(
+    estimates: np.ndarray, k: int, mixing: _Mixing, messages: list | None
+) -> np.ndarray:
+    """Run one diffusion round over (seeds, nodes, entries) posteriors.
+
+    Returns the combined estimates.  The message log reads seed row 0; only
+    single runs keep one.
+    """
+    if messages is not None and mixing.routes:
+        payloads = estimates[0]
+        if mixing.beta is not None:
+            payloads = np.concatenate([payloads, mixing.beta @ payloads])
+        for phase, src, dst, row in mixing.routes:
+            messages.extend(Message(k, phase, src, dst, complex(z)) for z in payloads[row])
+    return estimates if mixing.matrix is None else mixing.matrix @ estimates
+
+
+def _batch_step(model_of, state: FilterState, y: AugmentedVector, cond_limit: float):
+    """``_step`` for every (seed, node) batch row at once.
+
+    ``model_of(rows)`` gives the model of the batch rows ``rows`` (``...``
+    for all of them).  A degenerate step raises the error of the first row,
+    node by node, that also degenerates when stepped alone; the error carries
+    that row's (seed, node) index as ``row`` (None if no row fails alone).
+    """
+    try:
+        return _step(model_of(...), state, y, cond_limit)
+    except FilterDegenerateError as exc:
+        exc.row = None
+        raise _failing_row(model_of, state, y, cond_limit) or exc
+
+
+def _failing_row(model_of, state: FilterState, y: AugmentedVector, cond_limit: float):
+    n_seeds, n_nodes = y.top.shape[:2]
+    for j in range(n_nodes):
+        for s in range(n_seeds):
+            rows = (slice(s, s + 1), slice(j, j + 1))
+            blocks = [b[rows] if b.ndim > 2 else b for b in (state.M.block11, state.M.block12)]
+            alone = FilterState(
+                AugmentedVector(state.x_hat.top[rows]), AugmentedMatrix(*blocks), state.k
+            )
+            try:
+                _step(model_of(rows), alone, AugmentedVector(y.top[rows]), cond_limit)
+            except FilterDegenerateError as exc:
+                exc.row = (s, j)
+                return exc
+    return None
 
 
 def dfe_tick(
-    nodes: Sequence[NodeRuntime],
-    topology: Topology,
-    assignment: BridgeAssignment | None,
-    weights: DiffusionWeights,
-    observations: Mapping,
-    diffusion: str = "bridge",
+    aux_model: StateSpaceModel,
+    shared_model: StateSpaceModel,
+    aux: FilterState,
+    shared: FilterState,
+    y: AugmentedVector,
+    k: int,
+    mixing: _Mixing,
     messages: list | None = None,
-    records: Mapping | None = None,
     cond_limit: float = DEFAULT_COND_LIMIT,
     reseed_aux: bool = False,
-) -> Sequence[NodeRuntime]:
+) -> tuple[FilterState, FilterState, StepDiagnostics]:
     """One synchronous round of the distributed frequency estimator.
 
-    Per node: the sequence-voltage estimates standing *before* this tick are
-    captured, the auxiliary tracker advances on the new observation, and the
-    2-dim shared filter is corrected using an observation matrix built from
-    the captured values.  The captured (previous-tick) values are the ones
-    consistent with the observation pairing v_k = v+_{k-1} x + v-_{k-1}
-    conj(x); using the refreshed posteriors instead would make the observation
-    explain itself and collapse the increment estimate toward 1.  Afterwards
-    the posteriors run through the two-stage diffusion and every node restarts
-    its shared filter from the combined value.  Nodes are mutated in place and
-    returned.
+    States and the observation ``y`` carry a (seeds, nodes) batch.  The
+    sequence-voltage estimates standing *before* this tick are captured, the
+    auxiliary trackers advance on the new observations, and the 2-dim shared
+    filters are corrected using observation matrices built from the captured
+    values.  The captured (previous-tick) values are the ones consistent with
+    the observation pairing v_k = v+_{k-1} x + v-_{k-1} conj(x); using the
+    refreshed posteriors instead would make the observation explain itself
+    and collapse the increment estimate toward 1.  Afterwards the posteriors
+    run through the diffusion and every shared filter restarts from its
+    combined value.  Returns the new (aux, shared) states and the shared
+    step's diagnostics.
 
     The auxiliary tracker stays fully local by default: its own increment
     estimate evolves only through its own corrections.  ``reseed_aux``
@@ -428,80 +466,34 @@ def dfe_tick(
     at noiseless gain levels (a slowly growing oscillation near 75 Hz), so it
     is off unless explicitly requested.
     """
-    estimates = {}
-    k_now = None
-    for node in nodes:
-        y = _as_observation(observations[node.node_id])
-        top = node.aux.x_hat.top
-        v_plus, v_minus = top[..., 1], top[..., 2]
-        try:
-            node.aux, _ = _step(node.aux_model, node.aux, augment(y), cond_limit)
-            model_k = with_sequence_observation(node.shared_model, v_plus, v_minus)
-            node.shared, diag = _step(model_k, node.shared, augment(y), cond_limit)
-        except FilterDegenerateError as exc:
-            raise FilterDegenerateError(f"node {node.node_id!r}: {exc}") from exc
-        node.innovation_power = np.abs(diag.innovation[..., 0]) ** 2
-        estimates[node.node_id] = node.shared.x_hat
-        k_now = node.shared.k
-        if records is not None:
-            records[node.node_id].append(
-                TickRecord(
-                    k=k_now, M_prior=diag.M_prior, M_post=diag.M_post,
-                    A=diag.A, gain=diag.gain, H=diag.H,
-                )
-            )
-
-    combined = _diffuse_all(estimates, k_now, topology, assignment, weights, diffusion, messages)
-
-    for node in nodes:
-        d = combined[node.node_id]
-        node.diffused_x = d
-        node.shared = FilterState(AugmentedVector(d.top.copy()), node.shared.M, node.shared.k)
-        if reseed_aux:
-            aux_top = node.aux.x_hat.top.copy()
-            aux_top[..., 0] = d.top[..., 0]
-            node.aux = FilterState(AugmentedVector(aux_top), node.aux.M, node.aux.k)
-    return nodes
+    v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
+    aux, _ = _batch_step(lambda rows: aux_model, aux, y, cond_limit)
+    shared, diag = _batch_step(
+        lambda rows: with_sequence_observation(shared_model, v_plus[rows], v_minus[rows]),
+        shared, y, cond_limit,
+    )
+    x = _diffuse_all(shared.x_hat.top, k, mixing, messages)
+    shared = FilterState(AugmentedVector(x), shared.M, shared.k)
+    if reseed_aux:
+        aux_top = aux.x_hat.top.copy()
+        aux_top[..., 0] = x[..., 0]
+        aux = FilterState(AugmentedVector(aux_top), aux.M, aux.k)
+    return aux, shared, diag
 
 
 def _full_state_tick(
-    nodes: Sequence[NodeRuntime],
-    topology: Topology,
-    assignment: BridgeAssignment | None,
-    weights: DiffusionWeights,
-    observations: Mapping,
-    diffusion: str,
+    aux_model: StateSpaceModel,
+    aux: FilterState,
+    y: AugmentedVector,
+    k: int,
+    mixing: _Mixing,
     messages: list | None,
-    records: Mapping | None,
     cond_limit: float,
-) -> Sequence[NodeRuntime]:
+) -> tuple[FilterState, StepDiagnostics]:
     """One round of the full-state variant: local filters, then whole-vector diffusion."""
-    estimates = {}
-    k_now = None
-    for node in nodes:
-        y = _as_observation(observations[node.node_id])
-        try:
-            node.aux, diag = _step(node.aux_model, node.aux, augment(y), cond_limit)
-        except FilterDegenerateError as exc:
-            raise FilterDegenerateError(f"node {node.node_id!r}: {exc}") from exc
-        node.innovation_power = np.abs(diag.innovation[..., 0]) ** 2
-        estimates[node.node_id] = node.aux.x_hat
-        k_now = node.aux.k
-        if records is not None:
-            records[node.node_id].append(
-                TickRecord(
-                    k=k_now, M_prior=diag.M_prior, M_post=diag.M_post,
-                    A=diag.A, gain=diag.gain, H=diag.H,
-                )
-            )
-
-    combined = _diffuse_all(estimates, k_now, topology, assignment, weights, diffusion, messages)
-
-    for node in nodes:
-        d = combined[node.node_id]
-        node.diffused_x = d
-        node.aux = FilterState(AugmentedVector(d.top.copy()), node.aux.M, node.aux.k)
-    return nodes
+    aux, diag = _batch_step(lambda rows: aux_model, aux, y, cond_limit)
+    x = _diffuse_all(aux.x_hat.top, k, mixing, messages)
+    return FilterState(AugmentedVector(x), aux.M, aux.k), diag
 
 
 # ---------------------------------------------------------------------------
@@ -593,40 +585,82 @@ def _node_voltage(scenario: Scenario, seed, node_index: int, snr_db) -> np.ndarr
     return v
 
 
-def _make_nodes(
+def _simulate(
     topology: Topology,
     per_node: Mapping,
-    first_obs: Mapping,
+    seeds: Sequence[int],
+    snr_db: float | None,
     mode: str,
-    sample_rate_hz: float,
-    snr_db,
+    mixing: _Mixing,
     f_init_hz: float,
-) -> list[NodeRuntime]:
-    nodes = []
-    for n in topology.node_ids:
-        aux_model = nss_model(sample_rate_hz, snr_db=snr_db)
-        aux = aux_model.initial_state(first_obs[n], f_init_hz=f_init_hz)
-        if mode == "dfe":
-            shared_model = shared_increment_model(sample_rate_hz, snr_db=snr_db)
-            shared = shared_model.initial_state(first_obs[n], f_init_hz=f_init_hz)
-        elif mode == "distributed-acekf":
-            shared_model = None
-            shared = None
-        else:
-            raise DistributedConfigError(f"unknown estimator mode {mode!r}")
-        nodes.append(
-            NodeRuntime(
-                node_id=n, aux=aux, aux_model=aux_model,
-                shared=shared, shared_model=shared_model, scenario=per_node[n],
-            )
-        )
-    return nodes
+    reseed_aux: bool,
+    cond_limit: float,
+    messages: list | None = None,
+    records: Mapping | None = None,
+    detail: bool = False,
+):
+    """The loop both drivers share: every node of every seed is one batch row.
 
+    Returns (f_hat, flags, states, innovation power), shaped (seeds, nodes,
+    ticks); ``states`` adds the axis of the output filter's top-half entries.
+    The last two are kept only with ``detail``.
+    """
+    if mode not in ("dfe", "distributed-acekf"):
+        raise DistributedConfigError(f"unknown estimator mode {mode!r}")
+    ids = topology.node_ids
+    fs = per_node[ids[0]].sample_rate_hz
+    n_ticks = per_node[ids[0]].n_samples
+    volts = np.empty((n_ticks, len(seeds), len(ids)), dtype=complex)
+    for s, seed in enumerate(seeds):
+        for j, n in enumerate(ids):
+            volts[:, s, j] = _node_voltage(per_node[n], seed, j, snr_db)
 
-def _output_state(node: NodeRuntime, mode: str) -> tuple[FilterState, StateSpaceModel]:
+    aux_model = out_model = nss_model(fs, snr_db=snr_db)
+    aux = out = aux_model.initial_state(volts[0], f_init_hz=f_init_hz)
+    shared_model = shared = None
     if mode == "dfe":
-        return node.shared, node.shared_model
-    return node.aux, node.aux_model
+        shared_model = out_model = shared_increment_model(fs, snr_db=snr_db)
+        shared = out = shared_model.initial_state(volts[0], f_init_hz=f_init_hz)
+
+    shape = (len(seeds), len(ids), n_ticks)
+    f_hat = np.empty(shape)
+    flags = np.zeros(shape, dtype=int)
+    states = np.empty(shape + (out.x_hat.n,), dtype=complex) if detail else None
+    innov = np.zeros(shape) if detail else None
+
+    f_hat[..., 0], flags[..., 0] = out_model.extract_freq(out.x_hat.materialize())
+    if detail:
+        states[:, :, 0] = out.x_hat.top
+    for k in range(1, n_ticks):
+        y = augment(volts[k][..., None])
+        try:
+            if shared is None:
+                aux, diag = _full_state_tick(aux_model, aux, y, k, mixing, messages, cond_limit)
+                out = aux
+            else:
+                aux, shared, diag = dfe_tick(
+                    aux_model, shared_model, aux, shared, y, k, mixing, messages,
+                    cond_limit, reseed_aux,
+                )
+                out = shared
+        except FilterDegenerateError as exc:
+            where = "" if exc.row is None else (
+                f"node {ids[exc.row[1]]!r}: seed {int(seeds[exc.row[0]])}: "
+            )
+            raise FilterDegenerateError(f"tick {k}: {where}{exc}") from exc
+        f_hat[..., k], flags[..., k] = out_model.extract_freq(out.x_hat.materialize())
+        if detail:
+            states[:, :, k] = out.x_hat.top
+            innov[..., k] = np.abs(diag.innovation[..., 0]) ** 2
+        if records is not None:
+            for j, n in enumerate(ids):
+                records[n].append(
+                    TickRecord(
+                        k=k, M_prior=diag.M_prior[0, j], M_post=diag.M_post[0, j],
+                        A=diag.A[0, j], gain=diag.gain[0, j], H=diag.H[0, j],
+                    )
+                )
+    return f_hat, flags, states, innov
 
 
 def run_distributed(
@@ -649,73 +683,32 @@ def run_distributed(
     ``scenarios`` is either a single Scenario shared by every node or a map
     node→Scenario (same sampling grid everywhere).  Per-node observation noise
     comes from independent streams derived from (seed, node position), so a
-    node's stream does not depend on which other nodes exist.
+    node's stream does not depend on which other nodes exist.  This is the
+    Monte-Carlo loop at one seed, plus traces, records and messages.
     """
     per_node = _resolve_scenarios(topology, scenarios)
     assignment, weights = _resolve_weights(topology, assignment, weights, diffusion)
-
-    fs = per_node[topology.node_ids[0]].sample_rate_hz
-    n_ticks = per_node[topology.node_ids[0]].n_samples
-    volts = {
-        n: _node_voltage(per_node[n], seed, idx, snr_db)
-        for idx, n in enumerate(topology.node_ids)
-    }
-
-    nodes = _make_nodes(
-        topology, per_node, {n: volts[n][0] for n in volts}, mode, fs, snr_db, f_init_hz
-    )
-    messages: list | None = [] if collect_messages else None
+    messages = [] if collect_messages else None
     records = {n: [] for n in topology.node_ids} if record_matrices else None
+    f_hat, flags, states, innov = _simulate(
+        topology, per_node, [seed], snr_db, mode,
+        _mixing(topology, assignment, weights, diffusion), f_init_hz, reseed_aux, cond_limit,
+        messages, records, detail=True,
+    )
 
-    f_hat = {n: np.empty(n_ticks) for n in topology.node_ids}
-    innov = {n: np.zeros(n_ticks) for n in topology.node_ids}
-    flags = {n: np.zeros(n_ticks, dtype=int) for n in topology.node_ids}
-    n_top = 1 if mode == "dfe" else 3
-    states = {n: np.empty((n_ticks, n_top), dtype=complex) for n in topology.node_ids}
-
-    for node in nodes:
-        state, model = _output_state(node, mode)
-        f0, fl0 = model.extract_freq(state.x_hat.materialize())
-        f_hat[node.node_id][0] = float(f0)
-        flags[node.node_id][0] = int(fl0)
-        states[node.node_id][0] = state.x_hat.top
-
-    for k in range(1, n_ticks):
-        obs = {n: volts[n][k] for n in topology.node_ids}
-        try:
-            if mode == "dfe":
-                dfe_tick(
-                    nodes, topology, assignment, weights, obs,
-                    diffusion=diffusion, messages=messages, records=records,
-                    cond_limit=cond_limit, reseed_aux=reseed_aux,
-                )
-            else:
-                _full_state_tick(
-                    nodes, topology, assignment, weights, obs,
-                    diffusion, messages, records, cond_limit,
-                )
-        except FilterDegenerateError as exc:
-            raise FilterDegenerateError(f"tick {k}: {exc}") from exc
-        for node in nodes:
-            state, model = _output_state(node, mode)
-            fk, flk = model.extract_freq(state.x_hat.materialize())
-            f_hat[node.node_id][k] = float(fk)
-            flags[node.node_id][k] = int(flk)
-            states[node.node_id][k] = state.x_hat.top
-            innov[node.node_id][k] = float(node.innovation_power)
-
-    k_idx = np.arange(n_ticks)
+    k_idx = np.arange(f_hat.shape[-1])
+    fs = per_node[topology.node_ids[0]].sample_rate_hz
     traces = {
         n: FreqTrace(
             k=k_idx,
             t_s=k_idx / fs,
-            f_hat_hz=f_hat[n],
-            innovation_power=innov[n],
-            states=states[n],
-            flags=flags[n],
+            f_hat_hz=f_hat[0, j],
+            innovation_power=innov[0, j],
+            states=states[0, j],
+            flags=flags[0, j],
             f_true_hz=per_node[n].true_freq(),
         )
-        for n in topology.node_ids
+        for j, n in enumerate(topology.node_ids)
     }
     return DistributedRun(
         topology=topology, assignment=assignment, weights=weights, mode=mode,
@@ -737,7 +730,7 @@ def run_distributed_mc(
     record_x: bool = False,
     cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> DistributedMcRun:
-    """Monte-Carlo sweep over seeds, vectorized across the seed axis.
+    """Monte-Carlo sweep over seeds, every node of every seed in one batch.
 
     Each seed reproduces exactly what :func:`run_distributed` would produce
     for it (same per-node noise streams), so paired comparisons across modes
@@ -748,55 +741,14 @@ def run_distributed_mc(
     seeds = np.asarray(list(seeds), dtype=int)
     if seeds.size == 0:
         raise DistributedConfigError("empty seed list")
-
-    fs = per_node[topology.node_ids[0]].sample_rate_hz
-    n_ticks = per_node[topology.node_ids[0]].n_samples
-    n_nodes = len(topology.node_ids)
-
-    volts = {}
-    for idx, n in enumerate(topology.node_ids):
-        rows = [_node_voltage(per_node[n], s, idx, snr_db) for s in seeds]
-        volts[n] = np.stack(rows, axis=0)  # (n_seeds, n_ticks)
-
-    nodes = _make_nodes(
-        topology, per_node, {n: volts[n][:, 0] for n in volts}, mode, fs, snr_db, f_init_hz
+    f_hat, flags, states, _ = _simulate(
+        topology, per_node, seeds, snr_db, mode,
+        _mixing(topology, assignment, weights, diffusion), f_init_hz, reseed_aux, cond_limit,
+        detail=record_x,
     )
-
-    f_hat = np.empty((seeds.size, n_nodes, n_ticks))
-    flags = np.zeros((seeds.size, n_nodes, n_ticks), dtype=int)
-    x_hat = np.empty((seeds.size, n_nodes, n_ticks), dtype=complex) if record_x else None
-
-    for j, node in enumerate(nodes):
-        state, model = _output_state(node, mode)
-        f0, fl0 = model.extract_freq(state.x_hat.materialize())
-        f_hat[:, j, 0], flags[:, j, 0] = f0, fl0
-        if x_hat is not None:
-            x_hat[:, j, 0] = state.x_hat.top[..., 0]
-
-    for k in range(1, n_ticks):
-        obs = {n: volts[n][:, k] for n in topology.node_ids}
-        try:
-            if mode == "dfe":
-                dfe_tick(
-                    nodes, topology, assignment, weights, obs,
-                    diffusion=diffusion, cond_limit=cond_limit, reseed_aux=reseed_aux,
-                )
-            else:
-                _full_state_tick(
-                    nodes, topology, assignment, weights, obs,
-                    diffusion, None, None, cond_limit,
-                )
-        except FilterDegenerateError as exc:
-            raise FilterDegenerateError(f"tick {k}: {exc}") from exc
-        for j, node in enumerate(nodes):
-            state, model = _output_state(node, mode)
-            fk, flk = model.extract_freq(state.x_hat.materialize())
-            f_hat[:, j, k], flags[:, j, k] = fk, flk
-            if x_hat is not None:
-                x_hat[:, j, k] = state.x_hat.top[..., 0]
-
     return DistributedMcRun(
-        node_ids=topology.node_ids, seeds=seeds, f_hat_hz=f_hat, flags=flags, x_hat=x_hat
+        node_ids=topology.node_ids, seeds=seeds, f_hat_hz=f_hat, flags=flags,
+        x_hat=None if states is None else states[..., 0],
     )
 
 

@@ -300,3 +300,48 @@ spectrum:
         bad = yaml.safe_load(cfg_text)
         bad["weights"]["beta"][2][1] = -0.25
         assert any("negative" in p for p in validate_config(bad))
+
+
+class TestInputsCheckedBeforeRun:
+    def test_non_numeric_weight_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, QUICK_NETWORK + "weights: {beta: {2: {2: abc}}, gamma: {}}\n"
+        )
+        assert main(["validate", cfg]) == 1
+        assert "weights.beta[2][2]: expected a number, got 'abc'" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert "config error: weights.beta[2][2]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_must_be_positive(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path, QUICK_SINGLE)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cfg, "--out-dir", str(out), "--seeds", seeds])
+        assert exc.value.code == 2
+        assert "--seeds: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            (QUICK_NOISY + "spectrum: {window_s: [0.05, 0.1]}\n", "spectrum.window_s"),
+            (QUICK_NOISY + "spectrum: {window_s: [0.0, 0.6]}\n", "spectrum.window_s"),
+            (QUICK_NETWORK.replace("[0.1, 0.25]", "[0.1, 0.5]"), "mse.window_s"),
+        ],
+        ids=["spectrum-too-short", "spectrum-past-end", "mse-past-end"],
+    )
+    def test_windows_must_fit_the_run(self, tmp_path, capsys, text, path):
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        assert f"{path}: samples" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_theory_must_be_a_bool(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUICK_NETWORK.replace("theory: true", 'theory: "no"'))
+        assert main(["validate", cfg]) == 1
+        assert "mse.theory: expected true or false, got 'no'" in capsys.readouterr().out

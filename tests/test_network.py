@@ -7,6 +7,8 @@ import pytest
 
 from gridfreq.augmented import augment
 from gridfreq.estimators import (
+    FilterDegenerateError,
+    FilterState,
     acekf_step,
     nss_model,
     shared_increment_model,
@@ -33,7 +35,13 @@ from gridfreq.network import (
     uniform_weights,
     write_messages_csv,
 )
-from gridfreq.signals import ConstantFreq, Scenario, ScenarioSegment
+from gridfreq.signals import (
+    ConstantFreq,
+    Scenario,
+    ScenarioSegment,
+    clarke_arrays,
+    generate_arrays,
+)
 
 FS = 1000.0
 
@@ -261,8 +269,6 @@ class TestDistributedRuns:
         t = Topology((0,), [])
         run = run_distributed(t, scn, seed=0, snr_db=None, mode="dfe")
 
-        from gridfreq.signals import clarke_arrays, generate_arrays
-
         v = clarke_arrays(generate_arrays(scn))[1]
         aux_model = nss_model(FS)
         shared_model = shared_increment_model(FS)
@@ -391,6 +397,80 @@ class TestDistributedRuns:
         np.testing.assert_allclose(tr.f_true_hz, 50.0)
 
 
+def dict_reference_run(t, b, scn, seed, mode, diffusion):
+    """Node-by-node run over the dict combiners, the semantics the stacked tick keeps.
+
+    Returns (node -> f_hat list, message tuples (k, phase, src, dst, payload)).
+    """
+    w = conventional_weights(t) if diffusion == "conventional" else uniform_weights(t, b)
+    aux_model = nss_model(FS, snr_db=30.0)
+    shared_model = shared_increment_model(FS, snr_db=30.0)
+    v = {
+        n: clarke_arrays(generate_arrays(scn, seed=[seed, j], snr_db=30.0))[1]
+        for j, n in enumerate(t.node_ids)
+    }
+    aux = {n: aux_model.initial_state(v[n][0]) for n in t.node_ids}
+    shared = {n: shared_model.initial_state(v[n][0]) for n in t.node_ids}
+    out, out_model = (shared, shared_model) if mode == "dfe" else (aux, aux_model)
+    f_hat = {n: [out_model.extract_freq(out[n].x_hat.materialize())[0]] for n in t.node_ids}
+    messages = []
+
+    def log(k, phase, src, dst, vec):
+        messages.extend((k, phase, src, dst, complex(z)) for z in vec.top)
+
+    for k in range(1, scn.n_samples):
+        for n in t.node_ids:
+            y = augment(v[n][k : k + 1])
+            vp, vm = aux[n].x_hat.top[1], aux[n].x_hat.top[2]
+            aux[n] = acekf_step(aux_model, aux[n], y)
+            if mode == "dfe":
+                shared[n] = acekf_step(with_sequence_observation(shared_model, vp, vm), shared[n], y)
+        est = {n: out[n].x_hat for n in t.node_ids}
+        combined = est
+        if diffusion == "conventional":
+            for i in t.node_ids:
+                for nb in t.neighbors(i):
+                    log(k, "to_neighbor", nb, i, est[nb])
+            combined = {i: bridge_diffuse(i, est, w) for i in t.node_ids}
+        elif diffusion == "bridge":
+            psi = {}
+            for l in sorted(b.bridges, key=str):
+                for nb in t.neighbors(l):
+                    log(k, "to_bridge", nb, l, est[nb])
+                psi[l] = bridge_diffuse(l, est, w)
+                for nb in t.neighbors(l):
+                    log(k, "from_bridge", l, nb, psi[l])
+            combined = {
+                i: psi[i] if i in b.bridges else nonbridge_diffuse(i, psi, w) for i in t.node_ids
+            }
+        for n in t.node_ids:
+            out[n] = FilterState(combined[n], out[n].M, out[n].k)
+            f_hat[n].append(out_model.extract_freq(out[n].x_hat.materialize())[0])
+    return f_hat, messages
+
+
+class TestStackedTickMatchesDictCombiners:
+    @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
+    @pytest.mark.parametrize("diffusion", ["bridge", "conventional", "none"])
+    def test_traces_and_message_log(self, mode, diffusion):
+        t, b = reference_network()
+        scn = sag_scenario(duration=0.15)
+        for seed in (0, 7):
+            run = run_distributed(
+                t, scn, seed=seed, snr_db=30.0, mode=mode, diffusion=diffusion,
+                assignment=b, collect_messages=True,
+            )
+            f_ref, msg_ref = dict_reference_run(t, b, scn, seed, mode, diffusion)
+            for n in t.node_ids:
+                np.testing.assert_allclose(run.traces[n].f_hat_hz, f_ref[n], rtol=0, atol=1e-12)
+            assert [(m.k, m.phase, m.src, m.dst) for m in run.messages] == [
+                m[:4] for m in msg_ref
+            ]
+            payload = np.array([m.payload for m in run.messages], dtype=complex)
+            want = np.array([m[4] for m in msg_ref], dtype=complex)
+            np.testing.assert_allclose(payload, want, rtol=0, atol=1e-12)
+
+
 class TestConfigErrors:
     def test_missing_scenario_rejected(self):
         t, b = reference_network()
@@ -418,6 +498,14 @@ class TestConfigErrors:
         t, b = reference_network()
         with pytest.raises(DistributedConfigError, match="empty"):
             run_distributed_mc(t, make_scenario(), seeds=[], assignment=b)
+
+    def test_degenerate_filter_names_tick_node_and_seed(self):
+        t, _ = reference_network()
+        scn = make_scenario(duration=0.1)
+        with pytest.raises(FilterDegenerateError, match="tick 2: node 1:"):
+            run_distributed(t, scn, snr_db=30.0, cond_limit=1.0)
+        with pytest.raises(FilterDegenerateError, match="tick 1: node 7: seed 5:"):
+            run_distributed_mc(t, scn, seeds=[5, 6], snr_db=30.0, cond_limit=1.0)
 
     def test_incomplete_weights_rejected(self):
         t, b = reference_network()
