@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .augmented import AugmentedVector
-from .estimators import FreqTrace
+from .estimators import DEFAULT_COND_LIMIT, FreqTrace, _fmt
 from .network import DiffusionWeights, TickRecord
 
 __all__ = [
@@ -44,9 +44,6 @@ __all__ = [
     "write_mse_csv",
     "write_spectrum_csv",
 ]
-
-_COND_LIMIT = 1e12
-
 
 class AnalysisError(ValueError):
     pass
@@ -100,17 +97,18 @@ def empirical_mse(traces: Mapping, window, f_true=None) -> MseReport:
 def empirical_mse_mc(mc, window, f_true) -> MseReport:
     """Monte-Carlo variant: averages squared error over seeds and the window.
 
-    ``mc`` is a batched run with ``f_hat_hz`` of shape (seeds, nodes, ticks).
+    ``mc`` is a batched run with ``f_hat_hz`` of shape (seeds, nodes, ticks);
+    ``f_true`` broadcasts to (nodes, ticks), so it may be one value, one
+    series for every node, or one series per node.
     """
     f_hat = mc.f_hat_hz
     start, stop = _check_window(window, f_hat.shape[-1])
-    truth = np.broadcast_to(np.asarray(f_true, dtype=float), f_hat.shape[-1:])
-    err = f_hat[..., start:stop] - truth[start:stop]
-    per_node = np.mean(err**2, axis=(0, 2))
-    return MseReport(
-        nodes=tuple(mc.node_ids),
-        empirical_mse_hz2={n: float(v) for n, v in zip(mc.node_ids, per_node)},
-    )
+    truth = np.broadcast_to(np.asarray(f_true, dtype=float), f_hat.shape[1:])
+    mse = {}
+    for j, n in enumerate(mc.node_ids):
+        err = f_hat[:, j, start:stop] - truth[j, start:stop]
+        mse[n] = float(np.mean(err**2))
+    return MseReport(nodes=tuple(mc.node_ids), empirical_mse_hz2=mse)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def initial_network_state(
 
 def _correction_map(rec: TickRecord, node) -> np.ndarray:
     """F = M_post @ inv(M_prior), the posterior-over-prior correction."""
-    if np.linalg.cond(rec.M_prior) > _COND_LIMIT:
+    if np.linalg.cond(rec.M_prior) > DEFAULT_COND_LIMIT:
         raise AnalysisError(f"singular prior covariance at node {node!r}, tick {rec.k}")
     return rec.M_post @ np.linalg.inv(rec.M_prior)
 
@@ -365,10 +363,6 @@ def error_spectrum(trace: FreqTrace, window, f_true=None) -> SpectrumResult:
 
 # ---------------------------------------------------------------------------
 # CSV export
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
 
 
 def write_mse_csv(path, report: MseReport) -> None:

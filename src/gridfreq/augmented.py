@@ -16,7 +16,7 @@ build, check, and repair that structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,26 +49,6 @@ class AugmentedVector:
     def materialize(self) -> np.ndarray:
         """Return the full 2n vector [x; conj(x)]."""
         return np.concatenate([self.top, np.conj(self.top)], axis=-1)
-
-    @classmethod
-    def from_full(cls, full: np.ndarray, tol: float = 1e-9) -> "AugmentedVector":
-        """Rebuild from a full 2n vector, averaging the two conjugate halves.
-
-        The halves must agree (up to conjugation) within ``tol`` relative to
-        the vector max-norm, otherwise the input was not a conjugate pair.
-        """
-        full = _as_complex(full)
-        n = full.shape[-1] // 2
-        if full.shape[-1] != 2 * n:
-            raise ValueError("augmented vector length must be even")
-        top, bottom = full[..., :n], full[..., n:]
-        dev = np.max(np.abs(top - np.conj(bottom))) if n else 0.0
-        scale = max(float(np.max(np.abs(full))), 1e-300) if full.size else 1.0
-        if dev > tol * scale:
-            raise StructureError(
-                f"conjugate-pair deviation {dev:.3e} exceeds {tol:.1e} * max-norm {scale:.3e}"
-            )
-        return cls((top + np.conj(bottom)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -128,22 +108,6 @@ class AugmentedMatrix:
 def augment(x) -> AugmentedVector:
     """Wrap a plain complex vector (or batch of them) as an AugmentedVector."""
     return AugmentedVector(_as_complex(x))
-
-
-def augmented_moments(samples: Iterable) -> AugmentedMatrix:
-    """Sample covariance and pseudo-covariance of an iterable of vectors.
-
-    Returns the augmented second-moment matrix with block11 = mean of x x^H
-    and block12 = mean of x x^T (moments about zero, not about the mean).
-    """
-    arr = _as_complex(np.stack([np.asarray(s) for s in samples]))
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    cov = np.einsum("ki,kj->ij", arr, np.conj(arr)) / arr.shape[0]
-    pseudo = np.einsum("ki,kj->ij", arr, arr) / arr.shape[0]
-    return AugmentedMatrix(cov, pseudo)
 
 
 def _conjugate_block_flip(full: np.ndarray) -> np.ndarray:

@@ -36,7 +36,9 @@ import yaml
 from .analysis import (
     SPECTRUM_MIN_TICKS,
     MseReport,
+    _serving_row,
     empirical_mse,
+    empirical_mse_mc,
     error_spectrum,
     initial_network_state,
     mse_step,
@@ -48,6 +50,7 @@ from .estimators import (
     _CU_INCREMENT,
     _CU_VOLTAGE,
     FilterDegenerateError,
+    _fmt,
     lss_model,
     nss_model,
     run_filter,
@@ -165,6 +168,14 @@ def _num3(raw, path: str, diags: list) -> tuple | None:
         return None
 
 
+def _number(raw: Mapping, key: str, path: str, diags: list) -> float | None:
+    val = raw.get(key)
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        diags.append(f"{path}.{key}: required number")
+        return None
+    return float(val)
+
+
 def _build_segment(raw, path: str, diags: list) -> ScenarioSegment | None:
     if not isinstance(raw, Mapping):
         diags.append(f"{path}: expected a mapping")
@@ -175,28 +186,22 @@ def _build_segment(raw, path: str, diags: list) -> ScenarioSegment | None:
     for key in sorted(unknown):
         diags.append(f"{path}.{key}: unknown field")
 
-    ok = True
-    bounds = []
-    for key in ("start_s", "end_s"):
-        if key not in raw or isinstance(raw[key], bool) or not isinstance(raw[key], (int, float)):
-            diags.append(f"{path}.{key}: required number")
-            ok = False
-        else:
-            bounds.append(float(raw[key]))
+    bounds = [_number(raw, key, path, diags) for key in ("start_s", "end_s")]
 
     has_const = "freq_hz" in raw
     has_ramp = "freq_start_hz" in raw or "rate_hz_per_s" in raw
     freq = None
     if has_const and has_ramp:
         diags.append(f"{path}: give either freq_hz or freq_start_hz + rate_hz_per_s, not both")
-        ok = False
     elif has_const:
-        freq = ConstantFreq(float(raw["freq_hz"]))
+        f_hz = _number(raw, "freq_hz", path, diags)
+        freq = None if f_hz is None else ConstantFreq(f_hz)
     elif "freq_start_hz" in raw and "rate_hz_per_s" in raw:
-        freq = RampFreq(float(raw["freq_start_hz"]), float(raw["rate_hz_per_s"]))
+        f0, rate = (_number(raw, key, path, diags) for key in ("freq_start_hz", "rate_hz_per_s"))
+        freq = None if f0 is None or rate is None else RampFreq(f0, rate)
     else:
         diags.append(f"{path}: needs freq_hz, or freq_start_hz together with rate_hz_per_s")
-        ok = False
+    ok = freq is not None and None not in bounds
 
     amps = (1.0, 1.0, 1.0)
     if "amplitudes" in raw:
@@ -426,7 +431,9 @@ def build_plan(cfg: Mapping) -> RunPlan:
             )
 
     output_dir = _want(cfg, "output_dir", str, diags)
-    messages_csv = bool(cfg.get("messages_csv", False))
+    messages_csv = cfg.get("messages_csv", False)
+    if not isinstance(messages_csv, bool):
+        diags.append(f"messages_csv: expected true or false, got {messages_csv!r}")
 
     if diags:
         raise ConfigError(diags)
@@ -488,7 +495,7 @@ def _write_mc_summary(path, t_s, f_true, f_hat) -> None:
         fh.write("k,t_s,f_true_hz,f_hat_mean_hz,err_mean_hz,err_rms_hz\n")
         for k in range(t_s.size):
             row = (t_s[k], f_true[k], mean_f[k], mean_e[k], rms_e[k])
-            fh.write(f"{k}," + ",".join(format(x, ".15g") for x in row) + "\n")
+            fh.write(f"{k}," + ",".join(_fmt(x) for x in row) + "\n")
 
 
 def _run_single(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path]:
@@ -524,12 +531,6 @@ def _theory_matrices(plan: RunPlan):
     return 0.1 * np.eye(d, dtype=complex), model.Cu.materialize(), model.Cn.materialize()
 
 
-def _serving_aggregators(node, weights: DiffusionWeights) -> tuple:
-    if node in weights.beta and node not in weights.gamma:
-        return (node,)
-    return tuple(weights.gamma[node])
-
-
 def _theory_columns(run, report: MseReport, mats) -> None:
     """Fill the theoretical trace/bound columns from the matrix recursions."""
     node_ids = run.topology.node_ids
@@ -547,7 +548,7 @@ def _theory_columns(run, report: MseReport, mats) -> None:
     for n in node_ids:
         own = report.theoretical_trace[n]
         ceiling = max(
-            float(np.real(np.trace(V[(y, y)]))) for y in _serving_aggregators(n, run.weights)
+            float(np.real(np.trace(V[(y, y)]))) for y in _serving_row(n, run.weights)
         )
         report.bound_ok[n] = bool(own <= ceiling + 1e-12)
 
@@ -598,12 +599,8 @@ def _run_network(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path
     if plan.mse_window_s is not None:
         window = _ticks(plan.mse_window_s, plan.sample_rate_hz)
         if mc is not None:
-            mse = {}
-            for j, n in enumerate(mc.node_ids):
-                truth = per_node[n].true_freq()[window[0] : window[1]]
-                err = mc.f_hat_hz[:, j, window[0] : window[1]] - truth
-                mse[n] = float(np.mean(err**2))
-            report = MseReport(nodes=tuple(mc.node_ids), empirical_mse_hz2=mse)
+            truth = np.stack([per_node[n].true_freq() for n in mc.node_ids])
+            report = empirical_mse_mc(mc, window, truth)
         else:
             report = empirical_mse(run.traces, window)
         if plan.mse_theory:

@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .augmented import AugmentedMatrix, AugmentedVector, augment, enforce_structure
-from .signals import ClarkeSample
 
 #: frequency read from a zero phase-increment state (undefined angle)
 FLAG_ZERO_INCREMENT = 1
@@ -486,51 +485,66 @@ class FreqTrace:
     f_true_hz: np.ndarray | None = None
 
 
+def _run(
+    model: StateSpaceModel,
+    v_obs: np.ndarray,
+    init: FilterState | None,
+    detail: bool,
+):
+    """The loop both runners share: one batch row per seed.
+
+    Returns (f_hat, flags, states, innovation power), shaped (seeds, ticks);
+    ``states`` adds the axis of the posterior top-half entries.  The last two
+    are kept only with ``detail``.
+    """
+    n_seeds, n_ticks = v_obs.shape
+    state = model.initial_state(v_obs[:, 0]) if init is None else init
+    f_hat = np.empty((n_seeds, n_ticks))
+    flags = np.zeros((n_seeds, n_ticks), dtype=int)
+    states = np.empty((n_seeds, n_ticks, state.x_hat.n), dtype=complex) if detail else None
+    innov = np.zeros((n_seeds, n_ticks)) if detail else None
+
+    f_hat[:, 0], flags[:, 0] = model.extract_freq(state.x_hat.materialize())
+    if detail:
+        states[:, 0] = state.x_hat.top
+    for k in range(1, n_ticks):
+        try:
+            state, diag = _step(model, state, augment(v_obs[:, k : k + 1]))
+        except FilterDegenerateError as exc:
+            raise FilterDegenerateError(f"tick {k}: {exc}") from exc
+        f_hat[:, k], flags[:, k] = model.extract_freq(state.x_hat.materialize())
+        if detail:
+            states[:, k] = state.x_hat.top
+            innov[:, k] = np.abs(diag.innovation[..., 0]) ** 2
+    return f_hat, flags, states, innov
+
+
 def run_filter(
     model: StateSpaceModel,
-    samples: Sequence[ClarkeSample] | np.ndarray,
+    samples: np.ndarray,
     sample_rate_hz: float,
     init: FilterState | None = None,
     f_true: np.ndarray | None = None,
 ) -> FreqTrace:
-    """Run a model over a Clarke voltage series and collect the trace."""
-    if isinstance(samples, np.ndarray):
-        v = np.asarray(samples, dtype=complex)
-    else:
-        v = np.asarray([s.v for s in samples], dtype=complex)
-    n_ticks = v.size
-    if n_ticks == 0:
+    """Run a model over a Clarke voltage series and collect the trace.
+
+    This is the batched loop at one row; an ``init`` state is unbatched.
+    """
+    v = np.asarray(samples, dtype=complex)
+    if v.size == 0:
         raise ValueError("empty sample series")
+    if init is not None:
+        init = FilterState(AugmentedVector(init.x_hat.top[None]), init.M, init.k)
+    f_hat, flags, states, innov = _run(model, v[None], init, detail=True)
 
-    state = model.initial_state(v[0]) if init is None else init
-    n_top = model.n_states // 2
-    f_hat = np.empty(n_ticks)
-    innov_power = np.zeros(n_ticks)
-    flags = np.zeros(n_ticks, dtype=int)
-    states = np.empty((n_ticks, n_top), dtype=complex)
-
-    f0, fl0 = model.extract_freq(state.x_hat.materialize())
-    f_hat[0], flags[0] = float(f0), int(fl0)
-    states[0] = state.x_hat.top
-
-    for k in range(1, n_ticks):
-        try:
-            state, diag = _step(model, state, augment(v[k : k + 1]))
-        except FilterDegenerateError as exc:
-            raise FilterDegenerateError(f"tick {k}: {exc}") from exc
-        fk, flk = model.extract_freq(state.x_hat.materialize())
-        f_hat[k], flags[k] = float(fk), int(flk)
-        innov_power[k] = float(np.abs(diag.innovation[..., 0]) ** 2)
-        states[k] = state.x_hat.top
-
-    k_idx = np.arange(n_ticks)
+    k_idx = np.arange(v.size)
     return FreqTrace(
         k=k_idx,
         t_s=k_idx / sample_rate_hz,
-        f_hat_hz=f_hat,
-        innovation_power=innov_power,
-        states=states,
-        flags=flags,
+        f_hat_hz=f_hat[0],
+        innovation_power=innov[0],
+        states=states[0],
+        flags=flags[0],
         f_true_hz=None if f_true is None else np.asarray(f_true, dtype=float),
     )
 
@@ -545,17 +559,7 @@ def run_filter_batch(
     Returns (f_hat, flags), both shaped like ``v_obs``.  Each row evolves
     exactly as a :func:`run_filter` call on that row alone.
     """
-    v_obs = np.asarray(v_obs, dtype=complex)
-    n_seeds, n_ticks = v_obs.shape
-    state = model.initial_state(v_obs[:, 0]) if init is None else init
-    f_hat = np.empty((n_seeds, n_ticks))
-    flags = np.zeros((n_seeds, n_ticks), dtype=int)
-    f0, fl0 = model.extract_freq(state.x_hat.materialize())
-    f_hat[:, 0], flags[:, 0] = f0, fl0
-    for k in range(1, n_ticks):
-        state, _ = _step(model, state, augment(v_obs[:, k : k + 1]))
-        fk, flk = model.extract_freq(state.x_hat.materialize())
-        f_hat[:, k], flags[:, k] = fk, flk
+    f_hat, flags, _, _ = _run(model, np.asarray(v_obs, dtype=complex), init, detail=False)
     return f_hat, flags
 
 
@@ -581,4 +585,5 @@ def write_trace_csv(path, trace: FreqTrace) -> None:
 
 
 def _fmt(x: float) -> str:
+    """Format a float for CSV output with full double precision."""
     return format(float(x), ".15g")

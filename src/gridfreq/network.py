@@ -31,6 +31,7 @@ from .estimators import (
     FreqTrace,
     StateSpaceModel,
     StepDiagnostics,
+    _fmt,
     _step,
     nss_model,
     shared_increment_model,
@@ -200,8 +201,9 @@ class DiffusionWeights:
 
     ``beta[i]`` maps each member of node i's closed neighborhood to its weight
     in i's aggregation stage; ``gamma[m]`` maps each bridge serving node m to
-    its weight in m's redistribution stage.  Every row must be non-negative
-    and sum to one (zeros are allowed so a row can ignore a contributor).
+    its weight in m's redistribution stage.  Every row must be finite,
+    non-negative and sum to one (zeros are allowed so a row can ignore a
+    contributor).
     """
 
     beta: Mapping
@@ -213,6 +215,8 @@ class DiffusionWeights:
                 if not row:
                     raise WeightsError(f"{label} row for node {node!r} is empty")
                 vals = np.array(list(row.values()), dtype=float)
+                if not np.all(np.isfinite(vals)):
+                    raise WeightsError(f"{label} row for node {node!r} has non-finite weights")
                 if np.any(vals < 0):
                     raise WeightsError(f"{label} row for node {node!r} has negative weights")
                 if abs(vals.sum() - 1.0) > 1e-9:
@@ -258,50 +262,33 @@ def reference_network() -> tuple[Topology, BridgeAssignment]:
 # diffusion combiners
 
 
-def _combine(row: Mapping, estimates: Mapping, renormalize: bool, who: str) -> AugmentedVector:
-    present = {m: w for m, w in row.items() if m in estimates}
-    missing = sorted(set(row) - set(present), key=str)
-    if missing and not renormalize:
+def _combine(row: Mapping, estimates: Mapping, who: str) -> AugmentedVector:
+    missing = sorted(set(row) - set(estimates), key=str)
+    if missing:
         raise DiffusionError(f"{who}: missing estimates from nodes {missing!r}")
-    if not present:
-        raise DiffusionError(f"{who}: no estimates available")
-    total = sum(present.values())
-    if total <= 0.0:
-        raise DiffusionError(f"{who}: surviving weights sum to zero")
+    total = sum(row.values())
     out = None
-    for m, w in present.items():
+    for m, w in row.items():
         term = (w / total) * estimates[m].top
         out = term if out is None else out + term
     return AugmentedVector(out)
 
 
-def bridge_diffuse(
-    i,
-    estimates: Mapping,
-    w: DiffusionWeights,
-    renormalize: bool = False,
-) -> AugmentedVector:
+def bridge_diffuse(i, estimates: Mapping, w: DiffusionWeights) -> AugmentedVector:
     """Aggregation stage: weighted average of closed-neighborhood posteriors.
 
-    With ``renormalize`` the weights of missing contributors are dropped and
-    the rest rescaled for this tick (link-failure behavior); otherwise a
-    missing estimate raises.
+    A missing estimate raises.
     """
     if i not in w.beta:
         raise DiffusionError(f"node {i!r} has no aggregation weight row")
-    return _combine(w.beta[i], estimates, renormalize, f"aggregation at node {i!r}")
+    return _combine(w.beta[i], estimates, f"aggregation at node {i!r}")
 
 
-def nonbridge_diffuse(
-    m,
-    bridge_estimates: Mapping,
-    w: DiffusionWeights,
-    renormalize: bool = False,
-) -> AugmentedVector:
+def nonbridge_diffuse(m, bridge_estimates: Mapping, w: DiffusionWeights) -> AugmentedVector:
     """Redistribution stage: weighted average of the serving bridges' outputs."""
     if m not in w.gamma:
         raise DiffusionError(f"node {m!r} has no redistribution weight row")
-    return _combine(w.gamma[m], bridge_estimates, renormalize, f"redistribution at node {m!r}")
+    return _combine(w.gamma[m], bridge_estimates, f"redistribution at node {m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +430,6 @@ def dfe_tick(
     mixing: _Mixing,
     messages: list | None = None,
     cond_limit: float = DEFAULT_COND_LIMIT,
-    reseed_aux: bool = False,
 ) -> tuple[FilterState, FilterState, StepDiagnostics]:
     """One synchronous round of the distributed frequency estimator.
 
@@ -459,12 +445,10 @@ def dfe_tick(
     combined value.  Returns the new (aux, shared) states and the shared
     step's diagnostics.
 
-    The auxiliary tracker stays fully local by default: its own increment
-    estimate evolves only through its own corrections.  ``reseed_aux``
-    additionally overwrites the tracker's increment entry with the diffused
-    value; that couples the two filters into a feedback loop which is unstable
-    at noiseless gain levels (a slowly growing oscillation near 75 Hz), so it
-    is off unless explicitly requested.
+    The auxiliary tracker stays fully local: overwriting its increment entry
+    with the diffused value couples the two filters into a feedback loop that
+    is unstable at noiseless gain levels (a slowly growing oscillation near
+    75 Hz).
     """
     v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
     aux, _ = _batch_step(lambda rows: aux_model, aux, y, cond_limit)
@@ -473,12 +457,7 @@ def dfe_tick(
         shared, y, cond_limit,
     )
     x = _diffuse_all(shared.x_hat.top, k, mixing, messages)
-    shared = FilterState(AugmentedVector(x), shared.M, shared.k)
-    if reseed_aux:
-        aux_top = aux.x_hat.top.copy()
-        aux_top[..., 0] = x[..., 0]
-        aux = FilterState(AugmentedVector(aux_top), aux.M, aux.k)
-    return aux, shared, diag
+    return aux, FilterState(AugmentedVector(x), shared.M, shared.k), diag
 
 
 def _full_state_tick(
@@ -593,7 +572,6 @@ def _simulate(
     mode: str,
     mixing: _Mixing,
     f_init_hz: float,
-    reseed_aux: bool,
     cond_limit: float,
     messages: list | None = None,
     records: Mapping | None = None,
@@ -639,8 +617,7 @@ def _simulate(
                 out = aux
             else:
                 aux, shared, diag = dfe_tick(
-                    aux_model, shared_model, aux, shared, y, k, mixing, messages,
-                    cond_limit, reseed_aux,
+                    aux_model, shared_model, aux, shared, y, k, mixing, messages, cond_limit
                 )
                 out = shared
         except FilterDegenerateError as exc:
@@ -673,7 +650,6 @@ def run_distributed(
     assignment: BridgeAssignment | None = None,
     weights: DiffusionWeights | None = None,
     f_init_hz: float = 50.0,
-    reseed_aux: bool = False,
     collect_messages: bool = False,
     record_matrices: bool = False,
     cond_limit: float = DEFAULT_COND_LIMIT,
@@ -692,7 +668,7 @@ def run_distributed(
     records = {n: [] for n in topology.node_ids} if record_matrices else None
     f_hat, flags, states, innov = _simulate(
         topology, per_node, [seed], snr_db, mode,
-        _mixing(topology, assignment, weights, diffusion), f_init_hz, reseed_aux, cond_limit,
+        _mixing(topology, assignment, weights, diffusion), f_init_hz, cond_limit,
         messages, records, detail=True,
     )
 
@@ -726,7 +702,6 @@ def run_distributed_mc(
     assignment: BridgeAssignment | None = None,
     weights: DiffusionWeights | None = None,
     f_init_hz: float = 50.0,
-    reseed_aux: bool = False,
     record_x: bool = False,
     cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> DistributedMcRun:
@@ -743,7 +718,7 @@ def run_distributed_mc(
         raise DistributedConfigError("empty seed list")
     f_hat, flags, states, _ = _simulate(
         topology, per_node, seeds, snr_db, mode,
-        _mixing(topology, assignment, weights, diffusion), f_init_hz, reseed_aux, cond_limit,
+        _mixing(topology, assignment, weights, diffusion), f_init_hz, cond_limit,
         detail=record_x,
     )
     return DistributedMcRun(
@@ -761,7 +736,3 @@ def write_messages_csv(path, messages: Sequence[Message]) -> None:
             w.writerow(
                 [m.k, m.phase, m.src, m.dst, _fmt(m.payload.real), _fmt(m.payload.imag)]
             )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")

@@ -15,9 +15,8 @@ trajectory into an ellipse; ``sequence_components`` and
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -157,21 +156,6 @@ class Scenario:
         return f
 
 
-@dataclass(frozen=True)
-class ThreePhaseSample:
-    k: int
-    va: float
-    vb: float
-    vc: float
-
-
-@dataclass(frozen=True)
-class ClarkeSample:
-    v0: float
-    v: complex
-    k: int = 0
-
-
 def generate_arrays(
     scenario: Scenario, seed: int | Sequence[int] | None = None, snr_db: float | None = None
 ) -> np.ndarray:
@@ -207,30 +191,10 @@ def generate_arrays(
     return v
 
 
-def generate(
-    scenario: Scenario, seed: int | None = None, snr_db: float | None = None
-) -> list[ThreePhaseSample]:
-    """Sample a scenario as a list of per-tick three-phase samples."""
-    v = generate_arrays(scenario, seed=seed, snr_db=snr_db)
-    return [ThreePhaseSample(int(i), *row) for i, row in enumerate(v)]
-
-
 def clarke_arrays(vabc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clarke-transform an (n, 3) phase array into (v0, complex v) arrays."""
     comps = vabc @ CLARKE.T
     return comps[..., 0], comps[..., 1] + 1j * comps[..., 2]
-
-
-def clarke(sample: ThreePhaseSample) -> ClarkeSample:
-    """Transform one three-phase sample into the zero/complex representation."""
-    v0, valpha, vbeta = CLARKE @ np.array([sample.va, sample.vb, sample.vc])
-    return ClarkeSample(v0=float(v0), v=complex(valpha, vbeta), k=sample.k)
-
-
-def inverse_clarke(sample: ClarkeSample) -> ThreePhaseSample:
-    """Invert ``clarke``; exact because the transform matrix is orthogonal."""
-    va, vb, vc = CLARKE_INV @ np.array([sample.v0, sample.v.real, sample.v.imag])
-    return ThreePhaseSample(k=sample.k, va=float(va), vb=float(vb), vc=float(vc))
 
 
 def sequence_components(va_amp: float, vb_amp: float, vc_amp: float) -> tuple[float, complex]:
@@ -278,7 +242,7 @@ def sequence_amplitudes(
 
 
 def pos_neg_decompose(
-    samples: Sequence[ClarkeSample] | np.ndarray,
+    samples: np.ndarray,
     f_hz: float,
     sample_rate_hz: float,
     window: int | None = None,
@@ -290,10 +254,7 @@ def pos_neg_decompose(
     tick.  On noiseless constant-parameter input the reconstruction
     v+ + v- = v is exact and each part advances by e^{+/- j 2 pi f dT}.
     """
-    if isinstance(samples, np.ndarray):
-        v = np.asarray(samples, dtype=complex)
-    else:
-        v = np.asarray([s.v if isinstance(s, ClarkeSample) else s for s in samples], dtype=complex)
+    v = np.asarray(samples, dtype=complex)
     n = v.size
     if n < 2:
         raise ValueError("need at least two samples to separate two rotating parts")
@@ -314,22 +275,3 @@ def pos_neg_decompose(
             last_anchor = anchor
         out.append((complex(coeffs[0] * basis[k, 0]), complex(coeffs[1] * basis[k, 1])))
     return out
-
-
-def write_samples_csv(path, scenario: Scenario, vabc: np.ndarray) -> None:
-    """Write generated samples with their Clarke components to CSV."""
-    v0, v = clarke_arrays(vabc)
-    dt = 1.0 / scenario.sample_rate_hz
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "t_s", "va", "vb", "vc", "v0", "valpha", "vbeta"])
-        for k in range(vabc.shape[0]):
-            w.writerow(
-                [k, _fmt(k * dt), _fmt(vabc[k, 0]), _fmt(vabc[k, 1]), _fmt(vabc[k, 2]),
-                 _fmt(v0[k]), _fmt(v[k].real), _fmt(v[k].imag)]
-            )
-
-
-def _fmt(x: float) -> str:
-    """Format floats for CSV output with full double precision."""
-    return format(float(x), ".15g")

@@ -5,10 +5,8 @@ import pytest
 
 from gridfreq.augmented import (
     AugmentedMatrix,
-    AugmentedVector,
     StructureError,
     augment,
-    augmented_moments,
     enforce_structure,
 )
 
@@ -27,17 +25,6 @@ class TestAugmentedVector:
         assert full.shape == (4,)
         np.testing.assert_array_equal(full[:2], [1 + 2j, -3j])
         np.testing.assert_array_equal(full[2:], np.conj(full[:2]))
-
-    def test_from_full_round_trip(self):
-        rng = np.random.default_rng(1)
-        top = rng.normal(size=5) + 1j * rng.normal(size=5)
-        v = AugmentedVector.from_full(augment(top).materialize())
-        np.testing.assert_allclose(v.top, top, rtol=0, atol=0)
-
-    def test_from_full_rejects_broken_pair(self):
-        bad = np.array([1 + 1j, 2.0, 1 - 1j, 2.5])  # bottom no longer conj(top)
-        with pytest.raises(StructureError):
-            AugmentedVector.from_full(bad)
 
     def test_batched_shape(self):
         v = augment(np.ones((7, 3), dtype=complex))
@@ -78,34 +65,6 @@ class TestAugmentedMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             AugmentedMatrix(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-class TestAugmentedMoments:
-    def test_two_point_real_samples(self):
-        # Hand oracle: samples {+1, -1} give covariance 1 and pseudo-covariance 1.
-        m = augmented_moments([np.array([1.0 + 0j]), np.array([-1.0 + 0j])])
-        np.testing.assert_allclose(m.block11, [[1.0]])
-        np.testing.assert_allclose(m.block12, [[1.0]])
-
-    def test_circular_samples_have_vanishing_pseudo_covariance(self):
-        # x = e^{j theta}, theta uniform: E[x x^T] = E[e^{2j theta}] = 0.
-        # Sample mean of e^{2j theta} has per-component std 1/sqrt(2N).
-        rng = np.random.default_rng(7)
-        n_samp = 20000
-        theta = rng.uniform(0.0, 2 * np.pi, size=n_samp)
-        m = augmented_moments(np.exp(1j * theta)[:, None])
-        bound = 3.0 / np.sqrt(2 * n_samp)
-        assert abs(m.block12[0, 0].real) < bound
-        assert abs(m.block12[0, 0].imag) < bound
-        np.testing.assert_allclose(m.block11[0, 0], 1.0, atol=1e-12)
-
-    def test_covariance_block_is_psd_and_pseudo_symmetric(self):
-        rng = np.random.default_rng(11)
-        samples = rng.normal(size=(300, 4)) + 1j * rng.normal(size=(300, 4))
-        m = augmented_moments(samples)
-        eigs = np.linalg.eigvalsh(m.block11)
-        assert eigs.min() >= -1e-12
-        np.testing.assert_allclose(m.block12, m.block12.T, rtol=0, atol=1e-12)
 
 
 class TestEnforceStructure:

@@ -345,3 +345,38 @@ class TestInputsCheckedBeforeRun:
         cfg = write_config(tmp_path, QUICK_NETWORK.replace("theory: true", 'theory: "no"'))
         assert main(["validate", cfg]) == 1
         assert "mse.theory: expected true or false, got 'no'" in capsys.readouterr().out
+
+    def test_messages_csv_must_be_a_bool(self, tmp_path, capsys):
+        assert build_plan(yaml.safe_load(QUICK_NETWORK)).messages_csv is True
+        cfg = write_config(
+            tmp_path, QUICK_NETWORK.replace("messages_csv: true", 'messages_csv: "no"')
+        )
+        assert main(["validate", cfg]) == 1
+        assert "messages_csv: expected true or false, got 'no'" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "freq, path",
+        [
+            ("freq_hz: abc", "freq_hz"),
+            ("freq_hz: true", "freq_hz"),
+            ("freq_hz: .nan", "freq_hz"),
+            ("freq_start_hz: 50.0, rate_hz_per_s: abc", "rate_hz_per_s"),
+        ],
+        ids=["text", "bool", "nan", "ramp-rate"],
+    )
+    def test_segment_frequency_must_be_a_number(self, tmp_path, capsys, freq, path):
+        cfg = write_config(tmp_path, QUICK_SINGLE.replace("freq_hz: 50.0", freq))
+        assert main(["validate", cfg]) == 1
+        assert f"scenario.segments[0].{path}: required number" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_nan_weight_is_a_config_error(self, tmp_path, capsys):
+        weights = "{beta: {2: {1: .nan, 2: 0.5, 3: 0.5}}, gamma: {1: {2: 1.0}, 3: {2: 1.0}}}"
+        cfg = write_config(tmp_path, QUICK_NETWORK + f"weights: {weights}\n")
+        assert main(["validate", cfg]) == 1
+        assert "beta row for node 2 has non-finite weights" in capsys.readouterr().out

@@ -246,7 +246,15 @@ class TestRunFilter:
         settled = trace.f_hat_hz[200:]
         assert np.max(np.abs(settled - 50.0)) < 1e-3
 
-    def test_degenerate_error_carries_tick(self):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda model, v: run_filter(model, v, FS),
+            lambda model, v: run_filter_batch(model, np.stack([v, v])),
+        ],
+        ids=["run_filter", "run_filter_batch"],
+    )
+    def test_degenerate_error_carries_tick(self, run):
         model = lss_model(FS)
         bad = StateSpaceModel(
             name="bad", n_states=4, f_a=model.f_a, jacobian_A=model.jacobian_A,
@@ -258,7 +266,7 @@ class TestRunFilter:
         )
         v = clarke_series(make_scenario(duration=0.05))
         with pytest.raises(FilterDegenerateError, match="tick 1"):
-            run_filter(bad, v, FS)
+            run(bad, v)
 
 
 class TestBatchRunner:
@@ -270,7 +278,7 @@ class TestBatchRunner:
         f_batch, flags_batch = run_filter_batch(model, series)
         for i, s in enumerate(seeds):
             trace = run_filter(model, series[i], FS)
-            np.testing.assert_allclose(f_batch[i], trace.f_hat_hz, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(f_batch[i], trace.f_hat_hz)
             np.testing.assert_array_equal(flags_batch[i], trace.flags)
 
 

@@ -173,6 +173,10 @@ class TestWeights:
         with pytest.raises(WeightsError, match="sums to"):
             DiffusionWeights(beta={1: {1: 0.6, 2: 0.6}}, gamma={})
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(WeightsError, match="non-finite"):
+            DiffusionWeights(beta={1: {1: math.nan, 2: 0.5}}, gamma={})
+
     def test_empty_row_rejected(self):
         with pytest.raises(WeightsError, match="empty"):
             DiffusionWeights(beta={1: {}}, gamma={})
@@ -228,16 +232,6 @@ class TestCombiners:
         w = uniform_weights(self.t, self.b)
         with pytest.raises(DiffusionError, match="'b'"):
             bridge_diffuse("a", {"a": _vec(1.0)}, w)
-
-    def test_renormalize_drops_missing(self):
-        w = uniform_weights(self.t, self.b)
-        out = bridge_diffuse("a", {"a": _vec(2.0 + 0.5j)}, w, renormalize=True)
-        assert out.top[0] == pytest.approx(2.0 + 0.5j)
-
-    def test_no_estimates_at_all_raises(self):
-        w = uniform_weights(self.t, self.b)
-        with pytest.raises(DiffusionError, match="no estimates"):
-            bridge_diffuse("a", {}, w, renormalize=True)
 
     def test_nonbridge_mirrors_bridge_cases(self):
         w = uniform_weights(self.t, self.b)
@@ -328,15 +322,6 @@ class TestDistributedRuns:
             x_dfe = r_dfe.traces[n].states[-1, 0]
             x_full = r_full.traces[n].states[-1, 0]
             assert abs(x_dfe - x_full) < 1e-9
-
-    def test_reseeding_the_tracker_increment_is_unstable(self):
-        # re-feeding the diffused increment into the local tracker couples the
-        # two filters; with noiseless gains the loop oscillates and diverges
-        t, b = reference_network()
-        scn = make_scenario(duration=1.0)
-        run = run_distributed(t, scn, snr_db=None, assignment=b, reseed_aux=True)
-        err = np.abs(run.traces[1].f_hat_hz[-100:] - 50.0)
-        assert np.max(err) > 0.1
 
     def test_message_log_respects_topology(self):
         t, b = reference_network()

@@ -7,22 +7,17 @@ import pytest
 
 from gridfreq.signals import (
     CLARKE,
-    ClarkeSample,
+    CLARKE_INV,
     ConstantFreq,
     RampFreq,
     Scenario,
     ScenarioError,
     ScenarioSegment,
-    ThreePhaseSample,
-    clarke,
     clarke_arrays,
-    generate,
     generate_arrays,
-    inverse_clarke,
     pos_neg_decompose,
     sequence_amplitudes,
     sequence_components,
-    write_samples_csv,
 )
 
 
@@ -36,39 +31,34 @@ def balanced(f_hz=50.0, fs=1000.0, duration=1.0):
 
 class TestClarke:
     def test_equal_phases_all_zero_sequence(self):
-        s = clarke(ThreePhaseSample(0, 1.0, 1.0, 1.0))
-        assert s.v0 == pytest.approx(math.sqrt(3.0), abs=1e-12)
-        assert abs(s.v) == pytest.approx(0.0, abs=1e-12)
+        v0, v = clarke_arrays(np.array([1.0, 1.0, 1.0]))
+        assert v0 == pytest.approx(math.sqrt(3.0), abs=1e-12)
+        assert abs(v) == pytest.approx(0.0, abs=1e-12)
 
     def test_balanced_snapshot(self):
         # Balanced system frozen at theta = 0: (1, -1/2, -1/2).
-        s = clarke(ThreePhaseSample(0, 1.0, -0.5, -0.5))
-        assert s.v0 == pytest.approx(0.0, abs=1e-12)
-        assert s.v == pytest.approx(math.sqrt(1.5), abs=1e-12)
+        v0, v = clarke_arrays(np.array([1.0, -0.5, -0.5]))
+        assert v0 == pytest.approx(0.0, abs=1e-12)
+        assert v == pytest.approx(math.sqrt(1.5), abs=1e-12)
 
     def test_matrix_is_orthogonal(self):
         np.testing.assert_allclose(CLARKE @ CLARKE.T, np.eye(3), atol=1e-15)
 
     def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            orig = ThreePhaseSample(3, *rng.normal(size=3))
-            back = inverse_clarke(clarke(orig))
-            assert back.k == orig.k
-            np.testing.assert_allclose(
-                [back.va, back.vb, back.vc], [orig.va, orig.vb, orig.vc], atol=1e-12
-            )
+        orig = np.random.default_rng(2).normal(size=(20, 3))
+        v0, v = clarke_arrays(orig)
+        back = np.stack([v0, v.real, v.imag], axis=-1) @ CLARKE_INV.T
+        np.testing.assert_allclose(back, orig, atol=1e-12)
 
 
 class TestGenerate:
     def test_quarter_period_snapshot(self):
         # 50 Hz at 1 kHz: five ticks accumulate theta = pi/2, where phase a
         # crosses zero and b/c sit at +/- sqrt(3)/2.
-        samples = generate(balanced())
-        s5 = samples[5]
-        assert s5.va == pytest.approx(0.0, abs=1e-12)
-        assert s5.vb == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-        assert s5.vc == pytest.approx(-math.sqrt(3) / 2, abs=1e-12)
+        va, vb, vc = generate_arrays(balanced())[5]
+        assert va == pytest.approx(0.0, abs=1e-12)
+        assert vb == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+        assert vc == pytest.approx(-math.sqrt(3) / 2, abs=1e-12)
 
     def test_balanced_clarke_rotates_positively(self):
         scn = balanced(f_hz=50.0, fs=1000.0, duration=0.2)
@@ -227,28 +217,13 @@ class TestPosNegDecompose:
         assert abs(parts[10][1]) == pytest.approx(0.326599, abs=1e-6)
 
     def test_accepts_clarke_samples(self):
-        scn = balanced(duration=0.05)
-        samples = [clarke(s) for s in generate(scn)]
-        parts = pos_neg_decompose(samples, 50.0, 1000.0)
+        # a plain list of complex Clarke samples works like the array
+        _, v = clarke_arrays(generate_arrays(balanced(duration=0.05)))
+        parts = pos_neg_decompose(list(v), 50.0, 1000.0)
         assert abs(parts[3][1]) == pytest.approx(0.0, abs=1e-9)
+        assert parts == pos_neg_decompose(v, 50.0, 1000.0)
 
     def test_too_short_series_raises(self):
         with pytest.raises(ValueError):
             pos_neg_decompose(np.array([1.0 + 0j]), 50.0, 1000.0)
 
-
-def test_samples_csv_round_trips_header_and_precision(tmp_path):
-    scn = balanced(duration=0.02)
-    vabc = generate_arrays(scn, seed=5, snr_db=40.0)
-    path = tmp_path / "samples.csv"
-    write_samples_csv(path, scn, vabc)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,t_s,va,vb,vc,v0,valpha,vbeta"
-    assert len(lines) == 1 + scn.n_samples
-    row = lines[4].split(",")
-    assert float(row[0]) == 3
-    assert float(row[2]) == pytest.approx(vabc[3, 0], rel=1e-12)
-    # writing twice is byte-identical
-    path2 = tmp_path / "samples2.csv"
-    write_samples_csv(path2, scn, vabc)
-    assert path.read_bytes() == path2.read_bytes()
