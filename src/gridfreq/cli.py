@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -153,6 +154,9 @@ def _want(cfg, key, kinds, diags, required=False, default=None):
     if not isinstance(val, kinds_t) or (isinstance(val, bool) and bool not in kinds_t):
         wanted = " or ".join(k.__name__ for k in kinds_t)
         diags.append(f"{key}: expected {wanted}, got {type(val).__name__}")
+        return default
+    if isinstance(val, float) and not math.isfinite(val):
+        diags.append(f"{key}: expected a finite number, got {val!r}")
         return default
     return val
 
@@ -330,9 +334,15 @@ def build_plan(cfg: Mapping) -> RunPlan:
     name = _want(cfg, "name", str, diags, required=True)
     description = _want(cfg, "description", str, diags, default="") or ""
     seed = _want(cfg, "seed", int, diags, default=0)
+    if seed < 0:
+        diags.append(f"seed: expected a non-negative integer, got {seed}")
     snr_db = cfg.get("snr_db")
-    if snr_db is not None and (isinstance(snr_db, bool) or not isinstance(snr_db, (int, float))):
-        diags.append("snr_db: expected a number or null")
+    if snr_db is not None and (
+        isinstance(snr_db, bool)
+        or not isinstance(snr_db, (int, float))
+        or not math.isfinite(snr_db)
+    ):
+        diags.append(f"snr_db: expected a finite number or null, got {snr_db!r}")
         snr_db = None
     fs = _want(cfg, "sample_rate_hz", (int, float), diags, default=1000.0)
     duration_s = _want(cfg, "duration_s", (int, float), diags, required=True)
@@ -527,8 +537,8 @@ def _theory_matrices(plan: RunPlan):
         model = shared_increment_model(plan.sample_rate_hz, snr_db=plan.snr_db)
     else:
         model = nss_model(plan.sample_rate_hz, snr_db=plan.snr_db)
-    d = model.n_states
-    return 0.1 * np.eye(d, dtype=complex), model.Cu.materialize(), model.Cn.materialize()
+    cu = model.Cu.materialize()
+    return 0.1 * np.eye(len(cu), dtype=complex), cu, model.Cn.materialize()
 
 
 def _theory_columns(run, report: MseReport, mats) -> None:
@@ -611,15 +621,23 @@ def _run_network(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path
 
 
 def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b"") -> list[Path]:
-    """Simulate a plan and write all outputs plus the manifest into out_dir."""
+    """Simulate a plan and write all outputs plus the manifest into out_dir.
+
+    If the run raises, the directories this call created are removed again.
+    """
     seed = plan.seed if seed is None else int(seed)
     out = Path(out_dir)
+    created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
-
-    if plan.estimator in _SINGLE_FACTORIES:
-        files = _run_single(plan, out, seed, n_seeds)
-    else:
-        files = _run_network(plan, out, seed, n_seeds)
+    try:
+        if plan.estimator in _SINGLE_FACTORIES:
+            files = _run_single(plan, out, seed, n_seeds)
+        else:
+            files = _run_network(plan, out, seed, n_seeds)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
     manifest = {
         "name": plan.name,
@@ -693,14 +711,17 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -709,9 +730,11 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate an experiment config")
     run.add_argument("config", help="config path or bundled experiment name")
-    run.add_argument("--seed", type=int, default=None, help="override the config's seed")
     run.add_argument(
-        "--seeds", type=_positive_int, default=1, help="Monte-Carlo repetitions (default 1)"
+        "--seed", type=_int_at_least(0), default=None, help="override the config's seed"
+    )
+    run.add_argument(
+        "--seeds", type=_int_at_least(1), default=1, help="Monte-Carlo repetitions (default 1)"
     )
     run.add_argument("--out-dir", default=None, help="output directory")
     run.set_defaults(handler=_cmd_run)

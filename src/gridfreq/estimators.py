@@ -11,10 +11,11 @@ Three single-node state-space models share one filter engine:
   voltages; frequency read directly off the increment state.
 
 All models run through :func:`acekf_step`, which performs one predict/correct
-cycle on the augmented state [x; conj(x)] and re-enforces the conjugate block
-structure after every update.  States, covariances and observations may carry
-leading batch dimensions, which is how the Monte-Carlo helpers vectorize over
-seeds.
+cycle on the augmented state [x; conj(x)].  The state is held as its top half
+x, and every covariance, Jacobian and gain as the block pair of an
+:class:`AugmentedMatrix`, so the conjugate block structure holds by
+construction.  States, covariances and observations may carry leading batch
+dimensions, which is how the Monte-Carlo helpers vectorize over seeds.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .augmented import AugmentedMatrix, AugmentedVector, augment, enforce_structure
+from .augmented import AugmentedMatrix, AugmentedVector, augment
 
 #: frequency read from a zero phase-increment state (undefined angle)
 FLAG_ZERO_INCREMENT = 1
@@ -71,18 +72,18 @@ class FilterState:
 class StateSpaceModel:
     """Bundle of model functions consumed by :func:`acekf_step`.
 
-    ``f_a``, ``jacobian_A`` and ``observe_H`` operate on materialized
-    augmented states of shape (..., n_states) where the first half holds the
-    states and the second half their conjugates; the functions never take
-    conjugates internally so that every entry is treated as an independent
-    variable (widely-linear calculus).
+    The functions take top halves x of shape (..., n).  ``f_a`` returns the
+    predicted top half.  ``jacobian_A`` returns the Wirtinger derivatives of
+    ``f_a`` as the block pair (df/dx, df/dconj(x)).  ``observe_H`` maps a
+    state to its one complex observation as 1 x n blocks (None until
+    :func:`with_sequence_observation` binds one).  ``extract_freq`` reads the
+    frequency and flags off a top half.
     """
 
     name: str
-    n_states: int  # augmented dimension 2n
     f_a: Callable[[np.ndarray], np.ndarray]
-    jacobian_A: Callable[[np.ndarray], np.ndarray]
-    observe_H: Callable[[np.ndarray], np.ndarray]
+    jacobian_A: Callable[[np.ndarray], AugmentedMatrix]
+    observe_H: AugmentedMatrix | None
     extract_freq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     Cu: AugmentedMatrix
     Cn: AugmentedMatrix
@@ -93,38 +94,12 @@ class StateSpaceModel:
 class StepDiagnostics:
     """Per-step internals recorded for diffusion analysis."""
 
-    innovation: np.ndarray
-    H: np.ndarray
-    gain: np.ndarray
-    M_prior: np.ndarray
-    M_post: np.ndarray
-    A: np.ndarray
-
-
-def _hconj(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
-
-
-def _herm2x2_cond(s: np.ndarray) -> np.ndarray:
-    """Condition number of (batched) 2x2 Hermitian matrices, closed form."""
-    a = s[..., 0, 0].real
-    d = s[..., 1, 1].real
-    half_gap = np.sqrt(((a - d) / 2.0) ** 2 + np.abs(s[..., 0, 1]) ** 2)
-    mid = (a + d) / 2.0
-    lo, hi = mid - half_gap, mid + half_gap
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
-    return cond
-
-
-def _inv2x2(s: np.ndarray) -> np.ndarray:
-    det = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
-    out = np.empty_like(s)
-    out[..., 0, 0] = s[..., 1, 1]
-    out[..., 1, 1] = s[..., 0, 0]
-    out[..., 0, 1] = -s[..., 0, 1]
-    out[..., 1, 0] = -s[..., 1, 0]
-    return out / det[..., None, None]
+    innovation: AugmentedVector
+    H: AugmentedMatrix
+    gain: AugmentedMatrix
+    M_prior: AugmentedMatrix
+    M_post: AugmentedMatrix
+    A: AugmentedMatrix
 
 
 def _step(
@@ -134,20 +109,23 @@ def _step(
     cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> tuple[FilterState, StepDiagnostics]:
     """One predict/correct cycle; returns the new state plus diagnostics."""
-    x = state.x_hat.materialize()
-    m = state.M.materialize()
-    two_n = model.n_states
-    n = two_n // 2
+    h = model.observe_H
+    if h is None:
+        raise RuntimeError(
+            f"model {model.name!r} needs an observation matrix; wrap it with"
+            " with_sequence_observation(model, v_plus, v_minus) first"
+        )
+    x_pred = AugmentedVector(model.f_a(state.x_hat.top))
+    a = model.jacobian_A(state.x_hat.top)
+    m_prior = a @ state.M @ a.H + model.Cu
 
-    x_pred = model.f_a(x)
-    a = model.jacobian_A(x)
-    m_prior = a @ m @ _hconj(a) + model.Cu.materialize()
-
-    h = model.observe_H(x_pred)
-    h = np.broadcast_to(h, x_pred.shape[:-1] + h.shape[-2:]) if h.ndim == 2 and x_pred.ndim > 1 else h
-    s = h @ m_prior @ _hconj(h) + model.Cn.materialize()
-
-    cond = _herm2x2_cond(s) if s.shape[-1] == 2 else np.linalg.cond(s)
+    hm = h @ m_prior
+    s = hm @ h.H + model.Cn
+    # S = [[s11, s12], [conj(s12), s11]] has eigenvalues s11 -/+ |s12|
+    s11, s12 = s.block11.real, s.block12
+    lo, hi = s11 - np.abs(s12), s11 + np.abs(s12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
     if np.any(~np.isfinite(cond)) or np.any(cond > cond_limit):
         worst = float(np.max(np.where(np.isfinite(cond), cond, np.inf)))
         raise FilterDegenerateError(
@@ -155,19 +133,18 @@ def _step(
             f" exceeds {cond_limit:.1e}"
         )
 
-    s_inv = _inv2x2(s) if s.shape[-1] == 2 else np.linalg.inv(s)
-    gain = m_prior @ _hconj(h) @ s_inv
-    innov = y.materialize() - (h @ x_pred[..., None])[..., 0]
-    x_post = x_pred + (gain @ innov[..., None])[..., 0]
-    m_post = (np.eye(two_n) - gain @ h) @ m_prior
-    m_post = (m_post + _hconj(m_post)) / 2.0
+    # S^-1 = [[s11, -s12], [-conj(s12), s11]] / (lo hi); two divisions keep
+    # lo hi from overflowing at huge covariances
+    gain = hm.H @ AugmentedMatrix(s11 / hi / lo, -s12 / hi / lo)
+    innov = AugmentedVector(y.top - (h @ x_pred).top)
+    x_post = AugmentedVector(x_pred.top + (gain @ innov).top)
+    m_post = m_prior - gain @ hm
+    m_post = m_post + m_post.H
+    m_post = AugmentedMatrix(m_post.block11 / 2.0, m_post.block12 / 2.0)
 
-    m_struct = enforce_structure(m_post)
-    top = (x_post[..., :n] + np.conj(x_post[..., n:])) / 2.0
-    new_state = FilterState(AugmentedVector(top), m_struct, state.k + 1)
+    new_state = FilterState(x_post, m_post, state.k + 1)
     diag = StepDiagnostics(
-        innovation=innov, H=h, gain=gain, M_prior=m_prior,
-        M_post=m_struct.materialize(), A=a,
+        innovation=innov, H=h, gain=gain, M_prior=m_prior, M_post=m_post, A=a
     )
     return new_state, diag
 
@@ -222,14 +199,17 @@ def _angle_freq(sample_rate_hz: float) -> Callable:
     return extract
 
 
-def _selector_H(two_n: int, rows: Sequence[int]) -> Callable:
-    h = np.zeros((2, two_n), dtype=complex)
-    for r, cols in enumerate(rows):
-        for c in np.atleast_1d(cols):
-            h[r, c] = 1.0
-    def observe(x_pred: np.ndarray) -> np.ndarray:
-        return h
-    return observe
+def _selector_H(n: int, cols: Sequence[int]) -> AugmentedMatrix:
+    """Observation of the sum of the top-half entries ``cols``."""
+    h = np.zeros((1, n))
+    h[0, list(cols)] = 1.0
+    return AugmentedMatrix(h, np.zeros_like(h))
+
+
+def _jacobian_blocks(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed (df/dx, df/dconj(x)) blocks for a batch of top halves."""
+    a11 = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    return a11, np.zeros_like(a11)
 
 
 def lss_model(
@@ -246,18 +226,15 @@ def lss_model(
     """
     cu, cn = _noise_matrices([_CU_INCREMENT, _CU_VOLTAGE], Cu, Cn, snr_db)
 
-    def f_a(s: np.ndarray) -> np.ndarray:
-        return np.stack([s[..., 0], s[..., 0] * s[..., 1], s[..., 2], s[..., 2] * s[..., 3]], axis=-1)
+    def f_a(x: np.ndarray) -> np.ndarray:
+        return np.stack([x[..., 0], x[..., 0] * x[..., 1]], axis=-1)
 
-    def jacobian(s: np.ndarray) -> np.ndarray:
-        j = np.zeros(s.shape[:-1] + (4, 4), dtype=complex)
-        j[..., 0, 0] = 1.0
-        j[..., 1, 0] = s[..., 1]
-        j[..., 1, 1] = s[..., 0]
-        j[..., 2, 2] = 1.0
-        j[..., 3, 2] = s[..., 3]
-        j[..., 3, 3] = s[..., 2]
-        return j
+    def jacobian(x: np.ndarray) -> AugmentedMatrix:
+        a11, a12 = _jacobian_blocks(x, 2)
+        a11[..., 0, 0] = 1.0
+        a11[..., 1, 0] = x[..., 1]
+        a11[..., 1, 1] = x[..., 0]
+        return AugmentedMatrix(a11, a12)
 
     extract = _angle_freq(sample_rate_hz)
 
@@ -269,8 +246,8 @@ def lss_model(
         )
 
     return StateSpaceModel(
-        name="lss", n_states=4, f_a=f_a, jacobian_A=jacobian,
-        observe_H=_selector_H(4, [1, 3]), extract_freq=extract,
+        name="lss", f_a=f_a, jacobian_A=jacobian,
+        observe_H=_selector_H(2, [1]), extract_freq=extract,
         Cu=cu, Cn=cn, initial_state=initial_state,
     )
 
@@ -292,32 +269,18 @@ def wlss_model(
     cu, cn = _noise_matrices([_CU_INCREMENT, _CU_INCREMENT, _CU_VOLTAGE], Cu, Cn, snr_db)
     two_pi_dt = 2.0 * math.pi / sample_rate_hz
 
-    def f_a(s: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [
-                s[..., 0],
-                s[..., 1],
-                s[..., 0] * s[..., 2] + s[..., 1] * s[..., 5],
-                s[..., 3],
-                s[..., 4],
-                s[..., 3] * s[..., 5] + s[..., 4] * s[..., 2],
-            ],
-            axis=-1,
-        )
+    def f_a(x: np.ndarray) -> np.ndarray:
+        v = x[..., 2]
+        return np.stack([x[..., 0], x[..., 1], x[..., 0] * v + x[..., 1] * np.conj(v)], axis=-1)
 
-    def jacobian(s: np.ndarray) -> np.ndarray:
-        j = np.zeros(s.shape[:-1] + (6, 6), dtype=complex)
-        for i in (0, 1, 3, 4):
-            j[..., i, i] = 1.0
-        j[..., 2, 0] = s[..., 2]
-        j[..., 2, 1] = s[..., 5]
-        j[..., 2, 2] = s[..., 0]
-        j[..., 2, 5] = s[..., 1]
-        j[..., 5, 2] = s[..., 4]
-        j[..., 5, 3] = s[..., 5]
-        j[..., 5, 4] = s[..., 2]
-        j[..., 5, 5] = s[..., 3]
-        return j
+    def jacobian(x: np.ndarray) -> AugmentedMatrix:
+        a11, a12 = _jacobian_blocks(x, 3)
+        a11[..., 0, 0] = a11[..., 1, 1] = 1.0
+        a11[..., 2, 0] = x[..., 2]
+        a11[..., 2, 1] = np.conj(x[..., 2])
+        a11[..., 2, 2] = x[..., 0]
+        a12[..., 2, 2] = x[..., 1]
+        return AugmentedMatrix(a11, a12)
 
     def extract(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h_im = x[..., 0].imag
@@ -338,8 +301,8 @@ def wlss_model(
         )
 
     return StateSpaceModel(
-        name="wlss", n_states=6, f_a=f_a, jacobian_A=jacobian,
-        observe_H=_selector_H(6, [2, 5]), extract_freq=extract,
+        name="wlss", f_a=f_a, jacobian_A=jacobian,
+        observe_H=_selector_H(3, [2]), extract_freq=extract,
         Cu=cu, Cn=cn, initial_state=initial_state,
     )
 
@@ -359,32 +322,18 @@ def nss_model(
     """
     cu, cn = _noise_matrices([_CU_INCREMENT, _CU_VOLTAGE, _CU_VOLTAGE], Cu, Cn, snr_db)
 
-    def f_a(s: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [
-                s[..., 0],
-                s[..., 0] * s[..., 1],
-                s[..., 3] * s[..., 2],
-                s[..., 3],
-                s[..., 3] * s[..., 4],
-                s[..., 0] * s[..., 5],
-            ],
-            axis=-1,
-        )
+    def f_a(x: np.ndarray) -> np.ndarray:
+        inc = x[..., 0]
+        return np.stack([inc, inc * x[..., 1], np.conj(inc) * x[..., 2]], axis=-1)
 
-    def jacobian(s: np.ndarray) -> np.ndarray:
-        j = np.zeros(s.shape[:-1] + (6, 6), dtype=complex)
-        j[..., 0, 0] = 1.0
-        j[..., 1, 0] = s[..., 1]
-        j[..., 1, 1] = s[..., 0]
-        j[..., 2, 2] = s[..., 3]
-        j[..., 2, 3] = s[..., 2]
-        j[..., 3, 3] = 1.0
-        j[..., 4, 3] = s[..., 4]
-        j[..., 4, 4] = s[..., 3]
-        j[..., 5, 0] = s[..., 5]
-        j[..., 5, 5] = s[..., 0]
-        return j
+    def jacobian(x: np.ndarray) -> AugmentedMatrix:
+        a11, a12 = _jacobian_blocks(x, 3)
+        a11[..., 0, 0] = 1.0
+        a11[..., 1, 0] = x[..., 1]
+        a11[..., 1, 1] = x[..., 0]
+        a11[..., 2, 2] = np.conj(x[..., 0])
+        a12[..., 2, 0] = x[..., 2]
+        return AugmentedMatrix(a11, a12)
 
     extract = _angle_freq(sample_rate_hz)
 
@@ -398,8 +347,8 @@ def nss_model(
         )
 
     return StateSpaceModel(
-        name="nss", n_states=6, f_a=f_a, jacobian_A=jacobian,
-        observe_H=_selector_H(6, [(1, 2), (4, 5)]), extract_freq=extract,
+        name="nss", f_a=f_a, jacobian_A=jacobian,
+        observe_H=_selector_H(3, [1, 2]), extract_freq=extract,
         Cu=cu, Cn=cn, initial_state=initial_state,
     )
 
@@ -418,18 +367,13 @@ def shared_increment_model(
     diffusion protocol exchanges.
     """
     cu, cn = _noise_matrices([_CU_INCREMENT], Cu, Cn, snr_db)
+    identity = AugmentedMatrix.eye(1)
 
-    def f_a(s: np.ndarray) -> np.ndarray:
-        return s
+    def f_a(x: np.ndarray) -> np.ndarray:
+        return x
 
-    def jacobian(s: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.eye(2, dtype=complex), s.shape[:-1] + (2, 2))
-
-    def observe_placeholder(x_pred: np.ndarray) -> np.ndarray:
-        raise RuntimeError(
-            "shared increment model needs an observation matrix; wrap it with"
-            " with_sequence_observation(model, v_plus, v_minus) first"
-        )
+    def jacobian(x: np.ndarray) -> AugmentedMatrix:
+        return identity
 
     extract = _angle_freq(sample_rate_hz)
 
@@ -439,33 +383,23 @@ def shared_increment_model(
         return FilterState(AugmentedVector(x0), AugmentedMatrix.eye(1, 0.1), 0)
 
     return StateSpaceModel(
-        name="shared_increment", n_states=2, f_a=f_a, jacobian_A=jacobian,
-        observe_H=observe_placeholder, extract_freq=extract,
+        name="shared_increment", f_a=f_a, jacobian_A=jacobian,
+        observe_H=None, extract_freq=extract,
         Cu=cu, Cn=cn, initial_state=initial_state,
     )
 
 
-def sequence_observation(v_plus, v_minus) -> np.ndarray:
-    """Observation matrix mapping [x; conj(x)] to [v; conj(v)].
-
-    Uses the widely linear voltage relation v_k = v+_{k-1} x + v-_{k-1}
-    conj(x); the supplied estimates must therefore be the sequence voltages
-    from the tick *before* the observation being processed.
-    """
-    vp = np.asarray(v_plus, dtype=complex)
-    vm = np.asarray(v_minus, dtype=complex)
-    h = np.zeros(vp.shape + (2, 2), dtype=complex)
-    h[..., 0, 0] = vp
-    h[..., 0, 1] = vm
-    h[..., 1, 0] = np.conj(vm)
-    h[..., 1, 1] = np.conj(vp)
-    return h
-
-
 def with_sequence_observation(model: StateSpaceModel, v_plus, v_minus) -> StateSpaceModel:
-    """Bind per-tick sequence-voltage estimates into the shared model."""
-    h = sequence_observation(v_plus, v_minus)
-    return replace(model, observe_H=lambda x_pred: h)
+    """Bind per-tick sequence-voltage estimates into the shared model.
+
+    The bound observation maps the increment x to v+ x + v- conj(x), the
+    widely linear voltage relation v_k = v+_{k-1} x + v-_{k-1} conj(x); the
+    supplied estimates must therefore be the sequence voltages from the tick
+    *before* the observation being processed.
+    """
+    vp = np.asarray(v_plus, dtype=complex)[..., None, None]
+    vm = np.asarray(v_minus, dtype=complex)[..., None, None]
+    return replace(model, observe_H=AugmentedMatrix(vp, vm))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +438,7 @@ def _run(
     states = np.empty((n_seeds, n_ticks, state.x_hat.n), dtype=complex) if detail else None
     innov = np.zeros((n_seeds, n_ticks)) if detail else None
 
-    f_hat[:, 0], flags[:, 0] = model.extract_freq(state.x_hat.materialize())
+    f_hat[:, 0], flags[:, 0] = model.extract_freq(state.x_hat.top)
     if detail:
         states[:, 0] = state.x_hat.top
     for k in range(1, n_ticks):
@@ -512,10 +446,10 @@ def _run(
             state, diag = _step(model, state, augment(v_obs[:, k : k + 1]))
         except FilterDegenerateError as exc:
             raise FilterDegenerateError(f"tick {k}: {exc}") from exc
-        f_hat[:, k], flags[:, k] = model.extract_freq(state.x_hat.materialize())
+        f_hat[:, k], flags[:, k] = model.extract_freq(state.x_hat.top)
         if detail:
             states[:, k] = state.x_hat.top
-            innov[:, k] = np.abs(diag.innovation[..., 0]) ** 2
+            innov[:, k] = np.abs(diag.innovation.top[..., 0]) ** 2
     return f_hat, flags, states, innov
 
 

@@ -606,7 +606,7 @@ def _simulate(
     states = np.empty(shape + (out.x_hat.n,), dtype=complex) if detail else None
     innov = np.zeros(shape) if detail else None
 
-    f_hat[..., 0], flags[..., 0] = out_model.extract_freq(out.x_hat.materialize())
+    f_hat[..., 0], flags[..., 0] = out_model.extract_freq(out.x_hat.top)
     if detail:
         states[:, :, 0] = out.x_hat.top
     for k in range(1, n_ticks):
@@ -625,18 +625,16 @@ def _simulate(
                 f"node {ids[exc.row[1]]!r}: seed {int(seeds[exc.row[0]])}: "
             )
             raise FilterDegenerateError(f"tick {k}: {where}{exc}") from exc
-        f_hat[..., k], flags[..., k] = out_model.extract_freq(out.x_hat.materialize())
+        f_hat[..., k], flags[..., k] = out_model.extract_freq(out.x_hat.top)
         if detail:
             states[:, :, k] = out.x_hat.top
-            innov[..., k] = np.abs(diag.innovation[..., 0]) ** 2
+            innov[..., k] = np.abs(diag.innovation.top[..., 0]) ** 2
         if records is not None:
+            fields = ("M_prior", "M_post", "A", "gain", "H")
+            full = {f: getattr(diag, f).materialize() for f in fields}
             for j, n in enumerate(ids):
-                records[n].append(
-                    TickRecord(
-                        k=k, M_prior=diag.M_prior[0, j], M_post=diag.M_post[0, j],
-                        A=diag.A[0, j], gain=diag.gain[0, j], H=diag.H[0, j],
-                    )
-                )
+                row = {f: m[0, j] if m.ndim > 2 else m for f, m in full.items()}
+                records[n].append(TickRecord(k=k, **row))
     return f_hat, flags, states, innov
 
 

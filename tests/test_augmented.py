@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 
-from gridfreq.augmented import (
-    AugmentedMatrix,
-    StructureError,
-    augment,
-    enforce_structure,
-)
+from gridfreq.augmented import AugmentedMatrix, augment
 
 
-def random_structured(rng, n):
-    """Random matrix with exact augmented block structure."""
-    b11 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    b12 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def random_structured(rng, n, m=None):
+    """Random n x m (default square) matrix with exact augmented block structure."""
+    shape = (n, n if m is None else m)
+    b11 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b12 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return AugmentedMatrix(b11, b12)
 
 
@@ -56,6 +52,20 @@ class TestAugmentedMatrix:
         prod = (a @ b).materialize()
         np.testing.assert_allclose(prod, a.materialize() @ b.materialize(), rtol=1e-12)
 
+    def test_rectangular_blocks_match_dense(self):
+        # an observation-shaped (1 x n) and a gain-shaped (n x 1) operand
+        rng = np.random.default_rng(4)
+        h, k = random_structured(rng, 1, 3), random_structured(rng, 3, 1)
+        m, other = random_structured(rng, 3), random_structured(rng, 3)
+        dense_h, dense_m = h.materialize(), m.materialize()
+        np.testing.assert_array_equal(h.H.materialize(), np.conj(dense_h.T))
+        np.testing.assert_allclose(
+            (h @ m @ h.H).materialize(), dense_h @ dense_m @ np.conj(dense_h.T), rtol=1e-12
+        )
+        np.testing.assert_allclose((k @ h).materialize(), k.materialize() @ dense_h, rtol=1e-12)
+        np.testing.assert_array_equal((m + other).materialize(), dense_m + other.materialize())
+        np.testing.assert_array_equal((m - other).materialize(), dense_m - other.materialize())
+
     def test_diagonal_builder(self):
         m = AugmentedMatrix.diagonal([1e-6, 1e-4])
         full = m.materialize()
@@ -65,37 +75,3 @@ class TestAugmentedMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             AugmentedMatrix(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-class TestEnforceStructure:
-    def test_small_perturbation_is_repaired(self):
-        rng = np.random.default_rng(5)
-        m = random_structured(rng, 3)
-        full = m.materialize()
-        scale = np.max(np.abs(full))
-        full[4, 4] += 0.5e-9 * scale  # one block-(2,2) entry, below tolerance
-        fixed = enforce_structure(full)
-        # projection restores the exact structure and stays near the input
-        refixed = enforce_structure(fixed.materialize())
-        np.testing.assert_array_equal(fixed.materialize(), refixed.materialize())
-        assert np.max(np.abs(fixed.materialize() - full)) <= 0.5e-9 * scale
-
-    def test_large_perturbation_raises(self):
-        rng = np.random.default_rng(6)
-        m = random_structured(rng, 3)
-        full = m.materialize()
-        full[4, 4] += 10e-9 * np.max(np.abs(full))
-        with pytest.raises(StructureError):
-            enforce_structure(full)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(8)
-        m = random_structured(rng, 4)
-        full = m.materialize() + 1e-10 * rng.normal(size=(8, 8))
-        once = enforce_structure(full).materialize()
-        twice = enforce_structure(once).materialize()
-        np.testing.assert_array_equal(once, twice)
-
-    def test_rejects_odd_dimension(self):
-        with pytest.raises(ValueError):
-            enforce_structure(np.zeros((3, 3), dtype=complex))

@@ -380,3 +380,48 @@ class TestInputsCheckedBeforeRun:
         cfg = write_config(tmp_path, QUICK_NETWORK + f"weights: {weights}\n")
         assert main(["validate", cfg]) == 1
         assert "beta row for node 2 has non-finite weights" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (QUICK_SINGLE + "sample_rate_hz: .nan\n", "sample_rate_hz"),
+            (QUICK_SINGLE.replace("duration_s: 0.3", "duration_s: .nan"), "duration_s"),
+            (QUICK_SINGLE + "snr_db: .nan\n", "snr_db"),
+            (QUICK_SINGLE + "snr_db: .inf\n", "snr_db"),
+        ],
+        ids=["sample-rate", "duration", "snr-nan", "snr-inf"],
+    )
+    def test_top_level_numbers_must_be_finite(self, tmp_path, capsys, text, key):
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        assert f"{key}: expected a finite number" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_seed_must_be_non_negative(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUICK_SINGLE + "seed: -1\n")
+        assert main(["validate", cfg]) == 1
+        assert "seed: expected a non-negative integer, got -1" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        ok = write_config(tmp_path, QUICK_SINGLE, "ok.yaml")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", ok, "--out-dir", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_run_removes_only_the_directories_it_created(self, tmp_path, capsys):
+        # the process noise overflows the covariance to inf at tick 2
+        cfg = write_config(
+            tmp_path, QUICK_SINGLE + "filter: {increment_process_noise: 1.0e+308}\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "new" / "out")]) == 3
+            assert "filter degenerate: tick 2" in capsys.readouterr().err
+            assert not (tmp_path / "new").exists()
+            kept = tmp_path / "kept"
+            kept.mkdir()
+            assert main(["run", cfg, "--out-dir", str(kept)]) == 3
+        assert kept.is_dir()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfreq.augmented import AugmentedMatrix, AugmentedVector, augment
 from gridfreq.estimators import (
@@ -12,12 +14,12 @@ from gridfreq.estimators import (
     FilterDegenerateError,
     FilterState,
     StateSpaceModel,
+    _step,
     acekf_step,
     lss_model,
     nss_model,
     run_filter,
     run_filter_batch,
-    sequence_observation,
     shared_increment_model,
     with_sequence_observation,
     wlss_model,
@@ -46,16 +48,21 @@ def clarke_series(scn, seed=None, snr_db=None):
     return clarke_arrays(generate_arrays(scn, seed=seed, snr_db=snr_db))[1]
 
 
-def numeric_jacobian(f, s, eps=1e-7):
-    """Central differences treating every augmented entry as independent."""
-    n = s.size
-    jac = np.zeros((n, n), dtype=complex)
+def wirtinger_jacobian(f, x, eps=1e-7):
+    """Central differences for the Wirtinger pair (df/dx, df/dconj(x)).
+
+    With x_j = a + ib, df/dx_j = (df/da - i df/db) / 2 and
+    df/dconj(x_j) = (df/da + i df/db) / 2.
+    """
+    n = x.size
+    d_re = np.zeros((n, n), dtype=complex)
+    d_im = np.zeros((n, n), dtype=complex)
     for j in range(n):
-        up, down = s.copy(), s.copy()
-        up[j] += eps
-        down[j] -= eps
-        jac[:, j] = (f(up) - f(down)) / (2 * eps)
-    return jac
+        e = np.zeros(n)
+        e[j] = eps
+        d_re[:, j] = (f(x + e) - f(x - e)) / (2 * eps)
+        d_im[:, j] = (f(x + 1j * e) - f(x - 1j * e)) / (2 * eps)
+    return (d_re - 1j * d_im) / 2, (d_re + 1j * d_im) / 2
 
 
 class TestJacobians:
@@ -63,23 +70,85 @@ class TestJacobians:
     def test_matches_finite_differences(self, factory):
         model = factory(FS)
         rng = np.random.default_rng(17)
+        n = model.Cu.block11.shape[-1]
         for _ in range(5):
-            s = rng.normal(size=model.n_states) + 1j * rng.normal(size=model.n_states)
-            analytic = model.jacobian_A(s)
-            numeric = numeric_jacobian(model.f_a, s)
-            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            analytic = model.jacobian_A(x)
+            d_x, d_conj = wirtinger_jacobian(model.f_a, x)
+            np.testing.assert_allclose(analytic.block11, d_x, rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(analytic.block12, d_conj, rtol=1e-6, atol=1e-8)
 
-    @pytest.mark.parametrize("factory", [lss_model, wlss_model, nss_model])
-    def test_jacobian_is_structured_at_conjugate_states(self, factory):
-        # At a conjugate-consistent state, the Jacobian carries the augmented
-        # block structure, so prediction preserves it.
-        model = factory(FS)
-        rng = np.random.default_rng(3)
-        n = model.n_states // 2
-        top = rng.normal(size=n) + 1j * rng.normal(size=n)
-        j = model.jacobian_A(augment(top).materialize())
-        np.testing.assert_allclose(j[n:, n:], np.conj(j[:n, :n]), atol=1e-15)
-        np.testing.assert_allclose(j[n:, :n], np.conj(j[:n, n:]), atol=1e-15)
+
+def _hconj(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def dense_step(model, state, y):
+    """Reference step on materialized 2n x 2n matrices.
+
+    This is the engine's algorithm written densely: no block products, a
+    generic matrix inverse, and both halves of the state updated.  Returns
+    (x_post, M_post), the largest magnitude among the operands each was last
+    computed from (the scale rounding errors are relative to) and the largest
+    condition number of S (the factor by which the gain amplifies them).
+    """
+    n = state.x_hat.n
+    x_pred = augment(model.f_a(state.x_hat.top)).materialize()
+    a = model.jacobian_A(state.x_hat.top).materialize()
+    h = model.observe_H.materialize()
+    m_prior = a @ state.M.materialize() @ _hconj(a) + model.Cu.materialize()
+    s = h @ m_prior @ _hconj(h) + model.Cn.materialize()
+    gain = m_prior @ _hconj(h) @ np.linalg.inv(s)
+    innov = y.materialize() - (h @ x_pred[..., None])[..., 0]
+    correction = (gain @ innov[..., None])[..., 0]
+    m_post = (np.eye(2 * n) - gain @ h) @ m_prior
+    scales = (max(np.max(np.abs(x_pred)), np.max(np.abs(correction))), np.max(np.abs(m_prior)))
+    cond = np.max(np.linalg.cond(s))
+    return x_pred + correction, (m_post + _hconj(m_post)) / 2, scales, cond
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _assert_close(got, want, scale, cond):
+    # 1e-12 relative; an ill-conditioned S allows 10 ulp-sized errors per unit of cond(S)
+    assert np.max(np.abs(got - want)) <= max(1e-12, 1e-15 * cond) * scale
+
+
+class TestBlockStepMatchesDense:
+    """The block-form step equals the dense step on random structured inputs."""
+
+    @pytest.mark.parametrize("name", ["lss", "wlss", "nss", "shared_increment"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    )
+    def test_random_structured_states(self, name, seed, batch):
+        rng = np.random.default_rng(seed)
+        if name == "shared_increment":
+            model = with_sequence_observation(
+                shared_increment_model(FS, snr_db=30.0),
+                _complex_normal(rng, batch),
+                _complex_normal(rng, batch),
+            )
+        else:
+            factory = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}[name]
+            model = factory(FS, snr_db=30.0)
+        n = model.Cu.block11.shape[-1]
+        # a Hermitian positive definite covariance with augmented structure
+        b = AugmentedMatrix(
+            _complex_normal(rng, batch + (n, n)), _complex_normal(rng, batch + (n, n))
+        )
+        m = b @ b.H + AugmentedMatrix.eye(n, 0.1)
+        state = FilterState(AugmentedVector(_complex_normal(rng, batch + (n,))), m, 0)
+        y = AugmentedVector(_complex_normal(rng, batch + (1,)))
+
+        new, _ = _step(model, state, y)
+        x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y)
+        _assert_close(new.x_hat.materialize(), x_post, x_scale, cond)
+        _assert_close(new.M.materialize(), m_post, m_scale, cond)
 
 
 class TestEngine:
@@ -88,10 +157,9 @@ class TestEngine:
         # from covariance m*I must use gain m/(m+1).
         model = StateSpaceModel(
             name="unit",
-            n_states=2,
-            f_a=lambda s: s,
-            jacobian_A=lambda s: np.broadcast_to(np.eye(2, dtype=complex), s.shape[:-1] + (2, 2)),
-            observe_H=lambda x: np.eye(2, dtype=complex),
+            f_a=lambda x: x,
+            jacobian_A=lambda x: AugmentedMatrix.eye(1),
+            observe_H=AugmentedMatrix.eye(1),
             extract_freq=lambda x: (np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], int)),
             Cu=AugmentedMatrix.diagonal([0.0]),
             Cn=AugmentedMatrix.eye(1, 1.0),
@@ -134,10 +202,9 @@ class TestEngine:
     def test_degenerate_innovation_covariance_raises(self):
         model = StateSpaceModel(
             name="degenerate",
-            n_states=2,
-            f_a=lambda s: s,
-            jacobian_A=lambda s: np.eye(2, dtype=complex),
-            observe_H=lambda x: np.zeros((2, 2), dtype=complex),  # S = Cn = 0
+            f_a=lambda x: x,
+            jacobian_A=lambda x: AugmentedMatrix.eye(1),
+            observe_H=AugmentedMatrix.eye(1, 0.0),  # S = Cn = 0
             extract_freq=lambda x: (np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], int)),
             Cu=AugmentedMatrix.diagonal([0.0]),
             Cn=AugmentedMatrix.diagonal([0.0]),
@@ -151,21 +218,21 @@ class TestEngine:
 class TestFrequencyExtraction:
     def test_lss_reads_angle(self):
         model = lss_model(FS)
-        x = augment([np.exp(2j * np.pi * 50.0 / FS), 1.0]).materialize()
+        x = augment([np.exp(2j * np.pi * 50.0 / FS), 1.0]).top
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(50.0, abs=1e-9)
         assert int(flags) == 0
 
     def test_lss_zero_increment_flagged(self):
         model = lss_model(FS)
-        f, flags = model.extract_freq(augment([0.0, 1.0]).materialize())
+        f, flags = model.extract_freq(augment([0.0, 1.0]).top)
         assert math.isnan(float(f))
         assert int(flags) == 1
 
     def test_wlss_balanced_weights(self):
         # h = e^{j pi/6}, g = 0 inverts to arcsin(1/2)/(2 pi dT) = 1000/12 Hz.
         model = wlss_model(FS)
-        x = augment([np.exp(1j * np.pi / 6), 0.0, 1.0]).materialize()
+        x = augment([np.exp(1j * np.pi / 6), 0.0, 1.0]).top
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(1000.0 / 12.0, abs=1e-9)
         assert int(flags) == 0
@@ -174,22 +241,22 @@ class TestFrequencyExtraction:
         # |g| equal to Im(h): radicand is exactly zero, frequency reads zero.
         model = wlss_model(FS)
         h = 0.8 + 0.3j
-        x = augment([h, 0.3j, 1.0]).materialize()
+        x = augment([h, 0.3j, 1.0]).top
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(0.0, abs=1e-12)
         assert int(flags) == 0
 
     def test_wlss_guard_flags(self):
         model = wlss_model(FS)
-        f, flags = model.extract_freq(augment([0.9 + 0.1j, 0.5, 1.0]).materialize())
+        f, flags = model.extract_freq(augment([0.9 + 0.1j, 0.5, 1.0]).top)
         assert int(flags) & FLAG_SEQUENCE_DOMINANCE
         assert float(f) == pytest.approx(0.0, abs=1e-12)  # clamped radicand
-        _, flags = model.extract_freq(augment([0.9 - 0.2j, 0.0, 1.0]).materialize())
+        _, flags = model.extract_freq(augment([0.9 - 0.2j, 0.0, 1.0]).top)
         assert int(flags) & FLAG_NEGATIVE_IM_H
 
     def test_nss_reads_angle_without_guards(self):
         model = nss_model(FS)
-        x = augment([np.exp(2j * np.pi * 52.0 / FS), 0.9, 0.3j]).materialize()
+        x = augment([np.exp(2j * np.pi * 52.0 / FS), 0.9, 0.3j]).top
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(52.0, abs=1e-9)
         assert int(flags) == 0
@@ -197,7 +264,7 @@ class TestFrequencyExtraction:
     def test_principal_branch_range(self):
         model = nss_model(FS)
         for f_true in (-499.0, -100.0, 499.0, 500.0):
-            x = augment([np.exp(2j * np.pi * f_true / FS), 1.0, 0.0]).materialize()
+            x = augment([np.exp(2j * np.pi * f_true / FS), 1.0, 0.0]).top
             f, _ = model.extract_freq(x)
             assert -FS / 2 < float(f) <= FS / 2
             expected = f_true if f_true <= FS / 2 else f_true - FS
@@ -257,8 +324,8 @@ class TestRunFilter:
     def test_degenerate_error_carries_tick(self, run):
         model = lss_model(FS)
         bad = StateSpaceModel(
-            name="bad", n_states=4, f_a=model.f_a, jacobian_A=model.jacobian_A,
-            observe_H=lambda x: np.zeros((2, 4), dtype=complex),
+            name="bad", f_a=model.f_a, jacobian_A=model.jacobian_A,
+            observe_H=AugmentedMatrix(np.zeros((1, 2)), np.zeros((1, 2))),
             extract_freq=model.extract_freq,
             Cu=AugmentedMatrix.diagonal([0.0, 0.0]),
             Cn=AugmentedMatrix.diagonal([0.0]),
@@ -296,7 +363,7 @@ class TestSharedIncrementModel:
             vp, vm = aux.x_hat.top[1], aux.x_hat.top[2]
             aux = acekf_step(aux_model, aux, v[k])
             st = acekf_step(with_sequence_observation(shared, vp, vm), st, v[k])
-        f, _ = shared.extract_freq(st.x_hat.materialize())
+        f, _ = shared.extract_freq(st.x_hat.top)
         assert float(f) == pytest.approx(50.0, abs=1e-3)
 
     def test_placeholder_observation_raises(self):
@@ -306,9 +373,12 @@ class TestSharedIncrementModel:
             acekf_step(shared, st, 1.0 + 0j)
 
     def test_sequence_observation_structure(self):
-        h = sequence_observation(0.3 + 1j, -0.2j)
-        np.testing.assert_array_equal(h[0], [0.3 + 1j, -0.2j])
-        np.testing.assert_array_equal(h[1], np.conj([-0.2j, 0.3 + 1j]))
+        # the bound observation maps x to v+ x + v- conj(x)
+        vp, vm = 0.3 + 1j, -0.2j
+        h = with_sequence_observation(shared_increment_model(FS), vp, vm).observe_H
+        x = np.array([[0.8 - 0.6j], [1j], [-2.0]])
+        got = (h @ AugmentedVector(x)).top
+        np.testing.assert_allclose(got, vp * x + vm * np.conj(x), rtol=1e-15)
 
 
 def test_trace_csv_format(tmp_path):

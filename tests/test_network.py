@@ -268,13 +268,13 @@ class TestDistributedRuns:
         shared_model = shared_increment_model(FS)
         aux = aux_model.initial_state(v[0])
         shared = shared_model.initial_state(v[0])
-        manual = [shared_model.extract_freq(shared.x_hat.materialize())[0]]
+        manual = [shared_model.extract_freq(shared.x_hat.top)[0]]
         for k in range(1, scn.n_samples):
             vp, vm = aux.x_hat.top[1], aux.x_hat.top[2]
             y = augment(v[k : k + 1])
             aux = acekf_step(aux_model, aux, y)
             shared = acekf_step(with_sequence_observation(shared_model, vp, vm), shared, y)
-            manual.append(shared_model.extract_freq(shared.x_hat.materialize())[0])
+            manual.append(shared_model.extract_freq(shared.x_hat.top)[0])
         np.testing.assert_array_equal(run.traces[0].f_hat_hz, np.array(manual))
 
     def test_noiseless_balanced_network_reaches_consensus(self):
@@ -397,7 +397,7 @@ def dict_reference_run(t, b, scn, seed, mode, diffusion):
     aux = {n: aux_model.initial_state(v[n][0]) for n in t.node_ids}
     shared = {n: shared_model.initial_state(v[n][0]) for n in t.node_ids}
     out, out_model = (shared, shared_model) if mode == "dfe" else (aux, aux_model)
-    f_hat = {n: [out_model.extract_freq(out[n].x_hat.materialize())[0]] for n in t.node_ids}
+    f_hat = {n: [out_model.extract_freq(out[n].x_hat.top)[0]] for n in t.node_ids}
     messages = []
 
     def log(k, phase, src, dst, vec):
@@ -430,7 +430,7 @@ def dict_reference_run(t, b, scn, seed, mode, diffusion):
             }
         for n in t.node_ids:
             out[n] = FilterState(combined[n], out[n].M, out[n].k)
-            f_hat[n].append(out_model.extract_freq(out[n].x_hat.materialize())[0])
+            f_hat[n].append(out_model.extract_freq(out[n].x_hat.top)[0])
     return f_hat, messages
 
 
@@ -489,7 +489,7 @@ class TestConfigErrors:
         scn = make_scenario(duration=0.1)
         with pytest.raises(FilterDegenerateError, match="tick 2: node 1:"):
             run_distributed(t, scn, snr_db=30.0, cond_limit=1.0)
-        with pytest.raises(FilterDegenerateError, match="tick 1: node 7: seed 5:"):
+        with pytest.raises(FilterDegenerateError, match="tick 2: node 1: seed 5:"):
             run_distributed_mc(t, scn, seeds=[5, 6], snr_db=30.0, cond_limit=1.0)
 
     def test_incomplete_weights_rejected(self):
