@@ -2,33 +2,40 @@
 and error-covariance recursions of the two-stage diffusion protocol, and
 spectral diagnostics.
 
-The theoretical recursions consume matrices recorded from an actual run (the
-observation matrix of the shared filter is data-dependent), conditioning on
-the realized gain sequence.  Notation used throughout: for node m at tick k,
-``F_m = M_post @ inv(M_prior)`` is the correction map, ``A_m`` the state
-Jacobian, ``K_m`` the Kalman gain.  Aggregator y forms the beta-weighted
-average of its closed neighborhood, and every node recombines its serving
-aggregators with its gamma row, so the stacked error obeys
+The theoretical recursions condition on the realized gain sequence (the
+observation matrix of the shared filter is data-dependent), so the network
+loop steps them online from each tick's filter diagnostics.  Notation used
+throughout, all in augmented form: for node m at tick k, ``A_m`` is the
+state Jacobian, ``K_m`` the Kalman gain, ``H_m`` the observation matrix and
+``F_m = I - K_m H_m`` the correction map.  Aggregator y forms the
+beta-weighted average of its closed neighborhood, and every node recombines
+its serving aggregators with its gamma row, so the stacked error obeys
 
-    e_agg[y]  = sum_m beta[m,y] (F_m A_m e[m] + F_m u_m - K_m n_m)
-    e_node[i] = sum_y gamma[y,i] e_agg[y]
+    e_agg[y]  = sum_m beta[y,m] (F_m A_m e[m] + F_m u_m - K_m n_m)
+    e_node[i] = sum_y gamma[i,y] e_agg[y]
 
-whose second moments are the V / Sigma recursions below.  The one-stage
-baseline (every node its own aggregator, empty gamma) runs through the same
-code path.
+With independent, block-diagonal noises the second moments are
+
+    V[y,z]  = sum_{m,m'} beta[y,m] beta[z,m'] F_m A_m E[m,m'] (F_m' A_m')^H
+              + sum_m beta[y,m] beta[z,m] (F_m Cu_m F_m^H + K_m Cn_m K_m^H)_m
+    E'[i,j] = sum_{y,z} gamma[i,y] gamma[j,z] V[y,z]
+
+For a single node this is the Joseph form (I - K H) M_prior (I - K H)^H +
+K Cn K^H of the covariance update, which equals the filter's own M_post for
+the optimal gain.  The one-stage baseline (every node its own aggregator,
+gamma the identity) runs through the same code.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .augmented import AugmentedVector
-from .estimators import DEFAULT_COND_LIMIT, FreqTrace, _fmt
-from .network import DiffusionWeights, TickRecord
+from .estimators import FreqTrace, StepDiagnostics, _fmt
 
 __all__ = [
     "AnalysisError",
@@ -120,20 +127,23 @@ class NetworkErrorState:
     """Stacked second-order error state of the diffused network.
 
     ``E`` is the post-diffusion error cross-covariance of all nodes (block
-    i,j = E[e_i e_j^H]), ``U`` and ``G`` the stacked process- and
-    observation-noise covariances (block-diagonal for independent noises).
-    ``Gamma``, ``R``, ``Q`` hold the block maps built on the most recent step.
+    i,j = E[e_i e_j^H]).  ``beta`` (aggregators x nodes) and ``gamma``
+    (nodes x aggregators) hold the weights of the two diffusion stages, and
+    ``W`` is gamma acting on stacked blocks.  ``Cu`` and ``Cn`` stack each
+    node's process- and observation-noise covariance.  ``V`` is the
+    aggregator cross-covariance of the most recent step (None before the
+    first).
     """
 
     node_ids: tuple
     aggregator_ids: tuple
+    beta: np.ndarray
+    gamma: np.ndarray
+    W: np.ndarray
     E: np.ndarray
-    U: np.ndarray
-    G: np.ndarray
-    Gamma: np.ndarray | None = None
-    R: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    k: int = 0
+    Cu: np.ndarray
+    Cn: np.ndarray
+    V: np.ndarray | None = None
 
     @property
     def block_dim(self) -> int:
@@ -145,178 +155,125 @@ class NetworkErrorState:
         d = self.block_dim
         return self.E[i * d : (i + 1) * d, i * d : (i + 1) * d]
 
+    def v(self, y, z) -> np.ndarray:
+        """Cross-covariance block of aggregators y and z; V[y, y] is y's one-stage MSE."""
+        a, b = self.aggregator_ids.index(y), self.aggregator_ids.index(z)
+        d = self.block_dim
+        return self.V[a * d : (a + 1) * d, b * d : (b + 1) * d]
 
-def _per_node(spec, node_ids, what: str) -> dict:
-    if isinstance(spec, Mapping):
-        missing = [n for n in node_ids if n not in spec]
-        if missing:
-            raise AnalysisError(f"{what} missing for nodes {missing!r}")
-        return {n: np.asarray(spec[n], dtype=complex) for n in node_ids}
-    arr = np.asarray(spec, dtype=complex)
-    return {n: arr for n in node_ids}
+    def serving(self, node) -> tuple:
+        """Aggregators whose output reaches ``node`` with nonzero weight."""
+        row = self.gamma[self.node_ids.index(node)]
+        return tuple(y for y, g in zip(self.aggregator_ids, row) if g != 0)
 
 
-def _blockdiag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
+def _node_blocks(a, n_nodes: int | None = None) -> np.ndarray:
+    """A matrix, or one seed's per-node matrices, stacked as (nodes, r, c)."""
+    a = np.asarray(a, dtype=complex)
+    a = a.reshape((-1,) + a.shape[-2:])
+    return a if n_nodes is None else np.broadcast_to(a, (n_nodes,) + a.shape[-2:])
 
 
 def initial_network_state(
     node_ids: Sequence,
-    weights: DiffusionWeights,
+    aggregator_ids: Sequence,
+    beta,
+    gamma,
     M0,
     Cu,
     Cn,
 ) -> NetworkErrorState:
-    """Build the tick-0 error state from per-node (or shared) covariances.
+    """Tick-0 state: independent node errors with covariances ``M0``.
 
-    ``M0``, ``Cu``, ``Cn`` may each be a single matrix applied to every node
-    or a map node→matrix.  Aggregators are the nodes owning a beta row.
+    ``beta`` (aggregators x nodes) and ``gamma`` (nodes x aggregators) are
+    the diffusion stages, as the network loop builds them from its weights.
+    ``M0``, ``Cu`` and ``Cn`` are each one matrix for every node or a
+    (nodes, d, d) stack.
     """
-    ids = tuple(node_ids)
-    aggregators = tuple(sorted(weights.beta, key=str))
-    if not aggregators:
-        raise AnalysisError("weights define no aggregation rows")
-    unknown = [a for a in aggregators if a not in ids]
+    ids, aggs = tuple(node_ids), tuple(aggregator_ids)
+    beta, gamma = np.real(beta).astype(float), np.real(gamma).astype(float)
+    if beta.shape != (len(aggs), len(ids)) or gamma.shape != (len(ids), len(aggs)):
+        raise AnalysisError(
+            f"stage shapes {beta.shape} and {gamma.shape} do not match"
+            f" {len(aggs)} aggregators and {len(ids)} nodes"
+        )
+    unknown = [a for a in aggs if a not in ids]
     if unknown:
         raise AnalysisError(f"aggregation rows for unknown nodes {unknown!r}")
-    for i in ids:
-        if i not in weights.beta and i not in weights.gamma:
+    for i, row in zip(ids, gamma):
+        if not row.any():
             raise AnalysisError(f"node {i!r} has neither aggregation nor redistribution row")
-    m0 = _per_node(M0, ids, "M0")
-    cu = _per_node(Cu, ids, "Cu")
-    cn = _per_node(Cn, ids, "Cn")
-    d = m0[ids[0]].shape[0]
-    for n in ids:
-        if m0[n].shape != (d, d) or cu[n].shape != (d, d):
-            raise AnalysisError(f"covariance blocks for node {n!r} disagree on dimension")
+    m0, cu = _node_blocks(M0, len(ids)), _node_blocks(Cu, len(ids))
+    d = m0.shape[-1]
+    if m0.shape[-2] != d or cu.shape[-2:] != (d, d):
+        raise AnalysisError("covariance blocks disagree on dimension")
+    E = np.zeros((len(ids), d, len(ids), d), dtype=complex)
+    E[np.arange(len(ids)), :, np.arange(len(ids)), :] = m0
     return NetworkErrorState(
-        node_ids=ids,
-        aggregator_ids=aggregators,
-        E=_blockdiag([m0[n] for n in ids]),
-        U=_blockdiag([cu[n] for n in ids]),
-        G=_blockdiag([cn[n] for n in ids]),
+        node_ids=ids, aggregator_ids=aggs, beta=beta, gamma=gamma,
+        W=np.kron(gamma, np.eye(d)), E=E.reshape(len(ids) * d, -1),
+        Cu=cu, Cn=_node_blocks(Cn, len(ids)),
     )
 
 
-def _correction_map(rec: TickRecord, node) -> np.ndarray:
-    """F = M_post @ inv(M_prior), the posterior-over-prior correction."""
-    if np.linalg.cond(rec.M_prior) > DEFAULT_COND_LIMIT:
-        raise AnalysisError(f"singular prior covariance at node {node!r}, tick {rec.k}")
-    return rec.M_post @ np.linalg.inv(rec.M_prior)
+def _hconj(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2).conj()
 
 
-def _serving_row(i, weights: DiffusionWeights) -> Mapping:
-    """gamma row of node i; aggregators redistribute only to themselves."""
-    if i in weights.beta and i not in weights.gamma:
-        return {i: 1.0}
-    return weights.gamma[i]
+def _aggregation_map(state: NetworkErrorState, diag: StepDiagnostics):
+    """One tick's aggregation map beta·F A over the stacked node errors.
+
+    Returns the (aggregators·d, nodes·d) map plus the per-node correction
+    maps F = I - K H and gains K, materialized and stacked over nodes.
+    """
+    n_nodes, d = len(state.node_ids), state.block_dim
+    k, h, a = (_node_blocks(m.materialize()) for m in (diag.gain, diag.H, diag.A))
+    if a.shape[-1] != d:
+        raise AnalysisError(f"diagnostics carry {a.shape[-1]}-dim states, expected {d}")
+    f = np.eye(d) - k @ h
+    phi = np.broadcast_to(f @ a, (n_nodes, d, d))
+    # row (y, i), column (m, j): beta[y, m] (F A)_m[i, j]
+    g = state.beta[:, None, :, None] * phi.swapaxes(0, 1)[None]
+    return g.reshape(len(state.aggregator_ids) * d, n_nodes * d), f, k
 
 
 def mean_error_step(
     prev_means: Mapping,
-    weights: DiffusionWeights,
-    records: Mapping,
+    state: NetworkErrorState,
+    diag: StepDiagnostics,
 ) -> dict:
     """Propagate per-node mean errors through one filter-plus-diffusion round.
 
     ``prev_means`` maps node→AugmentedVector of the post-diffusion mean error
-    at the previous tick; ``records`` maps node→TickRecord for the current
-    tick.  Noises are zero-mean, so only the homogeneous term survives:
-    the aggregator means are the beta-weighted sums of F_m A_m e_m, and each
-    node's new mean is the gamma-weighted sum over its serving aggregators.
+    at the previous tick; ``diag`` is the current tick's filter diagnostics
+    for one seed, stacked over the nodes of ``state``.  Noises are zero-mean,
+    so only the homogeneous term of the :func:`mse_step` map survives.
     """
-    node_ids = tuple(prev_means)
-    gain_map = {}
-    for m in node_ids:
-        rec = records[m]
-        gain_map[m] = _correction_map(rec, m) @ rec.A
-
-    agg = {}
-    for y in sorted(weights.beta, key=str):
-        acc = None
-        for m, b in weights.beta[y].items():
-            term = b * (gain_map[m] @ prev_means[m].materialize())
-            acc = term if acc is None else acc + term
-        agg[y] = acc
-
-    out = {}
-    for i in node_ids:
-        acc = None
-        for y, g in _serving_row(i, weights).items():
-            term = g * agg[y]
-            acc = term if acc is None else acc + term
-        n = acc.shape[0] // 2
-        out[i] = AugmentedVector(acc[:n])
-    return out
+    g, _, _ = _aggregation_map(state, diag)
+    e = np.concatenate([prev_means[n].materialize() for n in state.node_ids])
+    out = (state.W @ (g @ e)).reshape(len(state.node_ids), -1)
+    half = out.shape[1] // 2
+    return {n: AugmentedVector(row[:half]) for n, row in zip(state.node_ids, out)}
 
 
-def mse_step(
-    state: NetworkErrorState,
-    weights: DiffusionWeights,
-    records: Mapping,
-) -> tuple[dict, dict, NetworkErrorState]:
+def mse_step(state: NetworkErrorState, diag: StepDiagnostics) -> NetworkErrorState:
     """One step of the stacked error-covariance recursion.
 
-    Returns ``(V, sigma, next_state)`` where ``V[(y, z)]`` is the
-    cross-covariance between aggregator outputs (its diagonal blocks are the
-    one-stage baseline MSE of each aggregator) and ``sigma[i]`` is node i's
-    post-diffusion error covariance, the gamma-weighted double sum over its
-    serving aggregators.
+    ``diag`` is the current tick's filter diagnostics for one seed, stacked
+    over the nodes of ``state``.  Returns the next state; its ``V`` holds the
+    aggregator cross-covariances of this step and its ``E`` the
+    post-diffusion node errors.
     """
-    ids = state.node_ids
-    aggs = state.aggregator_ids
-    d = state.block_dim
-    n_nodes = len(ids)
-    pos = {n: j for j, n in enumerate(ids)}
-
-    d_obs = state.G.shape[0] // n_nodes
-    Gamma = np.zeros((len(aggs) * d, n_nodes * d), dtype=complex)
-    R = np.zeros_like(Gamma)
-    Q = np.zeros((len(aggs) * d, n_nodes * d_obs), dtype=complex)
-    for a, y in enumerate(aggs):
-        for m, b in weights.beta[y].items():
-            rec = records[m]
-            if rec.M_post.shape != (d, d):
-                raise AnalysisError(
-                    f"recorded covariance for node {m!r} is {rec.M_post.shape}, expected {(d, d)}"
-                )
-            F = _correction_map(rec, m)
-            j = pos[m]
-            Gamma[a * d : (a + 1) * d, j * d : (j + 1) * d] = b * (F @ rec.A)
-            R[a * d : (a + 1) * d, j * d : (j + 1) * d] = b * F
-            Q[a * d : (a + 1) * d, j * d_obs : (j + 1) * d_obs] = b * rec.gain
-
-    V_full = Gamma @ state.E @ Gamma.conj().T + R @ state.U @ R.conj().T + Q @ state.G @ Q.conj().T
-    V_full = 0.5 * (V_full + V_full.conj().T)
-
-    W = np.zeros((n_nodes * d, len(aggs) * d), dtype=complex)
-    apos = {y: a for a, y in enumerate(aggs)}
-    for i in ids:
-        for y, g in _serving_row(i, weights).items():
-            a = apos[y]
-            W[pos[i] * d : (pos[i] + 1) * d, a * d : (a + 1) * d] = g * np.eye(d)
-    E_next = W @ V_full @ W.conj().T
-    E_next = 0.5 * (E_next + E_next.conj().T)
-
-    V = {
-        (y, z): V_full[ay * d : (ay + 1) * d, az * d : (az + 1) * d]
-        for ay, y in enumerate(aggs)
-        for az, z in enumerate(aggs)
-    }
-    next_state = NetworkErrorState(
-        node_ids=ids, aggregator_ids=aggs, E=E_next, U=state.U, G=state.G,
-        Gamma=Gamma, R=R, Q=Q, k=state.k + 1,
-    )
-    sigma = {i: next_state.sigma(i) for i in ids}
-    return V, sigma, next_state
+    g, f, k = _aggregation_map(state, diag)
+    n_nodes, n_aggs, d = len(state.node_ids), len(state.aggregator_ids), state.block_dim
+    noise = np.broadcast_to(f @ state.Cu @ _hconj(f) + k @ state.Cn @ _hconj(k), (n_nodes, d, d))
+    pairs = (state.beta[:, None, :] * state.beta[None, :, :]).reshape(n_aggs * n_aggs, n_nodes)
+    noise = (pairs @ noise.reshape(n_nodes, d * d)).reshape(n_aggs, n_aggs, d, d)
+    V = g @ state.E @ _hconj(g) + noise.swapaxes(1, 2).reshape(n_aggs * d, n_aggs * d)
+    V = 0.5 * (V + _hconj(V))
+    E = state.W @ V @ state.W.T
+    E = 0.5 * (E + _hconj(E))
+    return replace(state, E=E, V=V)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,14 @@ class AugmentedMatrix:
         object.__setattr__(self, "block12", b12)
 
     @classmethod
+    def _of(cls, block11: np.ndarray, block12: np.ndarray) -> "AugmentedMatrix":
+        """Wrap blocks computed from checked complex128 blocks, skipping the checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "block11", block11)
+        object.__setattr__(out, "block12", block12)
+        return out
+
+    @classmethod
     def diagonal(cls, values: Sequence[float] | np.ndarray) -> "AugmentedMatrix":
         """Structured matrix with real diagonal block11 and zero block12."""
         d = np.asarray(values, dtype=np.float64)
@@ -89,15 +97,15 @@ class AugmentedMatrix:
     @property
     def H(self) -> "AugmentedMatrix":
         """Conjugate transpose; it keeps the augmented structure."""
-        return AugmentedMatrix(
+        return AugmentedMatrix._of(
             np.conj(np.swapaxes(self.block11, -1, -2)), np.swapaxes(self.block12, -1, -2)
         )
 
     def __add__(self, other: "AugmentedMatrix") -> "AugmentedMatrix":
-        return AugmentedMatrix(self.block11 + other.block11, self.block12 + other.block12)
+        return AugmentedMatrix._of(self.block11 + other.block11, self.block12 + other.block12)
 
     def __sub__(self, other: "AugmentedMatrix") -> "AugmentedMatrix":
-        return AugmentedMatrix(self.block11 - other.block11, self.block12 - other.block12)
+        return AugmentedMatrix._of(self.block11 - other.block11, self.block12 - other.block12)
 
     def __matmul__(self, other):
         if isinstance(other, AugmentedVector):
@@ -107,7 +115,7 @@ class AugmentedMatrix:
         if isinstance(other, AugmentedMatrix):
             b11 = self.block11 @ other.block11 + self.block12 @ np.conj(other.block12)
             b12 = self.block11 @ other.block12 + self.block12 @ np.conj(other.block11)
-            return AugmentedMatrix(b11, b12)
+            return AugmentedMatrix._of(b11, b12)
         return NotImplemented
 
 

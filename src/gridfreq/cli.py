@@ -37,12 +37,10 @@ import yaml
 from .analysis import (
     SPECTRUM_MIN_TICKS,
     MseReport,
-    _serving_row,
+    NetworkErrorState,
     empirical_mse,
     empirical_mse_mc,
     error_spectrum,
-    initial_network_state,
-    mse_step,
     write_mse_csv,
     write_spectrum_csv,
 )
@@ -56,7 +54,6 @@ from .estimators import (
     nss_model,
     run_filter,
     run_filter_batch,
-    shared_increment_model,
     wlss_model,
     write_trace_csv,
 )
@@ -162,14 +159,13 @@ def _want(cfg, key, kinds, diags, required=False, default=None):
 
 
 def _num3(raw, path: str, diags: list) -> tuple | None:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        diags.append(f"{path}: expected a list of 3 numbers")
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3 or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        for x in raw
+    ):
+        diags.append(f"{path}: expected a list of 3 finite numbers")
         return None
-    try:
-        return tuple(float(x) for x in raw)
-    except (TypeError, ValueError):
-        diags.append(f"{path}: expected a list of 3 numbers")
-        return None
+    return tuple(float(x) for x in raw)
 
 
 def _number(raw: Mapping, key: str, path: str, diags: list) -> float | None:
@@ -532,34 +528,15 @@ def _run_single(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path]
     return files
 
 
-def _theory_matrices(plan: RunPlan):
-    if plan.estimator == "dfe":
-        model = shared_increment_model(plan.sample_rate_hz, snr_db=plan.snr_db)
-    else:
-        model = nss_model(plan.sample_rate_hz, snr_db=plan.snr_db)
-    cu = model.Cu.materialize()
-    return 0.1 * np.eye(len(cu), dtype=complex), cu, model.Cn.materialize()
-
-
-def _theory_columns(run, report: MseReport, mats) -> None:
-    """Fill the theoretical trace/bound columns from the matrix recursions."""
-    node_ids = run.topology.node_ids
-    n_steps = len(run.records[node_ids[0]])
-    M0, Cu, Cn = mats
-    state = initial_network_state(node_ids, run.weights, M0, Cu, Cn)
-    V = sigma = None
-    for i in range(n_steps):
-        recs = {n: run.records[n][i] for n in node_ids}
-        V, sigma, state = mse_step(state, run.weights, recs)
+def _theory_columns(errors: NetworkErrorState, report: MseReport) -> None:
+    """Fill the theoretical trace/bound columns from the run's final error state."""
     report.theoretical_trace = {
-        n: float(np.real(np.trace(sigma[n]))) for n in node_ids
+        n: float(np.real(np.trace(errors.sigma(n)))) for n in errors.node_ids
     }
     report.bound_ok = {}
-    for n in node_ids:
+    for n in errors.node_ids:
         own = report.theoretical_trace[n]
-        ceiling = max(
-            float(np.real(np.trace(V[(y, y)]))) for y in _serving_row(n, run.weights)
-        )
+        ceiling = max(float(np.real(np.trace(errors.v(y, y)))) for y in errors.serving(n))
         report.bound_ok[n] = bool(own <= ceiling + 1e-12)
 
 
@@ -577,7 +554,7 @@ def _run_network(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path
         assignment=plan.assignment,
         weights=plan.weights,
         collect_messages=plan.messages_csv,
-        record_matrices=plan.mse_theory,
+        theory=plan.mse_theory,
     )
 
     files = []
@@ -614,7 +591,7 @@ def _run_network(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path
         else:
             report = empirical_mse(run.traces, window)
         if plan.mse_theory:
-            _theory_columns(run, report, _theory_matrices(plan))
+            _theory_columns(run.error_state, report)
         files.append(out / "mse_report.csv")
         write_mse_csv(files[-1], report)
     return files

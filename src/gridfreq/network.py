@@ -23,6 +23,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .analysis import NetworkErrorState, initial_network_state, mse_step
 from .augmented import AugmentedMatrix, AugmentedVector, augment
 from .estimators import (
     DEFAULT_COND_LIMIT,
@@ -48,7 +49,6 @@ __all__ = [
     "Topology",
     "BridgeAssignment",
     "DiffusionWeights",
-    "TickRecord",
     "Message",
     "DistributedRun",
     "DistributedMcRun",
@@ -296,18 +296,6 @@ def nonbridge_diffuse(m, bridge_estimates: Mapping, w: DiffusionWeights) -> Augm
 
 
 @dataclass(frozen=True)
-class TickRecord:
-    """Shared-filter internals captured for the error recursions."""
-
-    k: int
-    M_prior: np.ndarray
-    M_post: np.ndarray
-    A: np.ndarray
-    gain: np.ndarray
-    H: np.ndarray
-
-
-@dataclass(frozen=True)
 class Message:
     k: int
     phase: str  # "to_bridge" | "from_bridge" | "to_neighbor"
@@ -321,14 +309,18 @@ class _Mixing:
     """One run's diffusion over the node axis, built once before the loop.
 
     ``matrix`` maps the nodes' posteriors to their combined estimates (None:
-    no diffusion).  ``beta`` holds the bridges' aggregation rows, whose
-    outputs the ``from_bridge`` messages carry.  A route ``(phase, src, dst,
-    row)`` is one logged transfer per tick; ``row`` indexes the node
-    posteriors followed by the bridge aggregates.
+    no diffusion).  It is ``gamma @ beta``: ``beta`` holds the aggregation
+    rows of the ``aggregators`` (the bridges, or every node in the one-stage
+    modes), and ``gamma`` each node's redistribution row over them.  A route
+    ``(phase, src, dst, row)`` is one logged transfer per tick; ``row``
+    indexes the node posteriors followed by the aggregates, whose outputs
+    the ``from_bridge`` messages carry.
     """
 
     matrix: np.ndarray | None
-    beta: np.ndarray | None
+    aggregators: tuple
+    beta: np.ndarray
+    gamma: np.ndarray
     routes: tuple
 
 
@@ -343,17 +335,19 @@ def _mixing(
     Each row is its node's combiner applied to unit vectors, so the dict
     combiners stay the one definition of the weights, their normalization
     and their missing-estimate errors.  Bridge diffusion composes the two
-    stages into Γ @ Β (a bridge serves itself with weight 1).
+    stages into Γ @ Β (a bridge serves itself with weight 1); the one-stage
+    modes have Γ = I, and no diffusion also Β = I.
     """
-    if diffusion == "none":
-        return _Mixing(None, None, ())
     ids = topology.node_ids
+    identity = np.eye(len(ids))
+    if diffusion == "none":
+        return _Mixing(None, ids, identity, identity, ())
     pos = {n: j for j, n in enumerate(ids)}
-    units = {n: AugmentedVector(e) for n, e in zip(ids, np.eye(len(ids)))}
+    units = {n: AugmentedVector(e) for n, e in zip(ids, identity)}
     if diffusion == "conventional":
         matrix = np.array([bridge_diffuse(i, units, weights).top for i in ids])
         routes = [("to_neighbor", nb, i, pos[nb]) for i in ids for nb in topology.neighbors(i)]
-        return _Mixing(matrix, None, tuple(routes))
+        return _Mixing(matrix, ids, matrix, identity, tuple(routes))
     bridges = sorted(assignment.bridges, key=str)
     beta = np.array([bridge_diffuse(b, units, weights).top for b in bridges])
     bridge_units = {b: AugmentedVector(e) for b, e in zip(bridges, np.eye(len(bridges)))}
@@ -368,7 +362,7 @@ def _mixing(
     for r, b in enumerate(bridges):
         routes += [("to_bridge", nb, b, pos[nb]) for nb in topology.neighbors(b)]
         routes += [("from_bridge", b, nb, len(ids) + r) for nb in topology.neighbors(b)]
-    return _Mixing(gamma @ beta, beta, tuple(routes))
+    return _Mixing(gamma @ beta, tuple(bridges), beta, gamma, tuple(routes))
 
 
 def _diffuse_all(
@@ -380,9 +374,7 @@ def _diffuse_all(
     single runs keep one.
     """
     if messages is not None and mixing.routes:
-        payloads = estimates[0]
-        if mixing.beta is not None:
-            payloads = np.concatenate([payloads, mixing.beta @ payloads])
+        payloads = np.concatenate([estimates[0], mixing.beta @ estimates[0]])
         for phase, src, dst, row in mixing.routes:
             messages.extend(Message(k, phase, src, dst, complex(z)) for z in payloads[row])
     return estimates if mixing.matrix is None else mixing.matrix @ estimates
@@ -490,7 +482,7 @@ class DistributedRun:
     diffusion: str
     seed: int
     traces: Mapping  # node -> FreqTrace of the diffused estimate
-    records: Mapping | None = None  # node -> list[TickRecord]
+    error_state: NetworkErrorState | None = None  # after the last tick
     messages: list | None = None
 
 
@@ -574,14 +566,17 @@ def _simulate(
     f_init_hz: float,
     cond_limit: float,
     messages: list | None = None,
-    records: Mapping | None = None,
+    theory: bool = False,
     detail: bool = False,
 ):
     """The loop both drivers share: every node of every seed is one batch row.
 
-    Returns (f_hat, flags, states, innovation power), shaped (seeds, nodes,
-    ticks); ``states`` adds the axis of the output filter's top-half entries.
-    The last two are kept only with ``detail``.
+    Returns (f_hat, flags, states, innovation power, error state); the first
+    four are shaped (seeds, nodes, ticks), and ``states`` adds the axis of
+    the output filter's top-half entries.  States and innovation power are
+    kept only with ``detail``.  With ``theory`` (one seed only), the error
+    recursion starts from the output filter's initial covariance and steps
+    every tick on that filter's diagnostics; otherwise the error state is None.
     """
     if mode not in ("dfe", "distributed-acekf"):
         raise DistributedConfigError(f"unknown estimator mode {mode!r}")
@@ -606,6 +601,13 @@ def _simulate(
     states = np.empty(shape + (out.x_hat.n,), dtype=complex) if detail else None
     innov = np.zeros(shape) if detail else None
 
+    errors = None
+    if theory:
+        errors = initial_network_state(
+            ids, mixing.aggregators, mixing.beta, mixing.gamma,
+            out.M.materialize(), out_model.Cu.materialize(), out_model.Cn.materialize(),
+        )
+
     f_hat[..., 0], flags[..., 0] = out_model.extract_freq(out.x_hat.top)
     if detail:
         states[:, :, 0] = out.x_hat.top
@@ -629,13 +631,9 @@ def _simulate(
         if detail:
             states[:, :, k] = out.x_hat.top
             innov[..., k] = np.abs(diag.innovation.top[..., 0]) ** 2
-        if records is not None:
-            fields = ("M_prior", "M_post", "A", "gain", "H")
-            full = {f: getattr(diag, f).materialize() for f in fields}
-            for j, n in enumerate(ids):
-                row = {f: m[0, j] if m.ndim > 2 else m for f, m in full.items()}
-                records[n].append(TickRecord(k=k, **row))
-    return f_hat, flags, states, innov
+        if errors is not None:
+            errors = mse_step(errors, diag)
+    return f_hat, flags, states, innov, errors
 
 
 def run_distributed(
@@ -649,7 +647,7 @@ def run_distributed(
     weights: DiffusionWeights | None = None,
     f_init_hz: float = 50.0,
     collect_messages: bool = False,
-    record_matrices: bool = False,
+    theory: bool = False,
     cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> DistributedRun:
     """Simulate the network once and collect per-node traces.
@@ -658,16 +656,17 @@ def run_distributed(
     node→Scenario (same sampling grid everywhere).  Per-node observation noise
     comes from independent streams derived from (seed, node position), so a
     node's stream does not depend on which other nodes exist.  This is the
-    Monte-Carlo loop at one seed, plus traces, records and messages.
+    Monte-Carlo loop at one seed, plus traces and messages.  With ``theory``
+    the run also steps the error recursions of :mod:`gridfreq.analysis` and
+    returns their final state.
     """
     per_node = _resolve_scenarios(topology, scenarios)
     assignment, weights = _resolve_weights(topology, assignment, weights, diffusion)
     messages = [] if collect_messages else None
-    records = {n: [] for n in topology.node_ids} if record_matrices else None
-    f_hat, flags, states, innov = _simulate(
+    f_hat, flags, states, innov, errors = _simulate(
         topology, per_node, [seed], snr_db, mode,
         _mixing(topology, assignment, weights, diffusion), f_init_hz, cond_limit,
-        messages, records, detail=True,
+        messages, theory, detail=True,
     )
 
     k_idx = np.arange(f_hat.shape[-1])
@@ -686,7 +685,7 @@ def run_distributed(
     }
     return DistributedRun(
         topology=topology, assignment=assignment, weights=weights, mode=mode,
-        diffusion=diffusion, seed=seed, traces=traces, records=records, messages=messages,
+        diffusion=diffusion, seed=seed, traces=traces, error_state=errors, messages=messages,
     )
 
 
@@ -714,7 +713,7 @@ def run_distributed_mc(
     seeds = np.asarray(list(seeds), dtype=int)
     if seeds.size == 0:
         raise DistributedConfigError("empty seed list")
-    f_hat, flags, states, _ = _simulate(
+    f_hat, flags, states, _, _ = _simulate(
         topology, per_node, seeds, snr_db, mode,
         _mixing(topology, assignment, weights, diffusion), f_init_hz, cond_limit,
         detail=record_x,

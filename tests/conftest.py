@@ -5,6 +5,11 @@ replaying them in the terminal summary keeps the pass/fail overview visible
 even though pytest captures per-test stdout.
 """
 
+import pytest
+
+import gridfreq.network
+from gridfreq.analysis import mse_step
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -13,3 +18,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+@pytest.fixture
+def theory_log(monkeypatch):
+    """Record what the network loop feeds its error recursion.
+
+    Every online ``mse_step`` call appends ``(diagnostics, next_state)``, in
+    tick order, to the returned list.
+    """
+    log = []
+
+    def spy(state, diag):
+        nxt = mse_step(state, diag)
+        log.append((diag, nxt))
+        return nxt
+
+    monkeypatch.setattr(gridfreq.network, "mse_step", spy)
+    return log

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 import conftest
-from gridfreq.analysis import error_spectrum, initial_network_state, mse_step
+from gridfreq.analysis import error_spectrum
 from gridfreq.augmented import AugmentedMatrix
 from gridfreq.cli import main as cli_main
 from gridfreq.estimators import (
@@ -25,7 +25,6 @@ from gridfreq.estimators import (
     nss_model,
     run_filter,
     run_filter_batch,
-    shared_increment_model,
 )
 from gridfreq.network import (
     BridgeAssignment,
@@ -219,37 +218,33 @@ def test_06_bridge_vs_every_node_diffusion():
     )
 
 
-def _bound_margins(topo, assign, seed):
+def _bound_margins(topo, assign, seed, theory_log):
     """Worst (ceiling - own trace) over nodes and ticks of a 200-tick run."""
     scn = balanced_scenario(0.2)
-    run = run_distributed(
-        topo, scn, seed=seed, snr_db=30.0, assignment=assign, record_matrices=True
-    )
+    theory_log.clear()
+    run = run_distributed(topo, scn, seed=seed, snr_db=30.0, assignment=assign, theory=True)
+    assert len(theory_log) == scn.n_samples - 1
     w = run.weights
-    model = shared_increment_model(FS, snr_db=30.0)
-    state = initial_network_state(
-        topo.node_ids, w, 0.1 * np.eye(2), model.Cu.materialize(), model.Cn.materialize()
-    )
     worst = np.inf
-    for i in range(len(run.records[topo.node_ids[0]])):
-        recs = {node: run.records[node][i] for node in topo.node_ids}
-        V, sigma, state = mse_step(state, w, recs)
+    for _, state in theory_log:
         for node in topo.node_ids:
             if node in w.beta and node not in w.gamma:
                 serving = (node,)
             else:
                 serving = tuple(w.gamma[node])
-            ceiling = max(float(np.real(np.trace(V[(y, y)]))) for y in serving)
-            worst = min(worst, ceiling - float(np.real(np.trace(sigma[node]))))
+            ceiling = max(float(np.real(np.trace(state.v(y, y)))) for y in serving)
+            worst = min(worst, ceiling - float(np.real(np.trace(state.sigma(node)))))
     return worst
 
 
-def test_07_theoretical_trace_bound():
+def test_07_theoretical_trace_bound(theory_log):
     """trace(Σ_i) never exceeds the worst serving hub's one-stage trace."""
     topo_ref, assign_ref = reference_network()
-    margin_ref = _bound_margins(topo_ref, assign_ref, seed=3)
+    margin_ref = _bound_margins(topo_ref, assign_ref, seed=3, theory_log=theory_log)
     path = Topology([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5)])
-    margin_path = _bound_margins(path, BridgeAssignment(path, [1, 3, 5]), seed=3)
+    margin_path = _bound_margins(
+        path, BridgeAssignment(path, [1, 3, 5]), seed=3, theory_log=theory_log
+    )
     _verdict(
         7,
         margin_ref >= -1e-12 and margin_path >= -1e-12,
@@ -258,22 +253,19 @@ def test_07_theoretical_trace_bound():
     )
 
 
-def test_08_single_node_recursion_matches_filter():
+def test_08_single_node_recursion_matches_filter(theory_log):
     """With one node the error recursion reproduces the filter's own M."""
     solo = Topology([1], [])
     scn = balanced_scenario(0.2)
-    run = run_distributed(
+    run_distributed(
         solo, scn, seed=7, snr_db=30.0,
-        assignment=BridgeAssignment(solo, [1]), record_matrices=True,
+        assignment=BridgeAssignment(solo, [1]), theory=True,
     )
-    model = shared_increment_model(FS, snr_db=30.0)
-    state = initial_network_state(
-        [1], run.weights, 0.1 * np.eye(2), model.Cu.materialize(), model.Cn.materialize()
-    )
+    assert len(theory_log) == scn.n_samples - 1
     worst = 0.0
-    for rec in run.records[1]:
-        V, sigma, state = mse_step(state, run.weights, {1: rec})
-        worst = max(worst, float(np.max(np.abs(sigma[1] - rec.M_post))))
+    for diag, state in theory_log:
+        m_post = diag.M_post.materialize()[0, 0]
+        worst = max(worst, float(np.max(np.abs(state.sigma(1) - m_post))))
     _verdict(
         8,
         worst <= 1e-9,

@@ -18,13 +18,19 @@ from gridfreq.analysis import (
     write_mse_csv,
     write_spectrum_csv,
 )
-from gridfreq.augmented import AugmentedVector
-from gridfreq.estimators import FreqTrace, lss_model, run_filter, shared_increment_model
+from gridfreq.augmented import AugmentedMatrix, AugmentedVector
+from gridfreq.estimators import (
+    FreqTrace,
+    StepDiagnostics,
+    lss_model,
+    nss_model,
+    run_filter,
+    shared_increment_model,
+)
 from gridfreq.network import (
     BridgeAssignment,
-    DiffusionWeights,
-    TickRecord,
     Topology,
+    conventional_weights,
     reference_network,
     run_distributed,
     run_distributed_mc,
@@ -57,10 +63,6 @@ def make_trace(err, f0=50.0):
     )
 
 
-def single_node_weights():
-    return DiffusionWeights(beta={0: {0: 1.0}}, gamma={})
-
-
 class TestEmpiricalMse:
     def test_exact_trace_scores_zero(self):
         report = empirical_mse({1: make_trace(np.zeros(100))}, window=(0, 100))
@@ -86,41 +88,42 @@ class TestEmpiricalMse:
             empirical_mse({1: make_trace(np.zeros(10))}, window=(0, 11))
 
 
-def half_step_record(k=1, d=2):
-    return TickRecord(
-        k=k,
-        M_prior=np.eye(d, dtype=complex),
-        M_post=0.5 * np.eye(d, dtype=complex),
-        A=np.eye(d, dtype=complex),
-        gain=np.zeros((d, d), dtype=complex),
-        H=np.ones((d, d), dtype=complex),
+def half_step_diag(n=1):
+    """One node's tick diagnostics with A = I and, for n = 1, K H = I/2.
+
+    The correction map F = I - K H is then exactly 1/2, and so is
+    M_post / M_prior.
+    """
+    ones, zeros = np.ones((1, n)), np.zeros((1, n))
+    return StepDiagnostics(
+        innovation=AugmentedVector(np.zeros(1)),
+        H=AugmentedMatrix(ones, zeros),
+        gain=AugmentedMatrix(0.5 * ones.T, zeros.T),
+        M_prior=AugmentedMatrix.eye(n),
+        M_post=AugmentedMatrix.eye(n, 0.5),
+        A=AugmentedMatrix.eye(n),
     )
+
+
+def single_node_state(M0=np.eye(2)):
+    zero = np.zeros((2, 2))
+    return initial_network_state((0,), (0,), [[1.0]], [[1.0]], M0=M0, Cu=zero, Cn=zero)
 
 
 class TestMeanErrorStep:
     def test_zero_means_stay_zero(self):
-        w = single_node_weights()
         out = mean_error_step(
-            {0: AugmentedVector(np.zeros(1, dtype=complex))}, w, {0: half_step_record()}
+            {0: AugmentedVector(np.zeros(1, dtype=complex))}, single_node_state(), half_step_diag()
         )
         assert out[0].top[0] == 0.0
 
     def test_halving_correction_halves_the_mean(self):
-        # A = I and M_post = M_prior/2 make the correction map exactly 1/2
-        w = single_node_weights()
+        # A = I and K H = I/2 make the correction map exactly 1/2
+        state = single_node_state()
         means = {0: AugmentedVector(np.array([0.8 - 0.4j]))}
         for expect in (0.4 - 0.2j, 0.2 - 0.1j, 0.1 - 0.05j):
-            means = mean_error_step(means, w, {0: half_step_record()})
+            means = mean_error_step(means, state, half_step_diag())
             assert means[0].top[0] == pytest.approx(expect)
-
-    def test_singular_prior_rejected(self):
-        w = single_node_weights()
-        rec = TickRecord(
-            k=1, M_prior=np.zeros((2, 2), dtype=complex), M_post=np.eye(2, dtype=complex),
-            A=np.eye(2, dtype=complex), gain=np.zeros((2, 2)), H=np.ones((2, 2)),
-        )
-        with pytest.raises(AnalysisError, match="singular prior"):
-            mean_error_step({0: AugmentedVector(np.ones(1, dtype=complex))}, w, {0: rec})
 
     def test_monte_carlo_mean_stays_on_zero_fixed_point(self):
         # unbiased start: the recursion predicts zero mean error throughout,
@@ -138,23 +141,22 @@ class TestMeanErrorStep:
                 se = np.sqrt((np.var(emp.real) + np.var(emp.imag)) / err.shape[0])
                 assert abs(np.mean(emp)) <= 3 * se, f"node {j + 1}, tick {k}"
 
-    def test_monte_carlo_tracks_biased_transient(self):
+    def test_monte_carlo_tracks_biased_transient(self, theory_log):
         # full-state mode: a 1 Hz initialization bias decays through the
-        # recorded correction maps; 500-seed empirical means must follow
+        # correction maps of a reference run; 500-seed empirical means must follow
         scn = make_scenario(0.06)
         t3 = Topology((1, 2, 3), [(1, 2), (2, 3)])
         b3 = BridgeAssignment(t3, {2})
-        w3 = uniform_weights(t3, b3)
         ref = run_distributed(
             t3, scn, snr_db=None, mode="distributed-acekf", assignment=b3,
-            f_init_hz=49.0, record_matrices=True,
+            f_init_hz=49.0, theory=True,
         )
         x_true = np.exp(2j * np.pi * 50.0 / FS)
         e0 = np.array([np.exp(2j * np.pi * 49.0 / FS) - x_true, 0.0, 0.0], dtype=complex)
         means = {n: AugmentedVector(e0) for n in t3.node_ids}
         theory = [dict(means)]
-        for k in range(50):
-            means = mean_error_step(means, w3, {n: ref.records[n][k] for n in t3.node_ids})
+        for diag, _ in theory_log[:50]:
+            means = mean_error_step(means, ref.error_state, diag)
             theory.append(means)
 
         mc = run_distributed_mc(
@@ -174,49 +176,34 @@ class TestMeanErrorStep:
 
 class TestMseStep:
     def test_zero_noise_zero_init_stays_zero(self):
-        w = single_node_weights()
-        state = initial_network_state(
-            (0,), w, M0=np.zeros((2, 2)), Cu=np.zeros((2, 2)), Cn=np.zeros((2, 2))
-        )
+        state = single_node_state(M0=np.zeros((2, 2)))
         for _ in range(5):
-            V, sigma, state = mse_step(state, w, {0: half_step_record()})
-        assert np.all(sigma[0] == 0)
-        assert np.all(V[(0, 0)] == 0)
+            state = mse_step(state, half_step_diag())
+        assert np.all(state.sigma(0) == 0)
+        assert np.all(state.v(0, 0) == 0)
 
-    def test_single_node_matches_filter_covariance(self):
+    def test_single_node_matches_filter_covariance(self, theory_log):
         # with one node the recursion is the Joseph-form covariance update,
         # so it must reproduce the filter's own M sequence
         scn = make_scenario(0.2)
         t1 = Topology((0,), [])
-        run = run_distributed(t1, scn, seed=0, snr_db=30.0, record_matrices=True)
-        model = shared_increment_model(FS, snr_db=30.0)
-        w = single_node_weights()
-        state = initial_network_state(
-            (0,), w, M0=0.1 * np.eye(2), Cu=model.Cu.materialize(), Cn=model.Cn.materialize()
-        )
-        for rec in run.records[0]:
-            V, sigma, state = mse_step(state, w, {0: rec})
-            assert np.max(np.abs(sigma[0] - rec.M_post)) < 1e-9
+        run_distributed(t1, scn, seed=0, snr_db=30.0, theory=True)
+        assert len(theory_log) == scn.n_samples - 1
+        for diag, state in theory_log:
+            assert np.max(np.abs(state.sigma(0) - diag.M_post.materialize()[0, 0])) < 1e-9
 
-    def test_nonbridge_trace_bounded_by_worst_serving_bridge(self):
+    def test_nonbridge_trace_bounded_by_worst_serving_bridge(self, theory_log):
         # a path with two serving bridges per interior non-bridge makes the
         # convexity bound strict rather than degenerate
         scn = make_scenario(0.2)
         t5 = Topology((1, 2, 3, 4, 5), [(1, 2), (2, 3), (3, 4), (4, 5)])
         b5 = BridgeAssignment(t5, {1, 3, 5})
-        w5 = uniform_weights(t5, b5)
-        run = run_distributed(t5, scn, seed=0, snr_db=30.0, assignment=b5, record_matrices=True)
-        model = shared_increment_model(FS, snr_db=30.0)
-        state = initial_network_state(
-            t5.node_ids, w5, M0=0.1 * np.eye(2),
-            Cu=model.Cu.materialize(), Cn=model.Cn.materialize(),
-        )
+        run_distributed(t5, scn, seed=0, snr_db=30.0, assignment=b5, theory=True)
         saw_strict = False
-        for k in range(len(run.records[1])):
-            V, sigma, state = mse_step(state, w5, {n: run.records[n][k] for n in t5.node_ids})
+        for k, (_, state) in enumerate(theory_log):
             for i in (2, 4):
-                tr = np.trace(sigma[i]).real
-                bound = max(np.trace(V[(y, y)]).real for y in b5.bridges_of(i))
+                tr = np.trace(state.sigma(i)).real
+                bound = max(np.trace(state.v(y, y)).real for y in b5.bridges_of(i))
                 assert tr <= bound * (1 + 1e-9), f"node {i}, tick {k}"
                 saw_strict = saw_strict or tr < bound * 0.999
         assert saw_strict
@@ -224,54 +211,122 @@ class TestMseStep:
     def test_preserves_hermitian_psd(self):
         scn = make_scenario(0.1)
         t, b = reference_network()
-        w = uniform_weights(t, b)
-        run = run_distributed(t, scn, seed=1, snr_db=30.0, assignment=b, record_matrices=True)
-        model = shared_increment_model(FS, snr_db=30.0)
-        state = initial_network_state(
-            t.node_ids, w, M0=0.1 * np.eye(2),
-            Cu=model.Cu.materialize(), Cn=model.Cn.materialize(),
-        )
-        for k in range(len(run.records[1])):
-            _, _, state = mse_step(state, w, {n: run.records[n][k] for n in t.node_ids})
+        run = run_distributed(t, scn, seed=1, snr_db=30.0, assignment=b, theory=True)
+        state = run.error_state
         np.testing.assert_array_equal(state.E, state.E.conj().T)
         assert np.min(np.linalg.eigvalsh(state.E)) > -1e-12
 
-    def test_sigma_iterates_converge(self):
+    def test_sigma_iterates_converge(self, theory_log):
         scn = make_scenario(1.0)
         t, b = reference_network()
-        w = uniform_weights(t, b)
-        run = run_distributed(t, scn, seed=0, snr_db=30.0, assignment=b, record_matrices=True)
-        model = shared_increment_model(FS, snr_db=30.0)
-        state = initial_network_state(
-            t.node_ids, w, M0=0.1 * np.eye(2),
-            Cu=model.Cu.materialize(), Cn=model.Cn.materialize(),
-        )
+        run_distributed(t, scn, seed=0, snr_db=30.0, assignment=b, theory=True)
         prev = None
         delta = np.inf
-        for k in range(len(run.records[1])):
-            _, sigma, state = mse_step(state, w, {n: run.records[n][k] for n in t.node_ids})
+        for _, state in theory_log:
+            sigma = {i: state.sigma(i) for i in t.node_ids}
             if prev is not None:
                 delta = max(np.linalg.norm(sigma[i] - prev[i]) for i in t.node_ids)
             prev = sigma
         assert delta < 1e-8
 
     def test_dimension_mismatch_rejected(self):
-        w = single_node_weights()
-        state = initial_network_state(
-            (0,), w, M0=np.eye(2), Cu=np.zeros((2, 2)), Cn=np.zeros((2, 2))
-        )
         with pytest.raises(AnalysisError, match="expected"):
-            mse_step(state, w, {0: half_step_record(d=4)})
+            mse_step(single_node_state(), half_step_diag(n=2))
 
     def test_state_requires_every_node_covered(self):
-        w = DiffusionWeights(beta={1: {1: 1.0}}, gamma={})
+        # node 2 has no aggregation row and nothing redistributes to it
         with pytest.raises(AnalysisError, match="neither"):
-            initial_network_state((1, 2), w, np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+            initial_network_state(
+                (1, 2), (1,), [[1.0, 0.0]], [[1.0], [0.0]],
+                np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
+            )
 
     def test_unknown_aggregator_rejected(self):
-        w = DiffusionWeights(beta={9: {9: 1.0}}, gamma={})
         with pytest.raises(AnalysisError, match="unknown"):
-            initial_network_state((1,), w, np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+            initial_network_state(
+                (1,), (9,), [[1.0]], [[1.0]], np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))
+            )
+
+    def test_stage_shapes_must_match_the_nodes(self):
+        with pytest.raises(AnalysisError, match="do not match"):
+            initial_network_state(
+                (1, 2), (1,), [[1.0]], [[1.0], [1.0]],
+                np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
+            )
+
+
+def dense_reference_step(E, node_ids, weights, recs, U, G):
+    """The error recursion as a dense dict loop, the semantics the stacked step keeps.
+
+    ``recs`` maps node -> materialized filter matrices of one tick.  Each
+    node's correction map is F = M_post M_prior^-1, and the aggregation
+    (beta F A), process-noise (beta F) and observation-noise (beta K) maps
+    are filled block by block from the weight rows; ``U`` and ``G`` are the
+    block-diagonal noise covariances.  Returns (V, next E).
+    """
+    aggs = sorted(weights.beta, key=str)
+    pos = {n: j for j, n in enumerate(node_ids)}
+    d, d_obs = recs[node_ids[0]]["gain"].shape
+    rows, cols = len(aggs) * d, len(node_ids) * d
+    Gamma = np.zeros((rows, cols), dtype=complex)
+    R = np.zeros_like(Gamma)
+    Q = np.zeros((rows, len(node_ids) * d_obs), dtype=complex)
+    for a, y in enumerate(aggs):
+        for m, b in weights.beta[y].items():
+            rec, j = recs[m], pos[m]
+            F = rec["M_post"] @ np.linalg.inv(rec["M_prior"])
+            Gamma[a * d : (a + 1) * d, j * d : (j + 1) * d] = b * (F @ rec["A"])
+            R[a * d : (a + 1) * d, j * d : (j + 1) * d] = b * F
+            Q[a * d : (a + 1) * d, j * d_obs : (j + 1) * d_obs] = b * rec["gain"]
+    V = Gamma @ E @ Gamma.conj().T + R @ U @ R.conj().T + Q @ G @ Q.conj().T
+    V = 0.5 * (V + V.conj().T)
+    W = np.zeros((cols, rows))
+    for i in node_ids:
+        serving = {i: 1.0} if i in weights.beta and i not in weights.gamma else weights.gamma[i]
+        for y, g in serving.items():
+            a = aggs.index(y)
+            W[pos[i] * d : (pos[i] + 1) * d, a * d : (a + 1) * d] = g * np.eye(d)
+    E = W @ V @ W.T
+    return V, 0.5 * (E + E.conj().T)
+
+
+def blockdiag(block, n):
+    return np.kron(np.eye(n), block)
+
+
+class TestStackedRecursionMatchesDenseReference:
+    @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
+    @pytest.mark.parametrize("diffusion", ["bridge", "conventional"])
+    def test_every_tick(self, theory_log, mode, diffusion):
+        t, b = reference_network()
+        w = conventional_weights(t) if diffusion == "conventional" else uniform_weights(t, b)
+        model = (shared_increment_model if mode == "dfe" else nss_model)(FS, snr_db=30.0)
+        cu, cn = model.Cu.materialize(), model.Cn.materialize()
+        n = len(t.node_ids)
+        scn = make_scenario(
+            0.15, amps=(0.2, 1.0, 1.0), offs=(0.0, math.radians(20.0), math.radians(-20.0))
+        )
+        for seed in (0, 7):
+            theory_log.clear()
+            run_distributed(
+                t, scn, seed=seed, snr_db=30.0, mode=mode, diffusion=diffusion,
+                assignment=b, theory=True,
+            )
+            assert len(theory_log) == scn.n_samples - 1
+            E = blockdiag(0.1 * np.eye(len(cu)), n)
+            U, G = blockdiag(cu, n), blockdiag(cn, n)
+            for k, (diag, state) in enumerate(theory_log, start=1):
+                fields = ("M_prior", "M_post", "A", "gain")
+                full = {f: getattr(diag, f).materialize() for f in fields}
+                recs = {
+                    node: {f: m[0, j] if m.ndim > 2 else m for f, m in full.items()}
+                    for j, node in enumerate(t.node_ids)
+                }
+                V, E = dense_reference_step(E, t.node_ids, w, recs, U, G)
+                assert state.aggregator_ids == tuple(sorted(w.beta, key=str))
+                for got, want, what in ((state.V, V, "V"), (state.E, E, "Sigma")):
+                    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                    assert err <= 1e-12, f"seed {seed}, tick {k}: {what} off by {err:.2e}"
 
 
 class TestErrorSpectrum:

@@ -66,6 +66,16 @@ class TestAugmentedMatrix:
         np.testing.assert_array_equal((m + other).materialize(), dense_m + other.materialize())
         np.testing.assert_array_equal((m - other).materialize(), dense_m - other.materialize())
 
+    def test_results_keep_the_checked_invariants(self):
+        # results skip the constructor's checks, so they must already hold:
+        # complex128 blocks of one shape, also when operands broadcast
+        rng = np.random.default_rng(5)
+        batched = AugmentedMatrix(np.ones((2, 3, 3)), np.zeros((2, 3, 3)))
+        m, h = random_structured(rng, 3), random_structured(rng, 1, 3)
+        for out in (batched @ m, m @ batched, batched + m, m - batched, h.H, h @ batched):
+            assert out.block11.dtype == out.block12.dtype == np.complex128
+            assert out.block11.shape == out.block12.shape
+
     def test_diagonal_builder(self):
         m = AugmentedMatrix.diagonal([1e-6, 1e-4])
         full = m.materialize()

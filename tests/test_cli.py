@@ -246,6 +246,16 @@ spectrum:
             header = fh.readline().strip()
         assert header == "k,phase,src,dst,payload_re,payload_im"
 
+    @pytest.mark.parametrize("diffusion", ["conventional", "none"])
+    def test_one_stage_theory_columns(self, tmp_path, diffusion):
+        # every node is its own aggregator, so its trace is its own ceiling
+        text = QUICK_NETWORK.replace("bridges: [2]", f"diffusion: {diffusion}")
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, text), "--out-dir", str(out)]) == 0
+        for row in read_rows(out / "mse_report.csv"):
+            assert float(row["theoretical_trace"]) > 0
+            assert row["bound_ok"] == "True"
+
     def test_network_mc_summaries(self, tmp_path):
         cfg = write_config(tmp_path, QUICK_NETWORK)
         out = tmp_path / "out"
@@ -371,6 +381,38 @@ class TestInputsCheckedBeforeRun:
         cfg = write_config(tmp_path, QUICK_SINGLE.replace("freq_hz: 50.0", freq))
         assert main(["validate", cfg]) == 1
         assert f"scenario.segments[0].{path}: required number" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            (
+                QUICK_SINGLE.replace("freq_hz: 50.0}", "freq_hz: 50.0, amplitudes: [.nan, 1.0, 1.0]}"),
+                "scenario.segments[0].amplitudes",
+            ),
+            (
+                QUICK_SINGLE.replace("freq_hz: 50.0}", "freq_hz: 50.0, phase_deg: [.inf, 0, 0]}"),
+                "scenario.segments[0].phase_deg",
+            ),
+            (
+                QUICK_SINGLE.replace("freq_hz: 50.0}", 'freq_hz: 50.0, amplitudes: [true, "1.0", 1]}'),
+                "scenario.segments[0].amplitudes",
+            ),
+            (
+                QUICK_NETWORK
+                + "node_scenarios:\n  2:\n    segments:\n"
+                + "      - {start_s: 0.0, end_s: 0.25, freq_hz: 50.0, amplitudes: [1.0, .nan, 1.0]}\n",
+                "node_scenarios[2].segments[0].amplitudes",
+            ),
+        ],
+        ids=["nan-amplitude", "inf-phase", "bool-and-string", "node-scenario"],
+    )
+    def test_amplitudes_and_phases_must_be_finite_numbers(self, tmp_path, capsys, text, path):
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        assert f"{path}: expected a list of 3 finite numbers" in capsys.readouterr().out
         out = tmp_path / "out"
         assert main(["run", cfg, "--out-dir", str(out)]) == 2
         assert not out.exists()

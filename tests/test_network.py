@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfreq.augmented import augment
 from gridfreq.estimators import (
@@ -164,6 +166,30 @@ class TestSelectBridges:
             BridgeAssignment(t, b.bridges)
 
 
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus random extra edges, with shuffled node ids."""
+    n = draw(st.integers(1, 20))
+    ids = draw(st.permutations(range(n)))
+    edges = {frozenset((ids[i], ids[draw(st.integers(0, i - 1))])) for i in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if pairs:
+        edges |= {frozenset(p) for p in draw(st.lists(st.sampled_from(pairs), max_size=2 * n))}
+    return Topology(ids, [tuple(e) for e in edges])
+
+
+class TestSelectBridgesProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(t=connected_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_independent_and_dominating(self, t, seed):
+        bridges = select_bridges(t, seed=seed).bridges
+        assert bridges
+        for e in t.edges:
+            assert not e <= bridges, f"adjacent bridges {sorted(e)}"
+        for n in t.node_ids:
+            assert n in bridges or bridges.intersection(t.neighbors(n)), f"node {n} uncovered"
+
+
 class TestWeights:
     def test_negative_weight_rejected(self):
         with pytest.raises(WeightsError, match="negative"):
@@ -305,6 +331,23 @@ class TestDistributedRuns:
             for col, n in enumerate(t.node_ids):
                 np.testing.assert_array_equal(mc.f_hat_hz[row, col], single.traces[n].f_hat_hz)
 
+    @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
+    @pytest.mark.parametrize("diffusion", ["bridge", "conventional", "none"])
+    @settings(max_examples=4, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3, unique=True))
+    def test_every_mc_row_is_the_single_run(self, mode, diffusion, seeds):
+        t, b = reference_network()
+        scn = sag_scenario(duration=0.05)
+        kw = dict(snr_db=30.0, mode=mode, diffusion=diffusion, assignment=b)
+        mc = run_distributed_mc(t, scn, seeds=seeds, record_x=True, **kw)
+        for row, seed in enumerate(seeds):
+            single = run_distributed(t, scn, seed=seed, **kw)
+            for col, n in enumerate(t.node_ids):
+                tr = single.traces[n]
+                np.testing.assert_array_equal(mc.f_hat_hz[row, col], tr.f_hat_hz)
+                np.testing.assert_array_equal(mc.flags[row, col], tr.flags)
+                np.testing.assert_array_equal(mc.x_hat[row, col], tr.states[:, 0])
+
     def test_no_diffusion_equals_isolated_node(self):
         # node in position 0 draws the same noise stream either way
         t, b = reference_network()
@@ -356,17 +399,6 @@ class TestDistributedRuns:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,phase,src,dst,payload_re,payload_im"
         assert lines[1] == "1,to_bridge,2,4,0.5,-0.25"
-
-    def test_recorded_matrices_have_filter_shapes(self):
-        t, b = reference_network()
-        scn = make_scenario(duration=0.05)
-        run = run_distributed(t, scn, seed=0, snr_db=30.0, assignment=b, record_matrices=True)
-        recs = run.records[4]
-        assert len(recs) == scn.n_samples - 1
-        first = recs[0]
-        for mat in (first.M_prior, first.M_post, first.A, first.H):
-            assert mat.shape == (2, 2)
-        assert first.gain.shape == (2, 2)
 
     def test_innovation_power_positive_under_noise(self):
         t, b = reference_network()
