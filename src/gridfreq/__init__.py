@@ -7,7 +7,7 @@ theoretical error recursions, and a config-driven experiment runner.
 
 __version__ = "0.1.0"
 
-from .augmented import AugmentedMatrix, AugmentedVector, augment
+from .augmented import AugmentedMatrix, AugmentedVector
 from .signals import (
     ConstantFreq,
     RampFreq,
@@ -22,14 +22,13 @@ from .signals import (
 )
 from .estimators import (
     FilterDegenerateError,
+    FilterRun,
     FilterState,
     FreqTrace,
     StateSpaceModel,
-    acekf_step,
     lss_model,
     nss_model,
     run_filter,
-    run_filter_batch,
     shared_increment_model,
     wlss_model,
 )
@@ -42,7 +41,6 @@ from .network import (
     conventional_weights,
     reference_network,
     run_distributed,
-    run_distributed_mc,
     select_bridges,
     uniform_weights,
 )
@@ -50,7 +48,6 @@ from .analysis import (
     MseReport,
     SpectrumResult,
     empirical_mse,
-    empirical_mse_mc,
     error_spectrum,
     initial_network_state,
     mean_error_step,
@@ -66,6 +63,7 @@ __all__ = [
     "DistributedConfigError",
     "DistributedRun",
     "FilterDegenerateError",
+    "FilterRun",
     "FilterState",
     "FreqTrace",
     "MseReport",
@@ -76,12 +74,9 @@ __all__ = [
     "SpectrumResult",
     "StateSpaceModel",
     "Topology",
-    "acekf_step",
-    "augment",
     "clarke_arrays",
     "conventional_weights",
     "empirical_mse",
-    "empirical_mse_mc",
     "error_spectrum",
     "generate_arrays",
     "initial_network_state",
@@ -92,9 +87,7 @@ __all__ = [
     "pos_neg_decompose",
     "reference_network",
     "run_distributed",
-    "run_distributed_mc",
     "run_filter",
-    "run_filter_batch",
     "select_bridges",
     "sequence_amplitudes",
     "sequence_components",

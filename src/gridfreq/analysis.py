@@ -43,7 +43,6 @@ __all__ = [
     "MseReport",
     "SpectrumResult",
     "empirical_mse",
-    "empirical_mse_mc",
     "initial_network_state",
     "mean_error_step",
     "mse_step",
@@ -91,31 +90,24 @@ def _true_series(trace: FreqTrace, f_true) -> np.ndarray:
     return np.broadcast_to(np.asarray(f_true, dtype=float), trace.f_hat_hz.shape)
 
 
-def empirical_mse(traces: Mapping, window, f_true=None) -> MseReport:
-    """Mean squared frequency error per node over a half-open tick window."""
-    out = {}
-    for node, trace in traces.items():
-        start, stop = _check_window(window, trace.f_hat_hz.shape[-1])
-        err = trace.f_hat_hz[start:stop] - _true_series(trace, f_true)[start:stop]
-        out[node] = float(np.mean(err**2))
-    return MseReport(nodes=tuple(traces), empirical_mse_hz2=out)
+def empirical_mse(run, window, f_true=None) -> MseReport:
+    """Mean squared frequency error per node, over the seeds and a half-open tick window.
 
-
-def empirical_mse_mc(mc, window, f_true) -> MseReport:
-    """Monte-Carlo variant: averages squared error over seeds and the window.
-
-    ``mc`` is a batched run with ``f_hat_hz`` of shape (seeds, nodes, ticks);
-    ``f_true`` broadcasts to (nodes, ticks), so it may be one value, one
-    series for every node, or one series per node.
+    ``run`` is a :func:`~gridfreq.network.run_distributed` result, with
+    ``f_hat_hz`` shaped (seeds, nodes, ticks).  ``f_true`` defaults to the
+    run's ``f_true_hz`` and broadcasts to (nodes, ticks), so it may be one
+    value, one series for every node, or one series per node.
     """
-    f_hat = mc.f_hat_hz
+    f_hat = run.f_hat_hz
     start, stop = _check_window(window, f_hat.shape[-1])
+    if f_true is None:
+        f_true = run.f_true_hz
     truth = np.broadcast_to(np.asarray(f_true, dtype=float), f_hat.shape[1:])
     mse = {}
-    for j, n in enumerate(mc.node_ids):
+    for j, n in enumerate(run.node_ids):
         err = f_hat[:, j, start:stop] - truth[j, start:stop]
         mse[n] = float(np.mean(err**2))
-    return MseReport(nodes=tuple(mc.node_ids), empirical_mse_hz2=mse)
+    return MseReport(nodes=tuple(run.node_ids), empirical_mse_hz2=mse)
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,3 @@ class AugmentedMatrix:
             b12 = self.block11 @ other.block12 + self.block12 @ np.conj(other.block11)
             return AugmentedMatrix._of(b11, b12)
         return NotImplemented
-
-
-def augment(x) -> AugmentedVector:
-    """Wrap a plain complex vector (or batch of them) as an AugmentedVector."""
-    return AugmentedVector(_as_complex(x))

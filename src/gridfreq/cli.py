@@ -39,7 +39,6 @@ from .analysis import (
     MseReport,
     NetworkErrorState,
     empirical_mse,
-    empirical_mse_mc,
     error_spectrum,
     write_mse_csv,
     write_spectrum_csv,
@@ -53,7 +52,6 @@ from .estimators import (
     lss_model,
     nss_model,
     run_filter,
-    run_filter_batch,
     wlss_model,
     write_trace_csv,
 )
@@ -63,7 +61,6 @@ from .network import (
     DistributedConfigError,
     Topology,
     run_distributed,
-    run_distributed_mc,
     write_messages_csv,
 )
 from .signals import (
@@ -140,40 +137,55 @@ def load_config(spec: str) -> tuple[dict, bytes]:
     return dict(cfg), raw
 
 
-def _want(cfg, key, kinds, diags, required=False, default=None):
-    """Fetch cfg[key], appending a diagnostic when the type is off."""
+def _finite(val) -> float | None:
+    """``val`` as a float if it is a finite real number, else None.
+
+    Booleans, NaN, infinities and integers too large for a double all give
+    None, so no YAML value makes a numeric read raise.
+    """
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        val = float(val)
+    except OverflowError:
+        return None
+    return val if math.isfinite(val) else None
+
+
+def _want(cfg, key, kind, diags, required=False, default=None):
+    """Fetch cfg[key], appending a diagnostic when its type is off.
+
+    ``kind`` float asks for a finite number, returned as a float.
+    """
     if key not in cfg:
         if required:
             diags.append(f"{key}: required")
         return default
     val = cfg[key]
-    kinds_t = kinds if isinstance(kinds, tuple) else (kinds,)
-    if not isinstance(val, kinds_t) or (isinstance(val, bool) and bool not in kinds_t):
-        wanted = " or ".join(k.__name__ for k in kinds_t)
-        diags.append(f"{key}: expected {wanted}, got {type(val).__name__}")
-        return default
-    if isinstance(val, float) and not math.isfinite(val):
-        diags.append(f"{key}: expected a finite number, got {val!r}")
+    if kind is float:
+        num = _finite(val)
+        if num is None:
+            diags.append(f"{key}: expected a finite number, got {val!r}")
+        return default if num is None else num
+    if not isinstance(val, kind) or isinstance(val, bool):
+        diags.append(f"{key}: expected {kind.__name__}, got {type(val).__name__}")
         return default
     return val
 
 
 def _num3(raw, path: str, diags: list) -> tuple | None:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3 or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-        for x in raw
-    ):
+    vals = [_finite(x) for x in raw] if isinstance(raw, list) and len(raw) == 3 else [None]
+    if None in vals:
         diags.append(f"{path}: expected a list of 3 finite numbers")
         return None
-    return tuple(float(x) for x in raw)
+    return tuple(vals)
 
 
 def _number(raw: Mapping, key: str, path: str, diags: list) -> float | None:
-    val = raw.get(key)
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+    val = _finite(raw.get(key))
+    if val is None:
         diags.append(f"{path}.{key}: required number")
-        return None
-    return float(val)
+    return val
 
 
 def _build_segment(raw, path: str, diags: list) -> ScenarioSegment | None:
@@ -256,9 +268,9 @@ def _build_weights(raw, path: str, diags: list) -> DiffusionWeights | None:
         rows[key] = {n: dict(row) for n, row in raw[key].items()}
         for n, row in rows[key].items():
             for m, w in row.items():
-                try:
-                    row[m] = float(w)
-                except (TypeError, ValueError):
+                # NaN and inf go on as they are: DiffusionWeights names their row
+                row[m] = w if isinstance(w, float) else _finite(w)
+                if row[m] is None:
                     bad.append(f"{path}.{key}[{n}][{m}]: expected a number, got {w!r}")
     if bad:
         diags.extend(bad)
@@ -272,12 +284,11 @@ def _build_weights(raw, path: str, diags: list) -> DiffusionWeights | None:
 
 def _window(raw, path: str, fs: float, scenario, min_ticks: int, diags: list) -> tuple | None:
     """A [start_s, stop_s] window inside the scenario, at least ``min_ticks`` samples long."""
-    if not isinstance(raw, list) or len(raw) != 2 or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-    ):
-        diags.append(f"{path}: expected [start_s, stop_s]")
+    vals = [_finite(x) for x in raw] if isinstance(raw, list) and len(raw) == 2 else [None]
+    if None in vals:
+        diags.append(f"{path}: expected [start_s, stop_s] in finite numbers")
         return None
-    start, stop = float(raw[0]), float(raw[1])
+    start, stop = vals
     lo, hi = _ticks((start, stop), fs)
     if scenario is not None and not (0 <= lo and hi <= scenario.n_samples and hi - lo >= min_ticks):
         diags.append(
@@ -333,15 +344,11 @@ def build_plan(cfg: Mapping) -> RunPlan:
     if seed < 0:
         diags.append(f"seed: expected a non-negative integer, got {seed}")
     snr_db = cfg.get("snr_db")
-    if snr_db is not None and (
-        isinstance(snr_db, bool)
-        or not isinstance(snr_db, (int, float))
-        or not math.isfinite(snr_db)
-    ):
+    if snr_db is not None and _finite(snr_db) is None:
         diags.append(f"snr_db: expected a finite number or null, got {snr_db!r}")
-        snr_db = None
-    fs = _want(cfg, "sample_rate_hz", (int, float), diags, default=1000.0)
-    duration_s = _want(cfg, "duration_s", (int, float), diags, required=True)
+    snr_db = _finite(snr_db)
+    fs = _want(cfg, "sample_rate_hz", float, diags, default=1000.0)
+    duration_s = _want(cfg, "duration_s", float, diags, required=True)
     estimator = _want(cfg, "estimator", str, diags, required=True)
     if estimator is not None and estimator not in _ESTIMATORS:
         diags.append(f"estimator: unknown estimator {estimator!r}, expected one of {_ESTIMATORS}")
@@ -351,7 +358,7 @@ def build_plan(cfg: Mapping) -> RunPlan:
     if "scenario" not in cfg:
         diags.append("scenario: required")
     else:
-        scenario = _build_scenario(cfg["scenario"], "scenario", float(fs), duration_s, diags)
+        scenario = _build_scenario(cfg["scenario"], "scenario", fs, duration_s, diags)
 
     for key in ("node_scenarios", "topology", "bridges", "weights", "mse", "messages_csv"):
         if key in cfg and not networked:
@@ -387,7 +394,7 @@ def build_plan(cfg: Mapping) -> RunPlan:
         if topology is not None and "bridges" in cfg:
             try:
                 assignment = BridgeAssignment(topology, cfg["bridges"])
-            except ValueError as exc:
+            except (ValueError, TypeError) as exc:
                 diags.append(f"bridges: {exc}")
         if "weights" in cfg:
             weights = _build_weights(cfg["weights"], "weights", diags)
@@ -397,7 +404,7 @@ def build_plan(cfg: Mapping) -> RunPlan:
                 diags.append("node_scenarios: expected mapping node -> scenario")
             else:
                 for node, sub in raw.items():
-                    sc = _build_scenario(sub, f"node_scenarios[{node}]", float(fs), duration_s, diags)
+                    sc = _build_scenario(sub, f"node_scenarios[{node}]", fs, duration_s, diags)
                     if sc is not None:
                         node_scenarios[node] = sc
                 if topology is not None:
@@ -412,6 +419,10 @@ def build_plan(cfg: Mapping) -> RunPlan:
                 mse_theory = raw.get("theory", False)
                 if not isinstance(mse_theory, bool):
                     diags.append(f"mse.theory: expected true or false, got {mse_theory!r}")
+                elif mse_theory and scenario is not None and scenario.n_samples < 2:
+                    diags.append(
+                        f"mse.theory: needs a run of at least 2 samples, got {scenario.n_samples}"
+                    )
 
     filter_overrides = {}
     if "filter" in cfg and not networked:
@@ -421,10 +432,11 @@ def build_plan(cfg: Mapping) -> RunPlan:
             diags.append(f"filter: expected mapping with keys among {sorted(allowed)}")
         else:
             for key, val in raw.items():
-                if isinstance(val, bool) or not isinstance(val, (int, float)) or val <= 0:
+                val = _finite(val)
+                if val is None or val <= 0:
                     diags.append(f"filter.{key}: expected a positive number")
                 else:
-                    filter_overrides[key] = float(val)
+                    filter_overrides[key] = val
 
     spectrum_window = None
     if "spectrum" in cfg and not networked:
@@ -447,8 +459,8 @@ def build_plan(cfg: Mapping) -> RunPlan:
         name=name,
         estimator=estimator,
         seed=int(seed),
-        snr_db=None if snr_db is None else float(snr_db),
-        sample_rate_hz=float(fs),
+        snr_db=snr_db,
+        sample_rate_hz=fs,
         scenario=scenario,
         node_scenarios=node_scenarios,
         topology=topology,
@@ -509,7 +521,7 @@ def _run_single(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path]
     f_true = plan.scenario.true_freq()
     vabc = generate_arrays(plan.scenario, seed=seed, snr_db=plan.snr_db)
     _, v = clarke_arrays(vabc)
-    trace = run_filter(model, v, plan.sample_rate_hz, f_true=f_true)
+    trace = run_filter(model, v, plan.sample_rate_hz, f_true=f_true, detail=True).trace()
 
     files = [out / "trace.csv"]
     write_trace_csv(files[0], trace)
@@ -522,9 +534,9 @@ def _run_single(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path]
         for i in range(n_seeds):
             vabc_i = generate_arrays(plan.scenario, seed=[seed, i], snr_db=plan.snr_db)
             rows.append(clarke_arrays(vabc_i)[1])
-        f_hat, _ = run_filter_batch(model, np.stack(rows))
+        mc = run_filter(model, np.stack(rows), plan.sample_rate_hz)
         files.append(out / "mc_trace.csv")
-        _write_mc_summary(files[-1], trace.t_s, f_true, f_hat)
+        _write_mc_summary(files[-1], trace.t_s, f_true, mc.f_hat_hz)
     return files
 
 
@@ -544,52 +556,37 @@ def _run_network(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path
     per_node = {
         n: plan.node_scenarios.get(n, plan.scenario) for n in plan.topology.node_ids
     }
-    run = run_distributed(
-        plan.topology,
-        per_node,
-        seed=seed,
+    options = dict(
         snr_db=plan.snr_db,
         mode=plan.estimator,
         diffusion=plan.diffusion,
         assignment=plan.assignment,
         weights=plan.weights,
-        collect_messages=plan.messages_csv,
-        theory=plan.mse_theory,
+    )
+    run = run_distributed(
+        plan.topology, per_node, [seed], collect_messages=plan.messages_csv,
+        theory=plan.mse_theory, detail=True, **options,
     )
 
     files = []
     for n in plan.topology.node_ids:
         files.append(out / f"node_{n}_trace.csv")
-        write_trace_csv(files[-1], run.traces[n])
+        write_trace_csv(files[-1], run.trace(n))
     if plan.messages_csv:
         files.append(out / "messages.csv")
         write_messages_csv(files[-1], run.messages)
 
-    mc = None
+    mc = run
     if n_seeds > 1:
-        mc = run_distributed_mc(
-            plan.topology,
-            per_node,
-            seeds=[seed + i for i in range(n_seeds)],
-            snr_db=plan.snr_db,
-            mode=plan.estimator,
-            diffusion=plan.diffusion,
-            assignment=plan.assignment,
-            weights=plan.weights,
+        mc = run_distributed(
+            plan.topology, per_node, [seed + i for i in range(n_seeds)], **options
         )
         for j, n in enumerate(mc.node_ids):
             files.append(out / f"mc_node_{n}.csv")
-            _write_mc_summary(
-                files[-1], run.traces[n].t_s, per_node[n].true_freq(), mc.f_hat_hz[:, j]
-            )
+            _write_mc_summary(files[-1], mc.t_s, mc.f_true_hz[j], mc.f_hat_hz[:, j])
 
     if plan.mse_window_s is not None:
-        window = _ticks(plan.mse_window_s, plan.sample_rate_hz)
-        if mc is not None:
-            truth = np.stack([per_node[n].true_freq() for n in mc.node_ids])
-            report = empirical_mse_mc(mc, window, truth)
-        else:
-            report = empirical_mse(run.traces, window)
+        report = empirical_mse(mc, _ticks(plan.mse_window_s, plan.sample_rate_hz))
         if plan.mse_theory:
             _theory_columns(run.error_state, report)
         files.append(out / "mse_report.csv")

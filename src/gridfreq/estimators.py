@@ -10,12 +10,12 @@ Three single-node state-space models share one filter engine:
 * ``nss_model`` - states for the phase increment and both rotating sequence
   voltages; frequency read directly off the increment state.
 
-All models run through :func:`acekf_step`, which performs one predict/correct
-cycle on the augmented state [x; conj(x)].  The state is held as its top half
-x, and every covariance, Jacobian and gain as the block pair of an
-:class:`AugmentedMatrix`, so the conjugate block structure holds by
+All models run through one engine step, ``_step``, which performs one
+predict/correct cycle on the augmented state [x; conj(x)].  The state is held
+as its top half x, and every covariance, Jacobian and gain as the block pair
+of an :class:`AugmentedMatrix`, so the conjugate block structure holds by
 construction.  States, covariances and observations may carry leading batch
-dimensions, which is how the Monte-Carlo helpers vectorize over seeds.
+dimensions, which is how :func:`run_filter` steps every seed at once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .augmented import AugmentedMatrix, AugmentedVector, augment
+from .augmented import AugmentedMatrix, AugmentedVector
 
 #: frequency read from a zero phase-increment state (undefined angle)
 FLAG_ZERO_INCREMENT = 1
@@ -70,7 +70,7 @@ class FilterState:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Bundle of model functions consumed by :func:`acekf_step`.
+    """Bundle of model functions consumed by the engine step ``_step``.
 
     The functions take top halves x of shape (..., n).  ``f_a`` returns the
     predicted top half.  ``jacobian_A`` returns the Wirtinger derivatives of
@@ -147,23 +147,6 @@ def _step(
         innovation=innov, H=h, gain=gain, M_prior=m_prior, M_post=m_post, A=a
     )
     return new_state, diag
-
-
-def acekf_step(
-    model: StateSpaceModel,
-    state: FilterState,
-    y: AugmentedVector | np.ndarray | complex,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> FilterState:
-    """Advance the filter by one observation.
-
-    ``y`` is the observation in augmented form (an AugmentedVector, or a bare
-    complex value/array that is augmented automatically).
-    """
-    if not isinstance(y, AugmentedVector):
-        y = augment(np.atleast_1d(np.asarray(y, dtype=complex)))
-    new_state, _ = _step(model, state, y, cond_limit)
-    return new_state
 
 
 # ---------------------------------------------------------------------------
@@ -408,31 +391,77 @@ def with_sequence_observation(model: StateSpaceModel, v_plus, v_minus) -> StateS
 
 @dataclass
 class FreqTrace:
-    """Per-tick filter outputs; index 0 reflects the initial state."""
+    """The per-tick outputs of one filter row; index 0 reflects the initial state.
+
+    ``innovation_power`` and ``states`` are None unless the run kept detail.
+    """
 
     k: np.ndarray
     t_s: np.ndarray
     f_hat_hz: np.ndarray
-    innovation_power: np.ndarray
-    states: np.ndarray  # (n_ticks, n) posterior top halves
+    innovation_power: np.ndarray | None
+    states: np.ndarray | None  # (n_ticks, n) posterior top halves
     flags: np.ndarray
     f_true_hz: np.ndarray | None = None
 
 
-def _run(
-    model: StateSpaceModel,
-    v_obs: np.ndarray,
-    init: FilterState | None,
-    detail: bool,
-):
-    """The loop both runners share: one batch row per seed.
+@dataclass
+class FilterRun:
+    """What :func:`run_filter` produced: arrays shaped (seeds, ticks).
 
-    Returns (f_hat, flags, states, innovation power), shaped (seeds, ticks);
-    ``states`` adds the axis of the posterior top-half entries.  The last two
-    are kept only with ``detail``.
+    ``innovation_power`` and the posterior top halves ``states`` (one more
+    axis, of the state entries) are kept only with ``detail``, else None.
     """
-    n_seeds, n_ticks = v_obs.shape
-    state = model.initial_state(v_obs[:, 0]) if init is None else init
+
+    t_s: np.ndarray
+    f_hat_hz: np.ndarray
+    flags: np.ndarray
+    f_true_hz: np.ndarray | None = None
+    innovation_power: np.ndarray | None = None
+    states: np.ndarray | None = None
+
+    def _view(self, index: tuple, f_true) -> FreqTrace:
+        detail = self.states is not None
+        return FreqTrace(
+            k=np.arange(self.t_s.size),
+            t_s=self.t_s,
+            f_hat_hz=self.f_hat_hz[index],
+            innovation_power=self.innovation_power[index] if detail else None,
+            states=self.states[index] if detail else None,
+            flags=self.flags[index],
+            f_true_hz=f_true,
+        )
+
+    def trace(self, row: int = 0) -> FreqTrace:
+        """The view of one seed row."""
+        return self._view((row,), self.f_true_hz)
+
+
+def run_filter(
+    model: StateSpaceModel,
+    samples: np.ndarray,
+    sample_rate_hz: float,
+    init: FilterState | None = None,
+    f_true: np.ndarray | None = None,
+    detail: bool = False,
+) -> FilterRun:
+    """Run a model over Clarke voltage series, every seed row in one batch.
+
+    ``samples`` is one series (ticks,) or a batch (seeds, ticks); each row
+    evolves exactly as it would alone, and the result is shaped (seeds,
+    ticks) either way.  Non-finite samples are rejected before any step.
+    ``init`` is one state for every row or one per row; by default each row
+    starts from its first sample.
+    """
+    v = np.atleast_2d(np.asarray(samples, dtype=complex))
+    if v.size == 0:
+        raise ValueError("empty sample series")
+    bad = np.argwhere(~np.isfinite(v))
+    if bad.size:
+        row, k = bad[0]
+        raise ValueError(f"row {row}, tick {k}: non-finite sample {v[row, k]}")
+    n_seeds, n_ticks = v.shape
+    state = model.initial_state(v[:, 0]) if init is None else init
     f_hat = np.empty((n_seeds, n_ticks))
     flags = np.zeros((n_seeds, n_ticks), dtype=int)
     states = np.empty((n_seeds, n_ticks, state.x_hat.n), dtype=complex) if detail else None
@@ -443,62 +472,28 @@ def _run(
         states[:, 0] = state.x_hat.top
     for k in range(1, n_ticks):
         try:
-            state, diag = _step(model, state, augment(v_obs[:, k : k + 1]))
+            state, diag = _step(model, state, AugmentedVector(v[:, k : k + 1]))
         except FilterDegenerateError as exc:
             raise FilterDegenerateError(f"tick {k}: {exc}") from exc
         f_hat[:, k], flags[:, k] = model.extract_freq(state.x_hat.top)
         if detail:
             states[:, k] = state.x_hat.top
             innov[:, k] = np.abs(diag.innovation.top[..., 0]) ** 2
-    return f_hat, flags, states, innov
-
-
-def run_filter(
-    model: StateSpaceModel,
-    samples: np.ndarray,
-    sample_rate_hz: float,
-    init: FilterState | None = None,
-    f_true: np.ndarray | None = None,
-) -> FreqTrace:
-    """Run a model over a Clarke voltage series and collect the trace.
-
-    This is the batched loop at one row; an ``init`` state is unbatched.
-    """
-    v = np.asarray(samples, dtype=complex)
-    if v.size == 0:
-        raise ValueError("empty sample series")
-    if init is not None:
-        init = FilterState(AugmentedVector(init.x_hat.top[None]), init.M, init.k)
-    f_hat, flags, states, innov = _run(model, v[None], init, detail=True)
-
-    k_idx = np.arange(v.size)
-    return FreqTrace(
-        k=k_idx,
-        t_s=k_idx / sample_rate_hz,
-        f_hat_hz=f_hat[0],
-        innovation_power=innov[0],
-        states=states[0],
-        flags=flags[0],
+    return FilterRun(
+        t_s=np.arange(n_ticks) / sample_rate_hz,
+        f_hat_hz=f_hat,
+        flags=flags,
         f_true_hz=None if f_true is None else np.asarray(f_true, dtype=float),
+        innovation_power=innov,
+        states=states,
     )
 
 
-def run_filter_batch(
-    model: StateSpaceModel,
-    v_obs: np.ndarray,
-    init: FilterState | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Monte-Carlo run over a (n_seeds, n_ticks) observation array.
-
-    Returns (f_hat, flags), both shaped like ``v_obs``.  Each row evolves
-    exactly as a :func:`run_filter` call on that row alone.
-    """
-    f_hat, flags, _, _ = _run(model, np.asarray(v_obs, dtype=complex), init, detail=False)
-    return f_hat, flags
-
-
 def write_trace_csv(path, trace: FreqTrace) -> None:
-    """Write a filter trace to CSV (error column blank-less: nan if no truth)."""
+    """Write a filter trace to CSV (error column blank-less: nan if no truth).
+
+    The trace needs its innovation power, so its run must keep ``detail``.
+    """
     f_true = trace.f_true_hz
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

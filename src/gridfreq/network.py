@@ -24,10 +24,11 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from .analysis import NetworkErrorState, initial_network_state, mse_step
-from .augmented import AugmentedMatrix, AugmentedVector, augment
+from .augmented import AugmentedMatrix, AugmentedVector
 from .estimators import (
     DEFAULT_COND_LIMIT,
     FilterDegenerateError,
+    FilterRun,
     FilterState,
     FreqTrace,
     StateSpaceModel,
@@ -51,15 +52,12 @@ __all__ = [
     "DiffusionWeights",
     "Message",
     "DistributedRun",
-    "DistributedMcRun",
     "select_bridges",
     "uniform_weights",
     "conventional_weights",
     "bridge_diffuse",
     "nonbridge_diffuse",
-    "dfe_tick",
     "run_distributed",
-    "run_distributed_mc",
     "reference_network",
     "write_messages_csv",
 ]
@@ -412,89 +410,79 @@ def _failing_row(model_of, state: FilterState, y: AugmentedVector, cond_limit: f
     return None
 
 
-def dfe_tick(
+def _tick(
     aux_model: StateSpaceModel,
-    shared_model: StateSpaceModel,
+    shared_model: StateSpaceModel | None,
     aux: FilterState,
-    shared: FilterState,
-    y: AugmentedVector,
-    k: int,
-    mixing: _Mixing,
-    messages: list | None = None,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> tuple[FilterState, FilterState, StepDiagnostics]:
-    """One synchronous round of the distributed frequency estimator.
-
-    States and the observation ``y`` carry a (seeds, nodes) batch.  The
-    sequence-voltage estimates standing *before* this tick are captured, the
-    auxiliary trackers advance on the new observations, and the 2-dim shared
-    filters are corrected using observation matrices built from the captured
-    values.  The captured (previous-tick) values are the ones consistent with
-    the observation pairing v_k = v+_{k-1} x + v-_{k-1} conj(x); using the
-    refreshed posteriors instead would make the observation explain itself
-    and collapse the increment estimate toward 1.  Afterwards the posteriors
-    run through the diffusion and every shared filter restarts from its
-    combined value.  Returns the new (aux, shared) states and the shared
-    step's diagnostics.
-
-    The auxiliary tracker stays fully local: overwriting its increment entry
-    with the diffused value couples the two filters into a feedback loop that
-    is unstable at noiseless gain levels (a slowly growing oscillation near
-    75 Hz).
-    """
-    v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
-    aux, _ = _batch_step(lambda rows: aux_model, aux, y, cond_limit)
-    shared, diag = _batch_step(
-        lambda rows: with_sequence_observation(shared_model, v_plus[rows], v_minus[rows]),
-        shared, y, cond_limit,
-    )
-    x = _diffuse_all(shared.x_hat.top, k, mixing, messages)
-    return aux, FilterState(AugmentedVector(x), shared.M, shared.k), diag
-
-
-def _full_state_tick(
-    aux_model: StateSpaceModel,
-    aux: FilterState,
+    shared: FilterState | None,
     y: AugmentedVector,
     k: int,
     mixing: _Mixing,
     messages: list | None,
     cond_limit: float,
-) -> tuple[FilterState, StepDiagnostics]:
-    """One round of the full-state variant: local filters, then whole-vector diffusion."""
+) -> tuple[FilterState, FilterState | None, StepDiagnostics]:
+    """One synchronous round of the network, for every (seed, node) batch row.
+
+    The auxiliary ``nss`` trackers advance on the new observations ``y``.  In
+    ``dfe`` mode the 2-dim shared filters (``shared``) are then corrected
+    using observation matrices built from the sequence-voltage estimates
+    standing *before* this tick.  Those are the values consistent with the
+    observation pairing v_k = v+_{k-1} x + v-_{k-1} conj(x); using the
+    refreshed posteriors instead would make the observation explain itself
+    and collapse the increment estimate toward 1.  The output filter's
+    posteriors (the shared filters', or the trackers' own in full-state mode,
+    where ``shared`` is None) then run through the diffusion, and that filter
+    restarts from its combined value.  Returns the new (aux, shared) states
+    and the output step's diagnostics.
+
+    In ``dfe`` mode the auxiliary tracker stays fully local: overwriting its
+    increment entry with the diffused value couples the two filters into a
+    feedback loop that is unstable at noiseless gain levels (a slowly
+    growing oscillation near 75 Hz).
+    """
+    v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
     aux, diag = _batch_step(lambda rows: aux_model, aux, y, cond_limit)
-    x = _diffuse_all(aux.x_hat.top, k, mixing, messages)
-    return FilterState(AugmentedVector(x), aux.M, aux.k), diag
+    out = aux
+    if shared is not None:
+        out, diag = _batch_step(
+            lambda rows: with_sequence_observation(shared_model, v_plus[rows], v_minus[rows]),
+            shared, y, cond_limit,
+        )
+    out = FilterState(
+        AugmentedVector(_diffuse_all(out.x_hat.top, k, mixing, messages)), out.M, out.k
+    )
+    return (out, None, diag) if shared is None else (aux, out, diag)
 
 
 # ---------------------------------------------------------------------------
-# simulation drivers
+# the simulation driver
 
 
-@dataclass
-class DistributedRun:
-    """Everything a single seeded multi-node run produced."""
+@dataclass(kw_only=True)
+class DistributedRun(FilterRun):
+    """What :func:`run_distributed` produced: arrays shaped (seeds, nodes, ticks).
+
+    ``f_true_hz`` is (nodes, ticks).  The message log and the final error
+    state read seed row 0.
+    """
 
     topology: Topology
     assignment: BridgeAssignment | None
     weights: DiffusionWeights
     mode: str
     diffusion: str
-    seed: int
-    traces: Mapping  # node -> FreqTrace of the diffused estimate
+    seeds: tuple
     error_state: NetworkErrorState | None = None  # after the last tick
     messages: list | None = None
 
+    @property
+    def node_ids(self) -> tuple:
+        return self.topology.node_ids
 
-@dataclass
-class DistributedMcRun:
-    """Batched Monte-Carlo outputs, first axis = seed."""
-
-    node_ids: tuple
-    seeds: np.ndarray
-    f_hat_hz: np.ndarray  # (n_seeds, n_nodes, n_ticks)
-    flags: np.ndarray
-    x_hat: np.ndarray | None = None  # diffused increments, same shape, complex
+    def trace(self, node, row: int = 0) -> FreqTrace:
+        """The view of one node at one seed row."""
+        j = self.node_ids.index(node)
+        return self._view((row, j), self.f_true_hz[j])
 
 
 def _resolve_scenarios(topology: Topology, scenarios) -> dict:
@@ -556,30 +544,46 @@ def _node_voltage(scenario: Scenario, seed, node_index: int, snr_db) -> np.ndarr
     return v
 
 
-def _simulate(
+def run_distributed(
     topology: Topology,
-    per_node: Mapping,
+    scenarios,
     seeds: Sequence[int],
-    snr_db: float | None,
-    mode: str,
-    mixing: _Mixing,
-    f_init_hz: float,
-    cond_limit: float,
-    messages: list | None = None,
+    snr_db: float | None = None,
+    mode: str = "dfe",
+    diffusion: str = "bridge",
+    assignment: BridgeAssignment | None = None,
+    weights: DiffusionWeights | None = None,
+    f_init_hz: float = 50.0,
+    collect_messages: bool = False,
     theory: bool = False,
     detail: bool = False,
-):
-    """The loop both drivers share: every node of every seed is one batch row.
+    cond_limit: float = DEFAULT_COND_LIMIT,
+) -> DistributedRun:
+    """Simulate the network over a batch of seeds, every node of every seed in one batch.
 
-    Returns (f_hat, flags, states, innovation power, error state); the first
-    four are shaped (seeds, nodes, ticks), and ``states`` adds the axis of
-    the output filter's top-half entries.  States and innovation power are
-    kept only with ``detail``.  With ``theory`` (one seed only), the error
-    recursion starts from the output filter's initial covariance and steps
-    every tick on that filter's diagnostics; otherwise the error state is None.
+    ``scenarios`` is either a single Scenario shared by every node or a map
+    node→Scenario (same sampling grid everywhere).  Per-node observation noise
+    comes from independent streams derived from (seed, node position), so a
+    node's stream does not depend on which other nodes exist, and each seed
+    row is exactly the run at that seed alone: paired comparisons across
+    modes can rely on common random numbers.  With ``detail`` the run keeps
+    the output filter's posterior top halves and innovation power.  The
+    message log reads seed row 0.  With ``theory`` (one seed only) the error
+    recursions of :mod:`gridfreq.analysis` start from the output filter's
+    initial covariance, step every tick on that filter's diagnostics, and
+    the run returns their final state.
     """
+    per_node = _resolve_scenarios(topology, scenarios)
+    assignment, weights = _resolve_weights(topology, assignment, weights, diffusion)
     if mode not in ("dfe", "distributed-acekf"):
         raise DistributedConfigError(f"unknown estimator mode {mode!r}")
+    seeds = tuple(int(seed) for seed in seeds)
+    if not seeds:
+        raise DistributedConfigError("empty seed list")
+    if theory and len(seeds) > 1:
+        raise DistributedConfigError(f"theory needs exactly one seed, got {len(seeds)}")
+    mixing = _mixing(topology, assignment, weights, diffusion)
+    messages = [] if collect_messages else None
     ids = topology.node_ids
     fs = per_node[ids[0]].sample_rate_hz
     n_ticks = per_node[ids[0]].n_samples
@@ -612,115 +616,39 @@ def _simulate(
     if detail:
         states[:, :, 0] = out.x_hat.top
     for k in range(1, n_ticks):
-        y = augment(volts[k][..., None])
+        y = AugmentedVector(volts[k][..., None])
         try:
-            if shared is None:
-                aux, diag = _full_state_tick(aux_model, aux, y, k, mixing, messages, cond_limit)
-                out = aux
-            else:
-                aux, shared, diag = dfe_tick(
-                    aux_model, shared_model, aux, shared, y, k, mixing, messages, cond_limit
-                )
-                out = shared
+            aux, shared, diag = _tick(
+                aux_model, shared_model, aux, shared, y, k, mixing, messages, cond_limit
+            )
         except FilterDegenerateError as exc:
             where = "" if exc.row is None else (
-                f"node {ids[exc.row[1]]!r}: seed {int(seeds[exc.row[0]])}: "
+                f"node {ids[exc.row[1]]!r}: seed {seeds[exc.row[0]]}: "
             )
             raise FilterDegenerateError(f"tick {k}: {where}{exc}") from exc
+        out = aux if shared is None else shared
         f_hat[..., k], flags[..., k] = out_model.extract_freq(out.x_hat.top)
         if detail:
             states[:, :, k] = out.x_hat.top
             innov[..., k] = np.abs(diag.innovation.top[..., 0]) ** 2
         if errors is not None:
             errors = mse_step(errors, diag)
-    return f_hat, flags, states, innov, errors
 
-
-def run_distributed(
-    topology: Topology,
-    scenarios,
-    seed: int = 0,
-    snr_db: float | None = None,
-    mode: str = "dfe",
-    diffusion: str = "bridge",
-    assignment: BridgeAssignment | None = None,
-    weights: DiffusionWeights | None = None,
-    f_init_hz: float = 50.0,
-    collect_messages: bool = False,
-    theory: bool = False,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> DistributedRun:
-    """Simulate the network once and collect per-node traces.
-
-    ``scenarios`` is either a single Scenario shared by every node or a map
-    node→Scenario (same sampling grid everywhere).  Per-node observation noise
-    comes from independent streams derived from (seed, node position), so a
-    node's stream does not depend on which other nodes exist.  This is the
-    Monte-Carlo loop at one seed, plus traces and messages.  With ``theory``
-    the run also steps the error recursions of :mod:`gridfreq.analysis` and
-    returns their final state.
-    """
-    per_node = _resolve_scenarios(topology, scenarios)
-    assignment, weights = _resolve_weights(topology, assignment, weights, diffusion)
-    messages = [] if collect_messages else None
-    f_hat, flags, states, innov, errors = _simulate(
-        topology, per_node, [seed], snr_db, mode,
-        _mixing(topology, assignment, weights, diffusion), f_init_hz, cond_limit,
-        messages, theory, detail=True,
-    )
-
-    k_idx = np.arange(f_hat.shape[-1])
-    fs = per_node[topology.node_ids[0]].sample_rate_hz
-    traces = {
-        n: FreqTrace(
-            k=k_idx,
-            t_s=k_idx / fs,
-            f_hat_hz=f_hat[0, j],
-            innovation_power=innov[0, j],
-            states=states[0, j],
-            flags=flags[0, j],
-            f_true_hz=per_node[n].true_freq(),
-        )
-        for j, n in enumerate(topology.node_ids)
-    }
     return DistributedRun(
-        topology=topology, assignment=assignment, weights=weights, mode=mode,
-        diffusion=diffusion, seed=seed, traces=traces, error_state=errors, messages=messages,
-    )
-
-
-def run_distributed_mc(
-    topology: Topology,
-    scenarios,
-    seeds: Sequence[int],
-    snr_db: float | None = None,
-    mode: str = "dfe",
-    diffusion: str = "bridge",
-    assignment: BridgeAssignment | None = None,
-    weights: DiffusionWeights | None = None,
-    f_init_hz: float = 50.0,
-    record_x: bool = False,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> DistributedMcRun:
-    """Monte-Carlo sweep over seeds, every node of every seed in one batch.
-
-    Each seed reproduces exactly what :func:`run_distributed` would produce
-    for it (same per-node noise streams), so paired comparisons across modes
-    can rely on common random numbers.
-    """
-    per_node = _resolve_scenarios(topology, scenarios)
-    assignment, weights = _resolve_weights(topology, assignment, weights, diffusion)
-    seeds = np.asarray(list(seeds), dtype=int)
-    if seeds.size == 0:
-        raise DistributedConfigError("empty seed list")
-    f_hat, flags, states, _, _ = _simulate(
-        topology, per_node, seeds, snr_db, mode,
-        _mixing(topology, assignment, weights, diffusion), f_init_hz, cond_limit,
-        detail=record_x,
-    )
-    return DistributedMcRun(
-        node_ids=topology.node_ids, seeds=seeds, f_hat_hz=f_hat, flags=flags,
-        x_hat=None if states is None else states[..., 0],
+        t_s=np.arange(n_ticks) / fs,
+        f_hat_hz=f_hat,
+        flags=flags,
+        f_true_hz=np.stack([per_node[n].true_freq() for n in ids]),
+        innovation_power=innov,
+        states=states,
+        topology=topology,
+        assignment=assignment,
+        weights=weights,
+        mode=mode,
+        diffusion=diffusion,
+        seeds=seeds,
+        error_state=errors,
+        messages=messages,
     )
 
 

@@ -24,14 +24,12 @@ from gridfreq.estimators import (
     lss_model,
     nss_model,
     run_filter,
-    run_filter_batch,
 )
 from gridfreq.network import (
     BridgeAssignment,
     Topology,
     reference_network,
     run_distributed,
-    run_distributed_mc,
 )
 from gridfreq.signals import (
     ConstantFreq,
@@ -92,7 +90,7 @@ def test_02_strictly_linear_error_oscillates_at_twice_mains():
         [ScenarioSegment(0.0, 2.0, ConstantFreq(50.0), SAG_AMPS, SAG_OFFS)], FS, 2.0
     )
     v = clarke_arrays(generate_arrays(scn, seed=0, snr_db=30.0))[1]
-    trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq())
+    trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq()).trace()
     spec = error_spectrum(trace, window=(500, 1500))
     _verdict(
         2,
@@ -107,11 +105,11 @@ def test_03_step_tracking():
     settled = slice(867, 1334)  # 0.2 s after the step until the step back
 
     v = clarke_arrays(generate_arrays(scn))[1]
-    noiseless = run_filter(nss_model(FS), v, FS)
+    noiseless = run_filter(nss_model(FS), v, FS).trace()
     err_clean = float(np.max(np.abs(noiseless.f_hat_hz[settled] - 52.0)))
 
     rows = [clarke_arrays(generate_arrays(scn, seed=s, snr_db=30.0))[1] for s in range(20)]
-    f_hat, _ = run_filter_batch(nss_model(FS, snr_db=30.0), np.stack(rows))
+    f_hat = run_filter(nss_model(FS, snr_db=30.0), np.stack(rows), FS).f_hat_hz
     ens_err = f_hat.mean(axis=0) - scn.true_freq()
     err_noisy = float(np.max(np.abs(ens_err[settled])))
 
@@ -138,7 +136,7 @@ def test_04_ramp_tracking():
     rows = np.stack(
         [clarke_arrays(generate_arrays(scn, seed=s, snr_db=30.0))[1] for s in range(2000)]
     )
-    f_hat, _ = run_filter_batch(model, rows)
+    f_hat = run_filter(model, rows, FS).f_hat_hz
     ens_err = f_hat.mean(axis=0) - scn.true_freq()
     worst = float(np.max(np.abs(ens_err[500:1500])))
     _verdict(
@@ -151,8 +149,8 @@ def test_04_ramp_tracking():
 def test_05_distributed_estimate_is_unbiased():
     """Per-node mean error at the end of a 1 s run is within 3 SE of zero."""
     topo, assign = reference_network()
-    mc = run_distributed_mc(
-        topo, balanced_scenario(1.0), seeds=range(500), snr_db=30.0, assignment=assign
+    mc = run_distributed(
+        topo, balanced_scenario(1.0), range(500), snr_db=30.0, assignment=assign
     )
     final_err = mc.f_hat_hz[:, :, -1] - 50.0
     mean = final_err.mean(axis=0)
@@ -188,8 +186,8 @@ def test_06_bridge_vs_every_node_diffusion():
     topo, assign = reference_network()
     scn = balanced_scenario(1.0)
     seeds = range(200)
-    bridge = run_distributed_mc(topo, scn, seeds=seeds, snr_db=30.0, assignment=assign)
-    conv = run_distributed_mc(topo, scn, seeds=seeds, snr_db=30.0, diffusion="conventional")
+    bridge = run_distributed(topo, scn, seeds, snr_db=30.0, assignment=assign)
+    conv = run_distributed(topo, scn, seeds, snr_db=30.0, diffusion="conventional")
 
     tail = slice(500, None)
     mse_b = np.mean((bridge.f_hat_hz[:, :, tail] - 50.0) ** 2, axis=2)  # (seed, node)
@@ -222,7 +220,7 @@ def _bound_margins(topo, assign, seed, theory_log):
     """Worst (ceiling - own trace) over nodes and ticks of a 200-tick run."""
     scn = balanced_scenario(0.2)
     theory_log.clear()
-    run = run_distributed(topo, scn, seed=seed, snr_db=30.0, assignment=assign, theory=True)
+    run = run_distributed(topo, scn, [seed], snr_db=30.0, assignment=assign, theory=True)
     assert len(theory_log) == scn.n_samples - 1
     w = run.weights
     worst = np.inf
@@ -258,7 +256,7 @@ def test_08_single_node_recursion_matches_filter(theory_log):
     solo = Topology([1], [])
     scn = balanced_scenario(0.2)
     run_distributed(
-        solo, scn, seed=7, snr_db=30.0,
+        solo, scn, [7], snr_db=30.0,
         assignment=BridgeAssignment(solo, [1]), theory=True,
     )
     assert len(theory_log) == scn.n_samples - 1
@@ -288,8 +286,8 @@ def test_09_one_clean_node_among_sagged():
     )
     seeds = range(100)
     mixed_scen = {n: (bal if n == 1 else sag) for n in topo.node_ids}
-    mixed = run_distributed_mc(topo, mixed_scen, seeds=seeds, snr_db=30.0, assignment=assign)
-    base = run_distributed_mc(topo, bal, seeds=seeds, snr_db=30.0, assignment=assign)
+    mixed = run_distributed(topo, mixed_scen, seeds, snr_db=30.0, assignment=assign)
+    base = run_distributed(topo, bal, seeds, snr_db=30.0, assignment=assign)
     w = slice(1000, 1334)  # settled part of the sag
     mse_mixed = np.mean((mixed.f_hat_hz[:, :, w] - 50.0) ** 2, axis=(0, 2))
     mse_base = np.mean((base.f_hat_hz[:, :, w] - 50.0) ** 2, axis=(0, 2))

@@ -10,7 +10,6 @@ from gridfreq.analysis import (
     AnalysisError,
     MseReport,
     empirical_mse,
-    empirical_mse_mc,
     error_spectrum,
     initial_network_state,
     mean_error_step,
@@ -33,7 +32,6 @@ from gridfreq.network import (
     conventional_weights,
     reference_network,
     run_distributed,
-    run_distributed_mc,
     uniform_weights,
 )
 from gridfreq.signals import ConstantFreq, Scenario, ScenarioSegment, clarke_arrays, generate_arrays
@@ -63,29 +61,37 @@ def make_trace(err, f0=50.0):
     )
 
 
+def make_run(err, f0=50.0):
+    """A one-node, one-seed batch result whose error series is ``err``."""
+    err = np.asarray(err, dtype=float)
+    return types.SimpleNamespace(
+        node_ids=(1,), f_hat_hz=(f0 + err)[None, None], f_true_hz=np.full((1, err.size), f0)
+    )
+
+
 class TestEmpiricalMse:
     def test_exact_trace_scores_zero(self):
-        report = empirical_mse({1: make_trace(np.zeros(100))}, window=(0, 100))
+        report = empirical_mse(make_run(np.zeros(100)), window=(0, 100))
         assert report.empirical_mse_hz2[1] == 0.0
 
     def test_constant_offset_squares(self):
-        report = empirical_mse({1: make_trace(np.full(100, 0.1))}, window=(50, 100))
+        report = empirical_mse(make_run(np.full(100, 0.1)), window=(50, 100))
         assert report.empirical_mse_hz2[1] == pytest.approx(0.01)
 
     def test_mc_variant_averages_symmetric_errors(self):
         e = 0.35
         f_hat = np.stack([np.full((1, 40), 50.0 + e), np.full((1, 40), 50.0 - e)])
         mc = types.SimpleNamespace(node_ids=(7,), f_hat_hz=f_hat)
-        report = empirical_mse_mc(mc, window=(0, 40), f_true=50.0)
+        report = empirical_mse(mc, window=(0, 40), f_true=50.0)
         assert report.empirical_mse_hz2[7] == pytest.approx(e**2)
 
     def test_empty_window_rejected(self):
         with pytest.raises(AnalysisError, match="empty"):
-            empirical_mse({1: make_trace(np.zeros(10))}, window=(5, 5))
+            empirical_mse(make_run(np.zeros(10)), window=(5, 5))
 
     def test_window_outside_trace_rejected(self):
         with pytest.raises(AnalysisError, match="outside"):
-            empirical_mse({1: make_trace(np.zeros(10))}, window=(0, 11))
+            empirical_mse(make_run(np.zeros(10)), window=(0, 11))
 
 
 def half_step_diag(n=1):
@@ -131,10 +137,8 @@ class TestMeanErrorStep:
         scn = make_scenario(0.06)
         t3 = Topology((1, 2, 3), [(1, 2), (2, 3)])
         b3 = BridgeAssignment(t3, {2})
-        mc = run_distributed_mc(
-            t3, scn, seeds=range(500), snr_db=50.0, assignment=b3, record_x=True
-        )
-        err = mc.x_hat - np.exp(2j * np.pi * 50.0 / FS)
+        mc = run_distributed(t3, scn, range(500), snr_db=50.0, assignment=b3, detail=True)
+        err = mc.states[..., 0] - np.exp(2j * np.pi * 50.0 / FS)
         for k in range(1, 51):
             for j in range(3):
                 emp = err[:, j, k]
@@ -148,7 +152,7 @@ class TestMeanErrorStep:
         t3 = Topology((1, 2, 3), [(1, 2), (2, 3)])
         b3 = BridgeAssignment(t3, {2})
         ref = run_distributed(
-            t3, scn, snr_db=None, mode="distributed-acekf", assignment=b3,
+            t3, scn, [0], snr_db=None, mode="distributed-acekf", assignment=b3,
             f_init_hz=49.0, theory=True,
         )
         x_true = np.exp(2j * np.pi * 50.0 / FS)
@@ -159,11 +163,11 @@ class TestMeanErrorStep:
             means = mean_error_step(means, ref.error_state, diag)
             theory.append(means)
 
-        mc = run_distributed_mc(
-            t3, scn, seeds=range(500), snr_db=50.0, mode="distributed-acekf",
-            assignment=b3, f_init_hz=49.0, record_x=True,
+        mc = run_distributed(
+            t3, scn, range(500), snr_db=50.0, mode="distributed-acekf",
+            assignment=b3, f_init_hz=49.0, detail=True,
         )
-        err = mc.x_hat - x_true
+        err = mc.states[..., 0] - x_true
         for k in range(1, 51):
             for j, n in enumerate(t3.node_ids):
                 emp = err[:, j, k]
@@ -187,7 +191,7 @@ class TestMseStep:
         # so it must reproduce the filter's own M sequence
         scn = make_scenario(0.2)
         t1 = Topology((0,), [])
-        run_distributed(t1, scn, seed=0, snr_db=30.0, theory=True)
+        run_distributed(t1, scn, [0], snr_db=30.0, theory=True)
         assert len(theory_log) == scn.n_samples - 1
         for diag, state in theory_log:
             assert np.max(np.abs(state.sigma(0) - diag.M_post.materialize()[0, 0])) < 1e-9
@@ -198,7 +202,7 @@ class TestMseStep:
         scn = make_scenario(0.2)
         t5 = Topology((1, 2, 3, 4, 5), [(1, 2), (2, 3), (3, 4), (4, 5)])
         b5 = BridgeAssignment(t5, {1, 3, 5})
-        run_distributed(t5, scn, seed=0, snr_db=30.0, assignment=b5, theory=True)
+        run_distributed(t5, scn, [0], snr_db=30.0, assignment=b5, theory=True)
         saw_strict = False
         for k, (_, state) in enumerate(theory_log):
             for i in (2, 4):
@@ -211,7 +215,7 @@ class TestMseStep:
     def test_preserves_hermitian_psd(self):
         scn = make_scenario(0.1)
         t, b = reference_network()
-        run = run_distributed(t, scn, seed=1, snr_db=30.0, assignment=b, theory=True)
+        run = run_distributed(t, scn, [1], snr_db=30.0, assignment=b, theory=True)
         state = run.error_state
         np.testing.assert_array_equal(state.E, state.E.conj().T)
         assert np.min(np.linalg.eigvalsh(state.E)) > -1e-12
@@ -219,7 +223,7 @@ class TestMseStep:
     def test_sigma_iterates_converge(self, theory_log):
         scn = make_scenario(1.0)
         t, b = reference_network()
-        run_distributed(t, scn, seed=0, snr_db=30.0, assignment=b, theory=True)
+        run_distributed(t, scn, [0], snr_db=30.0, assignment=b, theory=True)
         prev = None
         delta = np.inf
         for _, state in theory_log:
@@ -309,7 +313,7 @@ class TestStackedRecursionMatchesDenseReference:
         for seed in (0, 7):
             theory_log.clear()
             run_distributed(
-                t, scn, seed=seed, snr_db=30.0, mode=mode, diffusion=diffusion,
+                t, scn, [seed], snr_db=30.0, mode=mode, diffusion=diffusion,
                 assignment=b, theory=True,
             )
             assert len(theory_log) == scn.n_samples - 1
@@ -356,7 +360,7 @@ class TestErrorSpectrum:
             1.5, amps=(0.2, 1.0, 1.0), offs=(0.0, math.radians(20.0), math.radians(-20.0))
         )
         v = clarke_arrays(generate_arrays(scn, seed=5, snr_db=30.0))[1]
-        trace = run_filter(lss_model(FS, snr_db=30.0), v, FS)
+        trace = run_filter(lss_model(FS, snr_db=30.0), v, FS).trace()
         err_trace = FreqTrace(
             k=trace.k, t_s=trace.t_s, f_hat_hz=trace.f_hat_hz,
             innovation_power=trace.innovation_power, states=trace.states,

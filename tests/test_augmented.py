@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridfreq.augmented import AugmentedMatrix, augment
+from gridfreq.augmented import AugmentedMatrix, AugmentedVector
 
 
 def random_structured(rng, n, m=None):
@@ -16,14 +16,14 @@ def random_structured(rng, n, m=None):
 
 class TestAugmentedVector:
     def test_materialize_is_conjugate_pair(self):
-        v = augment([1 + 2j, -3j])
+        v = AugmentedVector([1 + 2j, -3j])
         full = v.materialize()
         assert full.shape == (4,)
         np.testing.assert_array_equal(full[:2], [1 + 2j, -3j])
         np.testing.assert_array_equal(full[2:], np.conj(full[:2]))
 
     def test_batched_shape(self):
-        v = augment(np.ones((7, 3), dtype=complex))
+        v = AugmentedVector(np.ones((7, 3), dtype=complex))
         assert v.materialize().shape == (7, 6)
 
 
@@ -39,7 +39,7 @@ class TestAugmentedMatrix:
         rng = np.random.default_rng(42)
         for n in (1, 2, 5):
             w = random_structured(rng, n)
-            a = augment(rng.normal(size=n) + 1j * rng.normal(size=n))
+            a = AugmentedVector(rng.normal(size=n) + 1j * rng.normal(size=n))
             out = (w @ a).materialize()
             np.testing.assert_allclose(out[n:], np.conj(out[:n]), rtol=0, atol=1e-12)
             # agrees with the dense product on the materialized forms

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfreq.cli import ConfigError, build_plan, load_config, main, validate_config
 
@@ -47,6 +49,17 @@ scenario:
   segments:
     - {start_s: 0.0, end_s: 0.25, freq_hz: 50.0}
 """
+
+
+#: an integer too large for a double
+HUGE = "1" + "0" * 400
+
+BUNDLED = (
+    "experiment1_sag_step",
+    "experiment2_ramp",
+    "experiment4_network7",
+    "experiment4_network7_mixed",
+)
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -467,3 +480,80 @@ class TestInputsCheckedBeforeRun:
             kept.mkdir()
             assert main(["run", cfg, "--out-dir", str(kept)]) == 3
         assert kept.is_dir()
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            (QUICK_SINGLE.replace("duration_s: 0.3", f"duration_s: {HUGE}"), "duration_s"),
+            (QUICK_SINGLE + f"sample_rate_hz: {HUGE}\n", "sample_rate_hz"),
+            (QUICK_SINGLE + f"snr_db: -{HUGE}\n", "snr_db"),
+            (QUICK_SINGLE.replace("freq_hz: 50.0", f"freq_hz: {HUGE}"), "scenario.segments[0].freq_hz"),
+            (
+                QUICK_SINGLE.replace("freq_hz: 50.0}", f"freq_hz: 50.0, amplitudes: [{HUGE}, 1, 1]}}"),
+                "scenario.segments[0].amplitudes",
+            ),
+            (QUICK_SINGLE + f"filter: {{voltage_process_noise: {HUGE}}}\n", "filter.voltage_process_noise"),
+            (QUICK_NOISY + f"spectrum: {{window_s: [0.0, {HUGE}]}}\n", "spectrum.window_s"),
+            (QUICK_NETWORK.replace("[0.1, 0.25]", f"[0.1, {HUGE}]"), "mse.window_s"),
+            (
+                QUICK_NETWORK
+                + f"weights: {{beta: {{2: {{1: {HUGE}, 2: 0.5, 3: 0.5}}}}, gamma: {{}}}}\n",
+                "weights.beta[2][1]",
+            ),
+        ],
+        ids=[
+            "duration", "sample-rate", "snr", "freq", "amplitudes", "filter",
+            "spectrum-window", "mse-window", "weight",
+        ],
+    )
+    def test_huge_integers_are_config_errors(self, tmp_path, capsys, text, path):
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        assert f"\n{path}: " in "\n" + capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theory_needs_two_samples(self, tmp_path, capsys):
+        # a one-sample run never steps the error recursion
+        text = QUICK_NETWORK.replace("0.25", "0.001").replace("[0.1, 0.001]", "[0.0, 0.001]")
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        assert "mse.theory: needs a run of at least 2 samples, got 1" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert main(["validate", write_config(tmp_path, text.replace("theory: true", ""))]) == 0
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, sub in node.items():
+            yield from _leaf_paths(sub, path + (key,))
+    elif isinstance(node, list):
+        for i, sub in enumerate(node):
+            yield from _leaf_paths(sub, path + (i,))
+    else:
+        yield path
+
+
+ODD_VALUES = [
+    int(HUGE), -int(HUGE), math.inf, -math.inf, math.nan, True, "text", None, [1, 2], {"a": 1},
+]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_validate_never_raises(self, tmp_path_factory, data):
+        # one leaf of a bundled config replaced by an odd value: a verdict, never a traceback
+        cfg, _ = load_config(data.draw(st.sampled_from(BUNDLED)))
+        path = data.draw(st.sampled_from(list(_leaf_paths(cfg))))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(st.sampled_from(ODD_VALUES))
+        cfg_path = tmp_path_factory.mktemp("fuzz") / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert main(["validate", str(cfg_path)]) in (0, 1)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfreq.augmented import AugmentedMatrix, AugmentedVector, augment
+import gridfreq.estimators
+from gridfreq.augmented import AugmentedMatrix, AugmentedVector
 from gridfreq.estimators import (
     FLAG_NEGATIVE_IM_H,
     FLAG_SEQUENCE_DOMINANCE,
@@ -15,11 +16,9 @@ from gridfreq.estimators import (
     FilterState,
     StateSpaceModel,
     _step,
-    acekf_step,
     lss_model,
     nss_model,
     run_filter,
-    run_filter_batch,
     shared_increment_model,
     with_sequence_observation,
     wlss_model,
@@ -46,6 +45,11 @@ def make_scenario(amps=(1.0, 1.0, 1.0), f_hz=50.0, duration=1.0, offs=(0.0, 0.0,
 
 def clarke_series(scn, seed=None, snr_db=None):
     return clarke_arrays(generate_arrays(scn, seed=seed, snr_db=snr_db))[1]
+
+
+def step(model, state, y):
+    """One engine step on a bare complex observation."""
+    return _step(model, state, AugmentedVector(np.atleast_1d(y)))[0]
 
 
 def wirtinger_jacobian(f, x, eps=1e-7):
@@ -93,7 +97,7 @@ def dense_step(model, state, y):
     condition number of S (the factor by which the gain amplifies them).
     """
     n = state.x_hat.n
-    x_pred = augment(model.f_a(state.x_hat.top)).materialize()
+    x_pred = AugmentedVector(model.f_a(state.x_hat.top)).materialize()
     a = model.jacobian_A(state.x_hat.top).materialize()
     h = model.observe_H.materialize()
     m_prior = a @ state.M.materialize() @ _hconj(a) + model.Cu.materialize()
@@ -166,9 +170,9 @@ class TestEngine:
             initial_state=None,
         )
         m0 = 0.5
-        st = FilterState(augment([0.0 + 0j]), AugmentedMatrix.eye(1, m0), 0)
+        st = FilterState(AugmentedVector([0.0 + 0j]), AugmentedMatrix.eye(1, m0), 0)
         y = 1.0 + 0j
-        new = acekf_step(model, st, y)
+        new = step(model, st, y)
         gain = m0 / (m0 + 1.0)
         assert new.x_hat.top[0] == pytest.approx(gain * y, abs=1e-12)
         assert new.M.block11[0, 0] == pytest.approx((1 - gain) * m0, abs=1e-12)
@@ -180,7 +184,7 @@ class TestEngine:
         model = nss_model(FS, snr_db=30.0)
         st = model.initial_state(v[0])
         for k in range(1, 300):
-            st = acekf_step(model, st, v[k])
+            st = step(model, st, v[k])
         # covariance block must stay Hermitian PSD, pseudo block symmetric
         eigs = np.linalg.eigvalsh(st.M.block11)
         assert eigs.min() >= -1e-10
@@ -194,8 +198,8 @@ class TestEngine:
         v = clarke_series(scn)
         x_true = np.exp(2j * np.pi * 50.0 / FS)
         model = lss_model(FS)
-        st = FilterState(augment([x_true, v[0]]), AugmentedMatrix.eye(2, 0.1), 0)
-        new = acekf_step(model, st, v[1])
+        st = FilterState(AugmentedVector([x_true, v[0]]), AugmentedMatrix.eye(2, 0.1), 0)
+        new = step(model, st, v[1])
         assert abs(new.x_hat.top[0] - x_true) < 1e-10
         assert abs(new.x_hat.top[1] - v[1]) < 1e-10
 
@@ -210,29 +214,29 @@ class TestEngine:
             Cn=AugmentedMatrix.diagonal([0.0]),
             initial_state=None,
         )
-        st = FilterState(augment([1.0 + 0j]), AugmentedMatrix.eye(1, 0.1), 0)
+        st = FilterState(AugmentedVector([1.0 + 0j]), AugmentedMatrix.eye(1, 0.1), 0)
         with pytest.raises(FilterDegenerateError, match="filter degenerate"):
-            acekf_step(model, st, 1.0 + 0j)
+            step(model, st, 1.0 + 0j)
 
 
 class TestFrequencyExtraction:
     def test_lss_reads_angle(self):
         model = lss_model(FS)
-        x = augment([np.exp(2j * np.pi * 50.0 / FS), 1.0]).top
+        x = AugmentedVector([np.exp(2j * np.pi * 50.0 / FS), 1.0]).top
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(50.0, abs=1e-9)
         assert int(flags) == 0
 
     def test_lss_zero_increment_flagged(self):
         model = lss_model(FS)
-        f, flags = model.extract_freq(augment([0.0, 1.0]).top)
+        f, flags = model.extract_freq(AugmentedVector([0.0, 1.0]).top)
         assert math.isnan(float(f))
         assert int(flags) == 1
 
     def test_wlss_balanced_weights(self):
         # h = e^{j pi/6}, g = 0 inverts to arcsin(1/2)/(2 pi dT) = 1000/12 Hz.
         model = wlss_model(FS)
-        x = augment([np.exp(1j * np.pi / 6), 0.0, 1.0]).top
+        x = AugmentedVector([np.exp(1j * np.pi / 6), 0.0, 1.0]).top
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(1000.0 / 12.0, abs=1e-9)
         assert int(flags) == 0
@@ -241,22 +245,22 @@ class TestFrequencyExtraction:
         # |g| equal to Im(h): radicand is exactly zero, frequency reads zero.
         model = wlss_model(FS)
         h = 0.8 + 0.3j
-        x = augment([h, 0.3j, 1.0]).top
+        x = AugmentedVector([h, 0.3j, 1.0]).top
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(0.0, abs=1e-12)
         assert int(flags) == 0
 
     def test_wlss_guard_flags(self):
         model = wlss_model(FS)
-        f, flags = model.extract_freq(augment([0.9 + 0.1j, 0.5, 1.0]).top)
+        f, flags = model.extract_freq(AugmentedVector([0.9 + 0.1j, 0.5, 1.0]).top)
         assert int(flags) & FLAG_SEQUENCE_DOMINANCE
         assert float(f) == pytest.approx(0.0, abs=1e-12)  # clamped radicand
-        _, flags = model.extract_freq(augment([0.9 - 0.2j, 0.0, 1.0]).top)
+        _, flags = model.extract_freq(AugmentedVector([0.9 - 0.2j, 0.0, 1.0]).top)
         assert int(flags) & FLAG_NEGATIVE_IM_H
 
     def test_nss_reads_angle_without_guards(self):
         model = nss_model(FS)
-        x = augment([np.exp(2j * np.pi * 52.0 / FS), 0.9, 0.3j]).top
+        x = AugmentedVector([np.exp(2j * np.pi * 52.0 / FS), 0.9, 0.3j]).top
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(52.0, abs=1e-9)
         assert int(flags) == 0
@@ -264,7 +268,7 @@ class TestFrequencyExtraction:
     def test_principal_branch_range(self):
         model = nss_model(FS)
         for f_true in (-499.0, -100.0, 499.0, 500.0):
-            x = augment([np.exp(2j * np.pi * f_true / FS), 1.0, 0.0]).top
+            x = AugmentedVector([np.exp(2j * np.pi * f_true / FS), 1.0, 0.0]).top
             f, _ = model.extract_freq(x)
             assert -FS / 2 < float(f) <= FS / 2
             expected = f_true if f_true <= FS / 2 else f_true - FS
@@ -275,7 +279,7 @@ class TestRunFilter:
     def test_trace_shape_and_time(self):
         scn = make_scenario(duration=0.3)
         v = clarke_series(scn, seed=2, snr_db=30.0)
-        trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq())
+        trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq()).trace()
         assert trace.k.size == scn.n_samples
         assert np.all(np.diff(trace.k) == 1)
         assert trace.t_s[10] == pytest.approx(0.010)
@@ -283,7 +287,7 @@ class TestRunFilter:
 
     def test_lss_converges_on_balanced_noiseless(self):
         scn = make_scenario(duration=1.0)
-        trace = run_filter(lss_model(FS), clarke_series(scn), FS)
+        trace = run_filter(lss_model(FS), clarke_series(scn), FS).trace()
         tail = trace.f_hat_hz[-200:]
         assert np.max(np.abs(tail - 50.0)) < 1e-6
 
@@ -291,7 +295,7 @@ class TestRunFilter:
         scn = make_scenario(amps=(0.2, 1.0, 1.0), f_hz=52.0, duration=1.5)
         v = clarke_series(scn)
         for factory in (wlss_model, nss_model):
-            trace = run_filter(factory(FS), v, FS)
+            trace = run_filter(factory(FS), v, FS).trace()
             tail = trace.f_hat_hz[-200:]
             assert np.max(np.abs(tail - 52.0)) < 1e-3, factory.__name__
 
@@ -299,7 +303,7 @@ class TestRunFilter:
         # Steady-state sequence-voltage magnitudes should reproduce the
         # analytic amplitude ratio |B|/|A| = 0.326599/0.898146.
         scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=1.5)
-        trace = run_filter(nss_model(FS), clarke_series(scn), FS)
+        trace = run_filter(nss_model(FS), clarke_series(scn), FS, detail=True).trace()
         ratio = np.abs(trace.states[-1, 2]) / np.abs(trace.states[-1, 1])
         assert ratio == pytest.approx(0.326599 / 0.898146, abs=1e-3)
 
@@ -309,7 +313,7 @@ class TestRunFilter:
         scn = make_scenario(duration=0.5)
         v = clarke_series(scn)
         model = nss_model(FS)
-        trace = run_filter(model, v, FS, init=model.initial_state(v[0], f_init_hz=49.0))
+        trace = run_filter(model, v, FS, init=model.initial_state(v[0], f_init_hz=49.0)).trace()
         settled = trace.f_hat_hz[200:]
         assert np.max(np.abs(settled - 50.0)) < 1e-3
 
@@ -317,9 +321,9 @@ class TestRunFilter:
         "run",
         [
             lambda model, v: run_filter(model, v, FS),
-            lambda model, v: run_filter_batch(model, np.stack([v, v])),
+            lambda model, v: run_filter(model, np.stack([v, v]), FS),
         ],
-        ids=["run_filter", "run_filter_batch"],
+        ids=["1-d", "batch"],
     )
     def test_degenerate_error_carries_tick(self, run):
         model = lss_model(FS)
@@ -335,18 +339,33 @@ class TestRunFilter:
         with pytest.raises(FilterDegenerateError, match="tick 1"):
             run(bad, v)
 
+    @pytest.mark.parametrize("rows, at", [(1, (0, 5)), (3, (2, 7))], ids=["1-d", "batch"])
+    def test_non_finite_sample_rejected_before_any_step(self, monkeypatch, rows, at):
+        v = np.stack([clarke_series(make_scenario(duration=0.05))] * rows)
+        v[at] = np.nan if rows == 1 else complex(1.0, np.inf)
+        steps = []
+        monkeypatch.setattr(gridfreq.estimators, "_step", lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match=f"row {at[0]}, tick {at[1]}: non-finite"):
+            run_filter(lss_model(FS), v[0] if rows == 1 else v, FS)
+        assert not steps
+
 
 class TestBatchRunner:
-    def test_matches_sequential_runs(self):
-        scn = make_scenario(duration=0.25)
-        seeds = [11, 12, 13]
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        factory=st.sampled_from([lss_model, wlss_model, nss_model]),
+    )
+    def test_matches_sequential_runs(self, seeds, factory):
+        # every batch row, detail included, is exactly the run of that row alone
+        scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.1)
         series = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in seeds])
-        model = nss_model(FS, snr_db=30.0)
-        f_batch, flags_batch = run_filter_batch(model, series)
-        for i, s in enumerate(seeds):
-            trace = run_filter(model, series[i], FS)
-            np.testing.assert_array_equal(f_batch[i], trace.f_hat_hz)
-            np.testing.assert_array_equal(flags_batch[i], trace.flags)
+        model = factory(FS, snr_db=30.0)
+        batch = run_filter(model, series, FS, detail=True)
+        for i in range(len(seeds)):
+            alone = run_filter(model, series[i], FS, detail=True)
+            for field in ("f_hat_hz", "flags", "states", "innovation_power"):
+                np.testing.assert_array_equal(getattr(batch, field)[i], getattr(alone, field)[0])
 
 
 class TestSharedIncrementModel:
@@ -361,8 +380,8 @@ class TestSharedIncrementModel:
         st = shared.initial_state(v[0])
         for k in range(1, v.size):
             vp, vm = aux.x_hat.top[1], aux.x_hat.top[2]
-            aux = acekf_step(aux_model, aux, v[k])
-            st = acekf_step(with_sequence_observation(shared, vp, vm), st, v[k])
+            aux = step(aux_model, aux, v[k])
+            st = step(with_sequence_observation(shared, vp, vm), st, v[k])
         f, _ = shared.extract_freq(st.x_hat.top)
         assert float(f) == pytest.approx(50.0, abs=1e-3)
 
@@ -370,7 +389,7 @@ class TestSharedIncrementModel:
         shared = shared_increment_model(FS)
         st = shared.initial_state(1.0 + 0j)
         with pytest.raises(RuntimeError, match="with_sequence_observation"):
-            acekf_step(shared, st, 1.0 + 0j)
+            step(shared, st, 1.0 + 0j)
 
     def test_sequence_observation_structure(self):
         # the bound observation maps x to v+ x + v- conj(x)
@@ -384,9 +403,9 @@ class TestSharedIncrementModel:
 def test_trace_csv_format(tmp_path):
     scn = make_scenario(duration=0.05)
     v = clarke_series(scn, seed=3, snr_db=30.0)
-    trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq())
+    trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq(), detail=True)
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace)
+    write_trace_csv(path, trace.trace())
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,t_s,f_hat_hz,f_true_hz,err_hz,innov_power,flags"
     assert len(lines) == 1 + scn.n_samples

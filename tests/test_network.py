@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfreq.augmented import augment
+from gridfreq.augmented import AugmentedVector
 from gridfreq.estimators import (
     FilterDegenerateError,
     FilterState,
-    acekf_step,
+    _step,
     nss_model,
     shared_increment_model,
     with_sequence_observation,
@@ -28,11 +28,9 @@ from gridfreq.network import (
     WeightsError,
     bridge_diffuse,
     conventional_weights,
-    dfe_tick,
     nonbridge_diffuse,
     reference_network,
     run_distributed,
-    run_distributed_mc,
     select_bridges,
     uniform_weights,
     write_messages_csv,
@@ -229,8 +227,12 @@ class TestWeights:
         assert w.gamma == {}
 
 
+def step(model, state, y):
+    return _step(model, state, y)[0]
+
+
 def _vec(z):
-    return augment(np.array([z], dtype=complex))
+    return AugmentedVector(np.array([z], dtype=complex))
 
 
 class TestCombiners:
@@ -287,7 +289,7 @@ class TestDistributedRuns:
     def test_single_node_network_equals_manual_loop(self):
         scn = make_scenario(duration=0.3)
         t = Topology((0,), [])
-        run = run_distributed(t, scn, seed=0, snr_db=None, mode="dfe")
+        run = run_distributed(t, scn, [0], snr_db=None, mode="dfe")
 
         v = clarke_arrays(generate_arrays(scn))[1]
         aux_model = nss_model(FS)
@@ -297,39 +299,41 @@ class TestDistributedRuns:
         manual = [shared_model.extract_freq(shared.x_hat.top)[0]]
         for k in range(1, scn.n_samples):
             vp, vm = aux.x_hat.top[1], aux.x_hat.top[2]
-            y = augment(v[k : k + 1])
-            aux = acekf_step(aux_model, aux, y)
-            shared = acekf_step(with_sequence_observation(shared_model, vp, vm), shared, y)
+            y = AugmentedVector(v[k : k + 1])
+            aux = step(aux_model, aux, y)
+            shared = step(with_sequence_observation(shared_model, vp, vm), shared, y)
             manual.append(shared_model.extract_freq(shared.x_hat.top)[0])
-        np.testing.assert_array_equal(run.traces[0].f_hat_hz, np.array(manual))
+        np.testing.assert_array_equal(run.trace(0).f_hat_hz, np.array(manual))
 
     def test_noiseless_balanced_network_reaches_consensus(self):
         # symmetric fixed point: every node settles on the true increment
         t, b = reference_network()
-        run = run_distributed(t, make_scenario(duration=1.0), snr_db=None, assignment=b)
-        xs = np.array([run.traces[n].states[-1, 0] for n in t.node_ids])
+        run = run_distributed(
+            t, make_scenario(duration=1.0), [0], snr_db=None, assignment=b, detail=True
+        )
+        xs = np.array([run.trace(n).states[-1, 0] for n in t.node_ids])
         assert np.max(np.abs(xs - xs[0])) < 1e-9
         for n in t.node_ids:
-            assert abs(run.traces[n].f_hat_hz[-1] - 50.0) < 1e-9
+            assert abs(run.trace(n).f_hat_hz[-1] - 50.0) < 1e-9
 
     def test_heterogeneous_nodes_stay_unbiased(self):
         # one healthy node among six sagged ones; trailing mean error per node
         t, b = reference_network()
         scens = {n: sag_scenario(duration=1.5) for n in t.node_ids}
         scens[1] = make_scenario(duration=1.5)
-        run = run_distributed(t, scens, seed=0, snr_db=30.0, assignment=b)
+        run = run_distributed(t, scens, [0], snr_db=30.0, assignment=b)
         for n in t.node_ids:
-            tail = run.traces[n].f_hat_hz[-500:] - 50.0
+            tail = run.trace(n).f_hat_hz[-500:] - 50.0
             assert abs(np.mean(tail)) < 0.01, f"node {n}"
 
     def test_batched_mc_matches_single_runs(self):
         t, b = reference_network()
         scn = make_scenario(duration=0.3)
-        mc = run_distributed_mc(t, scn, seeds=[3, 11], snr_db=30.0, assignment=b)
+        mc = run_distributed(t, scn, [3, 11], snr_db=30.0, assignment=b)
         for row, seed in enumerate([3, 11]):
-            single = run_distributed(t, scn, seed=seed, snr_db=30.0, assignment=b)
+            single = run_distributed(t, scn, [seed], snr_db=30.0, assignment=b)
             for col, n in enumerate(t.node_ids):
-                np.testing.assert_array_equal(mc.f_hat_hz[row, col], single.traces[n].f_hat_hz)
+                np.testing.assert_array_equal(mc.f_hat_hz[row, col], single.trace(n).f_hat_hz)
 
     @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
     @pytest.mark.parametrize("diffusion", ["bridge", "conventional", "none"])
@@ -339,37 +343,41 @@ class TestDistributedRuns:
         t, b = reference_network()
         scn = sag_scenario(duration=0.05)
         kw = dict(snr_db=30.0, mode=mode, diffusion=diffusion, assignment=b)
-        mc = run_distributed_mc(t, scn, seeds=seeds, record_x=True, **kw)
+        mc = run_distributed(t, scn, seeds, detail=True, **kw)
         for row, seed in enumerate(seeds):
-            single = run_distributed(t, scn, seed=seed, **kw)
+            single = run_distributed(t, scn, [seed], detail=True, **kw)
             for col, n in enumerate(t.node_ids):
-                tr = single.traces[n]
+                tr = single.trace(n)
                 np.testing.assert_array_equal(mc.f_hat_hz[row, col], tr.f_hat_hz)
                 np.testing.assert_array_equal(mc.flags[row, col], tr.flags)
-                np.testing.assert_array_equal(mc.x_hat[row, col], tr.states[:, 0])
+                np.testing.assert_array_equal(mc.states[row, col], tr.states)
+                np.testing.assert_array_equal(
+                    mc.innovation_power[row, col], tr.innovation_power
+                )
 
     def test_no_diffusion_equals_isolated_node(self):
         # node in position 0 draws the same noise stream either way
         t, b = reference_network()
         scn = make_scenario(duration=0.3)
-        joint = run_distributed(t, scn, seed=5, snr_db=30.0, diffusion="none", assignment=b)
-        alone = run_distributed(Topology((1,), []), scn, seed=5, snr_db=30.0)
-        np.testing.assert_array_equal(joint.traces[1].f_hat_hz, alone.traces[1].f_hat_hz)
+        joint = run_distributed(t, scn, [5], snr_db=30.0, diffusion="none", assignment=b)
+        alone = run_distributed(Topology((1,), []), scn, [5], snr_db=30.0)
+        np.testing.assert_array_equal(joint.trace(1).f_hat_hz, alone.trace(1).f_hat_hz)
 
     def test_full_state_mode_agrees_with_dfe_at_steady_state(self):
         t, b = reference_network()
         scn = make_scenario(duration=1.0)
-        r_dfe = run_distributed(t, scn, snr_db=None, mode="dfe", assignment=b)
-        r_full = run_distributed(t, scn, snr_db=None, mode="distributed-acekf", assignment=b)
+        kw = dict(snr_db=None, assignment=b, detail=True)
+        r_dfe = run_distributed(t, scn, [0], mode="dfe", **kw)
+        r_full = run_distributed(t, scn, [0], mode="distributed-acekf", **kw)
         for n in t.node_ids:
-            x_dfe = r_dfe.traces[n].states[-1, 0]
-            x_full = r_full.traces[n].states[-1, 0]
+            x_dfe = r_dfe.trace(n).states[-1, 0]
+            x_full = r_full.trace(n).states[-1, 0]
             assert abs(x_dfe - x_full) < 1e-9
 
     def test_message_log_respects_topology(self):
         t, b = reference_network()
         scn = make_scenario(duration=0.1)
-        run = run_distributed(t, scn, seed=1, snr_db=30.0, assignment=b, collect_messages=True)
+        run = run_distributed(t, scn, [1], snr_db=30.0, assignment=b, collect_messages=True)
         assert run.messages, "expected a populated message log"
         for m in run.messages:
             assert frozenset((m.src, m.dst)) in t.edges
@@ -386,7 +394,7 @@ class TestDistributedRuns:
         t, b = reference_network()
         scn = make_scenario(duration=0.05)
         run = run_distributed(
-            t, scn, seed=1, snr_db=30.0, diffusion="conventional", collect_messages=True
+            t, scn, [1], snr_db=30.0, diffusion="conventional", collect_messages=True
         )
         per_tick = 2 * len(t.edges)
         assert len(run.messages) == per_tick * (scn.n_samples - 1)
@@ -402,14 +410,16 @@ class TestDistributedRuns:
 
     def test_innovation_power_positive_under_noise(self):
         t, b = reference_network()
-        run = run_distributed(t, make_scenario(duration=0.1), seed=2, snr_db=30.0, assignment=b)
-        assert np.all(run.traces[3].innovation_power[1:] > 0)
+        run = run_distributed(
+            t, make_scenario(duration=0.1), [2], snr_db=30.0, assignment=b, detail=True
+        )
+        assert np.all(run.trace(3).innovation_power[1:] > 0)
 
     def test_trace_metadata(self):
         t, b = reference_network()
         scn = make_scenario(duration=0.1)
-        run = run_distributed(t, scn, snr_db=None, assignment=b)
-        tr = run.traces[7]
+        run = run_distributed(t, scn, [0], snr_db=None, assignment=b)
+        tr = run.trace(7)
         assert tr.t_s[1] - tr.t_s[0] == pytest.approx(1.0 / FS)
         np.testing.assert_allclose(tr.f_true_hz, 50.0)
 
@@ -437,11 +447,11 @@ def dict_reference_run(t, b, scn, seed, mode, diffusion):
 
     for k in range(1, scn.n_samples):
         for n in t.node_ids:
-            y = augment(v[n][k : k + 1])
+            y = AugmentedVector(v[n][k : k + 1])
             vp, vm = aux[n].x_hat.top[1], aux[n].x_hat.top[2]
-            aux[n] = acekf_step(aux_model, aux[n], y)
+            aux[n] = step(aux_model, aux[n], y)
             if mode == "dfe":
-                shared[n] = acekf_step(with_sequence_observation(shared_model, vp, vm), shared[n], y)
+                shared[n] = step(with_sequence_observation(shared_model, vp, vm), shared[n], y)
         est = {n: out[n].x_hat for n in t.node_ids}
         combined = est
         if diffusion == "conventional":
@@ -474,12 +484,12 @@ class TestStackedTickMatchesDictCombiners:
         scn = sag_scenario(duration=0.15)
         for seed in (0, 7):
             run = run_distributed(
-                t, scn, seed=seed, snr_db=30.0, mode=mode, diffusion=diffusion,
+                t, scn, [seed], snr_db=30.0, mode=mode, diffusion=diffusion,
                 assignment=b, collect_messages=True,
             )
             f_ref, msg_ref = dict_reference_run(t, b, scn, seed, mode, diffusion)
             for n in t.node_ids:
-                np.testing.assert_allclose(run.traces[n].f_hat_hz, f_ref[n], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(run.trace(n).f_hat_hz, f_ref[n], rtol=0, atol=1e-12)
             assert [(m.k, m.phase, m.src, m.dst) for m in run.messages] == [
                 m[:4] for m in msg_ref
             ]
@@ -492,40 +502,45 @@ class TestConfigErrors:
     def test_missing_scenario_rejected(self):
         t, b = reference_network()
         with pytest.raises(DistributedConfigError, match="no scenario"):
-            run_distributed(t, {1: make_scenario()}, assignment=b)
+            run_distributed(t, {1: make_scenario()}, [0], assignment=b)
 
     def test_mismatched_sampling_rejected(self):
         t, b = reference_network()
         scens = {n: make_scenario() for n in t.node_ids}
         scens[3] = make_scenario(duration=0.5)
         with pytest.raises(DistributedConfigError, match="disagrees"):
-            run_distributed(t, scens, assignment=b)
+            run_distributed(t, scens, [0], assignment=b)
 
     def test_unknown_mode_rejected(self):
         t, b = reference_network()
         with pytest.raises(DistributedConfigError, match="mode"):
-            run_distributed(t, make_scenario(), mode="centralized", assignment=b)
+            run_distributed(t, make_scenario(), [0], mode="centralized", assignment=b)
 
     def test_unknown_diffusion_rejected(self):
         t, b = reference_network()
         with pytest.raises(DistributedConfigError, match="diffusion"):
-            run_distributed(t, make_scenario(), diffusion="gossip", assignment=b)
+            run_distributed(t, make_scenario(), [0], diffusion="gossip", assignment=b)
 
     def test_empty_seed_list_rejected(self):
         t, b = reference_network()
         with pytest.raises(DistributedConfigError, match="empty"):
-            run_distributed_mc(t, make_scenario(), seeds=[], assignment=b)
+            run_distributed(t, make_scenario(), [], assignment=b)
+
+    def test_theory_needs_one_seed(self):
+        t, b = reference_network()
+        with pytest.raises(DistributedConfigError, match="theory needs exactly one seed, got 2"):
+            run_distributed(t, make_scenario(), [0, 1], assignment=b, theory=True)
 
     def test_degenerate_filter_names_tick_node_and_seed(self):
         t, _ = reference_network()
         scn = make_scenario(duration=0.1)
         with pytest.raises(FilterDegenerateError, match="tick 2: node 1:"):
-            run_distributed(t, scn, snr_db=30.0, cond_limit=1.0)
+            run_distributed(t, scn, [0], snr_db=30.0, cond_limit=1.0)
         with pytest.raises(FilterDegenerateError, match="tick 2: node 1: seed 5:"):
-            run_distributed_mc(t, scn, seeds=[5, 6], snr_db=30.0, cond_limit=1.0)
+            run_distributed(t, scn, [5, 6], snr_db=30.0, cond_limit=1.0)
 
     def test_incomplete_weights_rejected(self):
         t, b = reference_network()
         w = DiffusionWeights(beta={4: {1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25}}, gamma={})
         with pytest.raises(DistributedConfigError, match="incomplete"):
-            run_distributed(t, make_scenario(), assignment=b, weights=w)
+            run_distributed(t, make_scenario(), [0], assignment=b, weights=w)
