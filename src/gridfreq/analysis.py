@@ -28,14 +28,13 @@ gamma the identity) runs through the same code.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .augmented import AugmentedVector
-from .estimators import FreqTrace, StepDiagnostics, _fmt
+from .estimators import FreqTrace, StepDiagnostics
 
 __all__ = [
     "AnalysisError",
@@ -47,8 +46,6 @@ __all__ = [
     "mean_error_step",
     "mse_step",
     "error_spectrum",
-    "write_mse_csv",
-    "write_spectrum_csv",
 ]
 
 class AnalysisError(ValueError):
@@ -65,12 +62,10 @@ SPECTRUM_MIN_TICKS = 512
 
 @dataclass
 class MseReport:
-    """Per-node error summary; theory columns stay None until filled in."""
+    """Per-node empirical mean squared frequency error."""
 
     nodes: tuple
     empirical_mse_hz2: dict
-    theoretical_trace: dict | None = None
-    bound_ok: dict | None = None
 
 
 def _check_window(window, n_ticks: int) -> tuple[int, int]:
@@ -308,32 +303,3 @@ def error_spectrum(trace: FreqTrace, window, f_true=None) -> SpectrumResult:
         peak_freq_hz=float(freq[peak]),
         peak_power=float(power[peak]),
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def write_mse_csv(path, report: MseReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "empirical_mse_hz2", "theoretical_trace", "bound_ok"])
-        for n in report.nodes:
-            theo = report.theoretical_trace.get(n) if report.theoretical_trace else None
-            ok = report.bound_ok.get(n) if report.bound_ok else None
-            w.writerow(
-                [
-                    n,
-                    _fmt(report.empirical_mse_hz2[n]),
-                    "" if theo is None else _fmt(theo),
-                    "" if ok is None else ok,
-                ]
-            )
-
-
-def write_spectrum_csv(path, spectrum: SpectrumResult) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["freq_hz", "power"])
-        for f, p in zip(spectrum.freq_hz, spectrum.power):
-            w.writerow([_fmt(f), _fmt(p)])

@@ -20,6 +20,7 @@ optional).
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -34,26 +35,17 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .analysis import (
-    SPECTRUM_MIN_TICKS,
-    MseReport,
-    NetworkErrorState,
-    empirical_mse,
-    error_spectrum,
-    write_mse_csv,
-    write_spectrum_csv,
-)
+from .analysis import SPECTRUM_MIN_TICKS, NetworkErrorState, empirical_mse, error_spectrum
 from .augmented import AugmentedMatrix
 from .estimators import (
     _CU_INCREMENT,
     _CU_VOLTAGE,
     FilterDegenerateError,
-    _fmt,
+    FreqTrace,
     lss_model,
     nss_model,
     run_filter,
     wlss_model,
-    write_trace_csv,
 )
 from .network import (
     BridgeAssignment,
@@ -61,7 +53,6 @@ from .network import (
     DistributedConfigError,
     Topology,
     run_distributed,
-    write_messages_csv,
 )
 from .signals import (
     ConstantFreq,
@@ -78,6 +69,9 @@ __all__ = ["ConfigError", "load_config", "validate_config", "build_plan", "run_p
 _ESTIMATORS = ("lss", "wlss", "nss", "dfe", "distributed-acekf")
 _NETWORK_ESTIMATORS = ("dfe", "distributed-acekf")
 _DIFFUSIONS = ("bridge", "conventional", "none")
+
+#: most samples a run, or a window of it, may span
+MAX_SAMPLES = 10**7
 
 _KNOWN_KEYS = {
     "name",
@@ -289,6 +283,9 @@ def _window(raw, path: str, fs: float, scenario, min_ticks: int, diags: list) ->
         diags.append(f"{path}: expected [start_s, stop_s] in finite numbers")
         return None
     start, stop = vals
+    if not all(abs(x * fs) <= MAX_SAMPLES for x in vals):
+        diags.append(f"{path}: [{start}, {stop}] s at {fs} Hz reaches past {MAX_SAMPLES} samples")
+        return None
     lo, hi = _ticks((start, stop), fs)
     if scenario is not None and not (0 <= lo and hi <= scenario.n_samples and hi - lo >= min_ticks):
         diags.append(
@@ -349,6 +346,9 @@ def build_plan(cfg: Mapping) -> RunPlan:
     snr_db = _finite(snr_db)
     fs = _want(cfg, "sample_rate_hz", float, diags, default=1000.0)
     duration_s = _want(cfg, "duration_s", float, diags, required=True)
+    if duration_s is not None and not abs(duration_s * fs) <= MAX_SAMPLES:
+        diags.append(f"duration_s: {duration_s} s at {fs} Hz is more than {MAX_SAMPLES} samples")
+        duration_s = None
     estimator = _want(cfg, "estimator", str, diags, required=True)
     if estimator is not None and estimator not in _ESTIMATORS:
         diags.append(f"estimator: unknown estimator {estimator!r}, expected one of {_ESTIMATORS}")
@@ -503,56 +503,72 @@ def _ticks(window_s: tuple, fs: float) -> tuple[int, int]:
     return int(round(window_s[0] * fs)), int(round(window_s[1] * fs))
 
 
-def _write_mc_summary(path, t_s, f_true, f_hat) -> None:
-    """Summarize a (seeds, ticks) frequency-estimate array tick by tick."""
-    err = f_hat - f_true[None, :]
-    mean_f = f_hat.mean(axis=0)
-    mean_e = err.mean(axis=0)
-    rms_e = np.sqrt(np.mean(err**2, axis=0))
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns under a header row, every line ended with CRLF.
+
+    A float array column is formatted ``%.15g``; the cells of any other
+    column go to ``csv.writer`` as they are, so a node id that needs quotes
+    gets them and None is left blank.  Rows are formatted as they are
+    written, so no column is ever held as strings.
+    """
+    cells = [
+        map("%.15g".__mod__, col) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+        else col
+        for col in columns
+    ]
     with open(path, "w", newline="") as fh:
-        fh.write("k,t_s,f_true_hz,f_hat_mean_hz,err_mean_hz,err_rms_hz\n")
-        for k in range(t_s.size):
-            row = (t_s[k], f_true[k], mean_f[k], mean_e[k], rms_e[k])
-            fh.write(f"{k}," + ",".join(_fmt(x) for x in row) + "\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*cells))
 
 
-def _run_single(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path]:
+def _trace_table(name: str, trace: FreqTrace) -> tuple:
+    err = trace.f_hat_hz - trace.f_true_hz
+    return name, ["k", "t_s", "f_hat_hz", "f_true_hz", "err_hz", "innov_power", "flags"], [
+        trace.k, trace.t_s, trace.f_hat_hz, trace.f_true_hz, err, trace.innovation_power,
+        trace.flags,
+    ]
+
+
+def _mc_table(name: str, t_s, f_true, f_hat) -> tuple:
+    """Summarize a (seeds, ticks) frequency-estimate array tick by tick."""
+    err = f_hat - f_true
+    return name, ["k", "t_s", "f_true_hz", "f_hat_mean_hz", "err_mean_hz", "err_rms_hz"], [
+        np.arange(t_s.size), t_s, f_true, f_hat.mean(axis=0), err.mean(axis=0),
+        np.sqrt(np.mean(err**2, axis=0)),
+    ]
+
+
+def _run_single(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
     model = _single_model(plan)
     f_true = plan.scenario.true_freq()
     vabc = generate_arrays(plan.scenario, seed=seed, snr_db=plan.snr_db)
     _, v = clarke_arrays(vabc)
     trace = run_filter(model, v, plan.sample_rate_hz, f_true=f_true, detail=True).trace()
 
-    files = [out / "trace.csv"]
-    write_trace_csv(files[0], trace)
+    tables = [_trace_table("trace.csv", trace)]
     if plan.spectrum_window_s is not None:
         spectrum = error_spectrum(trace, _ticks(plan.spectrum_window_s, plan.sample_rate_hz))
-        files.append(out / "spectrum.csv")
-        write_spectrum_csv(files[-1], spectrum)
+        tables.append(("spectrum.csv", ["freq_hz", "power"], [spectrum.freq_hz, spectrum.power]))
     if n_seeds > 1:
         rows = []
         for i in range(n_seeds):
             vabc_i = generate_arrays(plan.scenario, seed=[seed, i], snr_db=plan.snr_db)
             rows.append(clarke_arrays(vabc_i)[1])
         mc = run_filter(model, np.stack(rows), plan.sample_rate_hz)
-        files.append(out / "mc_trace.csv")
-        _write_mc_summary(files[-1], trace.t_s, f_true, mc.f_hat_hz)
-    return files
+        tables.append(_mc_table("mc_trace.csv", trace.t_s, f_true, mc.f_hat_hz))
+    return tables
 
 
-def _theory_columns(errors: NetworkErrorState, report: MseReport) -> None:
-    """Fill the theoretical trace/bound columns from the run's final error state."""
-    report.theoretical_trace = {
-        n: float(np.real(np.trace(errors.sigma(n)))) for n in errors.node_ids
-    }
-    report.bound_ok = {}
-    for n in errors.node_ids:
-        own = report.theoretical_trace[n]
-        ceiling = max(float(np.real(np.trace(errors.v(y, y)))) for y in errors.serving(n))
-        report.bound_ok[n] = bool(own <= ceiling + 1e-12)
+def _theory_columns(errors: NetworkErrorState) -> tuple:
+    """The theoretical trace and bound columns, from the run's final error state."""
+    nodes = errors.node_ids
+    theo = np.array([np.real(np.trace(errors.sigma(n))) for n in nodes])
+    ceiling = [max(np.real(np.trace(errors.v(y, y))) for y in errors.serving(n)) for n in nodes]
+    return theo, [bool(t <= c + 1e-12) for t, c in zip(theo, ceiling)]
 
 
-def _run_network(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path]:
+def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
     per_node = {
         n: plan.node_scenarios.get(n, plan.scenario) for n in plan.topology.node_ids
     }
@@ -564,17 +580,16 @@ def _run_network(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path
         weights=plan.weights,
     )
     run = run_distributed(
-        plan.topology, per_node, [seed], collect_messages=plan.messages_csv,
-        theory=plan.mse_theory, detail=True, **options,
+        plan.topology, per_node, [seed], theory=plan.mse_theory, detail=True, **options
     )
 
-    files = []
-    for n in plan.topology.node_ids:
-        files.append(out / f"node_{n}_trace.csv")
-        write_trace_csv(files[-1], run.trace(n))
+    tables = [_trace_table(f"node_{n}_trace.csv", run.trace(n)) for n in run.node_ids]
     if plan.messages_csv:
-        files.append(out / "messages.csv")
-        write_messages_csv(files[-1], run.messages)
+        k, phase, src, dst, payload = run.message_log()
+        tables.append((
+            "messages.csv", ["k", "phase", "src", "dst", "payload_re", "payload_im"],
+            [k, phase, src, dst, payload.real, payload.imag],
+        ))
 
     mc = run
     if n_seeds > 1:
@@ -582,32 +597,39 @@ def _run_network(plan: RunPlan, out: Path, seed: int, n_seeds: int) -> list[Path
             plan.topology, per_node, [seed + i for i in range(n_seeds)], **options
         )
         for j, n in enumerate(mc.node_ids):
-            files.append(out / f"mc_node_{n}.csv")
-            _write_mc_summary(files[-1], mc.t_s, mc.f_true_hz[j], mc.f_hat_hz[:, j])
+            tables.append(
+                _mc_table(f"mc_node_{n}.csv", mc.t_s, mc.f_true_hz[j], mc.f_hat_hz[:, j])
+            )
 
     if plan.mse_window_s is not None:
         report = empirical_mse(mc, _ticks(plan.mse_window_s, plan.sample_rate_hz))
+        theo = ok = [None] * len(report.nodes)
         if plan.mse_theory:
-            _theory_columns(run.error_state, report)
-        files.append(out / "mse_report.csv")
-        write_mse_csv(files[-1], report)
-    return files
+            theo, ok = _theory_columns(run.error_state)
+        mse = np.array([report.empirical_mse_hz2[n] for n in report.nodes])
+        tables.append((
+            "mse_report.csv", ["node", "empirical_mse_hz2", "theoretical_trace", "bound_ok"],
+            [list(report.nodes), mse, theo, ok],
+        ))
+    return tables
 
 
 def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b"") -> list[Path]:
-    """Simulate a plan and write all outputs plus the manifest into out_dir.
+    """Simulate a plan, then write all outputs plus the manifest into out_dir.
 
-    If the run raises, the directories this call created are removed again.
+    Nothing is written before every output is computed.  If writing raises,
+    the directories this call created are removed again.
     """
     seed = plan.seed if seed is None else int(seed)
+    simulate = _run_single if plan.estimator in _SINGLE_FACTORIES else _run_network
+    tables = simulate(plan, seed, n_seeds)
     out = Path(out_dir)
     created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
+    files = [out / name for name, _, _ in tables]
     try:
-        if plan.estimator in _SINGLE_FACTORIES:
-            files = _run_single(plan, out, seed, n_seeds)
-        else:
-            files = _run_network(plan, out, seed, n_seeds)
+        for path, (_, header, columns) in zip(files, tables):
+            _write_csv(path, header, columns)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)

@@ -20,7 +20,6 @@ dimensions, which is how :func:`run_filter` steps every seed at once.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -487,32 +486,3 @@ def run_filter(
         innovation_power=innov,
         states=states,
     )
-
-
-def write_trace_csv(path, trace: FreqTrace) -> None:
-    """Write a filter trace to CSV (error column blank-less: nan if no truth).
-
-    The trace needs its innovation power, so its run must keep ``detail``.
-    """
-    f_true = trace.f_true_hz
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "t_s", "f_hat_hz", "f_true_hz", "err_hz", "innov_power", "flags"])
-        for i in range(trace.k.size):
-            ft = float(f_true[i]) if f_true is not None else math.nan
-            w.writerow(
-                [
-                    int(trace.k[i]),
-                    _fmt(trace.t_s[i]),
-                    _fmt(trace.f_hat_hz[i]),
-                    _fmt(ft),
-                    _fmt(trace.f_hat_hz[i] - ft),
-                    _fmt(trace.innovation_power[i]),
-                    int(trace.flags[i]),
-                ]
-            )
-
-
-def _fmt(x: float) -> str:
-    """Format a float for CSV output with full double precision."""
-    return format(float(x), ".15g")

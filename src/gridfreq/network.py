@@ -16,10 +16,9 @@ nodes×nodes weight matrix built once per run from the dict combiners.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .estimators import (
     FreqTrace,
     StateSpaceModel,
     StepDiagnostics,
-    _fmt,
     _step,
     nss_model,
     shared_increment_model,
@@ -50,7 +48,6 @@ __all__ = [
     "Topology",
     "BridgeAssignment",
     "DiffusionWeights",
-    "Message",
     "DistributedRun",
     "select_bridges",
     "uniform_weights",
@@ -59,7 +56,6 @@ __all__ = [
     "nonbridge_diffuse",
     "run_distributed",
     "reference_network",
-    "write_messages_csv",
 ]
 
 
@@ -294,15 +290,6 @@ def nonbridge_diffuse(m, bridge_estimates: Mapping, w: DiffusionWeights) -> Augm
 
 
 @dataclass(frozen=True)
-class Message:
-    k: int
-    phase: str  # "to_bridge" | "from_bridge" | "to_neighbor"
-    src: Hashable
-    dst: Hashable
-    payload: complex
-
-
-@dataclass(frozen=True)
 class _Mixing:
     """One run's diffusion over the node axis, built once before the loop.
 
@@ -363,18 +350,8 @@ def _mixing(
     return _Mixing(gamma @ beta, tuple(bridges), beta, gamma, tuple(routes))
 
 
-def _diffuse_all(
-    estimates: np.ndarray, k: int, mixing: _Mixing, messages: list | None
-) -> np.ndarray:
-    """Run one diffusion round over (seeds, nodes, entries) posteriors.
-
-    Returns the combined estimates.  The message log reads seed row 0; only
-    single runs keep one.
-    """
-    if messages is not None and mixing.routes:
-        payloads = np.concatenate([estimates[0], mixing.beta @ estimates[0]])
-        for phase, src, dst, row in mixing.routes:
-            messages.extend(Message(k, phase, src, dst, complex(z)) for z in payloads[row])
+def _diffuse_all(estimates: np.ndarray, mixing: _Mixing) -> np.ndarray:
+    """Run one diffusion round over (seeds, nodes, entries) posteriors."""
     return estimates if mixing.matrix is None else mixing.matrix @ estimates
 
 
@@ -416,11 +393,9 @@ def _tick(
     aux: FilterState,
     shared: FilterState | None,
     y: AugmentedVector,
-    k: int,
     mixing: _Mixing,
-    messages: list | None,
     cond_limit: float,
-) -> tuple[FilterState, FilterState | None, StepDiagnostics]:
+) -> tuple[FilterState, FilterState | None, StepDiagnostics, np.ndarray]:
     """One synchronous round of the network, for every (seed, node) batch row.
 
     The auxiliary ``nss`` trackers advance on the new observations ``y``.  In
@@ -432,8 +407,9 @@ def _tick(
     and collapse the increment estimate toward 1.  The output filter's
     posteriors (the shared filters', or the trackers' own in full-state mode,
     where ``shared`` is None) then run through the diffusion, and that filter
-    restarts from its combined value.  Returns the new (aux, shared) states
-    and the output step's diagnostics.
+    restarts from its combined value.  Returns the new (aux, shared) states,
+    the output step's diagnostics and its posterior top halves before the
+    diffusion.
 
     In ``dfe`` mode the auxiliary tracker stays fully local: overwriting its
     increment entry with the diffused value couples the two filters into a
@@ -448,10 +424,9 @@ def _tick(
             lambda rows: with_sequence_observation(shared_model, v_plus[rows], v_minus[rows]),
             shared, y, cond_limit,
         )
-    out = FilterState(
-        AugmentedVector(_diffuse_all(out.x_hat.top, k, mixing, messages)), out.M, out.k
-    )
-    return (out, None, diag) if shared is None else (aux, out, diag)
+    local = out.x_hat.top
+    out = FilterState(AugmentedVector(_diffuse_all(local, mixing)), out.M, out.k)
+    return (out, None, diag, local) if shared is None else (aux, out, diag, local)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +437,9 @@ def _tick(
 class DistributedRun(FilterRun):
     """What :func:`run_distributed` produced: arrays shaped (seeds, nodes, ticks).
 
-    ``f_true_hz`` is (nodes, ticks).  The message log and the final error
-    state read seed row 0.
+    ``f_true_hz`` is (nodes, ticks).  With ``detail``, ``local_states`` holds
+    the output filter's posterior top halves before diffusion, shaped like
+    ``states``.  The final error state reads seed row 0.
     """
 
     topology: Topology
@@ -473,7 +449,7 @@ class DistributedRun(FilterRun):
     diffusion: str
     seeds: tuple
     error_state: NetworkErrorState | None = None  # after the last tick
-    messages: list | None = None
+    local_states: np.ndarray | None = None
 
     @property
     def node_ids(self) -> tuple:
@@ -483,6 +459,24 @@ class DistributedRun(FilterRun):
         """The view of one node at one seed row."""
         j = self.node_ids.index(node)
         return self._view((row, j), self.f_true_hz[j])
+
+    def message_log(self) -> tuple:
+        """Seed row 0's protocol traffic as columns (k, phase, src, dst, payload).
+
+        One row per complex entry sent over a route at a tick k >= 1, ordered
+        by tick, route and entry; a ``from_bridge`` payload is the bridge's
+        aggregate.  The run must keep ``detail``.
+        """
+        if self.local_states is None:
+            raise ValueError("the message log needs a run kept with detail")
+        mixing = _mixing(self.topology, self.assignment, self.weights, self.diffusion)
+        x = self.local_states[0, :, 1:].transpose(1, 0, 2)  # (ticks - 1, nodes, entries)
+        # one product per tick, stacked: bit for bit the aggregates the bridges formed
+        payloads = np.concatenate([x, mixing.beta @ x], axis=1)
+        per_tick = [route for route in mixing.routes for _ in range(x.shape[2])]
+        k = np.repeat(np.arange(1, x.shape[0] + 1), len(per_tick))
+        phase, src, dst = ([route[i] for route in per_tick] * x.shape[0] for i in range(3))
+        return k, phase, src, dst, payloads[:, [row for *_, row in mixing.routes]].reshape(-1)
 
 
 def _resolve_scenarios(topology: Topology, scenarios) -> dict:
@@ -554,7 +548,6 @@ def run_distributed(
     assignment: BridgeAssignment | None = None,
     weights: DiffusionWeights | None = None,
     f_init_hz: float = 50.0,
-    collect_messages: bool = False,
     theory: bool = False,
     detail: bool = False,
     cond_limit: float = DEFAULT_COND_LIMIT,
@@ -567,8 +560,9 @@ def run_distributed(
     node's stream does not depend on which other nodes exist, and each seed
     row is exactly the run at that seed alone: paired comparisons across
     modes can rely on common random numbers.  With ``detail`` the run keeps
-    the output filter's posterior top halves and innovation power.  The
-    message log reads seed row 0.  With ``theory`` (one seed only) the error
+    the output filter's posterior top halves, before (``local_states``, from
+    which :meth:`DistributedRun.message_log` is expanded) and after the
+    diffusion (``states``), and its innovation power.  With ``theory`` (one seed only) the error
     recursions of :mod:`gridfreq.analysis` start from the output filter's
     initial covariance, step every tick on that filter's diagnostics, and
     the run returns their final state.
@@ -583,7 +577,6 @@ def run_distributed(
     if theory and len(seeds) > 1:
         raise DistributedConfigError(f"theory needs exactly one seed, got {len(seeds)}")
     mixing = _mixing(topology, assignment, weights, diffusion)
-    messages = [] if collect_messages else None
     ids = topology.node_ids
     fs = per_node[ids[0]].sample_rate_hz
     n_ticks = per_node[ids[0]].n_samples
@@ -603,6 +596,7 @@ def run_distributed(
     f_hat = np.empty(shape)
     flags = np.zeros(shape, dtype=int)
     states = np.empty(shape + (out.x_hat.n,), dtype=complex) if detail else None
+    local_states = np.empty_like(states) if detail else None
     innov = np.zeros(shape) if detail else None
 
     errors = None
@@ -614,12 +608,12 @@ def run_distributed(
 
     f_hat[..., 0], flags[..., 0] = out_model.extract_freq(out.x_hat.top)
     if detail:
-        states[:, :, 0] = out.x_hat.top
+        states[:, :, 0] = local_states[:, :, 0] = out.x_hat.top
     for k in range(1, n_ticks):
         y = AugmentedVector(volts[k][..., None])
         try:
-            aux, shared, diag = _tick(
-                aux_model, shared_model, aux, shared, y, k, mixing, messages, cond_limit
+            aux, shared, diag, local = _tick(
+                aux_model, shared_model, aux, shared, y, mixing, cond_limit
             )
         except FilterDegenerateError as exc:
             where = "" if exc.row is None else (
@@ -630,6 +624,7 @@ def run_distributed(
         f_hat[..., k], flags[..., k] = out_model.extract_freq(out.x_hat.top)
         if detail:
             states[:, :, k] = out.x_hat.top
+            local_states[:, :, k] = local
             innov[..., k] = np.abs(diag.innovation.top[..., 0]) ** 2
         if errors is not None:
             errors = mse_step(errors, diag)
@@ -648,16 +643,5 @@ def run_distributed(
         diffusion=diffusion,
         seeds=seeds,
         error_state=errors,
-        messages=messages,
+        local_states=local_states,
     )
-
-
-def write_messages_csv(path, messages: Sequence[Message]) -> None:
-    """Dump a message log; one row per shared complex entry."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "phase", "src", "dst", "payload_re", "payload_im"])
-        for m in messages:
-            w.writerow(
-                [m.k, m.phase, m.src, m.dst, _fmt(m.payload.real), _fmt(m.payload.imag)]
-            )

@@ -8,16 +8,14 @@ import pytest
 
 from gridfreq.analysis import (
     AnalysisError,
-    MseReport,
     empirical_mse,
     error_spectrum,
     initial_network_state,
     mean_error_step,
     mse_step,
-    write_mse_csv,
-    write_spectrum_csv,
 )
 from gridfreq.augmented import AugmentedMatrix, AugmentedVector
+from gridfreq.cli import _write_csv
 from gridfreq.estimators import (
     FreqTrace,
     StepDiagnostics,
@@ -372,25 +370,26 @@ class TestErrorSpectrum:
 
 class TestCsvExports:
     def test_mse_report_with_theory_columns(self, tmp_path):
-        report = MseReport(
-            nodes=(1, 2),
-            empirical_mse_hz2={1: 0.5, 2: 0.25},
-            theoretical_trace={1: 0.125, 2: None},
-            bound_ok={1: True, 2: None},
-        )
+        header = ["node", "empirical_mse_hz2", "theoretical_trace", "bound_ok"]
+        mse = np.array([0.5, 0.25])
         path = tmp_path / "mse.csv"
-        write_mse_csv(path, report)
+        _write_csv(path, header, [[1, 2], mse, np.array([0.125, 0.1 + 0.2]), [True, False]])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "node,empirical_mse_hz2,theoretical_trace,bound_ok"
         assert lines[1] == "1,0.5,0.125,True"
-        assert lines[2] == "2,0.25,,"
+        assert lines[2] == "2,0.25,0.3,False"
+        # without theory both columns stay blank
+        _write_csv(path, header, [[1, 2], mse, [None, None], [None, None]])
+        assert path.read_bytes() == (
+            b"node,empirical_mse_hz2,theoretical_trace,bound_ok\r\n1,0.5,,\r\n2,0.25,,\r\n"
+        )
 
     def test_spectrum_csv(self, tmp_path):
         n = 1024
         tone = np.sin(2 * np.pi * 50.0 * np.arange(n) / FS)
         spec = error_spectrum(make_trace(tone), window=(0, n))
         path = tmp_path / "spec.csv"
-        write_spectrum_csv(path, spec)
+        _write_csv(path, ["freq_hz", "power"], [spec.freq_hz, spec.power])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "freq_hz,power"
         assert len(lines) == 1 + spec.freq_hz.size

@@ -11,7 +11,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfreq.cli import ConfigError, build_plan, load_config, main, validate_config
+import gridfreq.cli
+from gridfreq.cli import MAX_SAMPLES, ConfigError, build_plan, load_config, main, validate_config
+from gridfreq.estimators import FilterDegenerateError
 
 QUICK_SINGLE = """
 name: quick_single
@@ -480,6 +482,45 @@ class TestInputsCheckedBeforeRun:
             kept.mkdir()
             assert main(["run", cfg, "--out-dir", str(kept)]) == 3
         assert kept.is_dir()
+
+    def test_failed_run_leaves_an_existing_directory_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace.csv").write_bytes(b"from an older run\r\n")
+        (out / "manifest.json").write_text("{}\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real, calls = gridfreq.cli.run_filter, []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FilterDegenerateError("tick 1: forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gridfreq.cli, "run_filter", second_call_fails)
+        assert main(["run", "experiment1_sag_step", "--seeds", "2", "--out-dir", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "name, key, value, path",
+        [
+            ("experiment4_network7", "mse", {"window_s": [0.0, 1.0e308]}, "mse.window_s"),
+            ("experiment1_sag_step", "spectrum", {"window_s": [0.0, 1.0e308]}, "spectrum.window_s"),
+            ("experiment1_sag_step", "sample_rate_hz", 1.0e308, "duration_s"),
+            ("experiment1_sag_step", "duration_s", 1.0e308, "duration_s"),
+        ],
+        ids=["mse-window", "spectrum-window", "sample-rate", "duration"],
+    )
+    def test_sample_counts_are_bounded(self, tmp_path, capsys, name, key, value, path):
+        cfg, _ = load_config(name)
+        cfg[key] = value
+        cfg_path = write_config(tmp_path, yaml.safe_dump(cfg))
+        assert main(["validate", cfg_path]) == 1
+        diags = capsys.readouterr().out.splitlines()
+        assert any(d.startswith(f"{path}: ") and f"{MAX_SAMPLES} samples" in d for d in diags)
+        out = tmp_path / "out"
+        assert main(["run", cfg_path, "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, path",

@@ -1,5 +1,6 @@
 """Tests for the augmented Kalman engine and the three frequency trackers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import gridfreq.estimators
 from gridfreq.augmented import AugmentedMatrix, AugmentedVector
+from gridfreq.cli import _trace_table, _write_csv
 from gridfreq.estimators import (
     FLAG_NEGATIVE_IM_H,
     FLAG_SEQUENCE_DOMINANCE,
@@ -22,7 +24,6 @@ from gridfreq.estimators import (
     shared_increment_model,
     with_sequence_observation,
     wlss_model,
-    write_trace_csv,
 )
 from gridfreq.signals import (
     ConstantFreq,
@@ -405,11 +406,16 @@ def test_trace_csv_format(tmp_path):
     v = clarke_series(scn, seed=3, snr_db=30.0)
     trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq(), detail=True)
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace.trace())
-    lines = path.read_text().strip().splitlines()
+    _, header, columns = _trace_table("trace.csv", trace.trace())
+    _write_csv(path, header, columns)
+    lines = path.read_bytes().decode().split("\r\n")
     assert lines[0] == "k,t_s,f_hat_hz,f_true_hz,err_hz,innov_power,flags"
-    assert len(lines) == 1 + scn.n_samples
+    assert lines[-1] == "" and len(lines) == 2 + scn.n_samples
     cells = lines[2].split(",")
     assert int(cells[0]) == 1
     assert float(cells[3]) == 50.0
     assert float(cells[4]) == pytest.approx(float(cells[2]) - 50.0, rel=1e-10)
+    # a NaN truth gives NaN cells, not blanks
+    blind = dataclasses.replace(trace.trace(), f_true_hz=np.full(scn.n_samples, np.nan))
+    _write_csv(path, *_trace_table("trace.csv", blind)[1:])
+    assert path.read_text().splitlines()[2].split(",")[3:5] == ["nan", "nan"]

@@ -1,5 +1,6 @@
 """Tests for the graph model, diffusion combiners, and multi-node simulation."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfreq.augmented import AugmentedVector
+from gridfreq.cli import _write_csv
 from gridfreq.estimators import (
     FilterDegenerateError,
     FilterState,
@@ -22,7 +24,6 @@ from gridfreq.network import (
     DiffusionError,
     DiffusionWeights,
     DistributedConfigError,
-    Message,
     Topology,
     TopologyError,
     WeightsError,
@@ -32,8 +33,8 @@ from gridfreq.network import (
     reference_network,
     run_distributed,
     select_bridges,
+    _mixing,
     uniform_weights,
-    write_messages_csv,
 )
 from gridfreq.signals import (
     ConstantFreq,
@@ -377,36 +378,60 @@ class TestDistributedRuns:
     def test_message_log_respects_topology(self):
         t, b = reference_network()
         scn = make_scenario(duration=0.1)
-        run = run_distributed(t, scn, [1], snr_db=30.0, assignment=b, collect_messages=True)
-        assert run.messages, "expected a populated message log"
-        for m in run.messages:
-            assert frozenset((m.src, m.dst)) in t.edges
-            if m.phase == "to_bridge":
-                assert m.dst in b.bridges
+        run = run_distributed(t, scn, [1], snr_db=30.0, assignment=b, detail=True)
+        _, phases, srcs, dsts, _ = run.message_log()
+        assert phases, "expected a populated message log"
+        for phase, src, dst in zip(phases, srcs, dsts):
+            assert frozenset((src, dst)) in t.edges
+            if phase == "to_bridge":
+                assert dst in b.bridges
             else:
-                assert m.phase == "from_bridge"
-                assert m.src in b.bridges
+                assert phase == "from_bridge"
+                assert src in b.bridges
         # 5 uploads + 5 downloads per tick on this graph
         n_ticks = scn.n_samples - 1
-        assert len(run.messages) == 10 * n_ticks
+        assert len(phases) == 10 * n_ticks
 
     def test_conventional_messages_flow_both_ways(self):
         t, b = reference_network()
         scn = make_scenario(duration=0.05)
-        run = run_distributed(
-            t, scn, [1], snr_db=30.0, diffusion="conventional", collect_messages=True
-        )
+        run = run_distributed(t, scn, [1], snr_db=30.0, diffusion="conventional", detail=True)
+        _, phases, _, _, _ = run.message_log()
         per_tick = 2 * len(t.edges)
-        assert len(run.messages) == per_tick * (scn.n_samples - 1)
-        assert {m.phase for m in run.messages} == {"to_neighbor"}
+        assert len(phases) == per_tick * (scn.n_samples - 1)
+        assert set(phases) == {"to_neighbor"}
 
     def test_messages_csv_roundtrip(self, tmp_path):
-        msgs = [Message(k=1, phase="to_bridge", src=2, dst=4, payload=0.5 - 0.25j)]
+        payload = np.array([0.5 - 0.25j, 1 / 3 + 0j])
+        columns = [np.array([1, 1]), ["to_bridge", "from_bridge"], [2, "a,b"], ["a,b", 2]]
+        header = ["k", "phase", "src", "dst", "payload_re", "payload_im"]
         path = tmp_path / "msgs.csv"
-        write_messages_csv(path, msgs)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,phase,src,dst,payload_re,payload_im"
-        assert lines[1] == "1,to_bridge,2,4,0.5,-0.25"
+        _write_csv(path, header, columns + [payload.real, payload.imag])
+        assert path.read_bytes() == (
+            b"k,phase,src,dst,payload_re,payload_im\r\n"
+            b'1,to_bridge,2,"a,b",0.5,-0.25\r\n'
+            b'1,from_bridge,"a,b",2,0.333333333333333,0\r\n'
+        )
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][2:4] == ["2", "a,b"] and rows[2][2:4] == ["a,b", "2"]
+
+    @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
+    @pytest.mark.parametrize("diffusion", ["bridge", "conventional", "none"])
+    def test_detail_keeps_the_posteriors_before_diffusion(self, mode, diffusion):
+        t, b = reference_network()
+        run = run_distributed(
+            t, sag_scenario(duration=0.05), [3, 4], snr_db=30.0, mode=mode,
+            diffusion=diffusion, assignment=b, detail=True,
+        )
+        assert run.local_states.shape == run.states.shape
+        matrix = _mixing(t, run.assignment, run.weights, diffusion).matrix
+        if matrix is None:
+            np.testing.assert_array_equal(run.local_states, run.states)
+            return
+        for k in range(1, run.t_s.size):
+            mixed = matrix @ run.local_states[:, :, k]
+            np.testing.assert_allclose(mixed, run.states[:, :, k], rtol=0, atol=1e-14)
 
     def test_innovation_power_positive_under_noise(self):
         t, b = reference_network()
@@ -485,15 +510,13 @@ class TestStackedTickMatchesDictCombiners:
         for seed in (0, 7):
             run = run_distributed(
                 t, scn, [seed], snr_db=30.0, mode=mode, diffusion=diffusion,
-                assignment=b, collect_messages=True,
+                assignment=b, detail=True,
             )
             f_ref, msg_ref = dict_reference_run(t, b, scn, seed, mode, diffusion)
             for n in t.node_ids:
                 np.testing.assert_allclose(run.trace(n).f_hat_hz, f_ref[n], rtol=0, atol=1e-12)
-            assert [(m.k, m.phase, m.src, m.dst) for m in run.messages] == [
-                m[:4] for m in msg_ref
-            ]
-            payload = np.array([m.payload for m in run.messages], dtype=complex)
+            k, phase, src, dst, payload = run.message_log()
+            assert list(zip(k.tolist(), phase, src, dst)) == [m[:4] for m in msg_ref]
             want = np.array([m[4] for m in msg_ref], dtype=complex)
             np.testing.assert_allclose(payload, want, rtol=0, atol=1e-12)
 
