@@ -52,6 +52,7 @@ from .network import (
     DiffusionWeights,
     DistributedConfigError,
     Topology,
+    _mixing,
     run_distributed,
 )
 from .signals import (
@@ -349,6 +350,8 @@ def build_plan(cfg: Mapping) -> RunPlan:
     if duration_s is not None and not abs(duration_s * fs) <= MAX_SAMPLES:
         diags.append(f"duration_s: {duration_s} s at {fs} Hz is more than {MAX_SAMPLES} samples")
         duration_s = None
+    elif duration_s is not None and min(duration_s, fs) > 0 and round(duration_s * fs) < 1:
+        diags.append(f"duration_s: {duration_s} s at {fs} Hz is less than 1 sample")
     estimator = _want(cfg, "estimator", str, diags, required=True)
     if estimator is not None and estimator not in _ESTIMATORS:
         diags.append(f"estimator: unknown estimator {estimator!r}, expected one of {_ESTIMATORS}")
@@ -371,6 +374,7 @@ def build_plan(cfg: Mapping) -> RunPlan:
     node_scenarios = {}
     mse_window = None
     mse_theory = False
+    clean = len(diags)
     diffusion = _want(cfg, "diffusion", str, diags, default="bridge")
     if diffusion not in _DIFFUSIONS:
         diags.append(f"diffusion: unknown mode {diffusion!r}, expected one of {_DIFFUSIONS}")
@@ -398,6 +402,11 @@ def build_plan(cfg: Mapping) -> RunPlan:
                 diags.append(f"bridges: {exc}")
         if "weights" in cfg:
             weights = _build_weights(cfg["weights"], "weights", diags)
+        if len(diags) == clean:  # diffusion, topology, bridges and weights all parsed
+            try:
+                _mixing(topology, assignment, weights, diffusion)
+            except DistributedConfigError as exc:
+                diags.append(f"weights: {exc}")
         if "node_scenarios" in cfg:
             raw = cfg["node_scenarios"]
             if not isinstance(raw, Mapping):

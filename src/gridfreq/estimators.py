@@ -55,16 +55,18 @@ _CU_VOLTAGE = 1e-4
 
 
 class FilterDegenerateError(RuntimeError):
-    """Innovation covariance became numerically singular."""
+    """Innovation covariance became numerically singular.
+
+    Raised by ``_step`` with ``row``, the first degenerate batch index in C order.
+    """
 
 
 @dataclass(frozen=True)
 class FilterState:
-    """Posterior state estimate and covariance after tick ``k``."""
+    """Posterior state estimate and covariance."""
 
     x_hat: AugmentedVector
     M: AugmentedMatrix
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,15 @@ def _step(
     lo, hi = s11 - np.abs(s12), s11 + np.abs(s12)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
-    if np.any(~np.isfinite(cond)) or np.any(cond > cond_limit):
+    bad = ~np.isfinite(cond) | (cond > cond_limit)
+    if np.any(bad):
         worst = float(np.max(np.where(np.isfinite(cond), cond, np.inf)))
-        raise FilterDegenerateError(
+        exc = FilterDegenerateError(
             f"filter degenerate: innovation covariance condition number {worst:.3e}"
             f" exceeds {cond_limit:.1e}"
         )
+        exc.row = tuple(int(i) for i in np.argwhere(bad[..., 0, 0])[0])
+        raise exc
 
     # S^-1 = [[s11, -s12], [-conj(s12), s11]] / (lo hi); two divisions keep
     # lo hi from overflowing at huge covariances
@@ -141,7 +146,7 @@ def _step(
     m_post = m_post + m_post.H
     m_post = AugmentedMatrix(m_post.block11 / 2.0, m_post.block12 / 2.0)
 
-    new_state = FilterState(x_post, m_post, state.k + 1)
+    new_state = FilterState(x_post, m_post)
     diag = StepDiagnostics(
         innovation=innov, H=h, gain=gain, M_prior=m_prior, M_post=m_post, A=a
     )
@@ -224,7 +229,7 @@ def lss_model(
         v0 = np.asarray(first_obs, dtype=complex)
         x0 = np.full_like(v0, np.exp(2j * math.pi * f_init_hz / sample_rate_hz))
         return FilterState(
-            AugmentedVector(np.stack([x0, v0], axis=-1)), AugmentedMatrix.eye(2, 0.1), 0
+            AugmentedVector(np.stack([x0, v0], axis=-1)), AugmentedMatrix.eye(2, 0.1)
         )
 
     return StateSpaceModel(
@@ -279,7 +284,7 @@ def wlss_model(
         h0 = np.full_like(v0, np.exp(2j * math.pi * f_init_hz / sample_rate_hz))
         g0 = np.zeros_like(v0)
         return FilterState(
-            AugmentedVector(np.stack([h0, g0, v0], axis=-1)), AugmentedMatrix.eye(3, 0.1), 0
+            AugmentedVector(np.stack([h0, g0, v0], axis=-1)), AugmentedMatrix.eye(3, 0.1)
         )
 
     return StateSpaceModel(
@@ -325,7 +330,6 @@ def nss_model(
         return FilterState(
             AugmentedVector(np.stack([x0, v0, np.zeros_like(v0)], axis=-1)),
             AugmentedMatrix.eye(3, 0.1),
-            0,
         )
 
     return StateSpaceModel(
@@ -362,7 +366,7 @@ def shared_increment_model(
     def initial_state(first_obs=None, f_init_hz: float = 50.0) -> FilterState:
         shape = () if first_obs is None or np.isscalar(first_obs) else np.shape(first_obs)
         x0 = np.full(shape + (1,), np.exp(2j * math.pi * f_init_hz / sample_rate_hz))
-        return FilterState(AugmentedVector(x0), AugmentedMatrix.eye(1, 0.1), 0)
+        return FilterState(AugmentedVector(x0), AugmentedMatrix.eye(1, 0.1))
 
     return StateSpaceModel(
         name="shared_increment", f_a=f_a, jacobian_A=jacobian,
@@ -473,7 +477,7 @@ def run_filter(
         try:
             state, diag = _step(model, state, AugmentedVector(v[:, k : k + 1]))
         except FilterDegenerateError as exc:
-            raise FilterDegenerateError(f"tick {k}: {exc}") from exc
+            raise FilterDegenerateError(f"tick {k}: row {exc.row[0]}: {exc}") from exc
         f_hat[:, k], flags[:, k] = model.extract_freq(state.x_hat.top)
         if detail:
             states[:, k] = state.x_hat.top

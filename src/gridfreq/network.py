@@ -1,4 +1,4 @@
-"""Node topology, bridge selection, diffusion combiners, and the synchronous
+"""Node topology, bridge selection, diffusion weights, and the synchronous
 multi-node simulation loop.
 
 The distributed estimator exchanges phase-increment estimates through a
@@ -11,11 +11,13 @@ full state vectors instead of the shared increment alone.
 
 The simulation runs every node of every seed as one filter batch: a tick is
 one filter step per filter kind, and a diffusion round is one product with a
-nodes×nodes weight matrix built once per run from the dict combiners.
+nodes×nodes weight matrix that ``_mixing`` resolves once per run from the
+weight rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -23,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import NetworkErrorState, initial_network_state, mse_step
-from .augmented import AugmentedMatrix, AugmentedVector
+from .augmented import AugmentedVector
 from .estimators import (
     DEFAULT_COND_LIMIT,
     FilterDegenerateError,
@@ -43,7 +45,6 @@ __all__ = [
     "TopologyError",
     "BridgeAssignmentError",
     "WeightsError",
-    "DiffusionError",
     "DistributedConfigError",
     "Topology",
     "BridgeAssignment",
@@ -52,8 +53,6 @@ __all__ = [
     "select_bridges",
     "uniform_weights",
     "conventional_weights",
-    "bridge_diffuse",
-    "nonbridge_diffuse",
     "run_distributed",
     "reference_network",
 ]
@@ -71,10 +70,6 @@ class WeightsError(ValueError):
     pass
 
 
-class DiffusionError(RuntimeError):
-    """A combiner was asked to run without the estimates it needs."""
-
-
 class DistributedConfigError(ValueError):
     """Pre-run validation of a distributed setup failed."""
 
@@ -89,6 +84,7 @@ class Topology:
 
     ``node_ids`` fixes the stacking order used everywhere downstream (per-node
     random streams, Monte-Carlo arrays, block matrices in the error analysis).
+    The ids must be hashable and comparable, since neighbor lists are sorted.
     """
 
     node_ids: tuple
@@ -98,6 +94,11 @@ class Topology:
         ids = tuple(node_ids)
         if len(set(ids)) != len(ids):
             raise TopologyError("duplicate node ids")
+        for a, b in itertools.combinations(ids, 2):
+            try:
+                a < b
+            except TypeError:
+                raise TopologyError(f"node ids {a!r} and {b!r} cannot be ordered") from None
         known = set(ids)
         normalized = set()
         for e in edges:
@@ -253,55 +254,25 @@ def reference_network() -> tuple[Topology, BridgeAssignment]:
 
 
 # ---------------------------------------------------------------------------
-# diffusion combiners
-
-
-def _combine(row: Mapping, estimates: Mapping, who: str) -> AugmentedVector:
-    missing = sorted(set(row) - set(estimates), key=str)
-    if missing:
-        raise DiffusionError(f"{who}: missing estimates from nodes {missing!r}")
-    total = sum(row.values())
-    out = None
-    for m, w in row.items():
-        term = (w / total) * estimates[m].top
-        out = term if out is None else out + term
-    return AugmentedVector(out)
-
-
-def bridge_diffuse(i, estimates: Mapping, w: DiffusionWeights) -> AugmentedVector:
-    """Aggregation stage: weighted average of closed-neighborhood posteriors.
-
-    A missing estimate raises.
-    """
-    if i not in w.beta:
-        raise DiffusionError(f"node {i!r} has no aggregation weight row")
-    return _combine(w.beta[i], estimates, f"aggregation at node {i!r}")
-
-
-def nonbridge_diffuse(m, bridge_estimates: Mapping, w: DiffusionWeights) -> AugmentedVector:
-    """Redistribution stage: weighted average of the serving bridges' outputs."""
-    if m not in w.gamma:
-        raise DiffusionError(f"node {m!r} has no redistribution weight row")
-    return _combine(w.gamma[m], bridge_estimates, f"redistribution at node {m!r}")
-
-
-# ---------------------------------------------------------------------------
 # diffusion as weight matrices, and the synchronous tick
 
 
 @dataclass(frozen=True)
 class _Mixing:
-    """One run's diffusion over the node axis, built once before the loop.
+    """One run's diffusion over the node axis, resolved once before the loop.
 
-    ``matrix`` maps the nodes' posteriors to their combined estimates (None:
-    no diffusion).  It is ``gamma @ beta``: ``beta`` holds the aggregation
-    rows of the ``aggregators`` (the bridges, or every node in the one-stage
-    modes), and ``gamma`` each node's redistribution row over them.  A route
-    ``(phase, src, dst, row)`` is one logged transfer per tick; ``row``
-    indexes the node posteriors followed by the aggregates, whose outputs
-    the ``from_bridge`` messages carry.
+    ``assignment`` and ``weights`` are the resolved setup.  ``matrix`` maps
+    the nodes' posteriors to their combined estimates (None: no diffusion).
+    It is ``gamma @ beta``: ``beta`` holds the aggregation rows of the
+    ``aggregators`` (the bridges, or every node in the one-stage modes), and
+    ``gamma`` each node's redistribution row over them.  A route ``(phase,
+    src, dst, row)`` is one logged transfer per tick; ``row`` indexes the
+    node posteriors followed by the aggregates, whose outputs the
+    ``from_bridge`` messages carry.
     """
 
+    assignment: BridgeAssignment | None
+    weights: DiffusionWeights | None
     matrix: np.ndarray | None
     aggregators: tuple
     beta: np.ndarray
@@ -309,82 +280,67 @@ class _Mixing:
     routes: tuple
 
 
+def _stage(rows: Mapping, owners: Sequence, members: Sequence, stage: str, kind: str):
+    """The weight rows of ``owners`` over ``members``, each scaled to sum to one."""
+    pos = {m: j for j, m in enumerate(members)}
+    out = np.zeros((len(owners), len(members)))
+    for r, i in enumerate(owners):
+        if i not in rows:
+            raise DistributedConfigError(f"{stage} weights incomplete: no row for node {i!r}")
+        total = sum(rows[i].values())
+        for m, w in rows[i].items():
+            if m not in pos:
+                raise DistributedConfigError(
+                    f"{stage} row of node {i!r} names {m!r}, which is not {kind}"
+                )
+            out[r, pos[m]] = w / total
+    return out
+
+
 def _mixing(
     topology: Topology,
     assignment: BridgeAssignment | None,
-    weights: DiffusionWeights,
+    weights: DiffusionWeights | None,
     diffusion: str,
 ) -> _Mixing:
-    """Weight matrices of a resolved diffusion setup.
+    """Resolve a diffusion setup and write its weight matrices.
 
-    Each row is its node's combiner applied to unit vectors, so the dict
-    combiners stay the one definition of the weights, their normalization
-    and their missing-estimate errors.  Bridge diffusion composes the two
-    stages into Γ @ Β (a bridge serves itself with weight 1); the one-stage
-    modes have Γ = I, and no diffusion also Β = I.
+    Bridge diffusion picks greedy bridges and uniform weights where none are
+    given, conventional diffusion the closed-neighborhood average.  A row
+    that is missing, or that names a node outside its stage (not in the
+    topology for Β, not a bridge for Γ), raises
+    :class:`DistributedConfigError` naming the node.  Bridge diffusion
+    composes the two stages into Γ @ Β (a bridge serves itself with weight
+    1); the one-stage modes have Γ = I, and no diffusion also Β = I.
     """
     ids = topology.node_ids
     identity = np.eye(len(ids))
     if diffusion == "none":
-        return _Mixing(None, ids, identity, identity, ())
+        return _Mixing(assignment, weights, None, ids, identity, identity, ())
     pos = {n: j for j, n in enumerate(ids)}
-    units = {n: AugmentedVector(e) for n, e in zip(ids, identity)}
     if diffusion == "conventional":
-        matrix = np.array([bridge_diffuse(i, units, weights).top for i in ids])
+        weights = weights or conventional_weights(topology)
+        matrix = _stage(weights.beta, ids, ids, "aggregation", "a topology node")
         routes = [("to_neighbor", nb, i, pos[nb]) for i in ids for nb in topology.neighbors(i)]
-        return _Mixing(matrix, ids, matrix, identity, tuple(routes))
+        return _Mixing(assignment, weights, matrix, ids, matrix, identity, tuple(routes))
+    if diffusion != "bridge":
+        raise DistributedConfigError(f"unknown diffusion mode {diffusion!r}")
+    assignment = assignment or select_bridges(topology)
+    weights = weights or uniform_weights(topology, assignment)
     bridges = sorted(assignment.bridges, key=str)
-    beta = np.array([bridge_diffuse(b, units, weights).top for b in bridges])
-    bridge_units = {b: AugmentedVector(e) for b, e in zip(bridges, np.eye(len(bridges)))}
-    gamma = np.array(
-        [
-            bridge_units[i].top if i in assignment.bridges
-            else nonbridge_diffuse(i, bridge_units, weights).top
-            for i in ids
-        ]
-    )
+    beta = _stage(weights.beta, bridges, ids, "aggregation", "a topology node")
+    serving = {**weights.gamma, **{b: {b: 1.0} for b in bridges}}
+    gamma = _stage(serving, ids, bridges, "redistribution", "a bridge")
     routes = []
     for r, b in enumerate(bridges):
         routes += [("to_bridge", nb, b, pos[nb]) for nb in topology.neighbors(b)]
         routes += [("from_bridge", b, nb, len(ids) + r) for nb in topology.neighbors(b)]
-    return _Mixing(gamma @ beta, tuple(bridges), beta, gamma, tuple(routes))
+    return _Mixing(assignment, weights, gamma @ beta, tuple(bridges), beta, gamma, tuple(routes))
 
 
 def _diffuse_all(estimates: np.ndarray, mixing: _Mixing) -> np.ndarray:
     """Run one diffusion round over (seeds, nodes, entries) posteriors."""
     return estimates if mixing.matrix is None else mixing.matrix @ estimates
-
-
-def _batch_step(model_of, state: FilterState, y: AugmentedVector, cond_limit: float):
-    """``_step`` for every (seed, node) batch row at once.
-
-    ``model_of(rows)`` gives the model of the batch rows ``rows`` (``...``
-    for all of them).  A degenerate step raises the error of the first row,
-    node by node, that also degenerates when stepped alone; the error carries
-    that row's (seed, node) index as ``row`` (None if no row fails alone).
-    """
-    try:
-        return _step(model_of(...), state, y, cond_limit)
-    except FilterDegenerateError as exc:
-        exc.row = None
-        raise _failing_row(model_of, state, y, cond_limit) or exc
-
-
-def _failing_row(model_of, state: FilterState, y: AugmentedVector, cond_limit: float):
-    n_seeds, n_nodes = y.top.shape[:2]
-    for j in range(n_nodes):
-        for s in range(n_seeds):
-            rows = (slice(s, s + 1), slice(j, j + 1))
-            blocks = [b[rows] if b.ndim > 2 else b for b in (state.M.block11, state.M.block12)]
-            alone = FilterState(
-                AugmentedVector(state.x_hat.top[rows]), AugmentedMatrix(*blocks), state.k
-            )
-            try:
-                _step(model_of(rows), alone, AugmentedVector(y.top[rows]), cond_limit)
-            except FilterDegenerateError as exc:
-                exc.row = (s, j)
-                return exc
-    return None
 
 
 def _tick(
@@ -417,15 +373,13 @@ def _tick(
     growing oscillation near 75 Hz).
     """
     v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
-    aux, diag = _batch_step(lambda rows: aux_model, aux, y, cond_limit)
+    aux, diag = _step(aux_model, aux, y, cond_limit)
     out = aux
     if shared is not None:
-        out, diag = _batch_step(
-            lambda rows: with_sequence_observation(shared_model, v_plus[rows], v_minus[rows]),
-            shared, y, cond_limit,
-        )
+        observed = with_sequence_observation(shared_model, v_plus, v_minus)
+        out, diag = _step(observed, shared, y, cond_limit)
     local = out.x_hat.top
-    out = FilterState(AugmentedVector(_diffuse_all(local, mixing)), out.M, out.k)
+    out = FilterState(AugmentedVector(_diffuse_all(local, mixing)), out.M)
     return (out, None, diag, local) if shared is None else (aux, out, diag, local)
 
 
@@ -496,41 +450,6 @@ def _resolve_scenarios(topology: Topology, scenarios) -> dict:
     return per_node
 
 
-def _resolve_weights(
-    topology: Topology,
-    assignment: BridgeAssignment | None,
-    weights: DiffusionWeights | None,
-    diffusion: str,
-):
-    if diffusion == "none":
-        return assignment, weights
-    if diffusion == "conventional":
-        if weights is None:
-            weights = conventional_weights(topology)
-        missing = [n for n in topology.node_ids if n not in weights.beta]
-        if missing:
-            raise DistributedConfigError(
-                f"conventional diffusion needs an aggregation row per node; missing {missing!r}"
-            )
-        return assignment, weights
-    if diffusion != "bridge":
-        raise DistributedConfigError(f"unknown diffusion mode {diffusion!r}")
-    if assignment is None:
-        assignment = select_bridges(topology)
-    if weights is None:
-        weights = uniform_weights(topology, assignment)
-    missing_b = [b for b in assignment.bridges if b not in weights.beta]
-    missing_g = [
-        n for n in topology.node_ids if n not in assignment.bridges and n not in weights.gamma
-    ]
-    if missing_b or missing_g:
-        raise DistributedConfigError(
-            f"weights incomplete: aggregation rows missing {missing_b!r},"
-            f" redistribution rows missing {missing_g!r}"
-        )
-    return assignment, weights
-
-
 def _node_voltage(scenario: Scenario, seed, node_index: int, snr_db) -> np.ndarray:
     rng_seed = None if snr_db is None else [int(seed), int(node_index)]
     vabc = generate_arrays(scenario, seed=rng_seed, snr_db=snr_db)
@@ -568,7 +487,7 @@ def run_distributed(
     the run returns their final state.
     """
     per_node = _resolve_scenarios(topology, scenarios)
-    assignment, weights = _resolve_weights(topology, assignment, weights, diffusion)
+    mixing = _mixing(topology, assignment, weights, diffusion)
     if mode not in ("dfe", "distributed-acekf"):
         raise DistributedConfigError(f"unknown estimator mode {mode!r}")
     seeds = tuple(int(seed) for seed in seeds)
@@ -576,7 +495,6 @@ def run_distributed(
         raise DistributedConfigError("empty seed list")
     if theory and len(seeds) > 1:
         raise DistributedConfigError(f"theory needs exactly one seed, got {len(seeds)}")
-    mixing = _mixing(topology, assignment, weights, diffusion)
     ids = topology.node_ids
     fs = per_node[ids[0]].sample_rate_hz
     n_ticks = per_node[ids[0]].n_samples
@@ -616,10 +534,9 @@ def run_distributed(
                 aux_model, shared_model, aux, shared, y, mixing, cond_limit
             )
         except FilterDegenerateError as exc:
-            where = "" if exc.row is None else (
-                f"node {ids[exc.row[1]]!r}: seed {seeds[exc.row[0]]}: "
-            )
-            raise FilterDegenerateError(f"tick {k}: {where}{exc}") from exc
+            s, j = exc.row
+            where = f"tick {k}: node {ids[j]!r}: seed {seeds[s]}"
+            raise FilterDegenerateError(f"{where}: {exc}") from exc
         out = aux if shared is None else shared
         f_hat[..., k], flags[..., k] = out_model.extract_freq(out.x_hat.top)
         if detail:
@@ -637,8 +554,8 @@ def run_distributed(
         innovation_power=innov,
         states=states,
         topology=topology,
-        assignment=assignment,
-        weights=weights,
+        assignment=mixing.assignment,
+        weights=mixing.weights,
         mode=mode,
         diffusion=diffusion,
         seeds=seeds,

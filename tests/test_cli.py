@@ -34,6 +34,31 @@ scenario:
     - {start_s: 0.0, end_s: 0.3, freq_hz: 50.0}
 """
 
+#: a short network run with every weight row written out, for the run fuzzer
+FUZZ_NETWORK = """
+name: fuzz_net
+estimator: dfe
+snr_db: 30
+sample_rate_hz: 1000.0
+duration_s: 0.02
+topology:
+  nodes: [1, 2, 3]
+  edges: [[1, 2], [2, 3]]
+bridges: [2]
+weights:
+  beta: {2: {1: 0.25, 2: 0.5, 3: 0.25}}
+  gamma: {1: {2: 1.0}, 3: {2: 1.0}}
+node_scenarios:
+  1: {segments: [{start_s: 0.0, end_s: 0.02, freq_hz: 50.0}]}
+messages_csv: true
+mse:
+  window_s: [0.0, 0.02]
+  theory: true
+scenario:
+  segments:
+    - {start_s: 0.0, end_s: 0.02, freq_hz: 50.0}
+"""
+
 QUICK_NETWORK = """
 name: quick_net
 estimator: dfe
@@ -556,6 +581,56 @@ class TestInputsCheckedBeforeRun:
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            QUICK_SINGLE,
+            QUICK_NETWORK.replace("mse:\n  window_s: [0.1, 0.25]\n  theory: true\n", ""),
+        ],
+        ids=["lss", "dfe"],
+    )
+    def test_run_needs_one_sample(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text.replace("duration_s: 0.", "duration_s: 1.0e-9 #"))
+        assert main(["validate", cfg]) == 1
+        assert "duration_s: 1e-09 s at 1000.0 Hz is less than 1 sample" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, diag",
+        [
+            (
+                "weights: {beta: {2: {1: 0.5, 99: 0.5}}, gamma: {1: {2: 1.0}, 3: {2: 1.0}}}\n",
+                "weights: aggregation row of node 2 names 99, which is not a topology node",
+            ),
+            (
+                "weights: {beta: {2: {1: 0.5, 2: 0.5}}, gamma: {1: {2: 1.0}, 3: {3: 1.0}}}\n",
+                "weights: redistribution row of node 3 names 3, which is not a bridge",
+            ),
+            (
+                "weights: {beta: {2: {1: 0.5, 2: 0.5}}, gamma: {1: {2: 1.0}}}\n",
+                "weights: redistribution weights incomplete: no row for node 3",
+            ),
+        ],
+        ids=["unknown-node", "not-a-bridge", "missing-row"],
+    )
+    def test_weight_rows_checked_before_run(self, tmp_path, capsys, text, diag):
+        cfg = write_config(tmp_path, QUICK_NETWORK + text)
+        assert main(["validate", cfg]) == 1
+        assert capsys.readouterr().out.splitlines() == [diag]
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert f"config error: {diag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unorderable_node_ids_named(self, tmp_path, capsys):
+        text = QUICK_NETWORK.replace("nodes: [1, 2, 3]", 'nodes: ["a", "c", 2]').replace(
+            "edges: [[1, 2], [2, 3]]", 'edges: [["a", "c"], ["c", 2]]'
+        ).replace("bridges: [2]", 'bridges: ["c"]')
+        assert main(["validate", write_config(tmp_path, text)]) == 1
+        assert "topology: node ids 'a' and 2 cannot be ordered" in capsys.readouterr().out
+
     def test_theory_needs_two_samples(self, tmp_path, capsys):
         # a one-sample run never steps the error recursion
         text = QUICK_NETWORK.replace("0.25", "0.001").replace("[0.1, 0.001]", "[0.0, 0.001]")
@@ -598,3 +673,46 @@ class TestConfigFuzz:
         cfg_path = tmp_path_factory.mktemp("fuzz") / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert main(["validate", str(cfg_path)]) in (0, 1)
+
+
+def _key_paths(cfg):
+    """The path to every key of a weight row, a weight entry and node_scenarios."""
+    for stage in ("beta", "gamma"):
+        for row, entries in cfg["weights"][stage].items():
+            yield ("weights", stage, row)
+            yield from (("weights", stage, row, m) for m in entries)
+    yield from (("node_scenarios", n) for n in cfg["node_scenarios"])
+
+
+#: node ids and small numbers, which keep a mutated config close to runnable
+NEAR_VALUES = [0, 1, 2, 3, 99, "text", 0.5, 1.0e-9]
+
+
+class TestRunFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_run_keeps_the_validate_verdict(self, tmp_path_factory, data):
+        # one leaf or one weights/node_scenarios key changed: validate 0 means the run
+        # completes or degenerates, validate 1 means it exits 2 and writes nothing
+        cfg = yaml.safe_load(FUZZ_NETWORK)
+        sites = [(False, p) for p in _leaf_paths(cfg)] + [(True, p) for p in _key_paths(cfg)]
+        rename, path = data.draw(st.sampled_from(sites))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if rename:
+            new = data.draw(st.sampled_from(NEAR_VALUES))
+            items = [(new if k == path[-1] else k, v) for k, v in node.items()]
+            node.clear()
+            node.update(items)
+        else:
+            node[path[-1]] = data.draw(st.sampled_from(NEAR_VALUES + ODD_VALUES))
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "cfg.yaml").write_text(yaml.safe_dump(cfg))
+        verdict = main(["validate", str(tmp / "cfg.yaml")])
+        with np.errstate(all="ignore"):
+            code = main(["run", str(tmp / "cfg.yaml"), "--out-dir", str(tmp / "out")])
+        if verdict == 0:
+            assert code in (0, 3)
+        else:
+            assert code == 2 and not (tmp / "out").exists()

@@ -147,7 +147,7 @@ class TestBlockStepMatchesDense:
             _complex_normal(rng, batch + (n, n)), _complex_normal(rng, batch + (n, n))
         )
         m = b @ b.H + AugmentedMatrix.eye(n, 0.1)
-        state = FilterState(AugmentedVector(_complex_normal(rng, batch + (n,))), m, 0)
+        state = FilterState(AugmentedVector(_complex_normal(rng, batch + (n,))), m)
         y = AugmentedVector(_complex_normal(rng, batch + (1,)))
 
         new, _ = _step(model, state, y)
@@ -171,13 +171,12 @@ class TestEngine:
             initial_state=None,
         )
         m0 = 0.5
-        st = FilterState(AugmentedVector([0.0 + 0j]), AugmentedMatrix.eye(1, m0), 0)
+        st = FilterState(AugmentedVector([0.0 + 0j]), AugmentedMatrix.eye(1, m0))
         y = 1.0 + 0j
         new = step(model, st, y)
         gain = m0 / (m0 + 1.0)
         assert new.x_hat.top[0] == pytest.approx(gain * y, abs=1e-12)
         assert new.M.block11[0, 0] == pytest.approx((1 - gain) * m0, abs=1e-12)
-        assert new.k == 1
 
     def test_step_preserves_structure_and_psd(self):
         scn = make_scenario(amps=(0.2, 1.0, 1.0))
@@ -190,7 +189,6 @@ class TestEngine:
         eigs = np.linalg.eigvalsh(st.M.block11)
         assert eigs.min() >= -1e-10
         np.testing.assert_allclose(st.M.block12, st.M.block12.T, atol=1e-12)
-        assert st.k == 299
 
     def test_lss_fixed_point_on_truth(self):
         # Starting exactly at the true state of a balanced noiseless signal,
@@ -199,7 +197,7 @@ class TestEngine:
         v = clarke_series(scn)
         x_true = np.exp(2j * np.pi * 50.0 / FS)
         model = lss_model(FS)
-        st = FilterState(AugmentedVector([x_true, v[0]]), AugmentedMatrix.eye(2, 0.1), 0)
+        st = FilterState(AugmentedVector([x_true, v[0]]), AugmentedMatrix.eye(2, 0.1))
         new = step(model, st, v[1])
         assert abs(new.x_hat.top[0] - x_true) < 1e-10
         assert abs(new.x_hat.top[1] - v[1]) < 1e-10
@@ -215,9 +213,28 @@ class TestEngine:
             Cn=AugmentedMatrix.diagonal([0.0]),
             initial_state=None,
         )
-        st = FilterState(AugmentedVector([1.0 + 0j]), AugmentedMatrix.eye(1, 0.1), 0)
+        st = FilterState(AugmentedVector([1.0 + 0j]), AugmentedMatrix.eye(1, 0.1))
         with pytest.raises(FilterDegenerateError, match="filter degenerate"):
             step(model, st, 1.0 + 0j)
+
+    def test_degenerate_error_names_the_first_row(self):
+        # S = M in this model, so the rows whose covariance is zero degenerate
+        unit = AugmentedMatrix.eye(1)
+        model = StateSpaceModel(
+            name="unit", f_a=lambda x: x, jacobian_A=lambda x: unit, observe_H=unit,
+            extract_freq=None, Cu=AugmentedMatrix.diagonal([0.0]),
+            Cn=AugmentedMatrix.diagonal([0.0]), initial_state=None,
+        )
+        m = np.array([0.1, 0.1, 0.0, 0.1, 0.0]).reshape(5, 1, 1)
+        st = FilterState(AugmentedVector(np.ones((5, 1), complex)), AugmentedMatrix(m, 0 * m))
+        with pytest.raises(FilterDegenerateError) as exc:
+            _step(model, st, AugmentedVector(np.ones((5, 1), complex)))
+        assert exc.value.row == (2,)
+        x = AugmentedVector(np.ones((1, 5, 1), complex))
+        st = FilterState(x, AugmentedMatrix(m[None], 0 * m[None]))
+        with pytest.raises(FilterDegenerateError) as exc:
+            _step(model, st, x)
+        assert exc.value.row == (0, 2)
 
 
 class TestFrequencyExtraction:
@@ -339,6 +356,19 @@ class TestRunFilter:
         v = clarke_series(make_scenario(duration=0.05))
         with pytest.raises(FilterDegenerateError, match="tick 1"):
             run(bad, v)
+
+    def test_degenerate_error_names_its_row(self):
+        model = dataclasses.replace(
+            lss_model(FS), Cu=AugmentedMatrix.diagonal([0.0, 0.0]),
+            Cn=AugmentedMatrix.diagonal([0.0]),
+        )
+        v = np.stack([clarke_series(make_scenario(duration=0.05))] * 3)
+        # row 1 starts from a zero covariance, so its first innovation has S = 0
+        m = np.array([0.1, 0.0, 0.1])[:, None, None] * np.eye(2)
+        x0 = AugmentedVector(np.stack([v[:, 0]] * 2, axis=-1))
+        init = FilterState(x0, AugmentedMatrix(m, 0 * m))
+        with pytest.raises(FilterDegenerateError, match="^tick 1: row 1: filter degenerate"):
+            run_filter(model, v, FS, init=init)
 
     @pytest.mark.parametrize("rows, at", [(1, (0, 5)), (3, (2, 7))], ids=["1-d", "batch"])
     def test_non_finite_sample_rejected_before_any_step(self, monkeypatch, rows, at):

@@ -1,4 +1,4 @@
-"""Tests for the graph model, diffusion combiners, and multi-node simulation."""
+"""Tests for the graph model, diffusion weights, and multi-node simulation."""
 
 import csv
 import math
@@ -21,15 +21,12 @@ from gridfreq.estimators import (
 from gridfreq.network import (
     BridgeAssignment,
     BridgeAssignmentError,
-    DiffusionError,
     DiffusionWeights,
     DistributedConfigError,
     Topology,
     TopologyError,
     WeightsError,
-    bridge_diffuse,
     conventional_weights,
-    nonbridge_diffuse,
     reference_network,
     run_distributed,
     select_bridges,
@@ -76,6 +73,10 @@ class TestTopology:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(TopologyError, match="unknown node"):
             Topology((1, 2), [(1, 3)])
+
+    def test_unorderable_ids_named(self):
+        with pytest.raises(TopologyError, match="node ids 'a' and 2 cannot be ordered"):
+            Topology(("a", "c", 2), [("a", "c"), ("c", 2)])
 
     def test_neighbors_sorted_and_degree(self):
         t, _ = reference_network()
@@ -232,58 +233,72 @@ def step(model, state, y):
     return _step(model, state, y)[0]
 
 
-def _vec(z):
-    return AugmentedVector(np.array([z], dtype=complex))
-
-
 class TestCombiners:
+    """The Β/Γ stage matrices that ``_mixing`` resolves from the weight rows."""
+
     def setup_method(self):
         self.t = Topology(("a", "b"), [("a", "b")])
         self.b = BridgeAssignment(self.t, {"a"})
 
+    def mix(self, weights=None, diffusion="bridge"):
+        return _mixing(self.t, self.b, weights, diffusion)
+
+    @pytest.mark.parametrize("diffusion", ["bridge", "conventional", "none"])
+    def test_rows_sum_to_one(self, diffusion):
+        t, b = reference_network()
+        odd = DiffusionWeights(
+            beta={4: {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4}, 6: {5: 0.5, 6: 0.25, 7: 0.25}},
+            gamma={n: {4: 0.5, 6: 0.5} for n in (1, 2, 3, 5, 7)},
+        )
+        for w in [None, odd] if diffusion == "bridge" else [None]:
+            m = _mixing(t, b, w, diffusion)
+            for stage in (x for x in (m.beta, m.gamma, m.matrix) if x is not None):
+                np.testing.assert_allclose(stage.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
     def test_consensus_fixed_point(self):
-        w = uniform_weights(self.t, self.b)
-        z = np.exp(0.25j)
-        out = bridge_diffuse("a", {"a": _vec(z), "b": _vec(z)}, w)
-        assert out.top[0] == pytest.approx(z)
+        z = np.full((2, 1), np.exp(0.25j))
+        np.testing.assert_allclose(self.mix().matrix @ z, z, rtol=0, atol=1e-15)
 
     def test_arithmetic_mean(self):
-        w = uniform_weights(self.t, self.b)
-        out = bridge_diffuse("a", {"a": _vec(np.exp(0.1j)), "b": _vec(np.exp(0.3j))}, w)
-        assert out.top[0] == pytest.approx((np.exp(0.1j) + np.exp(0.3j)) / 2)
+        x = np.array([[np.exp(0.1j)], [np.exp(0.3j)]])
+        out = self.mix().beta @ x
+        assert out[0, 0] == pytest.approx((np.exp(0.1j) + np.exp(0.3j)) / 2)
 
     def test_passthrough_weights(self):
-        w = DiffusionWeights(beta={"a": {"a": 1.0, "b": 0.0}}, gamma={})
-        out = bridge_diffuse("a", {"a": _vec(2.0 + 1.0j), "b": _vec(-5.0j)}, w)
-        assert out.top[0] == 2.0 + 1.0j
+        w = DiffusionWeights(beta={"a": {"a": 1.0, "b": 0.0}}, gamma={"b": {"a": 1.0}})
+        out = self.mix(w).matrix @ np.array([[2.0 + 1.0j], [-5.0j]])
+        assert out[0, 0] == 2.0 + 1.0j and out[1, 0] == 2.0 + 1.0j
 
     def test_missing_estimate_raises(self):
-        w = uniform_weights(self.t, self.b)
-        with pytest.raises(DiffusionError, match="'b'"):
-            bridge_diffuse("a", {"a": _vec(1.0)}, w)
+        w = DiffusionWeights(beta={"a": {"a": 0.5, "z": 0.5}}, gamma={"b": {"a": 1.0}})
+        with pytest.raises(DistributedConfigError, match="aggregation row of node 'a' names 'z'"):
+            self.mix(w)
+        w = DiffusionWeights(beta={"a": {"a": 1.0}, "b": {"z": 1.0}}, gamma={})
+        with pytest.raises(DistributedConfigError, match="aggregation row of node 'b' names 'z'"):
+            self.mix(w, "conventional")
 
     def test_nonbridge_mirrors_bridge_cases(self):
-        w = uniform_weights(self.t, self.b)
-        psi = {"a": _vec(np.exp(0.2j))}
-        out = nonbridge_diffuse("b", psi, w)
-        assert out.top[0] == pytest.approx(np.exp(0.2j))
-        with pytest.raises(DiffusionError, match="redistribution"):
-            nonbridge_diffuse("b", {}, w)
+        out = self.mix().gamma @ np.array([[np.exp(0.2j)]])
+        np.testing.assert_array_equal(out, np.exp(0.2j))
+        beta = {"a": {"a": 0.5, "b": 0.5}}
+        with pytest.raises(DistributedConfigError, match="no row for node 'b'"):
+            self.mix(DiffusionWeights(beta=beta, gamma={}))
+        with pytest.raises(DistributedConfigError, match="names 'b', which is not a bridge"):
+            self.mix(DiffusionWeights(beta=beta, gamma={"b": {"b": 1.0}}))
+        with pytest.raises(DistributedConfigError, match="no row for node 'a'"):
+            self.mix(DiffusionWeights(beta={}, gamma={"b": {"a": 1.0}}))
 
     def test_output_keeps_conjugate_structure(self):
-        w = uniform_weights(self.t, self.b)
-        out = bridge_diffuse("a", {"a": _vec(1.0 + 2.0j), "b": _vec(0.5 - 1.0j)}, w)
-        full = out.materialize()
-        assert full[1] == np.conj(full[0])
+        # real weights commute with conjugation, so mixing top halves is exact
+        m = self.mix().matrix
+        assert m.dtype.kind == "f"
+        x = np.array([[1.0 + 2.0j], [0.5 - 1.0j]])
+        np.testing.assert_array_equal(np.conj(m @ x), m @ np.conj(x))
 
     def test_two_stage_round_is_idempotent_on_consensus(self):
         t, b = reference_network()
-        w = uniform_weights(t, b)
-        z = _vec(np.exp(0.7j))
-        psi = {i: bridge_diffuse(i, {n: z for n in t.node_ids}, w) for i in b.bridges}
-        for m in t.node_ids:
-            out = psi[m] if m in b.bridges else nonbridge_diffuse(m, psi, w)
-            assert out.top[0] == pytest.approx(z.top[0])
+        z = np.full((len(t.node_ids), 1), np.exp(0.7j))
+        np.testing.assert_allclose(_mixing(t, b, None, "bridge").matrix @ z, z, rtol=0, atol=1e-15)
 
 
 class TestDistributedRuns:
@@ -449,8 +464,13 @@ class TestDistributedRuns:
         np.testing.assert_allclose(tr.f_true_hz, 50.0)
 
 
+def weighted(row, estimates):
+    """One node's combiner: the weighted sum of ``estimates`` over its weight row."""
+    return AugmentedVector(sum(w * estimates[m].top for m, w in row.items()))
+
+
 def dict_reference_run(t, b, scn, seed, mode, diffusion):
-    """Node-by-node run over the dict combiners, the semantics the stacked tick keeps.
+    """Node-by-node run over per-node weighted sums, the semantics the stacked tick keeps.
 
     Returns (node -> f_hat list, message tuples (k, phase, src, dst, payload)).
     """
@@ -483,20 +503,20 @@ def dict_reference_run(t, b, scn, seed, mode, diffusion):
             for i in t.node_ids:
                 for nb in t.neighbors(i):
                     log(k, "to_neighbor", nb, i, est[nb])
-            combined = {i: bridge_diffuse(i, est, w) for i in t.node_ids}
+            combined = {i: weighted(w.beta[i], est) for i in t.node_ids}
         elif diffusion == "bridge":
             psi = {}
             for l in sorted(b.bridges, key=str):
                 for nb in t.neighbors(l):
                     log(k, "to_bridge", nb, l, est[nb])
-                psi[l] = bridge_diffuse(l, est, w)
+                psi[l] = weighted(w.beta[l], est)
                 for nb in t.neighbors(l):
                     log(k, "from_bridge", l, nb, psi[l])
             combined = {
-                i: psi[i] if i in b.bridges else nonbridge_diffuse(i, psi, w) for i in t.node_ids
+                i: psi[i] if i in b.bridges else weighted(w.gamma[i], psi) for i in t.node_ids
             }
         for n in t.node_ids:
-            out[n] = FilterState(combined[n], out[n].M, out[n].k)
+            out[n] = FilterState(combined[n], out[n].M)
             f_hat[n].append(out_model.extract_freq(out[n].x_hat.top)[0])
     return f_hat, messages
 
