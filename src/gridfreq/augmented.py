@@ -72,7 +72,7 @@ class AugmentedMatrix:
 
     @classmethod
     def _of(cls, block11: np.ndarray, block12: np.ndarray) -> "AugmentedMatrix":
-        """Wrap blocks computed from checked complex128 blocks, skipping the checks."""
+        """Wrap complex128 blocks of equal shape, skipping the checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "block11", block11)
         object.__setattr__(out, "block12", block12)
@@ -90,9 +90,13 @@ class AugmentedMatrix:
 
     def materialize(self) -> np.ndarray:
         """Return the full matrix, twice the block size along both axes."""
-        top = np.concatenate([self.block11, self.block12], axis=-1)
-        bottom = np.concatenate([np.conj(self.block12), np.conj(self.block11)], axis=-1)
-        return np.concatenate([top, bottom], axis=-2)
+        r, c = self.block11.shape[-2:]
+        out = np.empty(self.block11.shape[:-2] + (2 * r, 2 * c), dtype=np.complex128)
+        out[..., :r, :c] = self.block11
+        out[..., :r, c:] = self.block12
+        np.conj(self.block12, out=out[..., r:, :c])
+        np.conj(self.block11, out=out[..., r:, c:])
+        return out
 
     @property
     def H(self) -> "AugmentedMatrix":

@@ -280,8 +280,20 @@ class _Mixing:
     routes: tuple
 
 
-def _stage(rows: Mapping, owners: Sequence, members: Sequence, stage: str, kind: str):
-    """The weight rows of ``owners`` over ``members``, each scaled to sum to one."""
+def _stage(
+    rows: Mapping, owners: Sequence, members: Sequence, stage: str, kind: str, owner_kind: str
+):
+    """The weight rows of ``owners`` over ``members``, each scaled to sum to one.
+
+    A row for a node that is not an owner would never be read, so it is an
+    error too.
+    """
+    owned = set(owners)
+    unread = [i for i in rows if i not in owned]
+    if unread:
+        raise DistributedConfigError(
+            f"{stage} row for node {unread[0]!r}, which is not {owner_kind}"
+        )
     pos = {m: j for j, m in enumerate(members)}
     out = np.zeros((len(owners), len(members)))
     for r, i in enumerate(owners):
@@ -307,8 +319,10 @@ def _mixing(
 
     Bridge diffusion picks greedy bridges and uniform weights where none are
     given, conventional diffusion the closed-neighborhood average.  A row
-    that is missing, or that names a node outside its stage (not in the
-    topology for Β, not a bridge for Γ), raises
+    that is missing, that names a node outside its stage (not in the
+    topology for Β, not a bridge for Γ), or that no stage reads (a Β row of
+    a node that is not a bridge, a Γ row of a bridge or of a node outside
+    the topology, any Γ row under conventional diffusion) raises
     :class:`DistributedConfigError` naming the node.  Bridge diffusion
     composes the two stages into Γ @ Β (a bridge serves itself with weight
     1); the one-stage modes have Γ = I, and no diffusion also Β = I.
@@ -320,7 +334,12 @@ def _mixing(
     pos = {n: j for j, n in enumerate(ids)}
     if diffusion == "conventional":
         weights = weights or conventional_weights(topology)
-        matrix = _stage(weights.beta, ids, ids, "aggregation", "a topology node")
+        if weights.gamma:
+            raise DistributedConfigError(
+                f"redistribution row for node {next(iter(weights.gamma))!r},"
+                " which conventional diffusion does not read"
+            )
+        matrix = _stage(weights.beta, ids, ids, "aggregation", "a topology node", "a topology node")
         routes = [("to_neighbor", nb, i, pos[nb]) for i in ids for nb in topology.neighbors(i)]
         return _Mixing(assignment, weights, matrix, ids, matrix, identity, tuple(routes))
     if diffusion != "bridge":
@@ -328,9 +347,13 @@ def _mixing(
     assignment = assignment or select_bridges(topology)
     weights = weights or uniform_weights(topology, assignment)
     bridges = sorted(assignment.bridges, key=str)
-    beta = _stage(weights.beta, bridges, ids, "aggregation", "a topology node")
-    serving = {**weights.gamma, **{b: {b: 1.0} for b in bridges}}
-    gamma = _stage(serving, ids, bridges, "redistribution", "a bridge")
+    beta = _stage(weights.beta, bridges, ids, "aggregation", "a topology node", "a bridge")
+    served = [n for n in ids if n not in assignment.bridges]
+    gamma = np.zeros((len(ids), len(bridges)))
+    gamma[[pos[b] for b in bridges], range(len(bridges))] = 1.0  # a bridge serves itself
+    gamma[[pos[n] for n in served]] = _stage(
+        weights.gamma, served, bridges, "redistribution", "a bridge", "a non-bridge topology node"
+    )
     routes = []
     for r, b in enumerate(bridges):
         routes += [("to_bridge", nb, b, pos[nb]) for nb in topology.neighbors(b)]

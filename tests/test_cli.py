@@ -612,8 +612,37 @@ class TestInputsCheckedBeforeRun:
                 "weights: {beta: {2: {1: 0.5, 2: 0.5}}, gamma: {1: {2: 1.0}}}\n",
                 "weights: redistribution weights incomplete: no row for node 3",
             ),
+            # rows that no stage reads, which the run used to ignore
+            (
+                "weights:\n"
+                "  beta: {2: {1: 0.25, 2: 0.5, 3: 0.25}, 1: {1: 0.9, 2: 0.1}}\n"
+                "  gamma: {1: {2: 1.0}, 3: {2: 1.0}, 2: {2: 1.0}, 7: {2: 1.0}}\n",
+                "weights: aggregation row for node 1, which is not a bridge",
+            ),
+            (
+                "weights:\n"
+                "  beta: {2: {1: 0.25, 2: 0.5, 3: 0.25}}\n"
+                "  gamma: {1: {2: 1.0}, 3: {2: 1.0}, 2: {2: 1.0}}\n",
+                "weights: redistribution row for node 2, which is not a non-bridge topology node",
+            ),
+            (
+                "weights:\n"
+                "  beta: {2: {1: 0.25, 2: 0.5, 3: 0.25}}\n"
+                "  gamma: {1: {2: 1.0}, 3: {2: 1.0}, 7: {2: 1.0}}\n",
+                "weights: redistribution row for node 7, which is not a non-bridge topology node",
+            ),
+            (
+                "diffusion: conventional\n"
+                "weights:\n"
+                "  beta: {1: {1: 0.5, 2: 0.5}, 2: {1: 0.25, 2: 0.5, 3: 0.25}, 3: {2: 0.5, 3: 0.5}}\n"
+                "  gamma: {1: {2: 1.0}}\n",
+                "weights: redistribution row for node 1, which conventional diffusion does not read",
+            ),
         ],
-        ids=["unknown-node", "not-a-bridge", "missing-row"],
+        ids=[
+            "unknown-node", "not-a-bridge", "missing-row", "beta-of-non-bridge",
+            "gamma-of-bridge", "gamma-of-unknown", "gamma-conventional",
+        ],
     )
     def test_weight_rows_checked_before_run(self, tmp_path, capsys, text, diag):
         cfg = write_config(tmp_path, QUICK_NETWORK + text)

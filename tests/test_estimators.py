@@ -88,14 +88,11 @@ def _hconj(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def dense_step(model, state, y):
-    """Reference step on materialized 2n x 2n matrices.
+def dense_parts(model, state, y):
+    """The engine's algorithm written densely, on materialized 2n x 2n matrices.
 
-    This is the engine's algorithm written densely: no block products, a
-    generic matrix inverse, and both halves of the state updated.  Returns
-    (x_post, M_post), the largest magnitude among the operands each was last
-    computed from (the scale rounding errors are relative to) and the largest
-    condition number of S (the factor by which the gain amplifies them).
+    No block products, a generic matrix inverse, and both halves of the state
+    updated.  Returns every intermediate by name.
     """
     n = state.x_hat.n
     x_pred = AugmentedVector(model.f_a(state.x_hat.top)).materialize()
@@ -104,11 +101,28 @@ def dense_step(model, state, y):
     m_prior = a @ state.M.materialize() @ _hconj(a) + model.Cu.materialize()
     s = h @ m_prior @ _hconj(h) + model.Cn.materialize()
     gain = m_prior @ _hconj(h) @ np.linalg.inv(s)
-    innov = y.materialize() - (h @ x_pred[..., None])[..., 0]
+    h_x = (h @ x_pred[..., None])[..., 0]
+    innov = y.materialize() - h_x
     correction = (gain @ innov[..., None])[..., 0]
     m_post = (np.eye(2 * n) - gain @ h) @ m_prior
-    scales = (max(np.max(np.abs(x_pred)), np.max(np.abs(correction))), np.max(np.abs(m_prior)))
-    cond = np.max(np.linalg.cond(s))
+    return dict(
+        x_pred=x_pred, h_x=h_x, m_prior=m_prior, s=s, gain=gain, innov=innov,
+        correction=correction, m_post=m_post,
+    )
+
+
+def dense_step(model, state, y):
+    """Reference step on materialized 2n x 2n matrices.
+
+    Returns (x_post, M_post), the largest magnitude among the operands each
+    was last computed from (the scale rounding errors are relative to) and
+    the largest condition number of S (the factor by which the gain
+    amplifies them).
+    """
+    d = dense_parts(model, state, y)
+    x_pred, correction, m_post = d["x_pred"], d["correction"], d["m_post"]
+    scales = (max(np.max(np.abs(x_pred)), np.max(np.abs(correction))), np.max(np.abs(d["m_prior"])))
+    cond = np.max(np.linalg.cond(d["s"]))
     return x_pred + correction, (m_post + _hconj(m_post)) / 2, scales, cond
 
 
@@ -156,6 +170,48 @@ class TestBlockStepMatchesDense:
         _assert_close(new.M.materialize(), m_post, m_scale, cond)
 
 
+def random_step_inputs(name, seed, batch):
+    """A model, a structured Hermitian positive definite state and an observation,
+    drawn as in :class:`TestBlockStepMatchesDense`."""
+    rng = np.random.default_rng(seed)
+    if name == "shared_increment":
+        model = with_sequence_observation(
+            shared_increment_model(FS, snr_db=30.0),
+            _complex_normal(rng, batch),
+            _complex_normal(rng, batch),
+        )
+    else:
+        factory = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}[name]
+        model = factory(FS, snr_db=30.0)
+    n = model.Cu.block11.shape[-1]
+    b = AugmentedMatrix(
+        _complex_normal(rng, batch + (n, n)), _complex_normal(rng, batch + (n, n))
+    )
+    m = b @ b.H + AugmentedMatrix.eye(n, 0.1)
+    state = FilterState(AugmentedVector(_complex_normal(rng, batch + (n,))), m)
+    return model, state, AugmentedVector(_complex_normal(rng, batch + (1,)))
+
+
+class TestDiagnosticsMatchDense:
+    """The diagnostics the error recursion reads equal the dense step's."""
+
+    @pytest.mark.parametrize("name", ["lss", "wlss", "nss", "shared_increment"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    )
+    def test_gain_prior_and_innovation(self, name, seed, batch):
+        model, state, y = random_step_inputs(name, seed, batch)
+        _, diag = _step(model, state, y)
+        d = dense_parts(model, state, y)
+        cond = np.max(np.linalg.cond(d["s"]))
+        innov_scale = max(np.max(np.abs(d["innov"])), np.max(np.abs(d["h_x"])))
+        _assert_close(diag.innovation.materialize(), d["innov"], innov_scale, 1.0)
+        _assert_close(diag.M_prior.materialize(), d["m_prior"], np.max(np.abs(d["m_prior"])), 1.0)
+        _assert_close(diag.gain.materialize(), d["gain"], np.max(np.abs(d["gain"])), cond)
+
+
 class TestEngine:
     def test_scalar_gain_matches_hand_kalman(self):
         # Identity model, identity observation, Cu = 0, Cn = I: one update
@@ -189,6 +245,15 @@ class TestEngine:
         eigs = np.linalg.eigvalsh(st.M.block11)
         assert eigs.min() >= -1e-10
         np.testing.assert_allclose(st.M.block12, st.M.block12.T, atol=1e-12)
+
+    def test_lss_pseudo_covariance_stays_exactly_zero(self):
+        # the lss model has no conjugate terms: block12 of every covariance is 0, not small
+        v = clarke_series(make_scenario(amps=(0.2, 1.0, 1.0), duration=0.401), seed=2, snr_db=30.0)
+        model = lss_model(FS, snr_db=30.0)
+        st = model.initial_state(v[0])
+        for k in range(1, 401):
+            st, diag = _step(model, st, AugmentedVector(v[k : k + 1]))
+            assert np.all(diag.M_prior.block12 == 0) and np.all(st.M.block12 == 0), f"tick {k}"
 
     def test_lss_fixed_point_on_truth(self):
         # Starting exactly at the true state of a balanced noiseless signal,

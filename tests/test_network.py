@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,48 @@ class TestCombiners:
             self.mix(DiffusionWeights(beta=beta, gamma={"b": {"b": 1.0}}))
         with pytest.raises(DistributedConfigError, match="no row for node 'a'"):
             self.mix(DiffusionWeights(beta={}, gamma={"b": {"a": 1.0}}))
+
+    @pytest.mark.parametrize(
+        "diffusion, beta, gamma, message",
+        [
+            (
+                "bridge",
+                {"a": {"a": 0.5, "b": 0.5}, "b": {"a": 0.5, "b": 0.5}},
+                {"b": {"a": 1.0}},
+                "aggregation row for node 'b', which is not a bridge",
+            ),
+            (
+                "bridge",
+                {"a": {"a": 0.5, "b": 0.5}},
+                {"a": {"a": 1.0}, "b": {"a": 1.0}},
+                "redistribution row for node 'a', which is not a non-bridge topology node",
+            ),
+            (
+                "bridge",
+                {"a": {"a": 0.5, "b": 0.5}},
+                {"b": {"a": 1.0}, "z": {"a": 1.0}},
+                "redistribution row for node 'z', which is not a non-bridge topology node",
+            ),
+            (
+                "conventional",
+                {"a": {"a": 0.5, "b": 0.5}, "b": {"a": 0.5, "b": 0.5}, "z": {"a": 1.0}},
+                {},
+                "aggregation row for node 'z', which is not a topology node",
+            ),
+            (
+                "conventional",
+                {"a": {"a": 0.5, "b": 0.5}, "b": {"a": 0.5, "b": 0.5}},
+                {"b": {"a": 1.0}},
+                "redistribution row for node 'b', which conventional diffusion does not read",
+            ),
+        ],
+        ids=["beta-of-non-bridge", "gamma-of-bridge", "gamma-of-unknown", "beta-of-unknown",
+             "gamma-under-conventional"],
+    )
+    def test_rows_no_stage_reads_are_rejected(self, diffusion, beta, gamma, message):
+        w = DiffusionWeights(beta=beta, gamma=gamma)
+        with pytest.raises(DistributedConfigError, match=re.escape(message)):
+            self.mix(w, diffusion)
 
     def test_output_keeps_conjugate_structure(self):
         # real weights commute with conjugation, so mixing top halves is exact
