@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .augmented import AugmentedVector
+from .augmented import AugmentedMatrix, AugmentedVector
 from .estimators import FreqTrace, StepDiagnostics
 
 __all__ = [
@@ -154,11 +154,10 @@ class NetworkErrorState:
         return tuple(y for y, g in zip(self.aggregator_ids, row) if g != 0)
 
 
-def _node_blocks(a, n_nodes: int | None = None) -> np.ndarray:
+def _node_blocks(a, n_nodes: int) -> np.ndarray:
     """A matrix, or one seed's per-node matrices, stacked as (nodes, r, c)."""
     a = np.asarray(a, dtype=complex)
-    a = a.reshape((-1,) + a.shape[-2:])
-    return a if n_nodes is None else np.broadcast_to(a, (n_nodes,) + a.shape[-2:])
+    return np.broadcast_to(a.reshape((-1,) + a.shape[-2:]), (n_nodes,) + a.shape[-2:])
 
 
 def initial_network_state(
@@ -207,14 +206,26 @@ def _hconj(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2).conj()
 
 
+def _first_blocks(m: AugmentedMatrix, n: int) -> np.ndarray:
+    """The first ``n`` matrices of a batch in C order, materialized as (<= n, r, c).
+
+    For diagnostics shaped (seeds, nodes, ...) that is seed row 0; a matrix
+    without batch axes stays one matrix.
+    """
+    b11, b12 = (b.reshape((-1,) + b.shape[-2:])[:n] for b in (m.block11, m.block12))
+    return AugmentedMatrix._of(b11, b12).materialize()
+
+
 def _aggregation_map(state: NetworkErrorState, diag: StepDiagnostics):
     """One tick's aggregation map beta·F A over the stacked node errors.
 
     Returns the (aggregators·d, nodes·d) map plus the per-node correction
-    maps F = I - K H and gains K, materialized and stacked over nodes.
+    maps F = I - K H and gains K, materialized and stacked over nodes.  Only
+    the first ``nodes`` blocks of the diagnostics (seed row 0 of a batch)
+    are read.
     """
     n_nodes, d = len(state.node_ids), state.block_dim
-    k, h, a = (_node_blocks(m.materialize()) for m in (diag.gain, diag.H, diag.A))
+    k, h, a = (_first_blocks(m, n_nodes) for m in (diag.gain, diag.H, diag.A))
     if a.shape[-1] != d:
         raise AnalysisError(f"diagnostics carry {a.shape[-1]}-dim states, expected {d}")
     f = np.eye(d) - k @ h
@@ -232,9 +243,10 @@ def mean_error_step(
     """Propagate per-node mean errors through one filter-plus-diffusion round.
 
     ``prev_means`` maps node→AugmentedVector of the post-diffusion mean error
-    at the previous tick; ``diag`` is the current tick's filter diagnostics
-    for one seed, stacked over the nodes of ``state``.  Noises are zero-mean,
-    so only the homogeneous term of the :func:`mse_step` map survives.
+    at the previous tick; ``diag`` is the current tick's filter diagnostics,
+    stacked over the nodes of ``state`` (of a seed batch, row 0 is read).
+    Noises are zero-mean, so only the homogeneous term of the
+    :func:`mse_step` map survives.
     """
     g, _, _ = _aggregation_map(state, diag)
     e = np.concatenate([prev_means[n].materialize() for n in state.node_ids])
@@ -246,10 +258,10 @@ def mean_error_step(
 def mse_step(state: NetworkErrorState, diag: StepDiagnostics) -> NetworkErrorState:
     """One step of the stacked error-covariance recursion.
 
-    ``diag`` is the current tick's filter diagnostics for one seed, stacked
-    over the nodes of ``state``.  Returns the next state; its ``V`` holds the
-    aggregator cross-covariances of this step and its ``E`` the
-    post-diffusion node errors.
+    ``diag`` is the current tick's filter diagnostics, stacked over the
+    nodes of ``state`` (of a seed batch, row 0 is read).  Returns the next
+    state; its ``V`` holds the aggregator cross-covariances of this step and
+    its ``E`` the post-diffusion node errors.
     """
     g, f, k = _aggregation_map(state, diag)
     n_nodes, n_aggs, d = len(state.node_ids), len(state.aggregator_ids), state.block_dim

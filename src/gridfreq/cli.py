@@ -27,7 +27,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -549,23 +549,29 @@ def _mc_table(name: str, t_s, f_true, f_hat) -> tuple:
 
 
 def _run_single(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
+    """Row 0 of the one filter batch is the detailed run at ``seed``; with
+    ``n_seeds`` > 1 the Monte-Carlo rows at ``[seed, i]`` follow it."""
     model = _single_model(plan)
     f_true = plan.scenario.true_freq()
-    vabc = generate_arrays(plan.scenario, seed=seed, snr_db=plan.snr_db)
-    _, v = clarke_arrays(vabc)
-    trace = run_filter(model, v, plan.sample_rate_hz, f_true=f_true, detail=True).trace()
+    mc_seeds = [[seed, i] for i in range(n_seeds)] if n_seeds > 1 else []
+    rows = [
+        clarke_arrays(generate_arrays(plan.scenario, seed=s, snr_db=plan.snr_db))[1]
+        for s in [seed, *mc_seeds]
+    ]
+    try:
+        run = run_filter(model, np.stack(rows), plan.sample_rate_hz, f_true=f_true, detail=1)
+    except FilterDegenerateError as exc:
+        r = exc.row[0]
+        who = f"seed {seed}" if r == 0 else f"Monte-Carlo seed {mc_seeds[r - 1]}"
+        raise FilterDegenerateError(f"tick {exc.tick}: {who}: {exc.__cause__}") from exc
+    trace = run.trace()
 
     tables = [_trace_table("trace.csv", trace)]
     if plan.spectrum_window_s is not None:
         spectrum = error_spectrum(trace, _ticks(plan.spectrum_window_s, plan.sample_rate_hz))
         tables.append(("spectrum.csv", ["freq_hz", "power"], [spectrum.freq_hz, spectrum.power]))
-    if n_seeds > 1:
-        rows = []
-        for i in range(n_seeds):
-            vabc_i = generate_arrays(plan.scenario, seed=[seed, i], snr_db=plan.snr_db)
-            rows.append(clarke_arrays(vabc_i)[1])
-        mc = run_filter(model, np.stack(rows), plan.sample_rate_hz)
-        tables.append(_mc_table("mc_trace.csv", trace.t_s, f_true, mc.f_hat_hz))
+    if mc_seeds:
+        tables.append(_mc_table("mc_trace.csv", trace.t_s, f_true, run.f_hat_hz[1:]))
     return tables
 
 
@@ -578,18 +584,17 @@ def _theory_columns(errors: NetworkErrorState) -> tuple:
 
 
 def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
+    """Row 0 of the one network batch is the detailed run at ``seed``, which
+    the traces, messages and theory read; with ``n_seeds`` > 1 the
+    Monte-Carlo rows at ``seed + i`` follow it, ``seed`` itself included."""
     per_node = {
         n: plan.node_scenarios.get(n, plan.scenario) for n in plan.topology.node_ids
     }
-    options = dict(
-        snr_db=plan.snr_db,
-        mode=plan.estimator,
-        diffusion=plan.diffusion,
-        assignment=plan.assignment,
-        weights=plan.weights,
-    )
+    mc_seeds = [seed + i for i in range(n_seeds)] if n_seeds > 1 else []
     run = run_distributed(
-        plan.topology, per_node, [seed], theory=plan.mse_theory, detail=True, **options
+        plan.topology, per_node, [seed, *mc_seeds], snr_db=plan.snr_db, mode=plan.estimator,
+        diffusion=plan.diffusion, assignment=plan.assignment, weights=plan.weights,
+        theory=plan.mse_theory, detail=1,
     )
 
     tables = [_trace_table(f"node_{n}_trace.csv", run.trace(n)) for n in run.node_ids]
@@ -601,10 +606,8 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
         ))
 
     mc = run
-    if n_seeds > 1:
-        mc = run_distributed(
-            plan.topology, per_node, [seed + i for i in range(n_seeds)], **options
-        )
+    if mc_seeds:
+        mc = replace(run, f_hat_hz=run.f_hat_hz[1:])
         for j, n in enumerate(mc.node_ids):
             tables.append(
                 _mc_table(f"mc_node_{n}.csv", mc.t_s, mc.f_true_hz[j], mc.f_hat_hz[:, j])

@@ -71,7 +71,9 @@ _CU_VOLTAGE = 1e-4
 class FilterDegenerateError(RuntimeError):
     """Innovation covariance became numerically singular.
 
-    Raised by ``_step`` with ``row``, the first degenerate batch index in C order.
+    Raised by ``_step`` with ``row``, the first degenerate batch index in C
+    order.  :func:`run_filter` raises it again with ``tick`` and ``row`` set
+    and the step's error as its cause.
     """
 
 
@@ -452,7 +454,8 @@ def with_sequence_observation(model: StateSpaceModel, v_plus, v_minus) -> StateS
 class FreqTrace:
     """The per-tick outputs of one filter row; index 0 reflects the initial state.
 
-    ``innovation_power`` and ``states`` are None unless the run kept detail.
+    ``innovation_power`` and ``states`` are None unless the run kept detail
+    for the row.
     """
 
     k: np.ndarray
@@ -469,7 +472,8 @@ class FilterRun:
     """What :func:`run_filter` produced: arrays shaped (seeds, ticks).
 
     ``innovation_power`` and the posterior top halves ``states`` (one more
-    axis, of the state entries) are kept only with ``detail``, else None.
+    axis, of the state entries) hold only the leading ``detail`` seed rows,
+    and are None without detail.
     """
 
     t_s: np.ndarray
@@ -480,7 +484,8 @@ class FilterRun:
     states: np.ndarray | None = None
 
     def _view(self, index: tuple, f_true) -> FreqTrace:
-        detail = self.states is not None
+        row = range(self.f_hat_hz.shape[0])[index[0]]
+        detail = self.states is not None and row < self.states.shape[0]
         return FreqTrace(
             k=np.arange(self.t_s.size),
             t_s=self.t_s,
@@ -492,7 +497,7 @@ class FilterRun:
         )
 
     def trace(self, row: int = 0) -> FreqTrace:
-        """The view of one seed row."""
+        """The view of one seed row; a row without detail has no states."""
         return self._view((row,), self.f_true_hz)
 
 
@@ -502,7 +507,7 @@ def run_filter(
     sample_rate_hz: float,
     init: FilterState | None = None,
     f_true: np.ndarray | None = None,
-    detail: bool = False,
+    detail: int = 0,
 ) -> FilterRun:
     """Run a model over Clarke voltage series, every seed row in one batch.
 
@@ -510,7 +515,10 @@ def run_filter(
     evolves exactly as it would alone, and the result is shaped (seeds,
     ticks) either way.  Non-finite samples are rejected before any step.
     ``init`` is one state for every row or one per row; by default each row
-    starts from its first sample.
+    starts from its first sample.  ``detail`` is the number of leading rows
+    whose states and innovation power are kept (``True`` is 1).  A
+    degenerate step raises :class:`FilterDegenerateError` naming the tick
+    and the row.
     """
     v = np.atleast_2d(np.asarray(samples, dtype=complex))
     if v.size == 0:
@@ -520,24 +528,27 @@ def run_filter(
         row, k = bad[0]
         raise ValueError(f"row {row}, tick {k}: non-finite sample {v[row, k]}")
     n_seeds, n_ticks = v.shape
+    kept = min(int(detail), n_seeds)
     state = model.initial_state(v[:, 0]) if init is None else init
     f_hat = np.empty((n_seeds, n_ticks))
     flags = np.zeros((n_seeds, n_ticks), dtype=int)
-    states = np.empty((n_seeds, n_ticks, state.x_hat.n), dtype=complex) if detail else None
-    innov = np.zeros((n_seeds, n_ticks)) if detail else None
+    states = np.empty((kept, n_ticks, state.x_hat.n), dtype=complex) if kept else None
+    innov = np.zeros((kept, n_ticks)) if kept else None
 
     f_hat[:, 0], flags[:, 0] = model.extract_freq(state.x_hat.top)
-    if detail:
-        states[:, 0] = state.x_hat.top
+    if kept:
+        states[:, 0] = np.atleast_2d(state.x_hat.top)[:kept]
     for k in range(1, n_ticks):
         try:
             state, diag = _step(model, state, AugmentedVector(v[:, k : k + 1]))
         except FilterDegenerateError as exc:
-            raise FilterDegenerateError(f"tick {k}: row {exc.row[0]}: {exc}") from exc
+            err = FilterDegenerateError(f"tick {k}: row {exc.row[0]}: {exc}")
+            err.tick, err.row = k, exc.row
+            raise err from exc
         f_hat[:, k], flags[:, k] = model.extract_freq(state.x_hat.top)
-        if detail:
-            states[:, k] = state.x_hat.top
-            innov[:, k] = np.abs(diag.innovation.top[..., 0]) ** 2
+        if kept:
+            states[:, k] = state.x_hat.top[:kept]
+            innov[:, k] = np.abs(diag.innovation.top[:kept, 0]) ** 2
     return FilterRun(
         t_s=np.arange(n_ticks) / sample_rate_hz,
         f_hat_hz=f_hat,

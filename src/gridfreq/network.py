@@ -416,7 +416,8 @@ class DistributedRun(FilterRun):
 
     ``f_true_hz`` is (nodes, ticks).  With ``detail``, ``local_states`` holds
     the output filter's posterior top halves before diffusion, shaped like
-    ``states``.  The final error state reads seed row 0.
+    ``states``: both keep the leading ``detail`` seed rows only.  The final
+    error state reads seed row 0.
     """
 
     topology: Topology
@@ -433,7 +434,7 @@ class DistributedRun(FilterRun):
         return self.topology.node_ids
 
     def trace(self, node, row: int = 0) -> FreqTrace:
-        """The view of one node at one seed row."""
+        """The view of one node at one seed row; a row without detail has no states."""
         j = self.node_ids.index(node)
         return self._view((row, j), self.f_true_hz[j])
 
@@ -491,7 +492,7 @@ def run_distributed(
     weights: DiffusionWeights | None = None,
     f_init_hz: float = 50.0,
     theory: bool = False,
-    detail: bool = False,
+    detail: int = 0,
     cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> DistributedRun:
     """Simulate the network over a batch of seeds, every node of every seed in one batch.
@@ -501,13 +502,14 @@ def run_distributed(
     comes from independent streams derived from (seed, node position), so a
     node's stream does not depend on which other nodes exist, and each seed
     row is exactly the run at that seed alone: paired comparisons across
-    modes can rely on common random numbers.  With ``detail`` the run keeps
-    the output filter's posterior top halves, before (``local_states``, from
-    which :meth:`DistributedRun.message_log` is expanded) and after the
-    diffusion (``states``), and its innovation power.  With ``theory`` (one seed only) the error
+    modes can rely on common random numbers.  ``detail`` is the number of
+    leading seed rows (``True`` is 1) for which the run keeps the output
+    filter's posterior top halves, before (``local_states``, from which
+    :meth:`DistributedRun.message_log` is expanded) and after the diffusion
+    (``states``), and its innovation power.  With ``theory`` the error
     recursions of :mod:`gridfreq.analysis` start from the output filter's
-    initial covariance, step every tick on that filter's diagnostics, and
-    the run returns their final state.
+    initial covariance, step every tick on that filter's diagnostics for
+    seed row 0, and the run returns their final state.
     """
     per_node = _resolve_scenarios(topology, scenarios)
     mixing = _mixing(topology, assignment, weights, diffusion)
@@ -516,8 +518,6 @@ def run_distributed(
     seeds = tuple(int(seed) for seed in seeds)
     if not seeds:
         raise DistributedConfigError("empty seed list")
-    if theory and len(seeds) > 1:
-        raise DistributedConfigError(f"theory needs exactly one seed, got {len(seeds)}")
     ids = topology.node_ids
     fs = per_node[ids[0]].sample_rate_hz
     n_ticks = per_node[ids[0]].n_samples
@@ -534,11 +534,12 @@ def run_distributed(
         shared = out = shared_model.initial_state(volts[0], f_init_hz=f_init_hz)
 
     shape = (len(seeds), len(ids), n_ticks)
+    kept = min(int(detail), len(seeds))
     f_hat = np.empty(shape)
     flags = np.zeros(shape, dtype=int)
-    states = np.empty(shape + (out.x_hat.n,), dtype=complex) if detail else None
-    local_states = np.empty_like(states) if detail else None
-    innov = np.zeros(shape) if detail else None
+    states = np.empty((kept,) + shape[1:] + (out.x_hat.n,), dtype=complex) if kept else None
+    local_states = np.empty_like(states) if kept else None
+    innov = np.zeros((kept,) + shape[1:]) if kept else None
 
     errors = None
     if theory:
@@ -548,8 +549,8 @@ def run_distributed(
         )
 
     f_hat[..., 0], flags[..., 0] = out_model.extract_freq(out.x_hat.top)
-    if detail:
-        states[:, :, 0] = local_states[:, :, 0] = out.x_hat.top
+    if kept:
+        states[:, :, 0] = local_states[:, :, 0] = out.x_hat.top[:kept]
     for k in range(1, n_ticks):
         y = AugmentedVector(volts[k][..., None])
         try:
@@ -562,10 +563,10 @@ def run_distributed(
             raise FilterDegenerateError(f"{where}: {exc}") from exc
         out = aux if shared is None else shared
         f_hat[..., k], flags[..., k] = out_model.extract_freq(out.x_hat.top)
-        if detail:
-            states[:, :, k] = out.x_hat.top
-            local_states[:, :, k] = local
-            innov[..., k] = np.abs(diag.innovation.top[..., 0]) ** 2
+        if kept:
+            states[:, :, k] = out.x_hat.top[:kept]
+            local_states[:, :, k] = local[:kept]
+            innov[..., k] = np.abs(diag.innovation.top[:kept, ..., 0]) ** 2
         if errors is not None:
             errors = mse_step(errors, diag)
 

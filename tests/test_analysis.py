@@ -135,7 +135,7 @@ class TestMeanErrorStep:
         scn = make_scenario(0.06)
         t3 = Topology((1, 2, 3), [(1, 2), (2, 3)])
         b3 = BridgeAssignment(t3, {2})
-        mc = run_distributed(t3, scn, range(500), snr_db=50.0, assignment=b3, detail=True)
+        mc = run_distributed(t3, scn, range(500), snr_db=50.0, assignment=b3, detail=500)
         err = mc.states[..., 0] - np.exp(2j * np.pi * 50.0 / FS)
         for k in range(1, 51):
             for j in range(3):
@@ -163,7 +163,7 @@ class TestMeanErrorStep:
 
         mc = run_distributed(
             t3, scn, range(500), snr_db=50.0, mode="distributed-acekf",
-            assignment=b3, f_init_hz=49.0, detail=True,
+            assignment=b3, f_init_hz=49.0, detail=500,
         )
         err = mc.states[..., 0] - x_true
         for k in range(1, 51):

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfreq.cli
+import gridfreq.estimators
+import gridfreq.network
+from gridfreq.augmented import AugmentedMatrix
 from gridfreq.cli import MAX_SAMPLES, ConfigError, build_plan, load_config, main, validate_config
-from gridfreq.estimators import FilterDegenerateError
+from gridfreq.estimators import FilterDegenerateError, FilterState
 
 QUICK_SINGLE = """
 name: quick_single
@@ -303,6 +306,62 @@ spectrum:
         rows = read_rows(out / "mc_node_2.csv")
         assert float(rows[-1]["f_true_hz"]) == 50.0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            QUICK_SINGLE,
+            QUICK_NOISY.replace("0.3", "0.6") + "spectrum: {window_s: [0.05, 0.57]}\n",
+            QUICK_NETWORK,
+        ],
+        ids=["lss", "nss-spectrum", "dfe-theory"],
+    )
+    def test_monte_carlo_rows_leave_the_detailed_run_as_it_was(self, tmp_path, text):
+        # the detailed outputs of --seeds 3 are byte for byte those of --seeds 1
+        cfg = write_config(tmp_path, text)
+        one, three = tmp_path / "one", tmp_path / "three"
+        assert main(["run", cfg, "--seed", "4", "--out-dir", str(one)]) == 0
+        assert main(["run", cfg, "--seed", "4", "--seeds", "3", "--out-dir", str(three)]) == 0
+        detail = [
+            f.name for f in one.iterdir()
+            if f.name.endswith("trace.csv") or f.name in ("spectrum.csv", "messages.csv")
+        ]
+        assert len(detail) == 1 + ("spectrum" in text) + 3 * ("topology" in text)
+        for name in detail:
+            assert (one / name).read_bytes() == (three / name).read_bytes(), name
+        if "mse" in text:
+            cells = [
+                [(r["theoretical_trace"], r["bound_ok"]) for r in read_rows(d / "mse_report.csv")]
+                for d in (one, three)
+            ]
+            assert cells[0] == cells[1]
+
+    @pytest.mark.parametrize(
+        "text, filters", [(QUICK_NOISY, 1), (QUICK_NETWORK, 2)], ids=["nss", "dfe"]
+    )
+    def test_monte_carlo_run_is_one_driver_call(self, tmp_path, monkeypatch, text, filters):
+        # --seeds 3 makes one filter batch of 1 + 3 rows: one step per filter and tick
+        single = "topology" not in text
+        driver = "run_filter" if single else "run_distributed"
+        stepper = gridfreq.estimators if single else gridfreq.network
+        drivers, steps = [], []
+
+        def logged(fn, log):
+            def call(*args, **kwargs):
+                log.append(args)
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(gridfreq.cli, driver, logged(getattr(gridfreq.cli, driver), drivers))
+        monkeypatch.setattr(stepper, "_step", logged(stepper._step, steps))
+        cfg = write_config(tmp_path, text)
+        assert main(["run", cfg, "--seeds", "3", "--out-dir", str(tmp_path / "out")]) == 0
+        ticks = build_plan(yaml.safe_load(text)).scenario.n_samples
+        assert len(drivers) == 1
+        assert len(steps) == (ticks - 1) * filters
+        batch = {state.x_hat.top.shape[:-1] for _, state, *_ in steps}
+        assert batch == {(4,) if single else (4, 3)}
+
     def test_filter_override_changes_gains(self, tmp_path):
         loose = write_config(
             tmp_path,
@@ -514,17 +573,51 @@ class TestInputsCheckedBeforeRun:
         (out / "trace.csv").write_bytes(b"from an older run\r\n")
         (out / "manifest.json").write_text("{}\n")
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        real, calls = gridfreq.cli.run_filter, []
+        # the one filter batch fails, then the spectrum after the simulation
+        for name in ("run_filter", "error_spectrum"):
+            real = getattr(gridfreq.cli, name)
 
-        def second_call_fails(*args, **kwargs):
+            def fails(*args, real=real, **kwargs):
+                real(*args, **kwargs)
+                exc = FilterDegenerateError("tick 1: row 0: forced")
+                exc.tick, exc.row = 1, (0,)
+                raise exc
+
+            monkeypatch.setattr(gridfreq.cli, name, fails)
+            argv = ["run", "experiment1_sag_step", "--seeds", "2", "--out-dir", str(out)]
+            assert main(argv) == 3
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+            monkeypatch.setattr(gridfreq.cli, name, real)
+
+    def test_degenerate_monte_carlo_row_names_its_seed(self, tmp_path, capsys, monkeypatch):
+        # batch row 2 is Monte-Carlo seed [7, 1]: the message names the seed, not the row
+        real, calls = gridfreq.estimators._step, []
+
+        def step(model, state, y, *args):
             calls.append(None)
-            if len(calls) == 2:
-                raise FilterDegenerateError("tick 1: forced")
-            return real(*args, **kwargs)
+            if len(calls) == 3:
+                m11 = state.M.block11.copy()
+                m11[2] = np.nan
+                state = FilterState(state.x_hat, AugmentedMatrix(m11, state.M.block12))
+            return real(model, state, y, *args)
 
-        monkeypatch.setattr(gridfreq.cli, "run_filter", second_call_fails)
-        assert main(["run", "experiment1_sag_step", "--seeds", "2", "--out-dir", str(out)]) == 3
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        monkeypatch.setattr(gridfreq.estimators, "_step", step)
+        cfg = write_config(tmp_path, QUICK_NOISY)
+        out = tmp_path / "out"
+        with np.errstate(invalid="ignore"):
+            assert main(["run", cfg, "--seed", "7", "--seeds", "3", "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "filter degenerate: tick 3: Monte-Carlo seed [7, 1]: filter degenerate:"
+        )
+        assert not out.exists()
+        monkeypatch.setattr(gridfreq.estimators, "_step", real)
+        cfg = write_config(
+            tmp_path, QUICK_SINGLE + "filter: {increment_process_noise: 1.0e+308}\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", cfg, "--seed", "7", "--seeds", "3", "--out-dir", str(out)]) == 3
+        assert "filter degenerate: tick 2: seed 7: filter degenerate:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, key, value, path",

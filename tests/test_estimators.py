@@ -457,11 +457,35 @@ class TestBatchRunner:
         scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.1)
         series = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in seeds])
         model = factory(FS, snr_db=30.0)
-        batch = run_filter(model, series, FS, detail=True)
+        batch = run_filter(model, series, FS, detail=len(seeds))
         for i in range(len(seeds)):
             alone = run_filter(model, series[i], FS, detail=True)
             for field in ("f_hat_hz", "flags", "states", "innovation_power"):
                 np.testing.assert_array_equal(getattr(batch, field)[i], getattr(alone, field)[0])
+
+    def test_detail_keeps_the_leading_rows(self):
+        # detail=1 keeps row 0's states; the other rows' traces carry f_hat and flags only
+        scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.05)
+        series = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in (4, 5, 6)])
+        model = nss_model(FS, snr_db=30.0)
+        run = run_filter(model, series, FS, f_true=scn.true_freq(), detail=1)
+        full = run_filter(model, series, FS, detail=3)
+        assert run.states.shape == (1, scn.n_samples, 3)
+        assert run.innovation_power.shape == (1, scn.n_samples)
+        np.testing.assert_array_equal(run.trace(0).states, full.trace(0).states)
+        np.testing.assert_array_equal(
+            run.trace(0).innovation_power, full.trace(0).innovation_power
+        )
+        for row in (1, 2, -1):
+            tr = run.trace(row)
+            assert tr.states is None and tr.innovation_power is None
+            np.testing.assert_array_equal(tr.f_hat_hz, full.f_hat_hz[row])
+            np.testing.assert_array_equal(tr.flags, full.flags[row])
+            np.testing.assert_array_equal(tr.f_true_hz, scn.true_freq())
+        with pytest.raises(IndexError):
+            run.trace(3)
+        assert run_filter(model, series, FS, detail=True).states.shape[0] == 1
+        assert run_filter(model, series, FS).states is None
 
 
 class TestSharedIncrementModel:

@@ -402,7 +402,7 @@ class TestDistributedRuns:
         t, b = reference_network()
         scn = sag_scenario(duration=0.05)
         kw = dict(snr_db=30.0, mode=mode, diffusion=diffusion, assignment=b)
-        mc = run_distributed(t, scn, seeds, detail=True, **kw)
+        mc = run_distributed(t, scn, seeds, detail=len(seeds), **kw)
         for row, seed in enumerate(seeds):
             single = run_distributed(t, scn, [seed], detail=True, **kw)
             for col, n in enumerate(t.node_ids):
@@ -480,7 +480,7 @@ class TestDistributedRuns:
         t, b = reference_network()
         run = run_distributed(
             t, sag_scenario(duration=0.05), [3, 4], snr_db=30.0, mode=mode,
-            diffusion=diffusion, assignment=b, detail=True,
+            diffusion=diffusion, assignment=b, detail=2,
         )
         assert run.local_states.shape == run.states.shape
         matrix = _mixing(t, run.assignment, run.weights, diffusion).matrix
@@ -490,6 +490,35 @@ class TestDistributedRuns:
         for k in range(1, run.t_s.size):
             mixed = matrix @ run.local_states[:, :, k]
             np.testing.assert_allclose(mixed, run.states[:, :, k], rtol=0, atol=1e-14)
+
+    def test_detail_keeps_the_leading_rows(self):
+        # detail=1 keeps seed row 0; the other rows' traces carry f_hat and flags only
+        t, b = reference_network()
+        scn = sag_scenario(duration=0.05)
+        run = run_distributed(t, scn, [3, 4, 5], snr_db=30.0, assignment=b, detail=1)
+        full = run_distributed(t, scn, [3, 4, 5], snr_db=30.0, assignment=b, detail=3)
+        for name in ("states", "local_states", "innovation_power"):
+            assert getattr(run, name).shape[0] == 1
+            np.testing.assert_array_equal(getattr(run, name)[0], getattr(full, name)[0])
+        for n in t.node_ids:
+            np.testing.assert_array_equal(run.trace(n).states, full.trace(n).states)
+            for row in (1, 2):
+                tr = run.trace(n, row)
+                assert tr.states is None and tr.innovation_power is None
+                np.testing.assert_array_equal(tr.f_hat_hz, full.trace(n, row).f_hat_hz)
+                np.testing.assert_array_equal(tr.flags, full.trace(n, row).flags)
+        for got, want in zip(run.message_log(), full.message_log()):
+            np.testing.assert_array_equal(got, want)
+
+    def test_theory_reads_seed_row_0(self):
+        # the error recursion of a seed batch is the one of its first seed alone
+        t, b = reference_network()
+        scn = sag_scenario(duration=0.05)
+        kw = dict(snr_db=30.0, assignment=b, theory=True)
+        alone = run_distributed(t, scn, [9], **kw).error_state
+        batch = run_distributed(t, scn, [9, 10, 11], **kw).error_state
+        np.testing.assert_array_equal(batch.E, alone.E)
+        np.testing.assert_array_equal(batch.V, alone.V)
 
     def test_innovation_power_positive_under_noise(self):
         t, b = reference_network()
@@ -611,11 +640,6 @@ class TestConfigErrors:
         t, b = reference_network()
         with pytest.raises(DistributedConfigError, match="empty"):
             run_distributed(t, make_scenario(), [], assignment=b)
-
-    def test_theory_needs_one_seed(self):
-        t, b = reference_network()
-        with pytest.raises(DistributedConfigError, match="theory needs exactly one seed, got 2"):
-            run_distributed(t, make_scenario(), [0, 1], assignment=b, theory=True)
 
     def test_degenerate_filter_names_tick_node_and_seed(self):
         t, _ = reference_network()
