@@ -206,30 +206,40 @@ def _hconj(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2).conj()
 
 
-def _first_blocks(m: AugmentedMatrix, n: int) -> np.ndarray:
-    """The first ``n`` matrices of a batch in C order, materialized as (<= n, r, c).
-
-    For diagnostics shaped (seeds, nodes, ...) that is seed row 0; a matrix
-    without batch axes stays one matrix.
-    """
-    b11, b12 = (b.reshape((-1,) + b.shape[-2:])[:n] for b in (m.block11, m.block12))
-    return AugmentedMatrix._of(b11, b12).materialize()
+def _seed_row0(a, n_nodes: int):
+    """Seed row 0 of a batch value shaped (seeds, nodes): its first ``n_nodes``
+    entries in C order.  A scalar stays a scalar."""
+    return a.reshape(-1)[:n_nodes] if isinstance(a, np.ndarray) else a
 
 
 def _aggregation_map(state: NetworkErrorState, diag: StepDiagnostics):
     """One tick's aggregation map beta·F A over the stacked node errors.
 
     Returns the (aggregators·d, nodes·d) map plus the per-node correction
-    maps F = I - K H and gains K, materialized and stacked over nodes.  Only
-    the first ``nodes`` blocks of the diagnostics (seed row 0 of a batch)
-    are read.
+    maps F = I - K H and gains K, stacked over nodes.  Only seed row 0 of
+    the diagnostics is read.  K is built from its block pair and H from its
+    terms; F A sums F's columns over A's terms (for the identity, F A = F).
     """
     n_nodes, d = len(state.node_ids), state.block_dim
-    k, h, a = (_first_blocks(m, n_nodes) for m in (diag.gain, diag.H, diag.A))
-    if a.shape[-1] != d:
-        raise AnalysisError(f"diagnostics carry {a.shape[-1]}-dim states, expected {d}")
+    n = diag.gain.block11.shape[-2]
+    k11, k12 = (b.reshape(-1, n)[:n_nodes] for b in (diag.gain.block11, diag.gain.block12))
+    if 2 * n != d:
+        raise AnalysisError(f"diagnostics carry {2 * n}-dim states, expected {d}")
+    # K = [[k11, k12], [conj(k12), conj(k11)]]; H's second row is conj(h) with its halves swapped
+    k = np.empty((n_nodes, d, 2), dtype=complex)
+    k[:, :n, 0], k[:, n:, 0], k[:, :n, 1], k[:, n:, 1] = k11, np.conj(k12), k12, np.conj(k11)
+    h = np.zeros((n_nodes, 2, d), dtype=complex)
+    for c, v in diag.H:
+        v = _seed_row0(v, n_nodes)
+        h[:, 0, c] += v
+        h[:, 1, (c + n) % d] += np.conj(v)
     f = np.eye(d) - k @ h
-    phi = np.broadcast_to(f @ a, (n_nodes, d, d))
+    # F A_full: A_full[r, c] = v and A_full[n + r, c -/+ n] = conj(v) for each term (r, c, v)
+    phi = np.zeros_like(f)
+    for r, c, v in diag.A:
+        v = np.reshape(_seed_row0(v, n_nodes), (-1, 1))
+        phi[..., c] += f[..., r] * v
+        phi[..., (c + n) % d] += f[..., n + r] * np.conj(v)
     # row (y, i), column (m, j): beta[y, m] (F A)_m[i, j]
     g = state.beta[:, None, :, None] * phi.swapaxes(0, 1)[None]
     return g.reshape(len(state.aggregator_ids) * d, n_nodes * d), f, k

@@ -10,8 +10,9 @@ vector inherits a block structure
      [conj(B12), conj(B11)]]
 
 and this module provides the two container types.  Only the top halves are
-stored, so the structure holds by construction; the products, sums and
-conjugate transposes of :class:`AugmentedMatrix` work on the blocks alone.
+stored, so the structure holds by construction.  The filter step works on
+the blocks directly; ``materialize`` builds the full matrix for the theory
+and for dense reference checks.
 """
 
 from __future__ import annotations
@@ -97,27 +98,3 @@ class AugmentedMatrix:
         np.conj(self.block12, out=out[..., r:, :c])
         np.conj(self.block11, out=out[..., r:, c:])
         return out
-
-    @property
-    def H(self) -> "AugmentedMatrix":
-        """Conjugate transpose; it keeps the augmented structure."""
-        return AugmentedMatrix._of(
-            np.conj(np.swapaxes(self.block11, -1, -2)), np.swapaxes(self.block12, -1, -2)
-        )
-
-    def __add__(self, other: "AugmentedMatrix") -> "AugmentedMatrix":
-        return AugmentedMatrix._of(self.block11 + other.block11, self.block12 + other.block12)
-
-    def __sub__(self, other: "AugmentedMatrix") -> "AugmentedMatrix":
-        return AugmentedMatrix._of(self.block11 - other.block11, self.block12 - other.block12)
-
-    def __matmul__(self, other):
-        if isinstance(other, AugmentedVector):
-            x = other.top[..., None]
-            top = (self.block11 @ x + self.block12 @ np.conj(x))[..., 0]
-            return AugmentedVector(top)
-        if isinstance(other, AugmentedMatrix):
-            b11 = self.block11 @ other.block11 + self.block12 @ np.conj(other.block12)
-            b12 = self.block11 @ other.block12 + self.block12 @ np.conj(other.block11)
-            return AugmentedMatrix._of(b11, b12)
-        return NotImplemented

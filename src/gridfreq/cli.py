@@ -27,6 +27,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -629,43 +630,50 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
 def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b"") -> list[Path]:
     """Simulate a plan, then write all outputs plus the manifest into out_dir.
 
-    Nothing is written before every output is computed.  If writing raises,
-    the directories this call created are removed again.
+    Nothing is written before every output is computed.  The files are
+    written into a sibling temporary directory and moved into out_dir only
+    once all of them are written; if writing raises, the temporary directory
+    and the directories this call created are removed again.
     """
     seed = plan.seed if seed is None else int(seed)
     simulate = _run_single if plan.estimator in _SINGLE_FACTORIES else _run_network
     tables = simulate(plan, seed, n_seeds)
     out = Path(out_dir)
     created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
-    out.mkdir(parents=True, exist_ok=True)
-    files = [out / name for name, _, _ in tables]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
+        files = [staging / name for name, _, _ in tables]
         for path, (_, header, columns) in zip(files, tables):
             _write_csv(path, header, columns)
+        manifest = {
+            "name": plan.name,
+            "estimator": plan.estimator,
+            "config_sha256": hashlib.sha256(raw).hexdigest(),
+            "seed": seed,
+            "n_seeds": int(n_seeds),
+            "versions": {
+                "gridfreq": _package_version(),
+                "numpy": np.__version__,
+                "pyyaml": yaml.__version__,
+            },
+            "files": [
+                {"name": f.name, "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
+                for f in sorted(files)
+            ],
+        }
+        files.append(staging / "manifest.json")
+        files[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        out.mkdir(exist_ok=True)
+        for f in files:
+            os.replace(f, out / f.name)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         raise
-
-    manifest = {
-        "name": plan.name,
-        "estimator": plan.estimator,
-        "config_sha256": hashlib.sha256(raw).hexdigest(),
-        "seed": seed,
-        "n_seeds": int(n_seeds),
-        "versions": {
-            "gridfreq": _package_version(),
-            "numpy": np.__version__,
-            "pyyaml": yaml.__version__,
-        },
-        "files": [
-            {"name": f.name, "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
-            for f in sorted(files)
-        ],
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return files + [manifest_path]
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return [out / f.name for f in files]
 
 
 def _package_version() -> str:

@@ -12,31 +12,33 @@ Three single-node state-space models share one filter engine:
 
 All models run through one engine step, ``_step``, which performs one
 predict/correct cycle on the augmented state [x; conj(x)].  The state is held
-as its top half x, and every covariance, Jacobian and gain as the block pair
-of an :class:`AugmentedMatrix`, so the conjugate block structure holds by
-construction.  States, covariances and observations may carry leading batch
+as its top half x and every covariance and gain as the block pair of an
+:class:`AugmentedMatrix`, so the conjugate block structure holds by
+construction.  A model declares its Jacobian ``[A11 A12]`` and its one
+observation row as their nonzero *terms*, ``(row, augmented column, value)``
+and ``(augmented column, value)``, where a value is a Python scalar or a
+batch array.  States, covariances and observations may carry leading batch
 dimensions, which is how :func:`run_filter` steps every seed at once.
 
-Inside the step the blocks are plain arrays.  numpy's stacked complex ``@``
-pays a fixed cost per small matrix in the batch, about the same for a 3 x 6
-by 6 x 6 product as for a 3 x 3 one, while an elementwise operation costs
-little more for a whole batch than for one row.  So the prior takes two
-products of full augmented matrices, ``[A11 A12] @ M_full @ A_full^H``,
-instead of eight block products, and everything that involves the single
-observation row ``[h11 h12]`` (``H P``, ``S``, the gain, the innovation and
-``K H P``) is written as sums of products and outer products along it.  The
-step is not rewritten as a real 2n x 2n filter on [Re x; Im x]: that form
-loses the exact zeros of the structure (the ``lss`` pseudo-covariance drifts
-to ~1e-20 instead of staying 0, and an exactly conditioned ``S`` comes out
-one ulp off).
+Inside the step the blocks are plain arrays, and every product is a sum over
+terms of elementwise operations on the batch: numpy's stacked complex ``@``
+pays a fixed cost per small matrix in the batch, while an elementwise
+operation costs little more for a whole batch than for one row.  The
+``nss`` Jacobian has 5 nonzeros out of 18 and the shared-increment model's
+is the identity, so the prior ``A M A^H`` costs a handful of row
+combinations, and everything that involves the observation (``H P``,
+``S``, the gain, the innovation and ``K H P``) is sums and outer products
+along it.  The step is not rewritten as a real 2n x 2n filter on
+[Re x; Im x]: that form loses the exact zeros of the structure (the ``lss``
+pseudo-covariance drifts to ~1e-20 instead of staying 0, and an exactly
+conditioned ``S`` comes out one ulp off).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,87 +92,124 @@ class StateSpaceModel:
     """Bundle of model functions consumed by the engine step ``_step``.
 
     The functions take top halves x of shape (..., n).  ``f_a`` returns the
-    predicted top half.  ``jacobian_A`` returns the Wirtinger derivatives of
-    ``f_a`` as the block pair (df/dx, df/dconj(x)).  ``observe_H`` maps a
-    state to its one complex observation as 1 x n blocks (None until
-    :func:`with_sequence_observation` binds one).  ``extract_freq`` reads the
+    predicted top half.  ``jacobian_A`` returns the nonzero entries of the
+    Wirtinger derivatives ``[df/dx  df/dconj(x)]``, an n x 2n row of blocks,
+    as ``(row, augmented column, value)`` terms.  ``observe_H`` is the one
+    complex observation as ``(augmented column, value)`` terms, or None for
+    a model whose row is passed to ``_step`` every tick.  A value is a
+    Python scalar or an array of the batch shape; an augmented column c < n
+    reads x[c], and c >= n reads conj(x[c - n]).  ``extract_freq`` reads the
     frequency and flags off a top half.
     """
 
     name: str
     f_a: Callable[[np.ndarray], np.ndarray]
-    jacobian_A: Callable[[np.ndarray], AugmentedMatrix]
-    observe_H: AugmentedMatrix | None
+    jacobian_A: Callable[[np.ndarray], tuple]
+    observe_H: tuple | None
     extract_freq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     Cu: AugmentedMatrix
     Cn: AugmentedMatrix
     initial_state: Callable[..., FilterState]
 
 
-@dataclass
-class StepDiagnostics:
-    """Per-step internals recorded for diffusion analysis."""
+class StepDiagnostics(NamedTuple):
+    """Per-step internals recorded for diffusion analysis; ``H`` and ``A`` are terms."""
 
     innovation: AugmentedVector
-    H: AugmentedMatrix
+    H: tuple
     gain: AugmentedMatrix
     M_prior: AugmentedMatrix
     M_post: AugmentedMatrix
-    A: AugmentedMatrix
+    A: tuple
 
 
-@functools.lru_cache(maxsize=None)
-def _swap(n: int) -> np.ndarray:
-    """Index that swaps the halves of an augmented row: [a, b] -> [b, a]."""
-    index = np.r_[n : 2 * n, 0:n]
-    index.flags.writeable = False  # shared by every caller
-    return index
+def _conj_swapped(a: np.ndarray, n: int) -> np.ndarray:
+    """conj(a) with the two halves of its last axis swapped: [u, w] -> [conj(w), conj(u)]."""
+    return np.conj(a.reshape(a.shape[:-1] + (2, n))[..., ::-1, :]).reshape(a.shape)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of products over the last axis, broadcasting the leading ones."""
-    return np.einsum("...i,...i->...", a, b)
+def _scaled(part: np.ndarray, v) -> np.ndarray:
+    """``part * v``; a unit scalar skips the product."""
+    return part * v if isinstance(v, np.ndarray) or v != 1 else part
+
+
+def _row_sums(a: tuple, row: Callable, out: np.ndarray) -> np.ndarray:
+    """Fill row r of ``out`` with the sum of ``v * row(c)`` over the terms ``(r, c, v)``.
+
+    A row without terms is 0.
+    """
+    done = set()
+    for r, c, v in a:
+        part = _scaled(row(c), v[..., None] if isinstance(v, np.ndarray) else v)
+        if r in done:
+            out[..., r, :] += part
+        else:
+            out[..., r, :] = part
+            done.add(r)
+    if len(done) < out.shape[-2]:
+        out[..., [r for r in range(out.shape[-2]) if r not in done], :] = 0
+    return out
 
 
 def _step(
     model: StateSpaceModel,
     state: FilterState,
     y: AugmentedVector,
+    h: tuple | None = None,
     cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> tuple[FilterState, StepDiagnostics]:
     """One predict/correct cycle; returns the new state plus diagnostics.
 
-    The prior's top block row ``[P11 P12]`` is two products of full
-    augmented matrices, ``[A11 A12] @ M_full @ A_full^H``; the remaining
-    stacked matmuls would each cost per batch row, so there are no others.
-    The observation is one augmented row ``[h11 h12]`` (a constant selector,
-    the batch-bound ``(v+, v-)`` of the shared model, or any 1 x n pair), so
-    ``H P``, ``S``, the gain ``K``, the innovation and ``K H P`` are sums of
-    products and outer products along that row.  ``S`` is the 2 x 2
-    ``[[s11, s12], [conj(s12), s11]]``, inverted in closed form.  ``M_post``
-    is symmetrised (Hermitian block11, symmetric block12) to repair rounding.
+    ``h`` is the observation row as ``(augmented column, value)`` terms; it
+    defaults to the model's own.  The prior's top block row
+    ``[P11 P12] = [A11 A12] M_full A_full^H`` is built from the Jacobian
+    terms on ``M``'s blocks, with no product of full matrices: row r of
+    ``B = [A11 A12] M_full`` sums v times row c of ``M_full`` over the terms
+    ``(r, c, v)``, and row r of ``[P11 P12]`` sums v times row c of
+    ``[conj(B)^T  B_swapped^T]`` over the same terms (``P11`` is Hermitian
+    and ``P12`` symmetric, so their rows are ``A``'s combinations of ``B``'s
+    columns).  A zero of the Jacobian costs nothing, and a unit entry no
+    product.  ``H P``, ``S``, the gain ``K`` and the innovation are sums over
+    the observation terms, and ``K H P`` is two outer products.  ``S`` is
+    the 2 x 2 ``[[s11, s12], [conj(s12), s11]]``, inverted in closed form.
+    ``M_post`` is symmetrised (Hermitian block11, symmetric block12) in one
+    fused expression to repair rounding.
     """
-    h = model.observe_H
-    if h is None:
-        raise RuntimeError(
-            f"model {model.name!r} needs an observation matrix; wrap it with"
-            " with_sequence_observation(model, v_plus, v_minus) first"
-        )
-    x = state.x_hat.top
+    h = model.observe_H if h is None else h
+    x, m = state.x_hat.top, state.M
     n = x.shape[-1]
-    swap = _swap(n)
+    batch = x.shape[:-1]
+    if m.block11.shape[:-2] != batch:
+        batch = np.broadcast_shapes(batch, m.block11.shape[:-2])
     x_pred = model.f_a(x)
     a = model.jacobian_A(x)
-    a_full = a.materialize()
-    p = a_full[..., :n, :] @ state.M.materialize() @ np.conj(np.swapaxes(a_full, -1, -2))
+
+    # row c >= n of M_full is row c - n of [m11 m12], conjugated with its halves swapped
+    m_top = np.concatenate([m.block11, m.block12], axis=-1)
+    b = _row_sums(
+        a, lambda c: m_top[..., c, :] if c < n else _conj_swapped(m_top[..., c - n, :], n),
+        np.empty(batch + (n, 2 * n), dtype=complex),
+    )
+    b_swapped = b.reshape(batch + (n, 2, n))[..., ::-1, :].reshape(b.shape)
+    b_cols = np.concatenate([np.conj(b).swapaxes(-1, -2), b_swapped.swapaxes(-1, -2)], axis=-1)
+    p = _row_sums(a, lambda c: b_cols[..., c, :], np.empty(batch + (n, 2 * n), dtype=complex))
     p += np.concatenate([model.Cu.block11, model.Cu.block12], axis=-1)
 
-    # H P = h_row @ P_full, whose bottom block row is conj(p) with its halves swapped
-    h_row = np.concatenate([h.block11, h.block12], axis=-1)[..., 0, :]
-    hp = np.einsum("...i,...ij->...j", h_row[..., :n], p)
-    hp += np.einsum("...i,...ij->...j", h_row[..., n:], np.conj(p))[..., swap]
-    s11 = _dot(hp, np.conj(h_row)).real + model.Cn.block11[..., 0, 0].real
-    s12 = _dot(hp, h_row[..., swap]) + model.Cn.block12[..., 0, 0]
+    # H P and H x: row c >= n of P_full is row c - n of [P11 P12], conjugated and swapped
+    hp = hx = None
+    for c, v in h:
+        if c < n:
+            row, xc = p[..., c, :], x_pred[..., c]
+        else:
+            row, xc = _conj_swapped(p[..., c - n, :], n), np.conj(x_pred[..., c - n])
+        row = _scaled(row, v[..., None] if isinstance(v, np.ndarray) else v)
+        hp, hx = (row, _scaled(xc, v)) if hp is None else (hp + row, hx + _scaled(xc, v))
+    # S = H P_full H^H + Cn: H's second row is conj(h) with its halves swapped
+    s11, s12 = model.Cn.block11[..., 0, 0], model.Cn.block12[..., 0, 0]
+    for c, v in h:
+        s11 = s11 + _scaled(hp[..., c], np.conj(v))
+        s12 = s12 + _scaled(hp[..., c + n if c < n else c - n], v)
+    s11 = s11.real
     # S has eigenvalues s11 -/+ |s12|
     abs12 = np.abs(s12)
     lo, hi = s11 - abs12, s11 + abs12
@@ -188,30 +227,27 @@ def _step(
     # S^-1 = [[s11, -s12], [-conj(s12), s11]] / (lo hi); two divisions keep
     # lo hi from overflowing at huge covariances.  K = (H P)^H S^-1.
     i11, i12 = (s11 / hi / lo)[..., None], (-s12 / hi / lo)[..., None]
-    hp11_c, hp12 = np.conj(hp[..., :n]), hp[..., n:]
+    hp_row2 = _conj_swapped(hp, n)  # (H P_full)'s second row
+    hp11_c, hp12 = hp_row2[..., n:], hp[..., n:]
     k11 = hp11_c * i11 + hp12 * np.conj(i12)
     k12 = hp11_c * i12 + hp12 * i11
-    innov = y.top[..., 0] - _dot(h_row, np.concatenate([x_pred, np.conj(x_pred)], axis=-1))
-    innov = innov[..., None]
+    innov = y.top - hx[..., None]
     x_post = x_pred + k11 * innov + k12 * np.conj(innov)
     k11, k12 = k11[..., :, None], k12[..., :, None]
-    m = p - k11 * hp[..., None, :]
-    m -= k12 * np.conj(hp[..., None, swap])
-    m11, m12 = m[..., :n], m[..., n:]
-    m11 = (m11 + np.conj(np.swapaxes(m11, -1, -2))) / 2.0
-    m12 = (m12 + np.swapaxes(m12, -1, -2)) / 2.0
+    post = p - k11 * hp[..., None, :]
+    post -= k12 * hp_row2[..., None, :]
+    # [m11 m12] + [m11^H m12^T]: transpose both blocks at once, then conjugate the first
+    t = post.reshape(post.shape[:-2] + (n, 2, n)).swapaxes(-1, -3).reshape(post.shape)
+    np.conj(t[..., :n], out=t[..., :n])
+    post += t
+    post *= 0.5
 
-    m_post = AugmentedMatrix._of(m11, m12)
-    new_state = FilterState(AugmentedVector(x_post), m_post)
-    diag = StepDiagnostics(
-        innovation=AugmentedVector(innov),
-        H=h,
-        gain=AugmentedMatrix._of(k11, k12),
-        M_prior=AugmentedMatrix._of(p[..., :n], p[..., n:]),
-        M_post=m_post,
-        A=a,
+    m_post = AugmentedMatrix._of(post[..., :n], post[..., n:])
+    diag = StepDiagnostics(  # innovation, H, gain, M_prior, M_post, A
+        AugmentedVector(innov), h, AugmentedMatrix._of(k11, k12),
+        AugmentedMatrix._of(p[..., :n], p[..., n:]), m_post, a,
     )
-    return new_state, diag
+    return FilterState(AugmentedVector(x_post), m_post), diag
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +280,6 @@ def _angle_freq(sample_rate_hz: float) -> Callable:
     return extract
 
 
-def _selector_H(n: int, cols: Sequence[int]) -> AugmentedMatrix:
-    """Observation of the sum of the top-half entries ``cols``."""
-    h = np.zeros((1, n))
-    h[0, list(cols)] = 1.0
-    return AugmentedMatrix(h, np.zeros_like(h))
-
-
-def _jacobian_blocks(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroed (df/dx, df/dconj(x)) blocks for a batch of top halves."""
-    a = np.zeros((2,) + x.shape[:-1] + (n, n), dtype=complex)
-    return a[0], a[1]
-
-
 def lss_model(
     sample_rate_hz: float,
     Cu: AugmentedMatrix | None = None,
@@ -274,12 +297,8 @@ def lss_model(
     def f_a(x: np.ndarray) -> np.ndarray:
         return np.stack([x[..., 0], x[..., 0] * x[..., 1]], axis=-1)
 
-    def jacobian(x: np.ndarray) -> AugmentedMatrix:
-        a11, a12 = _jacobian_blocks(x, 2)
-        a11[..., 0, 0] = 1.0
-        a11[..., 1, 0] = x[..., 1]
-        a11[..., 1, 1] = x[..., 0]
-        return AugmentedMatrix._of(a11, a12)
+    def jacobian(x: np.ndarray) -> tuple:
+        return (0, 0, 1.0), (1, 0, x[..., 1]), (1, 1, x[..., 0])
 
     extract = _angle_freq(sample_rate_hz)
 
@@ -292,7 +311,7 @@ def lss_model(
 
     return StateSpaceModel(
         name="lss", f_a=f_a, jacobian_A=jacobian,
-        observe_H=_selector_H(2, [1]), extract_freq=extract,
+        observe_H=((1, 1.0),), extract_freq=extract,
         Cu=cu, Cn=cn, initial_state=initial_state,
     )
 
@@ -318,14 +337,12 @@ def wlss_model(
         v = x[..., 2]
         return np.stack([x[..., 0], x[..., 1], x[..., 0] * v + x[..., 1] * np.conj(v)], axis=-1)
 
-    def jacobian(x: np.ndarray) -> AugmentedMatrix:
-        a11, a12 = _jacobian_blocks(x, 3)
-        a11[..., 0, 0] = a11[..., 1, 1] = 1.0
-        a11[..., 2, 0] = x[..., 2]
-        a11[..., 2, 1] = np.conj(x[..., 2])
-        a11[..., 2, 2] = x[..., 0]
-        a12[..., 2, 2] = x[..., 1]
-        return AugmentedMatrix._of(a11, a12)
+    def jacobian(x: np.ndarray) -> tuple:
+        v = x[..., 2]
+        return (
+            (0, 0, 1.0), (1, 1, 1.0), (2, 0, v), (2, 1, np.conj(v)),
+            (2, 2, x[..., 0]), (2, 5, x[..., 1]),
+        )
 
     def extract(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h_im = x[..., 0].imag
@@ -347,7 +364,7 @@ def wlss_model(
 
     return StateSpaceModel(
         name="wlss", f_a=f_a, jacobian_A=jacobian,
-        observe_H=_selector_H(3, [2]), extract_freq=extract,
+        observe_H=((2, 1.0),), extract_freq=extract,
         Cu=cu, Cn=cn, initial_state=initial_state,
     )
 
@@ -368,17 +385,15 @@ def nss_model(
     cu, cn = _noise_matrices([_CU_INCREMENT, _CU_VOLTAGE, _CU_VOLTAGE], Cu, Cn, snr_db)
 
     def f_a(x: np.ndarray) -> np.ndarray:
-        inc = x[..., 0]
-        return np.stack([inc, inc * x[..., 1], np.conj(inc) * x[..., 2]], axis=-1)
+        out, inc = np.empty_like(x), x[..., 0]
+        out[..., 0] = inc
+        np.multiply(inc, x[..., 1], out=out[..., 1])
+        np.multiply(np.conj(inc), x[..., 2], out=out[..., 2])
+        return out
 
-    def jacobian(x: np.ndarray) -> AugmentedMatrix:
-        a11, a12 = _jacobian_blocks(x, 3)
-        a11[..., 0, 0] = 1.0
-        a11[..., 1, 0] = x[..., 1]
-        a11[..., 1, 1] = x[..., 0]
-        a11[..., 2, 2] = np.conj(x[..., 0])
-        a12[..., 2, 0] = x[..., 2]
-        return AugmentedMatrix._of(a11, a12)
+    def jacobian(x: np.ndarray) -> tuple:
+        inc = x[..., 0]
+        return (0, 0, 1.0), (1, 0, x[..., 1]), (1, 1, inc), (2, 2, np.conj(inc)), (2, 3, x[..., 2])
 
     extract = _angle_freq(sample_rate_hz)
 
@@ -392,7 +407,7 @@ def nss_model(
 
     return StateSpaceModel(
         name="nss", f_a=f_a, jacobian_A=jacobian,
-        observe_H=_selector_H(3, [1, 2]), extract_freq=extract,
+        observe_H=((1, 1.0), (2, 1.0)), extract_freq=extract,
         Cu=cu, Cn=cn, initial_state=initial_state,
     )
 
@@ -405,19 +420,22 @@ def shared_increment_model(
 ) -> StateSpaceModel:
     """Two-dimensional model of the phase increment alone.
 
-    The observation matrix is rebuilt every tick from externally supplied
-    sequence-voltage estimates (see :func:`with_sequence_observation`); the
-    state evolution is the identity.  This is the model whose estimates the
-    diffusion protocol exchanges.
+    The state evolution is the identity.  The model has no observation row
+    of its own: every tick's ``_step`` gets ``((0, v+), (1, v-))``, built
+    from externally supplied sequence-voltage estimates, which maps the
+    increment x to v+ x + v- conj(x), the widely linear voltage relation
+    v_k = v+_{k-1} x + v-_{k-1} conj(x).  The estimates must therefore be
+    the sequence voltages from the tick *before* the observation being
+    processed.  This is the model whose estimates the diffusion protocol
+    exchanges.
     """
     cu, cn = _noise_matrices([_CU_INCREMENT], Cu, Cn, snr_db)
-    identity = AugmentedMatrix.eye(1)
 
     def f_a(x: np.ndarray) -> np.ndarray:
         return x
 
-    def jacobian(x: np.ndarray) -> AugmentedMatrix:
-        return identity
+    def jacobian(x: np.ndarray) -> tuple:
+        return ((0, 0, 1.0),)
 
     extract = _angle_freq(sample_rate_hz)
 
@@ -431,19 +449,6 @@ def shared_increment_model(
         observe_H=None, extract_freq=extract,
         Cu=cu, Cn=cn, initial_state=initial_state,
     )
-
-
-def with_sequence_observation(model: StateSpaceModel, v_plus, v_minus) -> StateSpaceModel:
-    """Bind per-tick sequence-voltage estimates into the shared model.
-
-    The bound observation maps the increment x to v+ x + v- conj(x), the
-    widely linear voltage relation v_k = v+_{k-1} x + v-_{k-1} conj(x); the
-    supplied estimates must therefore be the sequence voltages from the tick
-    *before* the observation being processed.
-    """
-    vp = np.asarray(v_plus, dtype=complex)[..., None, None]
-    vm = np.asarray(v_minus, dtype=complex)[..., None, None]
-    return replace(model, observe_H=AugmentedMatrix(vp, vm))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .estimators import (
     _step,
     nss_model,
     shared_increment_model,
-    with_sequence_observation,
 )
 from .signals import Scenario, clarke_arrays, generate_arrays
 
@@ -379,8 +378,8 @@ def _tick(
 
     The auxiliary ``nss`` trackers advance on the new observations ``y``.  In
     ``dfe`` mode the 2-dim shared filters (``shared``) are then corrected
-    using observation matrices built from the sequence-voltage estimates
-    standing *before* this tick.  Those are the values consistent with the
+    with the observation row ``((0, v+), (1, v-))`` of the sequence-voltage
+    estimates standing *before* this tick.  Those are the values consistent with the
     observation pairing v_k = v+_{k-1} x + v-_{k-1} conj(x); using the
     refreshed posteriors instead would make the observation explain itself
     and collapse the increment estimate toward 1.  The output filter's
@@ -396,11 +395,10 @@ def _tick(
     growing oscillation near 75 Hz).
     """
     v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
-    aux, diag = _step(aux_model, aux, y, cond_limit)
+    aux, diag = _step(aux_model, aux, y, cond_limit=cond_limit)
     out = aux
     if shared is not None:
-        observed = with_sequence_observation(shared_model, v_plus, v_minus)
-        out, diag = _step(observed, shared, y, cond_limit)
+        out, diag = _step(shared_model, shared, y, ((0, v_plus), (1, v_minus)), cond_limit)
     local = out.x_hat.top
     out = FilterState(AugmentedVector(_diffuse_all(local, mixing)), out.M)
     return (out, None, diag, local) if shared is None else (aux, out, diag, local)

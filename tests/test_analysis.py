@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+from dense_reference import jacobian
 
 from gridfreq.analysis import (
     AnalysisError,
@@ -101,11 +102,11 @@ def half_step_diag(n=1):
     ones, zeros = np.ones((1, n)), np.zeros((1, n))
     return StepDiagnostics(
         innovation=AugmentedVector(np.zeros(1)),
-        H=AugmentedMatrix(ones, zeros),
+        H=tuple((i, 1.0) for i in range(n)),
         gain=AugmentedMatrix(0.5 * ones.T, zeros.T),
         M_prior=AugmentedMatrix.eye(n),
         M_post=AugmentedMatrix.eye(n, 0.5),
-        A=AugmentedMatrix.eye(n),
+        A=tuple((i, i, 1.0) for i in range(n)),
     )
 
 
@@ -318,8 +319,9 @@ class TestStackedRecursionMatchesDenseReference:
             E = blockdiag(0.1 * np.eye(len(cu)), n)
             U, G = blockdiag(cu, n), blockdiag(cn, n)
             for k, (diag, state) in enumerate(theory_log, start=1):
-                fields = ("M_prior", "M_post", "A", "gain")
+                fields = ("M_prior", "M_post", "gain")
                 full = {f: getattr(diag, f).materialize() for f in fields}
+                full["A"] = jacobian(diag.A, diag.gain.block11.shape[-2])
                 recs = {
                     node: {f: m[0, j] if m.ndim > 2 else m for f, m in full.items()}
                     for j, node in enumerate(t.node_ids)

@@ -589,6 +589,30 @@ class TestInputsCheckedBeforeRun:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
             monkeypatch.setattr(gridfreq.cli, name, real)
 
+    def test_failed_write_leaves_an_existing_directory_as_it_was(self, tmp_path, monkeypatch):
+        # the writer raises after its first file: the old files stay byte for byte,
+        # no new file appears, and no temporary directory is left beside it
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace.csv").write_bytes(b"from an older run\r\n")
+        (out / "notes.txt").write_bytes(b"kept\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real, written = gridfreq.cli._write_csv, []
+
+        def write_once(path, *args):
+            if written:
+                raise OSError(28, "No space left on device")
+            real(path, *args)
+            written.append(path)
+
+        monkeypatch.setattr(gridfreq.cli, "_write_csv", write_once)
+        argv = ["run", "experiment1_sag_step", "--seeds", "2", "--out-dir", str(out)]
+        with pytest.raises(OSError, match="No space left"):
+            main(argv)
+        assert len(written) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
     def test_degenerate_monte_carlo_row_names_its_seed(self, tmp_path, capsys, monkeypatch):
         # batch row 2 is Monte-Carlo seed [7, 1]: the message names the seed, not the row
         real, calls = gridfreq.estimators._step, []

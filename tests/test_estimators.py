@@ -5,6 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from dense_reference import (
+    complex_normal,
+    hconj,
+    jacobian,
+    observation,
+    random_covariance,
+    term_rows,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +30,9 @@ from gridfreq.estimators import (
     nss_model,
     run_filter,
     shared_increment_model,
-    with_sequence_observation,
     wlss_model,
 )
+from gridfreq.network import reference_network, run_distributed
 from gridfreq.signals import (
     ConstantFreq,
     Scenario,
@@ -48,9 +56,9 @@ def clarke_series(scn, seed=None, snr_db=None):
     return clarke_arrays(generate_arrays(scn, seed=seed, snr_db=snr_db))[1]
 
 
-def step(model, state, y):
+def step(model, state, y, h=None):
     """One engine step on a bare complex observation."""
-    return _step(model, state, AugmentedVector(np.atleast_1d(y)))[0]
+    return _step(model, state, AugmentedVector(np.atleast_1d(y)), h)[0]
 
 
 def wirtinger_jacobian(f, x, eps=1e-7):
@@ -78,29 +86,26 @@ class TestJacobians:
         n = model.Cu.block11.shape[-1]
         for _ in range(5):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            analytic = model.jacobian_A(x)
+            analytic = term_rows(model.jacobian_A(x), n, 2 * n)
             d_x, d_conj = wirtinger_jacobian(model.f_a, x)
-            np.testing.assert_allclose(analytic.block11, d_x, rtol=1e-6, atol=1e-8)
-            np.testing.assert_allclose(analytic.block12, d_conj, rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(analytic[:, :n], d_x, rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(analytic[:, n:], d_conj, rtol=1e-6, atol=1e-8)
 
 
-def _hconj(a):
-    return np.conj(np.swapaxes(a, -1, -2))
-
-
-def dense_parts(model, state, y):
+def dense_parts(model, state, y, h=None):
     """The engine's algorithm written densely, on materialized 2n x 2n matrices.
 
     No block products, a generic matrix inverse, and both halves of the state
-    updated.  Returns every intermediate by name.
+    updated.  ``h`` is the observation row, by default the model's own.
+    Returns every intermediate by name.
     """
     n = state.x_hat.n
     x_pred = AugmentedVector(model.f_a(state.x_hat.top)).materialize()
-    a = model.jacobian_A(state.x_hat.top).materialize()
-    h = model.observe_H.materialize()
-    m_prior = a @ state.M.materialize() @ _hconj(a) + model.Cu.materialize()
-    s = h @ m_prior @ _hconj(h) + model.Cn.materialize()
-    gain = m_prior @ _hconj(h) @ np.linalg.inv(s)
+    a = jacobian(model.jacobian_A(state.x_hat.top), n)
+    h = observation(model.observe_H if h is None else h, n)
+    m_prior = a @ state.M.materialize() @ hconj(a) + model.Cu.materialize()
+    s = h @ m_prior @ hconj(h) + model.Cn.materialize()
+    gain = m_prior @ hconj(h) @ np.linalg.inv(s)
     h_x = (h @ x_pred[..., None])[..., 0]
     innov = y.materialize() - h_x
     correction = (gain @ innov[..., None])[..., 0]
@@ -111,7 +116,7 @@ def dense_parts(model, state, y):
     )
 
 
-def dense_step(model, state, y):
+def dense_step(model, state, y, h=None):
     """Reference step on materialized 2n x 2n matrices.
 
     Returns (x_post, M_post), the largest magnitude among the operands each
@@ -119,15 +124,11 @@ def dense_step(model, state, y):
     the largest condition number of S (the factor by which the gain
     amplifies them).
     """
-    d = dense_parts(model, state, y)
+    d = dense_parts(model, state, y, h)
     x_pred, correction, m_post = d["x_pred"], d["correction"], d["m_post"]
     scales = (max(np.max(np.abs(x_pred)), np.max(np.abs(correction))), np.max(np.abs(d["m_prior"])))
     cond = np.max(np.linalg.cond(d["s"]))
-    return x_pred + correction, (m_post + _hconj(m_post)) / 2, scales, cond
-
-
-def _complex_normal(rng, shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return x_pred + correction, (m_post + hconj(m_post)) / 2, scales, cond
 
 
 def _assert_close(got, want, scale, cond):
@@ -145,51 +146,79 @@ class TestBlockStepMatchesDense:
         batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
     )
     def test_random_structured_states(self, name, seed, batch):
-        rng = np.random.default_rng(seed)
-        if name == "shared_increment":
-            model = with_sequence_observation(
-                shared_increment_model(FS, snr_db=30.0),
-                _complex_normal(rng, batch),
-                _complex_normal(rng, batch),
-            )
-        else:
-            factory = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}[name]
-            model = factory(FS, snr_db=30.0)
-        n = model.Cu.block11.shape[-1]
-        # a Hermitian positive definite covariance with augmented structure
-        b = AugmentedMatrix(
-            _complex_normal(rng, batch + (n, n)), _complex_normal(rng, batch + (n, n))
-        )
-        m = b @ b.H + AugmentedMatrix.eye(n, 0.1)
-        state = FilterState(AugmentedVector(_complex_normal(rng, batch + (n,))), m)
-        y = AugmentedVector(_complex_normal(rng, batch + (1,)))
+        model, state, y, h = random_step_inputs(name, seed, batch)
+        new, _ = _step(model, state, y, h)
+        x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y, h)
+        _assert_close(new.x_hat.materialize(), x_post, x_scale, cond)
+        _assert_close(new.M.materialize(), m_post, m_scale, cond)
 
-        new, _ = _step(model, state, y)
-        x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+        order=st.permutations(range(8)),
+        scalars=st.sets(st.integers(0, 7), max_size=3),
+    )
+    def test_every_jacobian_entry_as_a_term(self, seed, batch, order, scalars):
+        # a random n = 2 model that declares all 2n·n entries of [A11 A12],
+        # conjugate-half columns included, in any order, some as scalars (1.0
+        # among them), and an observation row on both halves: the generic
+        # term loops against the dense step
+        rng = np.random.default_rng(seed)
+        entries = [(r, c) for r in range(2) for c in range(4)]
+        values = [complex_normal(rng, batch) for _ in entries]
+        for i in scalars:
+            values[i] = 1.0 if i == min(scalars) else complex(complex_normal(rng, ()))
+        self.check_generic(rng, batch, tuple((*entries[i], values[i]) for i in order))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), row=st.sampled_from([0, 1]))
+    def test_a_row_without_terms_is_zero(self, seed, row):
+        rng = np.random.default_rng(seed)
+        terms = tuple((row, c, complex_normal(rng, (3,))) for c in (0, 3))
+        self.check_generic(rng, (3,), terms)
+
+    @staticmethod
+    def check_generic(rng, batch, terms):
+        """An n = 2 linear model with Jacobian ``terms`` and a random observation row
+        on both halves, stepped by ``_step`` and by the dense reference."""
+        h = tuple((c, complex_normal(rng, batch)) for c in range(4))
+        a_top = term_rows(terms, 2, 4)
+
+        def f_a(x):
+            x_aug = np.concatenate([x, np.conj(x)], axis=-1)
+            return np.einsum("...ij,...j->...i", a_top, x_aug)
+
+        model = StateSpaceModel(
+            name="generic", f_a=f_a, jacobian_A=lambda x: terms, observe_H=None,
+            extract_freq=None, Cu=AugmentedMatrix.diagonal([1e-3, 2e-3]),
+            Cn=AugmentedMatrix.diagonal([1e-2]), initial_state=None,
+        )
+        state = FilterState(
+            AugmentedVector(complex_normal(rng, batch + (2,))), random_covariance(rng, batch, 2)
+        )
+        y = AugmentedVector(complex_normal(rng, batch + (1,)))
+        new, _ = _step(model, state, y, h)
+        x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y, h)
         _assert_close(new.x_hat.materialize(), x_post, x_scale, cond)
         _assert_close(new.M.materialize(), m_post, m_scale, cond)
 
 
 def random_step_inputs(name, seed, batch):
-    """A model, a structured Hermitian positive definite state and an observation,
-    drawn as in :class:`TestBlockStepMatchesDense`."""
+    """A model, a structured Hermitian positive definite state, an observation and
+    the observation row (None for a model with its own)."""
     rng = np.random.default_rng(seed)
+    h = None
     if name == "shared_increment":
-        model = with_sequence_observation(
-            shared_increment_model(FS, snr_db=30.0),
-            _complex_normal(rng, batch),
-            _complex_normal(rng, batch),
-        )
+        model = shared_increment_model(FS, snr_db=30.0)
+        h = ((0, complex_normal(rng, batch)), (1, complex_normal(rng, batch)))
     else:
         factory = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}[name]
         model = factory(FS, snr_db=30.0)
     n = model.Cu.block11.shape[-1]
-    b = AugmentedMatrix(
-        _complex_normal(rng, batch + (n, n)), _complex_normal(rng, batch + (n, n))
-    )
-    m = b @ b.H + AugmentedMatrix.eye(n, 0.1)
-    state = FilterState(AugmentedVector(_complex_normal(rng, batch + (n,))), m)
-    return model, state, AugmentedVector(_complex_normal(rng, batch + (1,)))
+    m = random_covariance(rng, batch, n)
+    state = FilterState(AugmentedVector(complex_normal(rng, batch + (n,))), m)
+    return model, state, AugmentedVector(complex_normal(rng, batch + (1,))), h
 
 
 class TestDiagnosticsMatchDense:
@@ -202,9 +231,9 @@ class TestDiagnosticsMatchDense:
         batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
     )
     def test_gain_prior_and_innovation(self, name, seed, batch):
-        model, state, y = random_step_inputs(name, seed, batch)
-        _, diag = _step(model, state, y)
-        d = dense_parts(model, state, y)
+        model, state, y, h = random_step_inputs(name, seed, batch)
+        _, diag = _step(model, state, y, h)
+        d = dense_parts(model, state, y, h)
         cond = np.max(np.linalg.cond(d["s"]))
         innov_scale = max(np.max(np.abs(d["innov"])), np.max(np.abs(d["h_x"])))
         _assert_close(diag.innovation.materialize(), d["innov"], innov_scale, 1.0)
@@ -219,8 +248,8 @@ class TestEngine:
         model = StateSpaceModel(
             name="unit",
             f_a=lambda x: x,
-            jacobian_A=lambda x: AugmentedMatrix.eye(1),
-            observe_H=AugmentedMatrix.eye(1),
+            jacobian_A=lambda x: ((0, 0, 1.0),),
+            observe_H=((0, 1.0),),
             extract_freq=lambda x: (np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], int)),
             Cu=AugmentedMatrix.diagonal([0.0]),
             Cn=AugmentedMatrix.eye(1, 1.0),
@@ -271,8 +300,8 @@ class TestEngine:
         model = StateSpaceModel(
             name="degenerate",
             f_a=lambda x: x,
-            jacobian_A=lambda x: AugmentedMatrix.eye(1),
-            observe_H=AugmentedMatrix.eye(1, 0.0),  # S = Cn = 0
+            jacobian_A=lambda x: ((0, 0, 1.0),),
+            observe_H=((0, 0.0),),  # S = Cn = 0
             extract_freq=lambda x: (np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], int)),
             Cu=AugmentedMatrix.diagonal([0.0]),
             Cn=AugmentedMatrix.diagonal([0.0]),
@@ -284,9 +313,9 @@ class TestEngine:
 
     def test_degenerate_error_names_the_first_row(self):
         # S = M in this model, so the rows whose covariance is zero degenerate
-        unit = AugmentedMatrix.eye(1)
         model = StateSpaceModel(
-            name="unit", f_a=lambda x: x, jacobian_A=lambda x: unit, observe_H=unit,
+            name="unit", f_a=lambda x: x, jacobian_A=lambda x: ((0, 0, 1.0),),
+            observe_H=((0, 1.0),),
             extract_freq=None, Cu=AugmentedMatrix.diagonal([0.0]),
             Cn=AugmentedMatrix.diagonal([0.0]), initial_state=None,
         )
@@ -412,7 +441,7 @@ class TestRunFilter:
         model = lss_model(FS)
         bad = StateSpaceModel(
             name="bad", f_a=model.f_a, jacobian_A=model.jacobian_A,
-            observe_H=AugmentedMatrix(np.zeros((1, 2)), np.zeros((1, 2))),
+            observe_H=((1, 0.0),),
             extract_freq=model.extract_freq,
             Cu=AugmentedMatrix.diagonal([0.0, 0.0]),
             Cn=AugmentedMatrix.diagonal([0.0]),
@@ -501,23 +530,46 @@ class TestSharedIncrementModel:
         for k in range(1, v.size):
             vp, vm = aux.x_hat.top[1], aux.x_hat.top[2]
             aux = step(aux_model, aux, v[k])
-            st = step(with_sequence_observation(shared, vp, vm), st, v[k])
+            st = step(shared, st, v[k], ((0, vp), (1, vm)))
         f, _ = shared.extract_freq(st.x_hat.top)
         assert float(f) == pytest.approx(50.0, abs=1e-3)
 
-    def test_placeholder_observation_raises(self):
-        shared = shared_increment_model(FS)
-        st = shared.initial_state(1.0 + 0j)
-        with pytest.raises(RuntimeError, match="with_sequence_observation"):
-            step(shared, st, 1.0 + 0j)
-
     def test_sequence_observation_structure(self):
-        # the bound observation maps x to v+ x + v- conj(x)
+        # the row ((0, v+), (1, v-)) maps x to v+ x + v- conj(x): column 1 is conj(x)
         vp, vm = 0.3 + 1j, -0.2j
-        h = with_sequence_observation(shared_increment_model(FS), vp, vm).observe_H
+        shared = shared_increment_model(FS)
         x = np.array([[0.8 - 0.6j], [1j], [-2.0]])
-        got = (h @ AugmentedVector(x)).top
-        np.testing.assert_allclose(got, vp * x + vm * np.conj(x), rtol=1e-15)
+        y = np.array([[0.5j], [1.0], [0.25 - 1j]])
+        st = FilterState(AugmentedVector(x), AugmentedMatrix.eye(1, 0.1))
+        _, diag = _step(shared, st, AugmentedVector(y), ((0, vp), (1, vm)))
+        np.testing.assert_allclose(diag.innovation.top, y - (vp * x + vm * np.conj(x)), rtol=1e-15)
+        h = observation(((0, vp), (1, vm)), 1)
+        np.testing.assert_array_equal(h, [[vp, vm], [np.conj(vm), np.conj(vp)]])
+
+
+class TestNoMaterializeOnTheStepPath:
+    """The step, both drivers and the network tick work on blocks and terms alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_materialize(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("materialize called on the step path")
+
+        monkeypatch.setattr(AugmentedMatrix, "materialize", refuse)
+
+    @pytest.mark.parametrize("factory", [lss_model, wlss_model, nss_model])
+    def test_run_filter(self, factory):
+        scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.05)
+        series = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in (1, 2)])
+        run = run_filter(factory(FS, snr_db=30.0), series, FS, detail=1)
+        assert run.f_hat_hz.shape == (2, scn.n_samples)
+
+    @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
+    def test_run_distributed(self, mode):
+        t, b = reference_network()
+        scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.05)
+        run = run_distributed(t, scn, [0, 1], snr_db=30.0, mode=mode, assignment=b, detail=1)
+        assert run.f_hat_hz.shape == (2, len(t.node_ids), scn.n_samples)
 
 
 def test_trace_csv_format(tmp_path):

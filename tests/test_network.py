@@ -17,7 +17,6 @@ from gridfreq.estimators import (
     _step,
     nss_model,
     shared_increment_model,
-    with_sequence_observation,
 )
 from gridfreq.network import (
     BridgeAssignment,
@@ -230,8 +229,8 @@ class TestWeights:
         assert w.gamma == {}
 
 
-def step(model, state, y):
-    return _step(model, state, y)[0]
+def step(model, state, y, h=None):
+    return _step(model, state, y, h)[0]
 
 
 class TestCombiners:
@@ -360,7 +359,7 @@ class TestDistributedRuns:
             vp, vm = aux.x_hat.top[1], aux.x_hat.top[2]
             y = AugmentedVector(v[k : k + 1])
             aux = step(aux_model, aux, y)
-            shared = step(with_sequence_observation(shared_model, vp, vm), shared, y)
+            shared = step(shared_model, shared, y, ((0, vp), (1, vm)))
             manual.append(shared_model.extract_freq(shared.x_hat.top)[0])
         np.testing.assert_array_equal(run.trace(0).f_hat_hz, np.array(manual))
 
@@ -568,7 +567,7 @@ def dict_reference_run(t, b, scn, seed, mode, diffusion):
             vp, vm = aux[n].x_hat.top[1], aux[n].x_hat.top[2]
             aux[n] = step(aux_model, aux[n], y)
             if mode == "dfe":
-                shared[n] = step(with_sequence_observation(shared_model, vp, vm), shared[n], y)
+                shared[n] = step(shared_model, shared[n], y, ((0, vp), (1, vm)))
         est = {n: out[n].x_hat for n in t.node_ids}
         combined = est
         if diffusion == "conventional":
