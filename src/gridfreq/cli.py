@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -513,23 +514,82 @@ def _ticks(window_s: tuple, fs: float) -> tuple[int, int]:
     return int(round(window_s[0] * fs)), int(round(window_s[1] * fs))
 
 
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns under a header row, every line ended with CRLF.
+#: rows that ``_write_csv`` formats at a time
+_CSV_BLOCK_ROWS = 1024
 
-    A float array column is formatted ``%.15g``; the cells of any other
-    column go to ``csv.writer`` as they are, so a node id that needs quotes
-    gets them and None is left blank.  Rows are formatted as they are
-    written, so no column is ever held as strings.
+#: the ``%`` code of a float or integer array column, by dtype kind
+_NUMBER_CODES = {"f": "%.15g", "i": "%d", "u": "%d"}
+
+#: cell types whose equal values always print alike (unlike 0.0 and -0.0)
+_MEMO_TYPES = frozenset({str, int, bool, type(None)})
+
+
+def _cell_text(cell) -> str:
+    """One cell as ``csv.writer`` writes it among others: quoted as needed, None blank."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((cell, None))
+    return buf.getvalue()[:-3]  # the blank second cell's ",\r\n"
+
+
+def _cell_texts(cells: Sequence, memo: dict) -> list[str]:
+    """The CSV text of each cell.  ``memo`` maps each ``_MEMO_TYPES`` type to
+    the texts of its values seen so far, so such a cell is formatted once per
+    value and ``1``, ``True`` and ``1.0`` keep their own texts."""
+    types = set(map(type, cells))
+    if len(types) == 1 and (texts := memo.get(*types)) is not None:
+        try:
+            return list(map(texts.__getitem__, cells))
+        except KeyError:  # a value not seen yet
+            pass
+    out = []
+    for cell in cells:
+        if type(cell) not in _MEMO_TYPES:
+            out.append(_cell_text(cell))
+            continue
+        texts = memo.setdefault(type(cell), {})
+        if cell not in texts:
+            texts[cell] = _cell_text(cell)
+        out.append(texts[cell])
+    return out
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns under a header row as UTF-8, every line ended with CRLF.
+
+    The bytes are those of ``csv.writer`` given a row at a time, with float
+    array cells as ``%.15g`` text: a node id that needs quotes gets them and
+    None is left blank.  Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``,
+    each block by one ``%`` of a line template (``%.15g`` and ``%d`` for
+    float and integer array cells), so at most one block is held as strings.
+    A str, int, bool or None cell of a list or object column reuses the text
+    of its equal of the same type, so each distinct one is formatted once;
+    that memo is dropped once it holds more than a block.  A column whose
+    length differs from the first raises ValueError naming it.
     """
-    cells = [
-        map("%.15g".__mod__, col) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
-        else col
-        for col in columns
-    ]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*cells))
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    n_rows = len(columns[0]) if columns else 0
+    for name, col in zip(header, columns):
+        if len(col) != n_rows:
+            raise ValueError(f"column {name!r} has {len(col)} rows, {header[0]!r} has {n_rows}")
+    kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "" for col in columns]
+    width, memo = len(columns), {}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            rows = min(_CSV_BLOCK_ROWS, n_rows - start)
+            if sum(map(len, memo.values())) > _CSV_BLOCK_ROWS:
+                memo.clear()
+            codes, flat = ["%s"] * width, [None] * (rows * width)
+            for j, (kind, col) in enumerate(zip(kinds, columns)):
+                block = col[start:start + rows]
+                if kind in _NUMBER_CODES:
+                    codes[j], flat[j::width] = _NUMBER_CODES[kind], block.tolist()
+                else:
+                    texts = _cell_texts(block.tolist() if kind in ("b", "O") else block, memo)
+                    # csv.writer quotes a row's one field when it is blank
+                    flat[j::width] = [t or '""' for t in texts] if width == 1 else texts
+            fh.write(((",".join(codes) + "\r\n") * rows) % tuple(flat))
 
 
 def _trace_table(name: str, trace: FreqTrace) -> tuple:

@@ -1,0 +1,173 @@
+"""The block CSV writer writes the bytes of the row-at-a-time reference writer."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+import yaml
+from csv_reference import write_csv
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import gridfreq
+import gridfreq.cli
+from gridfreq.cli import _CSV_BLOCK_ROWS, _write_csv, build_plan, run_plan
+
+BLOCK = _CSV_BLOCK_ROWS
+NAN_NEG = float(np.copysign(np.nan, -1.0))
+F64_SPECIAL = [
+    np.nan, NAN_NEG, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1e-300,
+    -1e-300, 1.0, 0.1 + 0.2,
+]
+F32_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1.1754942e-38, 3.4028235e38, 1.0]
+#: text that csv.writer must quote, or that needs more than one UTF-8 byte
+TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(',"\r\n ä€x'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+    ),
+    max_size=6,
+)
+OBJECTS = st.one_of(
+    st.sampled_from([None, 1, True, 1.0, 0, False, 0.0, -0.0, "", "1", "True"]),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    TEXT,
+)
+POOLS = {
+    "f8": st.lists(st.one_of(st.sampled_from(F64_SPECIAL), st.floats()), min_size=1, max_size=8),
+    "f4": st.lists(
+        st.one_of(st.sampled_from(F32_SPECIAL), st.floats(width=32)), min_size=1, max_size=8
+    ),
+    "i8": st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+    "u8": st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+    "b": st.lists(st.booleans(), min_size=1, max_size=2),
+    "O": st.lists(OBJECTS, min_size=1, max_size=8),
+    "list": st.lists(OBJECTS, min_size=1, max_size=8),
+}
+
+
+def column(kind: str, pool: list, n: int, rng) -> object:
+    """``n`` cells drawn from ``pool`` (so values repeat), as the column kind asks."""
+    if kind == "noise":  # all distinct, across many decades
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    cells = [pool[i] for i in rng.integers(0, len(pool), n)]
+    if kind == "list":
+        return cells
+    if kind == "O":
+        arr = np.empty(n, dtype=object)
+        arr[:] = cells
+        return arr
+    return np.array(cells, dtype=kind)
+
+
+@st.composite
+def tables(draw):
+    block = draw(st.sampled_from([1, 3, BLOCK]))
+    edge = [0, 1, block - 1, block, block + 1, 2 * block + 1]
+    n = draw(st.one_of(st.sampled_from(edge), st.integers(0, 40)))
+    kinds = draw(st.lists(st.sampled_from([*POOLS, "noise"]), max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = [draw(POOLS.get(kind, st.none())) for kind in kinds]
+    header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))
+    return block, header, [column(k, p, n, rng) for k, p in zip(kinds, pools)]
+
+
+def message_like(n: int) -> tuple:
+    """A message-log-like table: payloads repeated per neighbour, a constant, signed zeros."""
+    rng = np.random.default_rng(n)
+    nodes = [1, "a,b", 'q"t', "ä", None, True, 1.0]
+    columns = [
+        np.arange(n),
+        np.repeat(rng.standard_normal(n // 4 + 1), 4)[:n],
+        np.full(n, 50.0),
+        np.array([-0.0, 0.0, np.nan, 5e-324])[np.arange(n) % 4],
+        np.arange(n) % 3 == 0,
+        [nodes[i % len(nodes)] for i in range(n)],
+    ]
+    return BLOCK, ["k", "payload", "f_true_hz", "signed", "ok", "node"], columns
+
+
+class TestMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables())
+    @example(table=message_like(BLOCK + 1))
+    def test_random_tables(self, tmp_path_factory, table):
+        block, header, columns = table
+        d = tmp_path_factory.mktemp("csv")
+        write_csv(d / "ref.csv", header, columns)
+        with mock.patch.object(gridfreq.cli, "_CSV_BLOCK_ROWS", block):
+            _write_csv(d / "new.csv", header, columns)
+        assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    def test_one_blank_cell_per_row_is_quoted(self, tmp_path):
+        _write_csv(tmp_path / "one.csv", ["x"], [[None, "", "a", 1.5]])
+        assert (tmp_path / "one.csv").read_bytes() == b'x\r\n""\r\n""\r\na\r\n1.5\r\n'
+
+
+class TestUnequalColumns:
+    def test_a_short_column_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="column 'f_hat_hz' has 2 rows, 'k' has 3"):
+            _write_csv(path, ["k", "f_hat_hz", "flags"], [[0, 1, 2], np.zeros(2), [0, 0, 0]])
+        assert not path.exists()
+
+    def test_header_and_columns_must_agree(self, tmp_path):
+        with pytest.raises(ValueError, match="2 header names for 3 columns"):
+            _write_csv(tmp_path / "t.csv", ["a", "b"], [[1], [2], [3]])
+
+
+def test_text_is_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "ids.csv"
+    assert str(path).isascii()
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    src = str(Path(gridfreq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys; from gridfreq.cli import _write_csv; "
+    code += "_write_csv(sys.argv[1], ['n'], [['\\xe4']])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes() == b"n\r\n\xc3\xa4\r\n"
+
+
+CONVENTIONAL = """
+name: csv_bytes
+estimator: distributed-acekf
+diffusion: conventional
+snr_db: 30
+duration_s: 0.3
+topology:
+  nodes: ["a,b", n2, n3]
+  edges: [["a,b", n2], [n2, n3]]
+messages_csv: true
+mse:
+  window_s: [0.1, 0.3]
+  theory: true
+scenario:
+  segments:
+    - {start_s: 0.0, end_s: 0.3, freq_hz: 50.0}
+"""
+
+
+def test_run_writes_the_reference_bytes(tmp_path, monkeypatch):
+    real, kept = gridfreq.cli._run_network, []
+
+    def keep(*args):
+        kept.extend(real(*args))
+        return kept
+
+    monkeypatch.setattr(gridfreq.cli, "_run_network", keep)
+    files = run_plan(build_plan(yaml.safe_load(CONVENTIONAL)), tmp_path / "out")
+    messages = next(cols for name, _, cols in kept if name == "messages.csv")
+    assert len(messages[0]) > BLOCK
+    assert sorted(f.name for f in files) == sorted([t[0] for t in kept] + ["manifest.json"])
+    for name, header, columns in kept:
+        write_csv(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
