@@ -18,7 +18,6 @@ from .signals import (
     generate_arrays,
     pos_neg_decompose,
     sequence_amplitudes,
-    sequence_components,
 )
 from .estimators import (
     FilterDegenerateError,
@@ -49,9 +48,6 @@ from .analysis import (
     SpectrumResult,
     empirical_mse,
     error_spectrum,
-    initial_network_state,
-    mean_error_step,
-    mse_step,
 )
 
 __all__ = [
@@ -79,10 +75,7 @@ __all__ = [
     "empirical_mse",
     "error_spectrum",
     "generate_arrays",
-    "initial_network_state",
     "lss_model",
-    "mean_error_step",
-    "mse_step",
     "nss_model",
     "pos_neg_decompose",
     "reference_network",
@@ -90,7 +83,6 @@ __all__ = [
     "run_filter",
     "select_bridges",
     "sequence_amplitudes",
-    "sequence_components",
     "shared_increment_model",
     "uniform_weights",
     "wlss_model",

@@ -1,10 +1,10 @@
-"""Error metrics for recorded runs: empirical MSE, the theoretical mean-error
-and error-covariance recursions of the two-stage diffusion protocol, and
-spectral diagnostics.
+"""Error metrics for recorded runs: empirical MSE, the theoretical
+error-covariance recursion of the two-stage diffusion protocol, and spectral
+diagnostics.
 
-The theoretical recursions condition on the realized gain sequence (the
+The theoretical recursion conditions on the realized gain sequence (the
 observation matrix of the shared filter is data-dependent), so the network
-loop steps them online from each tick's filter diagnostics.  Notation used
+loop steps it online from each tick's filter diagnostics.  Notation used
 throughout, all in augmented form: for node m at tick k, ``A_m`` is the
 state Jacobian, ``K_m`` the Kalman gain, ``H_m`` the observation matrix and
 ``F_m = I - K_m H_m`` the correction map.  Aggregator y forms the
@@ -29,11 +29,10 @@ gamma the identity) runs through the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .augmented import AugmentedMatrix, AugmentedVector
 from .estimators import FreqTrace, StepDiagnostics
 
 __all__ = [
@@ -42,9 +41,6 @@ __all__ = [
     "MseReport",
     "SpectrumResult",
     "empirical_mse",
-    "initial_network_state",
-    "mean_error_step",
-    "mse_step",
     "error_spectrum",
 ]
 
@@ -116,10 +112,10 @@ class NetworkErrorState:
     ``E`` is the post-diffusion error cross-covariance of all nodes (block
     i,j = E[e_i e_j^H]).  ``beta`` (aggregators x nodes) and ``gamma``
     (nodes x aggregators) hold the weights of the two diffusion stages, and
-    ``W`` is gamma acting on stacked blocks.  ``Cu`` and ``Cn`` stack each
-    node's process- and observation-noise covariance.  ``V`` is the
-    aggregator cross-covariance of the most recent step (None before the
-    first).
+    ``W`` is gamma acting on stacked blocks.  ``Cu`` and ``Cn`` are the
+    process- and observation-noise covariances that every node shares.
+    ``V`` is the aggregator cross-covariance of the most recent step (None
+    before the first).
     """
 
     node_ids: tuple
@@ -154,12 +150,6 @@ class NetworkErrorState:
         return tuple(y for y, g in zip(self.aggregator_ids, row) if g != 0)
 
 
-def _node_blocks(a, n_nodes: int) -> np.ndarray:
-    """A matrix, or one seed's per-node matrices, stacked as (nodes, r, c)."""
-    a = np.asarray(a, dtype=complex)
-    return np.broadcast_to(a.reshape((-1,) + a.shape[-2:]), (n_nodes,) + a.shape[-2:])
-
-
 def initial_network_state(
     node_ids: Sequence,
     aggregator_ids: Sequence,
@@ -169,36 +159,20 @@ def initial_network_state(
     Cu,
     Cn,
 ) -> NetworkErrorState:
-    """Tick-0 state: independent node errors with covariances ``M0``.
+    """Tick-0 state: independent node errors, each with covariance ``M0``.
 
     ``beta`` (aggregators x nodes) and ``gamma`` (nodes x aggregators) are
-    the diffusion stages, as the network loop builds them from its weights.
-    ``M0``, ``Cu`` and ``Cn`` are each one matrix for every node or a
-    (nodes, d, d) stack.
+    the diffusion stages as ``network._mixing`` resolves them.  ``M0``,
+    ``Cu`` and ``Cn`` are one matrix each, shared by every node.
     """
-    ids, aggs = tuple(node_ids), tuple(aggregator_ids)
-    beta, gamma = np.real(beta).astype(float), np.real(gamma).astype(float)
-    if beta.shape != (len(aggs), len(ids)) or gamma.shape != (len(ids), len(aggs)):
-        raise AnalysisError(
-            f"stage shapes {beta.shape} and {gamma.shape} do not match"
-            f" {len(aggs)} aggregators and {len(ids)} nodes"
-        )
-    unknown = [a for a in aggs if a not in ids]
-    if unknown:
-        raise AnalysisError(f"aggregation rows for unknown nodes {unknown!r}")
-    for i, row in zip(ids, gamma):
-        if not row.any():
-            raise AnalysisError(f"node {i!r} has neither aggregation nor redistribution row")
-    m0, cu = _node_blocks(M0, len(ids)), _node_blocks(Cu, len(ids))
-    d = m0.shape[-1]
-    if m0.shape[-2] != d or cu.shape[-2:] != (d, d):
-        raise AnalysisError("covariance blocks disagree on dimension")
-    E = np.zeros((len(ids), d, len(ids), d), dtype=complex)
-    E[np.arange(len(ids)), :, np.arange(len(ids)), :] = m0
+    ids = tuple(node_ids)
+    gamma = np.asarray(gamma, dtype=float)
+    d = len(M0)
     return NetworkErrorState(
-        node_ids=ids, aggregator_ids=aggs, beta=beta, gamma=gamma,
-        W=np.kron(gamma, np.eye(d)), E=E.reshape(len(ids) * d, -1),
-        Cu=cu, Cn=_node_blocks(Cn, len(ids)),
+        node_ids=ids, aggregator_ids=tuple(aggregator_ids),
+        beta=np.asarray(beta, dtype=float), gamma=gamma, W=np.kron(gamma, np.eye(d)),
+        E=np.kron(np.eye(len(ids)), np.asarray(M0, dtype=complex)),
+        Cu=np.asarray(Cu, dtype=complex), Cn=np.asarray(Cn, dtype=complex),
     )
 
 
@@ -245,26 +219,6 @@ def _aggregation_map(state: NetworkErrorState, diag: StepDiagnostics):
     return g.reshape(len(state.aggregator_ids) * d, n_nodes * d), f, k
 
 
-def mean_error_step(
-    prev_means: Mapping,
-    state: NetworkErrorState,
-    diag: StepDiagnostics,
-) -> dict:
-    """Propagate per-node mean errors through one filter-plus-diffusion round.
-
-    ``prev_means`` maps node→AugmentedVector of the post-diffusion mean error
-    at the previous tick; ``diag`` is the current tick's filter diagnostics,
-    stacked over the nodes of ``state`` (of a seed batch, row 0 is read).
-    Noises are zero-mean, so only the homogeneous term of the
-    :func:`mse_step` map survives.
-    """
-    g, _, _ = _aggregation_map(state, diag)
-    e = np.concatenate([prev_means[n].materialize() for n in state.node_ids])
-    out = (state.W @ (g @ e)).reshape(len(state.node_ids), -1)
-    half = out.shape[1] // 2
-    return {n: AugmentedVector(row[:half]) for n, row in zip(state.node_ids, out)}
-
-
 def mse_step(state: NetworkErrorState, diag: StepDiagnostics) -> NetworkErrorState:
     """One step of the stacked error-covariance recursion.
 
@@ -275,7 +229,7 @@ def mse_step(state: NetworkErrorState, diag: StepDiagnostics) -> NetworkErrorSta
     """
     g, f, k = _aggregation_map(state, diag)
     n_nodes, n_aggs, d = len(state.node_ids), len(state.aggregator_ids), state.block_dim
-    noise = np.broadcast_to(f @ state.Cu @ _hconj(f) + k @ state.Cn @ _hconj(k), (n_nodes, d, d))
+    noise = f @ state.Cu @ _hconj(f) + k @ state.Cn @ _hconj(k)
     pairs = (state.beta[:, None, :] * state.beta[None, :, :]).reshape(n_aggs * n_aggs, n_nodes)
     noise = (pairs @ noise.reshape(n_nodes, d * d)).reshape(n_aggs, n_aggs, d, d)
     V = g @ state.E @ _hconj(g) + noise.swapaxes(1, 2).reshape(n_aggs * d, n_aggs * d)

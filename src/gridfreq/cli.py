@@ -38,10 +38,7 @@ import numpy as np
 import yaml
 
 from .analysis import SPECTRUM_MIN_TICKS, NetworkErrorState, empirical_mse, error_spectrum
-from .augmented import AugmentedMatrix
 from .estimators import (
-    _CU_INCREMENT,
-    _CU_VOLTAGE,
     FilterDegenerateError,
     FreqTrace,
     lss_model,
@@ -392,6 +389,12 @@ def build_plan(cfg: Mapping) -> RunPlan:
                 or not isinstance(raw.get("edges"), list)
             ):
                 diags.append("topology: expected a mapping with nodes and edges lists")
+            elif bad := [
+                (i, e) for i, e in enumerate(raw["edges"])
+                if not (isinstance(e, list) and len(e) == 2)
+            ]:
+                for i, e in bad:
+                    diags.append(f"topology.edges[{i}]: expected a pair of node ids, got {e!r}")
             else:
                 try:
                     topology = Topology(raw["nodes"], [tuple(e) for e in raw["edges"]])
@@ -492,22 +495,7 @@ def build_plan(cfg: Mapping) -> RunPlan:
 # running
 
 
-_SINGLE_FACTORIES = {
-    # factory, process-noise layout of the state diagonal
-    "lss": (lss_model, "iv"),
-    "wlss": (wlss_model, "iiv"),
-    "nss": (nss_model, "ivv"),
-}
-
-
-def _single_model(plan: RunPlan):
-    factory, layout = _SINGLE_FACTORIES[plan.estimator]
-    cu = None
-    if plan.filter_overrides:
-        qi = plan.filter_overrides.get("increment_process_noise", _CU_INCREMENT)
-        qv = plan.filter_overrides.get("voltage_process_noise", _CU_VOLTAGE)
-        cu = AugmentedMatrix.diagonal([qi if c == "i" else qv for c in layout])
-    return factory(plan.sample_rate_hz, Cu=cu, snr_db=plan.snr_db)
+_SINGLE_FACTORIES = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}
 
 
 def _ticks(window_s: tuple, fs: float) -> tuple[int, int]:
@@ -612,7 +600,8 @@ def _mc_table(name: str, t_s, f_true, f_hat) -> tuple:
 def _run_single(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
     """Row 0 of the one filter batch is the detailed run at ``seed``; with
     ``n_seeds`` > 1 the Monte-Carlo rows at ``[seed, i]`` follow it."""
-    model = _single_model(plan)
+    factory = _SINGLE_FACTORIES[plan.estimator]
+    model = factory(plan.sample_rate_hz, snr_db=plan.snr_db, **plan.filter_overrides)
     f_true = plan.scenario.true_freq()
     mc_seeds = [[seed, i] for i in range(n_seeds)] if n_seeds > 1 else []
     rows = [

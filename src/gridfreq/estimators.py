@@ -10,6 +10,10 @@ Three single-node state-space models share one filter engine:
 * ``nss_model`` - states for the phase increment and both rotating sequence
   voltages; frequency read directly off the increment state.
 
+Each factory sets the observation noise from ``snr_db`` and puts
+``increment_process_noise`` on the diagonal of ``Cu`` for the
+increment-like states and ``voltage_process_noise`` for the voltages.
+
 All models run through one engine step, ``_step``, which performs one
 predict/correct cycle on the augmented state [x; conj(x)].  The state is held
 as its top half x and every covariance and gain as the block pair of an
@@ -60,12 +64,13 @@ FLAG_NAMES = {
     FLAG_ARCSIN_CLIPPED: "arcsin_clipped",
 }
 
-DEFAULT_COND_LIMIT = 1e12
+#: largest condition number of the innovation covariance that ``_step`` accepts
+COND_LIMIT = 1e12
 
 #: observation-noise variance used when no SNR is configured (numerical floor)
 _NOISELESS_CN = 1.5e-10
 
-#: process-noise variances: phase-increment-like states and voltage states
+#: default process-noise variances: phase-increment-like states and voltage states
 _CU_INCREMENT = 1e-6
 _CU_VOLTAGE = 1e-4
 
@@ -156,7 +161,6 @@ def _step(
     state: FilterState,
     y: AugmentedVector,
     h: tuple | None = None,
-    cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> tuple[FilterState, StepDiagnostics]:
     """One predict/correct cycle; returns the new state plus diagnostics.
 
@@ -171,7 +175,9 @@ def _step(
     columns).  A zero of the Jacobian costs nothing, and a unit entry no
     product.  ``H P``, ``S``, the gain ``K`` and the innovation are sums over
     the observation terms, and ``K H P`` is two outer products.  ``S`` is
-    the 2 x 2 ``[[s11, s12], [conj(s12), s11]]``, inverted in closed form.
+    the 2 x 2 ``[[s11, s12], [conj(s12), s11]]``, inverted in closed form;
+    a condition number above ``COND_LIMIT`` raises
+    :class:`FilterDegenerateError`.
     ``M_post`` is symmetrised (Hermitian block11, symmetric block12) in one
     fused expression to repair rounding.
     """
@@ -214,12 +220,12 @@ def _step(
     abs12 = np.abs(s12)
     lo, hi = s11 - abs12, s11 + abs12
     cond = hi / np.where(lo > 0, lo, np.nan)
-    bad = ~(cond <= cond_limit)
+    bad = ~(cond <= COND_LIMIT)
     if bad.any():
         worst = float(np.max(np.where(np.isfinite(cond), cond, np.inf)))
         exc = FilterDegenerateError(
             f"filter degenerate: innovation covariance condition number {worst:.3e}"
-            f" exceeds {cond_limit:.1e}"
+            f" exceeds {COND_LIMIT:.1e}"
         )
         exc.row = tuple(int(i) for i in np.argwhere(bad)[0])
         raise exc
@@ -255,18 +261,11 @@ def _step(
 
 
 def _noise_matrices(
-    cu_diag: Sequence[float],
-    Cu: AugmentedMatrix | None,
-    Cn: AugmentedMatrix | None,
-    snr_db: float | None,
-    n_obs: int = 1,
+    cu_diag: Sequence[float], snr_db: float | None
 ) -> tuple[AugmentedMatrix, AugmentedMatrix]:
-    if Cu is None:
-        Cu = AugmentedMatrix.diagonal(cu_diag)
-    if Cn is None:
-        sigma2 = 1.5 * 10.0 ** (-snr_db / 10.0) if snr_db is not None else _NOISELESS_CN
-        Cn = AugmentedMatrix.diagonal([sigma2] * n_obs)
-    return Cu, Cn
+    """``Cu`` with the diagonal ``cu_diag``, and ``Cn`` of the one observation at ``snr_db``."""
+    sigma2 = 1.5 * 10.0 ** (-snr_db / 10.0) if snr_db is not None else _NOISELESS_CN
+    return AugmentedMatrix.diagonal(cu_diag), AugmentedMatrix.diagonal([sigma2])
 
 
 def _angle_freq(sample_rate_hz: float) -> Callable:
@@ -282,9 +281,9 @@ def _angle_freq(sample_rate_hz: float) -> Callable:
 
 def lss_model(
     sample_rate_hz: float,
-    Cu: AugmentedMatrix | None = None,
-    Cn: AugmentedMatrix | None = None,
     snr_db: float | None = None,
+    increment_process_noise: float = _CU_INCREMENT,
+    voltage_process_noise: float = _CU_VOLTAGE,
 ) -> StateSpaceModel:
     """Strictly linear model: state (x, v) with v_k = x v_{k-1}.
 
@@ -292,7 +291,7 @@ def lss_model(
     augmented filter reduces exactly to a conventional complex Kalman filter;
     it is run in augmented form to share the single engine.
     """
-    cu, cn = _noise_matrices([_CU_INCREMENT, _CU_VOLTAGE], Cu, Cn, snr_db)
+    cu, cn = _noise_matrices([increment_process_noise, voltage_process_noise], snr_db)
 
     def f_a(x: np.ndarray) -> np.ndarray:
         return np.stack([x[..., 0], x[..., 0] * x[..., 1]], axis=-1)
@@ -318,9 +317,9 @@ def lss_model(
 
 def wlss_model(
     sample_rate_hz: float,
-    Cu: AugmentedMatrix | None = None,
-    Cn: AugmentedMatrix | None = None,
     snr_db: float | None = None,
+    increment_process_noise: float = _CU_INCREMENT,
+    voltage_process_noise: float = _CU_VOLTAGE,
 ) -> StateSpaceModel:
     """Widely linear model: state (h, g, v) with v_k = h v_{k-1} + g conj(v_{k-1}).
 
@@ -330,7 +329,8 @@ def wlss_model(
     pair can represent) is clamped to zero and flagged; ticks with Im(h) < 0
     are flagged because this branch folds negative frequencies to positive.
     """
-    cu, cn = _noise_matrices([_CU_INCREMENT, _CU_INCREMENT, _CU_VOLTAGE], Cu, Cn, snr_db)
+    qi, qv = increment_process_noise, voltage_process_noise
+    cu, cn = _noise_matrices([qi, qi, qv], snr_db)
     two_pi_dt = 2.0 * math.pi / sample_rate_hz
 
     def f_a(x: np.ndarray) -> np.ndarray:
@@ -371,9 +371,9 @@ def wlss_model(
 
 def nss_model(
     sample_rate_hz: float,
-    Cu: AugmentedMatrix | None = None,
-    Cn: AugmentedMatrix | None = None,
     snr_db: float | None = None,
+    increment_process_noise: float = _CU_INCREMENT,
+    voltage_process_noise: float = _CU_VOLTAGE,
 ) -> StateSpaceModel:
     """Sequence-split model: state (x, v+, v-).
 
@@ -382,7 +382,8 @@ def nss_model(
     their sum.  Frequency reads directly off x, so no guard is ever needed in
     the extraction, balanced or not.
     """
-    cu, cn = _noise_matrices([_CU_INCREMENT, _CU_VOLTAGE, _CU_VOLTAGE], Cu, Cn, snr_db)
+    qi, qv = increment_process_noise, voltage_process_noise
+    cu, cn = _noise_matrices([qi, qv, qv], snr_db)
 
     def f_a(x: np.ndarray) -> np.ndarray:
         out, inc = np.empty_like(x), x[..., 0]
@@ -413,10 +414,7 @@ def nss_model(
 
 
 def shared_increment_model(
-    sample_rate_hz: float,
-    Cu: AugmentedMatrix | None = None,
-    Cn: AugmentedMatrix | None = None,
-    snr_db: float | None = None,
+    sample_rate_hz: float, snr_db: float | None = None
 ) -> StateSpaceModel:
     """Two-dimensional model of the phase increment alone.
 
@@ -429,7 +427,7 @@ def shared_increment_model(
     processed.  This is the model whose estimates the diffusion protocol
     exchanges.
     """
-    cu, cn = _noise_matrices([_CU_INCREMENT], Cu, Cn, snr_db)
+    cu, cn = _noise_matrices([_CU_INCREMENT], snr_db)
 
     def f_a(x: np.ndarray) -> np.ndarray:
         return x

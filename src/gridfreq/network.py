@@ -27,7 +27,6 @@ import numpy as np
 from .analysis import NetworkErrorState, initial_network_state, mse_step
 from .augmented import AugmentedVector
 from .estimators import (
-    DEFAULT_COND_LIMIT,
     FilterDegenerateError,
     FilterRun,
     FilterState,
@@ -175,17 +174,13 @@ def select_bridges(t: Topology, seed: int = 0) -> BridgeAssignment:
     """Pick a bridge set greedily: highest degree first, seeded tie-break.
 
     A maximal independent set is automatically dominating, so the greedy sweep
-    always yields a valid assignment on a well-formed topology; the trailing
-    check is defensive and names the uncovered node if it ever trips.
+    always yields a valid assignment on a well-formed topology.
     """
     order = {n: r for n, r in zip(t.node_ids, np.random.default_rng(seed).permutation(len(t.node_ids)))}
     chosen: set = set()
     for n in sorted(t.node_ids, key=lambda n: (-t.degree(n), order[n])):
         if not chosen.intersection(t.neighbors(n)):
             chosen.add(n)
-    for n in t.node_ids:
-        if n not in chosen and not chosen.intersection(t.neighbors(n)):
-            raise BridgeAssignmentError(f"greedy selection left node {n!r} uncovered")
     return BridgeAssignment(t, chosen)
 
 
@@ -372,7 +367,6 @@ def _tick(
     shared: FilterState | None,
     y: AugmentedVector,
     mixing: _Mixing,
-    cond_limit: float,
 ) -> tuple[FilterState, FilterState | None, StepDiagnostics, np.ndarray]:
     """One synchronous round of the network, for every (seed, node) batch row.
 
@@ -395,10 +389,10 @@ def _tick(
     growing oscillation near 75 Hz).
     """
     v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
-    aux, diag = _step(aux_model, aux, y, cond_limit=cond_limit)
+    aux, diag = _step(aux_model, aux, y)
     out = aux
     if shared is not None:
-        out, diag = _step(shared_model, shared, y, ((0, v_plus), (1, v_minus)), cond_limit)
+        out, diag = _step(shared_model, shared, y, ((0, v_plus), (1, v_minus)))
     local = out.x_hat.top
     out = FilterState(AugmentedVector(_diffuse_all(local, mixing)), out.M)
     return (out, None, diag, local) if shared is None else (aux, out, diag, local)
@@ -488,10 +482,8 @@ def run_distributed(
     diffusion: str = "bridge",
     assignment: BridgeAssignment | None = None,
     weights: DiffusionWeights | None = None,
-    f_init_hz: float = 50.0,
     theory: bool = False,
     detail: int = 0,
-    cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> DistributedRun:
     """Simulate the network over a batch of seeds, every node of every seed in one batch.
 
@@ -504,10 +496,11 @@ def run_distributed(
     leading seed rows (``True`` is 1) for which the run keeps the output
     filter's posterior top halves, before (``local_states``, from which
     :meth:`DistributedRun.message_log` is expanded) and after the diffusion
-    (``states``), and its innovation power.  With ``theory`` the error
-    recursions of :mod:`gridfreq.analysis` start from the output filter's
-    initial covariance, step every tick on that filter's diagnostics for
-    seed row 0, and the run returns their final state.
+    (``states``), and its innovation power.  With ``theory`` the
+    error-covariance recursion of :mod:`gridfreq.analysis` starts from the
+    output filter's initial covariance, steps every tick on that filter's
+    diagnostics for seed row 0, and the run returns its final state as
+    ``error_state``.
     """
     per_node = _resolve_scenarios(topology, scenarios)
     mixing = _mixing(topology, assignment, weights, diffusion)
@@ -525,11 +518,11 @@ def run_distributed(
             volts[:, s, j] = _node_voltage(per_node[n], seed, j, snr_db)
 
     aux_model = out_model = nss_model(fs, snr_db=snr_db)
-    aux = out = aux_model.initial_state(volts[0], f_init_hz=f_init_hz)
+    aux = out = aux_model.initial_state(volts[0])
     shared_model = shared = None
     if mode == "dfe":
         shared_model = out_model = shared_increment_model(fs, snr_db=snr_db)
-        shared = out = shared_model.initial_state(volts[0], f_init_hz=f_init_hz)
+        shared = out = shared_model.initial_state(volts[0])
 
     shape = (len(seeds), len(ids), n_ticks)
     kept = min(int(detail), len(seeds))
@@ -552,9 +545,7 @@ def run_distributed(
     for k in range(1, n_ticks):
         y = AugmentedVector(volts[k][..., None])
         try:
-            aux, shared, diag, local = _tick(
-                aux_model, shared_model, aux, shared, y, mixing, cond_limit
-            )
+            aux, shared, diag, local = _tick(aux_model, shared_model, aux, shared, y, mixing)
         except FilterDegenerateError as exc:
             s, j = exc.row
             where = f"tick {k}: node {ids[j]!r}: seed {seeds[s]}"

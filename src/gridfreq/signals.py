@@ -9,7 +9,7 @@ Clarke voltage of a balanced system rotate at +f:
     v_k = sqrt(3/2) * V * exp(j(2 pi f dT k + phi))
 
 Unbalanced amplitudes add a counter-rotating component, turning the circular
-trajectory into an ellipse; ``sequence_components`` and
+trajectory into an ellipse; ``sequence_amplitudes`` and
 ``pos_neg_decompose`` quantify the two rotating parts.
 """
 
@@ -197,26 +197,10 @@ def clarke_arrays(vabc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comps[..., 0], comps[..., 1] + 1j * comps[..., 2]
 
 
-def sequence_components(va_amp: float, vb_amp: float, vc_amp: float) -> tuple[float, complex]:
-    """Rotating-component amplitudes for unequal phase amplitudes.
-
-    For a system with amplitudes (Va, Vb, Vc) and a common phase offset phi on
-    all three phases, the Clarke voltage splits into
-    A * exp(j(theta+phi)) + B * exp(-j(theta+phi)) with the returned (A, B).
-    Balanced input gives B = 0 (circular trajectory).
-    """
-    a = math.sqrt(6.0) * (va_amp + vb_amp + vc_amp) / 6.0
-    b = complex(
-        math.sqrt(6.0) * (2.0 * va_amp - vb_amp - vc_amp) / 12.0,
-        -math.sqrt(2.0) * (vb_amp - vc_amp) / 4.0,
-    )
-    return a, b
-
-
 def sequence_amplitudes(
     amplitudes: Sequence[float], phase_offsets_rad: Sequence[float] = (0.0, 0.0, 0.0)
 ) -> tuple[complex, complex]:
-    """General rotating-component amplitudes with per-phase offsets.
+    """Rotating-component amplitudes for per-phase amplitudes and offsets.
 
     Splitting each phase cosine into counter-rotating exponentials and pushing
     them through the Clarke transform gives v_k = A e^{j theta} + B e^{-j theta}
@@ -226,8 +210,7 @@ def sequence_amplitudes(
         B = sqrt(6)/6 * (Va e^{-j phi_a} + Vb e^{-j(phi_b + 2pi/3)}
                          + Vc e^{-j(phi_c - 2pi/3)})
 
-    With equal offsets this reduces to ``sequence_components`` times
-    e^{+/- j phi}.
+    Balanced amplitudes at zero offsets give B = 0 (a circular trajectory).
     """
     va, vb, vc = amplitudes
     pa, pb, pc = phase_offsets_rad

@@ -18,7 +18,6 @@ import numpy as np
 
 import conftest
 from gridfreq.analysis import error_spectrum
-from gridfreq.augmented import AugmentedMatrix
 from gridfreq.cli import main as cli_main
 from gridfreq.estimators import (
     lss_model,
@@ -132,7 +131,7 @@ def test_04_ramp_tracking():
         FS,
         2.0,
     )
-    model = nss_model(FS, Cu=AugmentedMatrix.diagonal([2.0e-5, 1e-4, 1e-4]), snr_db=30.0)
+    model = nss_model(FS, snr_db=30.0, increment_process_noise=2.0e-5)
     rows = np.stack(
         [clarke_arrays(generate_arrays(scn, seed=s, snr_db=30.0))[1] for s in range(2000)]
     )

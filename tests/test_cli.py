@@ -374,6 +374,28 @@ spectrum:
         main(["run", tight, "--out-dir", str(b)])
         assert (a / "trace.csv").read_bytes() != (b / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "estimator, diagonal",
+        [("lss", [2e-6, 3e-4]), ("wlss", [2e-6, 2e-6, 3e-4]), ("nss", [2e-6, 3e-4, 3e-4])],
+        ids=["lss", "wlss", "nss"],
+    )
+    def test_filter_overrides_land_on_the_model_diagonal(self, monkeypatch, estimator, diagonal):
+        text = QUICK_SINGLE.replace("estimator: lss", f"estimator: {estimator}") + (
+            "filter: {increment_process_noise: 2.0e-6, voltage_process_noise: 3.0e-4}\n"
+        )
+        plan = build_plan(yaml.safe_load(text))
+        models = []
+
+        def run_filter(model, *args, **kwargs):
+            models.append(model)
+            return gridfreq.estimators.run_filter(model, *args, **kwargs)
+
+        monkeypatch.setattr(gridfreq.cli, "run_filter", run_filter)
+        gridfreq.cli._run_single(plan, plan.seed, 1)
+        (model,) = models
+        np.testing.assert_array_equal(model.Cu.block11, np.diag(diagonal))
+        np.testing.assert_array_equal(model.Cu.block12, 0)
+
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRIDFREQ_OUT_DIR", str(tmp_path / "envbase"))
         cfg = write_config(tmp_path, QUICK_SINGLE)
@@ -776,6 +798,25 @@ class TestInputsCheckedBeforeRun:
         ).replace("bridges: [2]", 'bridges: ["c"]')
         assert main(["validate", write_config(tmp_path, text)]) == 1
         assert "topology: node ids 'a' and 2 cannot be ordered" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "edges, diag",
+        [
+            ("[[1, 2], [2, 3, 4]]", "topology.edges[1]: expected a pair of node ids, got [2, 3, 4]"),
+            ("[[1, 2], 3]", "topology.edges[1]: expected a pair of node ids, got 3"),
+            ("[[1, 2], [2]]", "topology.edges[1]: expected a pair of node ids, got [2]"),
+        ],
+        ids=["triple", "scalar", "single"],
+    )
+    def test_malformed_edges_named(self, tmp_path, capsys, edges, diag):
+        text = QUICK_NETWORK.replace("edges: [[1, 2], [2, 3]]", f"edges: {edges}")
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        assert capsys.readouterr().out.splitlines() == [diag]
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert f"config error: {diag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_theory_needs_two_samples(self, tmp_path, capsys):
         # a one-sample run never steps the error recursion

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridfreq.estimators
 from gridfreq.augmented import AugmentedVector
 from gridfreq.cli import _write_csv
 from gridfreq.estimators import (
@@ -640,13 +641,14 @@ class TestConfigErrors:
         with pytest.raises(DistributedConfigError, match="empty"):
             run_distributed(t, make_scenario(), [], assignment=b)
 
-    def test_degenerate_filter_names_tick_node_and_seed(self):
+    def test_degenerate_filter_names_tick_node_and_seed(self, monkeypatch):
         t, _ = reference_network()
         scn = make_scenario(duration=0.1)
+        monkeypatch.setattr(gridfreq.estimators, "COND_LIMIT", 1.0)
         with pytest.raises(FilterDegenerateError, match="tick 2: node 1:"):
-            run_distributed(t, scn, [0], snr_db=30.0, cond_limit=1.0)
+            run_distributed(t, scn, [0], snr_db=30.0)
         with pytest.raises(FilterDegenerateError, match="tick 2: node 1: seed 5:"):
-            run_distributed(t, scn, [5, 6], snr_db=30.0, cond_limit=1.0)
+            run_distributed(t, scn, [5, 6], snr_db=30.0)
 
     def test_incomplete_weights_rejected(self):
         t, b = reference_network()

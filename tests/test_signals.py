@@ -17,7 +17,6 @@ from gridfreq.signals import (
     generate_arrays,
     pos_neg_decompose,
     sequence_amplitudes,
-    sequence_components,
 )
 
 
@@ -144,25 +143,16 @@ class TestGenerate:
 
 class TestSequenceComponents:
     def test_balanced_has_no_negative_sequence(self):
-        a, b = sequence_components(1.0, 1.0, 1.0)
+        a, b = sequence_amplitudes((1.0, 1.0, 1.0))
         assert a == pytest.approx(math.sqrt(6) / 2, abs=1e-12)
         assert b == pytest.approx(0.0, abs=1e-12)
 
     def test_type_a_sag(self):
         # 80 % drop on phase a.
-        a, b = sequence_components(0.2, 1.0, 1.0)
+        a, b = sequence_amplitudes((0.2, 1.0, 1.0))
         assert a == pytest.approx(0.898146, abs=1e-6)
         assert b.real == pytest.approx(-0.326599, abs=1e-6)
         assert b.imag == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_general_form_at_zero_offsets(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            amps = rng.uniform(0.1, 1.5, size=3)
-            a_ref, b_ref = sequence_components(*amps)
-            a_gen, b_gen = sequence_amplitudes(amps)
-            assert a_gen == pytest.approx(a_ref, abs=1e-12)
-            assert b_gen == pytest.approx(b_ref, abs=1e-12)
 
     def test_general_form_against_least_squares_oracle(self):
         # Independent check of the closed-form amplitudes: fit the two

@@ -9,7 +9,9 @@ four bundled experiments, ``experiment1_sag_step --seeds 100``,
 temporary directory.  For each config it prints the largest |Δ f_hat| over
 every ``f_hat*`` column, whether every ``flags`` column is identical, the
 largest relative change of ``theoretical_trace``, whether ``bound_ok`` is
-identical, and which output files are byte-identical.  Needs numpy and the
+identical, and which output files are byte-identical.  Exits 1 when any
+output file differs or exists on one side only, after printing the full
+report, and 0 when every file is byte-identical.  Needs numpy and the
 standard library only; it writes nothing inside either checkout.
 """
 
@@ -90,6 +92,7 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path)
     args = p.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
+    identical = True
     with tempfile.TemporaryDirectory(prefix="gridfreq_compare_") as tmp:
         for config, extra in CONFIGS:
             stats = dict(df_hat=0.0, dtrace=0.0, flags=True, bound_ok=True)
@@ -112,7 +115,8 @@ def main(argv=None) -> int:
                 print(f"  differ: {', '.join(differ)}")
             if stats["missing"]:
                 print(f"  only on one side: {', '.join(sorted(stats['missing']))}")
-    return 0
+            identical = identical and not differ and not stats["missing"]
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
