@@ -10,9 +10,10 @@ vector inherits a block structure
      [conj(B12), conj(B11)]]
 
 and this module provides the two container types.  Only the top halves are
-stored, so the structure holds by construction.  The filter step works on
-the blocks directly; ``materialize`` builds the full matrix for the theory
-and for dense reference checks.
+stored (a matrix's top block row as one array), so the structure holds by
+construction.  The filter step works on the blocks directly;
+``materialize`` builds the full matrix for the theory and for dense
+reference checks.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ class AugmentedVector:
     def __post_init__(self):
         object.__setattr__(self, "top", _as_complex(self.top))
 
+    @classmethod
+    def _of(cls, top: np.ndarray) -> "AugmentedVector":
+        """Wrap a complex128 top half, skipping the conversion."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "top", top)
+        return out
+
     @property
     def n(self) -> int:
         """Dimension of the underlying (non-augmented) vector."""
@@ -49,41 +57,51 @@ class AugmentedVector:
         return np.concatenate([self.top, np.conj(self.top)], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AugmentedMatrix:
     """Block-structured matrix [[B11, B12], [conj(B12), conj(B11)]].
 
-    Only the two top blocks are stored; the mirrored bottom row of blocks is
-    materialized on demand.  For an augmented covariance, ``block11`` is the
-    covariance E[x x^H] and ``block12`` the pseudo-covariance E[x x^T].  The
-    blocks may be rectangular (an observation matrix is 1 x n, a gain n x 1)
-    and may carry leading batch dimensions.
+    Only the top block row ``[B11 B12]`` is stored, as the one array
+    ``top``; ``block11`` and ``block12`` are views of its two halves, and
+    the mirrored bottom row of blocks is materialized on demand.  For an
+    augmented covariance, ``block11`` is the covariance E[x x^H] and
+    ``block12`` the pseudo-covariance E[x x^T].  The blocks may be
+    rectangular (an observation matrix is 1 x n, a gain n x 1) and may
+    carry leading batch dimensions; ``top`` may be a view of memory laid out
+    in any order, as the filter step leaves it.
     """
 
-    block11: np.ndarray
-    block12: np.ndarray
+    top: np.ndarray
 
-    def __post_init__(self):
-        b11 = _as_complex(self.block11)
-        b12 = _as_complex(self.block12)
+    def __init__(self, block11, block12):
+        b11 = _as_complex(block11)
+        b12 = _as_complex(block12)
         if b11.shape != b12.shape:
             raise ValueError(f"block shapes differ: {b11.shape} vs {b12.shape}")
-        object.__setattr__(self, "block11", b11)
-        object.__setattr__(self, "block12", b12)
+        object.__setattr__(self, "top", np.concatenate([b11, b12], axis=-1))
 
     @classmethod
-    def _of(cls, block11: np.ndarray, block12: np.ndarray) -> "AugmentedMatrix":
-        """Wrap complex128 blocks of equal shape, skipping the checks."""
+    def _of(cls, top: np.ndarray) -> "AugmentedMatrix":
+        """Wrap a complex128 top block row of even width, skipping the checks."""
         out = object.__new__(cls)
-        object.__setattr__(out, "block11", block11)
-        object.__setattr__(out, "block12", block12)
+        object.__setattr__(out, "top", top)
         return out
+
+    @property
+    def block11(self) -> np.ndarray:
+        return self.top[..., : self.top.shape[-1] // 2]
+
+    @property
+    def block12(self) -> np.ndarray:
+        return self.top[..., self.top.shape[-1] // 2 :]
 
     @classmethod
     def diagonal(cls, values: Sequence[float] | np.ndarray) -> "AugmentedMatrix":
         """Structured matrix with real diagonal block11 and zero block12."""
         d = np.asarray(values, dtype=np.float64)
-        return cls(np.diag(d).astype(np.complex128), np.zeros((d.size, d.size), np.complex128))
+        top = np.zeros((d.size, 2 * d.size), np.complex128)
+        top[:, : d.size] = np.diag(d)
+        return cls._of(top)
 
     @classmethod
     def eye(cls, n: int, scale: float = 1.0) -> "AugmentedMatrix":
@@ -92,9 +110,8 @@ class AugmentedMatrix:
     def materialize(self) -> np.ndarray:
         """Return the full matrix, twice the block size along both axes."""
         r, c = self.block11.shape[-2:]
-        out = np.empty(self.block11.shape[:-2] + (2 * r, 2 * c), dtype=np.complex128)
-        out[..., :r, :c] = self.block11
-        out[..., :r, c:] = self.block12
+        out = np.empty(self.top.shape[:-2] + (2 * r, 2 * c), dtype=np.complex128)
+        out[..., :r, :] = self.top
         np.conj(self.block12, out=out[..., r:, :c])
         np.conj(self.block11, out=out[..., r:, c:])
         return out

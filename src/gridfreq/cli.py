@@ -60,6 +60,7 @@ from .signals import (
     Scenario,
     ScenarioError,
     ScenarioSegment,
+    add_noise,
     clarke_arrays,
     generate_arrays,
 )
@@ -320,6 +321,14 @@ class RunPlan:
     description: str = ""
 
 
+def _node_id_problems(ids: list, path: str) -> list[str]:
+    """A diagnostic for each entry of ``ids`` that is a YAML collection, not a node id."""
+    return [
+        f"{path}[{i}]: expected a scalar node id, got {v!r}"
+        for i, v in enumerate(ids) if isinstance(v, (list, Mapping, set))
+    ]
+
+
 def validate_config(cfg: Mapping) -> list[str]:
     """Return one human-readable diagnostic per problem (empty when usable)."""
     try:
@@ -389,22 +398,27 @@ def build_plan(cfg: Mapping) -> RunPlan:
                 or not isinstance(raw.get("edges"), list)
             ):
                 diags.append("topology: expected a mapping with nodes and edges lists")
-            elif bad := [
-                (i, e) for i, e in enumerate(raw["edges"])
-                if not (isinstance(e, list) and len(e) == 2)
+            elif bad := _node_id_problems(raw["nodes"], "topology.nodes") + [
+                f"topology.edges[{i}]: expected a pair of node ids, got {e!r}"
+                for i, e in enumerate(raw["edges"])
+                if not (isinstance(e, list) and len(e) == 2 and not _node_id_problems(e, ""))
             ]:
-                for i, e in bad:
-                    diags.append(f"topology.edges[{i}]: expected a pair of node ids, got {e!r}")
+                diags += bad
             else:
                 try:
                     topology = Topology(raw["nodes"], [tuple(e) for e in raw["edges"]])
                 except (ValueError, TypeError) as exc:
                     diags.append(f"topology: {exc}")
         if topology is not None and "bridges" in cfg:
-            try:
-                assignment = BridgeAssignment(topology, cfg["bridges"])
-            except (ValueError, TypeError) as exc:
-                diags.append(f"bridges: {exc}")
+            if not isinstance(cfg["bridges"], list):
+                diags.append(f"bridges: expected a list of node ids, got {cfg['bridges']!r}")
+            elif bad := _node_id_problems(cfg["bridges"], "bridges"):
+                diags += bad
+            else:
+                try:
+                    assignment = BridgeAssignment(topology, cfg["bridges"])
+                except (ValueError, TypeError) as exc:
+                    diags.append(f"bridges: {exc}")
         if "weights" in cfg:
             weights = _build_weights(cfg["weights"], "weights", diags)
         if len(diags) == clean:  # diffusion, topology, bridges and weights all parsed
@@ -599,15 +613,14 @@ def _mc_table(name: str, t_s, f_true, f_hat) -> tuple:
 
 def _run_single(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
     """Row 0 of the one filter batch is the detailed run at ``seed``; with
-    ``n_seeds`` > 1 the Monte-Carlo rows at ``[seed, i]`` follow it."""
+    ``n_seeds`` > 1 the Monte-Carlo rows at ``[seed, i]`` follow it.  The
+    clean waveform is synthesized once, and each row adds its own noise."""
     factory = _SINGLE_FACTORIES[plan.estimator]
     model = factory(plan.sample_rate_hz, snr_db=plan.snr_db, **plan.filter_overrides)
     f_true = plan.scenario.true_freq()
     mc_seeds = [[seed, i] for i in range(n_seeds)] if n_seeds > 1 else []
-    rows = [
-        clarke_arrays(generate_arrays(plan.scenario, seed=s, snr_db=plan.snr_db))[1]
-        for s in [seed, *mc_seeds]
-    ]
+    clean = generate_arrays(plan.scenario)
+    rows = [clarke_arrays(add_noise(clean, s, plan.snr_db))[1] for s in [seed, *mc_seeds]]
     try:
         run = run_filter(model, np.stack(rows), plan.sample_rate_hz, f_true=f_true, detail=1)
     except FilterDegenerateError as exc:

@@ -32,10 +32,18 @@ operation costs little more for a whole batch than for one row.  The
 is the identity, so the prior ``A M A^H`` costs a handful of row
 combinations, and everything that involves the observation (``H P``,
 ``S``, the gain, the innovation and ``K H P``) is sums and outer products
-along it.  The step is not rewritten as a real 2n x 2n filter on
-[Re x; Im x]: that form loses the exact zeros of the structure (the ``lss``
-pseudo-covariance drifts to ~1e-20 instead of staying 0, and an exactly
-conditioned ``S`` comes out one ulp off).
+along it.  The step lays its arrays out batch-last, entries first and the
+batch flattened into one last axis, so each of those operations is one
+contiguous pass over the batch rather than a strided pass over short
+2n-entry rows.  Everything outside the step sees batch-first shapes, through
+views: the posterior covariance it returns is a view of its own batch-last
+array, so the next step reads it back without a copy.  The step is
+bit-for-bit independent of the batch a row is stepped in and of the memory
+layout of its inputs (see :func:`_step` for the one numpy rounding rule this
+needs).  It is not rewritten as a real 2n x 2n filter on [Re x; Im x]: that
+form loses the exact zeros of the structure (the ``lss`` pseudo-covariance
+drifts to ~1e-20 instead of staying 0, and an exactly conditioned ``S``
+comes out one ulp off).
 """
 
 from __future__ import annotations
@@ -104,7 +112,8 @@ class StateSpaceModel:
     a model whose row is passed to ``_step`` every tick.  A value is a
     Python scalar or an array of the batch shape; an augmented column c < n
     reads x[c], and c >= n reads conj(x[c - n]).  ``extract_freq`` reads the
-    frequency and flags off a top half.
+    frequency and flags off a top half.  ``initial_state`` maps the first
+    observation (one per batch row) to the start state at 50 Hz.
     """
 
     name: str
@@ -114,7 +123,7 @@ class StateSpaceModel:
     extract_freq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     Cu: AugmentedMatrix
     Cn: AugmentedMatrix
-    initial_state: Callable[..., FilterState]
+    initial_state: Callable[[np.ndarray], FilterState]
 
 
 class StepDiagnostics(NamedTuple):
@@ -128,31 +137,62 @@ class StepDiagnostics(NamedTuple):
     A: tuple
 
 
-def _conj_swapped(a: np.ndarray, n: int) -> np.ndarray:
-    """conj(a) with the two halves of its last axis swapped: [u, w] -> [conj(w), conj(u)]."""
-    return np.conj(a.reshape(a.shape[:-1] + (2, n))[..., ::-1, :]).reshape(a.shape)
+def _batch_last(a: np.ndarray, k: int, batch: tuple) -> np.ndarray:
+    """A batch-first ``(*b, e_1..e_k)`` array, k = 1 or 2, as ``(e_1..e_k, rows)``.
+
+    ``b`` is flattened into the one last axis of ``rows`` = prod(batch)
+    entries; an array without batch axes gets a unit axis that broadcasts,
+    and any other ``b`` is broadcast to ``batch``.  The result is a view
+    wherever the memory allows, as it does for the step's own outputs.
+    """
+    d = a.ndim - k
+    if d == 0:
+        return a[..., None]
+    if a.shape[:d] != batch:
+        a = np.broadcast_to(a, batch + a.shape[d:])
+    return a.reshape((-1,) + a.shape[d:]).transpose((1, 0) if k == 1 else (1, 2, 0))
 
 
-def _scaled(part: np.ndarray, v) -> np.ndarray:
-    """``part * v``; a unit scalar skips the product."""
-    return part * v if isinstance(v, np.ndarray) or v != 1 else part
+def _batch_first(a: np.ndarray, batch: tuple) -> np.ndarray:
+    """The batch-first view ``(*batch, e_1..e_k)`` of a batch-last ``(e_1..e_k, rows)`` array."""
+    a = a.transpose((1, 0) if a.ndim == 2 else (2, 0, 1))
+    return a if len(batch) == 1 else a.reshape(batch + a.shape[1:])
 
 
-def _row_sums(a: tuple, row: Callable, out: np.ndarray) -> np.ndarray:
-    """Fill row r of ``out`` with the sum of ``v * row(c)`` over the terms ``(r, c, v)``.
+def _factor(v, batch: tuple):
+    """A term value as a factor of batch-last rows: None for a unit scalar,
+    a scalar as it is, an array as (1, rows)."""
+    if isinstance(v, np.ndarray):
+        return v.reshape(1, -1) if v.shape == batch else _batch_last(v[..., None], 1, batch)
+    return None if v == 1 else v
+
+
+def _conj_swapped(a: np.ndarray) -> np.ndarray:
+    """conj(a) with the two halves of its first axis swapped: [u, w] -> [conj(w), conj(u)]."""
+    return np.conj(a.reshape(2, -1)[::-1]).reshape(a.shape)
+
+
+def _times(part: np.ndarray, w) -> np.ndarray:
+    """``part * w`` for a factor ``w``; None (a unit) skips the product."""
+    return part if w is None else part * w
+
+
+def _row_sums(a: list, row: Callable, out: np.ndarray) -> np.ndarray:
+    """Fill row r of ``out`` with the sum of ``w * row(c)`` over the factors ``(r, c, w)``.
 
     A row without terms is 0.
     """
     done = set()
-    for r, c, v in a:
-        part = _scaled(row(c), v[..., None] if isinstance(v, np.ndarray) else v)
+    for r, c, w in a:
         if r in done:
-            out[..., r, :] += part
+            out[r] += _times(row(c), w)
+        elif w is None:
+            out[r] = row(c)
         else:
-            out[..., r, :] = part
-            done.add(r)
-    if len(done) < out.shape[-2]:
-        out[..., [r for r in range(out.shape[-2]) if r not in done], :] = 0
+            np.multiply(row(c), w, out=out[r])
+        done.add(r)
+    if len(done) < out.shape[0]:
+        out[[r for r in range(out.shape[0]) if r not in done]] = 0
     return out
 
 
@@ -165,95 +205,129 @@ def _step(
     """One predict/correct cycle; returns the new state plus diagnostics.
 
     ``h`` is the observation row as ``(augmented column, value)`` terms; it
-    defaults to the model's own.  The prior's top block row
-    ``[P11 P12] = [A11 A12] M_full A_full^H`` is built from the Jacobian
-    terms on ``M``'s blocks, with no product of full matrices: row r of
-    ``B = [A11 A12] M_full`` sums v times row c of ``M_full`` over the terms
-    ``(r, c, v)``, and row r of ``[P11 P12]`` sums v times row c of
-    ``[conj(B)^T  B_swapped^T]`` over the same terms (``P11`` is Hermitian
-    and ``P12`` symmetric, so their rows are ``A``'s combinations of ``B``'s
-    columns).  A zero of the Jacobian costs nothing, and a unit entry no
-    product.  ``H P``, ``S``, the gain ``K`` and the innovation are sums over
-    the observation terms, and ``K H P`` is two outer products.  ``S`` is
-    the 2 x 2 ``[[s11, s12], [conj(s12), s11]]``, inverted in closed form;
-    a condition number above ``COND_LIMIT`` raises
-    :class:`FilterDegenerateError`.
-    ``M_post`` is symmetrised (Hermitian block11, symmetric block12) in one
-    fused expression to repair rounding.
+    defaults to the model's own.  The step works batch-last, on the batch
+    flattened into one last axis of ``rows`` entries: x is (n, rows), the
+    covariance's top block row ``[M11 M12]`` (n, 2n, rows) and a term value
+    (rows,), so each row combination below is one contiguous pass over the
+    batch.  It reads its inputs through views, and the state and
+    diagnostics it returns are batch-first views of its own arrays, so a
+    posterior fed back in costs no copy.  An unbatched state is a batch of
+    one row.
+
+    The prior's top block row ``[P11 P12] = [A11 A12] M_full A_full^H`` is
+    built from the Jacobian terms on ``M``'s blocks, with no product of full
+    matrices: row r of ``B = [A11 A12] M_full`` sums v times row c of
+    ``M_full`` over the terms ``(r, c, v)``, and row r of ``[P11 P12]`` sums
+    v times row c of ``[conj(B)^T  B_swapped^T]`` over the same terms
+    (``P11`` is Hermitian and ``P12`` symmetric, so their rows are ``A``'s
+    combinations of ``B``'s columns).  A zero of the Jacobian costs nothing
+    and a unit entry no product.  ``H P``, ``S``,
+    the gain ``K`` and the innovation are sums over the observation terms,
+    and ``K H P`` is two outer products.  ``S`` is the 2 x 2
+    ``[[s11, s12], [conj(s12), s11]]``, inverted in closed form; a condition
+    number above ``COND_LIMIT`` raises :class:`FilterDegenerateError`.  ``M_post`` is symmetrised (Hermitian
+    block11, symmetric block12) to repair rounding; the transposed blocks
+    are read before any entry is written, so at n = 1, where the transpose
+    is ``M_post`` itself, block11 comes out real.
+
+    Both operands of every complex product are arrays with the same number
+    of axes (a term value is (1, rows) against a row, (rows,) against an
+    entry), or one is a scalar: numpy rounds a complex product of two
+    one-element arrays of different ndim differently from the same product
+    in a longer array, and so is a product of two numpy scalars.  So a
+    row's result does not depend on the batch it is stepped in or on the
+    memory layout of its inputs.
     """
     h = model.observe_H if h is None else h
     x, m = state.x_hat.top, state.M
     n = x.shape[-1]
     batch = x.shape[:-1]
-    if m.block11.shape[:-2] != batch:
-        batch = np.broadcast_shapes(batch, m.block11.shape[:-2])
-    x_pred = model.f_a(x)
+    if m.top.shape[:-2] != batch or y.top.shape[:-1] != batch:
+        batch = np.broadcast_shapes(batch, m.top.shape[:-2], y.top.shape[:-1])
+    x_pred = _batch_last(model.f_a(x), 1, batch)
     a = model.jacobian_A(x)
+    a_rows = [(r, c, _factor(v, batch)) for r, c, v in a]
+    # an observation factor also as (rows,), against an entry
+    h_rows = [(c, w, w[0] if isinstance(w, np.ndarray) else w)
+              for c, w in ((c, _factor(v, batch)) for c, v in h)]
+    rows = math.prod(batch)
 
     # row c >= n of M_full is row c - n of [m11 m12], conjugated with its halves swapped
-    m_top = np.concatenate([m.block11, m.block12], axis=-1)
+    m_top = _batch_last(m.top, 2, batch)
     b = _row_sums(
-        a, lambda c: m_top[..., c, :] if c < n else _conj_swapped(m_top[..., c - n, :], n),
-        np.empty(batch + (n, 2 * n), dtype=complex),
+        a_rows, lambda c: m_top[c] if c < n else _conj_swapped(m_top[c - n]),
+        np.empty((n, 2 * n, rows), dtype=complex),
     )
-    b_swapped = b.reshape(batch + (n, 2, n))[..., ::-1, :].reshape(b.shape)
-    b_cols = np.concatenate([np.conj(b).swapaxes(-1, -2), b_swapped.swapaxes(-1, -2)], axis=-1)
-    p = _row_sums(a, lambda c: b_cols[..., c, :], np.empty(batch + (n, 2 * n), dtype=complex))
-    p += np.concatenate([model.Cu.block11, model.Cu.block12], axis=-1)
+    # row c of [conj(B)^T  B_swapped^T]: column c of conj(B), then column c -/+ n of B
+    b_cols = np.empty((2 * n, 2 * n, rows), dtype=complex)
+    b_t = b.swapaxes(0, 1)
+    np.conj(b_t, out=b_cols[:, :n])
+    b_cols[:n, n:], b_cols[n:, n:] = b_t[n:], b_t[:n]
+    p = _row_sums(
+        a_rows, b_cols.__getitem__, np.empty((n, 2 * n, rows), dtype=complex)
+    )
+    p += _batch_last(model.Cu.top, 2, batch)
 
-    # H P and H x: row c >= n of P_full is row c - n of [P11 P12], conjugated and swapped
+    # H P and H x: row c >= n of P_full is row c - n of [P11 P12], conjugated and swapped.
+    # S = H P_full H^H + Cn: H's second row is conj(h) with its halves swapped.
     hp = hx = None
-    for c, v in h:
+    s11, s12 = _batch_last(model.Cn.top, 2, batch)[0]  # Cn is 1 x 1 blocks
+    for c, w, we in h_rows:
         if c < n:
-            row, xc = p[..., c, :], x_pred[..., c]
+            row, xc = p[c], x_pred[c]
         else:
-            row, xc = _conj_swapped(p[..., c - n, :], n), np.conj(x_pred[..., c - n])
-        row = _scaled(row, v[..., None] if isinstance(v, np.ndarray) else v)
-        hp, hx = (row, _scaled(xc, v)) if hp is None else (hp + row, hx + _scaled(xc, v))
-    # S = H P_full H^H + Cn: H's second row is conj(h) with its halves swapped
-    s11, s12 = model.Cn.block11[..., 0, 0], model.Cn.block12[..., 0, 0]
-    for c, v in h:
-        s11 = s11 + _scaled(hp[..., c], np.conj(v))
-        s12 = s12 + _scaled(hp[..., c + n if c < n else c - n], v)
+            row, xc = _conj_swapped(p[c - n]), np.conj(x_pred[c - n])
+        row, xc = _times(row, w), _times(xc, we)
+        hp, hx = (row, xc) if hp is None else (hp + row, hx + xc)
+    for c, _, we in h_rows:
+        s11 = s11 + _times(hp[c], None if we is None else np.conj(we))
+        s12 = s12 + _times(hp[c + n if c < n else c - n], we)
     s11 = s11.real
     # S has eigenvalues s11 -/+ |s12|
     abs12 = np.abs(s12)
     lo, hi = s11 - abs12, s11 + abs12
     cond = hi / np.where(lo > 0, lo, np.nan)
-    bad = ~(cond <= COND_LIMIT)
-    if bad.any():
+    ok = cond <= COND_LIMIT
+    if not ok.all():
+        bad = ~ok
         worst = float(np.max(np.where(np.isfinite(cond), cond, np.inf)))
         exc = FilterDegenerateError(
             f"filter degenerate: innovation covariance condition number {worst:.3e}"
             f" exceeds {COND_LIMIT:.1e}"
         )
-        exc.row = tuple(int(i) for i in np.argwhere(bad)[0])
+        exc.row = tuple(int(i) for i in np.argwhere(bad.reshape(batch))[0])
         raise exc
 
     # S^-1 = [[s11, -s12], [-conj(s12), s11]] / (lo hi); two divisions keep
-    # lo hi from overflowing at huge covariances.  K = (H P)^H S^-1.
-    i11, i12 = (s11 / hi / lo)[..., None], (-s12 / hi / lo)[..., None]
-    hp_row2 = _conj_swapped(hp, n)  # (H P_full)'s second row
-    hp11_c, hp12 = hp_row2[..., n:], hp[..., n:]
-    k11 = hp11_c * i11 + hp12 * np.conj(i12)
-    k12 = hp11_c * i12 + hp12 * i11
-    innov = y.top - hx[..., None]
-    x_post = x_pred + k11 * innov + k12 * np.conj(innov)
-    k11, k12 = k11[..., :, None], k12[..., :, None]
-    post = p - k11 * hp[..., None, :]
-    post -= k12 * hp_row2[..., None, :]
-    # [m11 m12] + [m11^H m12^T]: transpose both blocks at once, then conjugate the first
-    t = post.reshape(post.shape[:-2] + (n, 2, n)).swapaxes(-1, -3).reshape(post.shape)
-    np.conj(t[..., :n], out=t[..., :n])
-    post += t
+    # lo hi from overflowing at huge covariances.  K = (H P)^H S^-1, held as
+    # the gain's top block row [k11 k12], (n, 2, rows).
+    i11, i12 = (s11 / hi / lo)[None], (-s12 / hi / lo)[None]
+    hp_row2 = _conj_swapped(hp)  # (H P_full)'s second row
+    hp11_c, hp12 = hp_row2[n:], hp[n:]
+    gain = np.empty((n, 2, rows), dtype=complex)
+    k11, k12 = gain[:, 0], gain[:, 1]
+    np.multiply(hp11_c, i11, out=k11)
+    k11 += hp12 * np.conj(i12)
+    np.multiply(hp11_c, i12, out=k12)
+    k12 += hp12 * i11
+    innov = np.subtract(_batch_last(y.top, 1, batch), hx, out=np.empty((1, rows), complex))
+    x_post = x_pred + k11 * innov
+    x_post += k12 * np.conj(innov)
+    post = p - gain[:, :1] * hp[None]
+    post -= gain[:, 1:] * hp_row2[None]
+    # [m11 m12] + [m11^H m12^T]; t[j, 0, i] is m11[i, j] and t[j, 1, i] is m12[i, j]
+    t = post.reshape(n, 2, n, rows).swapaxes(0, 2)
+    post[:, :n] += np.conj(t[:, 0])
+    post[:, n:] += t[:, 1]  # numpy reads an overlapping transposed operand before writing
     post *= 0.5
 
-    m_post = AugmentedMatrix._of(post[..., :n], post[..., n:])
+    m_post = AugmentedMatrix._of(_batch_first(post, batch))
     diag = StepDiagnostics(  # innovation, H, gain, M_prior, M_post, A
-        AugmentedVector(innov), h, AugmentedMatrix._of(k11, k12),
-        AugmentedMatrix._of(p[..., :n], p[..., n:]), m_post, a,
+        AugmentedVector._of(_batch_first(innov, batch)), h,
+        AugmentedMatrix._of(_batch_first(gain, batch)),
+        AugmentedMatrix._of(_batch_first(p, batch)), m_post, a,
     )
-    return FilterState(AugmentedVector(x_post), m_post), diag
+    return FilterState(AugmentedVector._of(_batch_first(x_post, batch)), m_post), diag
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +340,11 @@ def _noise_matrices(
     """``Cu`` with the diagonal ``cu_diag``, and ``Cn`` of the one observation at ``snr_db``."""
     sigma2 = 1.5 * 10.0 ** (-snr_db / 10.0) if snr_db is not None else _NOISELESS_CN
     return AugmentedMatrix.diagonal(cu_diag), AugmentedMatrix.diagonal([sigma2])
+
+
+def _nominal_increment(sample_rate_hz: float) -> complex:
+    """The phase increment of one tick at the 50 Hz every filter starts from."""
+    return np.exp(2j * math.pi * 50.0 / sample_rate_hz)
 
 
 def _angle_freq(sample_rate_hz: float) -> Callable:
@@ -301,9 +380,9 @@ def lss_model(
 
     extract = _angle_freq(sample_rate_hz)
 
-    def initial_state(first_obs, f_init_hz: float = 50.0) -> FilterState:
+    def initial_state(first_obs) -> FilterState:
         v0 = np.asarray(first_obs, dtype=complex)
-        x0 = np.full_like(v0, np.exp(2j * math.pi * f_init_hz / sample_rate_hz))
+        x0 = np.full_like(v0, _nominal_increment(sample_rate_hz))
         return FilterState(
             AugmentedVector(np.stack([x0, v0], axis=-1)), AugmentedMatrix.eye(2, 0.1)
         )
@@ -354,9 +433,9 @@ def wlss_model(
         f = np.arcsin(np.minimum(arg, 1.0)) / two_pi_dt
         return f, flags
 
-    def initial_state(first_obs, f_init_hz: float = 50.0) -> FilterState:
+    def initial_state(first_obs) -> FilterState:
         v0 = np.asarray(first_obs, dtype=complex)
-        h0 = np.full_like(v0, np.exp(2j * math.pi * f_init_hz / sample_rate_hz))
+        h0 = np.full_like(v0, _nominal_increment(sample_rate_hz))
         g0 = np.zeros_like(v0)
         return FilterState(
             AugmentedVector(np.stack([h0, g0, v0], axis=-1)), AugmentedMatrix.eye(3, 0.1)
@@ -398,9 +477,9 @@ def nss_model(
 
     extract = _angle_freq(sample_rate_hz)
 
-    def initial_state(first_obs, f_init_hz: float = 50.0) -> FilterState:
+    def initial_state(first_obs) -> FilterState:
         v0 = np.asarray(first_obs, dtype=complex)
-        x0 = np.full_like(v0, np.exp(2j * math.pi * f_init_hz / sample_rate_hz))
+        x0 = np.full_like(v0, _nominal_increment(sample_rate_hz))
         return FilterState(
             AugmentedVector(np.stack([x0, v0, np.zeros_like(v0)], axis=-1)),
             AugmentedMatrix.eye(3, 0.1),
@@ -437,9 +516,8 @@ def shared_increment_model(
 
     extract = _angle_freq(sample_rate_hz)
 
-    def initial_state(first_obs=None, f_init_hz: float = 50.0) -> FilterState:
-        shape = () if first_obs is None or np.isscalar(first_obs) else np.shape(first_obs)
-        x0 = np.full(shape + (1,), np.exp(2j * math.pi * f_init_hz / sample_rate_hz))
+    def initial_state(first_obs) -> FilterState:
+        x0 = np.full(np.shape(first_obs) + (1,), _nominal_increment(sample_rate_hz))
         return FilterState(AugmentedVector(x0), AugmentedMatrix.eye(1, 0.1))
 
     return StateSpaceModel(

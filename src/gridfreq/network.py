@@ -37,7 +37,7 @@ from .estimators import (
     nss_model,
     shared_increment_model,
 )
-from .signals import Scenario, clarke_arrays, generate_arrays
+from .signals import Scenario, add_noise, clarke_arrays, generate_arrays
 
 __all__ = [
     "TopologyError",
@@ -466,13 +466,6 @@ def _resolve_scenarios(topology: Topology, scenarios) -> dict:
     return per_node
 
 
-def _node_voltage(scenario: Scenario, seed, node_index: int, snr_db) -> np.ndarray:
-    rng_seed = None if snr_db is None else [int(seed), int(node_index)]
-    vabc = generate_arrays(scenario, seed=rng_seed, snr_db=snr_db)
-    _, v = clarke_arrays(vabc)
-    return v
-
-
 def run_distributed(
     topology: Topology,
     scenarios,
@@ -512,10 +505,15 @@ def run_distributed(
     ids = topology.node_ids
     fs = per_node[ids[0]].sample_rate_hz
     n_ticks = per_node[ids[0]].n_samples
+    # one clean waveform per scenario; node j at seed s adds the noise of [s, j]
+    clean = {}
     volts = np.empty((n_ticks, len(seeds), len(ids)), dtype=complex)
-    for s, seed in enumerate(seeds):
-        for j, n in enumerate(ids):
-            volts[:, s, j] = _node_voltage(per_node[n], seed, j, snr_db)
+    for j, n in enumerate(ids):
+        key = id(per_node[n])
+        if key not in clean:
+            clean[key] = generate_arrays(per_node[n])
+        for s, seed in enumerate(seeds):
+            volts[:, s, j] = clarke_arrays(add_noise(clean[key], [seed, j], snr_db))[1]
 
     aux_model = out_model = nss_model(fs, snr_db=snr_db)
     aux = out = aux_model.initial_state(volts[0])

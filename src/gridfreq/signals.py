@@ -162,9 +162,8 @@ def generate_arrays(
     """Sample a scenario, returning an (n, 3) array of phase voltages.
 
     Phase is accumulated across ticks so segment changes in frequency keep the
-    waveform continuous.  When ``snr_db`` is given, independent zero-mean
-    Gaussian noise with variance 0.5 * 10^(-snr_db/10) (per-unit amplitude
-    reference) is added to each phase.
+    waveform continuous.  When ``snr_db`` is given, the noise of
+    :func:`add_noise` at ``seed`` is added.
     """
     problems = scenario.validate()
     if problems:
@@ -183,12 +182,23 @@ def generate_arrays(
     offs = np.array([s.phase_offsets_rad for s in scenario.segments])[idx]
     phases = theta[:, None] + offs + _PHASE_LAGS
     v = amps * np.cos(phases)
+    return add_noise(v, seed, snr_db)
 
-    if snr_db is not None:
-        sigma = math.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-        rng = np.random.default_rng(seed)
-        v = v + rng.normal(0.0, sigma, size=(n, 3))
-    return v
+
+def add_noise(
+    vabc: np.ndarray, seed: int | Sequence[int] | None, snr_db: float | None
+) -> np.ndarray:
+    """``vabc`` plus independent zero-mean Gaussian noise on each sample.
+
+    The noise has variance 0.5 * 10^(-snr_db/10) (per-unit amplitude
+    reference) and is drawn from ``numpy.random.default_rng(seed)`` in one
+    call of ``vabc``'s shape, so one clean waveform can take the noise of
+    many seeds.  With ``snr_db`` None, ``vabc`` is returned unchanged.
+    """
+    if snr_db is None:
+        return vabc
+    sigma = math.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
+    return vabc + np.random.default_rng(seed).normal(0.0, sigma, size=vabc.shape)
 
 
 def clarke_arrays(vabc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -818,6 +818,27 @@ class TestInputsCheckedBeforeRun:
         assert f"config error: {diag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, diag",
+        [
+            ("nodes: [1, 2, 3]", "nodes: [[1], 2, 3]",
+             "topology.nodes[0]: expected a scalar node id, got [1]"),
+            ("edges: [[1, 2], [2, 3]]", "edges: [[1, 2], [[2], 3]]",
+             "topology.edges[1]: expected a pair of node ids, got [[2], 3]"),
+            ("bridges: [2]", "bridges: [[2]]", "bridges[0]: expected a scalar node id, got [2]"),
+            ("bridges: [2]", "bridges: {2: 1}", "bridges: expected a list of node ids, got {2: 1}"),
+        ],
+        ids=["node", "edge", "bridge", "bridge-mapping"],
+    )
+    def test_non_scalar_node_ids_named(self, tmp_path, capsys, old, new, diag):
+        cfg = write_config(tmp_path, QUICK_NETWORK.replace(old, new))
+        assert main(["validate", cfg]) == 1
+        assert capsys.readouterr().out.splitlines() == [diag]
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert f"config error: {diag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theory_needs_two_samples(self, tmp_path, capsys):
         # a one-sample run never steps the error recursion
         text = QUICK_NETWORK.replace("0.25", "0.001").replace("[0.1, 0.001]", "[0.0, 0.001]")

@@ -241,6 +241,84 @@ class TestDiagnosticsMatchDense:
         _assert_close(diag.gain.materialize(), d["gain"], np.max(np.abs(d["gain"])), cond)
 
 
+#: the batch row of a (3, 4) batch that the layout test steps on its own
+ROW = (1, 2)
+
+
+def _row_inputs(state, y, h, shape):
+    """Batch row ROW of the step inputs, reshaped to the batch ``shape`` (() unbatched).
+
+    Unbatched, an observation-row value is a numpy scalar, as the hand-written
+    network loops in the tests pass it."""
+
+    def pick(a, k):
+        return a[ROW].reshape(shape + a.shape[a.ndim - k :])
+
+    st = FilterState(
+        AugmentedVector(pick(state.x_hat.top, 1)),
+        AugmentedMatrix(pick(state.M.block11, 2), pick(state.M.block12, 2)),
+    )
+    h = None if h is None else tuple((c, v[ROW] if not shape else pick(v, 0)) for c, v in h)
+    return st, AugmentedVector(pick(y.top, 1)), h
+
+
+def _other_memory_order(state):
+    """The same state with the batch axes of x and of the covariance stored
+    in reverse order: non-contiguous views with the logical shapes kept."""
+    x, top = state.x_hat.top, state.M.top
+    d = x.ndim - 1
+    flip = tuple(range(d))[::-1]
+    x = np.ascontiguousarray(x.transpose(flip + (d,))).transpose(flip + (d,))
+    top = np.ascontiguousarray(top.transpose(flip + (d, d + 1))).transpose(flip + (d, d + 1))
+    assert not top.flags.c_contiguous
+    return FilterState(AugmentedVector(x), AugmentedMatrix._of(top))
+
+
+class TestLayoutIndependence:
+    """A row steps to the same bits alone, in any batch, from any memory layout."""
+
+    @pytest.mark.parametrize("name", ["lss", "wlss", "nss", "shared_increment"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_is_bit_identical_in_every_layout(self, name, seed):
+        model, state, y, h = random_step_inputs(name, seed, (3, 4))
+        ways = {
+            "unbatched": (_row_inputs(state, y, h, ()), ()),
+            "(1,)": (_row_inputs(state, y, h, (1,)), (0,)),
+            "(1, 1)": (_row_inputs(state, y, h, (1, 1)), (0, 0)),
+            "row of (3, 4)": ((state, y, h), ROW),
+            "transposed": ((_other_memory_order(state), y, h), ROW),
+        }
+        results = {}
+        for way, ((st, obs, row_h), at) in ways.items():
+            outputs = []
+            for _ in range(2):  # the second step starts from the layout the first left
+                st, diag = _step(model, st, obs, row_h)
+                outputs += [
+                    a[at] for a in (st.x_hat.top, st.M.top, diag.gain.top,
+                                    diag.innovation.top, diag.M_prior.top)
+                ]
+            results[way] = outputs
+        for way, outputs in results.items():
+            for got, want in zip(outputs, results["unbatched"]):
+                assert got.shape == want.shape and np.array_equal(got, want), way
+
+
+class TestSymmetrisedPosterior:
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+    def test_shared_increment_m11_comes_out_real(self, batch):
+        # at n = 1 the transpose of M_post is M_post itself: block11 must come
+        # out as its Hermitian part, real, from a prior with an imaginary part
+        model = shared_increment_model(FS, snr_db=30.0)
+        full = np.ones(batch + (1, 1))
+        m = AugmentedMatrix((0.1 + 1e-3j) * full, (0.02 + 0.01j) * full)
+        x = AugmentedVector(np.exp(2j * math.pi * 50.0 / FS) * full[..., 0])
+        h = ((0, (1.0 + 0.5j) * full[..., 0, 0]), (1, (0.1 - 0.2j) * full[..., 0, 0]))
+        y = AugmentedVector((0.9 + 0.3j) * full[..., 0])
+        new, _ = _step(model, FilterState(x, m), y, h)
+        assert np.all(new.M.block11.imag == 0)
+        assert np.all(new.M.block11.real > 0)
+
+
 class TestEngine:
     def test_scalar_gain_matches_hand_kalman(self):
         # Identity model, identity observation, Cu = 0, Cn = I: one update
@@ -425,7 +503,9 @@ class TestRunFilter:
         scn = make_scenario(duration=0.5)
         v = clarke_series(scn)
         model = nss_model(FS)
-        trace = run_filter(model, v, FS, init=model.initial_state(v[0], f_init_hz=49.0)).trace()
+        x0 = np.array([np.exp(2j * math.pi * 49.0 / FS), v[0], 0.0])
+        init = FilterState(AugmentedVector(x0), AugmentedMatrix.eye(3, 0.1))
+        trace = run_filter(model, v, FS, init=init).trace()
         settled = trace.f_hat_hz[200:]
         assert np.max(np.abs(settled - 50.0)) < 1e-3
 
