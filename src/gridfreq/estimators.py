@@ -65,13 +65,6 @@ FLAG_NEGATIVE_IM_H = 4
 #: arcsin argument left [-1, 1] and was clipped (transient divergence)
 FLAG_ARCSIN_CLIPPED = 8
 
-FLAG_NAMES = {
-    FLAG_ZERO_INCREMENT: "zero_increment",
-    FLAG_SEQUENCE_DOMINANCE: "sequence_dominance",
-    FLAG_NEGATIVE_IM_H: "negative_im_h",
-    FLAG_ARCSIN_CLIPPED: "arcsin_clipped",
-}
-
 #: largest condition number of the innovation covariance that ``_step`` accepts
 COND_LIMIT = 1e12
 
@@ -87,8 +80,8 @@ class FilterDegenerateError(RuntimeError):
     """Innovation covariance became numerically singular.
 
     Raised by ``_step`` with ``row``, the first degenerate batch index in C
-    order.  :func:`run_filter` raises it again with ``tick`` and ``row`` set
-    and the step's error as its cause.
+    order.  The tick loop under both drivers raises it again with ``tick``
+    and ``row`` set and the step's error as its cause.
     """
 
 
@@ -582,21 +575,57 @@ class FilterRun:
         return self._view((row,), self.f_true_hz)
 
 
+def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, kept: int, row_name):
+    """The tick loop under both drivers: per-tick bookkeeping and the degenerate-tick error.
+
+    ``ys`` holds each tick's observation, (ticks, *batch, 1).  ``step(state,
+    y)`` advances every batch row one tick and returns ``(state, diag,
+    xs)``: its next state, its diagnostics and a tuple of posterior top
+    halves (*batch, n), the frequency read off the first; ``state`` and
+    ``xs`` come in at tick 0.  Returns the estimates and flags (*batch,
+    ticks), the leading ``kept`` rows of each posterior (kept, *batch[1:],
+    ticks, n) and of the innovation power (kept, *batch[1:], ticks), None
+    without kept rows, and the final state.  A degenerate step is raised
+    again as "tick k: <row_name(row)>: ..." with ``tick`` and ``row`` set.
+    """
+    shape = ys.shape[1:-1] + (len(ys),)
+    f_hat = np.empty(shape)
+    flags = np.zeros(shape, dtype=int)
+    posts = [np.empty((kept,) + shape[1:] + x.shape[-1:], complex) if kept else None for x in xs]
+    innov = np.zeros((kept,) + shape[1:]) if kept else None
+
+    f_hat[..., 0], flags[..., 0] = extract(xs[0])
+    if kept:
+        for post, x in zip(posts, xs):
+            post[..., 0, :] = np.atleast_2d(x)[:kept]  # an unbatched start serves every row
+    for k in range(1, len(ys)):
+        try:
+            state, diag, xs = step(state, AugmentedVector(ys[k]))
+        except FilterDegenerateError as exc:
+            err = FilterDegenerateError(f"tick {k}: {row_name(exc.row)}: {exc}")
+            err.tick, err.row = k, exc.row
+            raise err from exc
+        f_hat[..., k], flags[..., k] = extract(xs[0])
+        if kept:
+            for post, x in zip(posts, xs):
+                post[..., k, :] = x[:kept]
+            innov[..., k] = np.abs(diag.innovation.top[:kept, ..., 0]) ** 2
+    return f_hat, flags, posts, innov, state
+
+
 def run_filter(
     model: StateSpaceModel,
     samples: np.ndarray,
     sample_rate_hz: float,
-    init: FilterState | None = None,
     f_true: np.ndarray | None = None,
     detail: int = 0,
 ) -> FilterRun:
     """Run a model over Clarke voltage series, every seed row in one batch.
 
     ``samples`` is one series (ticks,) or a batch (seeds, ticks); each row
-    evolves exactly as it would alone, and the result is shaped (seeds,
-    ticks) either way.  Non-finite samples are rejected before any step.
-    ``init`` is one state for every row or one per row; by default each row
-    starts from its first sample.  ``detail`` is the number of leading rows
+    starts from its first sample and evolves exactly as it would alone, and
+    the result is shaped (seeds, ticks) either way.  Non-finite samples are
+    rejected before any step.  ``detail`` is the number of leading rows
     whose states and innovation power are kept (``True`` is 1).  A
     degenerate step raises :class:`FilterDegenerateError` naming the tick
     and the row.
@@ -608,30 +637,18 @@ def run_filter(
     if bad.size:
         row, k = bad[0]
         raise ValueError(f"row {row}, tick {k}: non-finite sample {v[row, k]}")
-    n_seeds, n_ticks = v.shape
-    kept = min(int(detail), n_seeds)
-    state = model.initial_state(v[:, 0]) if init is None else init
-    f_hat = np.empty((n_seeds, n_ticks))
-    flags = np.zeros((n_seeds, n_ticks), dtype=int)
-    states = np.empty((kept, n_ticks, state.x_hat.n), dtype=complex) if kept else None
-    innov = np.zeros((kept, n_ticks)) if kept else None
 
-    f_hat[:, 0], flags[:, 0] = model.extract_freq(state.x_hat.top)
-    if kept:
-        states[:, 0] = np.atleast_2d(state.x_hat.top)[:kept]
-    for k in range(1, n_ticks):
-        try:
-            state, diag = _step(model, state, AugmentedVector(v[:, k : k + 1]))
-        except FilterDegenerateError as exc:
-            err = FilterDegenerateError(f"tick {k}: row {exc.row[0]}: {exc}")
-            err.tick, err.row = k, exc.row
-            raise err from exc
-        f_hat[:, k], flags[:, k] = model.extract_freq(state.x_hat.top)
-        if kept:
-            states[:, k] = state.x_hat.top[:kept]
-            innov[:, k] = np.abs(diag.innovation.top[:kept, 0]) ** 2
+    def step(state, y):
+        state, diag = _step(model, state, y)
+        return state, diag, (state.x_hat.top,)
+
+    state = model.initial_state(v[:, 0])
+    f_hat, flags, (states,), innov, _ = _run_ticks(
+        step, state, (state.x_hat.top,), v.T[..., None], model.extract_freq,
+        min(int(detail), v.shape[0]), lambda row: f"row {row[0]}",
+    )
     return FilterRun(
-        t_s=np.arange(n_ticks) / sample_rate_hz,
+        t_s=np.arange(v.shape[1]) / sample_rate_hz,
         f_hat_hz=f_hat,
         flags=flags,
         f_true_hz=None if f_true is None else np.asarray(f_true, dtype=float),

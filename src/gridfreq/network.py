@@ -27,12 +27,12 @@ import numpy as np
 from .analysis import NetworkErrorState, initial_network_state, mse_step
 from .augmented import AugmentedVector
 from .estimators import (
-    FilterDegenerateError,
     FilterRun,
     FilterState,
     FreqTrace,
     StateSpaceModel,
     StepDiagnostics,
+    _run_ticks,
     _step,
     nss_model,
     shared_increment_model,
@@ -363,31 +363,33 @@ def _diffuse_all(estimates: np.ndarray, mixing: _Mixing) -> np.ndarray:
 def _tick(
     aux_model: StateSpaceModel,
     shared_model: StateSpaceModel | None,
-    aux: FilterState,
-    shared: FilterState | None,
-    y: AugmentedVector,
     mixing: _Mixing,
-) -> tuple[FilterState, FilterState | None, StepDiagnostics, np.ndarray]:
+    state: tuple,
+    y: AugmentedVector,
+) -> tuple[tuple, StepDiagnostics, tuple]:
     """One synchronous round of the network, for every (seed, node) batch row.
 
-    The auxiliary ``nss`` trackers advance on the new observations ``y``.  In
-    ``dfe`` mode the 2-dim shared filters (``shared``) are then corrected
-    with the observation row ``((0, v+), (1, v-))`` of the sequence-voltage
-    estimates standing *before* this tick.  Those are the values consistent with the
-    observation pairing v_k = v+_{k-1} x + v-_{k-1} conj(x); using the
-    refreshed posteriors instead would make the observation explain itself
-    and collapse the increment estimate toward 1.  The output filter's
-    posteriors (the shared filters', or the trackers' own in full-state mode,
-    where ``shared`` is None) then run through the diffusion, and that filter
-    restarts from its combined value.  Returns the new (aux, shared) states,
-    the output step's diagnostics and its posterior top halves before the
-    diffusion.
+    The auxiliary ``nss`` trackers of ``state = (aux, shared, errors)``
+    advance on the new observations ``y``.  In ``dfe`` mode the 2-dim
+    shared filters are then corrected with the observation row ``((0, v+),
+    (1, v-))`` of the sequence-voltage estimates standing *before* this
+    tick.  Those are the values consistent with the observation pairing v_k
+    = v+_{k-1} x + v-_{k-1} conj(x); using the refreshed posteriors instead
+    would make the observation explain itself and collapse the increment
+    estimate toward 1.  The output filter's posteriors (the shared
+    filters', or the trackers' own in full-state mode, where ``shared`` is
+    None) then run through the diffusion, and that filter restarts from its
+    combined value.  The error recursion ``errors`` (None without theory)
+    steps on that filter's diagnostics.  As a step of :func:`_run_ticks`,
+    returns the new state, those diagnostics and the output posterior top
+    halves after and before the diffusion.
 
     In ``dfe`` mode the auxiliary tracker stays fully local: overwriting its
     increment entry with the diffused value couples the two filters into a
     feedback loop that is unstable at noiseless gain levels (a slowly
     growing oscillation near 75 Hz).
     """
+    aux, shared, errors = state
     v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
     aux, diag = _step(aux_model, aux, y)
     out = aux
@@ -395,7 +397,10 @@ def _tick(
         out, diag = _step(shared_model, shared, y, ((0, v_plus), (1, v_minus)))
     local = out.x_hat.top
     out = FilterState(AugmentedVector(_diffuse_all(local, mixing)), out.M)
-    return (out, None, diag, local) if shared is None else (aux, out, diag, local)
+    if errors is not None:
+        errors = mse_step(errors, diag)
+    state = (out, None, errors) if shared is None else (aux, out, errors)
+    return state, diag, (out.x_hat.top, local)
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +527,6 @@ def run_distributed(
         shared_model = out_model = shared_increment_model(fs, snr_db=snr_db)
         shared = out = shared_model.initial_state(volts[0])
 
-    shape = (len(seeds), len(ids), n_ticks)
-    kept = min(int(detail), len(seeds))
-    f_hat = np.empty(shape)
-    flags = np.zeros(shape, dtype=int)
-    states = np.empty((kept,) + shape[1:] + (out.x_hat.n,), dtype=complex) if kept else None
-    local_states = np.empty_like(states) if kept else None
-    innov = np.zeros((kept,) + shape[1:]) if kept else None
-
     errors = None
     if theory:
         errors = initial_network_state(
@@ -537,26 +534,11 @@ def run_distributed(
             out.M.materialize(), out_model.Cu.materialize(), out_model.Cn.materialize(),
         )
 
-    f_hat[..., 0], flags[..., 0] = out_model.extract_freq(out.x_hat.top)
-    if kept:
-        states[:, :, 0] = local_states[:, :, 0] = out.x_hat.top[:kept]
-    for k in range(1, n_ticks):
-        y = AugmentedVector(volts[k][..., None])
-        try:
-            aux, shared, diag, local = _tick(aux_model, shared_model, aux, shared, y, mixing)
-        except FilterDegenerateError as exc:
-            s, j = exc.row
-            where = f"tick {k}: node {ids[j]!r}: seed {seeds[s]}"
-            raise FilterDegenerateError(f"{where}: {exc}") from exc
-        out = aux if shared is None else shared
-        f_hat[..., k], flags[..., k] = out_model.extract_freq(out.x_hat.top)
-        if kept:
-            states[:, :, k] = out.x_hat.top[:kept]
-            local_states[:, :, k] = local[:kept]
-            innov[..., k] = np.abs(diag.innovation.top[:kept, ..., 0]) ** 2
-        if errors is not None:
-            errors = mse_step(errors, diag)
-
+    f_hat, flags, (states, local_states), innov, (_, _, errors) = _run_ticks(
+        lambda state, y: _tick(aux_model, shared_model, mixing, state, y),
+        (aux, shared, errors), (out.x_hat.top,) * 2, volts[..., None], out_model.extract_freq,
+        min(int(detail), len(seeds)), lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
+    )
     return DistributedRun(
         t_s=np.arange(n_ticks) / fs,
         f_hat_hz=f_hat,

@@ -505,7 +505,9 @@ class TestRunFilter:
         model = nss_model(FS)
         x0 = np.array([np.exp(2j * math.pi * 49.0 / FS), v[0], 0.0])
         init = FilterState(AugmentedVector(x0), AugmentedMatrix.eye(3, 0.1))
-        trace = run_filter(model, v, FS, init=init).trace()
+        model = dataclasses.replace(model, initial_state=lambda _: init)
+        trace = run_filter(model, v, FS, detail=True).trace()
+        np.testing.assert_array_equal(trace.states[0], x0)  # one unbatched start, kept as the row's
         settled = trace.f_hat_hz[200:]
         assert np.max(np.abs(settled - 50.0)) < 1e-3
 
@@ -541,8 +543,9 @@ class TestRunFilter:
         m = np.array([0.1, 0.0, 0.1])[:, None, None] * np.eye(2)
         x0 = AugmentedVector(np.stack([v[:, 0]] * 2, axis=-1))
         init = FilterState(x0, AugmentedMatrix(m, 0 * m))
+        model = dataclasses.replace(model, initial_state=lambda _: init)
         with pytest.raises(FilterDegenerateError, match="^tick 1: row 1: filter degenerate"):
-            run_filter(model, v, FS, init=init)
+            run_filter(model, v, FS)
 
     @pytest.mark.parametrize("rows, at", [(1, (0, 5)), (3, (2, 7))], ids=["1-d", "batch"])
     def test_non_finite_sample_rejected_before_any_step(self, monkeypatch, rows, at):

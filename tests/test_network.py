@@ -645,8 +645,10 @@ class TestConfigErrors:
         t, _ = reference_network()
         scn = make_scenario(duration=0.1)
         monkeypatch.setattr(gridfreq.estimators, "COND_LIMIT", 1.0)
-        with pytest.raises(FilterDegenerateError, match="tick 2: node 1:"):
+        with pytest.raises(FilterDegenerateError, match="tick 2: node 1:") as exc:
             run_distributed(t, scn, [0], snr_db=30.0)
+        assert exc.value.tick == 2
+        assert exc.value.row == (0, 0)
         with pytest.raises(FilterDegenerateError, match="tick 2: node 1: seed 5:"):
             run_distributed(t, scn, [5, 6], snr_db=30.0)
 
