@@ -44,7 +44,6 @@ from .network import (
     uniform_weights,
 )
 from .analysis import (
-    MseReport,
     SpectrumResult,
     empirical_mse,
     error_spectrum,
@@ -62,7 +61,6 @@ __all__ = [
     "FilterRun",
     "FilterState",
     "FreqTrace",
-    "MseReport",
     "RampFreq",
     "Scenario",
     "ScenarioError",

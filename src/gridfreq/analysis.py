@@ -38,7 +38,6 @@ from .estimators import FreqTrace, StepDiagnostics
 __all__ = [
     "AnalysisError",
     "NetworkErrorState",
-    "MseReport",
     "SpectrumResult",
     "empirical_mse",
     "error_spectrum",
@@ -56,14 +55,6 @@ SPECTRUM_MIN_TICKS = 512
 # empirical metrics
 
 
-@dataclass
-class MseReport:
-    """Per-node empirical mean squared frequency error."""
-
-    nodes: tuple
-    empirical_mse_hz2: dict
-
-
 def _check_window(window, n_ticks: int) -> tuple[int, int]:
     start, stop = int(window[0]), int(window[1])
     if start < 0 or stop > n_ticks:
@@ -73,32 +64,18 @@ def _check_window(window, n_ticks: int) -> tuple[int, int]:
     return start, stop
 
 
-def _true_series(trace: FreqTrace, f_true) -> np.ndarray:
-    if f_true is None:
-        f_true = trace.f_true_hz
-    if f_true is None:
-        raise AnalysisError("no true frequency available; pass f_true")
-    return np.broadcast_to(np.asarray(f_true, dtype=float), trace.f_hat_hz.shape)
-
-
-def empirical_mse(run, window, f_true=None) -> MseReport:
+def empirical_mse(f_hat: np.ndarray, f_true: np.ndarray, window) -> np.ndarray:
     """Mean squared frequency error per node, over the seeds and a half-open tick window.
 
-    ``run`` is a :func:`~gridfreq.network.run_distributed` result, with
-    ``f_hat_hz`` shaped (seeds, nodes, ticks).  ``f_true`` defaults to the
-    run's ``f_true_hz`` and broadcasts to (nodes, ticks), so it may be one
-    value, one series for every node, or one series per node.
+    ``f_hat`` is shaped (seeds, nodes, ticks) and ``f_true`` (nodes, ticks),
+    as in a :func:`~gridfreq.network.run_distributed` result.  Each node
+    takes its own mean, so its value does not depend on the other nodes.
     """
-    f_hat = run.f_hat_hz
     start, stop = _check_window(window, f_hat.shape[-1])
-    if f_true is None:
-        f_true = run.f_true_hz
-    truth = np.broadcast_to(np.asarray(f_true, dtype=float), f_hat.shape[1:])
-    mse = {}
-    for j, n in enumerate(run.node_ids):
-        err = f_hat[:, j, start:stop] - truth[j, start:stop]
-        mse[n] = float(np.mean(err**2))
-    return MseReport(nodes=tuple(run.node_ids), empirical_mse_hz2=mse)
+    return np.array([
+        np.mean((f_hat[:, j, start:stop] - f_true[j, start:stop]) ** 2)
+        for j in range(f_hat.shape[1])
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +230,21 @@ class SpectrumResult:
     peak_power: float
 
 
-def error_spectrum(trace: FreqTrace, window, f_true=None) -> SpectrumResult:
+def error_spectrum(trace: FreqTrace, window) -> SpectrumResult:
     """Locate the dominant oscillation in a trace's steady-state error.
 
-    The windowed error is linearly detrended (removing residual lag drift) and
-    transformed with a plain rectangular DFT; the largest non-DC magnitude bin
-    is reported.  The window must cover at least 512 samples for a usable
-    frequency resolution.
+    The windowed error against the trace's ``f_true_hz`` is linearly
+    detrended (removing residual lag drift) and transformed with a plain
+    rectangular DFT; the largest non-DC magnitude bin is reported.  The
+    window must cover at least 512 samples for a usable frequency
+    resolution.
     """
     start, stop = _check_window(window, trace.f_hat_hz.shape[-1])
     if stop - start < SPECTRUM_MIN_TICKS:
         raise AnalysisError(f"window [{start}, {stop}) shorter than {SPECTRUM_MIN_TICKS} samples")
-    err = trace.f_hat_hz[start:stop] - _true_series(trace, f_true)[start:stop]
+    if trace.f_true_hz is None:
+        raise AnalysisError("trace has no true frequency; pass f_true to run_filter")
+    err = trace.f_hat_hz[start:stop] - trace.f_true_hz[start:stop]
     t = np.arange(err.size, dtype=float)
     slope, intercept = np.polyfit(t, err, 1)
     detrended = err - (slope * t + intercept)

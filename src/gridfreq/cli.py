@@ -29,7 +29,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -668,23 +668,20 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
             [k, phase, src, dst, payload.real, payload.imag],
         ))
 
-    mc = run
+    mc = run.f_hat_hz
     if mc_seeds:
-        mc = replace(run, f_hat_hz=run.f_hat_hz[1:])
-        for j, n in enumerate(mc.node_ids):
-            tables.append(
-                _mc_table(f"mc_node_{n}.csv", mc.t_s, mc.f_true_hz[j], mc.f_hat_hz[:, j])
-            )
+        mc = mc[1:]
+        for j, n in enumerate(run.node_ids):
+            tables.append(_mc_table(f"mc_node_{n}.csv", run.t_s, run.f_true_hz[j], mc[:, j]))
 
     if plan.mse_window_s is not None:
-        report = empirical_mse(mc, _ticks(plan.mse_window_s, plan.sample_rate_hz))
-        theo = ok = [None] * len(report.nodes)
+        mse = empirical_mse(mc, run.f_true_hz, _ticks(plan.mse_window_s, plan.sample_rate_hz))
+        theo = ok = [None] * len(run.node_ids)
         if plan.mse_theory:
             theo, ok = _theory_columns(run.error_state)
-        mse = np.array([report.empirical_mse_hz2[n] for n in report.nodes])
         tables.append((
             "mse_report.csv", ["node", "empirical_mse_hz2", "theoretical_trace", "bound_ok"],
-            [list(report.nodes), mse, theo, ok],
+            [list(run.node_ids), mse, theo, ok],
         ))
     return tables
 

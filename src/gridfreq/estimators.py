@@ -575,7 +575,7 @@ class FilterRun:
         return self._view((row,), self.f_true_hz)
 
 
-def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, kept: int, row_name):
+def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, detail: int, row_name):
     """The tick loop under both drivers: per-tick bookkeeping and the degenerate-tick error.
 
     ``ys`` holds each tick's observation, (ticks, *batch, 1).  ``step(state,
@@ -583,12 +583,16 @@ def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, kept: 
     xs)``: its next state, its diagnostics and a tuple of posterior top
     halves (*batch, n), the frequency read off the first; ``state`` and
     ``xs`` come in at tick 0.  Returns the estimates and flags (*batch,
-    ticks), the leading ``kept`` rows of each posterior (kept, *batch[1:],
-    ticks, n) and of the innovation power (kept, *batch[1:], ticks), None
-    without kept rows, and the final state.  A degenerate step is raised
+    ticks), the leading ``kept = min(detail, batch[0])`` rows of each
+    posterior (kept, *batch[1:], ticks, n) and of the innovation power
+    (kept, *batch[1:], ticks), None without kept rows, and the final state.
+    A negative ``detail`` raises ValueError.  A degenerate step is raised
     again as "tick k: <row_name(row)>: ..." with ``tick`` and ``row`` set.
     """
     shape = ys.shape[1:-1] + (len(ys),)
+    kept = min(int(detail), shape[0])
+    if kept < 0:
+        raise ValueError(f"detail must be at least 0, got {detail}")
     f_hat = np.empty(shape)
     flags = np.zeros(shape, dtype=int)
     posts = [np.empty((kept,) + shape[1:] + x.shape[-1:], complex) if kept else None for x in xs]
@@ -644,8 +648,8 @@ def run_filter(
 
     state = model.initial_state(v[:, 0])
     f_hat, flags, (states,), innov, _ = _run_ticks(
-        step, state, (state.x_hat.top,), v.T[..., None], model.extract_freq,
-        min(int(detail), v.shape[0]), lambda row: f"row {row[0]}",
+        step, state, (state.x_hat.top,), v.T[..., None], model.extract_freq, detail,
+        lambda row: f"row {row[0]}",
     )
     return FilterRun(
         t_s=np.arange(v.shape[1]) / sample_rate_hz,

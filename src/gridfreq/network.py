@@ -40,9 +40,6 @@ from .estimators import (
 from .signals import Scenario, add_noise, clarke_arrays, generate_arrays
 
 __all__ = [
-    "TopologyError",
-    "BridgeAssignmentError",
-    "WeightsError",
     "DistributedConfigError",
     "Topology",
     "BridgeAssignment",
@@ -56,20 +53,9 @@ __all__ = [
 ]
 
 
-class TopologyError(ValueError):
-    pass
-
-
-class BridgeAssignmentError(ValueError):
-    pass
-
-
-class WeightsError(ValueError):
-    pass
-
-
 class DistributedConfigError(ValueError):
-    """Pre-run validation of a distributed setup failed."""
+    """A distributed setup is invalid: its topology, bridges, weights,
+    diffusion mode, estimator mode, scenarios or seeds."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +76,29 @@ class Topology:
 
     def __init__(self, node_ids: Sequence, edges):
         ids = tuple(node_ids)
+        if not ids:
+            raise DistributedConfigError("empty node list")
         if len(set(ids)) != len(ids):
-            raise TopologyError("duplicate node ids")
+            raise DistributedConfigError("duplicate node ids")
         for a, b in itertools.combinations(ids, 2):
             try:
                 a < b
             except TypeError:
-                raise TopologyError(f"node ids {a!r} and {b!r} cannot be ordered") from None
+                raise DistributedConfigError(
+                    f"node ids {a!r} and {b!r} cannot be ordered"
+                ) from None
         known = set(ids)
         normalized = set()
         for e in edges:
             a, b = tuple(e)
             if a == b:
-                raise TopologyError(f"self-loop on node {a!r}")
+                raise DistributedConfigError(f"self-loop on node {a!r}")
             if a not in known or b not in known:
-                raise TopologyError(f"edge ({a!r}, {b!r}) references unknown node")
+                raise DistributedConfigError(f"edge ({a!r}, {b!r}) references unknown node")
             normalized.add(frozenset((a, b)))
         object.__setattr__(self, "node_ids", ids)
         object.__setattr__(self, "edges", frozenset(normalized))
-        if ids and not self.is_connected:
+        if not self.is_connected:
             warnings.warn("topology is not connected", stacklevel=2)
 
     def neighbors(self, i) -> tuple:
@@ -122,8 +112,6 @@ class Topology:
 
     @property
     def is_connected(self) -> bool:
-        if not self.node_ids:
-            return True
         seen = {self.node_ids[0]}
         frontier = [self.node_ids[0]]
         while frontier:
@@ -150,16 +138,16 @@ class BridgeAssignment:
         bset = frozenset(bridges)
         unknown = bset - set(topology.node_ids)
         if unknown:
-            raise BridgeAssignmentError(f"unknown bridge nodes {sorted(unknown)!r}")
+            raise DistributedConfigError(f"unknown bridge nodes {sorted(unknown)!r}")
         for e in topology.edges:
             if e <= bset:
                 a, b = sorted(e)
-                raise BridgeAssignmentError(
+                raise DistributedConfigError(
                     f"bridges {a!r} and {b!r} are adjacent (independence violated)"
                 )
         for n in topology.node_ids:
             if n not in bset and not bset.intersection(topology.neighbors(n)):
-                raise BridgeAssignmentError(f"node {n!r} has no bridge neighbor")
+                raise DistributedConfigError(f"node {n!r} has no bridge neighbor")
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "bridges", bset)
 
@@ -201,17 +189,16 @@ class DiffusionWeights:
     def __post_init__(self):
         for label, rows in (("beta", self.beta), ("gamma", self.gamma)):
             for node, row in rows.items():
+                where = f"{label} row for node {node!r}"
                 if not row:
-                    raise WeightsError(f"{label} row for node {node!r} is empty")
+                    raise DistributedConfigError(f"{where} is empty")
                 vals = np.array(list(row.values()), dtype=float)
                 if not np.all(np.isfinite(vals)):
-                    raise WeightsError(f"{label} row for node {node!r} has non-finite weights")
+                    raise DistributedConfigError(f"{where} has non-finite weights")
                 if np.any(vals < 0):
-                    raise WeightsError(f"{label} row for node {node!r} has negative weights")
+                    raise DistributedConfigError(f"{where} has negative weights")
                 if abs(vals.sum() - 1.0) > 1e-9:
-                    raise WeightsError(
-                        f"{label} row for node {node!r} sums to {vals.sum():.12f}, expected 1"
-                    )
+                    raise DistributedConfigError(f"{where} sums to {vals.sum():.12f}, expected 1")
 
 
 def uniform_weights(t: Topology, b: BridgeAssignment) -> DiffusionWeights:
@@ -411,7 +398,9 @@ def _tick(
 class DistributedRun(FilterRun):
     """What :func:`run_distributed` produced: arrays shaped (seeds, nodes, ticks).
 
-    ``f_true_hz`` is (nodes, ticks).  With ``detail``, ``local_states`` holds
+    ``f_true_hz`` is (nodes, ticks).  ``topology``, ``assignment``,
+    ``weights`` and ``diffusion`` are the resolved setup, which
+    :meth:`message_log` replays.  With ``detail``, ``local_states`` holds
     the output filter's posterior top halves before diffusion, shaped like
     ``states``: both keep the leading ``detail`` seed rows only.  The final
     error state reads seed row 0.
@@ -420,9 +409,7 @@ class DistributedRun(FilterRun):
     topology: Topology
     assignment: BridgeAssignment | None
     weights: DiffusionWeights
-    mode: str
     diffusion: str
-    seeds: tuple
     error_state: NetworkErrorState | None = None  # after the last tick
     local_states: np.ndarray | None = None
 
@@ -537,7 +524,7 @@ def run_distributed(
     f_hat, flags, (states, local_states), innov, (_, _, errors) = _run_ticks(
         lambda state, y: _tick(aux_model, shared_model, mixing, state, y),
         (aux, shared, errors), (out.x_hat.top,) * 2, volts[..., None], out_model.extract_freq,
-        min(int(detail), len(seeds)), lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
+        detail, lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
     )
     return DistributedRun(
         t_s=np.arange(n_ticks) / fs,
@@ -549,9 +536,7 @@ def run_distributed(
         topology=topology,
         assignment=mixing.assignment,
         weights=mixing.weights,
-        mode=mode,
         diffusion=diffusion,
-        seeds=seeds,
         error_state=errors,
         local_states=local_states,
     )

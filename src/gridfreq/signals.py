@@ -142,28 +142,24 @@ class Scenario:
         t = np.asarray(k, dtype=float) / self.sample_rate_hz
         return np.clip(np.searchsorted(starts, t + 1e-12, side="right") - 1, 0, len(starts) - 1)
 
-    def true_freq(self, n: int | None = None) -> np.ndarray:
+    def true_freq(self) -> np.ndarray:
         """Instantaneous frequency at each tick (the phase-increment rate)."""
-        n = self.n_samples if n is None else n
-        k = np.arange(n)
+        k = np.arange(self.n_samples)
         idx = self.segment_index(k)
         t = k / self.sample_rate_hz
-        f = np.empty(n)
+        f = np.empty(k.size)
         for i, seg in enumerate(self.segments):
             mask = idx == i
             if mask.any():
-                f[mask] = seg.freq.at(t[mask] - seg.start_s) if isinstance(seg.freq, RampFreq) else seg.freq.f_hz
+                f[mask] = seg.freq.at(t[mask] - seg.start_s)
         return f
 
 
-def generate_arrays(
-    scenario: Scenario, seed: int | Sequence[int] | None = None, snr_db: float | None = None
-) -> np.ndarray:
-    """Sample a scenario, returning an (n, 3) array of phase voltages.
+def generate_arrays(scenario: Scenario) -> np.ndarray:
+    """Sample a scenario, returning an (n, 3) array of noiseless phase voltages.
 
     Phase is accumulated across ticks so segment changes in frequency keep the
-    waveform continuous.  When ``snr_db`` is given, the noise of
-    :func:`add_noise` at ``seed`` is added.
+    waveform continuous.  :func:`add_noise` adds the observation noise.
     """
     problems = scenario.validate()
     if problems:
@@ -173,7 +169,7 @@ def generate_arrays(
     k = np.arange(n)
     idx = scenario.segment_index(k)
 
-    f = scenario.true_freq(n)
+    f = scenario.true_freq()
     theta = np.empty(n)
     theta[0] = 0.0
     np.cumsum(2.0 * np.pi * dt * f[:-1], out=theta[1:])
@@ -181,8 +177,7 @@ def generate_arrays(
     amps = np.array([s.amplitudes for s in scenario.segments])[idx]  # (n, 3)
     offs = np.array([s.phase_offsets_rad for s in scenario.segments])[idx]
     phases = theta[:, None] + offs + _PHASE_LAGS
-    v = amps * np.cos(phases)
-    return add_noise(v, seed, snr_db)
+    return amps * np.cos(phases)
 
 
 def add_noise(

@@ -35,6 +35,7 @@ from gridfreq.signals import (
     RampFreq,
     Scenario,
     ScenarioSegment,
+    add_noise,
     clarke_arrays,
     generate_arrays,
     pos_neg_decompose,
@@ -88,7 +89,7 @@ def test_02_strictly_linear_error_oscillates_at_twice_mains():
     scn = Scenario(
         [ScenarioSegment(0.0, 2.0, ConstantFreq(50.0), SAG_AMPS, SAG_OFFS)], FS, 2.0
     )
-    v = clarke_arrays(generate_arrays(scn, seed=0, snr_db=30.0))[1]
+    v = clarke_arrays(add_noise(generate_arrays(scn), 0, 30.0))[1]
     trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq()).trace()
     spec = error_spectrum(trace, window=(500, 1500))
     _verdict(
@@ -103,11 +104,12 @@ def test_03_step_tracking():
     scn = sag_step_scenario()
     settled = slice(867, 1334)  # 0.2 s after the step until the step back
 
-    v = clarke_arrays(generate_arrays(scn))[1]
+    clean = generate_arrays(scn)
+    v = clarke_arrays(clean)[1]
     noiseless = run_filter(nss_model(FS), v, FS).trace()
     err_clean = float(np.max(np.abs(noiseless.f_hat_hz[settled] - 52.0)))
 
-    rows = [clarke_arrays(generate_arrays(scn, seed=s, snr_db=30.0))[1] for s in range(20)]
+    rows = [clarke_arrays(add_noise(clean, s, 30.0))[1] for s in range(20)]
     f_hat = run_filter(nss_model(FS, snr_db=30.0), np.stack(rows), FS).f_hat_hz
     ens_err = f_hat.mean(axis=0) - scn.true_freq()
     err_noisy = float(np.max(np.abs(ens_err[settled])))
@@ -132,9 +134,8 @@ def test_04_ramp_tracking():
         2.0,
     )
     model = nss_model(FS, snr_db=30.0, increment_process_noise=2.0e-5)
-    rows = np.stack(
-        [clarke_arrays(generate_arrays(scn, seed=s, snr_db=30.0))[1] for s in range(2000)]
-    )
+    clean = generate_arrays(scn)
+    rows = np.stack([clarke_arrays(add_noise(clean, s, 30.0))[1] for s in range(2000)])
     f_hat = run_filter(model, rows, FS).f_hat_hz
     ens_err = f_hat.mean(axis=0) - scn.true_freq()
     worst = float(np.max(np.abs(ens_err[500:1500])))

@@ -1,7 +1,7 @@
 """Tests for error metrics, the network error recursions, and spectra."""
 
+import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -32,7 +32,14 @@ from gridfreq.network import (
     run_distributed,
     uniform_weights,
 )
-from gridfreq.signals import ConstantFreq, Scenario, ScenarioSegment, clarke_arrays, generate_arrays
+from gridfreq.signals import (
+    ConstantFreq,
+    Scenario,
+    ScenarioSegment,
+    add_noise,
+    clarke_arrays,
+    generate_arrays,
+)
 
 FS = 1000.0
 
@@ -55,41 +62,46 @@ def make_trace(err, f0=50.0):
         innovation_power=np.zeros(err.size),
         states=np.zeros((err.size, 1), dtype=complex),
         flags=np.zeros(err.size, dtype=int),
-        f_true_hz=f0,
+        f_true_hz=np.full(err.size, f0),
     )
 
 
-def make_run(err, f0=50.0):
-    """A one-node, one-seed batch result whose error series is ``err``."""
+def one_node(err, f0=50.0):
+    """The (f_hat, f_true) arrays of one node at one seed whose error series is ``err``."""
     err = np.asarray(err, dtype=float)
-    return types.SimpleNamespace(
-        node_ids=(1,), f_hat_hz=(f0 + err)[None, None], f_true_hz=np.full((1, err.size), f0)
-    )
+    return (f0 + err)[None, None], np.full((1, err.size), f0)
 
 
 class TestEmpiricalMse:
     def test_exact_trace_scores_zero(self):
-        report = empirical_mse(make_run(np.zeros(100)), window=(0, 100))
-        assert report.empirical_mse_hz2[1] == 0.0
+        assert empirical_mse(*one_node(np.zeros(100)), window=(0, 100))[0] == 0.0
 
     def test_constant_offset_squares(self):
-        report = empirical_mse(make_run(np.full(100, 0.1)), window=(50, 100))
-        assert report.empirical_mse_hz2[1] == pytest.approx(0.01)
+        mse = empirical_mse(*one_node(np.full(100, 0.1)), window=(50, 100))
+        assert mse[0] == pytest.approx(0.01)
 
     def test_mc_variant_averages_symmetric_errors(self):
         e = 0.35
         f_hat = np.stack([np.full((1, 40), 50.0 + e), np.full((1, 40), 50.0 - e)])
-        mc = types.SimpleNamespace(node_ids=(7,), f_hat_hz=f_hat)
-        report = empirical_mse(mc, window=(0, 40), f_true=50.0)
-        assert report.empirical_mse_hz2[7] == pytest.approx(e**2)
+        mse = empirical_mse(f_hat, np.full((1, 40), 50.0), window=(0, 40))
+        assert mse[0] == pytest.approx(e**2)
+
+    def test_each_node_keeps_its_own_mean(self):
+        # mse_report.csv prints every bit: one mean per node, not one reduction over the batch
+        rng = np.random.default_rng(11)
+        f_true = 50.0 + rng.normal(0.0, 0.5, size=(7, 300))
+        f_hat = f_true + rng.normal(0.0, 0.05, size=(24, 7, 300))
+        lo, hi = 40, 290
+        want = [np.mean((f_hat[:, j, lo:hi] - f_true[j, lo:hi]) ** 2) for j in range(7)]
+        np.testing.assert_array_equal(empirical_mse(f_hat, f_true, (lo, hi)), want)
 
     def test_empty_window_rejected(self):
         with pytest.raises(AnalysisError, match="empty"):
-            empirical_mse(make_run(np.zeros(10)), window=(5, 5))
+            empirical_mse(*one_node(np.zeros(10)), window=(5, 5))
 
     def test_window_outside_trace_rejected(self):
         with pytest.raises(AnalysisError, match="outside"):
-            empirical_mse(make_run(np.zeros(10)), window=(0, 11))
+            empirical_mse(*one_node(np.zeros(10)), window=(0, 11))
 
 
 def half_step_diag(n=1):
@@ -286,19 +298,19 @@ class TestErrorSpectrum:
         with pytest.raises(AnalysisError, match="outside"):
             error_spectrum(make_trace(np.zeros(600)), window=(0, 700))
 
+    def test_trace_without_truth_rejected(self):
+        trace = dataclasses.replace(make_trace(np.zeros(600)), f_true_hz=None)
+        with pytest.raises(AnalysisError, match="no true frequency"):
+            error_spectrum(trace, window=(0, 600))
+
     def test_strictly_linear_filter_oscillates_at_twice_mains(self):
         # an unbalanced sag makes the proper-signal model's error spin at 2f
         scn = make_scenario(
             1.5, amps=(0.2, 1.0, 1.0), offs=(0.0, math.radians(20.0), math.radians(-20.0))
         )
-        v = clarke_arrays(generate_arrays(scn, seed=5, snr_db=30.0))[1]
-        trace = run_filter(lss_model(FS, snr_db=30.0), v, FS).trace()
-        err_trace = FreqTrace(
-            k=trace.k, t_s=trace.t_s, f_hat_hz=trace.f_hat_hz,
-            innovation_power=trace.innovation_power, states=trace.states,
-            flags=trace.flags, f_true_hz=50.0,
-        )
-        spec = error_spectrum(err_trace, window=(500, 1500))
+        v = clarke_arrays(add_noise(generate_arrays(scn), 5, 30.0))[1]
+        trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq()).trace()
+        spec = error_spectrum(trace, window=(500, 1500))
         assert abs(spec.peak_freq_hz - 100.0) < 2.0
 
 

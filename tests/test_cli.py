@@ -799,6 +799,18 @@ class TestInputsCheckedBeforeRun:
         assert main(["validate", write_config(tmp_path, text)]) == 1
         assert "topology: node ids 'a' and 2 cannot be ordered" in capsys.readouterr().out
 
+    def test_empty_topology_named(self, tmp_path, capsys):
+        text = QUICK_NETWORK.replace("nodes: [1, 2, 3]", "nodes: []").replace(
+            "edges: [[1, 2], [2, 3]]", "edges: []"
+        ).replace("bridges: [2]\n", "")
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        assert capsys.readouterr().out.splitlines() == ["topology: empty node list"]
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert "config error: topology: empty node list" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edges, diag",
         [

@@ -37,6 +37,7 @@ from gridfreq.signals import (
     ConstantFreq,
     Scenario,
     ScenarioSegment,
+    add_noise,
     clarke_arrays,
     generate_arrays,
 )
@@ -53,7 +54,7 @@ def make_scenario(amps=(1.0, 1.0, 1.0), f_hz=50.0, duration=1.0, offs=(0.0, 0.0,
 
 
 def clarke_series(scn, seed=None, snr_db=None):
-    return clarke_arrays(generate_arrays(scn, seed=seed, snr_db=snr_db))[1]
+    return clarke_arrays(add_noise(generate_arrays(scn), seed, snr_db))[1]
 
 
 def step(model, state, y, h=None):
@@ -598,6 +599,11 @@ class TestBatchRunner:
             run.trace(3)
         assert run_filter(model, series, FS, detail=True).states.shape[0] == 1
         assert run_filter(model, series, FS).states is None
+
+    def test_negative_detail_rejected(self):
+        series = clarke_series(make_scenario(duration=0.05))
+        with pytest.raises(ValueError, match="detail must be at least 0, got -1"):
+            run_filter(nss_model(FS), series, FS, detail=-1)
 
 
 class TestSharedIncrementModel:

@@ -21,12 +21,9 @@ from gridfreq.estimators import (
 )
 from gridfreq.network import (
     BridgeAssignment,
-    BridgeAssignmentError,
     DiffusionWeights,
     DistributedConfigError,
     Topology,
-    TopologyError,
-    WeightsError,
     conventional_weights,
     reference_network,
     run_distributed,
@@ -38,6 +35,7 @@ from gridfreq.signals import (
     ConstantFreq,
     Scenario,
     ScenarioSegment,
+    add_noise,
     clarke_arrays,
     generate_arrays,
 )
@@ -64,19 +62,23 @@ def sag_scenario(duration=1.0):
 
 class TestTopology:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(TopologyError, match="duplicate"):
+        with pytest.raises(DistributedConfigError, match="duplicate"):
             Topology((1, 1, 2), [(1, 2)])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(TopologyError, match="self-loop"):
+        with pytest.raises(DistributedConfigError, match="self-loop"):
             Topology((1, 2), [(1, 1)])
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(TopologyError, match="unknown node"):
+        with pytest.raises(DistributedConfigError, match="unknown node"):
             Topology((1, 2), [(1, 3)])
 
+    def test_empty_node_list_rejected(self):
+        with pytest.raises(DistributedConfigError, match="empty node list"):
+            Topology((), [])
+
     def test_unorderable_ids_named(self):
-        with pytest.raises(TopologyError, match="node ids 'a' and 2 cannot be ordered"):
+        with pytest.raises(DistributedConfigError, match="node ids 'a' and 2 cannot be ordered"):
             Topology(("a", "c", 2), [("a", "c"), ("c", 2)])
 
     def test_neighbors_sorted_and_degree(self):
@@ -108,18 +110,18 @@ class TestBridgeAssignment:
 
     def test_adjacent_bridges_rejected(self):
         t, _ = reference_network()
-        with pytest.raises(BridgeAssignmentError, match="adjacent"):
+        with pytest.raises(DistributedConfigError, match="adjacent"):
             BridgeAssignment(t, {1, 4})
 
     def test_undominated_node_rejected(self):
         t, _ = reference_network()
         # {6} leaves nodes 1..3 without a bridge neighbor
-        with pytest.raises(BridgeAssignmentError, match="no bridge neighbor"):
+        with pytest.raises(DistributedConfigError, match="no bridge neighbor"):
             BridgeAssignment(t, {6})
 
     def test_unknown_bridge_rejected(self):
         t, _ = reference_network()
-        with pytest.raises(BridgeAssignmentError, match="unknown"):
+        with pytest.raises(DistributedConfigError, match="unknown"):
             BridgeAssignment(t, {99})
 
 
@@ -193,19 +195,19 @@ class TestSelectBridgesProperties:
 
 class TestWeights:
     def test_negative_weight_rejected(self):
-        with pytest.raises(WeightsError, match="negative"):
+        with pytest.raises(DistributedConfigError, match="negative"):
             DiffusionWeights(beta={1: {1: 1.5, 2: -0.5}}, gamma={})
 
     def test_row_must_sum_to_one(self):
-        with pytest.raises(WeightsError, match="sums to"):
+        with pytest.raises(DistributedConfigError, match="sums to"):
             DiffusionWeights(beta={1: {1: 0.6, 2: 0.6}}, gamma={})
 
     def test_nan_weight_rejected(self):
-        with pytest.raises(WeightsError, match="non-finite"):
+        with pytest.raises(DistributedConfigError, match="non-finite"):
             DiffusionWeights(beta={1: {1: math.nan, 2: 0.5}}, gamma={})
 
     def test_empty_row_rejected(self):
-        with pytest.raises(WeightsError, match="empty"):
+        with pytest.raises(DistributedConfigError, match="empty"):
             DiffusionWeights(beta={1: {}}, gamma={})
 
     def test_zero_weight_allowed(self):
@@ -550,7 +552,7 @@ def dict_reference_run(t, b, scn, seed, mode, diffusion):
     aux_model = nss_model(FS, snr_db=30.0)
     shared_model = shared_increment_model(FS, snr_db=30.0)
     v = {
-        n: clarke_arrays(generate_arrays(scn, seed=[seed, j], snr_db=30.0))[1]
+        n: clarke_arrays(add_noise(generate_arrays(scn), [seed, j], 30.0))[1]
         for j, n in enumerate(t.node_ids)
     }
     aux = {n: aux_model.initial_state(v[n][0]) for n in t.node_ids}
@@ -640,6 +642,11 @@ class TestConfigErrors:
         t, b = reference_network()
         with pytest.raises(DistributedConfigError, match="empty"):
             run_distributed(t, make_scenario(), [], assignment=b)
+
+    def test_negative_detail_rejected(self):
+        t, b = reference_network()
+        with pytest.raises(ValueError, match="detail must be at least 0, got -1"):
+            run_distributed(t, make_scenario(duration=0.05), [0], assignment=b, detail=-1)
 
     def test_degenerate_filter_names_tick_node_and_seed(self, monkeypatch):
         t, _ = reference_network()
