@@ -9,8 +9,6 @@ __version__ = "0.1.0"
 
 from .augmented import AugmentedMatrix, AugmentedVector
 from .signals import (
-    ConstantFreq,
-    RampFreq,
     Scenario,
     ScenarioError,
     ScenarioSegment,
@@ -53,7 +51,6 @@ __all__ = [
     "AugmentedMatrix",
     "AugmentedVector",
     "BridgeAssignment",
-    "ConstantFreq",
     "DiffusionWeights",
     "DistributedConfigError",
     "DistributedRun",
@@ -61,7 +58,6 @@ __all__ = [
     "FilterRun",
     "FilterState",
     "FreqTrace",
-    "RampFreq",
     "Scenario",
     "ScenarioError",
     "ScenarioSegment",

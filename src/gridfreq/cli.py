@@ -55,8 +55,6 @@ from .network import (
     run_distributed,
 )
 from .signals import (
-    ConstantFreq,
-    RampFreq,
     Scenario,
     ScenarioError,
     ScenarioSegment,
@@ -197,18 +195,16 @@ def _build_segment(raw, path: str, diags: list) -> ScenarioSegment | None:
 
     has_const = "freq_hz" in raw
     has_ramp = "freq_start_hz" in raw or "rate_hz_per_s" in raw
-    freq = None
+    freq = rate = None
     if has_const and has_ramp:
         diags.append(f"{path}: give either freq_hz or freq_start_hz + rate_hz_per_s, not both")
     elif has_const:
-        f_hz = _number(raw, "freq_hz", path, diags)
-        freq = None if f_hz is None else ConstantFreq(f_hz)
+        freq, rate = _number(raw, "freq_hz", path, diags), 0.0
     elif "freq_start_hz" in raw and "rate_hz_per_s" in raw:
-        f0, rate = (_number(raw, key, path, diags) for key in ("freq_start_hz", "rate_hz_per_s"))
-        freq = None if f0 is None or rate is None else RampFreq(f0, rate)
+        freq, rate = (_number(raw, key, path, diags) for key in ("freq_start_hz", "rate_hz_per_s"))
     else:
         diags.append(f"{path}: needs freq_hz, or freq_start_hz together with rate_hz_per_s")
-    ok = freq is not None and None not in bounds
+    ok = None not in (freq, rate, *bounds)
 
     amps = (1.0, 1.0, 1.0)
     if "amplitudes" in raw:
@@ -223,7 +219,7 @@ def _build_segment(raw, path: str, diags: list) -> ScenarioSegment | None:
             offs = tuple(math.radians(d) for d in deg)
     if not ok:
         return None
-    return ScenarioSegment(bounds[0], bounds[1], freq, amps, offs)
+    return ScenarioSegment(*bounds, freq, amps, offs, rate)
 
 
 def _build_scenario(raw, path: str, fs: float, duration_s, diags: list) -> Scenario | None:
@@ -318,7 +314,6 @@ class RunPlan:
     spectrum_window_s: tuple | None = None
     output_dir: str | None = None
     messages_csv: bool = False
-    description: str = ""
 
 
 def _node_id_problems(ids: list, path: str) -> list[str]:
@@ -345,7 +340,7 @@ def build_plan(cfg: Mapping) -> RunPlan:
         diags.append(f"{key}: unknown field")
 
     name = _want(cfg, "name", str, diags, required=True)
-    description = _want(cfg, "description", str, diags, default="") or ""
+    _want(cfg, "description", str, diags)
     seed = _want(cfg, "seed", int, diags, default=0)
     if seed < 0:
         diags.append(f"seed: expected a non-negative integer, got {seed}")
@@ -409,6 +404,8 @@ def build_plan(cfg: Mapping) -> RunPlan:
                     topology = Topology(raw["nodes"], [tuple(e) for e in raw["edges"]])
                 except (ValueError, TypeError) as exc:
                     diags.append(f"topology: {exc}")
+        if topology is not None and not topology.is_connected:
+            diags.append("topology.edges: the graph is not connected, so its parts never mix")
         if topology is not None and "bridges" in cfg:
             if not isinstance(cfg["bridges"], list):
                 diags.append(f"bridges: expected a list of node ids, got {cfg['bridges']!r}")
@@ -501,7 +498,6 @@ def build_plan(cfg: Mapping) -> RunPlan:
         spectrum_window_s=spectrum_window,
         output_dir=output_dir,
         messages_csv=messages_csv,
-        description=description,
     )
 
 

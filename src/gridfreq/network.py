@@ -18,7 +18,6 @@ weight rows.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -98,8 +97,6 @@ class Topology:
             normalized.add(frozenset((a, b)))
         object.__setattr__(self, "node_ids", ids)
         object.__setattr__(self, "edges", frozenset(normalized))
-        if not self.is_connected:
-            warnings.warn("topology is not connected", stacklevel=2)
 
     def neighbors(self, i) -> tuple:
         return tuple(sorted((set(e) - {i}).pop() for e in self.edges if i in e))

@@ -1,10 +1,10 @@
 """Three-phase voltage synthesis and the Clarke (alpha-beta) transform.
 
 Scenarios are piecewise segment descriptions (amplitudes, phase offsets and a
-frequency profile per segment).  Sampling accumulates phase across segment
-boundaries so frequency steps and ramps never introduce phase jumps.  Phases
-b and c lag a by 120 and 240 degrees respectively, which makes the complex
-Clarke voltage of a balanced system rotate at +f:
+frequency level and rate per segment).  Sampling accumulates phase across
+segment boundaries so frequency steps and ramps never introduce phase jumps.
+Phases b and c lag a by 120 and 240 degrees respectively, which makes the
+complex Clarke voltage of a balanced system rotate at +f:
 
     v_k = sqrt(3/2) * V * exp(j(2 pi f dT k + phi))
 
@@ -32,9 +32,6 @@ CLARKE = _SQRT23 * np.array(
     ]
 )
 
-# The matrix is orthogonal, so the inverse is its transpose.
-CLARKE_INV = CLARKE.T.copy()
-
 _PHASE_LAGS = np.array([0.0, -2.0 * np.pi / 3.0, -4.0 * np.pi / 3.0])
 
 
@@ -43,45 +40,20 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConstantFreq:
-    f_hz: float
-
-    def at(self, dt_s: float) -> float:
-        return self.f_hz
-
-    def bounds(self, span_s: float) -> tuple[float, float]:
-        return self.f_hz, self.f_hz
-
-
-@dataclass(frozen=True)
-class RampFreq:
-    f0_hz: float
-    rate_hz_per_s: float
-
-    def at(self, dt_s: float) -> float:
-        return self.f0_hz + self.rate_hz_per_s * dt_s
-
-    def bounds(self, span_s: float) -> tuple[float, float]:
-        end = self.f0_hz + self.rate_hz_per_s * span_s
-        return min(self.f0_hz, end), max(self.f0_hz, end)
-
-
-FreqProfile = ConstantFreq | RampFreq
-
-
-@dataclass(frozen=True)
 class ScenarioSegment:
     """One homogeneous stretch of the scenario timeline.
 
-    ``phase_offsets_rad`` are per-phase offsets added on top of the built-in
-    0/-120/-240 degree lags.
+    The frequency is ``freq_hz`` at ``start_s`` and moves at
+    ``rate_hz_per_s`` (0 for a constant segment).  ``phase_offsets_rad`` are
+    per-phase offsets added on top of the built-in 0/-120/-240 degree lags.
     """
 
     start_s: float
     end_s: float
-    freq: FreqProfile
+    freq_hz: float
     amplitudes: tuple[float, float, float] = (1.0, 1.0, 1.0)
     phase_offsets_rad: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    rate_hz_per_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -123,7 +95,8 @@ class Scenario:
                 )
             if any(a < 0 for a in seg.amplitudes):
                 problems.append(f"segments[{i}].amplitudes: negative amplitude {seg.amplitudes}")
-            lo, hi = seg.freq.bounds(seg.end_s - seg.start_s)
+            f_end = seg.freq_hz + seg.rate_hz_per_s * (seg.end_s - seg.start_s)
+            lo, hi = min(seg.freq_hz, f_end), max(seg.freq_hz, f_end)
             if max(abs(lo), abs(hi)) >= self.sample_rate_hz / 2:
                 problems.append(
                     f"segments[{i}].freq: |f| in [{lo}, {hi}] reaches the Nyquist limit"
@@ -143,16 +116,15 @@ class Scenario:
         return np.clip(np.searchsorted(starts, t + 1e-12, side="right") - 1, 0, len(starts) - 1)
 
     def true_freq(self) -> np.ndarray:
-        """Instantaneous frequency at each tick (the phase-increment rate)."""
+        """Instantaneous frequency at each tick (the phase-increment rate).
+
+        A segment with rate 0 gives its level itself, so a -0.0 level stays -0.0.
+        """
         k = np.arange(self.n_samples)
-        idx = self.segment_index(k)
-        t = k / self.sample_rate_hz
-        f = np.empty(k.size)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if mask.any():
-                f[mask] = seg.freq.at(t[mask] - seg.start_s)
-        return f
+        start, level, rate = np.array(
+            [(s.start_s, s.freq_hz, s.rate_hz_per_s) for s in self.segments]
+        ).T[:, self.segment_index(k)]
+        return np.where(rate == 0, level, level + rate * (k / self.sample_rate_hz - start))
 
 
 def generate_arrays(scenario: Scenario) -> np.ndarray:

@@ -31,8 +31,6 @@ from gridfreq.network import (
     run_distributed,
 )
 from gridfreq.signals import (
-    ConstantFreq,
-    RampFreq,
     Scenario,
     ScenarioSegment,
     add_noise,
@@ -57,9 +55,9 @@ def sag_step_scenario() -> Scenario:
     """50 Hz, then a 2 Hz step up with a phase-a sag for the middle third."""
     return Scenario(
         [
-            ScenarioSegment(0.0, 0.667, ConstantFreq(50.0)),
-            ScenarioSegment(0.667, 1.334, ConstantFreq(52.0), SAG_AMPS, SAG_OFFS),
-            ScenarioSegment(1.334, 2.0, ConstantFreq(50.0)),
+            ScenarioSegment(0.0, 0.667, 50.0),
+            ScenarioSegment(0.667, 1.334, 52.0, SAG_AMPS, SAG_OFFS),
+            ScenarioSegment(1.334, 2.0, 50.0),
         ],
         FS,
         2.0,
@@ -67,12 +65,12 @@ def sag_step_scenario() -> Scenario:
 
 
 def balanced_scenario(duration_s: float) -> Scenario:
-    return Scenario([ScenarioSegment(0.0, duration_s, ConstantFreq(50.0))], FS, duration_s)
+    return Scenario([ScenarioSegment(0.0, duration_s, 50.0)], FS, duration_s)
 
 
 def test_01_sequence_amplitude_oracle():
     """LS split of the sagged Clarke voltage recovers both rotating amplitudes."""
-    scn = Scenario([ScenarioSegment(0.0, 0.02, ConstantFreq(50.0), SAG_AMPS)], FS, 0.02)
+    scn = Scenario([ScenarioSegment(0.0, 0.02, 50.0, SAG_AMPS)], FS, 0.02)
     v = clarke_arrays(generate_arrays(scn))[1]  # one 50 Hz period, noiseless
     v_pos, v_neg = pos_neg_decompose(v, 50.0, FS)[-1]
     err_pos = abs(abs(v_pos) - 0.898146)
@@ -87,7 +85,7 @@ def test_01_sequence_amplitude_oracle():
 def test_02_strictly_linear_error_oscillates_at_twice_mains():
     """Under a sag the proper-signal model's error peaks at double frequency."""
     scn = Scenario(
-        [ScenarioSegment(0.0, 2.0, ConstantFreq(50.0), SAG_AMPS, SAG_OFFS)], FS, 2.0
+        [ScenarioSegment(0.0, 2.0, 50.0, SAG_AMPS, SAG_OFFS)], FS, 2.0
     )
     v = clarke_arrays(add_noise(generate_arrays(scn), 0, 30.0))[1]
     trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq()).trace()
@@ -126,9 +124,9 @@ def test_04_ramp_tracking():
     """Ensemble-mean tracking error stays under 0.1 Hz through a 10 Hz/s ramp."""
     scn = Scenario(
         [
-            ScenarioSegment(0.0, 0.5, ConstantFreq(50.0), SAG_AMPS, SAG_OFFS),
-            ScenarioSegment(0.5, 1.5, RampFreq(50.0, 10.0), SAG_AMPS, SAG_OFFS),
-            ScenarioSegment(1.5, 2.0, ConstantFreq(60.0), SAG_AMPS, SAG_OFFS),
+            ScenarioSegment(0.0, 0.5, 50.0, SAG_AMPS, SAG_OFFS),
+            ScenarioSegment(0.5, 1.5, 50.0, SAG_AMPS, SAG_OFFS, rate_hz_per_s=10.0),
+            ScenarioSegment(1.5, 2.0, 60.0, SAG_AMPS, SAG_OFFS),
         ],
         FS,
         2.0,
@@ -217,13 +215,14 @@ def test_06_bridge_vs_every_node_diffusion():
 
 
 def _bound_margins(topo, assign, seed, theory_log):
-    """Worst (ceiling - own trace) over nodes and ticks of a 200-tick run."""
+    """Worst (ceiling - own trace) over ticks of a 200-tick run: over every
+    node, and over the nodes served by more than one aggregator (inf if none)."""
     scn = balanced_scenario(0.2)
     theory_log.clear()
     run = run_distributed(topo, scn, [seed], snr_db=30.0, assignment=assign, theory=True)
     assert len(theory_log) == scn.n_samples - 1
     w = run.weights
-    worst = np.inf
+    worst = worst_multi = np.inf
     for _, state in theory_log:
         for node in topo.node_ids:
             if node in w.beta and node not in w.gamma:
@@ -231,23 +230,34 @@ def _bound_margins(topo, assign, seed, theory_log):
             else:
                 serving = tuple(w.gamma[node])
             ceiling = max(float(np.real(np.trace(state.v(y, y)))) for y in serving)
-            worst = min(worst, ceiling - float(np.real(np.trace(state.sigma(node)))))
-    return worst
+            margin = ceiling - float(np.real(np.trace(state.sigma(node))))
+            worst = min(worst, margin)
+            if len(serving) > 1:
+                worst_multi = min(worst_multi, margin)
+    return worst, worst_multi
 
 
 def test_07_theoretical_trace_bound(theory_log):
-    """trace(Σ_i) never exceeds the worst serving hub's one-stage trace."""
+    """trace(Σ_i) never exceeds the worst serving hub's one-stage trace.
+
+    A bridge, or a node served by one bridge, has Σ_i equal to its hub's V
+    exactly, so the all-node margin is 0 by construction; the verdict line
+    also prints the margin over nodes served by several bridges (on the
+    5-path, nodes 2 and 4), where the bound has slack to lose.
+    """
     topo_ref, assign_ref = reference_network()
-    margin_ref = _bound_margins(topo_ref, assign_ref, seed=3, theory_log=theory_log)
+    margin_ref, multi_ref = _bound_margins(topo_ref, assign_ref, seed=3, theory_log=theory_log)
     path = Topology([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5)])
-    margin_path = _bound_margins(
+    margin_path, multi_path = _bound_margins(
         path, BridgeAssignment(path, [1, 3, 5]), seed=3, theory_log=theory_log
     )
+    multi_ref_text = "none" if multi_ref == np.inf else f"{multi_ref:.2e}"
     _verdict(
         7,
         margin_ref >= -1e-12 and margin_path >= -1e-12,
         f"worst bound margin {margin_ref:.2e} (reference net), "
-        f"{margin_path:.2e} (5-path) over 200 ticks (limit -1e-12)",
+        f"{margin_path:.2e} (5-path); over multi-served nodes {multi_ref_text} "
+        f"(reference net), {multi_path:.2e} (5-path) over 200 ticks (limit -1e-12)",
     )
 
 
@@ -277,9 +287,9 @@ def test_09_one_clean_node_among_sagged():
     bal = balanced_scenario(2.0)
     sag = Scenario(
         [
-            ScenarioSegment(0.0, 0.667, ConstantFreq(50.0)),
-            ScenarioSegment(0.667, 1.334, ConstantFreq(50.0), SAG_AMPS, SAG_OFFS),
-            ScenarioSegment(1.334, 2.0, ConstantFreq(50.0)),
+            ScenarioSegment(0.0, 0.667, 50.0),
+            ScenarioSegment(0.667, 1.334, 50.0, SAG_AMPS, SAG_OFFS),
+            ScenarioSegment(1.334, 2.0, 50.0),
         ],
         FS,
         2.0,

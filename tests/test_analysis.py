@@ -33,7 +33,6 @@ from gridfreq.network import (
     uniform_weights,
 )
 from gridfreq.signals import (
-    ConstantFreq,
     Scenario,
     ScenarioSegment,
     add_noise,
@@ -46,7 +45,7 @@ FS = 1000.0
 
 def make_scenario(duration, amps=(1.0, 1.0, 1.0), offs=(0.0, 0.0, 0.0)):
     return Scenario(
-        [ScenarioSegment(0.0, duration, ConstantFreq(50.0), amplitudes=amps, phase_offsets_rad=offs)],
+        [ScenarioSegment(0.0, duration, 50.0, amplitudes=amps, phase_offsets_rad=offs)],
         sample_rate_hz=FS,
         duration_s=duration,
     )

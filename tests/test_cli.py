@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,22 @@ spectrum:
 
 
 class TestInputsCheckedBeforeRun:
+    def test_disconnected_topology_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            QUICK_NETWORK.replace("[1, 2, 3]", "[1, 2, 3, 4]")
+            .replace("[[1, 2], [2, 3]]", "[[1, 2], [3, 4]]")
+            .replace("bridges: [2]\n", ""),
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", cfg]) == 1
+            assert "topology.edges: the graph is not connected" in capsys.readouterr().out
+            assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert "config error: topology.edges" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_numeric_weight_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, QUICK_NETWORK + "weights: {beta: {2: {2: abc}}, gamma: {}}\n"

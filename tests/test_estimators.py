@@ -34,7 +34,6 @@ from gridfreq.estimators import (
 )
 from gridfreq.network import reference_network, run_distributed
 from gridfreq.signals import (
-    ConstantFreq,
     Scenario,
     ScenarioSegment,
     add_noise,
@@ -47,7 +46,7 @@ FS = 1000.0
 
 def make_scenario(amps=(1.0, 1.0, 1.0), f_hz=50.0, duration=1.0, offs=(0.0, 0.0, 0.0)):
     return Scenario(
-        [ScenarioSegment(0.0, duration, ConstantFreq(f_hz), amplitudes=amps, phase_offsets_rad=offs)],
+        [ScenarioSegment(0.0, duration, f_hz, amplitudes=amps, phase_offsets_rad=offs)],
         sample_rate_hz=FS,
         duration_s=duration,
     )

@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridfreq.signals import (
     CLARKE,
-    CLARKE_INV,
-    ConstantFreq,
-    RampFreq,
     Scenario,
     ScenarioError,
     ScenarioSegment,
@@ -23,7 +22,7 @@ from gridfreq.signals import (
 
 def balanced(f_hz=50.0, fs=1000.0, duration=1.0):
     return Scenario(
-        [ScenarioSegment(0.0, duration, ConstantFreq(f_hz))],
+        [ScenarioSegment(0.0, duration, f_hz)],
         sample_rate_hz=fs,
         duration_s=duration,
     )
@@ -45,9 +44,10 @@ class TestClarke:
         np.testing.assert_allclose(CLARKE @ CLARKE.T, np.eye(3), atol=1e-15)
 
     def test_round_trip(self):
+        # the matrix is orthogonal, so its inverse is its transpose
         orig = np.random.default_rng(2).normal(size=(20, 3))
         v0, v = clarke_arrays(orig)
-        back = np.stack([v0, v.real, v.imag], axis=-1) @ CLARKE_INV.T
+        back = (CLARKE.T @ np.stack([v0, v.real, v.imag])).T
         np.testing.assert_allclose(back, orig, atol=1e-12)
 
 
@@ -70,9 +70,9 @@ class TestGenerate:
     def test_phase_continuous_across_frequency_step(self):
         scn = Scenario(
             [
-                ScenarioSegment(0.0, 0.1, ConstantFreq(50.0)),
-                ScenarioSegment(0.1, 0.2, ConstantFreq(52.0)),
-                ScenarioSegment(0.2, 0.3, RampFreq(52.0, 10.0)),
+                ScenarioSegment(0.0, 0.1, 50.0),
+                ScenarioSegment(0.1, 0.2, 52.0),
+                ScenarioSegment(0.2, 0.3, 52.0, rate_hz_per_s=10.0),
             ],
             sample_rate_hz=1000.0,
             duration_s=0.3,
@@ -87,8 +87,8 @@ class TestGenerate:
     def test_true_freq_profiles(self):
         scn = Scenario(
             [
-                ScenarioSegment(0.0, 0.5, ConstantFreq(50.0)),
-                ScenarioSegment(0.5, 1.5, RampFreq(50.0, 10.0)),
+                ScenarioSegment(0.0, 0.5, 50.0),
+                ScenarioSegment(0.5, 1.5, 50.0, rate_hz_per_s=10.0),
             ],
             sample_rate_hz=1000.0,
             duration_s=1.5,
@@ -122,8 +122,8 @@ class TestGenerate:
     def test_invalid_scenario_raises(self):
         gapped = Scenario(
             [
-                ScenarioSegment(0.0, 0.4, ConstantFreq(50.0)),
-                ScenarioSegment(0.5, 1.0, ConstantFreq(50.0)),
+                ScenarioSegment(0.0, 0.4, 50.0),
+                ScenarioSegment(0.5, 1.0, 50.0),
             ],
             sample_rate_hz=1000.0,
             duration_s=1.0,
@@ -133,13 +133,97 @@ class TestGenerate:
 
     def test_validate_reports_nyquist_and_amplitude(self):
         scn = Scenario(
-            [ScenarioSegment(0.0, 1.0, ConstantFreq(600.0), amplitudes=(-1.0, 1.0, 1.0))],
+            [ScenarioSegment(0.0, 1.0, 600.0, amplitudes=(-1.0, 1.0, 1.0))],
             sample_rate_hz=1000.0,
             duration_s=1.0,
         )
         problems = "\n".join(scn.validate())
         assert "Nyquist" in problems
         assert "amplitude" in problems
+
+    @pytest.mark.parametrize(
+        "segment, problem",
+        [
+            (
+                ScenarioSegment(0.5, 1.0, 400.0, rate_hz_per_s=300.0),
+                "segments[1].freq: |f| in [400.0, 550.0] reaches the Nyquist limit 500.0",
+            ),
+            (
+                ScenarioSegment(0.5, 1.0, -100.0, rate_hz_per_s=-1000.0),
+                "segments[1].freq: |f| in [-600.0, -100.0] reaches the Nyquist limit 500.0",
+            ),
+            (
+                ScenarioSegment(0.5, 1.0, -500.0),
+                "segments[1].freq: |f| in [-500.0, -500.0] reaches the Nyquist limit 500.0",
+            ),
+        ],
+        ids=["rising-ramp", "falling-ramp", "constant"],
+    )
+    def test_nyquist_problem_names_the_frequency_range(self, segment, problem):
+        scn = Scenario([ScenarioSegment(0.0, 0.5, 50.0), segment], 1000.0, 1.0)
+        assert scn.validate() == [problem]
+
+
+def _old_rule_true_freq(scn: Scenario, ramps: set) -> np.ndarray:
+    """Per-segment reference: the level itself for a constant segment, and
+    ``f0 + rate * (t - start)`` for each segment index in ``ramps``."""
+    k = np.arange(scn.n_samples)
+    idx = scn.segment_index(k)
+    t = k / scn.sample_rate_hz
+    f = np.empty(k.size)
+    for i, seg in enumerate(scn.segments):
+        mask = idx == i
+        if i in ramps:
+            f[mask] = seg.freq_hz + seg.rate_hz_per_s * (t[mask] - seg.start_s)
+        else:
+            f[mask] = seg.freq_hz
+    return f
+
+
+_LEVELS = st.sampled_from([-0.0, 0.0, 50.0]) | st.floats(-400.0, 400.0)
+#: a ramp's rate; +0.0 is left out, since a segment of rate +0.0 is a constant
+_RATES = st.just(-0.0) | st.floats(-1e3, 1e3).filter(lambda r: r != 0)
+
+
+@st.composite
+def _timelines(draw):
+    """A scenario of constant and ramp segments whose boundaries fall on ticks,
+    plus the indices of its ramp segments."""
+    fs = draw(st.sampled_from([500.0, 1000.0, 4096.0]))
+    n = draw(st.integers(1, 400))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=5))) if n > 1 else []
+    edges = [0, *cuts, n]
+    segments, ramps = [], set()
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        rate = 0.0
+        if draw(st.booleans()):
+            rate = draw(_RATES)
+            ramps.add(i)
+        segments.append(ScenarioSegment(a / fs, b / fs, draw(_LEVELS), rate_hz_per_s=rate))
+    return Scenario(segments, fs, n / fs), ramps
+
+
+class TestTrueFreq:
+    @settings(max_examples=200, deadline=None)
+    @given(timeline=_timelines())
+    @example(
+        timeline=(
+            Scenario(
+                [
+                    ScenarioSegment(0.0, 0.01, -0.0),
+                    ScenarioSegment(0.01, 0.02, -0.0, rate_hz_per_s=-0.0),
+                    ScenarioSegment(0.02, 0.03, 50.0, rate_hz_per_s=10.0),
+                ],
+                1000.0,
+                0.03,
+            ),
+            {1, 2},
+        )
+    )
+    def test_matches_the_per_segment_rule_bit_for_bit(self, timeline):
+        scn, ramps = timeline
+        got = scn.true_freq()
+        assert got.tobytes() == _old_rule_true_freq(scn, ramps).tobytes()
 
 
 class TestSequenceComponents:
@@ -162,7 +246,7 @@ class TestSequenceComponents:
         offs = (0.1, -0.2, 0.35)
         f, fs = 50.0, 1000.0
         scn = Scenario(
-            [ScenarioSegment(0.0, 0.2, ConstantFreq(f), amplitudes=amps, phase_offsets_rad=offs)],
+            [ScenarioSegment(0.0, 0.2, f, amplitudes=amps, phase_offsets_rad=offs)],
             sample_rate_hz=fs,
             duration_s=0.2,
         )
@@ -180,7 +264,7 @@ class TestPosNegDecompose:
         amps = (0.2, 1.0, 1.0)
         f, fs = 50.0, 1000.0
         scn = Scenario(
-            [ScenarioSegment(0.0, 0.1, ConstantFreq(f), amplitudes=amps)],
+            [ScenarioSegment(0.0, 0.1, f, amplitudes=amps)],
             sample_rate_hz=fs,
             duration_s=0.1,
         )
@@ -198,7 +282,7 @@ class TestPosNegDecompose:
         # One 50 Hz period of the type-A sag recovers the sequence amplitudes.
         f, fs = 50.0, 1000.0
         scn = Scenario(
-            [ScenarioSegment(0.0, 0.06, ConstantFreq(f), amplitudes=(0.2, 1.0, 1.0))],
+            [ScenarioSegment(0.0, 0.06, f, amplitudes=(0.2, 1.0, 1.0))],
             sample_rate_hz=fs,
             duration_s=0.06,
         )
