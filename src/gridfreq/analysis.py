@@ -4,12 +4,13 @@ diagnostics.
 
 The theoretical recursion conditions on the realized gain sequence (the
 observation matrix of the shared filter is data-dependent), so the network
-loop steps it online from each tick's filter diagnostics.  Notation used
-throughout, all in augmented form: for node m at tick k, ``A_m`` is the
-state Jacobian, ``K_m`` the Kalman gain, ``H_m`` the observation matrix and
-``F_m = I - K_m H_m`` the correction map.  Aggregator y forms the
-beta-weighted average of its closed neighborhood, and every node recombines
-its serving aggregators with its gamma row, so the stacked error obeys
+loop records each tick's filter diagnostics and steps it over blocks of
+ticks.  Notation used throughout, all in augmented form: for node m at tick
+k, ``A_m`` is the state Jacobian, ``K_m`` the Kalman gain, ``H_m`` the
+observation matrix and ``F_m = I - K_m H_m`` the correction map.
+Aggregator y forms the beta-weighted average of its closed neighborhood,
+and every node recombines its serving aggregators with its gamma row, so
+the stacked error obeys
 
     e_agg[y]  = sum_m beta[y,m] (F_m A_m e[m] + F_m u_m - K_m n_m)
     e_node[i] = sum_y gamma[i,y] e_agg[y]
@@ -20,6 +21,10 @@ With independent, block-diagonal noises the second moments are
               + sum_m beta[y,m] beta[z,m] (F_m Cu_m F_m^H + K_m Cn_m K_m^H)_m
     E'[i,j] = sum_{y,z} gamma[i,y] gamma[j,z] V[y,z]
 
+Since E' = W V W^T with W = gamma acting on stacked blocks, the recursion
+closes over V alone after its first tick: V' = G V G^H + N with G = beta F
+A W, a (Y d)-square map for Y aggregators and d-dim blocks.
+
 For a single node this is the Joseph form (I - K H) M_prior (I - K H)^H +
 K Cn K^H of the covariance update, which equals the filter's own M_post for
 the optimal gain.  The one-stage baseline (every node its own aggregator,
@@ -29,11 +34,12 @@ gamma the identity) runs through the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import FreqTrace, StepDiagnostics
+from .estimators import FreqTrace
 
 __all__ = [
     "AnalysisError",
@@ -86,28 +92,37 @@ def empirical_mse(f_hat: np.ndarray, f_true: np.ndarray, window) -> np.ndarray:
 class NetworkErrorState:
     """Stacked second-order error state of the diffused network.
 
-    ``E`` is the post-diffusion error cross-covariance of all nodes (block
-    i,j = E[e_i e_j^H]).  ``beta`` (aggregators x nodes) and ``gamma``
-    (nodes x aggregators) hold the weights of the two diffusion stages, and
-    ``W`` is gamma acting on stacked blocks.  ``Cu`` and ``Cn`` are the
+    ``beta`` (aggregators x nodes) and ``gamma`` (nodes x aggregators) hold
+    the weights of the two diffusion stages.  ``Cu`` and ``Cn`` are the
     process- and observation-noise covariances that every node shares.
-    ``V`` is the aggregator cross-covariance of the most recent step (None
-    before the first).
+    ``V`` is the aggregator cross-covariance after the most recent tick
+    (None before the first), the one matrix :func:`mse_block` steps.  ``E``
+    is the post-diffusion error cross-covariance of all nodes (block i,j =
+    E[e_i e_j^H]): ``E0`` before the first tick, and after it ``W V W^T``
+    with ``W`` gamma acting on stacked blocks, symmetrised and formed when
+    first read.
     """
 
     node_ids: tuple
     aggregator_ids: tuple
     beta: np.ndarray
     gamma: np.ndarray
-    W: np.ndarray
-    E: np.ndarray
+    E0: np.ndarray
     Cu: np.ndarray
     Cn: np.ndarray
     V: np.ndarray | None = None
 
     @property
     def block_dim(self) -> int:
-        return self.E.shape[0] // len(self.node_ids)
+        return len(self.Cu)
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        if self.V is None:
+            return self.E0
+        W = np.kron(self.gamma, np.eye(self.block_dim))
+        E = W @ self.V @ W.T
+        return 0.5 * (E + _hconj(E))
 
     def sigma(self, node) -> np.ndarray:
         """Error covariance block of one node (its MSE matrix)."""
@@ -143,12 +158,10 @@ def initial_network_state(
     ``Cu`` and ``Cn`` are one matrix each, shared by every node.
     """
     ids = tuple(node_ids)
-    gamma = np.asarray(gamma, dtype=float)
-    d = len(M0)
     return NetworkErrorState(
         node_ids=ids, aggregator_ids=tuple(aggregator_ids),
-        beta=np.asarray(beta, dtype=float), gamma=gamma, W=np.kron(gamma, np.eye(d)),
-        E=np.kron(np.eye(len(ids)), np.asarray(M0, dtype=complex)),
+        beta=np.asarray(beta, dtype=float), gamma=np.asarray(gamma, dtype=float),
+        E0=np.kron(np.eye(len(ids)), np.asarray(M0, dtype=complex)),
         Cu=np.asarray(Cu, dtype=complex), Cn=np.asarray(Cn, dtype=complex),
     )
 
@@ -157,63 +170,88 @@ def _hconj(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2).conj()
 
 
-def _seed_row0(a, n_nodes: int):
-    """Seed row 0 of a batch value shaped (seeds, nodes): its first ``n_nodes``
-    entries in C order.  A scalar stays a scalar."""
-    return a.reshape(-1)[:n_nodes] if isinstance(a, np.ndarray) else a
+def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over a stack of small matrices ``a``.
 
-
-def _aggregation_map(state: NetworkErrorState, diag: StepDiagnostics):
-    """One tick's aggregation map beta·F A over the stacked node errors.
-
-    Returns the (aggregators·d, nodes·d) map plus the per-node correction
-    maps F = I - K H and gains K, stacked over nodes.  Only seed row 0 of
-    the diagnostics is read.  K is built from its block pair and H from its
-    terms; F A sums F's columns over A's terms (for the identity, F A = F).
+    numpy's matmul pays a call per matrix of a stack.  Against one matrix
+    ``b`` this is one product of ``a``'s rows; against a stack, a sum of
+    broadcast products over the inner index.
     """
-    n_nodes, d = len(state.node_ids), state.block_dim
-    n = diag.gain.block11.shape[-2]
-    k11, k12 = (b.reshape(-1, n)[:n_nodes] for b in (diag.gain.block11, diag.gain.block12))
+    if b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    out = a[..., :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j : j + 1] * b[..., j : j + 1, :]
+    return out
+
+
+def mse_block(
+    state: NetworkErrorState, gain: np.ndarray, H: tuple, A: tuple
+) -> tuple[NetworkErrorState, np.ndarray]:
+    """Step the stacked error-covariance recursion over a block of ticks.
+
+    ``gain`` holds each tick's node gains as their top block rows ``[k11
+    k12]``, (ticks, nodes, n, 2).  ``H`` and ``A`` are the observation and
+    Jacobian terms, ``(column, value)`` and ``(row, column, value)``, each
+    value a (ticks, nodes) array or a scalar that holds throughout.  With
+    ticks as a batch axis, the block's maps are built at once: K, F = I - K
+    H, Phi = F A and each node's noise F Cu F^H + K Cn K^H.  Only the
+    aggregator covariance is then stepped, tick by tick,
+
+        V_t = G_t V_{t-1} G_t^H + N_t,   G_t = g_t W,
+
+    where g_t is the aggregation map beta Phi and N_t the aggregated noise
+    (E_{t-1} = W V_{t-1} W^T, so g_t E_{t-1} g_t^H is G_t V_{t-1} G_t^H).
+    The first tick of a run, with no V yet, maps the node errors instead:
+    g_1 E0 g_1^H.  Each V is symmetrised.  Returns the state after the
+    block's last tick and the block's V trajectory, (ticks, Y d, Y d) for Y
+    aggregators.
+    """
+    n_nodes, n_aggs, d = len(state.node_ids), len(state.aggregator_ids), state.block_dim
+    ticks, _, n, _ = gain.shape
     if 2 * n != d:
         raise AnalysisError(f"diagnostics carry {2 * n}-dim states, expected {d}")
     # K = [[k11, k12], [conj(k12), conj(k11)]]; H's second row is conj(h) with its halves swapped
-    k = np.empty((n_nodes, d, 2), dtype=complex)
-    k[:, :n, 0], k[:, n:, 0], k[:, :n, 1], k[:, n:, 1] = k11, np.conj(k12), k12, np.conj(k11)
-    h = np.zeros((n_nodes, 2, d), dtype=complex)
-    for c, v in diag.H:
-        v = _seed_row0(v, n_nodes)
-        h[:, 0, c] += v
-        h[:, 1, (c + n) % d] += np.conj(v)
-    f = np.eye(d) - k @ h
+    k = np.empty((ticks, n_nodes, d, 2), dtype=complex)
+    k[..., :n, :], k[..., n:, :] = gain, np.conj(gain[..., ::-1])
+    h = np.zeros((ticks, n_nodes, 2, d), dtype=complex)
+    for c, v in H:
+        h[..., 0, c] += v
+        h[..., 1, (c + n) % d] += np.conj(v)
+    f = np.eye(d) - _stack_matmul(k, h)
     # F A_full: A_full[r, c] = v and A_full[n + r, c -/+ n] = conj(v) for each term (r, c, v)
     phi = np.zeros_like(f)
-    for r, c, v in diag.A:
-        v = np.reshape(_seed_row0(v, n_nodes), (-1, 1))
+    for r, c, v in A:
+        v = np.reshape(v, np.shape(v) + (1,))
         phi[..., c] += f[..., r] * v
         phi[..., (c + n) % d] += f[..., n + r] * np.conj(v)
-    # row (y, i), column (m, j): beta[y, m] (F A)_m[i, j]
-    g = state.beta[:, None, :, None] * phi.swapaxes(0, 1)[None]
-    return g.reshape(len(state.aggregator_ids) * d, n_nodes * d), f, k
 
+    def blocks(weights, per_node):
+        # sum over nodes m of weights[y, z, m] per_node[m], as the (Y d, Y d) block matrix
+        out = weights.reshape(n_aggs * n_aggs, n_nodes) @ per_node.reshape(ticks, n_nodes, d * d)
+        out = out.reshape(ticks, n_aggs, n_aggs, d, d).swapaxes(2, 3)
+        return out.reshape(ticks, n_aggs * d, n_aggs * d)
 
-def mse_step(state: NetworkErrorState, diag: StepDiagnostics) -> NetworkErrorState:
-    """One step of the stacked error-covariance recursion.
-
-    ``diag`` is the current tick's filter diagnostics, stacked over the
-    nodes of ``state`` (of a seed batch, row 0 is read).  Returns the next
-    state; its ``V`` holds the aggregator cross-covariances of this step and
-    its ``E`` the post-diffusion node errors.
-    """
-    g, f, k = _aggregation_map(state, diag)
-    n_nodes, n_aggs, d = len(state.node_ids), len(state.aggregator_ids), state.block_dim
-    noise = f @ state.Cu @ _hconj(f) + k @ state.Cn @ _hconj(k)
-    pairs = (state.beta[:, None, :] * state.beta[None, :, :]).reshape(n_aggs * n_aggs, n_nodes)
-    noise = (pairs @ noise.reshape(n_nodes, d * d)).reshape(n_aggs, n_aggs, d, d)
-    V = g @ state.E @ _hconj(g) + noise.swapaxes(1, 2).reshape(n_aggs * d, n_aggs * d)
-    V = 0.5 * (V + _hconj(V))
-    E = state.W @ V @ state.W.T
-    E = 0.5 * (E + _hconj(E))
-    return replace(state, E=E, V=V)
+    beta = state.beta
+    G = blocks(beta[:, None, :] * state.gamma.T[None], phi)
+    noise = _stack_matmul(_stack_matmul(f, state.Cu), _hconj(f))
+    noise += _stack_matmul(_stack_matmul(k, state.Cn), _hconj(k))
+    noise = blocks(beta[:, None, :] * beta[None], noise)
+    Vs = np.empty_like(G)
+    V = state.V
+    for G_t, Gh_t, N_t, V_t in zip(G, _hconj(G), noise, Vs):
+        if V is None:
+            # row (y, i), column (m, j) of g_1: beta[y, m] Phi_m[i, j]
+            g = beta[:, None, :, None] * phi[0].swapaxes(0, 1)[None]
+            g = g.reshape(n_aggs * d, n_nodes * d)
+            V = g @ state.E0 @ _hconj(g)
+        else:
+            V = G_t @ V @ Gh_t
+        V += N_t
+        np.add(V, _hconj(V), out=V_t)
+        V_t *= 0.5
+        V = V_t
+    return replace(state, V=V.copy()), Vs
 
 
 # ---------------------------------------------------------------------------

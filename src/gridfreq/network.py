@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import NetworkErrorState, initial_network_state, mse_step
+from .analysis import NetworkErrorState, initial_network_state, mse_block
 from .augmented import AugmentedVector
 from .estimators import (
     FilterRun,
@@ -344,6 +344,56 @@ def _diffuse_all(estimates: np.ndarray, mixing: _Mixing) -> np.ndarray:
     return estimates if mixing.matrix is None else mixing.matrix @ estimates
 
 
+#: ticks of seed row 0's diagnostics that the error recursion buffers per block step
+_THEORY_BLOCK_TICKS = 128
+#: bytes that a block's (ticks, Y d, Y d) aggregator maps may take; wider maps get shorter blocks
+_THEORY_BLOCK_BYTES = 1 << 20
+
+
+class _TheoryBlock:
+    """The error recursion of a run, fed seed row 0's diagnostics one tick at a time.
+
+    :meth:`record` copies the tick's gain top block row and the array
+    values of its H and A terms into buffers of ``ticks`` ticks; a scalar
+    term value is a constant of the model, filled in once.  When the
+    buffers fill, and once in :meth:`finish`, one :func:`mse_block` call
+    steps ``state`` over the recorded ticks.
+    """
+
+    def __init__(self, state: NetworkErrorState):
+        self.state, self.filled, self.gain = state, 0, None
+        width = len(state.aggregator_ids) * state.block_dim
+        self.ticks = max(1, min(_THEORY_BLOCK_TICKS, _THEORY_BLOCK_BYTES // (16 * width**2)))
+
+    def record(self, diag: StepDiagnostics) -> None:
+        terms = diag.H + diag.A
+        if self.gain is None:
+            self.gain = np.empty((self.ticks,) + diag.gain.top.shape[1:], dtype=complex)
+            self.values = np.empty(self.gain.shape[:2] + (len(terms),), dtype=complex)
+            self.values[:] = [0 if isinstance(v, np.ndarray) else v for *_, v in terms]
+            self.keys, self.n_h = [term[:-1] for term in terms], len(diag.H)
+        t = self.filled
+        self.gain[t] = diag.gain.top[0]
+        for i, (*_, v) in enumerate(terms):
+            if isinstance(v, np.ndarray):
+                self.values[t, :, i] = v[0]
+        self.filled += 1
+        if self.filled == self.ticks:
+            self._flush()
+
+    def _flush(self) -> None:
+        t = self.filled
+        terms = tuple((*key, self.values[:t, :, i]) for i, key in enumerate(self.keys))
+        self.state, _ = mse_block(self.state, self.gain[:t], terms[: self.n_h], terms[self.n_h :])
+        self.filled = 0
+
+    def finish(self) -> NetworkErrorState:
+        """The state after every recorded tick."""
+        if self.filled:
+            self._flush()
+        return self.state
+
+
 def _tick(
     aux_model: StateSpaceModel,
     shared_model: StateSpaceModel | None,
@@ -364,9 +414,10 @@ def _tick(
     filters', or the trackers' own in full-state mode, where ``shared`` is
     None) then run through the diffusion, and that filter restarts from its
     combined value.  The error recursion ``errors`` (None without theory)
-    steps on that filter's diagnostics.  As a step of :func:`_run_ticks`,
-    returns the new state, those diagnostics and the output posterior top
-    halves after and before the diffusion.
+    copies seed row 0 of that filter's diagnostics, and steps once a block
+    of ticks is full.  As a step of :func:`_run_ticks`, returns the new
+    state, those diagnostics and the output posterior top halves after and
+    before the diffusion.
 
     In ``dfe`` mode the auxiliary tracker stays fully local: overwriting its
     increment entry with the diffused value couples the two filters into a
@@ -382,7 +433,7 @@ def _tick(
     local = out.x_hat.top
     out = FilterState(AugmentedVector(_diffuse_all(local, mixing)), out.M)
     if errors is not None:
-        errors = mse_step(errors, diag)
+        errors.record(diag)
     state = (out, None, errors) if shared is None else (aux, out, errors)
     return state, diag, (out.x_hat.top, local)
 
@@ -480,8 +531,10 @@ def run_distributed(
     :meth:`DistributedRun.message_log` is expanded) and after the diffusion
     (``states``), and its innovation power.  With ``theory`` the
     error-covariance recursion of :mod:`gridfreq.analysis` starts from the
-    output filter's initial covariance, steps every tick on that filter's
-    diagnostics for seed row 0, and the run returns its final state as
+    output filter's initial covariance and covers every tick of that
+    filter's diagnostics for seed row 0: the loop buffers them, and
+    :func:`~gridfreq.analysis.mse_block` steps them in blocks of up to
+    ``_THEORY_BLOCK_TICKS`` ticks.  The run returns the final state as
     ``error_state``.
     """
     per_node = _resolve_scenarios(topology, scenarios)
@@ -513,10 +566,10 @@ def run_distributed(
 
     errors = None
     if theory:
-        errors = initial_network_state(
+        errors = _TheoryBlock(initial_network_state(
             ids, mixing.aggregators, mixing.beta, mixing.gamma,
             out.M.materialize(), out_model.Cu.materialize(), out_model.Cn.materialize(),
-        )
+        ))
 
     f_hat, flags, (states, local_states), innov, (_, _, errors) = _run_ticks(
         lambda state, y: _tick(aux_model, shared_model, mixing, state, y),
@@ -534,6 +587,6 @@ def run_distributed(
         assignment=mixing.assignment,
         weights=mixing.weights,
         diffusion=diffusion,
-        error_state=errors,
+        error_state=None if errors is None else errors.finish(),
         local_states=local_states,
     )

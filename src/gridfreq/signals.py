@@ -73,6 +73,11 @@ class Scenario:
 
     def validate(self) -> list[str]:
         """Return a list of human-readable problems (empty when valid)."""
+        return self._problems(sampled=True)
+
+    def _problems(self, sampled: bool) -> list[str]:
+        """The timeline's problems and, with ``sampled``, those of sampling it:
+        negative amplitudes and frequencies that reach the Nyquist limit."""
         problems: list[str] = []
         if self.sample_rate_hz <= 0:
             problems.append(f"sample_rate_hz: must be positive, got {self.sample_rate_hz}")
@@ -93,13 +98,16 @@ class Scenario:
                     f"segments[{i}].start_s: gap or overlap against segments[{i - 1}].end_s"
                     f" ({self.segments[i - 1].end_s} -> {seg.start_s})"
                 )
+            if not sampled:
+                continue
             if any(a < 0 for a in seg.amplitudes):
                 problems.append(f"segments[{i}].amplitudes: negative amplitude {seg.amplitudes}")
             f_end = seg.freq_hz + seg.rate_hz_per_s * (seg.end_s - seg.start_s)
             lo, hi = min(seg.freq_hz, f_end), max(seg.freq_hz, f_end)
             if max(abs(lo), abs(hi)) >= self.sample_rate_hz / 2:
+                keys = "freq_start_hz + rate_hz_per_s" if seg.rate_hz_per_s else "freq_hz"
                 problems.append(
-                    f"segments[{i}].freq: |f| in [{lo}, {hi}] reaches the Nyquist limit"
+                    f"segments[{i}].{keys}: |f| in [{lo}, {hi}] reaches the Nyquist limit"
                     f" {self.sample_rate_hz / 2}"
                 )
         if self.segments[-1].end_s < self.duration_s - 1e-9:
@@ -118,8 +126,14 @@ class Scenario:
     def true_freq(self) -> np.ndarray:
         """Instantaneous frequency at each tick (the phase-increment rate).
 
-        A segment with rate 0 gives its level itself, so a -0.0 level stays -0.0.
+        A segment with rate 0 gives its level itself, so a -0.0 level stays
+        -0.0.  An invalid timeline raises :class:`ScenarioError` listing the
+        problems :meth:`validate` finds in it; the profile is defined beyond
+        the Nyquist limit and whatever the amplitudes.
         """
+        problems = self._problems(sampled=False)
+        if problems:
+            raise ScenarioError("; ".join(problems))
         k = np.arange(self.n_samples)
         start, level, rate = np.array(
             [(s.start_s, s.freq_hz, s.rate_hz_per_s) for s in self.segments]

@@ -5,10 +5,12 @@ replaying them in the terminal summary keeps the pass/fail overview visible
 even though pytest captures per-test stdout.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import gridfreq.network
-from gridfreq.analysis import mse_step
+from gridfreq.analysis import mse_block
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -22,17 +24,35 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def theory_log(monkeypatch):
-    """Record what the network loop feeds its error recursion.
+    """Record what the network loop feeds its error recursion, one entry per tick.
 
-    Every online ``mse_step`` call appends ``(diagnostics, next_state)``, in
-    tick order, to the returned list.
+    The loop steps the recursion over blocks of ticks, so two spies meet
+    here: ``_tick`` yields each tick's diagnostics, and every ``mse_block``
+    call the states of its ticks, one per V of its trajectory.  Each tick
+    of a theory run appends ``(diagnostics, state)``, in tick order, to the
+    returned list.
     """
-    log = []
+    log, diags, states = [], [], []
+    original_tick = gridfreq.network._tick
 
-    def spy(state, diag):
-        nxt = mse_step(state, diag)
-        log.append((diag, nxt))
-        return nxt
+    def pair():
+        n = min(len(diags), len(states))
+        log.extend(zip(diags[:n], states[:n]))
+        del diags[:n], states[:n]
 
-    monkeypatch.setattr(gridfreq.network, "mse_step", spy)
+    def tick(*args):
+        out = original_tick(*args)
+        if out[0][2] is not None:
+            diags.append(out[1])
+            pair()
+        return out
+
+    def block(state, *args):
+        nxt, vs = mse_block(state, *args)
+        states.extend(replace(nxt, V=v) for v in vs)
+        pair()
+        return nxt, vs
+
+    monkeypatch.setattr(gridfreq.network, "_tick", tick)
+    monkeypatch.setattr(gridfreq.network, "mse_block", block)
     return log

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from dense_reference import jacobian
 
+import gridfreq.network
 from gridfreq.analysis import (
     AnalysisError,
     empirical_mse,
     error_spectrum,
     initial_network_state,
-    mse_step,
+    mse_block,
 )
 from gridfreq.augmented import AugmentedMatrix, AugmentedVector
 from gridfreq.cli import _write_csv
@@ -120,6 +121,11 @@ def half_step_diag(n=1):
     )
 
 
+def one_tick(diag):
+    """One node's tick diagnostics as the one-tick block that ``mse_block`` steps."""
+    return diag.gain.top[None, None], diag.H, diag.A
+
+
 def single_node_state(M0=np.eye(2)):
     zero = np.zeros((2, 2))
     return initial_network_state((0,), (0,), [[1.0]], [[1.0]], M0=M0, Cu=zero, Cn=zero)
@@ -145,7 +151,7 @@ class TestMseStep:
     def test_zero_noise_zero_init_stays_zero(self):
         state = single_node_state(M0=np.zeros((2, 2)))
         for _ in range(5):
-            state = mse_step(state, half_step_diag())
+            state, _ = mse_block(state, *one_tick(half_step_diag()))
         assert np.all(state.sigma(0) == 0)
         assert np.all(state.v(0, 0) == 0)
 
@@ -198,7 +204,7 @@ class TestMseStep:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(AnalysisError, match="expected"):
-            mse_step(single_node_state(), half_step_diag(n=2))
+            mse_block(single_node_state(), *one_tick(half_step_diag(n=2)))
 
 
 def dense_reference_step(E, node_ids, weights, recs, U, G):
@@ -240,6 +246,29 @@ def blockdiag(block, n):
     return np.kron(np.eye(n), block)
 
 
+def dense_reference_run(log, t, w, model):
+    """(V, E) of :func:`dense_reference_step` after each tick of a theory log,
+    started from the run's initial covariance 0.1 I at every node."""
+    cu, cn = model.Cu.materialize(), model.Cn.materialize()
+    n = len(t.node_ids)
+    E = blockdiag(0.1 * np.eye(len(cu)), n)
+    U, G = blockdiag(cu, n), blockdiag(cn, n)
+    for diag, _ in log:
+        fields = ("M_prior", "M_post", "gain")
+        full = {f: getattr(diag, f).materialize() for f in fields}
+        full["A"] = jacobian(diag.A, diag.gain.block11.shape[-2])
+        recs = {
+            node: {f: m[0, j] if m.ndim > 2 else m for f, m in full.items()}
+            for j, node in enumerate(t.node_ids)
+        }
+        V, E = dense_reference_step(E, t.node_ids, w, recs, U, G)
+        yield V, E
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 class TestStackedRecursionMatchesDenseReference:
     @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
     @pytest.mark.parametrize("diffusion", ["bridge", "conventional"])
@@ -247,8 +276,6 @@ class TestStackedRecursionMatchesDenseReference:
         t, b = reference_network()
         w = conventional_weights(t) if diffusion == "conventional" else uniform_weights(t, b)
         model = (shared_increment_model if mode == "dfe" else nss_model)(FS, snr_db=30.0)
-        cu, cn = model.Cu.materialize(), model.Cn.materialize()
-        n = len(t.node_ids)
         scn = make_scenario(
             0.15, amps=(0.2, 1.0, 1.0), offs=(0.0, math.radians(20.0), math.radians(-20.0))
         )
@@ -259,21 +286,47 @@ class TestStackedRecursionMatchesDenseReference:
                 assignment=b, theory=True,
             )
             assert len(theory_log) == scn.n_samples - 1
-            E = blockdiag(0.1 * np.eye(len(cu)), n)
-            U, G = blockdiag(cu, n), blockdiag(cn, n)
-            for k, (diag, state) in enumerate(theory_log, start=1):
-                fields = ("M_prior", "M_post", "gain")
-                full = {f: getattr(diag, f).materialize() for f in fields}
-                full["A"] = jacobian(diag.A, diag.gain.block11.shape[-2])
-                recs = {
-                    node: {f: m[0, j] if m.ndim > 2 else m for f, m in full.items()}
-                    for j, node in enumerate(t.node_ids)
-                }
-                V, E = dense_reference_step(E, t.node_ids, w, recs, U, G)
+            dense = dense_reference_run(theory_log, t, w, model)
+            for k, ((_, state), (V, E)) in enumerate(zip(theory_log, dense), start=1):
                 assert state.aggregator_ids == tuple(sorted(w.beta, key=str))
                 for got, want, what in ((state.V, V, "V"), (state.E, E, "Sigma")):
-                    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                    err = relative_error(got, want)
                     assert err <= 1e-12, f"seed {seed}, tick {k}: {what} off by {err:.2e}"
+
+
+B = gridfreq.network._THEORY_BLOCK_TICKS
+
+
+class TestBlockBoundaries:
+    """The recursion steps over blocks of B ticks: runs that end just before, on
+    and just after a block boundary end on the dense reference's state."""
+
+    @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
+    @pytest.mark.parametrize("ticks", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_final_state_matches_dense_reference(self, theory_log, monkeypatch, mode, ticks):
+        t, b = reference_network()
+        w = uniform_weights(t, b)
+        model = (shared_increment_model if mode == "dfe" else nss_model)(FS, snr_db=30.0)
+        offs = (0.0, math.radians(20.0), math.radians(-20.0))
+        scn = make_scenario((ticks + 1) / FS, amps=(0.2, 1.0, 1.0), offs=offs)
+        calls, block = [], gridfreq.network.mse_block
+
+        def counted(state, gain, H, A):
+            calls.append(len(gain))
+            return block(state, gain, H, A)
+
+        monkeypatch.setattr(gridfreq.network, "mse_block", counted)
+        kw = dict(snr_db=30.0, mode=mode, assignment=b, theory=True)
+        alone = run_distributed(t, scn, [5], **kw).error_state
+        assert calls == [B] * (ticks // B) + [ticks % B] * (ticks % B > 0)
+        assert len(theory_log) == ticks
+        *_, (V, E) = dense_reference_run(theory_log, t, w, model)
+        for got, want, what in ((alone.V, V, "V"), (alone.E, E, "Sigma")):
+            err = relative_error(got, want)
+            assert err <= 1e-12, f"{what} off by {err:.2e}"
+        batch = run_distributed(t, scn, [5, 6], **kw).error_state
+        np.testing.assert_array_equal(batch.E, alone.E)
+        np.testing.assert_array_equal(batch.V, alone.V)
 
 
 class TestErrorSpectrum:

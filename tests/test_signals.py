@@ -131,6 +131,10 @@ class TestGenerate:
         with pytest.raises(ScenarioError, match="gap"):
             generate_arrays(gapped)
 
+    def test_true_freq_of_invalid_scenario_raises(self):
+        with pytest.raises(ScenarioError, match="needs at least one segment"):
+            Scenario([], 1000.0, 0.01).true_freq()
+
     def test_validate_reports_nyquist_and_amplitude(self):
         scn = Scenario(
             [ScenarioSegment(0.0, 1.0, 600.0, amplitudes=(-1.0, 1.0, 1.0))],
@@ -146,15 +150,17 @@ class TestGenerate:
         [
             (
                 ScenarioSegment(0.5, 1.0, 400.0, rate_hz_per_s=300.0),
-                "segments[1].freq: |f| in [400.0, 550.0] reaches the Nyquist limit 500.0",
+                "segments[1].freq_start_hz + rate_hz_per_s: |f| in [400.0, 550.0]"
+                " reaches the Nyquist limit 500.0",
             ),
             (
                 ScenarioSegment(0.5, 1.0, -100.0, rate_hz_per_s=-1000.0),
-                "segments[1].freq: |f| in [-600.0, -100.0] reaches the Nyquist limit 500.0",
+                "segments[1].freq_start_hz + rate_hz_per_s: |f| in [-600.0, -100.0]"
+                " reaches the Nyquist limit 500.0",
             ),
             (
                 ScenarioSegment(0.5, 1.0, -500.0),
-                "segments[1].freq: |f| in [-500.0, -500.0] reaches the Nyquist limit 500.0",
+                "segments[1].freq_hz: |f| in [-500.0, -500.0] reaches the Nyquist limit 500.0",
             ),
         ],
         ids=["rising-ramp", "falling-ramp", "constant"],
