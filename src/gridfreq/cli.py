@@ -71,6 +71,8 @@ _DIFFUSIONS = ("bridge", "conventional", "none")
 
 #: most samples a run, or a window of it, may span
 MAX_SAMPLES = 10**7
+#: lowest snr_db: the filters' noise variance 1.5 * 10^(-snr_db/10) is then 1.5e308
+MIN_SNR_DB = -3080.0
 
 _KNOWN_KEYS = {
     "name",
@@ -324,6 +326,20 @@ def _node_id_problems(ids: list, path: str) -> list[str]:
     ]
 
 
+def _file_name_problems(ids: list) -> list[str]:
+    """A diagnostic for each node id whose text cannot be part of its output
+    file names: with a '/' or NUL, not UTF-8, or too long for a file name."""
+    bad = []
+    for i, v in enumerate(ids):
+        try:
+            name = f"mc_node_{v}.csv".encode()  # the longest name made from an id
+        except UnicodeEncodeError:
+            name = b"/"  # rejected like a '/'
+        if b"/" in name or b"\0" in name or len(name) > 255:
+            bad.append(f"topology.nodes[{i}]: node id {v!r} cannot be part of a file name")
+    return bad
+
+
 def validate_config(cfg: Mapping) -> list[str]:
     """Return one human-readable diagnostic per problem (empty when usable)."""
     try:
@@ -348,6 +364,8 @@ def build_plan(cfg: Mapping) -> RunPlan:
     if snr_db is not None and _finite(snr_db) is None:
         diags.append(f"snr_db: expected a finite number or null, got {snr_db!r}")
     snr_db = _finite(snr_db)
+    if snr_db is not None and snr_db < MIN_SNR_DB:
+        diags.append(f"snr_db: {snr_db} dB is below {MIN_SNR_DB}, where noise variances overflow")
     fs = _want(cfg, "sample_rate_hz", float, diags, default=1000.0)
     duration_s = _want(cfg, "duration_s", float, diags, required=True)
     if duration_s is not None and not abs(duration_s * fs) <= MAX_SAMPLES:
@@ -400,6 +418,7 @@ def build_plan(cfg: Mapping) -> RunPlan:
             ]:
                 diags += bad
             else:
+                diags += _file_name_problems(raw["nodes"])
                 try:
                     topology = Topology(raw["nodes"], [tuple(e) for e in raw["edges"]])
                 except (ValueError, TypeError) as exc:
@@ -515,11 +534,8 @@ def _ticks(window_s: tuple, fs: float) -> tuple[int, int]:
 #: rows that ``_write_csv`` formats at a time
 _CSV_BLOCK_ROWS = 1024
 
-#: the ``%`` code of a float or integer array column, by dtype kind
+#: the ``%`` code of a float or integer array's cells, by dtype kind
 _NUMBER_CODES = {"f": "%.15g", "i": "%d", "u": "%d"}
-
-#: cell types whose equal values always print alike (unlike 0.0 and -0.0)
-_MEMO_TYPES = frozenset({str, int, bool, type(None)})
 
 
 def _cell_text(cell) -> str:
@@ -529,65 +545,47 @@ def _cell_text(cell) -> str:
     return buf.getvalue()[:-3]  # the blank second cell's ",\r\n"
 
 
-def _cell_texts(cells: Sequence, memo: dict) -> list[str]:
-    """The CSV text of each cell.  ``memo`` maps each ``_MEMO_TYPES`` type to
-    the texts of its values seen so far, so such a cell is formatted once per
-    value and ``1``, ``True`` and ``1.0`` keep their own texts."""
-    types = set(map(type, cells))
-    if len(types) == 1 and (texts := memo.get(*types)) is not None:
-        try:
-            return list(map(texts.__getitem__, cells))
-        except KeyError:  # a value not seen yet
-            pass
-    out = []
-    for cell in cells:
-        if type(cell) not in _MEMO_TYPES:
-            out.append(_cell_text(cell))
-            continue
-        texts = memo.setdefault(type(cell), {})
-        if cell not in texts:
-            texts[cell] = _cell_text(cell)
-        out.append(texts[cell])
-    return out
-
-
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length columns under a header row as UTF-8, every line ended with CRLF.
 
-    The bytes are those of ``csv.writer`` given a row at a time, with float
-    array cells as ``%.15g`` text: a node id that needs quotes gets them and
-    None is left blank.  Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``,
-    each block by one ``%`` of a line template (``%.15g`` and ``%d`` for
-    float and integer array cells), so at most one block is held as strings.
-    A str, int, bool or None cell of a list or object column reuses the text
-    of its equal of the same type, so each distinct one is formatted once;
-    that memo is dropped once it holds more than a block.  A column whose
-    length differs from the first raises ValueError naming it.
+    A column is an array or a sequence of cells, or is coded as ``(labels,
+    codes)``, whose row i is ``labels[codes[i]]``.  The bytes are those of
+    ``csv.writer`` given a row at a time, with float array cells as ``%.15g``
+    text: a node id that needs quotes gets them and None is left blank.  Rows
+    are formatted in blocks of ``_CSV_BLOCK_ROWS``, each by one ``%`` of a
+    line template, so at most one block is held as strings.  The other cells
+    are formatted once each, and a coded column's once per label that the
+    block reaches.  A column of another length than the first raises
+    ValueError naming it.
     """
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    n_rows = len(columns[0]) if columns else 0
-    for name, col in zip(header, columns):
-        if len(col) != n_rows:
-            raise ValueError(f"column {name!r} has {len(col)} rows, {header[0]!r} has {n_rows}")
-    kinds = [col.dtype.kind if isinstance(col, np.ndarray) else "" for col in columns]
-    width, memo = len(columns), {}
+    columns = [col if isinstance(col, tuple) else (col, None) for col in columns]
+    columns = [(x if isinstance(x, np.ndarray) else np.fromiter(x, object, len(x)), codes)
+               for x, codes in columns]
+    lengths = [len(labels if codes is None else codes) for labels, codes in columns]
+    for name, length in zip(header, lengths):
+        if length != lengths[0]:
+            raise ValueError(f"column {name!r} has {length} rows, {header[0]!r} has {lengths[0]}")
+    n_rows, width = (lengths or [0])[0], len(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            rows = min(_CSV_BLOCK_ROWS, n_rows - start)
-            if sum(map(len, memo.values())) > _CSV_BLOCK_ROWS:
-                memo.clear()
-            codes, flat = ["%s"] * width, [None] * (rows * width)
-            for j, (kind, col) in enumerate(zip(kinds, columns)):
-                block = col[start:start + rows]
-                if kind in _NUMBER_CODES:
-                    codes[j], flat[j::width] = _NUMBER_CODES[kind], block.tolist()
-                else:
-                    texts = _cell_texts(block.tolist() if kind in ("b", "O") else block, memo)
-                    # csv.writer quotes a row's one field when it is blank
-                    flat[j::width] = [t or '""' for t in texts] if width == 1 else texts
-            fh.write(((",".join(codes) + "\r\n") * rows) % tuple(flat))
+            stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+            codes, flat = ["%s"] * width, [None] * ((stop - start) * width)
+            for j, (labels, idx) in enumerate(columns):
+                number = _NUMBER_CODES.get(labels.dtype.kind)
+                if idx is None and number:
+                    codes[j], flat[j::width] = number, labels[start:stop].tolist()
+                    continue
+                picks = np.arange(start, stop) if idx is None else idx[start:stop]
+                used, at = np.unique(picks, return_inverse=True)
+                cells = labels[used].tolist()
+                texts = [number % c for c in cells] if number else list(map(_cell_text, cells))
+                texts = list(map(texts.__getitem__, at.tolist()))
+                # csv.writer quotes a row's one field when it is blank
+                flat[j::width] = [t or '""' for t in texts] if width == 1 else texts
+            fh.write(((",".join(codes) + "\r\n") * (stop - start)) % tuple(flat))
 
 
 def _trace_table(name: str, trace: FreqTrace) -> tuple:
@@ -658,10 +656,16 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
 
     tables = [_trace_table(f"node_{n}_trace.csv", run.trace(n)) for n in run.node_ids]
     if plan.messages_csv:
-        k, phase, src, dst, payload = run.message_log()
+        routes, payloads = run.message_log()
+        # a row per (tick, route, entry): phase, src and dst coded by route,
+        # the payload by its sender's (tick, row, entry)
+        sent = np.arange(payloads.size).reshape(payloads.shape).take([r[3] for r in routes], 1)
+        k, route = np.repeat(np.indices(sent.shape[:2]).reshape(2, -1), sent.shape[2], axis=1)
+        phase, src, dst = ([r[i] for r in routes] for i in range(3))
         tables.append((
             "messages.csv", ["k", "phase", "src", "dst", "payload_re", "payload_im"],
-            [k, phase, src, dst, payload.real, payload.imag],
+            [k + 1, (phase, route), (src, route), (dst, route),
+             (payloads.ravel().real, sent.ravel()), (payloads.ravel().imag, sent.ravel())],
         ))
 
     mc = run.f_hat_hz

@@ -470,23 +470,18 @@ class DistributedRun(FilterRun):
         j = self.node_ids.index(node)
         return self._view((row, j), self.f_true_hz[j])
 
-    def message_log(self) -> tuple:
-        """Seed row 0's protocol traffic as columns (k, phase, src, dst, payload).
-
-        One row per complex entry sent over a route at a tick k >= 1, ordered
-        by tick, route and entry; a ``from_bridge`` payload is the bridge's
-        aggregate.  The run must keep ``detail``.
-        """
+    def message_log(self) -> tuple[tuple, np.ndarray]:
+        """Seed row 0's protocol traffic as ``(routes, payloads)``: each route
+        ``(phase, src, dst, row)`` sends ``payloads[k - 1, row]`` at every tick
+        k >= 1.  The payload rows, (ticks - 1, nodes + aggregators, entries),
+        are the node posteriors before diffusion and then the aggregates that
+        ``from_bridge`` routes carry.  The run must keep ``detail``."""
         if self.local_states is None:
             raise ValueError("the message log needs a run kept with detail")
         mixing = _mixing(self.topology, self.assignment, self.weights, self.diffusion)
         x = self.local_states[0, :, 1:].transpose(1, 0, 2)  # (ticks - 1, nodes, entries)
         # one product per tick, stacked: bit for bit the aggregates the bridges formed
-        payloads = np.concatenate([x, mixing.beta @ x], axis=1)
-        per_tick = [route for route in mixing.routes for _ in range(x.shape[2])]
-        k = np.repeat(np.arange(1, x.shape[0] + 1), len(per_tick))
-        phase, src, dst = ([route[i] for route in per_tick] * x.shape[0] for i in range(3))
-        return k, phase, src, dst, payloads[:, [row for *_, row in mixing.routes]].reshape(-1)
+        return mixing.routes, np.concatenate([x, mixing.beta @ x], axis=1)
 
 
 def _resolve_scenarios(topology: Topology, scenarios) -> dict:
@@ -527,8 +522,8 @@ def run_distributed(
     row is exactly the run at that seed alone: paired comparisons across
     modes can rely on common random numbers.  ``detail`` is the number of
     leading seed rows (``True`` is 1) for which the run keeps the output
-    filter's posterior top halves, before (``local_states``, from which
-    :meth:`DistributedRun.message_log` is expanded) and after the diffusion
+    filter's posterior top halves, before (``local_states``, whose seed row 0
+    :meth:`DistributedRun.message_log` sends) and after the diffusion
     (``states``), and its innovation power.  With ``theory`` the
     error-covariance recursion of :mod:`gridfreq.analysis` starts from the
     output filter's initial covariance and covers every tick of that

@@ -868,6 +868,41 @@ class TestInputsCheckedBeforeRun:
         assert f"config error: {diag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "node",
+        ['"a/b"', '"a\\0b"', '"' + "x" * 248 + '"', '"\\ud800"'],
+        ids=["slash", "nul", "too-long", "not-utf8"],
+    )
+    def test_node_ids_must_name_files(self, tmp_path, capsys, node):
+        # the node's output files are node_<id>_trace.csv and mc_node_<id>.csv
+        text = QUICK_NETWORK.replace("nodes: [1, 2, 3]", f"nodes: [a, b, {node}]").replace(
+            "edges: [[1, 2], [2, 3]]", f"edges: [[a, b], [b, {node}]]"
+        ).replace("bridges: [2]", "bridges: [b]")
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("topology.nodes[2]: node id ")
+        assert out[0].endswith(" cannot be part of a file name")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"config error: {out[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        ok = text.replace(node, '"x"' if node.startswith('"x') else '"ab"')
+        assert main(["validate", write_config(tmp_path, ok, "ok.yaml")]) == 0
+
+    @pytest.mark.parametrize("snr_db", ["-3080.5", "-3084", "-1.0e+300"])
+    def test_snr_whose_noise_variance_overflows_is_a_config_error(self, tmp_path, capsys, snr_db):
+        # the filters' noise variance 1.5 * 10^(-snr_db/10) passes the largest double
+        # near -3080.8 dB, and 10^(-snr_db/10) itself raises OverflowError near -3082.5 dB
+        cfg = write_config(tmp_path, QUICK_SINGLE + f"snr_db: {snr_db}\n")
+        diag = f"snr_db: {float(snr_db)} dB is below -3080.0, where noise variances overflow"
+        assert main(["validate", cfg]) == 1
+        assert capsys.readouterr().out.splitlines() == [diag]
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert f"config error: {diag}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["validate", write_config(tmp_path, QUICK_SINGLE + "snr_db: -3080\n")]) == 0
+
     def test_theory_needs_two_samples(self, tmp_path, capsys):
         # a one-sample run never steps the error recursion
         text = QUICK_NETWORK.replace("0.25", "0.001").replace("[0.1, 0.001]", "[0.0, 0.001]")

@@ -1,5 +1,6 @@
 """The block CSV writer writes the bytes of the row-at-a-time reference writer."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -52,7 +53,15 @@ POOLS = {
 
 
 def column(kind: str, pool: list, n: int, rng) -> object:
-    """``n`` cells drawn from ``pool`` (so values repeat), as the column kind asks."""
+    """``n`` cells drawn from ``pool`` (so values repeat), as the column kind asks.
+
+    A ``coded:<kind>`` column is ``(labels, codes)``: up to 8 labels of that
+    kind and ``n`` codes that repeat, are not monotone and reach across
+    block boundaries.
+    """
+    if kind.startswith("coded:"):
+        labels = column(kind[6:], pool, int(rng.integers(1, 9)), rng)
+        return labels, rng.integers(0, len(labels), n)
     if kind == "noise":  # all distinct, across many decades
         return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     cells = [pool[i] for i in rng.integers(0, len(pool), n)]
@@ -70,26 +79,39 @@ def tables(draw):
     block = draw(st.sampled_from([1, 3, BLOCK]))
     edge = [0, 1, block - 1, block, block + 1, 2 * block + 1]
     n = draw(st.one_of(st.sampled_from(edge), st.integers(0, 40)))
-    kinds = draw(st.lists(st.sampled_from([*POOLS, "noise"]), max_size=5))
+    plain = [*POOLS, "noise"]
+    kinds = draw(st.lists(st.sampled_from(plain + [f"coded:{k}" for k in plain]), max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pools = [draw(POOLS.get(kind, st.none())) for kind in kinds]
+    pools = [draw(POOLS.get(kind.removeprefix("coded:"), st.none())) for kind in kinds]
     header = draw(st.lists(TEXT, min_size=len(kinds), max_size=len(kinds)))
     return block, header, [column(k, p, n, rng) for k, p in zip(kinds, pools)]
 
 
 def message_like(n: int) -> tuple:
-    """A message-log-like table: payloads repeated per neighbour, a constant, signed zeros."""
+    """A message-log-like table: coded routes and payloads, a constant, signed zeros."""
     rng = np.random.default_rng(n)
-    nodes = [1, "a,b", 'q"t', "ä", None, True, 1.0]
+    nodes = [1, "a,b", 'q"t', "ä", None, True, 1.0, 0.0, -0.0]
+    route = np.arange(n) % len(nodes)
+    payloads = np.append(rng.standard_normal(n // 4 + 1), [0.0, -0.0, np.nan])
+    sent = (np.arange(n) // 4 + 7 * (np.arange(n) % 2)) % len(payloads)
     columns = [
         np.arange(n),
-        np.repeat(rng.standard_normal(n // 4 + 1), 4)[:n],
+        (nodes, route),
+        (payloads, sent),
         np.full(n, 50.0),
         np.array([-0.0, 0.0, np.nan, 5e-324])[np.arange(n) % 4],
         np.arange(n) % 3 == 0,
         [nodes[i % len(nodes)] for i in range(n)],
     ]
-    return BLOCK, ["k", "payload", "f_true_hz", "signed", "ok", "node"], columns
+    return BLOCK, ["k", "src", "payload", "f_true_hz", "signed", "ok", "node"], columns
+
+
+def expand(col) -> object:
+    """A coded column ``(labels, codes)`` as the plain column ``labels[codes]``."""
+    if not isinstance(col, tuple):
+        return col
+    labels, codes = col
+    return labels[codes] if isinstance(labels, np.ndarray) else [labels[c] for c in codes]
 
 
 class TestMatchesReference:
@@ -99,7 +121,7 @@ class TestMatchesReference:
     def test_random_tables(self, tmp_path_factory, table):
         block, header, columns = table
         d = tmp_path_factory.mktemp("csv")
-        write_csv(d / "ref.csv", header, columns)
+        write_csv(d / "ref.csv", header, [expand(col) for col in columns])
         with mock.patch.object(gridfreq.cli, "_CSV_BLOCK_ROWS", block):
             _write_csv(d / "new.csv", header, columns)
         assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
@@ -107,6 +129,27 @@ class TestMatchesReference:
     def test_one_blank_cell_per_row_is_quoted(self, tmp_path):
         _write_csv(tmp_path / "one.csv", ["x"], [[None, "", "a", 1.5]])
         assert (tmp_path / "one.csv").read_bytes() == b'x\r\n""\r\n""\r\na\r\n1.5\r\n'
+
+
+    def test_a_coded_column_formats_each_reached_label_once_per_block(self, tmp_path):
+        texts = collections.Counter()
+
+        class Label:
+            def __init__(self, text):
+                self.text = text
+
+            def __str__(self):
+                texts[self.text] += 1
+                return self.text
+
+        labels = [Label(t) for t in ("a", "b,c", "d", "e")]
+        codes = np.array([2, 1, 2, 1, 1, 2, 2])
+        with mock.patch.object(gridfreq.cli, "_CSV_BLOCK_ROWS", 3):
+            _write_csv(tmp_path / "c.csv", ["x", "k"], [(labels, codes), np.arange(7)])
+        assert texts == {"b,c": 2, "d": 3}  # blocks of 3 reach {d, b,c}, {b,c, d}, {d}
+        assert (tmp_path / "c.csv").read_bytes() == (
+            b'x,k\r\nd,0\r\n"b,c",1\r\nd,2\r\n"b,c",3\r\n"b,c",4\r\nd,5\r\nd,6\r\n'
+        )
 
 
 class TestUnequalColumns:
@@ -167,7 +210,8 @@ def test_run_writes_the_reference_bytes(tmp_path, monkeypatch):
     files = run_plan(build_plan(yaml.safe_load(CONVENTIONAL)), tmp_path / "out")
     messages = next(cols for name, _, cols in kept if name == "messages.csv")
     assert len(messages[0]) > BLOCK
+    assert all(isinstance(col, tuple) for col in messages[1:])
     assert sorted(f.name for f in files) == sorted([t[0] for t in kept] + ["manifest.json"])
     for name, header, columns in kept:
-        write_csv(tmp_path / "ref.csv", header, columns)
+        write_csv(tmp_path / "ref.csv", header, [expand(col) for col in columns])
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name

@@ -1,18 +1,21 @@
 """Tests for the graph model, diffusion weights, and multi-node simulation."""
 
+import collections
 import csv
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfreq.estimators
 from gridfreq.augmented import AugmentedVector
-from gridfreq.cli import _write_csv
+from gridfreq.cli import _write_csv, build_plan, main
 from gridfreq.estimators import (
     FilterDegenerateError,
     FilterState,
@@ -189,6 +192,43 @@ class TestSelectBridgesProperties:
             assert not e <= bridges, f"adjacent bridges {sorted(e)}"
         for n in t.node_ids:
             assert n in bridges or bridges.intersection(t.neighbors(n)), f"node {n} uncovered"
+
+
+def phase_counts(routes) -> dict:
+    return dict(collections.Counter(phase for phase, *_ in routes))
+
+
+class TestMessageTraffic:
+    """Routes per phase and tick: 2|E| under conventional diffusion, and under
+    bridge diffusion the sum of the bridges' degrees each way."""
+
+    def test_reference_graph(self):
+        t, b = reference_network()
+        assert phase_counts(_mixing(t, None, None, "conventional").routes) == {"to_neighbor": 16}
+        assert phase_counts(_mixing(t, b, None, "bridge").routes) == {
+            "to_bridge": 5, "from_bridge": 5,
+        }
+        assert _mixing(t, b, None, "none").routes == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=connected_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_random_connected_graphs(self, t, seed):
+        conventional = phase_counts(_mixing(t, None, None, "conventional").routes)
+        assert conventional == ({"to_neighbor": 2 * len(t.edges)} if t.edges else {})
+        b = select_bridges(t, seed=seed)
+        degrees = sum(t.degree(n) for n in b.bridges)
+        bridge = phase_counts(_mixing(t, b, None, "bridge").routes)
+        assert bridge == ({"to_bridge": degrees, "from_bridge": degrees} if degrees else {})
+
+    def test_network_fullstate_logs_every_route_entry_and_tick(self, tmp_path):
+        # full-state diffusion sends 3 entries over each of 2|E| = 16 routes per tick
+        config = Path(__file__).resolve().parents[1] / "benchmarks/configs/network_fullstate.yaml"
+        plan = build_plan(yaml.safe_load(config.read_text()))
+        routes = _mixing(plan.topology, None, None, plan.diffusion).routes
+        assert main(["run", str(config), "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "messages.csv", newline="") as fh:
+            rows = sum(1 for _ in csv.reader(fh)) - 1
+        assert rows == len(routes) * 3 * (plan.scenario.n_samples - 1) == 95_952
 
 
 class TestWeights:
@@ -437,34 +477,44 @@ class TestDistributedRuns:
         t, b = reference_network()
         scn = make_scenario(duration=0.1)
         run = run_distributed(t, scn, [1], snr_db=30.0, assignment=b, detail=True)
-        _, phases, srcs, dsts, _ = run.message_log()
-        assert phases, "expected a populated message log"
-        for phase, src, dst in zip(phases, srcs, dsts):
+        routes, payloads = run.message_log()
+        assert routes, "expected a populated message log"
+        for phase, src, dst, row in routes:
             assert frozenset((src, dst)) in t.edges
             if phase == "to_bridge":
                 assert dst in b.bridges
+                assert row == t.node_ids.index(src)
             else:
                 assert phase == "from_bridge"
                 assert src in b.bridges
-        # 5 uploads + 5 downloads per tick on this graph
+                assert row >= len(t.node_ids)
+        # 5 uploads + 5 downloads per tick on this graph, each of one entry
         n_ticks = scn.n_samples - 1
-        assert len(phases) == 10 * n_ticks
+        assert len(routes) == 10
+        assert payloads.shape == (n_ticks, len(t.node_ids) + len(b.bridges), 1)
 
     def test_conventional_messages_flow_both_ways(self):
         t, b = reference_network()
         scn = make_scenario(duration=0.05)
         run = run_distributed(t, scn, [1], snr_db=30.0, diffusion="conventional", detail=True)
-        _, phases, _, _, _ = run.message_log()
-        per_tick = 2 * len(t.edges)
-        assert len(phases) == per_tick * (scn.n_samples - 1)
-        assert set(phases) == {"to_neighbor"}
+        routes, payloads = run.message_log()
+        assert len(routes) == 2 * len(t.edges)
+        assert {phase for phase, *_ in routes} == {"to_neighbor"}
+        pairs = {(src, dst) for _, src, dst, _ in routes}
+        assert len(pairs) == len(routes) and {frozenset(p) for p in pairs} == t.edges
+        assert payloads.shape[:1] + payloads.shape[2:] == (scn.n_samples - 1, 1)
 
     def test_messages_csv_roundtrip(self, tmp_path):
+        # coded as the CLI codes them: phase, src and dst by route, the payload by sender
         payload = np.array([0.5 - 0.25j, 1 / 3 + 0j])
-        columns = [np.array([1, 1]), ["to_bridge", "from_bridge"], [2, "a,b"], ["a,b", 2]]
+        route, sent = np.array([0, 1]), np.array([1, 0])
+        columns = [
+            np.array([1, 1]), (["to_bridge", "from_bridge"], route), ([2, "a,b"], route),
+            (["a,b", 2], route), (payload.real[::-1], sent), (payload.imag[::-1], sent),
+        ]
         header = ["k", "phase", "src", "dst", "payload_re", "payload_im"]
         path = tmp_path / "msgs.csv"
-        _write_csv(path, header, columns + [payload.real, payload.imag])
+        _write_csv(path, header, columns)
         assert path.read_bytes() == (
             b"k,phase,src,dst,payload_re,payload_im\r\n"
             b'1,to_bridge,2,"a,b",0.5,-0.25\r\n'
@@ -507,8 +557,9 @@ class TestDistributedRuns:
                 assert tr.states is None and tr.innovation_power is None
                 np.testing.assert_array_equal(tr.f_hat_hz, full.trace(n, row).f_hat_hz)
                 np.testing.assert_array_equal(tr.flags, full.trace(n, row).flags)
-        for got, want in zip(run.message_log(), full.message_log()):
-            np.testing.assert_array_equal(got, want)
+        (routes, payloads), (full_routes, full_payloads) = run.message_log(), full.message_log()
+        assert routes == full_routes
+        np.testing.assert_array_equal(payloads, full_payloads)
 
     def test_theory_reads_seed_row_0(self):
         # the error recursion of a seed batch is the one of its first seed alone
@@ -607,10 +658,16 @@ class TestStackedTickMatchesDictCombiners:
             f_ref, msg_ref = dict_reference_run(t, b, scn, seed, mode, diffusion)
             for n in t.node_ids:
                 np.testing.assert_allclose(run.trace(n).f_hat_hz, f_ref[n], rtol=0, atol=1e-12)
-            k, phase, src, dst, payload = run.message_log()
-            assert list(zip(k.tolist(), phase, src, dst)) == [m[:4] for m in msg_ref]
+            routes, payloads = run.message_log()
+            ticks, _, entries = payloads.shape
+            log = [
+                (k + 1, phase, src, dst, payloads[k, row, e])
+                for k in range(ticks) for phase, src, dst, row in routes for e in range(entries)
+            ]
+            assert [m[:4] for m in log] == [m[:4] for m in msg_ref]
+            got = np.array([m[4] for m in log], dtype=complex)
             want = np.array([m[4] for m in msg_ref], dtype=complex)
-            np.testing.assert_allclose(payload, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestConfigErrors:

@@ -2,12 +2,17 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
-Runs ``gridfreq run`` from each checkout's ``src/`` on eight configs (the
+Runs ``gridfreq run`` from each checkout's ``src/`` on nine configs (the
 four bundled experiments, ``experiment1_sag_step --seeds 100``,
 ``experiment4_network7 --seeds 24``, ``experiment4_network7_mixed --seeds
-24`` and ``benchmarks/configs/network_fullstate.yaml``) at seeds 0 and 3,
+24``, ``benchmarks/configs/network_fullstate.yaml`` and
+``tools/configs/experiment4_network7_messages.yaml``) at seeds 0 and 3,
 into a temporary directory; ``experiment4_network7 --seeds 24`` is the one
 theory run whose error recursion reads seed row 0 of a Monte-Carlo batch.
+``network_fullstate`` logs conventional ``to_neighbor`` messages, and
+``experiment4_network7_messages`` the bridge messages: ``to_bridge`` and
+the ``from_bridge`` aggregates.  That last config is read from this tool's
+own checkout, so both sides run the same file.
 For each config it prints the largest |Δ f_hat| over every ``f_hat*``
 column, whether every ``flags`` column is identical, the largest relative
 change of ``theoretical_trace``, whether ``bound_ok`` is identical, and
@@ -38,6 +43,7 @@ CONFIGS = (
     ("experiment4_network7", ["--seeds", "24"]),
     ("experiment4_network7_mixed", ["--seeds", "24"]),
     ("benchmarks/configs/network_fullstate.yaml", []),
+    (str(Path(__file__).resolve().parent / "configs" / "experiment4_network7_messages.yaml"), []),
 )
 SEEDS = (0, 3)
 
