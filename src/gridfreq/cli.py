@@ -534,8 +534,8 @@ def _ticks(window_s: tuple, fs: float) -> tuple[int, int]:
 #: rows that ``_write_csv`` formats at a time
 _CSV_BLOCK_ROWS = 1024
 
-#: the ``%`` code of a float or integer array's cells, by dtype kind
-_NUMBER_CODES = {"f": "%.15g", "i": "%d", "u": "%d"}
+#: the ``%`` code of a float, integer or text array's cells, by dtype kind
+_NUMBER_CODES = {"f": "%.15g", "i": "%d", "u": "%d", "U": "%s"}
 
 
 def _cell_text(cell) -> str:
@@ -551,12 +551,15 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     A column is an array or a sequence of cells, or is coded as ``(labels,
     codes)``, whose row i is ``labels[codes[i]]``.  The bytes are those of
     ``csv.writer`` given a row at a time, with float array cells as ``%.15g``
-    text: a node id that needs quotes gets them and None is left blank.  Rows
-    are formatted in blocks of ``_CSV_BLOCK_ROWS``, each by one ``%`` of a
-    line template, so at most one block is held as strings.  The other cells
-    are formatted once each, and a coded column's once per label that the
-    block reaches.  A column of another length than the first raises
-    ValueError naming it.
+    text: a node id that needs quotes gets them and None is left blank.  A
+    str array holds cells already written as text, which go out as they
+    are.  Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``, each by one
+    ``%`` of a line template, so at most one block is held as strings.  The
+    other cells are formatted once each, a coded column's number labels
+    once per block that reaches them and its other labels once per column,
+    when first reached; columns that share one codes array share each
+    block's ``np.unique`` of it.  A column of another length than the first
+    raises ValueError naming it.
     """
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
@@ -568,40 +571,55 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
         if length != lengths[0]:
             raise ValueError(f"column {name!r} has {length} rows, {header[0]!r} has {lengths[0]}")
     n_rows, width = (lengths or [0])[0], len(columns)
+    texts = [{} for _ in columns]  # a coded column's label texts, by label
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, n_rows)
-            codes, flat = ["%s"] * width, [None] * ((stop - start) * width)
+            codes, flat, unique = ["%s"] * width, [None] * ((stop - start) * width), {}
             for j, (labels, idx) in enumerate(columns):
                 number = _NUMBER_CODES.get(labels.dtype.kind)
                 if idx is None and number:
                     codes[j], flat[j::width] = number, labels[start:stop].tolist()
                     continue
-                picks = np.arange(start, stop) if idx is None else idx[start:stop]
-                used, at = np.unique(picks, return_inverse=True)
-                cells = labels[used].tolist()
-                texts = [number % c for c in cells] if number else list(map(_cell_text, cells))
-                texts = list(map(texts.__getitem__, at.tolist()))
+                if idx is None:
+                    cells = list(map(_cell_text, labels[start:stop].tolist()))
+                else:
+                    if id(idx) not in unique:
+                        unique[id(idx)] = [a.tolist() for a in np.unique(
+                            idx[start:stop], return_inverse=True)]
+                    used, at = unique[id(idx)]
+                    known = {} if number else texts[j]
+                    new = [u for u in used if u not in known]
+                    cells = labels[new].tolist()
+                    known.update(zip(new, [number % c for c in cells] if number
+                                     else map(_cell_text, cells)))
+                    cells = list(map([known[u] for u in used].__getitem__, at))
                 # csv.writer quotes a row's one field when it is blank
-                flat[j::width] = [t or '""' for t in texts] if width == 1 else texts
+                flat[j::width] = [t or '""' for t in cells] if width == 1 else cells
             fh.write(((",".join(codes) + "\r\n") * (stop - start)) % tuple(flat))
 
 
-def _trace_table(name: str, trace: FreqTrace) -> tuple:
+def _clock_columns(t_s: np.ndarray) -> list:
+    """The ``k`` and ``t_s`` columns of a run's tables, formatted once as text."""
+    return [np.array(["%d" % k for k in range(t_s.size)]),
+            np.array(["%.15g" % t for t in t_s.tolist()])]
+
+
+def _trace_table(name: str, trace: FreqTrace, clock: list) -> tuple:
     err = trace.f_hat_hz - trace.f_true_hz
     return name, ["k", "t_s", "f_hat_hz", "f_true_hz", "err_hz", "innov_power", "flags"], [
-        trace.k, trace.t_s, trace.f_hat_hz, trace.f_true_hz, err, trace.innovation_power,
-        trace.flags,
+        *clock, trace.f_hat_hz, trace.f_true_hz, err, trace.innovation_power, trace.flags,
     ]
 
 
-def _mc_table(name: str, t_s, f_true, f_hat) -> tuple:
+def _mc_table(name: str, clock: list, f_true, f_hat) -> tuple:
     """Summarize a (seeds, ticks) frequency-estimate array tick by tick."""
     err = f_hat - f_true
+    err_mean = err.mean(axis=0)
+    err_rms = np.sqrt(np.mean(np.square(err, out=err), axis=0))  # squared in place
     return name, ["k", "t_s", "f_true_hz", "f_hat_mean_hz", "err_mean_hz", "err_rms_hz"], [
-        np.arange(t_s.size), t_s, f_true, f_hat.mean(axis=0), err.mean(axis=0),
-        np.sqrt(np.mean(err**2, axis=0)),
+        *clock, f_true, f_hat.mean(axis=0), err_mean, err_rms,
     ]
 
 
@@ -614,21 +632,24 @@ def _run_single(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
     f_true = plan.scenario.true_freq()
     mc_seeds = [[seed, i] for i in range(n_seeds)] if n_seeds > 1 else []
     clean = generate_arrays(plan.scenario)
-    rows = [clarke_arrays(add_noise(clean, s, plan.snr_db))[1] for s in [seed, *mc_seeds]]
+    rows = np.empty((1 + len(mc_seeds), plan.scenario.n_samples), dtype=complex)
+    for i, s in enumerate([seed, *mc_seeds]):
+        rows[i] = clarke_arrays(add_noise(clean, s, plan.snr_db))[1]
     try:
-        run = run_filter(model, np.stack(rows), plan.sample_rate_hz, f_true=f_true, detail=1)
+        run = run_filter(model, rows, plan.sample_rate_hz, f_true=f_true, detail=1)
     except FilterDegenerateError as exc:
         r = exc.row[0]
         who = f"seed {seed}" if r == 0 else f"Monte-Carlo seed {mc_seeds[r - 1]}"
         raise FilterDegenerateError(f"tick {exc.tick}: {who}: {exc.__cause__}") from exc
     trace = run.trace()
 
-    tables = [_trace_table("trace.csv", trace)]
+    clock = _clock_columns(trace.t_s)
+    tables = [_trace_table("trace.csv", trace, clock)]
     if plan.spectrum_window_s is not None:
         spectrum = error_spectrum(trace, _ticks(plan.spectrum_window_s, plan.sample_rate_hz))
         tables.append(("spectrum.csv", ["freq_hz", "power"], [spectrum.freq_hz, spectrum.power]))
     if mc_seeds:
-        tables.append(_mc_table("mc_trace.csv", trace.t_s, f_true, run.f_hat_hz[1:]))
+        tables.append(_mc_table("mc_trace.csv", clock, f_true, run.f_hat_hz[1:]))
     return tables
 
 
@@ -654,7 +675,8 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
         theory=plan.mse_theory, detail=1,
     )
 
-    tables = [_trace_table(f"node_{n}_trace.csv", run.trace(n)) for n in run.node_ids]
+    clock = _clock_columns(run.t_s)
+    tables = [_trace_table(f"node_{n}_trace.csv", run.trace(n), clock) for n in run.node_ids]
     if plan.messages_csv:
         routes, payloads = run.message_log()
         # a row per (tick, route, entry): phase, src and dst coded by route,
@@ -672,7 +694,7 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
     if mc_seeds:
         mc = mc[1:]
         for j, n in enumerate(run.node_ids):
-            tables.append(_mc_table(f"mc_node_{n}.csv", run.t_s, run.f_true_hz[j], mc[:, j]))
+            tables.append(_mc_table(f"mc_node_{n}.csv", clock, run.f_true_hz[j], mc[:, j]))
 
     if plan.mse_window_s is not None:
         mse = empirical_mse(mc, run.f_true_hz, _ticks(plan.mse_window_s, plan.sample_rate_hz))
@@ -684,6 +706,15 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
             [list(run.node_ids), mse, theo, ok],
         ))
     return tables
+
+
+def _sha256(path: Path) -> str:
+    """The sha256 of a file, read in chunks of 1 MiB."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b"") -> list[Path]:
@@ -716,10 +747,7 @@ def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b
                 "numpy": np.__version__,
                 "pyyaml": yaml.__version__,
             },
-            "files": [
-                {"name": f.name, "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
-                for f in sorted(files)
-            ],
+            "files": [{"name": f.name, "sha256": _sha256(f)} for f in sorted(files)],
         }
         files.append(staging / "manifest.json")
         files[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

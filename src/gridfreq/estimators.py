@@ -14,15 +14,15 @@ Each factory sets the observation noise from ``snr_db`` and puts
 ``increment_process_noise`` on the diagonal of ``Cu`` for the
 increment-like states and ``voltage_process_noise`` for the voltages.
 
-All models run through one engine step, ``_step``, which performs one
-predict/correct cycle on the augmented state [x; conj(x)].  The state is held
-as its top half x and every covariance and gain as the block pair of an
-:class:`AugmentedMatrix`, so the conjugate block structure holds by
-construction.  A model declares its Jacobian ``[A11 A12]`` and its one
-observation row as their nonzero *terms*, ``(row, augmented column, value)``
-and ``(augmented column, value)``, where a value is a Python scalar or a
-batch array.  States, covariances and observations may carry leading batch
-dimensions, which is how :func:`run_filter` steps every seed at once.
+All models run through one engine step, which performs one predict/correct
+cycle on the augmented state [x; conj(x)].  The state is held as its top
+half x and every covariance and gain as its top block row, so the conjugate
+block structure holds by construction.  A model declares its Jacobian
+``[A11 A12]`` and its one observation row as their nonzero *terms*, ``(row,
+augmented column, value)`` and ``(augmented column, value)``, where a value
+is a Python scalar or a batch array.  States, covariances and observations
+may carry leading batch dimensions, which is how :func:`run_filter` steps
+every seed at once.
 
 Inside the step the blocks are plain arrays, and every product is a sum over
 terms of elementwise operations on the batch: numpy's stacked complex ``@``
@@ -35,22 +35,23 @@ combinations, and everything that involves the observation (``H P``,
 along it.  The step lays its arrays out batch-last, entries first and the
 batch flattened into one last axis, so each of those operations is one
 contiguous pass over the batch rather than a strided pass over short
-2n-entry rows.  Everything outside the step sees batch-first shapes, through
-views: the posterior covariance it returns is a view of its own batch-last
-array, so the next step reads it back without a copy.  The step is
-bit-for-bit independent of the batch a row is stepped in and of the memory
-layout of its inputs (see :func:`_step` for the one numpy rounding rule this
-needs).  It is not rewritten as a real 2n x 2n filter on [Re x; Im x]: that
-form loses the exact zeros of the structure (the ``lss`` pseudo-covariance
-drifts to ~1e-20 instead of staying 0, and an exactly conditioned ``S``
-comes out one ulp off).
+2n-entry rows.  Both drivers build one :class:`_StepPlan` per model for a
+run and carry each filter between ticks as plain arrays, the covariance
+batch-last; only :func:`_step`, the form for single calls, wraps them into
+augmented containers.  The step is bit-for-bit independent of the batch a
+row is stepped in and of the memory layout of its inputs (see
+:meth:`_StepPlan.step` for the one numpy rounding rule this needs).  It is
+not rewritten as a real 2n x 2n filter on [Re x; Im x]: that form loses the
+exact zeros of the structure (the ``lss`` pseudo-covariance drifts to ~1e-20
+instead of staying 0, and an exactly conditioned ``S`` comes out one ulp off).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,7 +66,7 @@ FLAG_NEGATIVE_IM_H = 4
 #: arcsin argument left [-1, 1] and was clipped (transient divergence)
 FLAG_ARCSIN_CLIPPED = 8
 
-#: largest condition number of the innovation covariance that ``_step`` accepts
+#: largest condition number of the innovation covariance that the step accepts
 COND_LIMIT = 1e12
 
 #: observation-noise variance used when no SNR is configured (numerical floor)
@@ -79,7 +80,7 @@ _CU_VOLTAGE = 1e-4
 class FilterDegenerateError(RuntimeError):
     """Innovation covariance became numerically singular.
 
-    Raised by ``_step`` with ``row``, the first degenerate batch index in C
+    Raised by the step with ``row``, the first degenerate batch index in C
     order.  The tick loop under both drivers raises it again with ``tick``
     and ``row`` set and the step's error as its cause.
     """
@@ -95,14 +96,14 @@ class FilterState:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Bundle of model functions consumed by the engine step ``_step``.
+    """Bundle of model functions consumed by the engine step.
 
     The functions take top halves x of shape (..., n).  ``f_a`` returns the
     predicted top half.  ``jacobian_A`` returns the nonzero entries of the
     Wirtinger derivatives ``[df/dx  df/dconj(x)]``, an n x 2n row of blocks,
     as ``(row, augmented column, value)`` terms.  ``observe_H`` is the one
     complex observation as ``(augmented column, value)`` terms, or None for
-    a model whose row is passed to ``_step`` every tick.  A value is a
+    a model whose row is passed to the step every tick.  A value is a
     Python scalar or an array of the batch shape; an augmented column c < n
     reads x[c], and c >= n reads conj(x[c - n]).  ``extract_freq`` reads the
     frequency and flags off a top half.  ``initial_state`` maps the first
@@ -117,17 +118,6 @@ class StateSpaceModel:
     Cu: AugmentedMatrix
     Cn: AugmentedMatrix
     initial_state: Callable[[np.ndarray], FilterState]
-
-
-class StepDiagnostics(NamedTuple):
-    """Per-step internals recorded for diffusion analysis; ``H`` and ``A`` are terms."""
-
-    innovation: AugmentedVector
-    H: tuple
-    gain: AugmentedMatrix
-    M_prior: AugmentedMatrix
-    M_post: AugmentedMatrix
-    A: tuple
 
 
 def _batch_last(a: np.ndarray, k: int, batch: tuple) -> np.ndarray:
@@ -150,6 +140,21 @@ def _batch_first(a: np.ndarray, batch: tuple) -> np.ndarray:
     """The batch-first view ``(*batch, e_1..e_k)`` of a batch-last ``(e_1..e_k, rows)`` array."""
     a = a.transpose((1, 0) if a.ndim == 2 else (2, 0, 1))
     return a if len(batch) == 1 else a.reshape(batch + a.shape[1:])
+
+
+class _Stepped(namedtuple("_Stepped", "x m innov k p H A batch")):
+    """What one step leaves: the posterior ``x`` (*batch, n), and batch-last
+    the top block rows of the posterior ``m``, the prior ``p`` and the gain
+    ``k`` and the innovation, with the step's ``H`` and ``A`` terms.  The
+    diagnostics that the error recursion and the tests read, ``innovation``,
+    ``gain``, ``M_prior`` and ``M_post``, are augmented batch-first views made
+    on the read."""
+
+    __slots__ = ()
+    innovation = property(lambda self: AugmentedVector._of(_batch_first(self.innov, self.batch)))
+    gain = property(lambda self: AugmentedMatrix._of(_batch_first(self.k, self.batch)))
+    M_prior = property(lambda self: AugmentedMatrix._of(_batch_first(self.p, self.batch)))
+    M_post = property(lambda self: AugmentedMatrix._of(_batch_first(self.m, self.batch)))
 
 
 def _factor(v, batch: tuple):
@@ -189,138 +194,146 @@ def _row_sums(a: list, row: Callable, out: np.ndarray) -> np.ndarray:
     return out
 
 
+class _StepPlan:
+    """A model's step at one batch shape, with what stays fixed between ticks
+    resolved once: its noise blocks batch-last and its own observation row."""
+
+    def __init__(self, model: StateSpaceModel, batch: tuple):
+        self.model, self.batch, self.rows = model, batch, math.prod(batch)
+        self.cu = _batch_last(model.Cu.top, 2, batch)
+        self.cn = _batch_last(model.Cn.top, 2, batch)[0]  # Cn is 1 x 1 blocks
+        self.h = None if model.observe_H is None else self._factors(model.observe_H)
+
+    def _factors(self, h: tuple) -> list:
+        """Observation terms as (column, factor, factor against an entry)."""
+        return [(c, w, w[0] if isinstance(w, np.ndarray) else w)
+                for c, w in ((c, _factor(v, self.batch)) for c, v in h)]
+
+    def step(self, x: np.ndarray, m: np.ndarray, y: np.ndarray, h: tuple | None = None):
+        """One predict/correct cycle of every row; returns a :class:`_Stepped`.
+
+        ``x`` (*b, n) is batch-first as the model functions read it, ``b``
+        broadcasting to the plan's batch; ``[M11 M12]`` ``m`` (n, 2n, rows)
+        and ``y`` (1, rows) are batch-last, read through views.  ``h`` is the
+        observation row as ``(augmented column, value)`` terms, by default
+        the model's own.
+
+        The prior's top block row ``[P11 P12] = [A11 A12] M_full A_full^H``
+        is built from the Jacobian terms on ``M``'s blocks, with no product
+        of full matrices: row r of ``B = [A11 A12] M_full`` sums v times row
+        c of ``M_full`` over the terms ``(r, c, v)``, and row r of ``[P11
+        P12]`` sums v times row c of ``[conj(B)^T  B_swapped^T]`` over the
+        same terms (``P11`` is Hermitian and ``P12`` symmetric, so their rows
+        are ``A``'s combinations of ``B``'s columns).  A zero of the Jacobian
+        costs nothing and a unit entry no product.  ``H P``, ``S``, the gain
+        ``K`` and the innovation are sums over the observation terms, and ``K
+        H P`` is two outer products.  ``S`` is the 2 x 2 ``[[s11, s12],
+        [conj(s12), s11]]``, inverted in closed form; a condition number
+        above ``COND_LIMIT`` raises :class:`FilterDegenerateError`.
+        ``M_post`` is symmetrised (Hermitian block11, symmetric block12) to
+        repair rounding; the transposed blocks are read before any entry is
+        written, so at n = 1, where the transpose is ``M_post`` itself,
+        block11 comes out real.
+
+        Both operands of every complex product are arrays with the same
+        number of axes (a term value is (1, rows) against a row, (rows,)
+        against an entry), or one is a scalar: numpy rounds a complex product
+        of two one-element arrays of different ndim differently from the
+        same product in a longer array, and so is a product of two numpy
+        scalars.  So a row's result does not depend on the batch it is
+        stepped in or on the memory layout of its inputs.
+        """
+        model, batch, rows, n = self.model, self.batch, self.rows, m.shape[0]
+        x_pred = _batch_last(model.f_a(x), 1, batch)
+        a = model.jacobian_A(x)
+        a_rows = [(r, c, _factor(v, batch)) for r, c, v in a]
+        h_rows = self.h if h is None else self._factors(h)
+
+        # row c >= n of M_full is row c - n of [m11 m12], conjugated with its halves swapped
+        b = _row_sums(
+            a_rows, lambda c: m[c] if c < n else _conj_swapped(m[c - n]),
+            np.empty((n, 2 * n, rows), dtype=complex),
+        )
+        # row c of [conj(B)^T  B_swapped^T]: column c of conj(B), then column c -/+ n of B
+        b_cols = np.empty((2 * n, 2 * n, rows), dtype=complex)
+        b_t = b.swapaxes(0, 1)
+        np.conj(b_t, out=b_cols[:, :n])
+        b_cols[:n, n:], b_cols[n:, n:] = b_t[n:], b_t[:n]
+        p = _row_sums(
+            a_rows, b_cols.__getitem__, np.empty((n, 2 * n, rows), dtype=complex)
+        )
+        p += self.cu
+
+        # H P and H x: row c >= n of P_full is row c - n of [P11 P12], conjugated and swapped.
+        # S = H P_full H^H + Cn: H's second row is conj(h) with its halves swapped.
+        hp = hx = None
+        s11, s12 = self.cn
+        for c, w, we in h_rows:
+            if c < n:
+                row, xc = p[c], x_pred[c]
+            else:
+                row, xc = _conj_swapped(p[c - n]), np.conj(x_pred[c - n])
+            row, xc = _times(row, w), _times(xc, we)
+            hp, hx = (row, xc) if hp is None else (hp + row, hx + xc)
+        for c, _, we in h_rows:
+            s11 = s11 + _times(hp[c], None if we is None else np.conj(we))
+            s12 = s12 + _times(hp[c + n if c < n else c - n], we)
+        s11 = s11.real
+        # S has eigenvalues s11 -/+ |s12|
+        abs12 = np.abs(s12)
+        lo, hi = s11 - abs12, s11 + abs12
+        cond = hi / np.where(lo > 0, lo, np.nan)
+        ok = cond <= COND_LIMIT
+        if not ok.all():
+            bad = ~ok
+            worst = float(np.max(np.where(np.isfinite(cond), cond, np.inf)))
+            exc = FilterDegenerateError(
+                f"filter degenerate: innovation covariance condition number {worst:.3e}"
+                f" exceeds {COND_LIMIT:.1e}"
+            )
+            exc.row = tuple(int(i) for i in np.argwhere(bad.reshape(batch))[0])
+            raise exc
+
+        # S^-1 = [[s11, -s12], [-conj(s12), s11]] / (lo hi); two divisions keep
+        # lo hi from overflowing at huge covariances.  K = (H P)^H S^-1, held as
+        # the gain's top block row [k11 k12], (n, 2, rows).
+        i11, i12 = (s11 / hi / lo)[None], (-s12 / hi / lo)[None]
+        hp_row2 = _conj_swapped(hp)  # (H P_full)'s second row
+        hp11_c, hp12 = hp_row2[n:], hp[n:]
+        gain = np.empty((n, 2, rows), dtype=complex)
+        k11, k12 = gain[:, 0], gain[:, 1]
+        np.multiply(hp11_c, i11, out=k11)
+        k11 += hp12 * np.conj(i12)
+        np.multiply(hp11_c, i12, out=k12)
+        k12 += hp12 * i11
+        innov = np.subtract(y, hx, out=np.empty((1, rows), complex))
+        x_post = x_pred + k11 * innov
+        x_post += k12 * np.conj(innov)
+        post = p - gain[:, :1] * hp[None]
+        post -= gain[:, 1:] * hp_row2[None]
+        # [m11 m12] + [m11^H m12^T]; t[j, 0, i] is m11[i, j] and t[j, 1, i] is m12[i, j]
+        t = post.reshape(n, 2, n, rows).swapaxes(0, 2)
+        post[:, :n] += np.conj(t[:, 0])
+        post[:, n:] += t[:, 1]  # numpy reads an overlapping transposed operand before writing
+        post *= 0.5
+        h = model.observe_H if h is None else h
+        return _Stepped(_batch_first(x_post, batch), post, innov, gain, p, h, a, batch)
+
+
 def _step(
-    model: StateSpaceModel,
-    state: FilterState,
-    y: AugmentedVector,
-    h: tuple | None = None,
-) -> tuple[FilterState, StepDiagnostics]:
-    """One predict/correct cycle; returns the new state plus diagnostics.
-
-    ``h`` is the observation row as ``(augmented column, value)`` terms; it
-    defaults to the model's own.  The step works batch-last, on the batch
-    flattened into one last axis of ``rows`` entries: x is (n, rows), the
-    covariance's top block row ``[M11 M12]`` (n, 2n, rows) and a term value
-    (rows,), so each row combination below is one contiguous pass over the
-    batch.  It reads its inputs through views, and the state and
-    diagnostics it returns are batch-first views of its own arrays, so a
-    posterior fed back in costs no copy.  An unbatched state is a batch of
-    one row.
-
-    The prior's top block row ``[P11 P12] = [A11 A12] M_full A_full^H`` is
-    built from the Jacobian terms on ``M``'s blocks, with no product of full
-    matrices: row r of ``B = [A11 A12] M_full`` sums v times row c of
-    ``M_full`` over the terms ``(r, c, v)``, and row r of ``[P11 P12]`` sums
-    v times row c of ``[conj(B)^T  B_swapped^T]`` over the same terms
-    (``P11`` is Hermitian and ``P12`` symmetric, so their rows are ``A``'s
-    combinations of ``B``'s columns).  A zero of the Jacobian costs nothing
-    and a unit entry no product.  ``H P``, ``S``,
-    the gain ``K`` and the innovation are sums over the observation terms,
-    and ``K H P`` is two outer products.  ``S`` is the 2 x 2
-    ``[[s11, s12], [conj(s12), s11]]``, inverted in closed form; a condition
-    number above ``COND_LIMIT`` raises :class:`FilterDegenerateError`.  ``M_post`` is symmetrised (Hermitian
-    block11, symmetric block12) to repair rounding; the transposed blocks
-    are read before any entry is written, so at n = 1, where the transpose
-    is ``M_post`` itself, block11 comes out real.
-
-    Both operands of every complex product are arrays with the same number
-    of axes (a term value is (1, rows) against a row, (rows,) against an
-    entry), or one is a scalar: numpy rounds a complex product of two
-    one-element arrays of different ndim differently from the same product
-    in a longer array, and so is a product of two numpy scalars.  So a
-    row's result does not depend on the batch it is stepped in or on the
-    memory layout of its inputs.
-    """
-    h = model.observe_H if h is None else h
+    model: StateSpaceModel, state: FilterState, y: AugmentedVector, h: tuple | None = None
+) -> tuple[FilterState, _Stepped]:
+    """:meth:`_StepPlan.step` on augmented containers, for one call: the batch is
+    the broadcast of the state's, the covariance's and the observation's,
+    and the new state is a batch-first view."""
     x, m = state.x_hat.top, state.M
-    n = x.shape[-1]
     batch = x.shape[:-1]
     if m.top.shape[:-2] != batch or y.top.shape[:-1] != batch:
         batch = np.broadcast_shapes(batch, m.top.shape[:-2], y.top.shape[:-1])
-    x_pred = _batch_last(model.f_a(x), 1, batch)
-    a = model.jacobian_A(x)
-    a_rows = [(r, c, _factor(v, batch)) for r, c, v in a]
-    # an observation factor also as (rows,), against an entry
-    h_rows = [(c, w, w[0] if isinstance(w, np.ndarray) else w)
-              for c, w in ((c, _factor(v, batch)) for c, v in h)]
-    rows = math.prod(batch)
-
-    # row c >= n of M_full is row c - n of [m11 m12], conjugated with its halves swapped
-    m_top = _batch_last(m.top, 2, batch)
-    b = _row_sums(
-        a_rows, lambda c: m_top[c] if c < n else _conj_swapped(m_top[c - n]),
-        np.empty((n, 2 * n, rows), dtype=complex),
+    out = _StepPlan(model, batch).step(
+        x, _batch_last(m.top, 2, batch), _batch_last(y.top, 1, batch), h
     )
-    # row c of [conj(B)^T  B_swapped^T]: column c of conj(B), then column c -/+ n of B
-    b_cols = np.empty((2 * n, 2 * n, rows), dtype=complex)
-    b_t = b.swapaxes(0, 1)
-    np.conj(b_t, out=b_cols[:, :n])
-    b_cols[:n, n:], b_cols[n:, n:] = b_t[n:], b_t[:n]
-    p = _row_sums(
-        a_rows, b_cols.__getitem__, np.empty((n, 2 * n, rows), dtype=complex)
-    )
-    p += _batch_last(model.Cu.top, 2, batch)
-
-    # H P and H x: row c >= n of P_full is row c - n of [P11 P12], conjugated and swapped.
-    # S = H P_full H^H + Cn: H's second row is conj(h) with its halves swapped.
-    hp = hx = None
-    s11, s12 = _batch_last(model.Cn.top, 2, batch)[0]  # Cn is 1 x 1 blocks
-    for c, w, we in h_rows:
-        if c < n:
-            row, xc = p[c], x_pred[c]
-        else:
-            row, xc = _conj_swapped(p[c - n]), np.conj(x_pred[c - n])
-        row, xc = _times(row, w), _times(xc, we)
-        hp, hx = (row, xc) if hp is None else (hp + row, hx + xc)
-    for c, _, we in h_rows:
-        s11 = s11 + _times(hp[c], None if we is None else np.conj(we))
-        s12 = s12 + _times(hp[c + n if c < n else c - n], we)
-    s11 = s11.real
-    # S has eigenvalues s11 -/+ |s12|
-    abs12 = np.abs(s12)
-    lo, hi = s11 - abs12, s11 + abs12
-    cond = hi / np.where(lo > 0, lo, np.nan)
-    ok = cond <= COND_LIMIT
-    if not ok.all():
-        bad = ~ok
-        worst = float(np.max(np.where(np.isfinite(cond), cond, np.inf)))
-        exc = FilterDegenerateError(
-            f"filter degenerate: innovation covariance condition number {worst:.3e}"
-            f" exceeds {COND_LIMIT:.1e}"
-        )
-        exc.row = tuple(int(i) for i in np.argwhere(bad.reshape(batch))[0])
-        raise exc
-
-    # S^-1 = [[s11, -s12], [-conj(s12), s11]] / (lo hi); two divisions keep
-    # lo hi from overflowing at huge covariances.  K = (H P)^H S^-1, held as
-    # the gain's top block row [k11 k12], (n, 2, rows).
-    i11, i12 = (s11 / hi / lo)[None], (-s12 / hi / lo)[None]
-    hp_row2 = _conj_swapped(hp)  # (H P_full)'s second row
-    hp11_c, hp12 = hp_row2[n:], hp[n:]
-    gain = np.empty((n, 2, rows), dtype=complex)
-    k11, k12 = gain[:, 0], gain[:, 1]
-    np.multiply(hp11_c, i11, out=k11)
-    k11 += hp12 * np.conj(i12)
-    np.multiply(hp11_c, i12, out=k12)
-    k12 += hp12 * i11
-    innov = np.subtract(_batch_last(y.top, 1, batch), hx, out=np.empty((1, rows), complex))
-    x_post = x_pred + k11 * innov
-    x_post += k12 * np.conj(innov)
-    post = p - gain[:, :1] * hp[None]
-    post -= gain[:, 1:] * hp_row2[None]
-    # [m11 m12] + [m11^H m12^T]; t[j, 0, i] is m11[i, j] and t[j, 1, i] is m12[i, j]
-    t = post.reshape(n, 2, n, rows).swapaxes(0, 2)
-    post[:, :n] += np.conj(t[:, 0])
-    post[:, n:] += t[:, 1]  # numpy reads an overlapping transposed operand before writing
-    post *= 0.5
-
-    m_post = AugmentedMatrix._of(_batch_first(post, batch))
-    diag = StepDiagnostics(  # innovation, H, gain, M_prior, M_post, A
-        AugmentedVector._of(_batch_first(innov, batch)), h,
-        AugmentedMatrix._of(_batch_first(gain, batch)),
-        AugmentedMatrix._of(_batch_first(p, batch)), m_post, a,
-    )
-    return FilterState(AugmentedVector._of(_batch_first(x_post, batch)), m_post), diag
+    return FilterState(AugmentedVector._of(out.x), out.M_post), out
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +351,21 @@ def _noise_matrices(
 def _nominal_increment(sample_rate_hz: float) -> complex:
     """The phase increment of one tick at the 50 Hz every filter starts from."""
     return np.exp(2j * math.pi * 50.0 / sample_rate_hz)
+
+
+def _start(sample_rate_hz: float, entries: str) -> Callable:
+    """The ``initial_state`` of a model whose state entries are ``entries``, in
+    order: ``x`` the nominal increment, ``v`` the first observation, ``0``
+    zero.  The covariance starts at 0.1 I."""
+
+    def initial_state(first_obs) -> FilterState:
+        v0 = np.asarray(first_obs, dtype=complex)
+        known = {"x": np.full_like(v0, _nominal_increment(sample_rate_hz)), "v": v0,
+                 "0": np.zeros_like(v0)}
+        x0 = np.stack([known[e] for e in entries], axis=-1)
+        return FilterState(AugmentedVector(x0), AugmentedMatrix.eye(len(entries), 0.1))
+
+    return initial_state
 
 
 def _angle_freq(sample_rate_hz: float) -> Callable:
@@ -371,19 +399,10 @@ def lss_model(
     def jacobian(x: np.ndarray) -> tuple:
         return (0, 0, 1.0), (1, 0, x[..., 1]), (1, 1, x[..., 0])
 
-    extract = _angle_freq(sample_rate_hz)
-
-    def initial_state(first_obs) -> FilterState:
-        v0 = np.asarray(first_obs, dtype=complex)
-        x0 = np.full_like(v0, _nominal_increment(sample_rate_hz))
-        return FilterState(
-            AugmentedVector(np.stack([x0, v0], axis=-1)), AugmentedMatrix.eye(2, 0.1)
-        )
-
     return StateSpaceModel(
         name="lss", f_a=f_a, jacobian_A=jacobian,
-        observe_H=((1, 1.0),), extract_freq=extract,
-        Cu=cu, Cn=cn, initial_state=initial_state,
+        observe_H=((1, 1.0),), extract_freq=_angle_freq(sample_rate_hz),
+        Cu=cu, Cn=cn, initial_state=_start(sample_rate_hz, "xv"),
     )
 
 
@@ -426,18 +445,10 @@ def wlss_model(
         f = np.arcsin(np.minimum(arg, 1.0)) / two_pi_dt
         return f, flags
 
-    def initial_state(first_obs) -> FilterState:
-        v0 = np.asarray(first_obs, dtype=complex)
-        h0 = np.full_like(v0, _nominal_increment(sample_rate_hz))
-        g0 = np.zeros_like(v0)
-        return FilterState(
-            AugmentedVector(np.stack([h0, g0, v0], axis=-1)), AugmentedMatrix.eye(3, 0.1)
-        )
-
     return StateSpaceModel(
         name="wlss", f_a=f_a, jacobian_A=jacobian,
         observe_H=((2, 1.0),), extract_freq=extract,
-        Cu=cu, Cn=cn, initial_state=initial_state,
+        Cu=cu, Cn=cn, initial_state=_start(sample_rate_hz, "x0v"),
     )
 
 
@@ -468,20 +479,10 @@ def nss_model(
         inc = x[..., 0]
         return (0, 0, 1.0), (1, 0, x[..., 1]), (1, 1, inc), (2, 2, np.conj(inc)), (2, 3, x[..., 2])
 
-    extract = _angle_freq(sample_rate_hz)
-
-    def initial_state(first_obs) -> FilterState:
-        v0 = np.asarray(first_obs, dtype=complex)
-        x0 = np.full_like(v0, _nominal_increment(sample_rate_hz))
-        return FilterState(
-            AugmentedVector(np.stack([x0, v0, np.zeros_like(v0)], axis=-1)),
-            AugmentedMatrix.eye(3, 0.1),
-        )
-
     return StateSpaceModel(
         name="nss", f_a=f_a, jacobian_A=jacobian,
-        observe_H=((1, 1.0), (2, 1.0)), extract_freq=extract,
-        Cu=cu, Cn=cn, initial_state=initial_state,
+        observe_H=((1, 1.0), (2, 1.0)), extract_freq=_angle_freq(sample_rate_hz),
+        Cu=cu, Cn=cn, initial_state=_start(sample_rate_hz, "xv0"),
     )
 
 
@@ -491,7 +492,7 @@ def shared_increment_model(
     """Two-dimensional model of the phase increment alone.
 
     The state evolution is the identity.  The model has no observation row
-    of its own: every tick's ``_step`` gets ``((0, v+), (1, v-))``, built
+    of its own: every tick's step gets ``((0, v+), (1, v-))``, built
     from externally supplied sequence-voltage estimates, which maps the
     increment x to v+ x + v- conj(x), the widely linear voltage relation
     v_k = v+_{k-1} x + v-_{k-1} conj(x).  The estimates must therefore be
@@ -507,16 +508,10 @@ def shared_increment_model(
     def jacobian(x: np.ndarray) -> tuple:
         return ((0, 0, 1.0),)
 
-    extract = _angle_freq(sample_rate_hz)
-
-    def initial_state(first_obs) -> FilterState:
-        x0 = np.full(np.shape(first_obs) + (1,), _nominal_increment(sample_rate_hz))
-        return FilterState(AugmentedVector(x0), AugmentedMatrix.eye(1, 0.1))
-
     return StateSpaceModel(
         name="shared_increment", f_a=f_a, jacobian_A=jacobian,
-        observe_H=None, extract_freq=extract,
-        Cu=cu, Cn=cn, initial_state=initial_state,
+        observe_H=None, extract_freq=_angle_freq(sample_rate_hz),
+        Cu=cu, Cn=cn, initial_state=_start(sample_rate_hz, "x"),
     )
 
 
@@ -575,13 +570,19 @@ class FilterRun:
         return self._view((row,), self.f_true_hz)
 
 
+#: ticks whose frequencies the tick loop reads in one call: a call costs about as
+#: much for 16 ticks as for one, and longer blocks only raise the peak memory
+_EXTRACT_BLOCK_TICKS = 16
+
+
 def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, detail: int, row_name):
     """The tick loop under both drivers: per-tick bookkeeping and the degenerate-tick error.
 
     ``ys`` holds each tick's observation, (ticks, *batch, 1).  ``step(state,
-    y)`` advances every batch row one tick and returns ``(state, diag,
-    xs)``: its next state, its diagnostics and a tuple of posterior top
-    halves (*batch, n), the frequency read off the first; ``state`` and
+    y)`` advances every batch row one tick on y (1, rows) and returns
+    ``(state, out, xs)``: its next state, the :class:`_Stepped` whose
+    innovation is kept and a tuple of posterior top halves (*batch, n), the
+    frequency read off the first, once per block of ticks; ``state`` and
     ``xs`` come in at tick 0.  Returns the estimates and flags (*batch,
     ticks), the leading ``kept = min(detail, batch[0])`` rows of each
     posterior (kept, *batch[1:], ticks, n) and of the innovation power
@@ -589,7 +590,8 @@ def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, detail
     A negative ``detail`` raises ValueError.  A degenerate step is raised
     again as "tick k: <row_name(row)>: ..." with ``tick`` and ``row`` set.
     """
-    shape = ys.shape[1:-1] + (len(ys),)
+    batch = ys.shape[1:-1]
+    shape = batch + (len(ys),)
     kept = min(int(detail), shape[0])
     if kept < 0:
         raise ValueError(f"detail must be at least 0, got {detail}")
@@ -597,23 +599,27 @@ def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, detail
     flags = np.zeros(shape, dtype=int)
     posts = [np.empty((kept,) + shape[1:] + x.shape[-1:], complex) if kept else None for x in xs]
     innov = np.zeros((kept,) + shape[1:]) if kept else None
+    held = np.empty((min(_EXTRACT_BLOCK_TICKS, len(ys)),) + batch + xs[0].shape[-1:], complex)
 
-    f_hat[..., 0], flags[..., 0] = extract(xs[0])
-    if kept:
-        for post, x in zip(posts, xs):
-            post[..., 0, :] = np.atleast_2d(x)[:kept]  # an unbatched start serves every row
-    for k in range(1, len(ys)):
-        try:
-            state, diag, xs = step(state, AugmentedVector(ys[k]))
-        except FilterDegenerateError as exc:
-            err = FilterDegenerateError(f"tick {k}: {row_name(exc.row)}: {exc}")
-            err.tick, err.row = k, exc.row
-            raise err from exc
-        f_hat[..., k], flags[..., k] = extract(xs[0])
+    ys = ys.reshape(len(ys), 1, -1)
+    for k in range(len(ys)):
+        if k:
+            try:
+                state, out, xs = step(state, ys[k])
+            except FilterDegenerateError as exc:
+                err = FilterDegenerateError(f"tick {k}: {row_name(exc.row)}: {exc}")
+                err.tick, err.row = k, exc.row
+                raise err from exc
+            if kept:
+                innov[..., k] = np.abs(out.innov[0].reshape(batch)[:kept]) ** 2
         if kept:
             for post, x in zip(posts, xs):
-                post[..., k, :] = x[:kept]
-            innov[..., k] = np.abs(diag.innovation.top[:kept, ..., 0]) ** 2
+                post[..., k, :] = np.atleast_2d(x)[:kept]  # an unbatched start serves every row
+        t = k % len(held)
+        held[t] = xs[0]
+        if t == len(held) - 1 or k == len(ys) - 1:
+            f, flag = (np.moveaxis(a, 0, -1) for a in extract(held[: t + 1]))
+            f_hat[..., k - t : k + 1], flags[..., k - t : k + 1] = f, flag
     return f_hat, flags, posts, innov, state
 
 
@@ -642,14 +648,16 @@ def run_filter(
         row, k = bad[0]
         raise ValueError(f"row {row}, tick {k}: non-finite sample {v[row, k]}")
 
-    def step(state, y):
-        state, diag = _step(model, state, y)
-        return state, diag, (state.x_hat.top,)
+    plan = _StepPlan(model, v.shape[:1])
+    start = model.initial_state(v[:, 0])
 
-    state = model.initial_state(v[:, 0])
+    def step(state, y):
+        out = plan.step(*state, y)
+        return out[:2], out, (out.x,)
+
     f_hat, flags, (states,), innov, _ = _run_ticks(
-        step, state, (state.x_hat.top,), v.T[..., None], model.extract_freq, detail,
-        lambda row: f"row {row[0]}",
+        step, (start.x_hat.top, _batch_last(start.M.top, 2, plan.batch)), (start.x_hat.top,),
+        v.T[..., None], model.extract_freq, detail, lambda row: f"row {row[0]}",
     )
     return FilterRun(
         t_s=np.arange(v.shape[1]) / sample_rate_hz,

@@ -24,15 +24,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import NetworkErrorState, initial_network_state, mse_block
-from .augmented import AugmentedVector
 from .estimators import (
     FilterRun,
-    FilterState,
     FreqTrace,
-    StateSpaceModel,
-    StepDiagnostics,
+    _batch_first,
+    _batch_last,
     _run_ticks,
-    _step,
+    _Stepped,
+    _StepPlan,
     nss_model,
     shared_increment_model,
 )
@@ -365,15 +364,16 @@ class _TheoryBlock:
         width = len(state.aggregator_ids) * state.block_dim
         self.ticks = max(1, min(_THEORY_BLOCK_TICKS, _THEORY_BLOCK_BYTES // (16 * width**2)))
 
-    def record(self, diag: StepDiagnostics) -> None:
-        terms = diag.H + diag.A
+    def record(self, out: _Stepped) -> None:
+        terms = out.H + out.A
+        gain = _batch_first(out.k, out.batch)[0]
         if self.gain is None:
-            self.gain = np.empty((self.ticks,) + diag.gain.top.shape[1:], dtype=complex)
+            self.gain = np.empty((self.ticks,) + gain.shape, dtype=complex)
             self.values = np.empty(self.gain.shape[:2] + (len(terms),), dtype=complex)
             self.values[:] = [0 if isinstance(v, np.ndarray) else v for *_, v in terms]
-            self.keys, self.n_h = [term[:-1] for term in terms], len(diag.H)
+            self.keys, self.n_h = [term[:-1] for term in terms], len(out.H)
         t = self.filled
-        self.gain[t] = diag.gain.top[0]
+        self.gain[t] = gain
         for i, (*_, v) in enumerate(terms):
             if isinstance(v, np.ndarray):
                 self.values[t, :, i] = v[0]
@@ -395,29 +395,29 @@ class _TheoryBlock:
 
 
 def _tick(
-    aux_model: StateSpaceModel,
-    shared_model: StateSpaceModel | None,
+    aux_plan: _StepPlan,
+    shared_plan: _StepPlan | None,
     mixing: _Mixing,
     state: tuple,
-    y: AugmentedVector,
-) -> tuple[tuple, StepDiagnostics, tuple]:
+    y: np.ndarray,
+) -> tuple[tuple, _Stepped, tuple]:
     """One synchronous round of the network, for every (seed, node) batch row.
 
-    The auxiliary ``nss`` trackers of ``state = (aux, shared, errors)``
-    advance on the new observations ``y``.  In ``dfe`` mode the 2-dim
-    shared filters are then corrected with the observation row ``((0, v+),
-    (1, v-))`` of the sequence-voltage estimates standing *before* this
-    tick.  Those are the values consistent with the observation pairing v_k
-    = v+_{k-1} x + v-_{k-1} conj(x); using the refreshed posteriors instead
-    would make the observation explain itself and collapse the increment
-    estimate toward 1.  The output filter's posteriors (the shared
-    filters', or the trackers' own in full-state mode, where ``shared`` is
-    None) then run through the diffusion, and that filter restarts from its
-    combined value.  The error recursion ``errors`` (None without theory)
-    copies seed row 0 of that filter's diagnostics, and steps once a block
-    of ticks is full.  As a step of :func:`_run_ticks`, returns the new
-    state, those diagnostics and the output posterior top halves after and
-    before the diffusion.
+    The auxiliary ``nss`` trackers of ``state = (aux, shared, errors)``,
+    each filter an ``(x, [M11 M12])`` pair, advance on the observations
+    ``y``.  In ``dfe`` mode the 2-dim shared filters are then corrected with
+    the observation row ``((0, v+), (1, v-))`` of the sequence-voltage
+    estimates standing *before* this tick.  Those are the values consistent
+    with the observation pairing v_k = v+_{k-1} x + v-_{k-1} conj(x); using
+    the refreshed posteriors instead would make the observation explain
+    itself and collapse the increment estimate toward 1.  The output
+    filter's posteriors (the shared filters', or the trackers' own in
+    full-state mode, where ``shared`` is None) then run through the
+    diffusion, and that filter restarts from its combined value.  The error
+    recursion ``errors`` (None without theory) copies seed row 0 of that
+    filter's step, and steps once a block of ticks is full.  As a step of
+    :func:`_run_ticks`, returns the new state, that step and the output
+    posterior top halves after and before the diffusion.
 
     In ``dfe`` mode the auxiliary tracker stays fully local: overwriting its
     increment entry with the diffused value couples the two filters into a
@@ -425,17 +425,15 @@ def _tick(
     growing oscillation near 75 Hz).
     """
     aux, shared, errors = state
-    v_plus, v_minus = aux.x_hat.top[..., 1], aux.x_hat.top[..., 2]
-    aux, diag = _step(aux_model, aux, y)
-    out = aux
+    v_plus, v_minus = aux[0][..., 1], aux[0][..., 2]
+    out = aux = aux_plan.step(*aux, y)
     if shared is not None:
-        out, diag = _step(shared_model, shared, y, ((0, v_plus), (1, v_minus)))
-    local = out.x_hat.top
-    out = FilterState(AugmentedVector(_diffuse_all(local, mixing)), out.M)
+        out = shared_plan.step(*shared, y, ((0, v_plus), (1, v_minus)))
+    combined = (_diffuse_all(out.x, mixing), out.m)
     if errors is not None:
-        errors.record(diag)
-    state = (out, None, errors) if shared is None else (aux, out, errors)
-    return state, diag, (out.x_hat.top, local)
+        errors.record(out)
+    state = (combined, None, errors) if shared is None else (aux[:2], combined, errors)
+    return state, out, (combined[0], out.x)
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +550,14 @@ def run_distributed(
         for s, seed in enumerate(seeds):
             volts[:, s, j] = clarke_arrays(add_noise(clean[key], [seed, j], snr_db))[1]
 
-    aux_model = out_model = nss_model(fs, snr_db=snr_db)
-    aux = out = aux_model.initial_state(volts[0])
-    shared_model = shared = None
+    out_model = nss_model(fs, snr_db=snr_db)
+    plans, filters = [_StepPlan(out_model, volts.shape[1:])], [None, None]
     if mode == "dfe":
-        shared_model = out_model = shared_increment_model(fs, snr_db=snr_db)
-        shared = out = shared_model.initial_state(volts[0])
+        out_model = shared_increment_model(fs, snr_db=snr_db)
+        plans.append(_StepPlan(out_model, volts.shape[1:]))
+    for i, plan in enumerate(plans):
+        out = plan.model.initial_state(volts[0])
+        filters[i] = out.x_hat.top, _batch_last(out.M.top, 2, plan.batch)
 
     errors = None
     if theory:
@@ -567,9 +567,10 @@ def run_distributed(
         ))
 
     f_hat, flags, (states, local_states), innov, (_, _, errors) = _run_ticks(
-        lambda state, y: _tick(aux_model, shared_model, mixing, state, y),
-        (aux, shared, errors), (out.x_hat.top,) * 2, volts[..., None], out_model.extract_freq,
-        detail, lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
+        # without a shared filter, its plan and its state are None
+        lambda state, y: _tick(*(plans + [None])[:2], mixing, state, y),
+        (*filters, errors), (out.x_hat.top,) * 2, volts[..., None],
+        out_model.extract_freq, detail, lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
     )
     return DistributedRun(
         t_s=np.arange(n_ticks) / fs,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from gridfreq.augmented import AugmentedMatrix, AugmentedVector
 from gridfreq.cli import _write_csv
 from gridfreq.estimators import (
     FreqTrace,
-    StepDiagnostics,
     lss_model,
     nss_model,
     run_filter,
@@ -111,7 +111,7 @@ def half_step_diag(n=1):
     M_post / M_prior.
     """
     ones, zeros = np.ones((1, n)), np.zeros((1, n))
-    return StepDiagnostics(
+    return SimpleNamespace(
         innovation=AugmentedVector(np.zeros(1)),
         H=tuple((i, 1.0) for i in range(n)),
         gain=AugmentedMatrix(0.5 * ones.T, zeros.T),

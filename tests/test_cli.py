@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 
 import gridfreq.cli
 import gridfreq.estimators
-import gridfreq.network
-from gridfreq.augmented import AugmentedMatrix
 from gridfreq.cli import MAX_SAMPLES, ConfigError, build_plan, load_config, main, validate_config
-from gridfreq.estimators import FilterDegenerateError, FilterState
+from gridfreq.estimators import FilterDegenerateError, _StepPlan
 
 QUICK_SINGLE = """
 name: quick_single
@@ -343,7 +341,6 @@ spectrum:
         # --seeds 3 makes one filter batch of 1 + 3 rows: one step per filter and tick
         single = "topology" not in text
         driver = "run_filter" if single else "run_distributed"
-        stepper = gridfreq.estimators if single else gridfreq.network
         drivers, steps = [], []
 
         def logged(fn, log):
@@ -354,14 +351,14 @@ spectrum:
             return call
 
         monkeypatch.setattr(gridfreq.cli, driver, logged(getattr(gridfreq.cli, driver), drivers))
-        monkeypatch.setattr(stepper, "_step", logged(stepper._step, steps))
+        monkeypatch.setattr(_StepPlan, "step", logged(_StepPlan.step, steps))
         cfg = write_config(tmp_path, text)
         assert main(["run", cfg, "--seeds", "3", "--out-dir", str(tmp_path / "out")]) == 0
         ticks = build_plan(yaml.safe_load(text)).scenario.n_samples
         assert len(drivers) == 1
         assert len(steps) == (ticks - 1) * filters
-        batch = {state.x_hat.top.shape[:-1] for _, state, *_ in steps}
-        assert batch == {(4,) if single else (4, 3)}
+        batch = {(plan.batch, x.shape[:-1]) for plan, x, *_ in steps}
+        assert batch == {((4,), (4,)) if single else ((4, 3), (4, 3))}
 
     def test_filter_override_changes_gains(self, tmp_path):
         loose = write_config(
@@ -654,17 +651,16 @@ class TestInputsCheckedBeforeRun:
 
     def test_degenerate_monte_carlo_row_names_its_seed(self, tmp_path, capsys, monkeypatch):
         # batch row 2 is Monte-Carlo seed [7, 1]: the message names the seed, not the row
-        real, calls = gridfreq.estimators._step, []
+        real, calls = _StepPlan.step, []
 
-        def step(model, state, y, *args):
+        def step(plan, x, m, *args):
             calls.append(None)
             if len(calls) == 3:
-                m11 = state.M.block11.copy()
-                m11[2] = np.nan
-                state = FilterState(state.x_hat, AugmentedMatrix(m11, state.M.block12))
-            return real(model, state, y, *args)
+                m = m.copy()
+                m[:, : m.shape[0], 2] = np.nan  # block11 of batch row 2
+            return real(plan, x, m, *args)
 
-        monkeypatch.setattr(gridfreq.estimators, "_step", step)
+        monkeypatch.setattr(_StepPlan, "step", step)
         cfg = write_config(tmp_path, QUICK_NOISY)
         out = tmp_path / "out"
         with np.errstate(invalid="ignore"):
@@ -674,7 +670,7 @@ class TestInputsCheckedBeforeRun:
             "filter degenerate: tick 3: Monte-Carlo seed [7, 1]: filter degenerate:"
         )
         assert not out.exists()
-        monkeypatch.setattr(gridfreq.estimators, "_step", real)
+        monkeypatch.setattr(_StepPlan, "step", real)
         cfg = write_config(
             tmp_path, QUICK_SINGLE + "filter: {increment_process_noise: 1.0e+308}\n"
         )

@@ -131,7 +131,7 @@ class TestMatchesReference:
         assert (tmp_path / "one.csv").read_bytes() == b'x\r\n""\r\n""\r\na\r\n1.5\r\n'
 
 
-    def test_a_coded_column_formats_each_reached_label_once_per_block(self, tmp_path):
+    def test_a_coded_column_formats_each_reached_label_once_per_column(self, tmp_path):
         texts = collections.Counter()
 
         class Label:
@@ -146,10 +146,23 @@ class TestMatchesReference:
         codes = np.array([2, 1, 2, 1, 1, 2, 2])
         with mock.patch.object(gridfreq.cli, "_CSV_BLOCK_ROWS", 3):
             _write_csv(tmp_path / "c.csv", ["x", "k"], [(labels, codes), np.arange(7)])
-        assert texts == {"b,c": 2, "d": 3}  # blocks of 3 reach {d, b,c}, {b,c, d}, {d}
+        assert texts == {"b,c": 1, "d": 1}  # reached in blocks {d, b,c}, {b,c, d}, {d}
         assert (tmp_path / "c.csv").read_bytes() == (
             b'x,k\r\nd,0\r\n"b,c",1\r\nd,2\r\n"b,c",3\r\n"b,c",4\r\nd,5\r\nd,6\r\n'
         )
+
+
+    def test_columns_that_share_codes_share_each_blocks_unique(self, tmp_path, monkeypatch):
+        calls, real = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda a, **kw: calls.append(len(a)) or real(a, **kw))
+        route, other = np.array([2, 1, 2, 1, 1, 2, 2]), np.array([0, 0, 1, 1, 0, 0, 1])
+        labels = np.array(["a", "b", "c"], dtype=object)
+        columns = [(labels, route), (labels[::-1], route), (labels, other), (labels, route)]
+        with mock.patch.object(gridfreq.cli, "_CSV_BLOCK_ROWS", 3):
+            _write_csv(tmp_path / "c.csv", ["p", "q", "r", "s"], columns)
+        assert calls == [3, 3, 3, 3, 1, 1]  # per block: one for route, one for other
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert lines[1:3] == ["c,a,a,c", "b,b,a,b"]
 
 
 class TestUnequalColumns:

@@ -17,15 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfreq.estimators
+import gridfreq.network
 from gridfreq.augmented import AugmentedMatrix, AugmentedVector
-from gridfreq.cli import _trace_table, _write_csv
+from gridfreq.cli import _clock_columns, _trace_table, _write_csv
 from gridfreq.estimators import (
     FLAG_NEGATIVE_IM_H,
     FLAG_SEQUENCE_DOMINANCE,
     FilterDegenerateError,
     FilterState,
     StateSpaceModel,
+    _batch_last,
     _step,
+    _StepPlan,
     lss_model,
     nss_model,
     run_filter,
@@ -552,7 +555,7 @@ class TestRunFilter:
         v = np.stack([clarke_series(make_scenario(duration=0.05))] * rows)
         v[at] = np.nan if rows == 1 else complex(1.0, np.inf)
         steps = []
-        monkeypatch.setattr(gridfreq.estimators, "_step", lambda *a: steps.append(a))
+        monkeypatch.setattr(gridfreq.estimators._StepPlan, "step", lambda *a: steps.append(a))
         with pytest.raises(ValueError, match=f"row {at[0]}, tick {at[1]}: non-finite"):
             run_filter(lss_model(FS), v[0] if rows == 1 else v, FS)
         assert not steps
@@ -635,6 +638,36 @@ class TestSharedIncrementModel:
         np.testing.assert_array_equal(h, [[vp, vm], [np.conj(vm), np.conj(vp)]])
 
 
+class TestPlanPathMatchesStep:
+    """A driver's plan, carrying plain arrays from tick to tick, steps to the
+    bits of chained ``_step`` calls, which wrap and unwrap every tick."""
+
+    @pytest.mark.parametrize("batch", [(1, 7), (25, 7), (101,)], ids=["1x7", "25x7", "101"])
+    @pytest.mark.parametrize("name", ["nss", "shared_increment"])
+    def test_fifty_ticks(self, name, batch):
+        scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.051)
+        rows = math.prod(batch)
+        v = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in range(rows)])
+        ys = v.T.reshape((-1,) + batch + (1,))
+        model = (nss_model if name == "nss" else shared_increment_model)(FS, snr_db=30.0)
+        state = model.initial_state(ys[0, ..., 0])
+        plan = _StepPlan(model, batch)
+        arrays = state.x_hat.top, _batch_last(state.M.top, 2, batch)
+        for k in range(1, 51):
+            # the shared model gets a per-tick row built from the previous observation
+            h = None if name == "nss" else ((0, ys[k - 1, ..., 0]), (1, 0.1j * ys[k - 1, ..., 0]))
+            out = plan.step(*arrays, ys[k].reshape(1, -1), h)
+            arrays = out.x, out.m
+            state, diag = _step(model, state, AugmentedVector(ys[k]), h)
+            pairs = [
+                (out.x, state.x_hat.top), (out.M_post.top, state.M.top),
+                (out.gain.top, diag.gain.top), (out.M_prior.top, diag.M_prior.top),
+                (out.innovation.top, diag.innovation.top),
+            ]
+            for got, want in pairs:
+                assert got.shape == want.shape and np.array_equal(got, want), f"tick {k}"
+
+
 class TestNoMaterializeOnTheStepPath:
     """The step, both drivers and the network tick work on blocks and terms alone."""
 
@@ -659,13 +692,40 @@ class TestNoMaterializeOnTheStepPath:
         run = run_distributed(t, scn, [0, 1], snr_db=30.0, mode=mode, assignment=b, detail=1)
         assert run.f_hat_hz.shape == (2, len(t.node_ids), scn.n_samples)
 
+    @pytest.mark.parametrize("mode", [None, "dfe", "distributed-acekf"])
+    def test_ticks_wrap_nothing(self, monkeypatch, mode):
+        # with detail=0 and no theory, the tick loop makes no augmented container
+        def refuse(*args, **kwargs):
+            raise AssertionError("augmented container made on the tick path")
+
+        def guarded(run_ticks):
+            def run(*args):
+                with pytest.MonkeyPatch.context() as patch:
+                    for cls in (AugmentedMatrix, AugmentedVector):
+                        patch.setattr(cls, "__init__", refuse)
+                        patch.setattr(cls, "_of", refuse)
+                    return run_ticks(*args)
+
+            return run
+
+        for module in (gridfreq.estimators, gridfreq.network):
+            monkeypatch.setattr(module, "_run_ticks", guarded(module._run_ticks))
+        scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.05)
+        if mode is None:
+            series = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in (1, 2)])
+            run = run_filter(nss_model(FS, snr_db=30.0), series, FS)
+        else:
+            t, b = reference_network()
+            run = run_distributed(t, scn, [0, 1], snr_db=30.0, mode=mode, assignment=b)
+        assert np.all(np.isfinite(run.f_hat_hz))
+
 
 def test_trace_csv_format(tmp_path):
     scn = make_scenario(duration=0.05)
     v = clarke_series(scn, seed=3, snr_db=30.0)
     trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq(), detail=True)
     path = tmp_path / "trace.csv"
-    _, header, columns = _trace_table("trace.csv", trace.trace())
+    _, header, columns = _trace_table("trace.csv", trace.trace(), _clock_columns(trace.t_s))
     _write_csv(path, header, columns)
     lines = path.read_bytes().decode().split("\r\n")
     assert lines[0] == "k,t_s,f_hat_hz,f_true_hz,err_hz,innov_power,flags"
@@ -676,5 +736,5 @@ def test_trace_csv_format(tmp_path):
     assert float(cells[4]) == pytest.approx(float(cells[2]) - 50.0, rel=1e-10)
     # a NaN truth gives NaN cells, not blanks
     blind = dataclasses.replace(trace.trace(), f_true_hz=np.full(scn.n_samples, np.nan))
-    _write_csv(path, *_trace_table("trace.csv", blind)[1:])
+    _write_csv(path, *_trace_table("trace.csv", blind, columns[:2])[1:])
     assert path.read_text().splitlines()[2].split(",")[3:5] == ["nan", "nan"]

@@ -20,7 +20,9 @@ from gridfreq.estimators import (
     FilterDegenerateError,
     FilterState,
     _step,
+    _StepPlan,
     nss_model,
+    run_filter,
     shared_increment_model,
 )
 from gridfreq.network import (
@@ -403,6 +405,30 @@ class TestDistributedRuns:
             shared = step(shared_model, shared, y, ((0, vp), (1, vm)))
             manual.append(shared_model.extract_freq(shared.x_hat.top)[0])
         np.testing.assert_array_equal(run.trace(0).f_hat_hz, np.array(manual))
+
+    @pytest.mark.parametrize(
+        "mode, models",
+        [(None, ["nss"]), ("dfe", ["nss", "shared_increment"]), ("distributed-acekf", ["nss"])],
+        ids=["filter", "dfe", "distributed-acekf"],
+    )
+    def test_one_step_plan_per_model_per_run(self, monkeypatch, mode, models):
+        made, real = [], _StepPlan.__init__
+
+        def init(plan, model, batch):
+            made.append((model.name, batch))
+            real(plan, model, batch)
+
+        monkeypatch.setattr(_StepPlan, "__init__", init)
+        scn = make_scenario(duration=0.05)
+        if mode is None:
+            series = np.stack([clarke_arrays(generate_arrays(scn))[1]] * 3)
+            run_filter(nss_model(FS), series, FS, detail=1)
+        else:
+            t, b = reference_network()
+            run_distributed(
+                t, scn, [0, 1, 2], snr_db=30.0, mode=mode, assignment=b, theory=True, detail=1
+            )
+        assert made == [(name, (3,) if mode is None else (3, 7)) for name in models]
 
     def test_noiseless_balanced_network_reaches_consensus(self):
         # symmetric fixed point: every node settles on the true increment

@@ -1,21 +1,26 @@
-"""Time the ACEKF step of two gridfreq checkouts, interleaved, and compare its outputs.
+"""Time the ACEKF step and both drivers of two gridfreq checkouts, and compare their outputs.
 
     python tools/step_timing.py PARENT_CHECKOUT CHANGE_CHECKOUT [--rounds R]
 
-Loads ``gridfreq.estimators`` from each checkout's ``src/`` side by side in
-one process (under two package names, without running the package
-``__init__``), builds the same inputs for both, and times
-``estimators._step`` for the ``nss`` model and the shared-increment model
-(with its observation row) at batch shapes (1, 7), (25, 7), (101,) and
-(2000,).  Each side first steps once and is then timed stepping on from
+Loads ``gridfreq.estimators`` and ``gridfreq.network`` from each checkout's
+``src/`` side by side in one process (under two package names, without
+running the package ``__init__``), builds the same inputs for both, and
+times ``estimators._step`` for the ``nss`` model and the shared-increment
+model (with its observation row) at batch shapes (1, 7), (25, 7), (101,)
+and (2000,).  Each side first steps once and is then timed stepping on from
 that posterior, so each runs from the memory layout its own step leaves.
-Rounds alternate which side runs first.  For each cell it prints the
-median and quartiles of the time per call on both sides, the ratio of the
-medians, and whether the two sides' outputs (posterior state and
-covariance, gain, prior covariance and innovation, over two consecutive
-steps) are bit-identical.  Exits 1 when any cell's outputs differ, after
-printing the full table.  Needs numpy and the standard library only; it
-writes nothing inside either checkout.
+The driver rows time whole runs through the public API: ``run_filter`` of
+the ``nss`` model over 101 rows, and ``run_distributed`` in ``dfe`` mode on
+the reference network with 1 and 24 seeds, each 0.25 s long; their times
+are per filter-tick (a ``dfe`` node runs two filters a tick).  Rounds
+alternate which side runs first.  For each cell it prints the median and
+quartiles of the time per call (or per filter-tick) on both sides, the
+ratio of the medians, and whether the two sides' outputs are
+bit-identical: for a step, the posterior state and covariance, gain,
+prior covariance and innovation over two consecutive steps; for a driver,
+the estimates, flags, kept posteriors and innovation power.  Exits 1 when
+any cell's outputs differ, after printing the full table.  Needs numpy and
+the standard library only; it writes nothing inside either checkout.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ import numpy as np
 
 SHAPES = ((1, 7), (25, 7), (101,), (2000,))
 MODELS = ("nss", "shared")
+#: driver rows: ``filter`` with its (rows,) batch, ``dfe`` with its seed count
+DRIVERS = (("filter", 101), ("dfe", 1), ("dfe", 24))
+#: length of a driver row's run
+DRIVER_SECONDS = 0.25
 #: seconds one timed measurement should last; sets the calls per measurement
 TARGET_S = 0.05
 FS = 1000.0
@@ -38,7 +47,7 @@ SNR_DB = 30.0
 
 
 def load(checkout: Path, name: str) -> types.SimpleNamespace:
-    """The ``estimators`` and ``augmented`` modules of a checkout, as package ``name``."""
+    """The modules of a checkout that the cells use, as package ``name``."""
     for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
         del sys.modules[key]
     pkg = types.ModuleType(name)
@@ -47,6 +56,8 @@ def load(checkout: Path, name: str) -> types.SimpleNamespace:
     return types.SimpleNamespace(
         est=importlib.import_module(f"{name}.estimators"),
         aug=importlib.import_module(f"{name}.augmented"),
+        net=importlib.import_module(f"{name}.network"),
+        sig=importlib.import_module(f"{name}.signals"),
     )
 
 
@@ -103,6 +114,32 @@ class Cell:
         return self.step(self.model, self.state, self.y, self.h)
 
 
+class DriverCell:
+    """One driver row on one side: a whole run, timed per filter-tick."""
+
+    def __init__(self, side, kind: str, size: int):
+        ticks = int(round(DRIVER_SECONDS * FS))
+        if kind == "filter":
+            rng = np.random.default_rng(size)
+            phase = 2j * np.pi * 50.0 * np.arange(ticks) / FS
+            noise = rng.normal(size=(size, ticks)) + 1j * rng.normal(size=(size, ticks))
+            samples = np.exp(phase) + 0.3 * np.exp(-phase) + 0.03 * noise
+            model = side.est.nss_model(FS, snr_db=SNR_DB)
+            self.call = lambda: side.est.run_filter(model, samples, FS, detail=1)
+            self.filter_ticks = size * (ticks - 1)
+        else:
+            topology, bridges = side.net.reference_network()
+            segment = side.sig.ScenarioSegment(0.0, DRIVER_SECONDS, 50.0)
+            scenario = side.sig.Scenario([segment], FS, DRIVER_SECONDS)
+            self.call = lambda: side.net.run_distributed(
+                topology, scenario, range(size), snr_db=SNR_DB, mode="dfe", assignment=bridges,
+                detail=1,
+            )
+            self.filter_ticks = 2 * len(topology.node_ids) * size * (ticks - 1)
+        run = self.call()
+        self.outputs = [run.f_hat_hz, run.flags, run.states, run.innovation_power]
+
+
 def quartiles(times: list) -> tuple:
     q1, med, q3 = np.percentile(np.array(times) * 1e6, [25, 50, 75])
     return med, q1, q3
@@ -118,25 +155,28 @@ def main(argv=None) -> int:
     sides = [load(args.parent.resolve(), "gridfreq_parent"),
              load(args.change.resolve(), "gridfreq_change")]
     print(f"{'model':<7}{'batch':<10}{'parent us (q1-q3)':>24}{'change us (q1-q3)':>24}"
-          f"{'ratio':>8}  identical")
+          f"{'ratio':>8}  identical   (filter, dfe: whole runs, us per filter-tick)")
+    cells = [(kind, shape, [Cell(side, kind, inputs(kind, shape)) for side in sides], 1)
+             for kind in MODELS for shape in SHAPES]
+    for kind, size in DRIVERS:
+        pair = [DriverCell(side, kind, size) for side in sides]
+        shape = (size,) if kind == "filter" else (size, 7)
+        cells.append((kind, shape, pair, pair[0].filter_ticks))
     identical = True
-    for kind in MODELS:
-        for shape in SHAPES:
-            arrays = inputs(kind, shape)
-            cells = [Cell(side, kind, arrays) for side in sides]
-            same = all(
-                a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-                for a, b in zip(cells[0].outputs, cells[1].outputs)
-            )
-            identical = identical and same
-            number = max(1, int(TARGET_S / min(timeit.repeat(cells[0].call, number=1, repeat=3))))
-            times = ([], [])
-            for r in range(args.rounds):
-                for i in ((0, 1) if r % 2 == 0 else (1, 0)):
-                    times[i].append(timeit.timeit(cells[i].call, number=number) / number)
-            (pm, p1, p3), (cm, c1, c3) = quartiles(times[0]), quartiles(times[1])
-            print(f"{kind:<7}{str(shape):<10}{f'{pm:.1f} ({p1:.1f}-{p3:.1f})':>24}"
-                  f"{f'{cm:.1f} ({c1:.1f}-{c3:.1f})':>24}{cm / pm:>8.3f}  {same}")
+    for kind, shape, pair, per_call in cells:
+        same = all(
+            a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(pair[0].outputs, pair[1].outputs)
+        )
+        identical = identical and same
+        number = max(1, int(TARGET_S / min(timeit.repeat(pair[0].call, number=1, repeat=3))))
+        times = ([], [])
+        for r in range(args.rounds):
+            for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+                times[i].append(timeit.timeit(pair[i].call, number=number) / number / per_call)
+        (pm, p1, p3), (cm, c1, c3) = quartiles(times[0]), quartiles(times[1])
+        print(f"{kind:<7}{str(shape):<10}{f'{pm:.1f} ({p1:.1f}-{p3:.1f})':>24}"
+              f"{f'{cm:.1f} ({c1:.1f}-{c3:.1f})':>24}{cm / pm:>8.3f}  {same}")
     return 0 if identical else 1
 
 
