@@ -7,7 +7,6 @@ theoretical error recursions, and a config-driven experiment runner.
 
 __version__ = "0.1.0"
 
-from .augmented import AugmentedMatrix, AugmentedVector
 from .signals import (
     Scenario,
     ScenarioError,
@@ -20,7 +19,6 @@ from .signals import (
 from .estimators import (
     FilterDegenerateError,
     FilterRun,
-    FilterState,
     FreqTrace,
     StateSpaceModel,
     lss_model,
@@ -48,15 +46,12 @@ from .analysis import (
 )
 
 __all__ = [
-    "AugmentedMatrix",
-    "AugmentedVector",
     "BridgeAssignment",
     "DiffusionWeights",
     "DistributedConfigError",
     "DistributedRun",
     "FilterDegenerateError",
     "FilterRun",
-    "FilterState",
     "FreqTrace",
     "Scenario",
     "ScenarioError",

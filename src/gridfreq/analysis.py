@@ -93,8 +93,9 @@ class NetworkErrorState:
     """Stacked second-order error state of the diffused network.
 
     ``beta`` (aggregators x nodes) and ``gamma`` (nodes x aggregators) hold
-    the weights of the two diffusion stages.  ``Cu`` and ``Cn`` are the
-    process- and observation-noise covariances that every node shares.
+    the weights of the two diffusion stages.  ``Cu`` and ``Cn`` are the full
+    augmented process- and observation-noise covariances that every node
+    shares.
     ``V`` is the aggregator cross-covariance after the most recent tick
     (None before the first), the one matrix :func:`mse_block` steps.  ``E``
     is the post-diffusion error cross-covariance of all nodes (block i,j =
@@ -155,15 +156,23 @@ def initial_network_state(
 
     ``beta`` (aggregators x nodes) and ``gamma`` (nodes x aggregators) are
     the diffusion stages as ``network._mixing`` resolves them.  ``M0``,
-    ``Cu`` and ``Cn`` are one matrix each, shared by every node.
+    ``Cu`` and ``Cn`` are each one top block row ``[B11 B12]``, as the
+    filter holds them, shared by every node; the state holds their full
+    augmented matrices.
     """
     ids = tuple(node_ids)
     return NetworkErrorState(
         node_ids=ids, aggregator_ids=tuple(aggregator_ids),
         beta=np.asarray(beta, dtype=float), gamma=np.asarray(gamma, dtype=float),
-        E0=np.kron(np.eye(len(ids)), np.asarray(M0, dtype=complex)),
-        Cu=np.asarray(Cu, dtype=complex), Cn=np.asarray(Cn, dtype=complex),
+        E0=np.kron(np.eye(len(ids)), _full(M0)), Cu=_full(Cu), Cn=_full(Cn),
     )
+
+
+def _full(top) -> np.ndarray:
+    """The augmented matrix ``[[B11, B12], [conj(B12), conj(B11)]]`` of its top block row."""
+    top = np.asarray(top, dtype=complex)
+    c = top.shape[-1] // 2
+    return np.concatenate([top, np.conj(np.concatenate([top[..., c:], top[..., :c]], -1))], -2)
 
 
 def _hconj(a: np.ndarray) -> np.ndarray:

@@ -425,7 +425,9 @@ def build_plan(cfg: Mapping) -> RunPlan:
                     diags.append(f"topology: {exc}")
         if topology is not None and not topology.is_connected:
             diags.append("topology.edges: the graph is not connected, so its parts never mix")
-        if topology is not None and "bridges" in cfg:
+        if "bridges" in cfg and diffusion in ("conventional", "none"):
+            diags.append(f"bridges: diffusion {diffusion} reads no bridges")
+        elif topology is not None and "bridges" in cfg:
             if not isinstance(cfg["bridges"], list):
                 diags.append(f"bridges: expected a list of node ids, got {cfg['bridges']!r}")
             elif bad := _node_id_problems(cfg["bridges"], "bridges"):

@@ -36,14 +36,14 @@ along it.  The step lays its arrays out batch-last, entries first and the
 batch flattened into one last axis, so each of those operations is one
 contiguous pass over the batch rather than a strided pass over short
 2n-entry rows.  Both drivers build one :class:`_StepPlan` per model for a
-run and carry each filter between ticks as plain arrays, the covariance
-batch-last; only :func:`_step`, the form for single calls, wraps them into
-augmented containers.  The step is bit-for-bit independent of the batch a
-row is stepped in and of the memory layout of its inputs (see
-:meth:`_StepPlan.step` for the one numpy rounding rule this needs).  It is
-not rewritten as a real 2n x 2n filter on [Re x; Im x]: that form loses the
-exact zeros of the structure (the ``lss`` pseudo-covariance drifts to ~1e-20
-instead of staying 0, and an exactly conditioned ``S`` comes out one ulp off).
+run and carry each filter between ticks as plain arrays, the state
+batch-first and the covariance batch-last.  The step is bit-for-bit
+independent of the batch a row is stepped in and of the memory layout of
+its inputs (see :meth:`_StepPlan.step` for the one numpy rounding rule this
+needs).  It is not rewritten as a real 2n x 2n filter on [Re x; Im x]: that
+form loses the exact zeros of the structure (the ``lss`` pseudo-covariance
+drifts to ~1e-20 instead of staying 0, and an exactly conditioned ``S``
+comes out one ulp off).
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .augmented import AugmentedMatrix, AugmentedVector
 
 #: frequency read from a zero phase-increment state (undefined angle)
 FLAG_ZERO_INCREMENT = 1
@@ -87,14 +85,6 @@ class FilterDegenerateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """Posterior state estimate and covariance."""
-
-    x_hat: AugmentedVector
-    M: AugmentedMatrix
-
-
-@dataclass(frozen=True)
 class StateSpaceModel:
     """Bundle of model functions consumed by the engine step.
 
@@ -106,8 +96,11 @@ class StateSpaceModel:
     a model whose row is passed to the step every tick.  A value is a
     Python scalar or an array of the batch shape; an augmented column c < n
     reads x[c], and c >= n reads conj(x[c - n]).  ``extract_freq`` reads the
-    frequency and flags off a top half.  ``initial_state`` maps the first
-    observation (one per batch row) to the start state at 50 Hz.
+    frequency and flags off a top half.  ``Cu`` and ``Cn`` are the top
+    block rows ``[B11 B12]`` of the process- and observation-noise
+    covariances, (n, 2n) and (1, 2).  ``initial_state`` maps the first
+    observation (one per batch row) to the start ``(x0, m0)`` at 50 Hz: the
+    state (*b, n) and the covariance's top block row (n, 2n).
     """
 
     name: str
@@ -115,9 +108,9 @@ class StateSpaceModel:
     jacobian_A: Callable[[np.ndarray], tuple]
     observe_H: tuple | None
     extract_freq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    Cu: AugmentedMatrix
-    Cn: AugmentedMatrix
-    initial_state: Callable[[np.ndarray], FilterState]
+    Cu: np.ndarray
+    Cn: np.ndarray
+    initial_state: Callable[[np.ndarray], tuple]
 
 
 def _batch_last(a: np.ndarray, k: int, batch: tuple) -> np.ndarray:
@@ -142,19 +135,10 @@ def _batch_first(a: np.ndarray, batch: tuple) -> np.ndarray:
     return a if len(batch) == 1 else a.reshape(batch + a.shape[1:])
 
 
-class _Stepped(namedtuple("_Stepped", "x m innov k p H A batch")):
-    """What one step leaves: the posterior ``x`` (*batch, n), and batch-last
-    the top block rows of the posterior ``m``, the prior ``p`` and the gain
-    ``k`` and the innovation, with the step's ``H`` and ``A`` terms.  The
-    diagnostics that the error recursion and the tests read, ``innovation``,
-    ``gain``, ``M_prior`` and ``M_post``, are augmented batch-first views made
-    on the read."""
-
-    __slots__ = ()
-    innovation = property(lambda self: AugmentedVector._of(_batch_first(self.innov, self.batch)))
-    gain = property(lambda self: AugmentedMatrix._of(_batch_first(self.k, self.batch)))
-    M_prior = property(lambda self: AugmentedMatrix._of(_batch_first(self.p, self.batch)))
-    M_post = property(lambda self: AugmentedMatrix._of(_batch_first(self.m, self.batch)))
+#: what one step leaves: the posterior ``x`` (*batch, n); batch-last, the
+#: innovation ``innov`` and the top block rows of the posterior ``m``, the
+#: gain ``k`` and the prior ``p``; and the step's ``H`` and ``A`` terms
+_Stepped = namedtuple("_Stepped", "x m innov k p H A")
 
 
 def _factor(v, batch: tuple):
@@ -200,8 +184,8 @@ class _StepPlan:
 
     def __init__(self, model: StateSpaceModel, batch: tuple):
         self.model, self.batch, self.rows = model, batch, math.prod(batch)
-        self.cu = _batch_last(model.Cu.top, 2, batch)
-        self.cn = _batch_last(model.Cn.top, 2, batch)[0]  # Cn is 1 x 1 blocks
+        self.cu = _batch_last(model.Cu, 2, batch)
+        self.cn = _batch_last(model.Cn, 2, batch)[0]  # Cn is 1 x 1 blocks
         self.h = None if model.observe_H is None else self._factors(model.observe_H)
 
     def _factors(self, h: tuple) -> list:
@@ -317,35 +301,25 @@ class _StepPlan:
         post[:, n:] += t[:, 1]  # numpy reads an overlapping transposed operand before writing
         post *= 0.5
         h = model.observe_H if h is None else h
-        return _Stepped(_batch_first(x_post, batch), post, innov, gain, p, h, a, batch)
-
-
-def _step(
-    model: StateSpaceModel, state: FilterState, y: AugmentedVector, h: tuple | None = None
-) -> tuple[FilterState, _Stepped]:
-    """:meth:`_StepPlan.step` on augmented containers, for one call: the batch is
-    the broadcast of the state's, the covariance's and the observation's,
-    and the new state is a batch-first view."""
-    x, m = state.x_hat.top, state.M
-    batch = x.shape[:-1]
-    if m.top.shape[:-2] != batch or y.top.shape[:-1] != batch:
-        batch = np.broadcast_shapes(batch, m.top.shape[:-2], y.top.shape[:-1])
-    out = _StepPlan(model, batch).step(
-        x, _batch_last(m.top, 2, batch), _batch_last(y.top, 1, batch), h
-    )
-    return FilterState(AugmentedVector._of(out.x), out.M_post), out
+        return _Stepped(_batch_first(x_post, batch), post, innov, gain, p, h, a)
 
 
 # ---------------------------------------------------------------------------
 # model factories
 
 
-def _noise_matrices(
-    cu_diag: Sequence[float], snr_db: float | None
-) -> tuple[AugmentedMatrix, AugmentedMatrix]:
+def _diagonal(values: Sequence[float]) -> np.ndarray:
+    """The top block row ``[B11 B12]`` of a covariance with real diagonal B11 and zero B12."""
+    d = np.asarray(values, dtype=np.float64)
+    top = np.zeros((d.size, 2 * d.size), np.complex128)
+    top[:, : d.size] = np.diag(d)
+    return top
+
+
+def _noise_matrices(cu_diag: Sequence[float], snr_db: float | None) -> tuple:
     """``Cu`` with the diagonal ``cu_diag``, and ``Cn`` of the one observation at ``snr_db``."""
     sigma2 = 1.5 * 10.0 ** (-snr_db / 10.0) if snr_db is not None else _NOISELESS_CN
-    return AugmentedMatrix.diagonal(cu_diag), AugmentedMatrix.diagonal([sigma2])
+    return _diagonal(cu_diag), _diagonal([sigma2])
 
 
 def _nominal_increment(sample_rate_hz: float) -> complex:
@@ -358,12 +332,12 @@ def _start(sample_rate_hz: float, entries: str) -> Callable:
     order: ``x`` the nominal increment, ``v`` the first observation, ``0``
     zero.  The covariance starts at 0.1 I."""
 
-    def initial_state(first_obs) -> FilterState:
+    def initial_state(first_obs) -> tuple:
         v0 = np.asarray(first_obs, dtype=complex)
         known = {"x": np.full_like(v0, _nominal_increment(sample_rate_hz)), "v": v0,
                  "0": np.zeros_like(v0)}
         x0 = np.stack([known[e] for e in entries], axis=-1)
-        return FilterState(AugmentedVector(x0), AugmentedMatrix.eye(len(entries), 0.1))
+        return x0, _diagonal(np.full(len(entries), 0.1))
 
     return initial_state
 
@@ -527,7 +501,6 @@ class FreqTrace:
     for the row.
     """
 
-    k: np.ndarray
     t_s: np.ndarray
     f_hat_hz: np.ndarray
     innovation_power: np.ndarray | None
@@ -556,7 +529,6 @@ class FilterRun:
         row = range(self.f_hat_hz.shape[0])[index[0]]
         detail = self.states is not None and row < self.states.shape[0]
         return FreqTrace(
-            k=np.arange(self.t_s.size),
             t_s=self.t_s,
             f_hat_hz=self.f_hat_hz[index],
             innovation_power=self.innovation_power[index] if detail else None,
@@ -649,14 +621,14 @@ def run_filter(
         raise ValueError(f"row {row}, tick {k}: non-finite sample {v[row, k]}")
 
     plan = _StepPlan(model, v.shape[:1])
-    start = model.initial_state(v[:, 0])
+    x0, m0 = model.initial_state(v[:, 0])
 
     def step(state, y):
         out = plan.step(*state, y)
         return out[:2], out, (out.x,)
 
     f_hat, flags, (states,), innov, _ = _run_ticks(
-        step, (start.x_hat.top, _batch_last(start.M.top, 2, plan.batch)), (start.x_hat.top,),
+        step, (x0, _batch_last(m0, 2, plan.batch)), (x0,),
         v.T[..., None], model.extract_freq, detail, lambda row: f"row {row[0]}",
     )
     return FilterRun(

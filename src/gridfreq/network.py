@@ -286,6 +286,14 @@ def _stage(
     return out
 
 
+def _unread(rows: Mapping, stage: str, diffusion: str) -> None:
+    """Reject the rows of a stage that ``diffusion`` never reads, naming the first."""
+    if rows:
+        raise DistributedConfigError(
+            f"{stage} row for node {next(iter(rows))!r}, which {diffusion} does not read"
+        )
+
+
 def _mixing(
     topology: Topology,
     assignment: BridgeAssignment | None,
@@ -299,23 +307,23 @@ def _mixing(
     that is missing, that names a node outside its stage (not in the
     topology for Β, not a bridge for Γ), or that no stage reads (a Β row of
     a node that is not a bridge, a Γ row of a bridge or of a node outside
-    the topology, any Γ row under conventional diffusion) raises
-    :class:`DistributedConfigError` naming the node.  Bridge diffusion
-    composes the two stages into Γ @ Β (a bridge serves itself with weight
-    1); the one-stage modes have Γ = I, and no diffusion also Β = I.
+    the topology, any Γ row under conventional diffusion, any row under no
+    diffusion) raises :class:`DistributedConfigError` naming the node.
+    Bridge diffusion composes the two stages into Γ @ Β (a bridge serves
+    itself with weight 1); the one-stage modes have Γ = I, and no diffusion
+    also Β = I.
     """
     ids = topology.node_ids
     identity = np.eye(len(ids))
     if diffusion == "none":
+        if weights is not None:
+            _unread(weights.beta, "aggregation", "diffusion none")
+            _unread(weights.gamma, "redistribution", "diffusion none")
         return _Mixing(assignment, weights, None, ids, identity, identity, ())
     pos = {n: j for j, n in enumerate(ids)}
     if diffusion == "conventional":
         weights = weights or conventional_weights(topology)
-        if weights.gamma:
-            raise DistributedConfigError(
-                f"redistribution row for node {next(iter(weights.gamma))!r},"
-                " which conventional diffusion does not read"
-            )
+        _unread(weights.gamma, "redistribution", "conventional diffusion")
         matrix = _stage(weights.beta, ids, ids, "aggregation", "a topology node", "a topology node")
         routes = [("to_neighbor", nb, i, pos[nb]) for i in ids for nb in topology.neighbors(i)]
         return _Mixing(assignment, weights, matrix, ids, matrix, identity, tuple(routes))
@@ -366,7 +374,7 @@ class _TheoryBlock:
 
     def record(self, out: _Stepped) -> None:
         terms = out.H + out.A
-        gain = _batch_first(out.k, out.batch)[0]
+        gain = _batch_first(out.k, out.x.shape[:-1])[0]
         if self.gain is None:
             self.gain = np.empty((self.ticks,) + gain.shape, dtype=complex)
             self.values = np.empty(self.gain.shape[:2] + (len(terms),), dtype=complex)
@@ -556,20 +564,19 @@ def run_distributed(
         out_model = shared_increment_model(fs, snr_db=snr_db)
         plans.append(_StepPlan(out_model, volts.shape[1:]))
     for i, plan in enumerate(plans):
-        out = plan.model.initial_state(volts[0])
-        filters[i] = out.x_hat.top, _batch_last(out.M.top, 2, plan.batch)
+        x0, m0 = plan.model.initial_state(volts[0])
+        filters[i] = x0, _batch_last(m0, 2, plan.batch)
 
     errors = None
     if theory:
         errors = _TheoryBlock(initial_network_state(
-            ids, mixing.aggregators, mixing.beta, mixing.gamma,
-            out.M.materialize(), out_model.Cu.materialize(), out_model.Cn.materialize(),
+            ids, mixing.aggregators, mixing.beta, mixing.gamma, m0, out_model.Cu, out_model.Cn,
         ))
 
     f_hat, flags, (states, local_states), innov, (_, _, errors) = _run_ticks(
         # without a shared filter, its plan and its state are None
         lambda state, y: _tick(*(plans + [None])[:2], mixing, state, y),
-        (*filters, errors), (out.x_hat.top,) * 2, volts[..., None],
+        (*filters, errors), (x0,) * 2, volts[..., None],
         out_model.extract_freq, detail, lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
     )
     return DistributedRun(

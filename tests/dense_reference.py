@@ -2,12 +2,12 @@
 
 A model declares its Jacobian ``[A11 A12]`` as ``(row, augmented column,
 value)`` terms and its observation row as ``(augmented column, value)``
-terms; these helpers spell them out as full 2n-wide matrices.
+terms; these helpers spell them out as full 2n-wide matrices.  A
+covariance is held as its top block row ``[B11 B12]``, as the filter holds
+it, and :func:`full` is the one way to the full matrix.
 """
 
 import numpy as np
-
-from gridfreq.augmented import AugmentedMatrix
 
 
 def hconj(a):
@@ -23,6 +23,11 @@ def full(top):
     c = top.shape[-1] // 2
     bottom = np.conj(np.concatenate([top[..., c:], top[..., :c]], axis=-1))
     return np.concatenate([top, bottom], axis=-2)
+
+
+def augment(x):
+    """The augmented vector ``[x; conj(x)]`` of a top half x (..., n)."""
+    return np.concatenate([x, np.conj(x)], axis=-1)
 
 
 def term_rows(terms, n_rows, width):
@@ -46,8 +51,9 @@ def observation(h, n):
 
 
 def random_covariance(rng, batch, n):
-    """A structured Hermitian positive definite covariance B B^H + 0.1 I, B random."""
-    b = AugmentedMatrix(complex_normal(rng, batch + (n, n)), complex_normal(rng, batch + (n, n)))
-    b = b.materialize()
+    """The top block row (*batch, n, 2n) of a structured Hermitian positive
+    definite covariance B B^H + 0.1 I, B random."""
+    b11 = complex_normal(rng, batch + (n, n))
+    b = full(np.concatenate([b11, complex_normal(rng, batch + (n, n))], axis=-1))
     m = b @ hconj(b) + 0.1 * np.eye(2 * n)
-    return AugmentedMatrix(m[..., :n, :n], m[..., :n, n:])
+    return np.ascontiguousarray(m[..., :n, :])

@@ -2,11 +2,9 @@
 
 import dataclasses
 import math
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from dense_reference import jacobian
+from dense_reference import full, jacobian
 
 import gridfreq.network
 from gridfreq.analysis import (
@@ -16,10 +14,10 @@ from gridfreq.analysis import (
     initial_network_state,
     mse_block,
 )
-from gridfreq.augmented import AugmentedMatrix, AugmentedVector
 from gridfreq.cli import _write_csv
 from gridfreq.estimators import (
     FreqTrace,
+    _batch_first,
     lss_model,
     nss_model,
     run_filter,
@@ -54,10 +52,8 @@ def make_scenario(duration, amps=(1.0, 1.0, 1.0), offs=(0.0, 0.0, 0.0)):
 
 def make_trace(err, f0=50.0):
     err = np.asarray(err, dtype=float)
-    k = np.arange(err.size)
     return FreqTrace(
-        k=k,
-        t_s=k / FS,
+        t_s=np.arange(err.size) / FS,
         f_hat_hz=f0 + err,
         innovation_power=np.zeros(err.size),
         states=np.zeros((err.size, 1), dtype=complex),
@@ -104,31 +100,24 @@ class TestEmpiricalMse:
             empirical_mse(*one_node(np.zeros(10)), window=(0, 11))
 
 
-def half_step_diag(n=1):
-    """One node's tick diagnostics with A = I and, for n = 1, K H = I/2.
+def half_step_tick(n=1):
+    """One node's one-tick block for ``mse_block``, with A = I and, for n = 1,
+    K H = I/2: the gain's top block row ``[k11 k12]``, and the H and A terms.
 
-    The correction map F = I - K H is then exactly 1/2, and so is
-    M_post / M_prior.
+    The correction map F = I - K H is then exactly 1/2.
     """
-    ones, zeros = np.ones((1, n)), np.zeros((1, n))
-    return SimpleNamespace(
-        innovation=AugmentedVector(np.zeros(1)),
-        H=tuple((i, 1.0) for i in range(n)),
-        gain=AugmentedMatrix(0.5 * ones.T, zeros.T),
-        M_prior=AugmentedMatrix.eye(n),
-        M_post=AugmentedMatrix.eye(n, 0.5),
-        A=tuple((i, i, 1.0) for i in range(n)),
-    )
+    gain = np.concatenate([np.full((n, 1), 0.5), np.zeros((n, 1))], axis=-1)
+    return gain[None, None], tuple((i, 1.0) for i in range(n)), tuple((i, i, 1.0) for i in range(n))
 
 
-def one_tick(diag):
-    """One node's tick diagnostics as the one-tick block that ``mse_block`` steps."""
-    return diag.gain.top[None, None], diag.H, diag.A
-
-
-def single_node_state(M0=np.eye(2)):
-    zero = np.zeros((2, 2))
+def single_node_state(M0=np.eye(2)[:1]):
+    zero = np.zeros((1, 2))
     return initial_network_state((0,), (0,), [[1.0]], [[1.0]], M0=M0, Cu=zero, Cn=zero)
+
+
+def batch_first(diag, a):
+    """A batch-last field ``a`` of the step output ``diag``, batch-first (seeds, nodes, ...)."""
+    return _batch_first(a, diag.x.shape[:-1])
 
 
 class TestMeanErrorStep:
@@ -149,9 +138,9 @@ class TestMeanErrorStep:
 
 class TestMseStep:
     def test_zero_noise_zero_init_stays_zero(self):
-        state = single_node_state(M0=np.zeros((2, 2)))
+        state = single_node_state(M0=np.zeros((1, 2)))
         for _ in range(5):
-            state, _ = mse_block(state, *one_tick(half_step_diag()))
+            state, _ = mse_block(state, *half_step_tick())
         assert np.all(state.sigma(0) == 0)
         assert np.all(state.v(0, 0) == 0)
 
@@ -163,7 +152,8 @@ class TestMseStep:
         run_distributed(t1, scn, [0], snr_db=30.0, theory=True)
         assert len(theory_log) == scn.n_samples - 1
         for diag, state in theory_log:
-            assert np.max(np.abs(state.sigma(0) - diag.M_post.materialize()[0, 0])) < 1e-9
+            m_post = full(batch_first(diag, diag.m))[0, 0]
+            assert np.max(np.abs(state.sigma(0) - m_post)) < 1e-9
 
     def test_nonbridge_trace_bounded_by_worst_serving_bridge(self, theory_log):
         # a path with two serving bridges per interior non-bridge makes the
@@ -204,7 +194,7 @@ class TestMseStep:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(AnalysisError, match="expected"):
-            mse_block(single_node_state(), *one_tick(half_step_diag(n=2)))
+            mse_block(single_node_state(), *half_step_tick(n=2))
 
 
 def dense_reference_step(E, node_ids, weights, recs, U, G):
@@ -249,16 +239,16 @@ def blockdiag(block, n):
 def dense_reference_run(log, t, w, model):
     """(V, E) of :func:`dense_reference_step` after each tick of a theory log,
     started from the run's initial covariance 0.1 I at every node."""
-    cu, cn = model.Cu.materialize(), model.Cn.materialize()
+    cu, cn = full(model.Cu), full(model.Cn)
     n = len(t.node_ids)
     E = blockdiag(0.1 * np.eye(len(cu)), n)
     U, G = blockdiag(cu, n), blockdiag(cn, n)
     for diag, _ in log:
-        fields = ("M_prior", "M_post", "gain")
-        full = {f: getattr(diag, f).materialize() for f in fields}
-        full["A"] = jacobian(diag.A, diag.gain.block11.shape[-2])
+        fields = {"M_prior": diag.p, "M_post": diag.m, "gain": diag.k}
+        mats = {f: full(batch_first(diag, a)) for f, a in fields.items()}
+        mats["A"] = jacobian(diag.A, diag.x.shape[-1])
         recs = {
-            node: {f: m[0, j] if m.ndim > 2 else m for f, m in full.items()}
+            node: {f: m[0, j] if m.ndim > 2 else m for f, m in mats.items()}
             for j, node in enumerate(t.node_ids)
         }
         V, E = dense_reference_step(E, t.node_ids, w, recs, U, G)

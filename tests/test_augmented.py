@@ -1,51 +1,36 @@
-"""Tests for augmented complex vector/matrix containers."""
+"""The augmented structure [[B11, B12], [conj(B12), conj(B11)]], held as its top block row."""
 
 import numpy as np
-import pytest
+from dense_reference import complex_normal, full
 
-from gridfreq.augmented import AugmentedMatrix, AugmentedVector
-from gridfreq.estimators import FilterState, _step, nss_model
-
-
-class TestAugmentedVector:
-    def test_materialize_is_conjugate_pair(self):
-        v = AugmentedVector([1 + 2j, -3j])
-        full = v.materialize()
-        assert full.shape == (4,)
-        np.testing.assert_array_equal(full[:2], [1 + 2j, -3j])
-        np.testing.assert_array_equal(full[2:], np.conj(full[:2]))
-
-    def test_batched_shape(self):
-        v = AugmentedVector(np.ones((7, 3), dtype=complex))
-        assert v.materialize().shape == (7, 6)
+from gridfreq.analysis import _full
+from gridfreq.estimators import _batch_first, _batch_last, _diagonal, _StepPlan, nss_model
 
 
 class TestAugmentedMatrix:
     def test_materialize_blocks(self):
-        m = AugmentedMatrix([[1 + 1j]], [[2 - 3j]])
-        full = m.materialize()
+        got = _full(np.array([[1 + 1j, 2 - 3j]]))
         expected = np.array([[1 + 1j, 2 - 3j], [2 + 3j, 1 - 1j]])
-        np.testing.assert_array_equal(full, expected)
+        np.testing.assert_array_equal(got, expected)
+        # batched and rectangular (a gain's top block row is n x 2), as the dense reference has it
+        top = complex_normal(np.random.default_rng(3), (4, 3, 2))
+        assert _full(top).shape == (4, 6, 2)
+        np.testing.assert_array_equal(_full(top), full(top))
 
     def test_results_keep_the_checked_invariants(self):
-        # the step wraps its blocks without the constructor's checks, so they
-        # must already hold: complex128 blocks of one shape, also when an
+        # the step leaves complex128 top block rows of the plan's batch, also when an
         # unbatched covariance broadcasts against a batch of states
         model = nss_model(1000.0, snr_db=30.0)
-        x = AugmentedVector(np.full((2, 3, 3), 0.5 + 0.1j))
-        state = FilterState(x, AugmentedMatrix.eye(3, 0.1))
-        new, diag = _step(model, state, AugmentedVector(np.ones((2, 3, 1))))
-        for out in (new.M, diag.gain, diag.M_prior, diag.M_post):
-            assert out.block11.dtype == out.block12.dtype == np.complex128
-            assert out.block11.shape == out.block12.shape
-            assert out.block11.shape[:2] == (2, 3)
+        batch = (2, 3)
+        m = _batch_last(_diagonal([0.1, 0.1, 0.1]), 2, batch)
+        out = _StepPlan(model, batch).step(np.full(batch + (3,), 0.5 + 0.1j), m, np.ones((1, 6)))
+        for a, width in ((out.m, 6), (out.k, 2), (out.p, 6)):
+            assert a.dtype == np.complex128
+            assert _batch_first(a, batch).shape == batch + (3, width)
 
     def test_diagonal_builder(self):
-        m = AugmentedMatrix.diagonal([1e-6, 1e-4])
-        full = m.materialize()
-        np.testing.assert_array_equal(np.diag(full), [1e-6, 1e-4, 1e-6, 1e-4])
-        assert np.count_nonzero(full - np.diag(np.diag(full))) == 0
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            AugmentedMatrix(np.zeros((2, 2)), np.zeros((3, 3)))
+        m = _diagonal([1e-6, 1e-4])
+        assert m.shape == (2, 4) and m.dtype == np.complex128
+        full_m = _full(m)
+        np.testing.assert_array_equal(np.diag(full_m), [1e-6, 1e-4, 1e-6, 1e-4])
+        assert np.count_nonzero(full_m - np.diag(np.diag(full_m))) == 0

@@ -391,8 +391,9 @@ spectrum:
         monkeypatch.setattr(gridfreq.cli, "run_filter", run_filter)
         gridfreq.cli._run_single(plan, plan.seed, 1)
         (model,) = models
-        np.testing.assert_array_equal(model.Cu.block11, np.diag(diagonal))
-        np.testing.assert_array_equal(model.Cu.block12, 0)
+        n = len(diagonal)
+        np.testing.assert_array_equal(model.Cu[:, :n], np.diag(diagonal))
+        np.testing.assert_array_equal(model.Cu[:, n:], 0)
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRIDFREQ_OUT_DIR", str(tmp_path / "envbase"))
@@ -790,14 +791,34 @@ class TestInputsCheckedBeforeRun:
                 "  gamma: {1: {2: 1.0}}\n",
                 "weights: redistribution row for node 1, which conventional diffusion does not read",
             ),
+            (
+                "diffusion: none\n"
+                "weights: {beta: {2: {1: 0.25, 2: 0.5, 3: 0.25}}, gamma: {1: {2: 1.0}}}\n",
+                "weights: aggregation row for node 2, which diffusion none does not read",
+            ),
+            (
+                "diffusion: none\nweights: {beta: {}, gamma: {3: {2: 1.0}}}\n",
+                "weights: redistribution row for node 3, which diffusion none does not read",
+            ),
+            # the one-stage modes read no bridges
+            (
+                "diffusion: conventional\nbridges: [2]\n",
+                "bridges: diffusion conventional reads no bridges",
+            ),
+            ("diffusion: none\nbridges: [2]\n", "bridges: diffusion none reads no bridges"),
         ],
         ids=[
             "unknown-node", "not-a-bridge", "missing-row", "beta-of-non-bridge",
-            "gamma-of-bridge", "gamma-of-unknown", "gamma-conventional",
+            "gamma-of-bridge", "gamma-of-unknown", "gamma-conventional", "beta-none",
+            "gamma-none", "bridges-conventional", "bridges-none",
         ],
     )
     def test_weight_rows_checked_before_run(self, tmp_path, capsys, text, diag):
-        cfg = write_config(tmp_path, QUICK_NETWORK + text)
+        # a case that sets the diffusion mode starts from the config without its bridges
+        base = QUICK_NETWORK
+        if text.startswith("diffusion:"):
+            base = base.replace("bridges: [2]\n", "")
+        cfg = write_config(tmp_path, base + text)
         assert main(["validate", cfg]) == 1
         assert capsys.readouterr().out.splitlines() == [diag]
         out = tmp_path / "out"

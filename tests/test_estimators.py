@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 from dense_reference import (
+    augment,
     complex_normal,
+    full,
     hconj,
     jacobian,
     observation,
@@ -16,18 +18,18 @@ from dense_reference import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridfreq.analysis
 import gridfreq.estimators
 import gridfreq.network
-from gridfreq.augmented import AugmentedMatrix, AugmentedVector
 from gridfreq.cli import _clock_columns, _trace_table, _write_csv
 from gridfreq.estimators import (
     FLAG_NEGATIVE_IM_H,
     FLAG_SEQUENCE_DOMINANCE,
     FilterDegenerateError,
-    FilterState,
     StateSpaceModel,
+    _batch_first,
     _batch_last,
-    _step,
+    _diagonal,
     _StepPlan,
     lss_model,
     nss_model,
@@ -59,9 +61,24 @@ def clarke_series(scn, seed=None, snr_db=None):
     return clarke_arrays(add_noise(generate_arrays(scn), seed, snr_db))[1]
 
 
+def plan_step(model, x, m, y, h=None):
+    """One step of a fresh plan on batch-first inputs: the state ``x`` (*b, n),
+    the covariance's top block row ``m`` (*b, n, 2n) and the observation ``y``
+    (*b, 1), the batch their broadcast.  Returns the step's output."""
+    batch = np.broadcast_shapes(x.shape[:-1], m.shape[:-2], y.shape[:-1])
+    return _StepPlan(model, batch).step(x, _batch_last(m, 2, batch), _batch_last(y, 1, batch), h)
+
+
+def first(out, a):
+    """A batch-last field ``a`` of the step output ``out``, batch-first."""
+    return _batch_first(a, out.x.shape[:-1])
+
+
 def step(model, state, y, h=None):
-    """One engine step on a bare complex observation."""
-    return _step(model, state, AugmentedVector(np.atleast_1d(y)), h)[0]
+    """One step of ``state = (x, [M11 M12])`` on a bare complex observation; the
+    posterior pair, batch-first."""
+    out = plan_step(model, *state, np.atleast_1d(y), h)
+    return out.x, first(out, out.m)
 
 
 def wirtinger_jacobian(f, x, eps=1e-7):
@@ -86,7 +103,7 @@ class TestJacobians:
     def test_matches_finite_differences(self, factory):
         model = factory(FS)
         rng = np.random.default_rng(17)
-        n = model.Cu.block11.shape[-1]
+        n = model.Cu.shape[0]
         for _ in range(5):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
             analytic = term_rows(model.jacobian_A(x), n, 2 * n)
@@ -102,15 +119,16 @@ def dense_parts(model, state, y, h=None):
     updated.  ``h`` is the observation row, by default the model's own.
     Returns every intermediate by name.
     """
-    n = state.x_hat.n
-    x_pred = AugmentedVector(model.f_a(state.x_hat.top)).materialize()
-    a = jacobian(model.jacobian_A(state.x_hat.top), n)
+    x, m = state
+    n = x.shape[-1]
+    x_pred = augment(model.f_a(x))
+    a = jacobian(model.jacobian_A(x), n)
     h = observation(model.observe_H if h is None else h, n)
-    m_prior = a @ state.M.materialize() @ hconj(a) + model.Cu.materialize()
-    s = h @ m_prior @ hconj(h) + model.Cn.materialize()
+    m_prior = a @ full(m) @ hconj(a) + full(model.Cu)
+    s = h @ m_prior @ hconj(h) + full(model.Cn)
     gain = m_prior @ hconj(h) @ np.linalg.inv(s)
     h_x = (h @ x_pred[..., None])[..., 0]
-    innov = y.materialize() - h_x
+    innov = augment(y) - h_x
     correction = (gain @ innov[..., None])[..., 0]
     m_post = (np.eye(2 * n) - gain @ h) @ m_prior
     return dict(
@@ -150,10 +168,10 @@ class TestBlockStepMatchesDense:
     )
     def test_random_structured_states(self, name, seed, batch):
         model, state, y, h = random_step_inputs(name, seed, batch)
-        new, _ = _step(model, state, y, h)
+        out = plan_step(model, *state, y, h)
         x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y, h)
-        _assert_close(new.x_hat.materialize(), x_post, x_scale, cond)
-        _assert_close(new.M.materialize(), m_post, m_scale, cond)
+        _assert_close(augment(out.x), x_post, x_scale, cond)
+        _assert_close(full(first(out, out.m)), m_post, m_scale, cond)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -184,7 +202,7 @@ class TestBlockStepMatchesDense:
     @staticmethod
     def check_generic(rng, batch, terms):
         """An n = 2 linear model with Jacobian ``terms`` and a random observation row
-        on both halves, stepped by ``_step`` and by the dense reference."""
+        on both halves, stepped by a plan and by the dense reference."""
         h = tuple((c, complex_normal(rng, batch)) for c in range(4))
         a_top = term_rows(terms, 2, 4)
 
@@ -194,22 +212,21 @@ class TestBlockStepMatchesDense:
 
         model = StateSpaceModel(
             name="generic", f_a=f_a, jacobian_A=lambda x: terms, observe_H=None,
-            extract_freq=None, Cu=AugmentedMatrix.diagonal([1e-3, 2e-3]),
-            Cn=AugmentedMatrix.diagonal([1e-2]), initial_state=None,
+            extract_freq=None, Cu=_diagonal([1e-3, 2e-3]),
+            Cn=_diagonal([1e-2]), initial_state=None,
         )
-        state = FilterState(
-            AugmentedVector(complex_normal(rng, batch + (2,))), random_covariance(rng, batch, 2)
-        )
-        y = AugmentedVector(complex_normal(rng, batch + (1,)))
-        new, _ = _step(model, state, y, h)
+        state = complex_normal(rng, batch + (2,)), random_covariance(rng, batch, 2)
+        y = complex_normal(rng, batch + (1,))
+        out = plan_step(model, *state, y, h)
         x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y, h)
-        _assert_close(new.x_hat.materialize(), x_post, x_scale, cond)
-        _assert_close(new.M.materialize(), m_post, m_scale, cond)
+        _assert_close(augment(out.x), x_post, x_scale, cond)
+        _assert_close(full(first(out, out.m)), m_post, m_scale, cond)
 
 
 def random_step_inputs(name, seed, batch):
-    """A model, a structured Hermitian positive definite state, an observation and
-    the observation row (None for a model with its own)."""
+    """A model, a state ``(x, [M11 M12])`` with a structured Hermitian positive
+    definite covariance, an observation and the observation row (None for a
+    model with its own)."""
     rng = np.random.default_rng(seed)
     h = None
     if name == "shared_increment":
@@ -218,10 +235,10 @@ def random_step_inputs(name, seed, batch):
     else:
         factory = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}[name]
         model = factory(FS, snr_db=30.0)
-    n = model.Cu.block11.shape[-1]
+    n = model.Cu.shape[0]
     m = random_covariance(rng, batch, n)
-    state = FilterState(AugmentedVector(complex_normal(rng, batch + (n,))), m)
-    return model, state, AugmentedVector(complex_normal(rng, batch + (1,))), h
+    state = complex_normal(rng, batch + (n,)), m
+    return model, state, complex_normal(rng, batch + (1,)), h
 
 
 class TestDiagnosticsMatchDense:
@@ -235,13 +252,13 @@ class TestDiagnosticsMatchDense:
     )
     def test_gain_prior_and_innovation(self, name, seed, batch):
         model, state, y, h = random_step_inputs(name, seed, batch)
-        _, diag = _step(model, state, y, h)
+        out = plan_step(model, *state, y, h)
         d = dense_parts(model, state, y, h)
         cond = np.max(np.linalg.cond(d["s"]))
         innov_scale = max(np.max(np.abs(d["innov"])), np.max(np.abs(d["h_x"])))
-        _assert_close(diag.innovation.materialize(), d["innov"], innov_scale, 1.0)
-        _assert_close(diag.M_prior.materialize(), d["m_prior"], np.max(np.abs(d["m_prior"])), 1.0)
-        _assert_close(diag.gain.materialize(), d["gain"], np.max(np.abs(d["gain"])), cond)
+        _assert_close(augment(first(out, out.innov)), d["innov"], innov_scale, 1.0)
+        _assert_close(full(first(out, out.p)), d["m_prior"], np.max(np.abs(d["m_prior"])), 1.0)
+        _assert_close(full(first(out, out.k)), d["gain"], np.max(np.abs(d["gain"])), cond)
 
 
 #: the batch row of a (3, 4) batch that the layout test steps on its own
@@ -257,24 +274,21 @@ def _row_inputs(state, y, h, shape):
     def pick(a, k):
         return a[ROW].reshape(shape + a.shape[a.ndim - k :])
 
-    st = FilterState(
-        AugmentedVector(pick(state.x_hat.top, 1)),
-        AugmentedMatrix(pick(state.M.block11, 2), pick(state.M.block12, 2)),
-    )
+    st = pick(state[0], 1), pick(state[1], 2)
     h = None if h is None else tuple((c, v[ROW] if not shape else pick(v, 0)) for c, v in h)
-    return st, AugmentedVector(pick(y.top, 1)), h
+    return st, pick(y, 1), h
 
 
 def _other_memory_order(state):
     """The same state with the batch axes of x and of the covariance stored
     in reverse order: non-contiguous views with the logical shapes kept."""
-    x, top = state.x_hat.top, state.M.top
+    x, top = state
     d = x.ndim - 1
     flip = tuple(range(d))[::-1]
     x = np.ascontiguousarray(x.transpose(flip + (d,))).transpose(flip + (d,))
     top = np.ascontiguousarray(top.transpose(flip + (d, d + 1))).transpose(flip + (d, d + 1))
     assert not top.flags.c_contiguous
-    return FilterState(AugmentedVector(x), AugmentedMatrix._of(top))
+    return x, top
 
 
 class TestLayoutIndependence:
@@ -295,11 +309,10 @@ class TestLayoutIndependence:
         for way, ((st, obs, row_h), at) in ways.items():
             outputs = []
             for _ in range(2):  # the second step starts from the layout the first left
-                st, diag = _step(model, st, obs, row_h)
-                outputs += [
-                    a[at] for a in (st.x_hat.top, st.M.top, diag.gain.top,
-                                    diag.innovation.top, diag.M_prior.top)
-                ]
+                out = plan_step(model, *st, obs, row_h)
+                st = out.x, first(out, out.m)
+                diags = (first(out, f) for f in (out.k, out.innov, out.p))
+                outputs += [a[at] for a in (*st, *diags)]
             results[way] = outputs
         for way, outputs in results.items():
             for got, want in zip(outputs, results["unbatched"]):
@@ -312,14 +325,14 @@ class TestSymmetrisedPosterior:
         # at n = 1 the transpose of M_post is M_post itself: block11 must come
         # out as its Hermitian part, real, from a prior with an imaginary part
         model = shared_increment_model(FS, snr_db=30.0)
-        full = np.ones(batch + (1, 1))
-        m = AugmentedMatrix((0.1 + 1e-3j) * full, (0.02 + 0.01j) * full)
-        x = AugmentedVector(np.exp(2j * math.pi * 50.0 / FS) * full[..., 0])
-        h = ((0, (1.0 + 0.5j) * full[..., 0, 0]), (1, (0.1 - 0.2j) * full[..., 0, 0]))
-        y = AugmentedVector((0.9 + 0.3j) * full[..., 0])
-        new, _ = _step(model, FilterState(x, m), y, h)
-        assert np.all(new.M.block11.imag == 0)
-        assert np.all(new.M.block11.real > 0)
+        ones = np.ones(batch + (1, 1))
+        m = np.concatenate([(0.1 + 1e-3j) * ones, (0.02 + 0.01j) * ones], axis=-1)
+        x = np.exp(2j * math.pi * 50.0 / FS) * ones[..., 0]
+        h = ((0, (1.0 + 0.5j) * ones[..., 0, 0]), (1, (0.1 - 0.2j) * ones[..., 0, 0]))
+        y = (0.9 + 0.3j) * ones[..., 0]
+        _, m_post = step(model, (x, m), y, h)
+        assert np.all(m_post[..., :1].imag == 0)
+        assert np.all(m_post[..., :1].real > 0)
 
 
 class TestEngine:
@@ -332,17 +345,17 @@ class TestEngine:
             jacobian_A=lambda x: ((0, 0, 1.0),),
             observe_H=((0, 1.0),),
             extract_freq=lambda x: (np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], int)),
-            Cu=AugmentedMatrix.diagonal([0.0]),
-            Cn=AugmentedMatrix.eye(1, 1.0),
+            Cu=_diagonal([0.0]),
+            Cn=_diagonal([1.0]),
             initial_state=None,
         )
         m0 = 0.5
-        st = FilterState(AugmentedVector([0.0 + 0j]), AugmentedMatrix.eye(1, m0))
+        st = np.array([0.0 + 0j]), _diagonal([m0])
         y = 1.0 + 0j
-        new = step(model, st, y)
+        x, m = step(model, st, y)
         gain = m0 / (m0 + 1.0)
-        assert new.x_hat.top[0] == pytest.approx(gain * y, abs=1e-12)
-        assert new.M.block11[0, 0] == pytest.approx((1 - gain) * m0, abs=1e-12)
+        assert x[0] == pytest.approx(gain * y, abs=1e-12)
+        assert m[0, 0] == pytest.approx((1 - gain) * m0, abs=1e-12)
 
     def test_step_preserves_structure_and_psd(self):
         scn = make_scenario(amps=(0.2, 1.0, 1.0))
@@ -352,9 +365,10 @@ class TestEngine:
         for k in range(1, 300):
             st = step(model, st, v[k])
         # covariance block must stay Hermitian PSD, pseudo block symmetric
-        eigs = np.linalg.eigvalsh(st.M.block11)
+        m11, m12 = st[1][:, :3], st[1][:, 3:]
+        eigs = np.linalg.eigvalsh(m11)
         assert eigs.min() >= -1e-10
-        np.testing.assert_allclose(st.M.block12, st.M.block12.T, atol=1e-12)
+        np.testing.assert_allclose(m12, m12.T, atol=1e-12)
 
     def test_lss_pseudo_covariance_stays_exactly_zero(self):
         # the lss model has no conjugate terms: block12 of every covariance is 0, not small
@@ -362,8 +376,9 @@ class TestEngine:
         model = lss_model(FS, snr_db=30.0)
         st = model.initial_state(v[0])
         for k in range(1, 401):
-            st, diag = _step(model, st, AugmentedVector(v[k : k + 1]))
-            assert np.all(diag.M_prior.block12 == 0) and np.all(st.M.block12 == 0), f"tick {k}"
+            out = plan_step(model, *st, v[k : k + 1])
+            st = out.x, first(out, out.m)
+            assert np.all(out.p[:, 2:] == 0) and np.all(st[1][:, 2:] == 0), f"tick {k}"
 
     def test_lss_fixed_point_on_truth(self):
         # Starting exactly at the true state of a balanced noiseless signal,
@@ -372,10 +387,10 @@ class TestEngine:
         v = clarke_series(scn)
         x_true = np.exp(2j * np.pi * 50.0 / FS)
         model = lss_model(FS)
-        st = FilterState(AugmentedVector([x_true, v[0]]), AugmentedMatrix.eye(2, 0.1))
-        new = step(model, st, v[1])
-        assert abs(new.x_hat.top[0] - x_true) < 1e-10
-        assert abs(new.x_hat.top[1] - v[1]) < 1e-10
+        st = np.array([x_true, v[0]]), _diagonal([0.1, 0.1])
+        x, _ = step(model, st, v[1])
+        assert abs(x[0] - x_true) < 1e-10
+        assert abs(x[1] - v[1]) < 1e-10
 
     def test_degenerate_innovation_covariance_raises(self):
         model = StateSpaceModel(
@@ -384,11 +399,11 @@ class TestEngine:
             jacobian_A=lambda x: ((0, 0, 1.0),),
             observe_H=((0, 0.0),),  # S = Cn = 0
             extract_freq=lambda x: (np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], int)),
-            Cu=AugmentedMatrix.diagonal([0.0]),
-            Cn=AugmentedMatrix.diagonal([0.0]),
+            Cu=_diagonal([0.0]),
+            Cn=_diagonal([0.0]),
             initial_state=None,
         )
-        st = FilterState(AugmentedVector([1.0 + 0j]), AugmentedMatrix.eye(1, 0.1))
+        st = np.array([1.0 + 0j]), _diagonal([0.1])
         with pytest.raises(FilterDegenerateError, match="filter degenerate"):
             step(model, st, 1.0 + 0j)
 
@@ -397,39 +412,39 @@ class TestEngine:
         model = StateSpaceModel(
             name="unit", f_a=lambda x: x, jacobian_A=lambda x: ((0, 0, 1.0),),
             observe_H=((0, 1.0),),
-            extract_freq=None, Cu=AugmentedMatrix.diagonal([0.0]),
-            Cn=AugmentedMatrix.diagonal([0.0]), initial_state=None,
+            extract_freq=None, Cu=_diagonal([0.0]),
+            Cn=_diagonal([0.0]), initial_state=None,
         )
         m = np.array([0.1, 0.1, 0.0, 0.1, 0.0]).reshape(5, 1, 1)
-        st = FilterState(AugmentedVector(np.ones((5, 1), complex)), AugmentedMatrix(m, 0 * m))
+        top = np.concatenate([m, 0 * m], axis=-1).astype(complex)
+        x = np.ones((5, 1), complex)
         with pytest.raises(FilterDegenerateError) as exc:
-            _step(model, st, AugmentedVector(np.ones((5, 1), complex)))
+            plan_step(model, x, top, x)
         assert exc.value.row == (2,)
-        x = AugmentedVector(np.ones((1, 5, 1), complex))
-        st = FilterState(x, AugmentedMatrix(m[None], 0 * m[None]))
+        x = np.ones((1, 5, 1), complex)
         with pytest.raises(FilterDegenerateError) as exc:
-            _step(model, st, x)
+            plan_step(model, x, top[None], x)
         assert exc.value.row == (0, 2)
 
 
 class TestFrequencyExtraction:
     def test_lss_reads_angle(self):
         model = lss_model(FS)
-        x = AugmentedVector([np.exp(2j * np.pi * 50.0 / FS), 1.0]).top
+        x = np.array([np.exp(2j * np.pi * 50.0 / FS), 1.0])
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(50.0, abs=1e-9)
         assert int(flags) == 0
 
     def test_lss_zero_increment_flagged(self):
         model = lss_model(FS)
-        f, flags = model.extract_freq(AugmentedVector([0.0, 1.0]).top)
+        f, flags = model.extract_freq(np.array([0.0, 1.0], complex))
         assert math.isnan(float(f))
         assert int(flags) == 1
 
     def test_wlss_balanced_weights(self):
         # h = e^{j pi/6}, g = 0 inverts to arcsin(1/2)/(2 pi dT) = 1000/12 Hz.
         model = wlss_model(FS)
-        x = AugmentedVector([np.exp(1j * np.pi / 6), 0.0, 1.0]).top
+        x = np.array([np.exp(1j * np.pi / 6), 0.0, 1.0])
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(1000.0 / 12.0, abs=1e-9)
         assert int(flags) == 0
@@ -438,22 +453,22 @@ class TestFrequencyExtraction:
         # |g| equal to Im(h): radicand is exactly zero, frequency reads zero.
         model = wlss_model(FS)
         h = 0.8 + 0.3j
-        x = AugmentedVector([h, 0.3j, 1.0]).top
+        x = np.array([h, 0.3j, 1.0])
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(0.0, abs=1e-12)
         assert int(flags) == 0
 
     def test_wlss_guard_flags(self):
         model = wlss_model(FS)
-        f, flags = model.extract_freq(AugmentedVector([0.9 + 0.1j, 0.5, 1.0]).top)
+        f, flags = model.extract_freq(np.array([0.9 + 0.1j, 0.5, 1.0]))
         assert int(flags) & FLAG_SEQUENCE_DOMINANCE
         assert float(f) == pytest.approx(0.0, abs=1e-12)  # clamped radicand
-        _, flags = model.extract_freq(AugmentedVector([0.9 - 0.2j, 0.0, 1.0]).top)
+        _, flags = model.extract_freq(np.array([0.9 - 0.2j, 0.0, 1.0]))
         assert int(flags) & FLAG_NEGATIVE_IM_H
 
     def test_nss_reads_angle_without_guards(self):
         model = nss_model(FS)
-        x = AugmentedVector([np.exp(2j * np.pi * 52.0 / FS), 0.9, 0.3j]).top
+        x = np.array([np.exp(2j * np.pi * 52.0 / FS), 0.9, 0.3j])
         f, flags = model.extract_freq(x)
         assert float(f) == pytest.approx(52.0, abs=1e-9)
         assert int(flags) == 0
@@ -461,7 +476,7 @@ class TestFrequencyExtraction:
     def test_principal_branch_range(self):
         model = nss_model(FS)
         for f_true in (-499.0, -100.0, 499.0, 500.0):
-            x = AugmentedVector([np.exp(2j * np.pi * f_true / FS), 1.0, 0.0]).top
+            x = np.array([np.exp(2j * np.pi * f_true / FS), 1.0, 0.0])
             f, _ = model.extract_freq(x)
             assert -FS / 2 < float(f) <= FS / 2
             expected = f_true if f_true <= FS / 2 else f_true - FS
@@ -473,8 +488,7 @@ class TestRunFilter:
         scn = make_scenario(duration=0.3)
         v = clarke_series(scn, seed=2, snr_db=30.0)
         trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq()).trace()
-        assert trace.k.size == scn.n_samples
-        assert np.all(np.diff(trace.k) == 1)
+        np.testing.assert_array_equal(trace.t_s, np.arange(scn.n_samples) / FS)
         assert trace.t_s[10] == pytest.approx(0.010)
         assert trace.f_true_hz is not None
 
@@ -507,7 +521,7 @@ class TestRunFilter:
         v = clarke_series(scn)
         model = nss_model(FS)
         x0 = np.array([np.exp(2j * math.pi * 49.0 / FS), v[0], 0.0])
-        init = FilterState(AugmentedVector(x0), AugmentedMatrix.eye(3, 0.1))
+        init = x0, _diagonal([0.1, 0.1, 0.1])
         model = dataclasses.replace(model, initial_state=lambda _: init)
         trace = run_filter(model, v, FS, detail=True).trace()
         np.testing.assert_array_equal(trace.states[0], x0)  # one unbatched start, kept as the row's
@@ -528,8 +542,8 @@ class TestRunFilter:
             name="bad", f_a=model.f_a, jacobian_A=model.jacobian_A,
             observe_H=((1, 0.0),),
             extract_freq=model.extract_freq,
-            Cu=AugmentedMatrix.diagonal([0.0, 0.0]),
-            Cn=AugmentedMatrix.diagonal([0.0]),
+            Cu=_diagonal([0.0, 0.0]),
+            Cn=_diagonal([0.0]),
             initial_state=model.initial_state,
         )
         v = clarke_series(make_scenario(duration=0.05))
@@ -538,14 +552,13 @@ class TestRunFilter:
 
     def test_degenerate_error_names_its_row(self):
         model = dataclasses.replace(
-            lss_model(FS), Cu=AugmentedMatrix.diagonal([0.0, 0.0]),
-            Cn=AugmentedMatrix.diagonal([0.0]),
+            lss_model(FS), Cu=_diagonal([0.0, 0.0]), Cn=_diagonal([0.0]),
         )
         v = np.stack([clarke_series(make_scenario(duration=0.05))] * 3)
         # row 1 starts from a zero covariance, so its first innovation has S = 0
         m = np.array([0.1, 0.0, 0.1])[:, None, None] * np.eye(2)
-        x0 = AugmentedVector(np.stack([v[:, 0]] * 2, axis=-1))
-        init = FilterState(x0, AugmentedMatrix(m, 0 * m))
+        m = np.concatenate([m, 0 * m], axis=-1).astype(complex)
+        init = np.stack([v[:, 0]] * 2, axis=-1), m
         model = dataclasses.replace(model, initial_state=lambda _: init)
         with pytest.raises(FilterDegenerateError, match="^tick 1: row 1: filter degenerate"):
             run_filter(model, v, FS)
@@ -619,10 +632,10 @@ class TestSharedIncrementModel:
         aux = aux_model.initial_state(v[0])
         st = shared.initial_state(v[0])
         for k in range(1, v.size):
-            vp, vm = aux.x_hat.top[1], aux.x_hat.top[2]
+            vp, vm = aux[0][1], aux[0][2]
             aux = step(aux_model, aux, v[k])
             st = step(shared, st, v[k], ((0, vp), (1, vm)))
-        f, _ = shared.extract_freq(st.x_hat.top)
+        f, _ = shared.extract_freq(st[0])
         assert float(f) == pytest.approx(50.0, abs=1e-3)
 
     def test_sequence_observation_structure(self):
@@ -631,16 +644,17 @@ class TestSharedIncrementModel:
         shared = shared_increment_model(FS)
         x = np.array([[0.8 - 0.6j], [1j], [-2.0]])
         y = np.array([[0.5j], [1.0], [0.25 - 1j]])
-        st = FilterState(AugmentedVector(x), AugmentedMatrix.eye(1, 0.1))
-        _, diag = _step(shared, st, AugmentedVector(y), ((0, vp), (1, vm)))
-        np.testing.assert_allclose(diag.innovation.top, y - (vp * x + vm * np.conj(x)), rtol=1e-15)
+        out = plan_step(shared, x, _diagonal([0.1]), y, ((0, vp), (1, vm)))
+        want = y - (vp * x + vm * np.conj(x))
+        np.testing.assert_allclose(first(out, out.innov), want, rtol=1e-15)
         h = observation(((0, vp), (1, vm)), 1)
         np.testing.assert_array_equal(h, [[vp, vm], [np.conj(vm), np.conj(vp)]])
 
 
 class TestPlanPathMatchesStep:
     """A driver's plan, carrying plain arrays from tick to tick, steps to the
-    bits of chained ``_step`` calls, which wrap and unwrap every tick."""
+    bits of a fresh plan per tick, whose state is laid out batch-first and
+    back again every tick."""
 
     @pytest.mark.parametrize("batch", [(1, 7), (25, 7), (101,)], ids=["1x7", "25x7", "101"])
     @pytest.mark.parametrize("name", ["nss", "shared_increment"])
@@ -652,31 +666,28 @@ class TestPlanPathMatchesStep:
         model = (nss_model if name == "nss" else shared_increment_model)(FS, snr_db=30.0)
         state = model.initial_state(ys[0, ..., 0])
         plan = _StepPlan(model, batch)
-        arrays = state.x_hat.top, _batch_last(state.M.top, 2, batch)
+        arrays = state[0], _batch_last(state[1], 2, batch)
         for k in range(1, 51):
             # the shared model gets a per-tick row built from the previous observation
             h = None if name == "nss" else ((0, ys[k - 1, ..., 0]), (1, 0.1j * ys[k - 1, ..., 0]))
             out = plan.step(*arrays, ys[k].reshape(1, -1), h)
             arrays = out.x, out.m
-            state, diag = _step(model, state, AugmentedVector(ys[k]), h)
-            pairs = [
-                (out.x, state.x_hat.top), (out.M_post.top, state.M.top),
-                (out.gain.top, diag.gain.top), (out.M_prior.top, diag.M_prior.top),
-                (out.innovation.top, diag.innovation.top),
-            ]
-            for got, want in pairs:
+            fresh = plan_step(model, *state, ys[k], h)
+            state = fresh.x, first(fresh, fresh.m)
+            for got, want in zip(out[:5], fresh[:5]):  # x, m, innov, k, p
                 assert got.shape == want.shape and np.array_equal(got, want), f"tick {k}"
 
 
 class TestNoMaterializeOnTheStepPath:
-    """The step, both drivers and the network tick work on blocks and terms alone."""
+    """The step, both drivers and the network tick work on blocks and terms
+    alone: only the theory forms full augmented matrices."""
 
     @pytest.fixture(autouse=True)
     def no_materialize(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("materialize called on the step path")
+        def refuse(top):
+            raise AssertionError("full matrix formed on the step path")
 
-        monkeypatch.setattr(AugmentedMatrix, "materialize", refuse)
+        monkeypatch.setattr(gridfreq.analysis, "_full", refuse)
 
     @pytest.mark.parametrize("factory", [lss_model, wlss_model, nss_model])
     def test_run_filter(self, factory):
@@ -692,24 +703,31 @@ class TestNoMaterializeOnTheStepPath:
         run = run_distributed(t, scn, [0, 1], snr_db=30.0, mode=mode, assignment=b, detail=1)
         assert run.f_hat_hz.shape == (2, len(t.node_ids), scn.n_samples)
 
+    def test_theory_forms_full_matrices(self):
+        # the refusal above is live: the theory's start is where full matrices are formed
+        t, b = reference_network()
+        scn = make_scenario(duration=0.05)
+        with pytest.raises(AssertionError, match="full matrix formed"):
+            run_distributed(t, scn, [0], snr_db=30.0, assignment=b, theory=True)
+
     @pytest.mark.parametrize("mode", [None, "dfe", "distributed-acekf"])
     def test_ticks_wrap_nothing(self, monkeypatch, mode):
-        # with detail=0 and no theory, the tick loop makes no augmented container
-        def refuse(*args, **kwargs):
-            raise AssertionError("augmented container made on the tick path")
+        # with detail=0 and no theory, every step takes and leaves plain arrays,
+        # each covariance as its top block row (n, 2n, rows); the start's
+        # covariance is one row that broadcasts
+        real, steps = _StepPlan.step, []
 
-        def guarded(run_ticks):
-            def run(*args):
-                with pytest.MonkeyPatch.context() as patch:
-                    for cls in (AugmentedMatrix, AugmentedVector):
-                        patch.setattr(cls, "__init__", refuse)
-                        patch.setattr(cls, "_of", refuse)
-                    return run_ticks(*args)
+        def step(plan, x, m, *args):
+            out = real(plan, x, m, *args)
+            n = out.x.shape[-1]
+            for a in (x, m, *out[:5]):
+                assert type(a) is np.ndarray
+            assert m.shape[:2] == (n, 2 * n) and m.shape[2] in (1, plan.rows)
+            assert out.m.shape == out.p.shape == (n, 2 * n, plan.rows)
+            steps.append(plan.model.name)
+            return out
 
-            return run
-
-        for module in (gridfreq.estimators, gridfreq.network):
-            monkeypatch.setattr(module, "_run_ticks", guarded(module._run_ticks))
+        monkeypatch.setattr(_StepPlan, "step", step)
         scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.05)
         if mode is None:
             series = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in (1, 2)])
@@ -718,6 +736,7 @@ class TestNoMaterializeOnTheStepPath:
             t, b = reference_network()
             run = run_distributed(t, scn, [0, 1], snr_db=30.0, mode=mode, assignment=b)
         assert np.all(np.isfinite(run.f_hat_hz))
+        assert len(steps) == (2 if mode == "dfe" else 1) * (scn.n_samples - 1)
 
 
 def test_trace_csv_format(tmp_path):

@@ -14,12 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfreq.estimators
-from gridfreq.augmented import AugmentedVector
 from gridfreq.cli import _write_csv, build_plan, main
 from gridfreq.estimators import (
     FilterDegenerateError,
-    FilterState,
-    _step,
     _StepPlan,
     nss_model,
     run_filter,
@@ -273,7 +270,10 @@ class TestWeights:
 
 
 def step(model, state, y, h=None):
-    return _step(model, state, y, h)[0]
+    """One unbatched step of ``state = (x, [M11 M12])`` on the observation ``y`` (1,)."""
+    x, m = state
+    out = _StepPlan(model, ()).step(x, m[..., None], y[:, None], h)
+    return out.x, out.m[..., 0]
 
 
 class TestCombiners:
@@ -364,9 +364,21 @@ class TestCombiners:
                 {"b": {"a": 1.0}},
                 "redistribution row for node 'b', which conventional diffusion does not read",
             ),
+            (
+                "none",
+                {"a": {"a": 0.5, "b": 0.5}},
+                {"b": {"a": 1.0}},
+                "aggregation row for node 'a', which diffusion none does not read",
+            ),
+            (
+                "none",
+                {},
+                {"b": {"a": 1.0}},
+                "redistribution row for node 'b', which diffusion none does not read",
+            ),
         ],
         ids=["beta-of-non-bridge", "gamma-of-bridge", "gamma-of-unknown", "beta-of-unknown",
-             "gamma-under-conventional"],
+             "gamma-under-conventional", "beta-under-none", "gamma-under-none"],
     )
     def test_rows_no_stage_reads_are_rejected(self, diffusion, beta, gamma, message):
         w = DiffusionWeights(beta=beta, gamma=gamma)
@@ -397,13 +409,13 @@ class TestDistributedRuns:
         shared_model = shared_increment_model(FS)
         aux = aux_model.initial_state(v[0])
         shared = shared_model.initial_state(v[0])
-        manual = [shared_model.extract_freq(shared.x_hat.top)[0]]
+        manual = [shared_model.extract_freq(shared[0])[0]]
         for k in range(1, scn.n_samples):
-            vp, vm = aux.x_hat.top[1], aux.x_hat.top[2]
-            y = AugmentedVector(v[k : k + 1])
+            vp, vm = aux[0][1], aux[0][2]
+            y = v[k : k + 1]
             aux = step(aux_model, aux, y)
             shared = step(shared_model, shared, y, ((0, vp), (1, vm)))
-            manual.append(shared_model.extract_freq(shared.x_hat.top)[0])
+            manual.append(shared_model.extract_freq(shared[0])[0])
         np.testing.assert_array_equal(run.trace(0).f_hat_hz, np.array(manual))
 
     @pytest.mark.parametrize(
@@ -615,7 +627,7 @@ class TestDistributedRuns:
 
 def weighted(row, estimates):
     """One node's combiner: the weighted sum of ``estimates`` over its weight row."""
-    return AugmentedVector(sum(w * estimates[m].top for m, w in row.items()))
+    return sum(w * estimates[m] for m, w in row.items())
 
 
 def dict_reference_run(t, b, scn, seed, mode, diffusion):
@@ -633,20 +645,20 @@ def dict_reference_run(t, b, scn, seed, mode, diffusion):
     aux = {n: aux_model.initial_state(v[n][0]) for n in t.node_ids}
     shared = {n: shared_model.initial_state(v[n][0]) for n in t.node_ids}
     out, out_model = (shared, shared_model) if mode == "dfe" else (aux, aux_model)
-    f_hat = {n: [out_model.extract_freq(out[n].x_hat.top)[0]] for n in t.node_ids}
+    f_hat = {n: [out_model.extract_freq(out[n][0])[0]] for n in t.node_ids}
     messages = []
 
     def log(k, phase, src, dst, vec):
-        messages.extend((k, phase, src, dst, complex(z)) for z in vec.top)
+        messages.extend((k, phase, src, dst, complex(z)) for z in vec)
 
     for k in range(1, scn.n_samples):
         for n in t.node_ids:
-            y = AugmentedVector(v[n][k : k + 1])
-            vp, vm = aux[n].x_hat.top[1], aux[n].x_hat.top[2]
+            y = v[n][k : k + 1]
+            vp, vm = aux[n][0][1], aux[n][0][2]
             aux[n] = step(aux_model, aux[n], y)
             if mode == "dfe":
                 shared[n] = step(shared_model, shared[n], y, ((0, vp), (1, vm)))
-        est = {n: out[n].x_hat for n in t.node_ids}
+        est = {n: out[n][0] for n in t.node_ids}
         combined = est
         if diffusion == "conventional":
             for i in t.node_ids:
@@ -665,8 +677,8 @@ def dict_reference_run(t, b, scn, seed, mode, diffusion):
                 i: psi[i] if i in b.bridges else weighted(w.gamma[i], psi) for i in t.node_ids
             }
         for n in t.node_ids:
-            out[n] = FilterState(combined[n], out[n].M)
-            f_hat[n].append(out_model.extract_freq(out[n].x_hat.top)[0])
+            out[n] = combined[n], out[n][1]
+            f_hat[n].append(out_model.extract_freq(out[n][0])[0])
     return f_hat, messages
 
 

@@ -5,10 +5,12 @@
 Loads ``gridfreq.estimators`` and ``gridfreq.network`` from each checkout's
 ``src/`` side by side in one process (under two package names, without
 running the package ``__init__``), builds the same inputs for both, and
-times ``estimators._step`` for the ``nss`` model and the shared-increment
-model (with its observation row) at batch shapes (1, 7), (25, 7), (101,)
-and (2000,).  Each side first steps once and is then timed stepping on from
-that posterior, so each runs from the memory layout its own step leaves.
+times the step that both drivers run, ``estimators._StepPlan(model,
+batch).step`` on batch-last arrays, for the ``nss`` model and the
+shared-increment model (with its observation row) at batch shapes (1, 7),
+(25, 7), (101,) and (2000,); each side builds its plan once, outside the
+timing.  Each side first steps once and is then timed stepping on from that
+posterior, so each runs from the memory layout its own step leaves.
 The driver rows time whole runs through the public API: ``run_filter`` of
 the ``nss`` model over 101 rows, and ``run_distributed`` in ``dfe`` mode on
 the reference network with 1 and 24 seeds, each 0.25 s long; their times
@@ -16,8 +18,9 @@ are per filter-tick (a ``dfe`` node runs two filters a tick).  Rounds
 alternate which side runs first.  For each cell it prints the median and
 quartiles of the time per call (or per filter-tick) on both sides, the
 ratio of the medians, and whether the two sides' outputs are
-bit-identical: for a step, the posterior state and covariance, gain,
-prior covariance and innovation over two consecutive steps; for a driver,
+bit-identical: for a step, its ``x``, ``m``, ``k``, ``p`` and ``innov``
+fields (the posterior state and covariance, gain, prior covariance and
+innovation) over two consecutive steps; for a driver,
 the estimates, flags, kept posteriors and innovation power.  Exits 1 when
 any cell's outputs differ, after printing the full table.  Needs numpy and
 the standard library only; it writes nothing inside either checkout.
@@ -55,15 +58,15 @@ def load(checkout: Path, name: str) -> types.SimpleNamespace:
     sys.modules[name] = pkg
     return types.SimpleNamespace(
         est=importlib.import_module(f"{name}.estimators"),
-        aug=importlib.import_module(f"{name}.augmented"),
         net=importlib.import_module(f"{name}.network"),
         sig=importlib.import_module(f"{name}.signals"),
     )
 
 
 def inputs(kind: str, shape: tuple) -> dict:
-    """Plain arrays for one cell: a state near 50 Hz, a structured positive
-    definite covariance, an observation and, for the shared model, its row."""
+    """Batch-first arrays for one cell: a state near 50 Hz, the top block row
+    of a structured positive definite covariance, an observation and, for the
+    shared model, its row."""
     rng = np.random.default_rng(sum(shape) * 31 + len(kind))
 
     def cn(*s):
@@ -79,39 +82,35 @@ def inputs(kind: str, shape: tuple) -> dict:
     b = np.concatenate([top, np.conj(np.concatenate([b12, b11], -1))], -2)
     full = b @ np.conj(np.swapaxes(b, -1, -2)) + 1e-3 * np.eye(2 * n)
     return dict(
-        x=x, m11=full[..., :n, :n], m12=full[..., :n, n:], y=1.0 + 0.1 * cn(1),
+        x=x, m=full[..., :n, :], y=1.0 + 0.1 * cn(1),
         h=(cn(), 0.1 * cn()) if kind == "shared" else None,
     )
 
 
 class Cell:
-    """One (model, shape) cell on one side: a posterior to step on from."""
+    """One (model, shape) cell on one side: a plan and a posterior to step on from."""
 
     def __init__(self, side, kind: str, arrays: dict):
-        est, aug = side.est, side.aug
+        est = side.est
         if kind == "nss":
-            self.model = est.nss_model(FS, snr_db=SNR_DB)
+            model = est.nss_model(FS, snr_db=SNR_DB)
             self.h = None
         else:
-            self.model = est.shared_increment_model(FS, snr_db=SNR_DB)
+            model = est.shared_increment_model(FS, snr_db=SNR_DB)
             self.h = ((0, arrays["h"][0]), (1, arrays["h"][1]))
-        self.step = est._step
-        self.y = aug.AugmentedVector(arrays["y"])
-        state = est.FilterState(
-            aug.AugmentedVector(arrays["x"]), aug.AugmentedMatrix(arrays["m11"], arrays["m12"])
-        )
-        first, diag1 = self.step(self.model, state, self.y, self.h)
-        second, diag2 = self.step(self.model, first, self.y, self.h)
-        self.state = first
+        batch = arrays["x"].shape[:-1]
+        self.plan = est._StepPlan(model, batch)
+        self.y = est._batch_last(arrays["y"], 1, batch)
+        m = est._batch_last(arrays["m"], 2, batch)
+        first = self.plan.step(arrays["x"], m, self.y, self.h)
+        second = self.plan.step(first.x, first.m, self.y, self.h)
+        self.state = first.x, first.m
         self.outputs = [
-            a
-            for new, d in ((first, diag1), (second, diag2))
-            for a in (new.x_hat.top, new.M.block11, new.M.block12, d.gain.block11,
-                      d.gain.block12, d.M_prior.block11, d.M_prior.block12, d.innovation.top)
+            getattr(out, f) for out in (first, second) for f in ("x", "m", "k", "p", "innov")
         ]
 
     def call(self):
-        return self.step(self.model, self.state, self.y, self.h)
+        return self.plan.step(*self.state, self.y, self.h)
 
 
 class DriverCell:
