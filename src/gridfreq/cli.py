@@ -643,6 +643,7 @@ def _run_single(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
         r = exc.row[0]
         who = f"seed {seed}" if r == 0 else f"Monte-Carlo seed {mc_seeds[r - 1]}"
         raise FilterDegenerateError(f"tick {exc.tick}: {who}: {exc.__cause__}") from exc
+    del rows  # the run holds its estimates, not its inputs
     trace = run.trace()
 
     clock = _clock_columns(trace.t_s)
@@ -686,10 +687,11 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
         sent = np.arange(payloads.size).reshape(payloads.shape).take([r[3] for r in routes], 1)
         k, route = np.repeat(np.indices(sent.shape[:2]).reshape(2, -1), sent.shape[2], axis=1)
         phase, src, dst = ([r[i] for r in routes] for i in range(3))
+        sent = sent.ravel()  # one codes array, so both payload columns share its np.unique
         tables.append((
             "messages.csv", ["k", "phase", "src", "dst", "payload_re", "payload_im"],
             [k + 1, (phase, route), (src, route), (dst, route),
-             (payloads.ravel().real, sent.ravel()), (payloads.ravel().imag, sent.ravel())],
+             (payloads.ravel().real, sent), (payloads.ravel().imag, sent)],
         ))
 
     mc = run.f_hat_hz

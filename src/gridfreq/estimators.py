@@ -511,7 +511,7 @@ class FreqTrace:
 
 @dataclass
 class FilterRun:
-    """What :func:`run_filter` produced: arrays shaped (seeds, ticks).
+    """What :func:`run_filter` produced: arrays shaped (seeds, ticks), ``flags`` as ``uint8``.
 
     ``innovation_power`` and the posterior top halves ``states`` (one more
     axis, of the state entries) hold only the leading ``detail`` seed rows,
@@ -545,39 +545,42 @@ class FilterRun:
 #: ticks whose frequencies the tick loop reads in one call: a call costs about as
 #: much for 16 ticks as for one, and longer blocks only raise the peak memory
 _EXTRACT_BLOCK_TICKS = 16
+#: ticks of observations that a driver hands the tick loop at a time
+_OBS_BLOCK_TICKS = 128
 
 
-def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, detail: int, row_name):
+def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, detail, row_name):
     """The tick loop under both drivers: per-tick bookkeeping and the degenerate-tick error.
 
-    ``ys`` holds each tick's observation, (ticks, *batch, 1).  ``step(state,
-    y)`` advances every batch row one tick on y (1, rows) and returns
-    ``(state, out, xs)``: its next state, the :class:`_Stepped` whose
-    innovation is kept and a tuple of posterior top halves (*batch, n), the
-    frequency read off the first, once per block of ticks; ``state`` and
-    ``xs`` come in at tick 0.  Returns the estimates and flags (*batch,
+    ``blocks`` yields the observations of the ``shape = batch + (ticks,)``
+    run in order, b ticks at a time as a batch-last (b, rows) array; a
+    block's tick t steps on the view ``block[t:t+1]``.  ``step(state, y)``
+    advances every batch row one tick on y (1, rows) and returns ``(state,
+    out, xs)``: its next state, the :class:`_Stepped` whose innovation is
+    kept and a tuple of posterior top halves (*batch, n), the frequency
+    read off the first, once per block of ticks; ``state`` and ``xs`` come
+    in at tick 0.  Returns the estimates and ``uint8`` flags (*batch,
     ticks), the leading ``kept = min(detail, batch[0])`` rows of each
     posterior (kept, *batch[1:], ticks, n) and of the innovation power
     (kept, *batch[1:], ticks), None without kept rows, and the final state.
     A negative ``detail`` raises ValueError.  A degenerate step is raised
     again as "tick k: <row_name(row)>: ..." with ``tick`` and ``row`` set.
     """
-    batch = ys.shape[1:-1]
-    shape = batch + (len(ys),)
+    batch, n_ticks = shape[:-1], shape[-1]
     kept = min(int(detail), shape[0])
     if kept < 0:
         raise ValueError(f"detail must be at least 0, got {detail}")
     f_hat = np.empty(shape)
-    flags = np.zeros(shape, dtype=int)
+    flags = np.zeros(shape, dtype=np.uint8)
     posts = [np.empty((kept,) + shape[1:] + x.shape[-1:], complex) if kept else None for x in xs]
     innov = np.zeros((kept,) + shape[1:]) if kept else None
-    held = np.empty((min(_EXTRACT_BLOCK_TICKS, len(ys)),) + batch + xs[0].shape[-1:], complex)
+    held = np.empty((min(_EXTRACT_BLOCK_TICKS, n_ticks),) + batch + xs[0].shape[-1:], complex)
 
-    ys = ys.reshape(len(ys), 1, -1)
-    for k in range(len(ys)):
+    ys = (block[i : i + 1] for block in blocks for i in range(len(block)))
+    for k, y in enumerate(ys):
         if k:
             try:
-                state, out, xs = step(state, ys[k])
+                state, out, xs = step(state, y)
             except FilterDegenerateError as exc:
                 err = FilterDegenerateError(f"tick {k}: {row_name(exc.row)}: {exc}")
                 err.tick, err.row = k, exc.row
@@ -589,7 +592,7 @@ def _run_ticks(step, state, xs: tuple, ys: np.ndarray, extract: Callable, detail
                 post[..., k, :] = np.atleast_2d(x)[:kept]  # an unbatched start serves every row
         t = k % len(held)
         held[t] = xs[0]
-        if t == len(held) - 1 or k == len(ys) - 1:
+        if t == len(held) - 1 or k == n_ticks - 1:
             f, flag = (np.moveaxis(a, 0, -1) for a in extract(held[: t + 1]))
             f_hat[..., k - t : k + 1], flags[..., k - t : k + 1] = f, flag
     return f_hat, flags, posts, innov, state
@@ -606,11 +609,11 @@ def run_filter(
 
     ``samples`` is one series (ticks,) or a batch (seeds, ticks); each row
     starts from its first sample and evolves exactly as it would alone, and
-    the result is shaped (seeds, ticks) either way.  Non-finite samples are
-    rejected before any step.  ``detail`` is the number of leading rows
-    whose states and innovation power are kept (``True`` is 1).  A
-    degenerate step raises :class:`FilterDegenerateError` naming the tick
-    and the row.
+    the result is shaped (seeds, ticks) either way; the tick loop reads a
+    complex ``samples`` through views.  Non-finite samples are rejected
+    before any step.  ``detail`` is the number of leading rows whose states
+    and innovation power are kept (``True`` is 1).  A degenerate step
+    raises :class:`FilterDegenerateError` naming the tick and the row.
     """
     v = np.atleast_2d(np.asarray(samples, dtype=complex))
     if v.size == 0:
@@ -629,7 +632,9 @@ def run_filter(
 
     f_hat, flags, (states,), innov, _ = _run_ticks(
         step, (x0, _batch_last(m0, 2, plan.batch)), (x0,),
-        v.T[..., None], model.extract_freq, detail, lambda row: f"row {row[0]}",
+        (v[:, k0 : k0 + _OBS_BLOCK_TICKS].T for k0 in range(0, v.shape[1], _OBS_BLOCK_TICKS)),
+        v.shape,
+        model.extract_freq, detail, lambda row: f"row {row[0]}",
     )
     return FilterRun(
         t_s=np.arange(v.shape[1]) / sample_rate_hz,

@@ -28,6 +28,7 @@ from .estimators import (
     FilterRun,
     FreqTrace,
     _batch_first,
+    _OBS_BLOCK_TICKS,
     _batch_last,
     _run_ticks,
     _Stepped,
@@ -490,6 +491,25 @@ class DistributedRun(FilterRun):
         return mixing.routes, np.concatenate([x, mixing.beta @ x], axis=1)
 
 
+def _observations(clean: list, seeds: tuple, snr_db: float | None, n_ticks: int):
+    """Yield every (seed, node) row's observations, batch-last, a block of ticks at a time.
+
+    Row (s, j) adds to ``clean[j]`` the noise of one generator seeded ``[seeds[s], j]``.
+    A block is one 2-D Clarke product, which rounds a row as its own run's product does,
+    except in a run of one tick: then each row is transformed alone.
+    """
+    rngs = [np.random.default_rng([seed, j]) for seed in seeds for j in range(len(clean))]
+    ends = list(range(_OBS_BLOCK_TICKS, n_ticks - 1, _OBS_BLOCK_TICKS)) + [n_ticks]
+    for k0, k1 in zip([0] + ends[:-1], ends):  # a 1-tick remainder joins the last block
+        vabc = np.empty((k1 - k0, len(rngs), 3))
+        for r, g in enumerate(rngs):
+            vabc[:, r] = add_noise(clean[r % len(clean)][k0:k1], g, snr_db)
+        if k1 - k0 == 1:
+            yield np.concatenate([clarke_arrays(row)[1] for row in vabc[0, :, None]])[None]
+        else:
+            yield clarke_arrays(vabc.reshape(-1, 3))[1].reshape(k1 - k0, -1)
+
+
 def _resolve_scenarios(topology: Topology, scenarios) -> dict:
     if isinstance(scenarios, Scenario):
         per_node = {n: scenarios for n in topology.node_ids}
@@ -549,22 +569,19 @@ def run_distributed(
     fs = per_node[ids[0]].sample_rate_hz
     n_ticks = per_node[ids[0]].n_samples
     # one clean waveform per scenario; node j at seed s adds the noise of [s, j]
-    clean = {}
-    volts = np.empty((n_ticks, len(seeds), len(ids)), dtype=complex)
-    for j, n in enumerate(ids):
-        key = id(per_node[n])
-        if key not in clean:
-            clean[key] = generate_arrays(per_node[n])
-        for s, seed in enumerate(seeds):
-            volts[:, s, j] = clarke_arrays(add_noise(clean[key], [seed, j], snr_db))[1]
+    clean = {id(per_node[n]): per_node[n] for n in ids}
+    clean = {key: generate_arrays(scn) for key, scn in clean.items()}
+    blocks = _observations([clean[id(per_node[n])] for n in ids], seeds, snr_db, n_ticks)
+    first = next(blocks)
+    batch = (len(seeds), len(ids))
 
     out_model = nss_model(fs, snr_db=snr_db)
-    plans, filters = [_StepPlan(out_model, volts.shape[1:])], [None, None]
+    plans, filters = [_StepPlan(out_model, batch)], [None, None]
     if mode == "dfe":
         out_model = shared_increment_model(fs, snr_db=snr_db)
-        plans.append(_StepPlan(out_model, volts.shape[1:]))
+        plans.append(_StepPlan(out_model, batch))
     for i, plan in enumerate(plans):
-        x0, m0 = plan.model.initial_state(volts[0])
+        x0, m0 = plan.model.initial_state(first[0].reshape(batch))
         filters[i] = x0, _batch_last(m0, 2, plan.batch)
 
     errors = None
@@ -576,7 +593,7 @@ def run_distributed(
     f_hat, flags, (states, local_states), innov, (_, _, errors) = _run_ticks(
         # without a shared filter, its plan and its state are None
         lambda state, y: _tick(*(plans + [None])[:2], mixing, state, y),
-        (*filters, errors), (x0,) * 2, volts[..., None],
+        (*filters, errors), (x0,) * 2, itertools.chain([first], blocks), batch + (n_ticks,),
         out_model.extract_freq, detail, lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
     )
     return DistributedRun(

@@ -167,14 +167,15 @@ def generate_arrays(scenario: Scenario) -> np.ndarray:
 
 
 def add_noise(
-    vabc: np.ndarray, seed: int | Sequence[int] | None, snr_db: float | None
+    vabc: np.ndarray, seed: int | Sequence[int] | np.random.Generator | None, snr_db: float | None
 ) -> np.ndarray:
     """``vabc`` plus independent zero-mean Gaussian noise on each sample.
 
     The noise has variance 0.5 * 10^(-snr_db/10) (per-unit amplitude
     reference) and is drawn from ``numpy.random.default_rng(seed)`` in one
     call of ``vabc``'s shape, so one clean waveform can take the noise of
-    many seeds.  With ``snr_db`` None, ``vabc`` is returned unchanged.
+    many seeds; a Generator, drawn from as it stands, draws over consecutive
+    blocks what one call draws.  With ``snr_db`` None, ``vabc`` comes back unchanged.
     """
     if snr_db is None:
         return vabc

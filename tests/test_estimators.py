@@ -492,6 +492,17 @@ class TestRunFilter:
         assert trace.t_s[10] == pytest.approx(0.010)
         assert trace.f_true_hz is not None
 
+    def test_fortran_ordered_samples_run_bit_for_bit(self):
+        # the tick loop reads the caller's samples through views, whatever their layout
+        scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.3)
+        series = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in (1, 2, 3)])
+        model = nss_model(FS, snr_db=30.0)
+        c_run = run_filter(model, series, FS, detail=3)
+        f_run = run_filter(model, np.asfortranarray(series), FS, detail=3)
+        assert c_run.flags.dtype == np.uint8
+        for field in ("f_hat_hz", "flags", "states", "innovation_power"):
+            np.testing.assert_array_equal(getattr(f_run, field), getattr(c_run, field))
+
     def test_lss_converges_on_balanced_noiseless(self):
         scn = make_scenario(duration=1.0)
         trace = run_filter(lss_model(FS), clarke_series(scn), FS).trace()

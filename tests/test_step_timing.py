@@ -1,6 +1,7 @@
 """``tools/step_timing.py`` times two checkouts' steps and reports whether their outputs agree."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -40,4 +41,6 @@ def test_reports_each_cell(tmp_path, monkeypatch, capsys, edit, status):
     assert [line.split()[0] for line in cells] == ["nss", "nss", "shared", "shared", "filter", "dfe"]
     # the edit changes the process noise of both models, and so every driver's outputs
     assert all(line.endswith(str(edit is None)) for line in cells)
+    # the ratio of the medians, marked ~ when the two sides' q1-q3 ranges overlap
+    assert all(re.fullmatch(r"\d+\.\d{3}~?", line.split()[-2]) for line in cells)
     assert not list(tmp_path.rglob("__pycache__"))

@@ -2,17 +2,20 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
-Runs ``gridfreq run`` from each checkout's ``src/`` on nine configs (the
+Runs ``gridfreq run`` from each checkout's ``src/`` on ten configs (the
 four bundled experiments, ``experiment1_sag_step --seeds 100``,
 ``experiment4_network7 --seeds 24``, ``experiment4_network7_mixed --seeds
-24``, ``benchmarks/configs/network_fullstate.yaml`` and
-``tools/configs/experiment4_network7_messages.yaml``) at seeds 0 and 3,
-into a temporary directory; ``experiment4_network7 --seeds 24`` is the one
-theory run whose error recursion reads seed row 0 of a Monte-Carlo batch.
-``network_fullstate`` logs conventional ``to_neighbor`` messages, and
-``experiment4_network7_messages`` the bridge messages: ``to_bridge`` and
-the ``from_bridge`` aggregates.  That last config is read from this tool's
-own checkout, so both sides run the same file.
+24``, ``benchmarks/configs/network_fullstate.yaml``,
+``tools/configs/experiment4_network7_messages.yaml`` and
+``tools/configs/experiment4_network7_ragged.yaml --seeds 3``) at seeds 0
+and 3, into a temporary directory; ``experiment4_network7 --seeds 24`` is
+one theory run whose error recursion reads seed row 0 of a Monte-Carlo
+batch.  ``network_fullstate`` logs conventional ``to_neighbor`` messages,
+and ``experiment4_network7_messages`` the bridge messages: ``to_bridge``
+and the ``from_bridge`` aggregates.  ``experiment4_network7_ragged`` runs
+257 ticks, so its last block of observations is not a full one.  The two
+``tools/configs`` files are read from this tool's own checkout, so both
+sides run the same file.
 For each config it prints the largest |Δ f_hat| over every ``f_hat*``
 column, whether every ``flags`` column is identical, the largest relative
 change of ``theoretical_trace``, whether ``bound_ok`` is identical, and
@@ -44,6 +47,8 @@ CONFIGS = (
     ("experiment4_network7_mixed", ["--seeds", "24"]),
     ("benchmarks/configs/network_fullstate.yaml", []),
     (str(Path(__file__).resolve().parent / "configs" / "experiment4_network7_messages.yaml"), []),
+    (str(Path(__file__).resolve().parent / "configs" / "experiment4_network7_ragged.yaml"),
+     ["--seeds", "3"]),
 )
 SEEDS = (0, 3)
 
