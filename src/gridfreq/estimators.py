@@ -576,8 +576,7 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
     innov = np.zeros((kept,) + shape[1:]) if kept else None
     held = np.empty((min(_EXTRACT_BLOCK_TICKS, n_ticks),) + batch + xs[0].shape[-1:], complex)
 
-    ys = (block[i : i + 1] for block in blocks for i in range(len(block)))
-    for k, y in enumerate(ys):
+    for k, y in enumerate(block[i : i + 1] for block in blocks for i in range(len(block))):
         if k:
             try:
                 state, out, xs = step(state, y)

@@ -495,9 +495,8 @@ def _observations(clean: list, seeds: tuple, snr_db: float | None, n_ticks: int)
     """Yield every (seed, node) row's observations, batch-last, a block of ticks at a time.
 
     Row (s, j) adds to ``clean[j]`` the noise of one generator seeded ``[seeds[s], j]``.
-    A block is one 2-D Clarke product, which rounds a row as its own run's product does,
-    except in a run of one tick: then each row is transformed alone.
-    """
+    A block is one 2-D Clarke product, rounding each row as a product over its run alone
+    does; a 1-tick run, whose lone rows BLAS rounds apart, transforms each row alone."""
     rngs = [np.random.default_rng([seed, j]) for seed in seeds for j in range(len(clean))]
     ends = list(range(_OBS_BLOCK_TICKS, n_ticks - 1, _OBS_BLOCK_TICKS)) + [n_ticks]
     for k0, k1 in zip([0] + ends[:-1], ends):  # a 1-tick remainder joins the last block
@@ -583,6 +582,8 @@ def run_distributed(
     for i, plan in enumerate(plans):
         x0, m0 = plan.model.initial_state(first[0].reshape(batch))
         filters[i] = x0, _batch_last(m0, 2, plan.batch)
+    # through iter(), the first block is freed once the loop has passed it
+    blocks, first = itertools.chain(iter([first]), blocks), None
 
     errors = None
     if theory:
@@ -593,7 +594,7 @@ def run_distributed(
     f_hat, flags, (states, local_states), innov, (_, _, errors) = _run_ticks(
         # without a shared filter, its plan and its state are None
         lambda state, y: _tick(*(plans + [None])[:2], mixing, state, y),
-        (*filters, errors), (x0,) * 2, itertools.chain([first], blocks), batch + (n_ticks,),
+        (*filters, errors), (x0,) * 2, blocks, batch + (n_ticks,),
         out_model.extract_freq, detail, lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
     )
     return DistributedRun(

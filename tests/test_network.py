@@ -740,7 +740,7 @@ class TestStreamedObservations:
     def test_run_holds_its_estimates_not_its_inputs(self):
         # 40 seeds x 7 nodes x 1,000 ticks: the estimates take 2.24 MB and uint8 flags 0.28 MB;
         # with every observation held (4.48 MB) and int64 flags (2.24 MB) the peak was 10.1 MB,
-        # with a block of observations at a time it is 6.7 MB
+        # with a block of observations at a time it is 6.1 MB
         t, b = reference_network()
         scn = make_scenario(duration=1.0)
         run_distributed(t, scn, [0], snr_db=30.0, assignment=b)
