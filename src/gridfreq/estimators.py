@@ -632,8 +632,7 @@ def run_filter(
     f_hat, flags, (states,), innov, _ = _run_ticks(
         step, (x0, _batch_last(m0, 2, plan.batch)), (x0,),
         (v[:, k0 : k0 + _OBS_BLOCK_TICKS].T for k0 in range(0, v.shape[1], _OBS_BLOCK_TICKS)),
-        v.shape,
-        model.extract_freq, detail, lambda row: f"row {row[0]}",
+        v.shape, model.extract_freq, detail, lambda row: f"row {row[0]}",
     )
     return FilterRun(
         t_s=np.arange(v.shape[1]) / sample_rate_hz,

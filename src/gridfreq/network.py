@@ -28,8 +28,8 @@ from .estimators import (
     FilterRun,
     FreqTrace,
     _batch_first,
-    _OBS_BLOCK_TICKS,
     _batch_last,
+    _OBS_BLOCK_TICKS,
     _run_ticks,
     _Stepped,
     _StepPlan,
