@@ -24,26 +24,26 @@ is a Python scalar or a batch array.  States, covariances and observations
 may carry leading batch dimensions, which is how :func:`run_filter` steps
 every seed at once.
 
-Inside the step the blocks are plain arrays, and every product is a sum over
-terms of elementwise operations on the batch: numpy's stacked complex ``@``
-pays a fixed cost per small matrix in the batch, while an elementwise
-operation costs little more for a whole batch than for one row.  The
-``nss`` Jacobian has 5 nonzeros out of 18 and the shared-increment model's
-is the identity, so the prior ``A M A^H`` costs a handful of row
-combinations, and everything that involves the observation (``H P``,
-``S``, the gain, the innovation and ``K H P``) is sums and outer products
-along it.  The step lays its arrays out batch-last, entries first and the
-batch flattened into one last axis, so each of those operations is one
-contiguous pass over the batch rather than a strided pass over short
-2n-entry rows.  Both drivers build one :class:`_StepPlan` per model for a
-run and carry each filter between ticks as plain arrays, the state
-batch-first and the covariance batch-last.  The step is bit-for-bit
-independent of the batch a row is stepped in and of the memory layout of
-its inputs (see :meth:`_StepPlan.step` for the one numpy rounding rule this
-needs).  It is not rewritten as a real 2n x 2n filter on [Re x; Im x]: that
-form loses the exact zeros of the structure (the ``lss`` pseudo-covariance
-drifts to ~1e-20 instead of staying 0, and an exactly conditioned ``S``
-comes out one ulp off).
+Inside the step the blocks are plain arrays laid out batch-last, entries
+first and the batch flattened into one last axis, and every product is a
+sum over terms of elementwise operations, each one contiguous pass over the
+batch: numpy's stacked complex ``@`` pays a fixed cost per small matrix.
+The ``nss`` Jacobian has 5 nonzeros out of 18 and the shared-increment
+model's is the identity, so the prior ``A M A^H`` is a handful of row
+combinations, and ``H P``, ``S``, the gain, the innovation and ``K H P``
+are sums and outer products along the observation row.  Both drivers build
+one :class:`_StepPlan` per model for a run and carry each filter between
+ticks as plain arrays, the state batch-first and the covariance batch-last.
+A step's cost is a count of array operations, each about 1 us of numpy
+call overhead at a batch of one row per node, (1, 7), whatever its size:
+about 70 ufunc, copy and allocation calls and as many views for ``nss``,
+about 60 calls for the shared model; larger batches add their arithmetic.
+A row steps to the same bits in any batch and from any memory layout (see
+:meth:`_StepPlan.step` for the numpy rounding rule this needs).  The step
+is not a real 2n x 2n filter on [Re x; Im x]: that form loses the exact
+zeros of the structure (the ``lss`` pseudo-covariance drifts to ~1e-20
+instead of staying 0, and an exactly conditioned ``S`` comes out one ulp
+off).
 """
 
 from __future__ import annotations
@@ -100,7 +100,9 @@ class StateSpaceModel:
     block rows ``[B11 B12]`` of the process- and observation-noise
     covariances, (n, 2n) and (1, 2).  ``initial_state`` maps the first
     observation (one per batch row) to the start ``(x0, m0)`` at 50 Hz: the
-    state (*b, n) and the covariance's top block row (n, 2n).
+    state (*b, n) and the covariance's top block row (n, 2n).  A model's
+    term layout is fixed across calls: which ``(row, column)`` terms
+    ``jacobian_A`` returns, which values are arrays and the scalar values.
     """
 
     name: str
@@ -141,12 +143,9 @@ def _batch_first(a: np.ndarray, batch: tuple) -> np.ndarray:
 _Stepped = namedtuple("_Stepped", "x m innov k p H A")
 
 
-def _factor(v, batch: tuple):
-    """A term value as a factor of batch-last rows: None for a unit scalar,
-    a scalar as it is, an array as (1, rows)."""
-    if isinstance(v, np.ndarray):
-        return v.reshape(1, -1) if v.shape == batch else _batch_last(v[..., None], 1, batch)
-    return None if v == 1 else v
+def _row_of(v: np.ndarray, batch: tuple) -> np.ndarray:
+    """An array term value of the batch shape, or one that broadcasts to it, as (1, rows)."""
+    return v.reshape(1, -1) if v.shape == batch else _batch_last(v[..., None], 1, batch)
 
 
 def _conj_swapped(a: np.ndarray) -> np.ndarray:
@@ -154,44 +153,54 @@ def _conj_swapped(a: np.ndarray) -> np.ndarray:
     return np.conj(a.reshape(2, -1)[::-1]).reshape(a.shape)
 
 
-def _times(part: np.ndarray, w) -> np.ndarray:
-    """``part * w`` for a factor ``w``; None (a unit) skips the product."""
-    return part if w is None else part * w
-
-
-def _row_sums(a: list, row: Callable, out: np.ndarray) -> np.ndarray:
-    """Fill row r of ``out`` with the sum of ``w * row(c)`` over the factors ``(r, c, w)``.
-
-    A row without terms is 0.
-    """
-    done = set()
-    for r, c, w in a:
-        if r in done:
-            out[r] += _times(row(c), w)
-        elif w is None:
-            out[r] = row(c)
-        else:
-            np.multiply(row(c), w, out=out[r])
-        done.add(r)
-    if len(done) < out.shape[0]:
-        out[[r for r in range(out.shape[0]) if r not in done]] = 0
-    return out
-
-
 class _StepPlan:
     """A model's step at one batch shape, with what stays fixed between ticks
-    resolved once: its noise blocks batch-last and its own observation row."""
+    resolved once: its noise blocks over the batch-last rows, its own
+    observation row and, on the first step, its Jacobian's term program."""
 
     def __init__(self, model: StateSpaceModel, batch: tuple):
         self.model, self.batch, self.rows = model, batch, math.prod(batch)
-        self.cu = _batch_last(model.Cu, 2, batch)
-        self.cn = _batch_last(model.Cn, 2, batch)[0]  # Cn is 1 x 1 blocks
+        self.cu = np.broadcast_to(model.Cu[..., None], model.Cu.shape + (self.rows,)).copy()
+        self.cn = np.broadcast_to(model.Cn[0, :, None], (2, self.rows)).copy()  # 1 x 1 blocks
         self.h = None if model.observe_H is None else self._factors(model.observe_H)
+        self.terms = None
 
     def _factors(self, h: tuple) -> list:
-        """Observation terms as (column, factor, factor against an entry)."""
-        return [(c, w, w[0] if isinstance(w, np.ndarray) else w)
-                for c, w in ((c, _factor(v, self.batch)) for c, v in h)]
+        """Observation terms as (column, factor, factor against an entry): None
+        for a unit, a scalar as it is, an array as (1, rows) and (rows,)."""
+        ws = [_row_of(v, self.batch) if isinstance(v, np.ndarray) else None if v == 1 else v
+              for _, v in h]
+        return [(c, w, w[0] if isinstance(w, np.ndarray) else w) for (c, _), w in zip(h, ws)]
+
+    def _program(self, a: tuple, n: int) -> None:
+        """Resolve the layout of the Jacobian terms ``a``, the same at every call:
+        ``terms`` holds ``(row, column, first, factor)``, ``first`` where no
+        earlier term writes the row.  A factor is None for a unit, a scalar
+        as it is, and for an array value (a numpy scalar counts as one) a
+        slot of ``w``, (arrays, 2n, rows), filled every call: same-shape
+        operands cost numpy less than one that broadcasts."""
+        self.arrays = [i for i, (*_, v) in enumerate(a) if isinstance(v, (np.ndarray, np.generic))]
+        self.w = np.empty((len(self.arrays), 2 * n, self.rows), complex)
+        slots, rows = dict(zip(self.arrays, self.w)), [r for r, *_ in a]
+        self.terms = [(r, c, r not in rows[:i], slots[i] if i in slots else None if v == 1 else v)
+                      for i, (r, c, v) in enumerate(a)]
+        # a row without terms is 0
+        self.alloc = np.empty if set(rows) == set(range(n)) else np.zeros
+
+    def _term_sums(self, src: np.ndarray, n: int) -> np.ndarray:
+        """The (n, 2n, rows) sums, in term order, of w times row c of
+        ``[src; conj_swapped(src)]`` into row r over the terms (r, c, w)."""
+        out = self.alloc((n, 2 * n, self.rows), complex)
+        for r, c, first, w in self.terms:
+            row = src[c] if c < len(src) else _conj_swapped(src[c - len(src)])
+            if not first:
+                acc = out[r]
+                acc += row if w is None else row * w
+            elif w is None:
+                out[r] = row
+            else:
+                np.multiply(row, w, out=out[r])
+        return out
 
     def step(self, x: np.ndarray, m: np.ndarray, y: np.ndarray, h: tuple | None = None):
         """One predict/correct cycle of every row; returns a :class:`_Stepped`.
@@ -203,102 +212,88 @@ class _StepPlan:
         the model's own.
 
         The prior's top block row ``[P11 P12] = [A11 A12] M_full A_full^H``
-        is built from the Jacobian terms on ``M``'s blocks, with no product
-        of full matrices: row r of ``B = [A11 A12] M_full`` sums v times row
-        c of ``M_full`` over the terms ``(r, c, v)``, and row r of ``[P11
-        P12]`` sums v times row c of ``[conj(B)^T  B_swapped^T]`` over the
-        same terms (``P11`` is Hermitian and ``P12`` symmetric, so their rows
-        are ``A``'s combinations of ``B``'s columns).  A zero of the Jacobian
-        costs nothing and a unit entry no product.  ``H P``, ``S``, the gain
-        ``K`` and the innovation are sums over the observation terms, and ``K
-        H P`` is two outer products.  ``S`` is the 2 x 2 ``[[s11, s12],
+        is two passes of the term program, with no product of full
+        matrices: row r of ``B = [A11 A12] M_full`` sums v times row c of
+        ``M_full`` over the terms ``(r, c, v)``, and row r of ``[P11 P12]``
+        sums v times row c of ``[conj(B)^T  B_swapped^T]`` (``P11`` is
+        Hermitian and ``P12`` symmetric, so their rows are ``A``'s
+        combinations of ``B``'s columns).  ``H P``, ``S``, the gain ``K``
+        and the innovation are sums over the observation terms, and ``K H
+        P`` is two outer products.  ``S`` is the 2 x 2 ``[[s11, s12],
         [conj(s12), s11]]``, inverted in closed form; a condition number
-        above ``COND_LIMIT`` raises :class:`FilterDegenerateError`.
-        ``M_post`` is symmetrised (Hermitian block11, symmetric block12) to
-        repair rounding; the transposed blocks are read before any entry is
-        written, so at n = 1, where the transpose is ``M_post`` itself,
-        block11 comes out real.
+        above ``COND_LIMIT`` (read at each call) raises
+        :class:`FilterDegenerateError`.  ``M_post`` is symmetrised from a
+        copy of its transposed blocks, so at n = 1 block11 comes out real.
 
         Both operands of every complex product are arrays with the same
-        number of axes (a term value is (1, rows) against a row, (rows,)
-        against an entry), or one is a scalar: numpy rounds a complex product
-        of two one-element arrays of different ndim differently from the
-        same product in a longer array, and so is a product of two numpy
-        scalars.  So a row's result does not depend on the batch it is
-        stepped in or on the memory layout of its inputs.
+        number of axes, or one is a scalar: numpy rounds a complex product of
+        two one-element arrays of different ndim, or of two numpy scalars,
+        differently from the same product in a longer array.  So a row's
+        result does not depend on the batch it is stepped in or on the
+        memory layout of its inputs.
         """
         model, batch, rows, n = self.model, self.batch, self.rows, m.shape[0]
         x_pred = _batch_last(model.f_a(x), 1, batch)
         a = model.jacobian_A(x)
-        a_rows = [(r, c, _factor(v, batch)) for r, c, v in a]
+        if self.terms is None:
+            self._program(a, n)
+        for slot, i in zip(self.w, self.arrays):
+            slot[...] = _row_of(a[i][2], batch)
         h_rows = self.h if h is None else self._factors(h)
 
-        # row c >= n of M_full is row c - n of [m11 m12], conjugated with its halves swapped
-        b = _row_sums(
-            a_rows, lambda c: m[c] if c < n else _conj_swapped(m[c - n]),
-            np.empty((n, 2 * n, rows), dtype=complex),
-        )
+        b = self._term_sums(m, n)  # M_full is [m; conj_swapped(m)]
         # row c of [conj(B)^T  B_swapped^T]: column c of conj(B), then column c -/+ n of B
         b_cols = np.empty((2 * n, 2 * n, rows), dtype=complex)
         b_t = b.swapaxes(0, 1)
         np.conj(b_t, out=b_cols[:, :n])
         b_cols[:n, n:], b_cols[n:, n:] = b_t[n:], b_t[:n]
-        p = _row_sums(
-            a_rows, b_cols.__getitem__, np.empty((n, 2 * n, rows), dtype=complex)
-        )
+        p = self._term_sums(b_cols, n)
         p += self.cu
 
         # H P and H x: row c >= n of P_full is row c - n of [P11 P12], conjugated and swapped.
         # S = H P_full H^H + Cn: H's second row is conj(h) with its halves swapped.
         hp = hx = None
-        s11, s12 = self.cn
         for c, w, we in h_rows:
-            if c < n:
-                row, xc = p[c], x_pred[c]
-            else:
-                row, xc = _conj_swapped(p[c - n]), np.conj(x_pred[c - n])
-            row, xc = _times(row, w), _times(xc, we)
+            row, xc = p[c % n], x_pred[c % n]
+            row, xc = (row, xc) if c < n else (_conj_swapped(row), np.conj(xc))
+            row, xc = (row, xc) if w is None else (row * w, xc * we)
             hp, hx = (row, xc) if hp is None else (hp + row, hx + xc)
+        s11, s12 = self.cn
         for c, _, we in h_rows:
-            s11 = s11 + _times(hp[c], None if we is None else np.conj(we))
-            s12 = s12 + _times(hp[c + n if c < n else c - n], we)
+            t11, t12 = hp[c], hp[c + n if c < n else c - n]
+            if we is not None:
+                t11, t12 = t11 * np.conj(we), t12 * we
+            s11, s12 = s11 + t11, s12 + t12
         s11 = s11.real
-        # S has eigenvalues s11 -/+ |s12|
+        # S has eigenvalues lo, hi = s11 -/+ |s12|; one pass fails on lo <= 0 and on any NaN
         abs12 = np.abs(s12)
         lo, hi = s11 - abs12, s11 + abs12
-        cond = hi / np.where(lo > 0, lo, np.nan)
-        ok = cond <= COND_LIMIT
-        if not ok.all():
-            bad = ~ok
+        if not (lo.min() > 0 and (hi / lo).max() <= COND_LIMIT):
+            cond = hi / np.where(lo > 0, lo, np.nan)
             worst = float(np.max(np.where(np.isfinite(cond), cond, np.inf)))
-            exc = FilterDegenerateError(
-                f"filter degenerate: innovation covariance condition number {worst:.3e}"
-                f" exceeds {COND_LIMIT:.1e}"
-            )
-            exc.row = tuple(int(i) for i in np.argwhere(bad.reshape(batch))[0])
+            exc = FilterDegenerateError(f"filter degenerate: innovation covariance condition"
+                                        f" number {worst:.3e} exceeds {COND_LIMIT:.1e}")
+            exc.row = tuple(int(i) for i in np.argwhere(~(cond <= COND_LIMIT).reshape(batch))[0])
             raise exc
 
-        # S^-1 = [[s11, -s12], [-conj(s12), s11]] / (lo hi); two divisions keep
-        # lo hi from overflowing at huge covariances.  K = (H P)^H S^-1, held as
-        # the gain's top block row [k11 k12], (n, 2, rows).
-        i11, i12 = (s11 / hi / lo)[None], (-s12 / hi / lo)[None]
+        # S^-1 = [[s11, -s12], [-conj(s12), s11]] / (lo hi), two divisions that keep lo hi
+        # from overflowing.  K = (H P)^H S^-1 as its top block row [k11 k12], (n, 2, rows):
+        # both columns at once, with inv = [[i11, i12], [conj(i12), i11]].
+        inv = np.empty((2, 2, rows), dtype=complex)
+        inv[0, 0] = inv[1, 1] = s11 / hi / lo
+        np.conj(np.divide(-s12 / hi, lo, out=inv[0, 1]), out=inv[1, 0])
         hp_row2 = _conj_swapped(hp)  # (H P_full)'s second row
-        hp11_c, hp12 = hp_row2[n:], hp[n:]
-        gain = np.empty((n, 2, rows), dtype=complex)
-        k11, k12 = gain[:, 0], gain[:, 1]
-        np.multiply(hp11_c, i11, out=k11)
-        k11 += hp12 * np.conj(i12)
-        np.multiply(hp11_c, i12, out=k12)
-        k12 += hp12 * i11
+        gain = hp_row2[n:, None] * inv[None, 0]
+        gain += hp[n:, None] * inv[None, 1]
         innov = np.subtract(y, hx, out=np.empty((1, rows), complex))
-        x_post = x_pred + k11 * innov
-        x_post += k12 * np.conj(innov)
+        x_post = x_pred + gain[:, 0] * innov
+        x_post += gain[:, 1] * np.conj(innov)
         post = p - gain[:, :1] * hp[None]
         post -= gain[:, 1:] * hp_row2[None]
-        # [m11 m12] + [m11^H m12^T]; t[j, 0, i] is m11[i, j] and t[j, 1, i] is m12[i, j]
-        t = post.reshape(n, 2, n, rows).swapaxes(0, 2)
-        post[:, :n] += np.conj(t[:, 0])
-        post[:, n:] += t[:, 1]  # numpy reads an overlapping transposed operand before writing
+        # [m11 m12] + [m11^H m12^T]: t[i, j] is m11[j, i] conjugated, t[i, n + j] is m12[j, i]
+        t = post.reshape(n, 2, n, rows).transpose(2, 1, 0, 3).copy().reshape(n, 2 * n, rows)
+        np.conj(t[:, :n], out=t[:, :n])
+        post += t
         post *= 0.5
         h = model.observe_H if h is None else h
         return _Stepped(_batch_first(x_post, batch), post, innov, gain, p, h, a)
@@ -558,13 +553,14 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
     advances every batch row one tick on y (1, rows) and returns ``(state,
     out, xs)``: its next state, the :class:`_Stepped` whose innovation is
     kept and a tuple of posterior top halves (*batch, n), the frequency
-    read off the first, once per block of ticks; ``state`` and ``xs`` come
-    in at tick 0.  Returns the estimates and ``uint8`` flags (*batch,
-    ticks), the leading ``kept = min(detail, batch[0])`` rows of each
-    posterior (kept, *batch[1:], ticks, n) and of the innovation power
-    (kept, *batch[1:], ticks), None without kept rows, and the final state.
-    A negative ``detail`` raises ValueError.  A degenerate step is raised
-    again as "tick k: <row_name(row)>: ..." with ``tick`` and ``row`` set.
+    read off the first; ``state`` and ``xs`` come in at tick 0.  Each tick
+    only buffers; frequencies, kept posteriors and innovation power are
+    written once per block of ticks.  Returns the estimates and ``uint8``
+    flags (*batch, ticks), the leading ``kept = min(detail, batch[0])`` rows
+    of each posterior (kept, *batch[1:], ticks, n) and of the innovation
+    power (kept, *batch[1:], ticks), None without kept rows, and the final
+    state.  A negative ``detail`` raises ValueError.  A degenerate step is
+    raised again as "tick k: <row_name(row)>: ..." with ``tick`` and ``row`` set.
     """
     batch, n_ticks = shape[:-1], shape[-1]
     kept = min(int(detail), shape[0])
@@ -574,9 +570,12 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
     flags = np.zeros(shape, dtype=np.uint8)
     posts = [np.empty((kept,) + shape[1:] + x.shape[-1:], complex) if kept else None for x in xs]
     innov = np.zeros((kept,) + shape[1:]) if kept else None
-    held = np.empty((min(_EXTRACT_BLOCK_TICKS, n_ticks),) + batch + xs[0].shape[-1:], complex)
+    ticks = min(_EXTRACT_BLOCK_TICKS, n_ticks)
+    held = [np.empty((ticks,) + batch + x.shape[-1:], complex) for x in (xs if kept else xs[:1])]
+    innovs = np.zeros((ticks,) + batch, complex) if kept else None  # tick 0 has none
 
     for k, y in enumerate(block[i : i + 1] for block in blocks for i in range(len(block))):
+        t = k % ticks
         if k:
             try:
                 state, out, xs = step(state, y)
@@ -585,15 +584,17 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
                 err.tick, err.row = k, exc.row
                 raise err from exc
             if kept:
-                innov[..., k] = np.abs(out.innov[0].reshape(batch)[:kept]) ** 2
-        if kept:
-            for post, x in zip(posts, xs):
-                post[..., k, :] = np.atleast_2d(x)[:kept]  # an unbatched start serves every row
-        t = k % len(held)
-        held[t] = xs[0]
-        if t == len(held) - 1 or k == n_ticks - 1:
-            f, flag = (np.moveaxis(a, 0, -1) for a in extract(held[: t + 1]))
-            f_hat[..., k - t : k + 1], flags[..., k - t : k + 1] = f, flag
+                innovs[t] = out.innov[0].reshape(batch)
+        for buf, x in zip(held, xs):
+            buf[t] = x  # an unbatched start serves every row
+        if t == ticks - 1 or k == n_ticks - 1:
+            done = slice(k - t, k + 1)
+            f, flag = (np.moveaxis(a, 0, -1) for a in extract(held[0][: t + 1]))
+            f_hat[..., done], flags[..., done] = f, flag
+            if kept:
+                for post, buf in zip(posts, held):
+                    post[..., done, :] = np.moveaxis(buf[: t + 1, :kept], 0, -2)
+                innov[..., done] = np.moveaxis(np.abs(innovs[: t + 1, :kept]) ** 2, 0, -1)
     return f_hat, flags, posts, innov, state
 
 

@@ -27,7 +27,6 @@ from .analysis import NetworkErrorState, initial_network_state, mse_block
 from .estimators import (
     FilterRun,
     FreqTrace,
-    _batch_first,
     _batch_last,
     _OBS_BLOCK_TICKS,
     _run_ticks,
@@ -363,9 +362,9 @@ class _TheoryBlock:
 
     :meth:`record` copies the tick's gain top block row and the array
     values of its H and A terms into buffers of ``ticks`` ticks; a scalar
-    term value is a constant of the model, filled in once.  When the
-    buffers fill, and once in :meth:`finish`, one :func:`mse_block` call
-    steps ``state`` over the recorded ticks.
+    term value is a constant of the model, filled in on the first tick.
+    When the buffers fill, and once in :meth:`finish`, one
+    :func:`mse_block` call steps ``state`` over the recorded ticks.
     """
 
     def __init__(self, state: NetworkErrorState):
@@ -375,17 +374,17 @@ class _TheoryBlock:
 
     def record(self, out: _Stepped) -> None:
         terms = out.H + out.A
-        gain = _batch_first(out.k, out.x.shape[:-1])[0]
         if self.gain is None:
-            self.gain = np.empty((self.ticks,) + gain.shape, dtype=complex)
-            self.values = np.empty(self.gain.shape[:2] + (len(terms),), dtype=complex)
-            self.values[:] = [0 if isinstance(v, np.ndarray) else v for *_, v in terms]
+            shape = (self.ticks, len(self.state.node_ids))  # seed row 0: the first batch rows
+            self.gain = np.empty(shape + out.k.shape[:2], dtype=complex)
+            self.values = np.empty(shape + (len(terms),), dtype=complex)
+            self.arrays = [i for i, (*_, v) in enumerate(terms) if isinstance(v, np.ndarray)]
+            self.values[:] = [0 if i in self.arrays else v for i, (*_, v) in enumerate(terms)]
             self.keys, self.n_h = [term[:-1] for term in terms], len(out.H)
         t = self.filled
-        self.gain[t] = gain
-        for i, (*_, v) in enumerate(terms):
-            if isinstance(v, np.ndarray):
-                self.values[t, :, i] = v[0]
+        np.copyto(self.gain[t], out.k[..., : self.gain.shape[1]].transpose(2, 0, 1))
+        for i in self.arrays:
+            self.values[t, :, i] = terms[i][-1][0]
         self.filled += 1
         if self.filled == self.ticks:
             self._flush()

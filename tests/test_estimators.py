@@ -23,6 +23,7 @@ import gridfreq.estimators
 import gridfreq.network
 from gridfreq.cli import _clock_columns, _trace_table, _write_csv
 from gridfreq.estimators import (
+    COND_LIMIT,
     FLAG_NEGATIVE_IM_H,
     FLAG_SEQUENCE_DOMINANCE,
     FilterDegenerateError,
@@ -425,6 +426,119 @@ class TestEngine:
         with pytest.raises(FilterDegenerateError) as exc:
             plan_step(model, x, top[None], x)
         assert exc.value.row == (0, 2)
+
+
+#: a row of the condition test: s11 and |s12| of the innovation covariance,
+#: drawn to hit lo < 0, lo == 0, NaN, +-inf and hi / lo a few ulps from the limit
+@st.composite
+def s_rows(draw):
+    s11 = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf, -math.inf]),
+        st.floats(1e-200, 1e200),
+    ))
+    kind = draw(st.sampled_from(["special", "lo zero", "near limit", "inside", "lo negative"]))
+    if kind == "special":
+        return s11, draw(st.sampled_from([0.0, math.nan, math.inf]))
+    if kind == "lo zero":
+        return s11, abs(s11)
+    if kind == "near limit":
+        # hi / lo = limit at |s12| = s11 (L - 1) / (L + 1); step a few ulps either way
+        a12 = abs(s11) * (COND_LIMIT - 1) / (COND_LIMIT + 1)
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            a12 = np.nextafter(a12, math.copysign(math.inf, ulps))
+        return s11, float(a12)
+    return s11, abs(s11) * draw(st.floats(0, 1) if kind == "inside" else st.floats(1, 10))
+
+
+class TestConditionCheck:
+    """The step's one-pass condition test decides as the full rule does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(s_rows(), min_size=1, max_size=6), two_d=st.booleans())
+    def test_raises_exactly_when_a_row_fails(self, rows, two_d):
+        # a unit model with Cu = Cn = 0, so S = M: [m11 m12] = [s11, |s12|]
+        model = StateSpaceModel(
+            name="unit", f_a=lambda x: x, jacobian_A=lambda x: ((0, 0, 1.0),),
+            observe_H=((0, 1.0),), extract_freq=None, Cu=_diagonal([0.0]),
+            Cn=_diagonal([0.0]), initial_state=None,
+        )
+        batch = (2, len(rows)) if two_d else (len(rows),)
+        rows = rows + rows[::-1] if two_d else rows  # the second batch row reversed
+        s11, a12 = (np.array([r[i] for r in rows]) for i in (0, 1))
+        m = np.stack([s11, a12]).astype(complex)[None]  # (1, 2, rows)
+        with np.errstate(all="ignore"):
+            s11, a12 = 0.0 + s11, np.abs(a12)  # S's s11 is Cn's 0 plus m11
+            lo, hi = s11 - a12, s11 + a12
+            bad = ~(hi / np.where(lo > 0, lo, np.nan) <= COND_LIMIT)
+            plan = _StepPlan(model, batch)
+            x, y = np.ones(batch + (1,), complex), np.ones((1, s11.size), complex)
+            if not bad.any():
+                plan.step(x, m, y)
+                return
+            with pytest.raises(FilterDegenerateError) as exc:
+                plan.step(x, m, y)
+        assert exc.value.row == tuple(int(i) for i in np.argwhere(bad.reshape(batch))[0])
+
+
+class TestTermProgram:
+    """The step's term program, resolved on a plan's first step, serves every later step."""
+
+    @staticmethod
+    def model():
+        # n = 2: row 0 has a unit, a non-unit scalar and a conjugate-half column
+        # (3 reads conj(x1)); row 1 has no terms
+        def f_a(x):
+            f = np.zeros_like(x)
+            f[..., 0] = x[..., 0] + (2.5 - 0.5j) * x[..., 1] + 0.5 * np.conj(x[..., 1]) ** 2
+            return f
+
+        return StateSpaceModel(
+            name="program", f_a=f_a,
+            jacobian_A=lambda x: ((0, 0, 1.0), (0, 1, 2.5 - 0.5j), (0, 3, np.conj(x[..., 1]))),
+            observe_H=((0, 1.0), (3, 0.5j)), extract_freq=None,
+            Cu=_diagonal([1e-3, 2e-3]), Cn=_diagonal([1e-2]), initial_state=None,
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_and_every_batch_layout(self, seed):
+        rng = np.random.default_rng(seed)
+        model = self.model()
+        x, m = complex_normal(rng, (6, 2)), random_covariance(rng, (6,), 2)
+        ys = complex_normal(rng, (2, 6, 1))
+        results = {}
+        for batch in ((1,), (3, 2), (5,)):
+            rows = math.prod(batch)
+            plan = _StepPlan(model, batch)
+            state = x[:rows].reshape(batch + (2,)), m[:rows].reshape(batch + (2, 4))
+            outs = []
+            for y in ys[:, :rows]:  # two steps: the second reuses the first's program
+                y = y.reshape(batch + (1,))
+                out = plan.step(state[0], _batch_last(state[1], 2, batch), _batch_last(y, 1, batch))
+                x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y)
+                state = out.x, first(out, out.m)
+                _assert_close(augment(state[0]), x_post, x_scale, cond)
+                _assert_close(full(state[1]), m_post, m_scale, cond)
+                outs += [first(out, a).reshape((rows,) + first(out, a).shape[len(batch):])
+                         for a in (out.m, out.k, out.p, out.innov)] + [state[0].reshape(rows, 2)]
+            results[batch] = outs
+        for batch, outs in results.items():
+            for got, want in zip(outs, results[(3, 2)]):
+                assert np.array_equal(got, want[: len(got)]), batch
+
+    @pytest.mark.parametrize("factory", [lss_model, wlss_model, nss_model, shared_increment_model])
+    def test_bundled_models_keep_their_layout(self, factory):
+        # which (row, column) terms a model returns, and which of their values are
+        # arrays and which constants, does not depend on the state
+        model = factory(FS)
+        rng = np.random.default_rng(5)
+        n = model.Cu.shape[0]
+
+        def layout(x):
+            return [(r, c, "array" if isinstance(v, np.ndarray) else v)
+                    for r, c, v in model.jacobian_A(x)]
+
+        assert layout(complex_normal(rng, (4, n))) == layout(complex_normal(rng, (4, n)))
 
 
 class TestFrequencyExtraction:
