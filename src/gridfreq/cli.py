@@ -65,35 +65,15 @@ from .signals import (
 
 __all__ = ["ConfigError", "load_config", "validate_config", "build_plan", "run_plan", "main"]
 
-_ESTIMATORS = ("lss", "wlss", "nss", "dfe", "distributed-acekf")
+_SINGLE_ESTIMATORS = ("lss", "wlss", "nss")
 _NETWORK_ESTIMATORS = ("dfe", "distributed-acekf")
+_ESTIMATORS = _SINGLE_ESTIMATORS + _NETWORK_ESTIMATORS
 _DIFFUSIONS = ("bridge", "conventional", "none")
 
 #: most samples a run, or a window of it, may span
 MAX_SAMPLES = 10**7
 #: lowest snr_db: the filters' noise variance 1.5 * 10^(-snr_db/10) is then 1.5e308
 MIN_SNR_DB = -3080.0
-
-_KNOWN_KEYS = {
-    "name",
-    "description",
-    "seed",
-    "snr_db",
-    "sample_rate_hz",
-    "duration_s",
-    "estimator",
-    "scenario",
-    "node_scenarios",
-    "topology",
-    "bridges",
-    "weights",
-    "diffusion",
-    "filter",
-    "mse",
-    "spectrum",
-    "output_dir",
-    "messages_csv",
-}
 
 
 class ConfigError(ValueError):
@@ -147,152 +127,245 @@ def _finite(val) -> float | None:
     return val if math.isfinite(val) else None
 
 
-def _want(cfg, key, kind, diags, required=False, default=None):
-    """Fetch cfg[key], appending a diagnostic when its type is off.
+def _file_name_ok(name: str) -> bool:
+    """Whether ``name`` can be one path component: not empty, '.' or '..',
+    without '/' or NUL, encodable as UTF-8 and at most 255 bytes long."""
+    try:
+        raw = name.encode()
+    except UnicodeEncodeError:
+        return False
+    return name not in ("", ".", "..") and b"/" not in raw and b"\0" not in raw and len(raw) <= 255
 
-    ``kind`` float asks for a finite number, returned as a float.
+
+def _bad(diags: list, path: str, text) -> None:
+    diags.append(f"{path}: {text}")
+
+
+def _built(diags: list, path: str, make, *args):
+    """``make(*args)``, or None after a diagnostic with the ValueError or TypeError it raised."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        return _bad(diags, path, exc)
+
+
+def _kind(*stages):
+    """A kind of config value, read as (parse, text) stages.  Each parse takes
+    what the stage before kept and returns the value read, True to keep it as
+    it is, or None or False to reject it with its text, formatted with the
+    value ``v`` and its type name ``t``.  A kind is called as ``kind(value,
+    dotted path, diags)`` and returns the value read, or None after a
+    diagnostic."""
+    def read(v, path, diags):
+        for parse, text in zip(stages[::2], stages[1::2]):
+            if (out := parse(v)) is None or out is False:
+                return _bad(diags, path, text.format(v=v, t=type(v).__name__))
+            v = v if out is True else out
+        return v
+    return read
+
+
+def _finites(n: int):
+    return lambda v: (isinstance(v, list) and len(v) == n
+                      and None not in (t := tuple(map(_finite, v))) and t)
+
+
+_IS_STR = (lambda v: isinstance(v, str), "expected str, got {t}")
+_str = _kind(*_IS_STR)
+_bool = _kind(lambda v: isinstance(v, bool), "expected true or false, got {v!r}")
+_number = _kind(_finite, "required number")
+_noise = _kind(_finite, "expected a positive number", lambda v: v > 0, "expected a positive number")
+_positive = _kind(_finite, "expected a finite number, got {v!r}",
+                  lambda v: v > 0, "must be positive, got {v}")
+_snr = _kind(lambda v: v is None or _finite(v), "expected a finite number or null, got {v!r}",
+             lambda v: v is None or v >= MIN_SNR_DB,
+             f"{{v}} dB is below {MIN_SNR_DB}, where noise variances overflow")
+_seed = _kind(lambda v: isinstance(v, int) and not isinstance(v, bool), "expected int, got {t}",
+              lambda v: v >= 0, "expected a non-negative integer, got {v}")
+# the output directory is <name>_out or $GRIDFREQ_OUT_DIR/<name>, written
+# through a sibling .<name>_out.XXXXXXXX (run_plan's staging directory)
+_name = _kind(*_IS_STR, lambda v: _file_name_ok(v) and _file_name_ok(f".{v}_out.XXXXXXXX"),
+              "{v!r} cannot name the output directory: it must be one path component"
+              " of at most 241 UTF-8 bytes, not '.' or '..'")
+_estimator = _kind(*_IS_STR, lambda v: v in _ESTIMATORS,
+                   f"unknown estimator {{v!r}}, expected one of {_ESTIMATORS}")
+_diffusion = _kind(*_IS_STR, lambda v: v in _DIFFUSIONS,
+                   f"unknown mode {{v!r}}, expected one of {_DIFFUSIONS}")
+_WINDOW, _TRIPLE = "expected [start_s, stop_s] in finite numbers", "expected a list of 3 finite numbers"
+_window, _triple = _kind(_finites(2), _WINDOW), _kind(_finites(3), _TRIPLE)
+
+
+def _nodes(v, path, diags):
+    if not isinstance(v, list):
+        return _bad(diags, path, f"expected a list of node ids, got {v!r}")
+    bad = [f"{path}[{i}]: expected a scalar node id, got {x!r}" for i, x in enumerate(v)
+           if isinstance(x, (list, Mapping, set))]
+    diags += bad
+    return None if bad else v
+
+
+def _edges(v, path, diags):
+    if not isinstance(v, list):
+        return _bad(diags, path, f"expected a list of node id pairs, got {v!r}")
+    bad = [f"{path}[{i}]: expected a pair of node ids, got {e!r}" for i, e in enumerate(v)
+           if not (isinstance(e, list) and len(e) == 2 and _nodes(e, "", []) is not None)]  # scalars
+    diags += bad
+    return None if bad else [tuple(e) for e in v]
+
+
+def _weight_rows(v, path, diags):
+    if not isinstance(v, Mapping) or not all(isinstance(r, Mapping) for r in v.values()):
+        return _bad(diags, path, "expected mapping node -> (node -> weight)")
+    # NaN and inf go on as they are: DiffusionWeights names their row
+    rows = {n: {m: w if isinstance(w, float) else _finite(w) for m, w in r.items()}
+            for n, r in v.items()}
+    bad = [f"{path}[{n}][{m}]: expected a number, got {v[n][m]!r}"
+           for n, r in rows.items() for m, w in r.items() if w is None]
+    diags += bad
+    return None if bad else rows
+
+
+def _segments(v, path, diags):
+    if not isinstance(v, list) or not v:
+        return _bad(diags, path, "required non-empty list of segments")
+    return [_read(s, f"{path}[{i}]", "scenario.segments[]", diags) for i, s in enumerate(v)]
+
+
+def _node_scenarios(v, path, diags):
+    if not isinstance(v, Mapping):
+        return _bad(diags, path, "expected mapping node -> scenario")
+    return {n: _read(s, f"{path}[{n}]", "scenario", diags) for n, s in v.items()}
+
+
+class _Required(str):
+    """A row's default when its key must be given: the text reported when it is absent."""
+
+
+_REQ = _Required("required")
+_ANY, _NET, _ONE = _ESTIMATORS, _NETWORK_ESTIMATORS, _SINGLE_ESTIMATORS
+
+#: Every config key: dotted path -> (kind, default or _Required, the
+#: estimators that read it).  A mapping's kind is the text reported when its
+#: value is not a mapping ("": it reads as an empty one).  ``[]`` is an item
+#: of a list; a node_scenarios value is read with the rows under
+#: ``scenario``.  A key with a None default is left out of the values when it
+#: is absent.  The README's config reference lists these keys.
+_KEYS = {
+    "name": (_name, _REQ, _ANY),
+    "description": (_str, None, _ANY),
+    "seed": (_seed, 0, _ANY),
+    "snr_db": (_snr, None, _ANY),
+    "sample_rate_hz": (_positive, 1000.0, _ANY),
+    "duration_s": (_positive, _REQ, _ANY),
+    "estimator": (_estimator, _REQ, _ANY),
+    "scenario": ("", _REQ, _ANY),
+    "scenario.segments": (_segments, _Required("required non-empty list of segments"), _ANY),
+    "scenario.segments[]": ("expected a mapping", _REQ, _ANY),
+    "scenario.segments[].start_s": (_number, _Required("required number"), _ANY),
+    "scenario.segments[].end_s": (_number, _Required("required number"), _ANY),
+    "scenario.segments[].freq_hz": (_number, None, _ANY),
+    "scenario.segments[].freq_start_hz": (_number, None, _ANY),
+    "scenario.segments[].rate_hz_per_s": (_number, None, _ANY),
+    "scenario.segments[].amplitudes": (_triple, (1.0, 1.0, 1.0), _ANY),
+    "scenario.segments[].phase_deg": (_triple, (0.0, 0.0, 0.0), _ANY),
+    "filter": ("expected mapping with keys among"
+               " ['increment_process_noise', 'voltage_process_noise']", {}, _ONE),
+    "filter.increment_process_noise": (_noise, None, _ONE),
+    "filter.voltage_process_noise": (_noise, None, _ONE),
+    "spectrum": ("expected mapping with window_s: [start_s, stop_s]", None, _ONE),
+    "spectrum.window_s": (_window, _Required(_WINDOW), _ONE),
+    "topology": ("expected a mapping with nodes and edges lists",
+                 _Required("required for network estimators"), _NET),
+    "topology.nodes": (_nodes, _REQ, _NET),
+    "topology.edges": (_edges, _REQ, _NET),
+    "bridges": (_nodes, None, _NET),
+    "weights": ("expected a mapping with exactly the keys beta and gamma", None, _NET),
+    "weights.beta": (_weight_rows, _REQ, _NET),
+    "weights.gamma": (_weight_rows, _REQ, _NET),
+    "diffusion": (_diffusion, "bridge", _NET),
+    "node_scenarios": (_node_scenarios, {}, _NET),
+    "mse": ("expected mapping with window_s and optional theory", None, _NET),
+    "mse.window_s": (_window, _Required(_WINDOW), _NET),
+    "mse.theory": (_bool, False, _NET),
+    "messages_csv": (_bool, False, _NET),
+    "output_dir": (_str, None, _ANY),
+}
+
+
+def _read(raw, path: str, row: str, diags: list, estimator=None) -> dict | None:
+    """The values of the mapping ``raw`` at config ``path``, read by the rows
+    under the table row ``row`` ("" for the top level).
+
+    Diagnoses a key that is not in the table, a required key that is absent,
+    a value of the wrong kind and, for a known ``estimator``, a key that
+    estimator does not read; such a key's value is None or left out.
     """
-    if key not in cfg:
-        if required:
-            diags.append(f"{key}: required")
-        return default
-    val = cfg[key]
-    if kind is float:
-        num = _finite(val)
-        if num is None:
-            diags.append(f"{key}: expected a finite number, got {val!r}")
-        return default if num is None else num
-    if not isinstance(val, kind) or isinstance(val, bool):
-        diags.append(f"{key}: expected {kind.__name__}, got {type(val).__name__}")
-        return default
-    return val
-
-
-def _num3(raw, path: str, diags: list) -> tuple | None:
-    vals = [_finite(x) for x in raw] if isinstance(raw, list) and len(raw) == 3 else [None]
-    if None in vals:
-        diags.append(f"{path}: expected a list of 3 finite numbers")
-        return None
-    return tuple(vals)
-
-
-def _number(raw: Mapping, key: str, path: str, diags: list) -> float | None:
-    val = _finite(raw.get(key))
-    if val is None:
-        diags.append(f"{path}.{key}: required number")
-    return val
-
-
-def _build_segment(raw, path: str, diags: list) -> ScenarioSegment | None:
     if not isinstance(raw, Mapping):
-        diags.append(f"{path}: expected a mapping")
-        return None
-    unknown = set(raw) - {
-        "start_s", "end_s", "freq_hz", "freq_start_hz", "rate_hz_per_s", "amplitudes", "phase_deg",
-    }
-    for key in sorted(unknown):
-        diags.append(f"{path}.{key}: unknown field")
+        if text := (_KEYS[row][0] if row else ""):
+            return _bad(diags, path, text)
+        raw = {}
+    rows = {name: spec for key, spec in _KEYS.items()
+            for parent, _, name in [key.rpartition(".")]
+            if parent == row and not name.endswith("[]")}
+    at = f"{path}." if path else ""
+    diags += [f"{at}{key}: unknown field" for key in raw if key not in rows]
+    values = {}
+    for key, (kind, default, scope) in rows.items():
+        if key in raw and estimator in _ESTIMATORS and estimator not in scope:
+            _bad(diags, at + key, "only meaningful for " + (
+                f"network estimators {_NET}" if scope is _NET else "single-node estimators"))
+        elif key in raw and isinstance(kind, str):
+            values[key] = _read(raw[key], at + key, f"{row}.{key}" if row else key, diags, estimator)
+        elif key in raw:
+            values[key] = kind(raw[key], at + key, diags)
+        elif isinstance(default, _Required) and (scope is _ANY or estimator in scope):
+            _bad(diags, at + key, default)
+        elif default is not None and not isinstance(default, _Required):
+            values[key] = default
+    return values
 
-    bounds = [_number(raw, key, path, diags) for key in ("start_s", "end_s")]
 
-    has_const = "freq_hz" in raw
-    has_ramp = "freq_start_hz" in raw or "rate_hz_per_s" in raw
+def _segment(seg: dict, path: str, diags: list) -> ScenarioSegment | None:
+    """A segment from its values: the freq form or the ramp form, not both."""
     freq = rate = None
-    if has_const and has_ramp:
-        diags.append(f"{path}: give either freq_hz or freq_start_hz + rate_hz_per_s, not both")
-    elif has_const:
-        freq, rate = _number(raw, "freq_hz", path, diags), 0.0
-    elif "freq_start_hz" in raw and "rate_hz_per_s" in raw:
-        freq, rate = (_number(raw, key, path, diags) for key in ("freq_start_hz", "rate_hz_per_s"))
+    if "freq_hz" in seg and ("freq_start_hz" in seg or "rate_hz_per_s" in seg):
+        _bad(diags, path, "give either freq_hz or freq_start_hz + rate_hz_per_s, not both")
+    elif "freq_hz" in seg:
+        freq, rate = seg["freq_hz"], 0.0
+    elif "freq_start_hz" in seg and "rate_hz_per_s" in seg:
+        freq, rate = seg["freq_start_hz"], seg["rate_hz_per_s"]
     else:
-        diags.append(f"{path}: needs freq_hz, or freq_start_hz together with rate_hz_per_s")
-    ok = None not in (freq, rate, *bounds)
-
-    amps = (1.0, 1.0, 1.0)
-    if "amplitudes" in raw:
-        amps = _num3(raw["amplitudes"], f"{path}.amplitudes", diags)
-        ok = ok and amps is not None
-    offs = (0.0, 0.0, 0.0)
-    if "phase_deg" in raw:
-        deg = _num3(raw["phase_deg"], f"{path}.phase_deg", diags)
-        if deg is None:
-            ok = False
-        else:
-            offs = tuple(math.radians(d) for d in deg)
-    if not ok:
+        _bad(diags, path, "needs freq_hz, or freq_start_hz together with rate_hz_per_s")
+    bounds, amps, deg = (seg.get("start_s"), seg.get("end_s")), seg["amplitudes"], seg["phase_deg"]
+    if None in (freq, rate, *bounds, amps, deg):
         return None
-    return ScenarioSegment(*bounds, freq, amps, offs, rate)
+    return ScenarioSegment(*bounds, freq, amps, tuple(map(math.radians, deg)), rate)
 
 
-def _build_scenario(raw, path: str, fs: float, duration_s, diags: list) -> Scenario | None:
-    if (
-        not isinstance(raw, Mapping)
-        or not isinstance(raw.get("segments"), list)
-        or not raw["segments"]
-    ):
-        diags.append(f"{path}.segments: required non-empty list of segments")
+def _scenario(sc, path: str, fs, duration_s, diags: list) -> Scenario | None:
+    """A scenario from its values, checked against the run; None when a
+    segment is bad or the run's sample rate or duration is."""
+    segments = [s if s is None else _segment(s, f"{path}.segments[{i}]", diags)
+                for i, s in enumerate((sc or {}).get("segments") or [])]
+    if not segments or None in segments or not (fs and duration_s):
         return None
-    for key in sorted(set(raw) - {"segments"}):
-        diags.append(f"{path}.{key}: unknown field")
-    segments = []
-    for i, seg_raw in enumerate(raw["segments"]):
-        seg = _build_segment(seg_raw, f"{path}.segments[{i}]", diags)
-        if seg is None:
-            return None
-        segments.append(seg)
-    if duration_s is None or not segments:
-        return None
-    scenario = Scenario(segments, fs, float(duration_s))
+    scenario = Scenario(segments, fs, duration_s)
     diags.extend(f"{path}.{p}" for p in scenario.validate())
     return scenario
 
 
-def _build_weights(raw, path: str, diags: list) -> DiffusionWeights | None:
-    if not isinstance(raw, Mapping) or set(raw) != {"beta", "gamma"}:
-        diags.append(f"{path}: expected a mapping with exactly the keys beta and gamma")
-        return None
-    rows, bad = {}, []
-    for key in ("beta", "gamma"):
-        if not isinstance(raw[key], Mapping) or not all(
-            isinstance(r, Mapping) for r in raw[key].values()
-        ):
-            diags.append(f"{path}.{key}: expected mapping node -> (node -> weight)")
-            return None
-        rows[key] = {n: dict(row) for n, row in raw[key].items()}
-        for n, row in rows[key].items():
-            for m, w in row.items():
-                # NaN and inf go on as they are: DiffusionWeights names their row
-                row[m] = w if isinstance(w, float) else _finite(w)
-                if row[m] is None:
-                    bad.append(f"{path}.{key}[{n}][{m}]: expected a number, got {w!r}")
-    if bad:
-        diags.extend(bad)
-        return None
-    try:
-        return DiffusionWeights(beta=rows["beta"], gamma=rows["gamma"])
-    except ValueError as exc:
-        diags.append(f"{path}: {exc}")
-        return None
-
-
-def _window(raw, path: str, fs: float, scenario, min_ticks: int, diags: list) -> tuple | None:
-    """A [start_s, stop_s] window inside the scenario, at least ``min_ticks`` samples long."""
-    vals = [_finite(x) for x in raw] if isinstance(raw, list) and len(raw) == 2 else [None]
-    if None in vals:
-        diags.append(f"{path}: expected [start_s, stop_s] in finite numbers")
-        return None
-    start, stop = vals
-    if not all(abs(x * fs) <= MAX_SAMPLES for x in vals):
-        diags.append(f"{path}: [{start}, {stop}] s at {fs} Hz reaches past {MAX_SAMPLES} samples")
-        return None
-    lo, hi = _ticks((start, stop), fs)
+def _check_window(window, path: str, fs, scenario, min_ticks: int, diags: list) -> None:
+    """Diagnose a [start_s, stop_s] window that is not inside the run or spans
+    fewer than ``min_ticks`` samples."""
+    if window is None or fs is None:
+        return
+    start, stop = window
+    if not all(abs(x * fs) <= MAX_SAMPLES for x in window):
+        return _bad(diags, path, f"[{start}, {stop}] s at {fs} Hz reaches past {MAX_SAMPLES} samples")
+    lo, hi = _ticks(window, fs)
     if scenario is not None and not (0 <= lo and hi <= scenario.n_samples and hi - lo >= min_ticks):
-        diags.append(
-            f"{path}: samples [{lo}, {hi}) must lie inside the run's {scenario.n_samples}"
-            f" and number at least {min_ticks}"
-        )
-        return None
-    return start, stop
+        _bad(diags, path, f"samples [{lo}, {hi}) must lie inside the run's {scenario.n_samples}"
+             f" and number at least {min_ticks}")
 
 
 @dataclass
@@ -318,28 +391,6 @@ class RunPlan:
     messages_csv: bool = False
 
 
-def _node_id_problems(ids: list, path: str) -> list[str]:
-    """A diagnostic for each entry of ``ids`` that is a YAML collection, not a node id."""
-    return [
-        f"{path}[{i}]: expected a scalar node id, got {v!r}"
-        for i, v in enumerate(ids) if isinstance(v, (list, Mapping, set))
-    ]
-
-
-def _file_name_problems(ids: list) -> list[str]:
-    """A diagnostic for each node id whose text cannot be part of its output
-    file names: with a '/' or NUL, not UTF-8, or too long for a file name."""
-    bad = []
-    for i, v in enumerate(ids):
-        try:
-            name = f"mc_node_{v}.csv".encode()  # the longest name made from an id
-        except UnicodeEncodeError:
-            name = b"/"  # rejected like a '/'
-        if b"/" in name or b"\0" in name or len(name) > 255:
-            bad.append(f"topology.nodes[{i}]: node id {v!r} cannot be part of a file name")
-    return bad
-
-
 def validate_config(cfg: Mapping) -> list[str]:
     """Return one human-readable diagnostic per problem (empty when usable)."""
     try:
@@ -350,175 +401,60 @@ def validate_config(cfg: Mapping) -> list[str]:
 
 
 def build_plan(cfg: Mapping) -> RunPlan:
-    """Turn a parsed config mapping into a RunPlan, or raise ConfigError."""
+    """Turn a parsed config mapping into a RunPlan, or raise ConfigError.
+
+    ``_read`` checks every key by its row of ``_KEYS``; the rules between
+    keys follow, each written once.
+    """
     diags: list[str] = []
-    for key in sorted(set(cfg) - _KNOWN_KEYS):
-        diags.append(f"{key}: unknown field")
-
-    name = _want(cfg, "name", str, diags, required=True)
-    _want(cfg, "description", str, diags)
-    seed = _want(cfg, "seed", int, diags, default=0)
-    if seed < 0:
-        diags.append(f"seed: expected a non-negative integer, got {seed}")
-    snr_db = cfg.get("snr_db")
-    if snr_db is not None and _finite(snr_db) is None:
-        diags.append(f"snr_db: expected a finite number or null, got {snr_db!r}")
-    snr_db = _finite(snr_db)
-    if snr_db is not None and snr_db < MIN_SNR_DB:
-        diags.append(f"snr_db: {snr_db} dB is below {MIN_SNR_DB}, where noise variances overflow")
-    fs = _want(cfg, "sample_rate_hz", float, diags, default=1000.0)
-    duration_s = _want(cfg, "duration_s", float, diags, required=True)
-    if duration_s is not None and not abs(duration_s * fs) <= MAX_SAMPLES:
-        diags.append(f"duration_s: {duration_s} s at {fs} Hz is more than {MAX_SAMPLES} samples")
+    v = _read(cfg, "", "", diags, cfg.get("estimator"))
+    fs, duration_s = v.get("sample_rate_hz"), v.get("duration_s")
+    if fs and duration_s and not duration_s * fs <= MAX_SAMPLES:
+        _bad(diags, "duration_s", f"{duration_s} s at {fs} Hz is more than {MAX_SAMPLES} samples")
         duration_s = None
-    elif duration_s is not None and min(duration_s, fs) > 0 and round(duration_s * fs) < 1:
-        diags.append(f"duration_s: {duration_s} s at {fs} Hz is less than 1 sample")
-    estimator = _want(cfg, "estimator", str, diags, required=True)
-    if estimator is not None and estimator not in _ESTIMATORS:
-        diags.append(f"estimator: unknown estimator {estimator!r}, expected one of {_ESTIMATORS}")
-    networked = estimator in _NETWORK_ESTIMATORS
-
-    scenario = None
-    if "scenario" not in cfg:
-        diags.append("scenario: required")
-    else:
-        scenario = _build_scenario(cfg["scenario"], "scenario", fs, duration_s, diags)
-
-    for key in ("node_scenarios", "topology", "bridges", "weights", "mse", "messages_csv"):
-        if key in cfg and not networked:
-            diags.append(f"{key}: only meaningful for network estimators {_NETWORK_ESTIMATORS}")
-    for key in ("filter", "spectrum"):
-        if key in cfg and networked:
-            diags.append(f"{key}: only meaningful for single-node estimators")
+    elif fs and duration_s and round(duration_s * fs) < 1:
+        _bad(diags, "duration_s", f"{duration_s} s at {fs} Hz is less than 1 sample")
+    scenario = _scenario(v.get("scenario"), "scenario", fs, duration_s, diags)
+    node_scenarios = {n: _scenario(sc, f"node_scenarios[{n}]", fs, duration_s, diags)
+                      for n, sc in (v.get("node_scenarios") or {}).items()}
 
     topology = assignment = weights = None
-    node_scenarios = {}
-    mse_window = None
-    mse_theory = False
-    clean = len(diags)
-    diffusion = _want(cfg, "diffusion", str, diags, default="bridge")
-    if diffusion not in _DIFFUSIONS:
-        diags.append(f"diffusion: unknown mode {diffusion!r}, expected one of {_DIFFUSIONS}")
+    top, w, diffusion = v.get("topology") or {}, v.get("weights") or {}, v.get("diffusion")
+    if top.get("nodes") is not None and top.get("edges") is not None:
+        diags += [f"topology.nodes[{i}]: node id {n!r} cannot be part of a file name"
+                  for i, n in enumerate(top["nodes"]) if not _file_name_ok(f"mc_node_{n}.csv")]
+        topology = _built(diags, "topology", Topology, top["nodes"], top["edges"])
+    if topology is not None and not topology.is_connected:
+        _bad(diags, "topology.edges", "the graph is not connected, so its parts never mix")
+    if topology is not None:  # a node scenario that was built names a topology node
+        built = {n for n, sc in node_scenarios.items() if sc is not None}
+        for node in sorted(built - set(topology.node_ids), key=str):
+            _bad(diags, f"node_scenarios[{node}]", "node not in topology")
+    if "bridges" in v and diffusion in ("conventional", "none"):
+        _bad(diags, "bridges", f"diffusion {diffusion} reads no bridges")
+    elif topology is not None and v.get("bridges") is not None:
+        assignment = _built(diags, "bridges", BridgeAssignment, topology, v["bridges"])
+    if w.get("beta") is not None and w.get("gamma") is not None:
+        weights = _built(diags, "weights", DiffusionWeights, w["beta"], w["gamma"])
+    if (topology is not None and topology.is_connected and diffusion is not None
+            and (assignment or "bridges" not in v) and (weights or "weights" not in v)):
+        _built(diags, "weights", _mixing, topology, assignment, weights, diffusion)
 
-    if networked:
-        if "topology" not in cfg:
-            diags.append("topology: required for network estimators")
-        else:
-            raw = cfg["topology"]
-            if (
-                not isinstance(raw, Mapping)
-                or not isinstance(raw.get("nodes"), list)
-                or not isinstance(raw.get("edges"), list)
-            ):
-                diags.append("topology: expected a mapping with nodes and edges lists")
-            elif bad := _node_id_problems(raw["nodes"], "topology.nodes") + [
-                f"topology.edges[{i}]: expected a pair of node ids, got {e!r}"
-                for i, e in enumerate(raw["edges"])
-                if not (isinstance(e, list) and len(e) == 2 and not _node_id_problems(e, ""))
-            ]:
-                diags += bad
-            else:
-                diags += _file_name_problems(raw["nodes"])
-                try:
-                    topology = Topology(raw["nodes"], [tuple(e) for e in raw["edges"]])
-                except (ValueError, TypeError) as exc:
-                    diags.append(f"topology: {exc}")
-        if topology is not None and not topology.is_connected:
-            diags.append("topology.edges: the graph is not connected, so its parts never mix")
-        if "bridges" in cfg and diffusion in ("conventional", "none"):
-            diags.append(f"bridges: diffusion {diffusion} reads no bridges")
-        elif topology is not None and "bridges" in cfg:
-            if not isinstance(cfg["bridges"], list):
-                diags.append(f"bridges: expected a list of node ids, got {cfg['bridges']!r}")
-            elif bad := _node_id_problems(cfg["bridges"], "bridges"):
-                diags += bad
-            else:
-                try:
-                    assignment = BridgeAssignment(topology, cfg["bridges"])
-                except (ValueError, TypeError) as exc:
-                    diags.append(f"bridges: {exc}")
-        if "weights" in cfg:
-            weights = _build_weights(cfg["weights"], "weights", diags)
-        if len(diags) == clean:  # diffusion, topology, bridges and weights all parsed
-            try:
-                _mixing(topology, assignment, weights, diffusion)
-            except DistributedConfigError as exc:
-                diags.append(f"weights: {exc}")
-        if "node_scenarios" in cfg:
-            raw = cfg["node_scenarios"]
-            if not isinstance(raw, Mapping):
-                diags.append("node_scenarios: expected mapping node -> scenario")
-            else:
-                for node, sub in raw.items():
-                    sc = _build_scenario(sub, f"node_scenarios[{node}]", fs, duration_s, diags)
-                    if sc is not None:
-                        node_scenarios[node] = sc
-                if topology is not None:
-                    for node in sorted(set(node_scenarios) - set(topology.node_ids), key=str):
-                        diags.append(f"node_scenarios[{node}]: node not in topology")
-        if "mse" in cfg:
-            raw = cfg["mse"]
-            if not isinstance(raw, Mapping) or set(raw) - {"window_s", "theory"}:
-                diags.append("mse: expected mapping with window_s and optional theory")
-            else:
-                mse_window = _window(raw.get("window_s"), "mse.window_s", fs, scenario, 1, diags)
-                mse_theory = raw.get("theory", False)
-                if not isinstance(mse_theory, bool):
-                    diags.append(f"mse.theory: expected true or false, got {mse_theory!r}")
-                elif mse_theory and scenario is not None and scenario.n_samples < 2:
-                    diags.append(
-                        f"mse.theory: needs a run of at least 2 samples, got {scenario.n_samples}"
-                    )
-
-    filter_overrides = {}
-    if "filter" in cfg and not networked:
-        raw = cfg["filter"]
-        allowed = {"increment_process_noise", "voltage_process_noise"}
-        if not isinstance(raw, Mapping) or set(raw) - allowed:
-            diags.append(f"filter: expected mapping with keys among {sorted(allowed)}")
-        else:
-            for key, val in raw.items():
-                val = _finite(val)
-                if val is None or val <= 0:
-                    diags.append(f"filter.{key}: expected a positive number")
-                else:
-                    filter_overrides[key] = val
-
-    spectrum_window = None
-    if "spectrum" in cfg and not networked:
-        raw = cfg["spectrum"]
-        if not isinstance(raw, Mapping) or set(raw) != {"window_s"}:
-            diags.append("spectrum: expected mapping with window_s: [start_s, stop_s]")
-        else:
-            spectrum_window = _window(
-                raw["window_s"], "spectrum.window_s", fs, scenario, SPECTRUM_MIN_TICKS, diags
-            )
-
-    output_dir = _want(cfg, "output_dir", str, diags)
-    messages_csv = cfg.get("messages_csv", False)
-    if not isinstance(messages_csv, bool):
-        diags.append(f"messages_csv: expected true or false, got {messages_csv!r}")
-
+    mse, spectrum = v.get("mse") or {}, v.get("spectrum") or {}
+    _check_window(mse.get("window_s"), "mse.window_s", fs, scenario, 1, diags)
+    _check_window(spectrum.get("window_s"), "spectrum.window_s", fs, scenario,
+                  SPECTRUM_MIN_TICKS, diags)
+    if mse.get("theory") and scenario is not None and scenario.n_samples < 2:
+        _bad(diags, "mse.theory", f"needs a run of at least 2 samples, got {scenario.n_samples}")
     if diags:
         raise ConfigError(diags)
     return RunPlan(
-        name=name,
-        estimator=estimator,
-        seed=int(seed),
-        snr_db=snr_db,
-        sample_rate_hz=fs,
-        scenario=scenario,
-        node_scenarios=node_scenarios,
-        topology=topology,
-        assignment=assignment,
-        weights=weights,
-        diffusion=diffusion,
-        filter_overrides=filter_overrides,
-        mse_window_s=mse_window,
-        mse_theory=mse_theory,
-        spectrum_window_s=spectrum_window,
-        output_dir=output_dir,
-        messages_csv=messages_csv,
+        name=v["name"], estimator=v["estimator"], seed=v["seed"], snr_db=v.get("snr_db"),
+        sample_rate_hz=fs, scenario=scenario, node_scenarios=node_scenarios,
+        topology=topology, assignment=assignment, weights=weights, diffusion=diffusion,
+        filter_overrides=v["filter"], mse_window_s=mse.get("window_s"),
+        mse_theory=mse.get("theory", False), spectrum_window_s=spectrum.get("window_s"),
+        output_dir=v.get("output_dir"), messages_csv=v["messages_csv"],
     )
 
 

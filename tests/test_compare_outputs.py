@@ -1,10 +1,12 @@
 """``tools/compare_outputs.py``: its config files validate, and its exit status reports
-any output difference."""
+any output difference, and any verdict change or new text among the diagnostics."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+import test_cli
+import yaml
 
 from gridfreq.cli import main
 
@@ -37,9 +39,61 @@ def test_exit_status(tmp_path, monkeypatch, capsys, change_files, status):
             (out / name).write_bytes(data)
 
     monkeypatch.setattr(tool, "run", run)
+    monkeypatch.setattr(tool, "diagnostics", lambda checkout, configs: [[]] * len(configs))
     assert tool.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == status
     report = capsys.readouterr().out
     assert report.count("byte-identical") == len(tool.CONFIGS)
+
+
+PARENT_DIAGNOSTICS = [[], ["a: unknown field"], ["b: required", "c: required"]]
+
+
+@pytest.mark.parametrize(
+    "change_diagnostics, status, line",
+    [
+        (PARENT_DIAGNOSTICS, 0, "0 verdict changes, 0 new texts, 0 dropped texts"),
+        ([["a: unknown field"], *PARENT_DIAGNOSTICS[1:]], 1, "verdict      1  accepted -> rejected"),
+        ([[], ["a: unknown field"], ["b: required", "c[3]: x 2"]], 1, "new      1  c[]: x #"),
+        ([[], ["a: unknown field"], ["b: required"]], 0, "dropped      1  c: required"),
+    ],
+    ids=["identical", "verdict", "new-text", "dropped-text"],
+)
+def test_diagnostics_exit_status(monkeypatch, capsys, tmp_path, change_diagnostics, status, line):
+    tool = load_tool()
+
+    def run(checkout, config, extra, seed, out):
+        out.mkdir()
+        for name, data in PARENT_FILES.items():
+            (out / name).write_bytes(data)
+
+    def diagnostics(checkout, configs):
+        return PARENT_DIAGNOSTICS if checkout.name == "parent" else change_diagnostics
+
+    monkeypatch.setattr(tool, "run", run)
+    monkeypatch.setattr(tool, "corpus", lambda: [{}] * len(PARENT_DIAGNOSTICS))
+    monkeypatch.setattr(tool, "diagnostics", diagnostics)
+    assert tool.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == status
+    assert line in capsys.readouterr().out
+
+
+def test_corpus_mutates_every_config_file():
+    # each file as it is, each leaf replaced by every odd and near value, each key
+    # deleted, an unknown key added to each mapping, and each estimator swapped in
+    tool = load_tool()
+    configs = tool.corpus()
+    files = [yaml.safe_load(f.read_bytes()) for f in tool.CORPUS_FILES]
+    assert len(files) >= 8
+    assert all(cfg in configs for cfg in files)
+    assert sum(cfg.get("estimator") == "bogus" for cfg in configs) == len(files)
+    assert sum("zz_unknown" in cfg for cfg in configs) == len(files)
+    assert sum("name" not in cfg for cfg in configs) == len(files)
+    odd = tool.ODD_VALUES + tool.NEAR_VALUES
+    names = [cfg["name"] for cfg in configs if "name" in cfg]
+    assert all(any(repr(n) == repr(v) for n in names) for v in odd)
+
+
+def test_odd_values_are_the_fuzzers():
+    assert repr(load_tool().ODD_VALUES) == repr(test_cli.ODD_VALUES)
 
 
 def test_every_config_file_validates(monkeypatch, capsys):

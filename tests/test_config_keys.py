@@ -1,0 +1,150 @@
+"""The config key table: the README's config reference lists its keys, and the
+rules it holds for names, positive numbers and which estimators read a key."""
+
+import re
+from pathlib import Path
+
+import pytest
+import yaml
+
+from gridfreq.cli import _KEYS, load_config, main, validate_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+QUICK_SINGLE = """
+name: quick_single
+estimator: lss
+duration_s: 0.3
+scenario:
+  segments:
+    - {start_s: 0.0, end_s: 0.3, freq_hz: 50.0}
+"""
+
+QUICK_NETWORK = """
+name: quick_net
+estimator: dfe
+duration_s: 0.25
+topology:
+  nodes: [1, 2, 3]
+  edges: [[1, 2], [2, 3]]
+scenario:
+  segments:
+    - {start_s: 0.0, end_s: 0.25, freq_hz: 50.0}
+"""
+
+#: mappings whose keys are node ids, not config keys
+NODE_ROWS = ("node_scenarios", "weights.beta", "weights.gamma")
+
+
+def dotted_keys(node, path=""):
+    """The dotted path of every key in a config, a list of mappings' items as ``[]``."""
+    if isinstance(node, dict) and path not in NODE_ROWS:
+        for key, sub in node.items():
+            at = f"{path}.{key}" if path else key
+            yield at
+            yield from dotted_keys(sub, at)
+    elif isinstance(node, list) and node and all(isinstance(x, dict) for x in node):
+        yield path + "[]"
+        for item in node:
+            yield from dotted_keys(item, path + "[]")
+
+
+def test_readme_config_reference_lists_the_table_keys():
+    text = README.read_text()
+    block = re.search(r"### Config format\n\n```yaml\n(.*?)```", text, re.S).group(1)
+    assert set(dotted_keys(yaml.safe_load(block))) == set(_KEYS)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["{out}/escaped", "a/b", "a\\0b", ".", "..", "", "\\ud800", "x" * 242],
+    ids=["absolute", "slash", "nul", "dot", "dot-dot", "empty", "not-utf8", "too-long"],
+)
+def test_name_must_be_one_path_component(tmp_path, monkeypatch, capsys, name):
+    # the output directory is $GRIDFREQ_OUT_DIR/<name>, or <name>_out without it
+    name = name.format(out=tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(QUICK_SINGLE.replace("name: quick_single", f'name: "{name}"'))
+    monkeypatch.setenv("GRIDFREQ_OUT_DIR", str(tmp_path / "o"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", str(cfg)]) == 1
+    (diag,) = capsys.readouterr().out.splitlines()
+    assert diag.startswith("name: ") and "cannot name the output directory" in diag
+    assert main(["run", str(cfg)]) == 2
+    assert f"config error: {diag}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+def test_longest_name_runs(tmp_path, monkeypatch):
+    # the staging directory .<name>_out.XXXXXXXX is 255 bytes, the longest file name
+    name = "x" * 241
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(QUICK_SINGLE.replace("quick_single", name))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(cfg)]) == 0
+    assert (tmp_path / f"{name}_out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["sample_rate_hz", "duration_s"])
+@pytest.mark.parametrize("value", [-1, 0])
+def test_non_positive_rate_or_duration_reported_once(key, value):
+    # two node scenarios used to repeat it per scenario, with Nyquist and window cascades
+    cfg, _ = load_config("experiment4_network7_mixed")
+    cfg["node_scenarios"][2] = cfg["node_scenarios"][1]
+    cfg[key] = value
+    assert validate_config(cfg) == [f"{key}: must be positive, got {float(value)}"]
+
+
+@pytest.mark.parametrize(
+    "text, diagnostics",
+    [
+        (
+            QUICK_NETWORK.replace("edges: [[1, 2], [2, 3]]", "edges: [[1, 2], [2, 3]]\n  zz: 1"),
+            ["topology.zz: unknown field"],
+        ),
+        (
+            QUICK_SINGLE + "diffusion: conventional\n",
+            ["diffusion: only meaningful for network estimators ('dfe', 'distributed-acekf')"],
+        ),
+        (
+            QUICK_NETWORK.replace("estimator: dfe", "estimator: 3"),
+            ["estimator: expected str, got int"],
+        ),
+        (
+            QUICK_NETWORK.replace("estimator: dfe", "estimator: dfee") + "filter: 3\n",
+            [
+                "estimator: unknown estimator 'dfee', expected one of"
+                " ('lss', 'wlss', 'nss', 'dfe', 'distributed-acekf')",
+                "filter: expected mapping with keys among"
+                " ['increment_process_noise', 'voltage_process_noise']",
+            ],
+        ),
+    ],
+    ids=["topology-unknown-field", "diffusion-single-node", "estimator-int", "estimator-typo"],
+)
+def test_scope_gaps_closed(text, diagnostics):
+    # applicability is checked only against a known estimator; under an unknown
+    # one every key the config names is still checked
+    assert validate_config(yaml.safe_load(text)) == diagnostics
+
+
+@pytest.mark.parametrize(
+    "key, value, diagnostics",
+    [
+        ("topology", 5, ["topology: expected a mapping with nodes and edges lists"]),
+        ("topology", {}, ["topology.nodes: required", "topology.edges: required"]),
+        ("topology", {"nodes": 5, "edges": []},
+         ["topology.nodes: expected a list of node ids, got 5"]),
+        ("topology", {"nodes": [1], "edges": 5},
+         ["topology.edges: expected a list of node id pairs, got 5"]),
+        ("weights", {"beta": {}}, ["weights.gamma: required"]),
+        ("mse", {"theory": True}, ["mse.window_s: expected [start_s, stop_s] in finite numbers"]),
+        ("mse", 5, ["mse: expected mapping with window_s and optional theory"]),
+    ],
+    ids=["topology-scalar", "topology-empty", "nodes-scalar", "edges-scalar", "weights-no-beta",
+         "mse-no-window", "mse-scalar"],
+)
+def test_mapping_problems_named_by_key(key, value, diagnostics):
+    cfg = yaml.safe_load(QUICK_NETWORK)
+    cfg[key] = value
+    assert validate_config(cfg) == diagnostics
