@@ -187,6 +187,10 @@ _seed = _kind(lambda v: isinstance(v, int) and not isinstance(v, bool), "expecte
 _name = _kind(*_IS_STR, lambda v: _file_name_ok(v) and _file_name_ok(f".{v}_out.XXXXXXXX"),
               "{v!r} cannot name the output directory: it must be one path component"
               " of at most 241 UTF-8 bytes, not '.' or '..'")
+# an output_dir or --out-dir path is written through a sibling .<last component>.XXXXXXXX
+_out_dir = _kind(*_IS_STR, lambda v: _file_name_ok(f".{Path(v).name}.XXXXXXXX"),
+                 "{v!r} cannot name the output directory: its last path component"
+                 " must be at most 245 UTF-8 bytes, without NUL")
 _estimator = _kind(*_IS_STR, lambda v: v in _ESTIMATORS,
                    f"unknown estimator {{v!r}}, expected one of {_ESTIMATORS}")
 _diffusion = _kind(*_IS_STR, lambda v: v in _DIFFUSIONS,
@@ -288,7 +292,7 @@ _KEYS = {
     "mse.window_s": (_window, _Required(_WINDOW), _NET),
     "mse.theory": (_bool, False, _NET),
     "messages_csv": (_bool, False, _NET),
-    "output_dir": (_str, None, _ANY),
+    "output_dir": (_out_dir, None, _ANY),
 }
 
 
@@ -663,8 +667,12 @@ def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b
     Nothing is written before every output is computed.  The files are
     written into a sibling temporary directory and moved into out_dir only
     once all of them are written; if writing raises, the temporary directory
-    and the directories this call created are removed again.
+    and the directories this call created are removed again.  An out_dir
+    whose last component leaves no room for the temporary directory's name
+    raises :class:`ConfigError` before anything runs.
     """
+    if _out_dir(str(out_dir), "out_dir", diags := []) is None:
+        raise ConfigError(diags)
     seed = plan.seed if seed is None else int(seed)
     simulate = _run_single if plan.estimator in _SINGLE_FACTORIES else _run_network
     tables = simulate(plan, seed, n_seeds)

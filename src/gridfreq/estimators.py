@@ -20,20 +20,19 @@ half x and every covariance and gain as its top block row, so the conjugate
 block structure holds by construction.  A model declares its Jacobian
 ``[A11 A12]`` and its one observation row as their nonzero *terms*, ``(row,
 augmented column, value)`` and ``(augmented column, value)``, where a value
-is a Python scalar or a batch array.  States, covariances and observations
-may carry leading batch dimensions, which is how :func:`run_filter` steps
-every seed at once.
+is a Python scalar or a batch array.
 
-Inside the step the blocks are plain arrays laid out batch-last, entries
-first and the batch flattened into one last axis, and every product is a
-sum over terms of elementwise operations, each one contiguous pass over the
-batch: numpy's stacked complex ``@`` pays a fixed cost per small matrix.
+States, covariances, gains and observations are plain arrays in one layout,
+entries first and the batch flattened into one last axis of ``rows``: the
+state is (n, rows), a covariance's top block row (n, 2n, rows).  Every
+product is a sum over terms of elementwise operations, each one pass over
+the batch: numpy's stacked complex ``@`` pays a fixed cost per small matrix.
 The ``nss`` Jacobian has 5 nonzeros out of 18 and the shared-increment
 model's is the identity, so the prior ``A M A^H`` is a handful of row
 combinations, and ``H P``, ``S``, the gain, the innovation and ``K H P``
 are sums and outer products along the observation row.  Both drivers build
 one :class:`_StepPlan` per model for a run and carry each filter between
-ticks as plain arrays, the state batch-first and the covariance batch-last.
+ticks as the arrays its step left.
 A step's cost is a count of array operations, each about 1 us of numpy
 call overhead at a batch of one row per node, (1, 7), whatever its size:
 about 70 ufunc, copy and allocation calls and as many views for ``nss``,
@@ -88,20 +87,20 @@ class FilterDegenerateError(RuntimeError):
 class StateSpaceModel:
     """Bundle of model functions consumed by the engine step.
 
-    The functions take top halves x of shape (..., n).  ``f_a`` returns the
-    predicted top half.  ``jacobian_A`` returns the nonzero entries of the
-    Wirtinger derivatives ``[df/dx  df/dconj(x)]``, an n x 2n row of blocks,
-    as ``(row, augmented column, value)`` terms.  ``observe_H`` is the one
+    The functions take top halves x (n, rows) and read entry i as ``x[i]``.
+    ``f_a`` returns the predicted top half.  ``jacobian_A`` returns the
+    nonzero entries of the Wirtinger derivatives ``[df/dx  df/dconj(x)]``,
+    an n x 2n row of blocks, as ``(row, augmented column, value)`` terms.  ``observe_H`` is the one
     complex observation as ``(augmented column, value)`` terms, or None for
     a model whose row is passed to the step every tick.  A value is a
-    Python scalar or an array of the batch shape; an augmented column c < n
-    reads x[c], and c >= n reads conj(x[c - n]).  ``extract_freq`` reads the
+    Python scalar or an array (rows,); an augmented column c < n reads
+    x[c], and c >= n reads conj(x[c - n]).  ``extract_freq`` reads the
     frequency and flags off a top half.  ``Cu`` and ``Cn`` are the top
     block rows ``[B11 B12]`` of the process- and observation-noise
     covariances, (n, 2n) and (1, 2).  ``initial_state`` maps the first
-    observation (one per batch row) to the start ``(x0, m0)`` at 50 Hz: the
-    state (*b, n) and the covariance's top block row (n, 2n).  A model's
-    term layout is fixed across calls: which ``(row, column)`` terms
+    observations (rows,) to the start ``(x0, m0)`` at 50 Hz: the state
+    (n, rows) and the covariance's top block row (n, 2n) of every row.  A
+    model's term layout is fixed across calls: which ``(row, column)`` terms
     ``jacobian_A`` returns, which values are arrays and the scalar values.
     """
 
@@ -115,37 +114,17 @@ class StateSpaceModel:
     initial_state: Callable[[np.ndarray], tuple]
 
 
-def _batch_last(a: np.ndarray, k: int, batch: tuple) -> np.ndarray:
-    """A batch-first ``(*b, e_1..e_k)`` array, k = 1 or 2, as ``(e_1..e_k, rows)``.
-
-    ``b`` is flattened into the one last axis of ``rows`` = prod(batch)
-    entries; an array without batch axes gets a unit axis that broadcasts,
-    and any other ``b`` is broadcast to ``batch``.  The result is a view
-    wherever the memory allows, as it does for the step's own outputs.
-    """
-    d = a.ndim - k
-    if d == 0:
-        return a[..., None]
-    if a.shape[:d] != batch:
-        a = np.broadcast_to(a, batch + a.shape[d:])
-    return a.reshape((-1,) + a.shape[d:]).transpose((1, 0) if k == 1 else (1, 2, 0))
-
-
-def _batch_first(a: np.ndarray, batch: tuple) -> np.ndarray:
-    """The batch-first view ``(*batch, e_1..e_k)`` of a batch-last ``(e_1..e_k, rows)`` array."""
-    a = a.transpose((1, 0) if a.ndim == 2 else (2, 0, 1))
-    return a if len(batch) == 1 else a.reshape(batch + a.shape[1:])
-
-
-#: what one step leaves: the posterior ``x`` (*batch, n); batch-last, the
+#: what one step leaves, batch-last: the posterior ``x`` (n, rows), the
 #: innovation ``innov`` and the top block rows of the posterior ``m``, the
 #: gain ``k`` and the prior ``p``; and the step's ``H`` and ``A`` terms
 _Stepped = namedtuple("_Stepped", "x m innov k p H A")
 
 
-def _row_of(v: np.ndarray, batch: tuple) -> np.ndarray:
-    """An array term value of the batch shape, or one that broadcasts to it, as (1, rows)."""
-    return v.reshape(1, -1) if v.shape == batch else _batch_last(v[..., None], 1, batch)
+def _factors(h: tuple) -> list:
+    """Observation terms as (column, factor, factor against an entry): None for
+    a unit, a scalar as it is, an array value (rows,) as (1, rows) and (rows,)."""
+    return [(c, v[None], v) if isinstance(v, np.ndarray) else (c,) + (None if v == 1 else v,) * 2
+            for c, v in h]
 
 
 def _conj_swapped(a: np.ndarray) -> np.ndarray:
@@ -162,15 +141,8 @@ class _StepPlan:
         self.model, self.batch, self.rows = model, batch, math.prod(batch)
         self.cu = np.broadcast_to(model.Cu[..., None], model.Cu.shape + (self.rows,)).copy()
         self.cn = np.broadcast_to(model.Cn[0, :, None], (2, self.rows)).copy()  # 1 x 1 blocks
-        self.h = None if model.observe_H is None else self._factors(model.observe_H)
+        self.h = None if model.observe_H is None else _factors(model.observe_H)
         self.terms = None
-
-    def _factors(self, h: tuple) -> list:
-        """Observation terms as (column, factor, factor against an entry): None
-        for a unit, a scalar as it is, an array as (1, rows) and (rows,)."""
-        ws = [_row_of(v, self.batch) if isinstance(v, np.ndarray) else None if v == 1 else v
-              for _, v in h]
-        return [(c, w, w[0] if isinstance(w, np.ndarray) else w) for (c, _), w in zip(h, ws)]
 
     def _program(self, a: tuple, n: int) -> None:
         """Resolve the layout of the Jacobian terms ``a``, the same at every call:
@@ -205,11 +177,10 @@ class _StepPlan:
     def step(self, x: np.ndarray, m: np.ndarray, y: np.ndarray, h: tuple | None = None):
         """One predict/correct cycle of every row; returns a :class:`_Stepped`.
 
-        ``x`` (*b, n) is batch-first as the model functions read it, ``b``
-        broadcasting to the plan's batch; ``[M11 M12]`` ``m`` (n, 2n, rows)
-        and ``y`` (1, rows) are batch-last, read through views.  ``h`` is the
-        observation row as ``(augmented column, value)`` terms, by default
-        the model's own.
+        ``x`` (n, rows), ``[M11 M12]`` ``m`` (n, 2n, rows) and ``y`` (1, rows)
+        are read through views, in any memory layout; a last axis of 1
+        broadcasts to the plan's rows.  ``h`` is the observation row as
+        ``(augmented column, value)`` terms, by default the model's own.
 
         The prior's top block row ``[P11 P12] = [A11 A12] M_full A_full^H``
         is two passes of the term program, with no product of full
@@ -233,13 +204,13 @@ class _StepPlan:
         memory layout of its inputs.
         """
         model, batch, rows, n = self.model, self.batch, self.rows, m.shape[0]
-        x_pred = _batch_last(model.f_a(x), 1, batch)
+        x_pred = model.f_a(x)
         a = model.jacobian_A(x)
         if self.terms is None:
             self._program(a, n)
         for slot, i in zip(self.w, self.arrays):
-            slot[...] = _row_of(a[i][2], batch)
-        h_rows = self.h if h is None else self._factors(h)
+            slot[...] = a[i][2]
+        h_rows = self.h if h is None else _factors(h)
 
         b = self._term_sums(m, n)  # M_full is [m; conj_swapped(m)]
         # row c of [conj(B)^T  B_swapped^T]: column c of conj(B), then column c -/+ n of B
@@ -296,7 +267,7 @@ class _StepPlan:
         post += t
         post *= 0.5
         h = model.observe_H if h is None else h
-        return _Stepped(_batch_first(x_post, batch), post, innov, gain, p, h, a)
+        return _Stepped(x_post, post, innov, gain, p, h, a)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +302,7 @@ def _start(sample_rate_hz: float, entries: str) -> Callable:
         v0 = np.asarray(first_obs, dtype=complex)
         known = {"x": np.full_like(v0, _nominal_increment(sample_rate_hz)), "v": v0,
                  "0": np.zeros_like(v0)}
-        x0 = np.stack([known[e] for e in entries], axis=-1)
+        x0 = np.stack([known[e] for e in entries])
         return x0, _diagonal(np.full(len(entries), 0.1))
 
     return initial_state
@@ -341,7 +312,7 @@ def _angle_freq(sample_rate_hz: float) -> Callable:
     two_pi_dt = 2.0 * math.pi / sample_rate_hz
 
     def extract(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inc = x[..., 0]
+        inc = x[0]
         zero = inc == 0
         return np.where(zero, np.nan, np.angle(inc) / two_pi_dt), zero * FLAG_ZERO_INCREMENT
 
@@ -363,10 +334,10 @@ def lss_model(
     cu, cn = _noise_matrices([increment_process_noise, voltage_process_noise], snr_db)
 
     def f_a(x: np.ndarray) -> np.ndarray:
-        return np.stack([x[..., 0], x[..., 0] * x[..., 1]], axis=-1)
+        return np.stack([x[0], x[0] * x[1]])
 
     def jacobian(x: np.ndarray) -> tuple:
-        return (0, 0, 1.0), (1, 0, x[..., 1]), (1, 1, x[..., 0])
+        return (0, 0, 1.0), (1, 0, x[1]), (1, 1, x[0])
 
     return StateSpaceModel(
         name="lss", f_a=f_a, jacobian_A=jacobian,
@@ -394,19 +365,16 @@ def wlss_model(
     two_pi_dt = 2.0 * math.pi / sample_rate_hz
 
     def f_a(x: np.ndarray) -> np.ndarray:
-        v = x[..., 2]
-        return np.stack([x[..., 0], x[..., 1], x[..., 0] * v + x[..., 1] * np.conj(v)], axis=-1)
+        v = x[2]
+        return np.stack([x[0], x[1], x[0] * v + x[1] * np.conj(v)])
 
     def jacobian(x: np.ndarray) -> tuple:
-        v = x[..., 2]
-        return (
-            (0, 0, 1.0), (1, 1, 1.0), (2, 0, v), (2, 1, np.conj(v)),
-            (2, 2, x[..., 0]), (2, 5, x[..., 1]),
-        )
+        v = x[2]
+        return (0, 0, 1.0), (1, 1, 1.0), (2, 0, v), (2, 1, np.conj(v)), (2, 2, x[0]), (2, 5, x[1])
 
     def extract(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h_im = x[..., 0].imag
-        radicand = h_im**2 - np.abs(x[..., 1]) ** 2
+        h_im = x[0].imag
+        radicand = h_im**2 - np.abs(x[1]) ** 2
         flags = np.where(radicand < 0, FLAG_SEQUENCE_DOMINANCE, 0)
         flags = flags | np.where(h_im < 0, FLAG_NEGATIVE_IM_H, 0)
         arg = np.sqrt(np.maximum(radicand, 0.0))
@@ -438,15 +406,15 @@ def nss_model(
     cu, cn = _noise_matrices([qi, qv, qv], snr_db)
 
     def f_a(x: np.ndarray) -> np.ndarray:
-        out, inc = np.empty_like(x), x[..., 0]
-        out[..., 0] = inc
-        np.multiply(inc, x[..., 1], out=out[..., 1])
-        np.multiply(np.conj(inc), x[..., 2], out=out[..., 2])
+        out, inc = np.empty_like(x), x[0]
+        out[0] = inc
+        np.multiply(inc, x[1], out=out[1])
+        np.multiply(np.conj(inc), x[2], out=out[2])
         return out
 
     def jacobian(x: np.ndarray) -> tuple:
-        inc = x[..., 0]
-        return (0, 0, 1.0), (1, 0, x[..., 1]), (1, 1, inc), (2, 2, np.conj(inc)), (2, 3, x[..., 2])
+        inc = x[0]
+        return (0, 0, 1.0), (1, 0, x[1]), (1, 1, inc), (2, 2, np.conj(inc)), (2, 3, x[2])
 
     return StateSpaceModel(
         name="nss", f_a=f_a, jacobian_A=jacobian,
@@ -552,15 +520,16 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
     block's tick t steps on the view ``block[t:t+1]``.  ``step(state, y)``
     advances every batch row one tick on y (1, rows) and returns ``(state,
     out, xs)``: its next state, the :class:`_Stepped` whose innovation is
-    kept and a tuple of posterior top halves (*batch, n), the frequency
-    read off the first; ``state`` and ``xs`` come in at tick 0.  Each tick
-    only buffers; frequencies, kept posteriors and innovation power are
-    written once per block of ticks.  Returns the estimates and ``uint8``
-    flags (*batch, ticks), the leading ``kept = min(detail, batch[0])`` rows
-    of each posterior (kept, *batch[1:], ticks, n) and of the innovation
-    power (kept, *batch[1:], ticks), None without kept rows, and the final
-    state.  A negative ``detail`` raises ValueError.  A degenerate step is
-    raised again as "tick k: <row_name(row)>: ..." with ``tick`` and ``row`` set.
+    kept and a tuple of posterior top halves (n, rows), the frequency read
+    off the first; ``state`` and ``xs`` come in at tick 0.  Each tick only
+    buffers, as (n, ticks, *batch); frequencies, kept posteriors and
+    innovation power are written once per block of ticks.  Returns the
+    estimates and ``uint8`` flags (*batch, ticks), the leading ``kept =
+    min(detail, batch[0])`` rows of each posterior (kept, *batch[1:], ticks,
+    n) and of the innovation power (kept, *batch[1:], ticks), None without
+    kept rows, and the final state.  A negative ``detail`` raises
+    ValueError.  A degenerate step is raised again as "tick k:
+    <row_name(row)>: ..." with ``tick`` and ``row`` set.
     """
     batch, n_ticks = shape[:-1], shape[-1]
     kept = min(int(detail), shape[0])
@@ -568,10 +537,10 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
         raise ValueError(f"detail must be at least 0, got {detail}")
     f_hat = np.empty(shape)
     flags = np.zeros(shape, dtype=np.uint8)
-    posts = [np.empty((kept,) + shape[1:] + x.shape[-1:], complex) if kept else None for x in xs]
+    posts = [np.empty((kept,) + shape[1:] + x.shape[:1], complex) if kept else None for x in xs]
     innov = np.zeros((kept,) + shape[1:]) if kept else None
     ticks = min(_EXTRACT_BLOCK_TICKS, n_ticks)
-    held = [np.empty((ticks,) + batch + x.shape[-1:], complex) for x in (xs if kept else xs[:1])]
+    held = [np.empty((len(x), ticks) + batch, complex) for x in (xs if kept else xs[:1])]
     innovs = np.zeros((ticks,) + batch, complex) if kept else None  # tick 0 has none
 
     for k, y in enumerate(block[i : i + 1] for block in blocks for i in range(len(block))):
@@ -586,14 +555,14 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
             if kept:
                 innovs[t] = out.innov[0].reshape(batch)
         for buf, x in zip(held, xs):
-            buf[t] = x  # an unbatched start serves every row
+            buf[:, t] = x.reshape((len(x),) + batch)
         if t == ticks - 1 or k == n_ticks - 1:
             done = slice(k - t, k + 1)
-            f, flag = (np.moveaxis(a, 0, -1) for a in extract(held[0][: t + 1]))
+            f, flag = (np.moveaxis(a, 0, -1) for a in extract(held[0][:, : t + 1]))
             f_hat[..., done], flags[..., done] = f, flag
             if kept:
                 for post, buf in zip(posts, held):
-                    post[..., done, :] = np.moveaxis(buf[: t + 1, :kept], 0, -2)
+                    post[..., done, :] = np.moveaxis(buf[:, : t + 1, :kept], (0, 1), (-1, -2))
                 innov[..., done] = np.moveaxis(np.abs(innovs[: t + 1, :kept]) ** 2, 0, -1)
     return f_hat, flags, posts, innov, state
 
@@ -631,7 +600,7 @@ def run_filter(
         return out[:2], out, (out.x,)
 
     f_hat, flags, (states,), innov, _ = _run_ticks(
-        step, (x0, _batch_last(m0, 2, plan.batch)), (x0,),
+        step, (x0, m0[..., None]), (x0,),
         (v[:, k0 : k0 + _OBS_BLOCK_TICKS].T for k0 in range(0, v.shape[1], _OBS_BLOCK_TICKS)),
         v.shape, model.extract_freq, detail, lambda row: f"row {row[0]}",
     )

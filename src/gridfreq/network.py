@@ -27,7 +27,6 @@ from .analysis import NetworkErrorState, initial_network_state, mse_block
 from .estimators import (
     FilterRun,
     FreqTrace,
-    _batch_last,
     _OBS_BLOCK_TICKS,
     _run_ticks,
     _Stepped,
@@ -346,9 +345,13 @@ def _mixing(
     return _Mixing(assignment, weights, gamma @ beta, tuple(bridges), beta, gamma, tuple(routes))
 
 
-def _diffuse_all(estimates: np.ndarray, mixing: _Mixing) -> np.ndarray:
-    """Run one diffusion round over (seeds, nodes, entries) posteriors."""
-    return estimates if mixing.matrix is None else mixing.matrix @ estimates
+def _diffuse_all(x: np.ndarray, mixing: _Mixing) -> np.ndarray:
+    """Run one diffusion round over (n, rows) posteriors, as a product with
+    their (seeds, nodes, n) view: the rows are (seeds, nodes) in C order."""
+    if mixing.matrix is None:
+        return x
+    n = len(x)
+    return (mixing.matrix @ x.T.reshape(-1, len(mixing.matrix), n)).reshape(-1, n).T
 
 
 #: ticks of seed row 0's diagnostics that the error recursion buffers per block step
@@ -375,16 +378,17 @@ class _TheoryBlock:
     def record(self, out: _Stepped) -> None:
         terms = out.H + out.A
         if self.gain is None:
-            shape = (self.ticks, len(self.state.node_ids))  # seed row 0: the first batch rows
+            shape = (self.ticks, len(self.state.node_ids))
             self.gain = np.empty(shape + out.k.shape[:2], dtype=complex)
             self.values = np.empty(shape + (len(terms),), dtype=complex)
             self.arrays = [i for i, (*_, v) in enumerate(terms) if isinstance(v, np.ndarray)]
             self.values[:] = [0 if i in self.arrays else v for i, (*_, v) in enumerate(terms)]
             self.keys, self.n_h = [term[:-1] for term in terms], len(out.H)
         t = self.filled
-        np.copyto(self.gain[t], out.k[..., : self.gain.shape[1]].transpose(2, 0, 1))
+        nodes = self.gain.shape[1]  # seed row 0: the first rows
+        np.copyto(self.gain[t], out.k[..., :nodes].transpose(2, 0, 1))
         for i in self.arrays:
-            self.values[t, :, i] = terms[i][-1][0]
+            self.values[t, :, i] = terms[i][-1][:nodes]
         self.filled += 1
         if self.filled == self.ticks:
             self._flush()
@@ -412,13 +416,14 @@ def _tick(
     """One synchronous round of the network, for every (seed, node) batch row.
 
     The auxiliary ``nss`` trackers of ``state = (aux, shared, errors)``,
-    each filter an ``(x, [M11 M12])`` pair, advance on the observations
-    ``y``.  In ``dfe`` mode the 2-dim shared filters are then corrected with
-    the observation row ``((0, v+), (1, v-))`` of the sequence-voltage
-    estimates standing *before* this tick.  Those are the values consistent
-    with the observation pairing v_k = v+_{k-1} x + v-_{k-1} conj(x); using
-    the refreshed posteriors instead would make the observation explain
-    itself and collapse the increment estimate toward 1.  The output
+    each filter an ``(x, [M11 M12])`` pair, (n, rows) and (n, 2n, rows),
+    advance on the observations ``y``.  In ``dfe`` mode the 2-dim shared
+    filters are then corrected with the observation row ``((0, v+), (1,
+    v-))`` of the sequence-voltage estimates standing *before* this tick.
+    Those are the values consistent with the observation pairing v_k =
+    v+_{k-1} x + v-_{k-1} conj(x); using the refreshed posteriors instead
+    would make the observation explain itself and collapse the increment
+    estimate toward 1.  The output
     filter's posteriors (the shared filters', or the trackers' own in
     full-state mode, where ``shared`` is None) then run through the
     diffusion, and that filter restarts from its combined value.  The error
@@ -433,7 +438,7 @@ def _tick(
     growing oscillation near 75 Hz).
     """
     aux, shared, errors = state
-    v_plus, v_minus = aux[0][..., 1], aux[0][..., 2]
+    v_plus, v_minus = aux[0][1], aux[0][2]
     out = aux = aux_plan.step(*aux, y)
     if shared is not None:
         out = shared_plan.step(*shared, y, ((0, v_plus), (1, v_minus)))
@@ -544,7 +549,9 @@ def run_distributed(
     comes from independent streams derived from (seed, node position), so a
     node's stream does not depend on which other nodes exist, and each seed
     row is exactly the run at that seed alone: paired comparisons across
-    modes can rely on common random numbers.  ``detail`` is the number of
+    modes can rely on common random numbers.  The filters step entries
+    first over the (seeds, nodes) rows in C order; the results are laid out
+    (seeds, nodes, ...).  ``detail`` is the number of
     leading seed rows (``True`` is 1) for which the run keeps the output
     filter's posterior top halves, before (``local_states``, whose seed row 0
     :meth:`DistributedRun.message_log` sends) and after the diffusion
@@ -579,8 +586,8 @@ def run_distributed(
         out_model = shared_increment_model(fs, snr_db=snr_db)
         plans.append(_StepPlan(out_model, batch))
     for i, plan in enumerate(plans):
-        x0, m0 = plan.model.initial_state(first[0].reshape(batch))
-        filters[i] = x0, _batch_last(m0, 2, plan.batch)
+        x0, m0 = plan.model.initial_state(first[0])
+        filters[i] = x0, m0[..., None]
     # through iter(), the first block is freed once the loop has passed it
     blocks, first = itertools.chain(iter([first]), blocks), None
 

@@ -20,13 +20,7 @@ import conftest
 from dense_reference import full
 from gridfreq.analysis import error_spectrum
 from gridfreq.cli import main as cli_main
-from gridfreq.estimators import (
-    _batch_first,
-    lss_model,
-    nss_model,
-    run_filter,
-    wlss_model,
-)
+from gridfreq.estimators import lss_model, nss_model, run_filter, wlss_model
 from gridfreq.network import (
     BridgeAssignment,
     Topology,
@@ -275,7 +269,7 @@ def test_08_single_node_recursion_matches_filter(theory_log):
     assert len(theory_log) == scn.n_samples - 1
     worst = 0.0
     for diag, state in theory_log:
-        m_post = full(_batch_first(diag.m, diag.x.shape[:-1]))[0, 0]
+        m_post = full(diag.m[..., 0])
         worst = max(worst, float(np.max(np.abs(state.sigma(1) - m_post))))
     _verdict(
         8,

@@ -4,11 +4,12 @@ import dataclasses
 import math
 import numpy as np
 import pytest
-from dense_reference import full, jacobian
+from dense_reference import complex_normal, full, jacobian
 
 import gridfreq.network
 from gridfreq.analysis import (
     AnalysisError,
+    _full,
     empirical_mse,
     error_spectrum,
     initial_network_state,
@@ -17,7 +18,6 @@ from gridfreq.analysis import (
 from gridfreq.cli import _write_csv
 from gridfreq.estimators import (
     FreqTrace,
-    _batch_first,
     lss_model,
     nss_model,
     run_filter,
@@ -115,9 +115,16 @@ def single_node_state(M0=np.eye(2)[:1]):
     return initial_network_state((0,), (0,), [[1.0]], [[1.0]], M0=M0, Cu=zero, Cn=zero)
 
 
-def batch_first(diag, a):
-    """A batch-last field ``a`` of the step output ``diag``, batch-first (seeds, nodes, ...)."""
-    return _batch_first(a, diag.x.shape[:-1])
+class TestFull:
+    def test_materialize_blocks(self):
+        got = _full(np.array([[1 + 1j, 2 - 3j]]))
+        expected = np.array([[1 + 1j, 2 - 3j], [2 + 3j, 1 - 1j]])
+        np.testing.assert_array_equal(got, expected)
+        # a stack of rectangular top block rows (a gain's is n x 2), one matrix each
+        top = complex_normal(np.random.default_rng(3), (4, 3, 2))
+        assert _full(top).shape == (4, 6, 2)
+        for got, one in zip(_full(top), top):
+            np.testing.assert_array_equal(got, full(one))
 
 
 class TestMeanErrorStep:
@@ -152,7 +159,7 @@ class TestMseStep:
         run_distributed(t1, scn, [0], snr_db=30.0, theory=True)
         assert len(theory_log) == scn.n_samples - 1
         for diag, state in theory_log:
-            m_post = full(batch_first(diag, diag.m))[0, 0]
+            m_post = full(diag.m[..., 0])
             assert np.max(np.abs(state.sigma(0) - m_post)) < 1e-9
 
     def test_nonbridge_trace_bounded_by_worst_serving_bridge(self, theory_log):
@@ -245,10 +252,10 @@ def dense_reference_run(log, t, w, model):
     U, G = blockdiag(cu, n), blockdiag(cn, n)
     for diag, _ in log:
         fields = {"M_prior": diag.p, "M_post": diag.m, "gain": diag.k}
-        mats = {f: full(batch_first(diag, a)) for f, a in fields.items()}
-        mats["A"] = jacobian(diag.A, diag.x.shape[-1])
-        recs = {
-            node: {f: m[0, j] if m.ndim > 2 else m for f, m in mats.items()}
+        mats = {f: full(a) for f, a in fields.items()}
+        mats["A"] = jacobian(diag.A, len(diag.x))
+        recs = {  # one seed: row j is node j
+            node: {f: m[..., j] if m.ndim > 2 else m for f, m in mats.items()}
             for j, node in enumerate(t.node_ids)
         }
         V, E = dense_reference_step(E, t.node_ids, w, recs, U, G)

@@ -357,8 +357,8 @@ spectrum:
         ticks = build_plan(yaml.safe_load(text)).scenario.n_samples
         assert len(drivers) == 1
         assert len(steps) == (ticks - 1) * filters
-        batch = {(plan.batch, x.shape[:-1]) for plan, x, *_ in steps}
-        assert batch == {((4,), (4,)) if single else ((4, 3), (4, 3))}
+        batch = {(plan.batch, x.shape[1:]) for plan, x, *_ in steps}
+        assert batch == {((4,), (4,)) if single else ((4, 3), (12,))}
 
     def test_filter_override_changes_gains(self, tmp_path):
         loose = write_config(

@@ -85,6 +85,29 @@ def test_longest_name_runs(tmp_path, monkeypatch):
     assert (tmp_path / f"{name}_out" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["--out-dir", "output_dir"])
+def test_out_dir_last_component_must_leave_room_to_stage(tmp_path, monkeypatch, capsys, source):
+    # run_plan stages in .<last component>.XXXXXXXX, 10 bytes longer than the component
+    out = f"probe/{'y' * 246}"
+    cfg = tmp_path / "cfg.yaml"
+    text = QUICK_SINGLE if source == "--out-dir" else QUICK_SINGLE + f"output_dir: {out}\n"
+    cfg.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", str(cfg)] + (["--out-dir", out] if source == "--out-dir" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"'{out}' cannot name the output directory" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+    if source == "output_dir":
+        assert main(["validate", str(cfg)]) == 1
+        assert capsys.readouterr().out.startswith(f"output_dir: '{out}' cannot name")
+    # 245 bytes stage in a 255-byte name, the longest file name
+    cfg.write_text(QUICK_SINGLE)
+    assert main(["run", str(cfg), "--out-dir", f"probe/{'y' * 245}"]) == 0
+    assert (tmp_path / "probe" / ("y" * 245) / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["sample_rate_hz", "duration_s"])
 @pytest.mark.parametrize("value", [-1, 0])
 def test_non_positive_rate_or_duration_reported_once(key, value):

@@ -10,7 +10,11 @@ from dense_reference import (
     complex_normal,
     full,
     hconj,
+    inv,
     jacobian,
+    matmul,
+    matvec,
+    max_cond,
     observation,
     random_covariance,
     term_rows,
@@ -28,8 +32,6 @@ from gridfreq.estimators import (
     FLAG_SEQUENCE_DOMINANCE,
     FilterDegenerateError,
     StateSpaceModel,
-    _batch_first,
-    _batch_last,
     _diagonal,
     _StepPlan,
     lss_model,
@@ -63,23 +65,23 @@ def clarke_series(scn, seed=None, snr_db=None):
 
 
 def plan_step(model, x, m, y, h=None):
-    """One step of a fresh plan on batch-first inputs: the state ``x`` (*b, n),
-    the covariance's top block row ``m`` (*b, n, 2n) and the observation ``y``
-    (*b, 1), the batch their broadcast.  Returns the step's output."""
-    batch = np.broadcast_shapes(x.shape[:-1], m.shape[:-2], y.shape[:-1])
-    return _StepPlan(model, batch).step(x, _batch_last(m, 2, batch), _batch_last(y, 1, batch), h)
-
-
-def first(out, a):
-    """A batch-last field ``a`` of the step output ``out``, batch-first."""
-    return _batch_first(a, out.x.shape[:-1])
+    """One step of a fresh plan over the rows of the state ``x`` (n, rows), from
+    the covariance's top block row ``m`` (n, 2n, rows) on the observations ``y``
+    (1, rows).  Returns the step's output."""
+    return _StepPlan(model, x.shape[1:]).step(x, m, y, h)
 
 
 def step(model, state, y, h=None):
-    """One step of ``state = (x, [M11 M12])`` on a bare complex observation; the
-    posterior pair, batch-first."""
-    out = plan_step(model, *state, np.atleast_1d(y), h)
-    return out.x, first(out, out.m)
+    """One step of ``state = (x, [M11 M12])`` on the observations ``y``, one per
+    row; the posterior pair."""
+    out = plan_step(model, *state, np.reshape(y, (1, -1)), h)
+    return out.x, out.m
+
+
+def start(model, v0):
+    """A model's start from one observation: the state (n, 1) and ``[M11 M12]`` (n, 2n, 1)."""
+    x, m = model.initial_state(np.atleast_1d(v0))
+    return x, m[..., None]
 
 
 def wirtinger_jacobian(f, x, eps=1e-7):
@@ -107,8 +109,8 @@ class TestJacobians:
         n = model.Cu.shape[0]
         for _ in range(5):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            analytic = term_rows(model.jacobian_A(x), n, 2 * n)
-            d_x, d_conj = wirtinger_jacobian(model.f_a, x)
+            analytic = term_rows(model.jacobian_A(x[:, None]), n, 2 * n).reshape(n, 2 * n)
+            d_x, d_conj = wirtinger_jacobian(lambda x: model.f_a(x[:, None])[:, 0], x)
             np.testing.assert_allclose(analytic[:, :n], d_x, rtol=1e-6, atol=1e-8)
             np.testing.assert_allclose(analytic[:, n:], d_conj, rtol=1e-6, atol=1e-8)
 
@@ -118,20 +120,20 @@ def dense_parts(model, state, y, h=None):
 
     No block products, a generic matrix inverse, and both halves of the state
     updated.  ``h`` is the observation row, by default the model's own.
-    Returns every intermediate by name.
+    Returns every intermediate by name, in the step's layout.
     """
     x, m = state
-    n = x.shape[-1]
+    n = len(x)
     x_pred = augment(model.f_a(x))
     a = jacobian(model.jacobian_A(x), n)
     h = observation(model.observe_H if h is None else h, n)
-    m_prior = a @ full(m) @ hconj(a) + full(model.Cu)
-    s = h @ m_prior @ hconj(h) + full(model.Cn)
-    gain = m_prior @ hconj(h) @ np.linalg.inv(s)
-    h_x = (h @ x_pred[..., None])[..., 0]
+    m_prior = matmul(matmul(a, full(m)), hconj(a)) + full(model.Cu)[..., None]
+    s = matmul(matmul(h, m_prior), hconj(h)) + full(model.Cn)[..., None]
+    gain = matmul(matmul(m_prior, hconj(h)), inv(s))
+    h_x = matvec(h, x_pred)
     innov = augment(y) - h_x
-    correction = (gain @ innov[..., None])[..., 0]
-    m_post = (np.eye(2 * n) - gain @ h) @ m_prior
+    correction = matvec(gain, innov)
+    m_post = matmul(np.eye(2 * n)[..., None] - matmul(gain, h), m_prior)
     return dict(
         x_pred=x_pred, h_x=h_x, m_prior=m_prior, s=s, gain=gain, innov=innov,
         correction=correction, m_post=m_post,
@@ -149,8 +151,7 @@ def dense_step(model, state, y, h=None):
     d = dense_parts(model, state, y, h)
     x_pred, correction, m_post = d["x_pred"], d["correction"], d["m_post"]
     scales = (max(np.max(np.abs(x_pred)), np.max(np.abs(correction))), np.max(np.abs(d["m_prior"])))
-    cond = np.max(np.linalg.cond(d["s"]))
-    return x_pred + correction, (m_post + hconj(m_post)) / 2, scales, cond
+    return x_pred + correction, (m_post + hconj(m_post)) / 2, scales, max_cond(d["s"])
 
 
 def _assert_close(got, want, scale, cond):
@@ -163,83 +164,76 @@ class TestBlockStepMatchesDense:
 
     @pytest.mark.parametrize("name", ["lss", "wlss", "nss", "shared_increment"])
     @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
-    )
-    def test_random_structured_states(self, name, seed, batch):
-        model, state, y, h = random_step_inputs(name, seed, batch)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16))
+    def test_random_structured_states(self, name, seed, rows):
+        model, state, y, h = random_step_inputs(name, seed, rows)
         out = plan_step(model, *state, y, h)
         x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y, h)
         _assert_close(augment(out.x), x_post, x_scale, cond)
-        _assert_close(full(first(out, out.m)), m_post, m_scale, cond)
+        _assert_close(full(out.m), m_post, m_scale, cond)
 
     @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+        rows=st.integers(1, 16),
         order=st.permutations(range(8)),
         scalars=st.sets(st.integers(0, 7), max_size=3),
     )
-    def test_every_jacobian_entry_as_a_term(self, seed, batch, order, scalars):
+    def test_every_jacobian_entry_as_a_term(self, seed, rows, order, scalars):
         # a random n = 2 model that declares all 2n·n entries of [A11 A12],
         # conjugate-half columns included, in any order, some as scalars (1.0
         # among them), and an observation row on both halves: the generic
         # term loops against the dense step
         rng = np.random.default_rng(seed)
         entries = [(r, c) for r in range(2) for c in range(4)]
-        values = [complex_normal(rng, batch) for _ in entries]
+        values = [complex_normal(rng, (rows,)) for _ in entries]
         for i in scalars:
             values[i] = 1.0 if i == min(scalars) else complex(complex_normal(rng, ()))
-        self.check_generic(rng, batch, tuple((*entries[i], values[i]) for i in order))
+        self.check_generic(rng, rows, tuple((*entries[i], values[i]) for i in order))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), row=st.sampled_from([0, 1]))
     def test_a_row_without_terms_is_zero(self, seed, row):
         rng = np.random.default_rng(seed)
         terms = tuple((row, c, complex_normal(rng, (3,))) for c in (0, 3))
-        self.check_generic(rng, (3,), terms)
+        self.check_generic(rng, 3, terms)
 
     @staticmethod
-    def check_generic(rng, batch, terms):
+    def check_generic(rng, rows, terms):
         """An n = 2 linear model with Jacobian ``terms`` and a random observation row
         on both halves, stepped by a plan and by the dense reference."""
-        h = tuple((c, complex_normal(rng, batch)) for c in range(4))
+        h = tuple((c, complex_normal(rng, (rows,))) for c in range(4))
         a_top = term_rows(terms, 2, 4)
-
-        def f_a(x):
-            x_aug = np.concatenate([x, np.conj(x)], axis=-1)
-            return np.einsum("...ij,...j->...i", a_top, x_aug)
-
         model = StateSpaceModel(
-            name="generic", f_a=f_a, jacobian_A=lambda x: terms, observe_H=None,
+            name="generic", f_a=lambda x: matvec(a_top, augment(x)),
+            jacobian_A=lambda x: terms, observe_H=None,
             extract_freq=None, Cu=_diagonal([1e-3, 2e-3]),
             Cn=_diagonal([1e-2]), initial_state=None,
         )
-        state = complex_normal(rng, batch + (2,)), random_covariance(rng, batch, 2)
-        y = complex_normal(rng, batch + (1,))
+        state = complex_normal(rng, (2, rows)), random_covariance(rng, rows, 2)
+        y = complex_normal(rng, (1, rows))
         out = plan_step(model, *state, y, h)
         x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y, h)
         _assert_close(augment(out.x), x_post, x_scale, cond)
-        _assert_close(full(first(out, out.m)), m_post, m_scale, cond)
+        _assert_close(full(out.m), m_post, m_scale, cond)
 
 
-def random_step_inputs(name, seed, batch):
-    """A model, a state ``(x, [M11 M12])`` with a structured Hermitian positive
-    definite covariance, an observation and the observation row (None for a
-    model with its own)."""
+def random_step_inputs(name, seed, rows):
+    """A model, a state ``(x, [M11 M12])`` of ``rows`` rows with a structured
+    Hermitian positive definite covariance, an observation and the observation
+    row (None for a model with its own)."""
     rng = np.random.default_rng(seed)
     h = None
     if name == "shared_increment":
         model = shared_increment_model(FS, snr_db=30.0)
-        h = ((0, complex_normal(rng, batch)), (1, complex_normal(rng, batch)))
+        h = ((0, complex_normal(rng, (rows,))), (1, complex_normal(rng, (rows,))))
     else:
         factory = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}[name]
         model = factory(FS, snr_db=30.0)
     n = model.Cu.shape[0]
-    m = random_covariance(rng, batch, n)
-    state = complex_normal(rng, batch + (n,)), m
-    return model, state, complex_normal(rng, batch + (1,)), h
+    m = random_covariance(rng, rows, n)
+    state = complex_normal(rng, (n, rows)), m
+    return model, state, complex_normal(rng, (1, rows)), h
 
 
 class TestDiagnosticsMatchDense:
@@ -247,49 +241,33 @@ class TestDiagnosticsMatchDense:
 
     @pytest.mark.parametrize("name", ["lss", "wlss", "nss", "shared_increment"])
     @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        batch=st.lists(st.integers(1, 4), max_size=2).map(tuple),
-    )
-    def test_gain_prior_and_innovation(self, name, seed, batch):
-        model, state, y, h = random_step_inputs(name, seed, batch)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 16))
+    def test_gain_prior_and_innovation(self, name, seed, rows):
+        model, state, y, h = random_step_inputs(name, seed, rows)
         out = plan_step(model, *state, y, h)
         d = dense_parts(model, state, y, h)
-        cond = np.max(np.linalg.cond(d["s"]))
+        cond = max_cond(d["s"])
         innov_scale = max(np.max(np.abs(d["innov"])), np.max(np.abs(d["h_x"])))
-        _assert_close(augment(first(out, out.innov)), d["innov"], innov_scale, 1.0)
-        _assert_close(full(first(out, out.p)), d["m_prior"], np.max(np.abs(d["m_prior"])), 1.0)
-        _assert_close(full(first(out, out.k)), d["gain"], np.max(np.abs(d["gain"])), cond)
+        _assert_close(augment(out.innov), d["innov"], innov_scale, 1.0)
+        _assert_close(full(out.p), d["m_prior"], np.max(np.abs(d["m_prior"])), 1.0)
+        _assert_close(full(out.k), d["gain"], np.max(np.abs(d["gain"])), cond)
 
 
-#: the batch row of a (3, 4) batch that the layout test steps on its own
-ROW = (1, 2)
+#: the row of a 12-row batch that the layout test also steps on its own
+ROW = 6
 
 
-def _row_inputs(state, y, h, shape):
-    """Batch row ROW of the step inputs, reshaped to the batch ``shape`` (() unbatched).
+def _row_inputs(state, y, h, scalar_h):
+    """Row ROW of the step inputs as a batch of one, through views.
 
-    Unbatched, an observation-row value is a numpy scalar, as the hand-written
-    network loops in the tests pass it."""
+    With ``scalar_h`` an observation-row value is a numpy scalar, as the
+    hand-written network loops in the tests pass it."""
 
-    def pick(a, k):
-        return a[ROW].reshape(shape + a.shape[a.ndim - k :])
+    def pick(a):
+        return a[..., ROW : ROW + 1]
 
-    st = pick(state[0], 1), pick(state[1], 2)
-    h = None if h is None else tuple((c, v[ROW] if not shape else pick(v, 0)) for c, v in h)
-    return st, pick(y, 1), h
-
-
-def _other_memory_order(state):
-    """The same state with the batch axes of x and of the covariance stored
-    in reverse order: non-contiguous views with the logical shapes kept."""
-    x, top = state
-    d = x.ndim - 1
-    flip = tuple(range(d))[::-1]
-    x = np.ascontiguousarray(x.transpose(flip + (d,))).transpose(flip + (d,))
-    top = np.ascontiguousarray(top.transpose(flip + (d, d + 1))).transpose(flip + (d, d + 1))
-    assert not top.flags.c_contiguous
-    return x, top
+    h = None if h is None else tuple((c, v[ROW] if scalar_h else pick(v)) for c, v in h)
+    return (pick(state[0]), pick(state[1])), pick(y), h
 
 
 class TestLayoutIndependence:
@@ -298,25 +276,27 @@ class TestLayoutIndependence:
     @pytest.mark.parametrize("name", ["lss", "wlss", "nss", "shared_increment"])
     @pytest.mark.parametrize("seed", range(4))
     def test_row_is_bit_identical_in_every_layout(self, name, seed):
-        model, state, y, h = random_step_inputs(name, seed, (3, 4))
+        model, state, y, h = random_step_inputs(name, seed, 12)
+        # entries contiguous per row: the memory order the diffusion leaves the state in
+        other = tuple(np.asfortranarray(a) for a in state)
+        assert not other[1].flags.c_contiguous
         ways = {
-            "unbatched": (_row_inputs(state, y, h, ()), ()),
-            "(1,)": (_row_inputs(state, y, h, (1,)), (0,)),
-            "(1, 1)": (_row_inputs(state, y, h, (1, 1)), (0, 0)),
-            "row of (3, 4)": ((state, y, h), ROW),
-            "transposed": ((_other_memory_order(state), y, h), ROW),
+            "batch (), scalar row": (_row_inputs(state, y, h, True), (), 0),
+            "(1,)": (_row_inputs(state, y, h, False), (1,), 0),
+            "(1, 1)": (_row_inputs(state, y, h, False), (1, 1), 0),
+            "row of (3, 4)": ((state, y, h), (3, 4), ROW),
+            "entries contiguous": ((other, y, h), (3, 4), ROW),
         }
         results = {}
-        for way, ((st, obs, row_h), at) in ways.items():
-            outputs = []
+        for way, ((st, obs, row_h), batch, at) in ways.items():
+            plan, outputs = _StepPlan(model, batch), []
             for _ in range(2):  # the second step starts from the layout the first left
-                out = plan_step(model, *st, obs, row_h)
-                st = out.x, first(out, out.m)
-                diags = (first(out, f) for f in (out.k, out.innov, out.p))
-                outputs += [a[at] for a in (*st, *diags)]
+                out = plan.step(*st, obs, row_h)
+                st = out.x, out.m
+                outputs += [a[..., at] for a in (out.x, out.m, out.k, out.innov, out.p)]
             results[way] = outputs
         for way, outputs in results.items():
-            for got, want in zip(outputs, results["unbatched"]):
+            for got, want in zip(outputs, results["batch (), scalar row"]):
                 assert got.shape == want.shape and np.array_equal(got, want), way
 
 
@@ -325,15 +305,14 @@ class TestSymmetrisedPosterior:
     def test_shared_increment_m11_comes_out_real(self, batch):
         # at n = 1 the transpose of M_post is M_post itself: block11 must come
         # out as its Hermitian part, real, from a prior with an imaginary part
-        model = shared_increment_model(FS, snr_db=30.0)
-        ones = np.ones(batch + (1, 1))
-        m = np.concatenate([(0.1 + 1e-3j) * ones, (0.02 + 0.01j) * ones], axis=-1)
-        x = np.exp(2j * math.pi * 50.0 / FS) * ones[..., 0]
-        h = ((0, (1.0 + 0.5j) * ones[..., 0, 0]), (1, (0.1 - 0.2j) * ones[..., 0, 0]))
-        y = (0.9 + 0.3j) * ones[..., 0]
-        _, m_post = step(model, (x, m), y, h)
-        assert np.all(m_post[..., :1].imag == 0)
-        assert np.all(m_post[..., :1].real > 0)
+        plan = _StepPlan(shared_increment_model(FS, snr_db=30.0), batch)
+        ones = np.ones((1, 1, plan.rows))
+        m = np.concatenate([(0.1 + 1e-3j) * ones, (0.02 + 0.01j) * ones], axis=1)
+        x = np.exp(2j * math.pi * 50.0 / FS) * ones[0]
+        h = ((0, (1.0 + 0.5j) * ones[0, 0]), (1, (0.1 - 0.2j) * ones[0, 0]))
+        m_post = plan.step(x, m, (0.9 + 0.3j) * ones[0], h).m
+        assert np.all(m_post[:, :1].imag == 0)
+        assert np.all(m_post[:, :1].real > 0)
 
 
 class TestEngine:
@@ -345,28 +324,47 @@ class TestEngine:
             f_a=lambda x: x,
             jacobian_A=lambda x: ((0, 0, 1.0),),
             observe_H=((0, 1.0),),
-            extract_freq=lambda x: (np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], int)),
+            extract_freq=lambda x: (np.zeros(x.shape[1:]), np.zeros(x.shape[1:], int)),
             Cu=_diagonal([0.0]),
             Cn=_diagonal([1.0]),
             initial_state=None,
         )
         m0 = 0.5
-        st = np.array([0.0 + 0j]), _diagonal([m0])
+        st = np.array([[0.0 + 0j]]), _diagonal([m0])[..., None]
         y = 1.0 + 0j
         x, m = step(model, st, y)
         gain = m0 / (m0 + 1.0)
-        assert x[0] == pytest.approx(gain * y, abs=1e-12)
-        assert m[0, 0] == pytest.approx((1 - gain) * m0, abs=1e-12)
+        assert x[0, 0] == pytest.approx(gain * y, abs=1e-12)
+        assert m[0, 0, 0] == pytest.approx((1 - gain) * m0, abs=1e-12)
+
+    def test_results_keep_the_checked_invariants(self):
+        # the step leaves complex128 top block rows over the plan's rows, also when
+        # one covariance (n, 2n, 1) broadcasts against a batch of states
+        model = nss_model(1000.0, snr_db=30.0)
+        plan = _StepPlan(model, (2, 3))
+        m = _diagonal([0.1, 0.1, 0.1])[..., None]
+        out = plan.step(np.full((3, plan.rows), 0.5 + 0.1j), m, np.ones((1, plan.rows)))
+        assert out.x.dtype == np.complex128 and out.x.shape == (3, 6)
+        for a, width in ((out.m, 6), (out.k, 2), (out.p, 6)):
+            assert a.dtype == np.complex128
+            assert a.shape == (3, width, 6)
+
+    def test_diagonal_builder(self):
+        m = _diagonal([1e-6, 1e-4])
+        assert m.shape == (2, 4) and m.dtype == np.complex128
+        full_m = full(m)
+        np.testing.assert_array_equal(np.diag(full_m), [1e-6, 1e-4, 1e-6, 1e-4])
+        assert np.count_nonzero(full_m - np.diag(np.diag(full_m))) == 0
 
     def test_step_preserves_structure_and_psd(self):
         scn = make_scenario(amps=(0.2, 1.0, 1.0))
         v = clarke_series(scn, seed=1, snr_db=30.0)
         model = nss_model(FS, snr_db=30.0)
-        st = model.initial_state(v[0])
+        st = start(model, v[0])
         for k in range(1, 300):
             st = step(model, st, v[k])
         # covariance block must stay Hermitian PSD, pseudo block symmetric
-        m11, m12 = st[1][:, :3], st[1][:, 3:]
+        m11, m12 = st[1][:, :3, 0], st[1][:, 3:, 0]
         eigs = np.linalg.eigvalsh(m11)
         assert eigs.min() >= -1e-10
         np.testing.assert_allclose(m12, m12.T, atol=1e-12)
@@ -375,10 +373,10 @@ class TestEngine:
         # the lss model has no conjugate terms: block12 of every covariance is 0, not small
         v = clarke_series(make_scenario(amps=(0.2, 1.0, 1.0), duration=0.401), seed=2, snr_db=30.0)
         model = lss_model(FS, snr_db=30.0)
-        st = model.initial_state(v[0])
+        st = start(model, v[0])
         for k in range(1, 401):
-            out = plan_step(model, *st, v[k : k + 1])
-            st = out.x, first(out, out.m)
+            out = plan_step(model, *st, v[None, k : k + 1])
+            st = out.x, out.m
             assert np.all(out.p[:, 2:] == 0) and np.all(st[1][:, 2:] == 0), f"tick {k}"
 
     def test_lss_fixed_point_on_truth(self):
@@ -388,10 +386,10 @@ class TestEngine:
         v = clarke_series(scn)
         x_true = np.exp(2j * np.pi * 50.0 / FS)
         model = lss_model(FS)
-        st = np.array([x_true, v[0]]), _diagonal([0.1, 0.1])
+        st = np.array([[x_true], [v[0]]]), _diagonal([0.1, 0.1])[..., None]
         x, _ = step(model, st, v[1])
-        assert abs(x[0] - x_true) < 1e-10
-        assert abs(x[1] - v[1]) < 1e-10
+        assert abs(x[0, 0] - x_true) < 1e-10
+        assert abs(x[1, 0] - v[1]) < 1e-10
 
     def test_degenerate_innovation_covariance_raises(self):
         model = StateSpaceModel(
@@ -399,12 +397,12 @@ class TestEngine:
             f_a=lambda x: x,
             jacobian_A=lambda x: ((0, 0, 1.0),),
             observe_H=((0, 0.0),),  # S = Cn = 0
-            extract_freq=lambda x: (np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1], int)),
+            extract_freq=lambda x: (np.zeros(x.shape[1:]), np.zeros(x.shape[1:], int)),
             Cu=_diagonal([0.0]),
             Cn=_diagonal([0.0]),
             initial_state=None,
         )
-        st = np.array([1.0 + 0j]), _diagonal([0.1])
+        st = np.array([[1.0 + 0j]]), _diagonal([0.1])[..., None]
         with pytest.raises(FilterDegenerateError, match="filter degenerate"):
             step(model, st, 1.0 + 0j)
 
@@ -416,15 +414,14 @@ class TestEngine:
             extract_freq=None, Cu=_diagonal([0.0]),
             Cn=_diagonal([0.0]), initial_state=None,
         )
-        m = np.array([0.1, 0.1, 0.0, 0.1, 0.0]).reshape(5, 1, 1)
-        top = np.concatenate([m, 0 * m], axis=-1).astype(complex)
-        x = np.ones((5, 1), complex)
+        m = np.array([0.1, 0.1, 0.0, 0.1, 0.0])
+        top = np.stack([m, 0 * m])[None].astype(complex)  # (1, 2, 5)
+        x = np.ones((1, 5), complex)
         with pytest.raises(FilterDegenerateError) as exc:
-            plan_step(model, x, top, x)
+            _StepPlan(model, (5,)).step(x, top, x)
         assert exc.value.row == (2,)
-        x = np.ones((1, 5, 1), complex)
         with pytest.raises(FilterDegenerateError) as exc:
-            plan_step(model, x, top[None], x)
+            _StepPlan(model, (1, 5)).step(x, top, x)
         assert exc.value.row == (0, 2)
 
 
@@ -472,7 +469,7 @@ class TestConditionCheck:
             lo, hi = s11 - a12, s11 + a12
             bad = ~(hi / np.where(lo > 0, lo, np.nan) <= COND_LIMIT)
             plan = _StepPlan(model, batch)
-            x, y = np.ones(batch + (1,), complex), np.ones((1, s11.size), complex)
+            x = y = np.ones((1, s11.size), complex)
             if not bad.any():
                 plan.step(x, m, y)
                 return
@@ -490,12 +487,12 @@ class TestTermProgram:
         # (3 reads conj(x1)); row 1 has no terms
         def f_a(x):
             f = np.zeros_like(x)
-            f[..., 0] = x[..., 0] + (2.5 - 0.5j) * x[..., 1] + 0.5 * np.conj(x[..., 1]) ** 2
+            f[0] = x[0] + (2.5 - 0.5j) * x[1] + 0.5 * np.conj(x[1]) ** 2
             return f
 
         return StateSpaceModel(
             name="program", f_a=f_a,
-            jacobian_A=lambda x: ((0, 0, 1.0), (0, 1, 2.5 - 0.5j), (0, 3, np.conj(x[..., 1]))),
+            jacobian_A=lambda x: ((0, 0, 1.0), (0, 1, 2.5 - 0.5j), (0, 3, np.conj(x[1]))),
             observe_H=((0, 1.0), (3, 0.5j)), extract_freq=None,
             Cu=_diagonal([1e-3, 2e-3]), Cn=_diagonal([1e-2]), initial_state=None,
         )
@@ -504,27 +501,25 @@ class TestTermProgram:
     def test_matches_dense_and_every_batch_layout(self, seed):
         rng = np.random.default_rng(seed)
         model = self.model()
-        x, m = complex_normal(rng, (6, 2)), random_covariance(rng, (6,), 2)
-        ys = complex_normal(rng, (2, 6, 1))
+        x, m = complex_normal(rng, (2, 6)), random_covariance(rng, 6, 2)
+        ys = complex_normal(rng, (2, 1, 6))
         results = {}
         for batch in ((1,), (3, 2), (5,)):
             rows = math.prod(batch)
             plan = _StepPlan(model, batch)
-            state = x[:rows].reshape(batch + (2,)), m[:rows].reshape(batch + (2, 4))
+            state = x[:, :rows], m[..., :rows]
             outs = []
-            for y in ys[:, :rows]:  # two steps: the second reuses the first's program
-                y = y.reshape(batch + (1,))
-                out = plan.step(state[0], _batch_last(state[1], 2, batch), _batch_last(y, 1, batch))
+            for y in ys[..., :rows]:  # two steps: the second reuses the first's program
+                out = plan.step(*state, y)
                 x_post, m_post, (x_scale, m_scale), cond = dense_step(model, state, y)
-                state = out.x, first(out, out.m)
+                state = out.x, out.m
                 _assert_close(augment(state[0]), x_post, x_scale, cond)
                 _assert_close(full(state[1]), m_post, m_scale, cond)
-                outs += [first(out, a).reshape((rows,) + first(out, a).shape[len(batch):])
-                         for a in (out.m, out.k, out.p, out.innov)] + [state[0].reshape(rows, 2)]
+                outs += [out.m, out.k, out.p, out.innov, out.x]
             results[batch] = outs
         for batch, outs in results.items():
             for got, want in zip(outs, results[(3, 2)]):
-                assert np.array_equal(got, want[: len(got)]), batch
+                assert np.array_equal(got, want[..., : got.shape[-1]]), batch
 
     @pytest.mark.parametrize("factory", [lss_model, wlss_model, nss_model, shared_increment_model])
     def test_bundled_models_keep_their_layout(self, factory):
@@ -538,7 +533,7 @@ class TestTermProgram:
             return [(r, c, "array" if isinstance(v, np.ndarray) else v)
                     for r, c, v in model.jacobian_A(x)]
 
-        assert layout(complex_normal(rng, (4, n))) == layout(complex_normal(rng, (4, n)))
+        assert layout(complex_normal(rng, (n, 4))) == layout(complex_normal(rng, (n, 4)))
 
 
 class TestFrequencyExtraction:
@@ -646,10 +641,10 @@ class TestRunFilter:
         v = clarke_series(scn)
         model = nss_model(FS)
         x0 = np.array([np.exp(2j * math.pi * 49.0 / FS), v[0], 0.0])
-        init = x0, _diagonal([0.1, 0.1, 0.1])
+        init = x0[:, None], _diagonal([0.1, 0.1, 0.1])
         model = dataclasses.replace(model, initial_state=lambda _: init)
         trace = run_filter(model, v, FS, detail=True).trace()
-        np.testing.assert_array_equal(trace.states[0], x0)  # one unbatched start, kept as the row's
+        np.testing.assert_array_equal(trace.states[0], x0)
         settled = trace.f_hat_hz[200:]
         assert np.max(np.abs(settled - 50.0)) < 1e-3
 
@@ -680,11 +675,10 @@ class TestRunFilter:
             lss_model(FS), Cu=_diagonal([0.0, 0.0]), Cn=_diagonal([0.0]),
         )
         v = np.stack([clarke_series(make_scenario(duration=0.05))] * 3)
-        # row 1 starts from a zero covariance, so its first innovation has S = 0
-        m = np.array([0.1, 0.0, 0.1])[:, None, None] * np.eye(2)
-        m = np.concatenate([m, 0 * m], axis=-1).astype(complex)
-        init = np.stack([v[:, 0]] * 2, axis=-1), m
-        model = dataclasses.replace(model, initial_state=lambda _: init)
+        # row 1 starts from a zero state, so its prior, and with it S, is 0 at tick 1
+        x0 = np.stack([v[:, 0]] * 2)
+        x0[:, 1] = 0
+        model = dataclasses.replace(model, initial_state=lambda _: (x0, _diagonal([0.1, 0.1])))
         with pytest.raises(FilterDegenerateError, match="^tick 1: row 1: filter degenerate"):
             run_filter(model, v, FS)
 
@@ -754,32 +748,32 @@ class TestSharedIncrementModel:
         v = clarke_series(scn)
         aux_model = nss_model(FS)
         shared = shared_increment_model(FS)
-        aux = aux_model.initial_state(v[0])
-        st = shared.initial_state(v[0])
+        aux = start(aux_model, v[0])
+        st = start(shared, v[0])
         for k in range(1, v.size):
             vp, vm = aux[0][1], aux[0][2]
             aux = step(aux_model, aux, v[k])
             st = step(shared, st, v[k], ((0, vp), (1, vm)))
         f, _ = shared.extract_freq(st[0])
-        assert float(f) == pytest.approx(50.0, abs=1e-3)
+        assert f[0] == pytest.approx(50.0, abs=1e-3)
 
     def test_sequence_observation_structure(self):
         # the row ((0, v+), (1, v-)) maps x to v+ x + v- conj(x): column 1 is conj(x)
         vp, vm = 0.3 + 1j, -0.2j
         shared = shared_increment_model(FS)
-        x = np.array([[0.8 - 0.6j], [1j], [-2.0]])
-        y = np.array([[0.5j], [1.0], [0.25 - 1j]])
-        out = plan_step(shared, x, _diagonal([0.1]), y, ((0, vp), (1, vm)))
+        x = np.array([[0.8 - 0.6j, 1j, -2.0]])
+        y = np.array([[0.5j, 1.0, 0.25 - 1j]])
+        out = plan_step(shared, x, _diagonal([0.1])[..., None], y, ((0, vp), (1, vm)))
         want = y - (vp * x + vm * np.conj(x))
-        np.testing.assert_allclose(first(out, out.innov), want, rtol=1e-15)
+        np.testing.assert_allclose(out.innov, want, rtol=1e-15)
         h = observation(((0, vp), (1, vm)), 1)
         np.testing.assert_array_equal(h, [[vp, vm], [np.conj(vm), np.conj(vp)]])
 
 
 class TestPlanPathMatchesStep:
-    """A driver's plan, carrying plain arrays from tick to tick, steps to the
-    bits of a fresh plan per tick, whose state is laid out batch-first and
-    back again every tick."""
+    """A driver's plan, carrying the arrays its step left from tick to tick,
+    steps to the bits of a fresh plan per tick fed copies of the state with
+    the entries contiguous per row."""
 
     @pytest.mark.parametrize("batch", [(1, 7), (25, 7), (101,)], ids=["1x7", "25x7", "101"])
     @pytest.mark.parametrize("name", ["nss", "shared_increment"])
@@ -787,18 +781,18 @@ class TestPlanPathMatchesStep:
         scn = make_scenario(amps=(0.2, 1.0, 1.0), duration=0.051)
         rows = math.prod(batch)
         v = np.stack([clarke_series(scn, seed=s, snr_db=30.0) for s in range(rows)])
-        ys = v.T.reshape((-1,) + batch + (1,))
+        ys = v.T[:, None]  # (ticks, 1, rows)
         model = (nss_model if name == "nss" else shared_increment_model)(FS, snr_db=30.0)
-        state = model.initial_state(ys[0, ..., 0])
+        x0, m0 = model.initial_state(v[:, 0])
         plan = _StepPlan(model, batch)
-        arrays = state[0], _batch_last(state[1], 2, batch)
+        arrays = state = x0, m0[..., None]
         for k in range(1, 51):
             # the shared model gets a per-tick row built from the previous observation
-            h = None if name == "nss" else ((0, ys[k - 1, ..., 0]), (1, 0.1j * ys[k - 1, ..., 0]))
-            out = plan.step(*arrays, ys[k].reshape(1, -1), h)
+            h = None if name == "nss" else ((0, ys[k - 1, 0]), (1, 0.1j * ys[k - 1, 0]))
+            out = plan.step(*arrays, ys[k], h)
             arrays = out.x, out.m
-            fresh = plan_step(model, *state, ys[k], h)
-            state = fresh.x, first(fresh, fresh.m)
+            fresh = _StepPlan(model, batch).step(*state, ys[k], h)
+            state = np.asfortranarray(fresh.x), np.asfortranarray(fresh.m)
             for got, want in zip(out[:5], fresh[:5]):  # x, m, innov, k, p
                 assert got.shape == want.shape and np.array_equal(got, want), f"tick {k}"
 
@@ -844,7 +838,7 @@ class TestNoMaterializeOnTheStepPath:
 
         def step(plan, x, m, *args):
             out = real(plan, x, m, *args)
-            n = out.x.shape[-1]
+            n = out.x.shape[0]
             for a in (x, m, *out[:5]):
                 assert type(a) is np.ndarray
             assert m.shape[:2] == (n, 2 * n) and m.shape[2] in (1, plan.rows)

@@ -272,10 +272,11 @@ class TestWeights:
 
 
 def step(model, state, y, h=None):
-    """One unbatched step of ``state = (x, [M11 M12])`` on the observation ``y`` (1,)."""
+    """One step of one row, ``state = (x, [M11 M12])`` (n,) and (n, 2n) with no
+    batch axis, on the observation ``y`` (1,)."""
     x, m = state
-    out = _StepPlan(model, ()).step(x, m[..., None], y[:, None], h)
-    return out.x, out.m[..., 0]
+    out = _StepPlan(model, ()).step(x[:, None], m[..., None], y[:, None], h)
+    return out.x[:, 0], out.m[..., 0]
 
 
 class TestCombiners:
