@@ -37,7 +37,8 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
-from .analysis import SPECTRUM_MIN_TICKS, NetworkErrorState, empirical_mse, error_spectrum
+from . import __version__
+from .analysis import SPECTRUM_MIN_TICKS, empirical_mse, error_spectrum
 from .estimators import (
     FilterDegenerateError,
     FreqTrace,
@@ -47,6 +48,8 @@ from .estimators import (
     wlss_model,
 )
 from .network import (
+    _DIFFUSIONS,
+    _MODES,
     BridgeAssignment,
     DiffusionWeights,
     DistributedConfigError,
@@ -65,10 +68,8 @@ from .signals import (
 
 __all__ = ["ConfigError", "load_config", "validate_config", "build_plan", "run_plan", "main"]
 
-_SINGLE_ESTIMATORS = ("lss", "wlss", "nss")
-_NETWORK_ESTIMATORS = ("dfe", "distributed-acekf")
-_ESTIMATORS = _SINGLE_ESTIMATORS + _NETWORK_ESTIMATORS
-_DIFFUSIONS = ("bridge", "conventional", "none")
+_SINGLE_FACTORIES = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}
+_ESTIMATORS = (*_SINGLE_FACTORIES, *_MODES)
 
 #: most samples a run, or a window of it, may span
 MAX_SAMPLES = 10**7
@@ -246,7 +247,7 @@ class _Required(str):
 
 
 _REQ = _Required("required")
-_ANY, _NET, _ONE = _ESTIMATORS, _NETWORK_ESTIMATORS, _SINGLE_ESTIMATORS
+_ANY, _NET, _ONE = _ESTIMATORS, _MODES, tuple(_SINGLE_FACTORIES)
 
 #: Every config key: dotted path -> (kind, default or _Required, the
 #: estimators that read it).  A mapping's kind is the text reported when its
@@ -466,9 +467,6 @@ def build_plan(cfg: Mapping) -> RunPlan:
 # running
 
 
-_SINGLE_FACTORIES = {"lss": lss_model, "wlss": wlss_model, "nss": nss_model}
-
-
 def _ticks(window_s: tuple, fs: float) -> tuple[int, int]:
     return int(round(window_s[0] * fs)), int(round(window_s[1] * fs))
 
@@ -565,61 +563,55 @@ def _mc_table(name: str, clock: list, f_true, f_hat) -> tuple:
     ]
 
 
-def _run_single(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
-    """Row 0 of the one filter batch is the detailed run at ``seed``; with
-    ``n_seeds`` > 1 the Monte-Carlo rows at ``[seed, i]`` follow it.  The
-    clean waveform is synthesized once, and each row adds its own noise."""
+def _run_single(plan: RunPlan, seeds: list) -> tuple:
+    """The run over the seed rows ``seeds`` (``seed``, then the Monte-Carlo
+    ``[seed, i]``) as one filter batch, and its one node as :func:`_tables`
+    reads it.  The clean waveform is synthesized once, and each row adds
+    its own noise."""
     factory = _SINGLE_FACTORIES[plan.estimator]
     model = factory(plan.sample_rate_hz, snr_db=plan.snr_db, **plan.filter_overrides)
-    f_true = plan.scenario.true_freq()
-    mc_seeds = [[seed, i] for i in range(n_seeds)] if n_seeds > 1 else []
     clean = generate_arrays(plan.scenario)
-    rows = np.empty((1 + len(mc_seeds), plan.scenario.n_samples), dtype=complex)
-    for i, s in enumerate([seed, *mc_seeds]):
+    rows = np.empty((len(seeds), plan.scenario.n_samples), dtype=complex)
+    for i, s in enumerate(seeds):
         rows[i] = clarke_arrays(add_noise(clean, s, plan.snr_db))[1]
     try:
-        run = run_filter(model, rows, plan.sample_rate_hz, f_true=f_true, detail=1)
+        run = run_filter(model, rows, plan.sample_rate_hz, plan.scenario.true_freq(), detail=1)
     except FilterDegenerateError as exc:
         r = exc.row[0]
-        who = f"seed {seed}" if r == 0 else f"Monte-Carlo seed {mc_seeds[r - 1]}"
+        who = f"seed {seeds[0]}" if r == 0 else f"Monte-Carlo seed {seeds[r]}"
         raise FilterDegenerateError(f"tick {exc.tick}: {who}: {exc.__cause__}") from exc
-    del rows  # the run holds its estimates, not its inputs
-    trace = run.trace()
-
-    clock = _clock_columns(trace.t_s)
-    tables = [_trace_table("trace.csv", trace, clock)]
-    if plan.spectrum_window_s is not None:
-        spectrum = error_spectrum(trace, _ticks(plan.spectrum_window_s, plan.sample_rate_hz))
-        tables.append(("spectrum.csv", ["freq_hz", "power"], [spectrum.freq_hz, spectrum.power]))
-    if mc_seeds:
-        tables.append(_mc_table("mc_trace.csv", clock, f_true, run.f_hat_hz[1:]))
-    return tables
+    return run, [("trace.csv", "mc_trace.csv", run.trace(), run.f_hat_hz)]
 
 
-def _theory_columns(errors: NetworkErrorState) -> tuple:
-    """The theoretical trace and bound columns, from the run's final error state."""
-    nodes = errors.node_ids
-    theo = np.array([np.real(np.trace(errors.sigma(n))) for n in nodes])
-    ceiling = [max(np.real(np.trace(errors.v(y, y))) for y in errors.serving(n)) for n in nodes]
-    return theo, [bool(t <= c + 1e-12) for t, c in zip(theo, ceiling)]
-
-
-def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
-    """Row 0 of the one network batch is the detailed run at ``seed``, which
-    the traces, messages and theory read; with ``n_seeds`` > 1 the
-    Monte-Carlo rows at ``seed + i`` follow it, ``seed`` itself included."""
-    per_node = {
-        n: plan.node_scenarios.get(n, plan.scenario) for n in plan.topology.node_ids
-    }
-    mc_seeds = [seed + i for i in range(n_seeds)] if n_seeds > 1 else []
+def _run_network(plan: RunPlan, seeds: list) -> tuple:
+    """The run over the seed rows ``seeds`` (``seed``, then the Monte-Carlo
+    ``seed + i``, ``seed`` itself included) as one network batch, and its
+    nodes as :func:`_tables` reads them."""
+    per_node = {n: plan.node_scenarios.get(n, plan.scenario) for n in plan.topology.node_ids}
     run = run_distributed(
-        plan.topology, per_node, [seed, *mc_seeds], snr_db=plan.snr_db, mode=plan.estimator,
+        plan.topology, per_node, seeds, snr_db=plan.snr_db, mode=plan.estimator,
         diffusion=plan.diffusion, assignment=plan.assignment, weights=plan.weights,
         theory=plan.mse_theory, detail=1,
     )
+    return run, [(f"node_{n}_trace.csv", f"mc_node_{n}.csv", run.trace(n), run.f_hat_hz[:, j])
+                 for j, n in enumerate(run.node_ids)]
 
+
+def _tables(plan: RunPlan, run, nodes: list) -> list[tuple]:
+    """The output tables of a run, as ``(file name, header, columns)``.
+
+    ``nodes`` holds, per node, the names of its trace and Monte-Carlo
+    tables, its seed row 0 trace and its (seeds, ticks) estimates.  Seed
+    row 0 is the detailed run, which the traces, spectrum, messages and
+    theory read; any later rows are the Monte-Carlo rows.  The spectrum,
+    messages and MSE report are asked for by plan fields that ``_KEYS``
+    scopes to the run kind that writes them.
+    """
     clock = _clock_columns(run.t_s)
-    tables = [_trace_table(f"node_{n}_trace.csv", run.trace(n), clock) for n in run.node_ids]
+    tables = [_trace_table(name, trace, clock) for name, _, trace, _ in nodes]
+    if plan.spectrum_window_s is not None:
+        spectrum = error_spectrum(nodes[0][2], _ticks(plan.spectrum_window_s, plan.sample_rate_hz))
+        tables.append(("spectrum.csv", ["freq_hz", "power"], [spectrum.freq_hz, spectrum.power]))
     if plan.messages_csv:
         routes, payloads = run.message_log()
         # a row per (tick, route, entry): phase, src and dst coded by route,
@@ -633,21 +625,22 @@ def _run_network(plan: RunPlan, seed: int, n_seeds: int) -> list[tuple]:
             [k + 1, (phase, route), (src, route), (dst, route),
              (payloads.ravel().real, sent), (payloads.ravel().imag, sent)],
         ))
-
-    mc = run.f_hat_hz
-    if mc_seeds:
-        mc = mc[1:]
-        for j, n in enumerate(run.node_ids):
-            tables.append(_mc_table(f"mc_node_{n}.csv", clock, run.f_true_hz[j], mc[:, j]))
-
+    mc = slice(int(len(run.f_hat_hz) > 1), None)  # the Monte-Carlo rows, or row 0 alone
+    if mc.start:
+        tables += [_mc_table(name, clock, trace.f_true_hz, f_hat[mc])
+                   for _, name, trace, f_hat in nodes]
     if plan.mse_window_s is not None:
-        mse = empirical_mse(mc, run.f_true_hz, _ticks(plan.mse_window_s, plan.sample_rate_hz))
-        theo = ok = [None] * len(run.node_ids)
-        if plan.mse_theory:
-            theo, ok = _theory_columns(run.error_state)
+        ids, errors = run.node_ids, run.error_state
+        mse = empirical_mse(run.f_hat_hz[mc], run.f_true_hz,
+                            _ticks(plan.mse_window_s, plan.sample_rate_hz))
+        theo = ok = [None] * len(ids)
+        if plan.mse_theory:  # each node's trace, and whether its aggregators' ceiling holds it
+            theo = np.array([np.real(np.trace(errors.sigma(n))) for n in ids])
+            ceiling = [max(np.real(np.trace(errors.v(y, y))) for y in errors.serving(n)) for n in ids]
+            ok = [bool(t <= c + 1e-12) for t, c in zip(theo, ceiling)]
         tables.append((
             "mse_report.csv", ["node", "empirical_mse_hz2", "theoretical_trace", "bound_ok"],
-            [list(run.node_ids), mse, theo, ok],
+            [list(ids), mse, theo, ok],
         ))
     return tables
 
@@ -674,8 +667,11 @@ def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b
     if _out_dir(str(out_dir), "out_dir", diags := []) is None:
         raise ConfigError(diags)
     seed = plan.seed if seed is None else int(seed)
-    simulate = _run_single if plan.estimator in _SINGLE_FACTORIES else _run_network
-    tables = simulate(plan, seed, n_seeds)
+    mc = range(n_seeds) if n_seeds > 1 else ()
+    if plan.topology is None:
+        tables = _tables(plan, *_run_single(plan, [seed, *([seed, i] for i in mc)]))
+    else:
+        tables = _tables(plan, *_run_network(plan, [seed, *(seed + i for i in mc)]))
     out = Path(out_dir)
     created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -691,7 +687,7 @@ def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b
             "seed": seed,
             "n_seeds": int(n_seeds),
             "versions": {
-                "gridfreq": _package_version(),
+                "gridfreq": __version__,
                 "numpy": np.__version__,
                 "pyyaml": yaml.__version__,
             },
@@ -709,12 +705,6 @@ def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return [out / f.name for f in files]
-
-
-def _package_version() -> str:
-    from gridfreq import __version__
-
-    return __version__
 
 
 # ---------------------------------------------------------------------------

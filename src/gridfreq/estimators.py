@@ -527,7 +527,7 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
     estimates and ``uint8`` flags (*batch, ticks), the leading ``kept =
     min(detail, batch[0])`` rows of each posterior (kept, *batch[1:], ticks,
     n) and of the innovation power (kept, *batch[1:], ticks), None without
-    kept rows, and the final state.  A negative ``detail`` raises
+    kept rows.  A negative ``detail`` raises
     ValueError.  A degenerate step is raised again as "tick k:
     <row_name(row)>: ..." with ``tick`` and ``row`` set.
     """
@@ -564,7 +564,7 @@ def _run_ticks(step, state, xs: tuple, blocks, shape: tuple, extract: Callable, 
                 for post, buf in zip(posts, held):
                     post[..., done, :] = np.moveaxis(buf[:, : t + 1, :kept], (0, 1), (-1, -2))
                 innov[..., done] = np.moveaxis(np.abs(innovs[: t + 1, :kept]) ** 2, 0, -1)
-    return f_hat, flags, posts, innov, state
+    return f_hat, flags, posts, innov
 
 
 def run_filter(
@@ -599,7 +599,7 @@ def run_filter(
         out = plan.step(*state, y)
         return out[:2], out, (out.x,)
 
-    f_hat, flags, (states,), innov, _ = _run_ticks(
+    f_hat, flags, (states,), innov = _run_ticks(
         step, (x0, m0[..., None]), (x0,),
         (v[:, k0 : k0 + _OBS_BLOCK_TICKS].T for k0 in range(0, v.shape[1], _OBS_BLOCK_TICKS)),
         v.shape, model.extract_freq, detail, lambda row: f"row {row[0]}",

@@ -55,6 +55,10 @@ class DistributedConfigError(ValueError):
     diffusion mode, estimator mode, scenarios or seeds."""
 
 
+#: the estimator modes of :func:`run_distributed` and the diffusion modes of :func:`_mixing`
+_MODES, _DIFFUSIONS = ("dfe", "distributed-acekf"), ("bridge", "conventional", "none")
+
+
 # ---------------------------------------------------------------------------
 # graph model
 
@@ -312,6 +316,8 @@ def _mixing(
     itself with weight 1); the one-stage modes have Γ = I, and no diffusion
     also Β = I.
     """
+    if diffusion not in _DIFFUSIONS:
+        raise DistributedConfigError(f"unknown diffusion mode {diffusion!r}")
     ids = topology.node_ids
     identity = np.eye(len(ids))
     if diffusion == "none":
@@ -326,8 +332,6 @@ def _mixing(
         matrix = _stage(weights.beta, ids, ids, "aggregation", "a topology node", "a topology node")
         routes = [("to_neighbor", nb, i, pos[nb]) for i in ids for nb in topology.neighbors(i)]
         return _Mixing(assignment, weights, matrix, ids, matrix, identity, tuple(routes))
-    if diffusion != "bridge":
-        raise DistributedConfigError(f"unknown diffusion mode {diffusion!r}")
     assignment = assignment or select_bridges(topology)
     weights = weights or uniform_weights(topology, assignment)
     bridges = sorted(assignment.bridges, key=str)
@@ -410,14 +414,15 @@ def _tick(
     aux_plan: _StepPlan,
     shared_plan: _StepPlan | None,
     mixing: _Mixing,
+    errors: _TheoryBlock | None,
     state: tuple,
     y: np.ndarray,
 ) -> tuple[tuple, _Stepped, tuple]:
     """One synchronous round of the network, for every (seed, node) batch row.
 
-    The auxiliary ``nss`` trackers of ``state = (aux, shared, errors)``,
-    each filter an ``(x, [M11 M12])`` pair, (n, rows) and (n, 2n, rows),
-    advance on the observations ``y``.  In ``dfe`` mode the 2-dim shared
+    The auxiliary ``nss`` trackers of ``state = (aux, shared)``, each
+    filter an ``(x, [M11 M12])`` pair, (n, rows) and (n, 2n, rows), advance
+    on the observations ``y``.  In ``dfe`` mode the 2-dim shared
     filters are then corrected with the observation row ``((0, v+), (1,
     v-))`` of the sequence-voltage estimates standing *before* this tick.
     Those are the values consistent with the observation pairing v_k =
@@ -425,10 +430,10 @@ def _tick(
     would make the observation explain itself and collapse the increment
     estimate toward 1.  The output
     filter's posteriors (the shared filters', or the trackers' own in
-    full-state mode, where ``shared`` is None) then run through the
-    diffusion, and that filter restarts from its combined value.  The error
-    recursion ``errors`` (None without theory) copies seed row 0 of that
-    filter's step, and steps once a block of ticks is full.  As a step of
+    full-state mode, where ``shared`` is None) then run through the run's
+    ``mixing``, and that filter restarts from its combined value.  The
+    error recursion ``errors`` (None without theory) copies seed row 0 of
+    that filter's step, and steps once a block of ticks is full.  As a step of
     :func:`_run_ticks`, returns the new state, that step and the output
     posterior top halves after and before the diffusion.
 
@@ -437,7 +442,7 @@ def _tick(
     feedback loop that is unstable at noiseless gain levels (a slowly
     growing oscillation near 75 Hz).
     """
-    aux, shared, errors = state
+    aux, shared = state
     v_plus, v_minus = aux[0][1], aux[0][2]
     out = aux = aux_plan.step(*aux, y)
     if shared is not None:
@@ -445,7 +450,7 @@ def _tick(
     combined = (_diffuse_all(out.x, mixing), out.m)
     if errors is not None:
         errors.record(out)
-    state = (combined, None, errors) if shared is None else (aux[:2], combined, errors)
+    state = (combined, None) if shared is None else (aux[:2], combined)
     return state, out, (combined[0], out.x)
 
 
@@ -457,18 +462,16 @@ def _tick(
 class DistributedRun(FilterRun):
     """What :func:`run_distributed` produced: arrays shaped (seeds, nodes, ticks).
 
-    ``f_true_hz`` is (nodes, ticks).  ``topology``, ``assignment``,
-    ``weights`` and ``diffusion`` are the resolved setup, which
-    :meth:`message_log` replays.  With ``detail``, ``local_states`` holds
-    the output filter's posterior top halves before diffusion, shaped like
-    ``states``: both keep the leading ``detail`` seed rows only.  The final
-    error state reads seed row 0.
+    ``f_true_hz`` is (nodes, ticks).  ``mixing`` is the diffusion the run
+    resolved and ran: its bridges and weights, its matrices and the routes
+    that :meth:`message_log` sends.  With ``detail``, ``local_states``
+    holds the output filter's posterior top halves before diffusion, shaped
+    like ``states``: both keep the leading ``detail`` seed rows only.  The
+    final error state reads seed row 0.
     """
 
     topology: Topology
-    assignment: BridgeAssignment | None
-    weights: DiffusionWeights
-    diffusion: str
+    mixing: _Mixing
     error_state: NetworkErrorState | None = None  # after the last tick
     local_states: np.ndarray | None = None
 
@@ -489,10 +492,9 @@ class DistributedRun(FilterRun):
         ``from_bridge`` routes carry.  The run must keep ``detail``."""
         if self.local_states is None:
             raise ValueError("the message log needs a run kept with detail")
-        mixing = _mixing(self.topology, self.assignment, self.weights, self.diffusion)
         x = self.local_states[0, :, 1:].transpose(1, 0, 2)  # (ticks - 1, nodes, entries)
         # one product per tick, stacked: bit for bit the aggregates the bridges formed
-        return mixing.routes, np.concatenate([x, mixing.beta @ x], axis=1)
+        return self.mixing.routes, np.concatenate([x, self.mixing.beta @ x], axis=1)
 
 
 def _observations(clean: list, seeds: tuple, snr_db: float | None, n_ticks: int):
@@ -565,7 +567,7 @@ def run_distributed(
     """
     per_node = _resolve_scenarios(topology, scenarios)
     mixing = _mixing(topology, assignment, weights, diffusion)
-    if mode not in ("dfe", "distributed-acekf"):
+    if mode not in _MODES:
         raise DistributedConfigError(f"unknown estimator mode {mode!r}")
     seeds = tuple(int(seed) for seed in seeds)
     if not seeds:
@@ -597,10 +599,10 @@ def run_distributed(
             ids, mixing.aggregators, mixing.beta, mixing.gamma, m0, out_model.Cu, out_model.Cn,
         ))
 
-    f_hat, flags, (states, local_states), innov, (_, _, errors) = _run_ticks(
+    f_hat, flags, (states, local_states), innov = _run_ticks(
         # without a shared filter, its plan and its state are None
-        lambda state, y: _tick(*(plans + [None])[:2], mixing, state, y),
-        (*filters, errors), (x0,) * 2, blocks, batch + (n_ticks,),
+        lambda state, y: _tick(*(plans + [None])[:2], mixing, errors, state, y),
+        tuple(filters), (x0,) * 2, blocks, batch + (n_ticks,),
         out_model.extract_freq, detail, lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
     )
     return DistributedRun(
@@ -611,9 +613,7 @@ def run_distributed(
         innovation_power=innov,
         states=states,
         topology=topology,
-        assignment=mixing.assignment,
-        weights=mixing.weights,
-        diffusion=diffusion,
+        mixing=mixing,
         error_state=None if errors is None else errors.finish(),
         local_states=local_states,
     )

@@ -40,9 +40,9 @@ def theory_log(monkeypatch):
         log.extend(zip(diags[:n], states[:n]))
         del diags[:n], states[:n]
 
-    def tick(*args):
-        out = original_tick(*args)
-        if out[0][2] is not None:
+    def tick(aux_plan, shared_plan, mixing, errors, *args):
+        out = original_tick(aux_plan, shared_plan, mixing, errors, *args)
+        if errors is not None:
             diags.append(out[1])
             pair()
         return out

@@ -389,7 +389,7 @@ spectrum:
             return gridfreq.estimators.run_filter(model, *args, **kwargs)
 
         monkeypatch.setattr(gridfreq.cli, "run_filter", run_filter)
-        gridfreq.cli._run_single(plan, plan.seed, 1)
+        gridfreq.cli._run_single(plan, [plan.seed])
         (model,) = models
         n = len(diagonal)
         np.testing.assert_array_equal(model.Cu[:, :n], np.diag(diagonal))

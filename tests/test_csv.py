@@ -213,13 +213,13 @@ scenario:
 
 
 def test_run_writes_the_reference_bytes(tmp_path, monkeypatch):
-    real, kept = gridfreq.cli._run_network, []
+    real, kept = gridfreq.cli._tables, []
 
     def keep(*args):
         kept.extend(real(*args))
         return kept
 
-    monkeypatch.setattr(gridfreq.cli, "_run_network", keep)
+    monkeypatch.setattr(gridfreq.cli, "_tables", keep)
     files = run_plan(build_plan(yaml.safe_load(CONVENTIONAL)), tmp_path / "out")
     messages = next(cols for name, _, cols in kept if name == "messages.csv")
     assert len(messages[0]) > BLOCK

@@ -8,15 +8,12 @@ running the package ``__init__``), builds the same inputs for both, and
 times the step that both drivers run, ``estimators._StepPlan(model,
 batch).step``, for the ``nss`` model and the shared-increment model (with
 its observation row) at batch shapes (1, 7), (25, 7), (101,) and (2000,);
-each side builds its plan once, outside the timing.  The covariance and the
-observation go in batch-last, the batch flattened into a last axis of rows.
-The state and the observation row's values go in the layout the side's
-step takes: the state (n, rows) and the values (rows,), or batch-first
-(*batch, n) and of the batch shape for a checkout whose models start from
-a batch-first state, as they did before the state moved to the
-covariance's layout.  Each side first steps once and is then timed
-stepping on from that posterior, so each runs from the memory layout its
-own step leaves.
+each side builds its plan once, outside the timing.  The state, the
+covariance and the observation go in batch-last, the batch flattened into
+a last axis of rows: the state as (n, rows), and the observation row's
+values as (rows,).  Each side first steps once and is then timed stepping
+on from that posterior, so each runs from the memory layout its own step
+leaves.
 The driver rows time whole runs through the public API: ``run_filter`` of
 the ``nss`` model over 101 rows, and ``run_distributed`` in ``dfe`` mode on
 the reference network with 1 and 24 seeds, each 0.25 s long; their times
@@ -28,10 +25,10 @@ overlap (the ratio is then within the spread of the rounds, not a
 measured change), and whether the two sides' outputs are bit-identical,
 the line's last field: for a step, its ``x``, ``m``, ``k``, ``p`` and ``innov``
 fields (the posterior state and covariance, gain, prior covariance and
-innovation) over two consecutive steps, the state compared as (n, rows);
-for a driver, the estimates, flags, kept posteriors and innovation power.  Exits 1 when
-any cell's outputs differ, after printing the full table.  Needs numpy and
-the standard library only; it writes nothing inside either checkout.
+innovation) over two consecutive steps; for a driver, the estimates,
+flags, kept posteriors and innovation power.  Exits 1 when any cell's
+outputs differ, after printing the full table.  Needs numpy and the
+standard library only; it writes nothing inside either checkout.
 """
 
 from __future__ import annotations
@@ -96,12 +93,6 @@ def inputs(kind: str, shape: tuple) -> dict:
     )
 
 
-def batch_first(side) -> bool:
-    """Whether a side's step takes and leaves the state batch-first, (*batch, n):
-    read off the start that its ``nss`` model gives two rows."""
-    return side.est.nss_model(FS).initial_state(np.zeros(2))[0].shape == (2, 3)
-
-
 class Cell:
     """One (model, shape) cell on one side: a plan and a posterior to step on from."""
 
@@ -109,26 +100,21 @@ class Cell:
         est = side.est
         x, batch = arrays["x"], arrays["x"].shape[:-1]
         rows, n = math.prod(batch), x.shape[-1]
-        old = batch_first(side)
-        if not old:
-            x = x.reshape(rows, n).T
+        x = x.reshape(rows, n).T
         if kind == "nss":
             model = est.nss_model(FS, snr_db=SNR_DB)
             self.h = None
         else:
             model = est.shared_increment_model(FS, snr_db=SNR_DB)
-            h = [v if old else v.reshape(rows) for v in arrays["h"]]
-            self.h = ((0, h[0]), (1, h[1]))
+            self.h = ((0, arrays["h"][0].reshape(rows)), (1, arrays["h"][1].reshape(rows)))
         self.plan = est._StepPlan(model, batch)
         self.y = arrays["y"].reshape(1, rows)
         m = np.moveaxis(arrays["m"].reshape(rows, n, 2 * n), 0, -1)
         first = self.plan.step(x, m, self.y, self.h)
         second = self.plan.step(first.x, first.m, self.y, self.h)
         self.state = first.x, first.m
-        self.outputs = [
-            out.x.reshape(rows, n).T if old and f == "x" else getattr(out, f)
-            for out in (first, second) for f in ("x", "m", "k", "p", "innov")
-        ]
+        self.outputs = [getattr(out, f) for out in (first, second)
+                        for f in ("x", "m", "k", "p", "innov")]
 
     def call(self):
         return self.plan.step(*self.state, self.y, self.h)
