@@ -4,10 +4,10 @@ diagnostics.
 
 The theoretical recursion conditions on the realized gain sequence (the
 observation matrix of the shared filter is data-dependent), so the network
-loop records each tick's filter diagnostics and steps it over blocks of
-ticks.  Notation used throughout, all in augmented form: for node m at tick
-k, ``A_m`` is the state Jacobian, ``K_m`` the Kalman gain, ``H_m`` the
-observation matrix and ``F_m = I - K_m H_m`` the correction map.
+loop hands each tick's filter step to ``_TheoryBlock``, which steps it over
+blocks of ticks.  Notation used throughout, all in augmented form: for node
+m at tick k, ``A_m`` is the state Jacobian, ``K_m`` the Kalman gain, ``H_m``
+the observation matrix and ``F_m = I - K_m H_m`` the correction map.
 Aggregator y forms the beta-weighted average of its closed neighborhood,
 and every node recombines its serving aggregators with its gamma row, so
 the stacked error obeys
@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import FreqTrace
+from .estimators import FreqTrace, _Stepped
 
 __all__ = [
     "AnalysisError",
@@ -261,6 +261,54 @@ def mse_block(
         V_t *= 0.5
         V = V_t
     return replace(state, V=V.copy()), Vs
+
+
+#: ticks of seed row 0's diagnostics that the error recursion buffers per block step
+_THEORY_BLOCK_TICKS = 128
+#: bytes that a block's (ticks, Y d, Y d) aggregator maps may take; wider maps get shorter blocks
+_THEORY_BLOCK_BYTES = 1 << 20
+
+
+class _TheoryBlock:
+    """The error recursion of a network run, fed seed row 0's step one tick at a time.
+
+    :meth:`record` keeps a copy of the step's gain top block row and of
+    each array term value, cut to seed row 0's rows, the first
+    ``len(state.node_ids)``; a scalar term is kept as it is.  When
+    ``ticks`` ticks are kept, and once in :meth:`finish`, one
+    :func:`mse_block` call steps ``state`` over them.
+    """
+
+    def __init__(self, state: NetworkErrorState):
+        self.state, self.kept = state, []
+        width = len(state.aggregator_ids) * state.block_dim
+        self.ticks = max(1, min(_THEORY_BLOCK_TICKS, _THEORY_BLOCK_BYTES // (16 * width**2)))
+
+    def record(self, out: _Stepped) -> None:
+        """Keep seed row 0's part of a tick's step."""
+        n = len(self.state.node_ids)
+        H, A = ([(*t[:-1], t[-1][:n].copy()) if isinstance(t[-1], np.ndarray) else t for t in terms]
+                for terms in (out.H, out.A))
+        self.kept.append((out.k[..., :n].transpose(2, 0, 1).copy(), H, A))
+        if len(self.kept) == self.ticks:
+            self._flush()
+
+    def _flush(self) -> None:
+        gain, H, A = zip(*self.kept)
+        self.state, _ = mse_block(self.state, np.array(gain), _stacked(H), _stacked(A))
+        self.kept = []
+
+    def finish(self) -> NetworkErrorState:
+        """The state after every recorded tick."""
+        if self.kept:
+            self._flush()
+        return self.state
+
+
+def _stacked(ticks: tuple) -> list:
+    """A block's terms from its ticks': an array value stacked over them, a scalar as it is."""
+    return [(*same[0][:-1], np.array([t[-1] for t in same])) if isinstance(same[0][-1], np.ndarray)
+            else same[0] for same in zip(*ticks)]
 
 
 # ---------------------------------------------------------------------------

@@ -661,19 +661,24 @@ def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b
     written into a sibling temporary directory and moved into out_dir only
     once all of them are written; if writing raises, the temporary directory
     and the directories this call created are removed again.  An out_dir
-    whose last component leaves no room for the temporary directory's name
-    raises :class:`ConfigError` before anything runs.
+    whose last component leaves no room for the temporary directory's name,
+    or that runs through an existing file, raises :class:`ConfigError`
+    before anything runs.
     """
     if _out_dir(str(out_dir), "out_dir", diags := []) is None:
         raise ConfigError(diags)
+    out = Path(out_dir)
+    path = [*reversed(out.parents), out]
+    if blocked := [str(p) for p in path if os.path.lexists(p) and not p.is_dir()]:
+        raise ConfigError([f"out_dir: {str(out)!r} cannot name the output directory:"
+                           f" {blocked[0]!r} is not a directory"])
     seed = plan.seed if seed is None else int(seed)
     mc = range(n_seeds) if n_seeds > 1 else ()
     if plan.topology is None:
         tables = _tables(plan, *_run_single(plan, [seed, *([seed, i] for i in mc)]))
     else:
         tables = _tables(plan, *_run_network(plan, [seed, *(seed + i for i in mc)]))
-    out = Path(out_dir)
-    created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
+    created = next((p for p in path if not p.exists()), None)
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:

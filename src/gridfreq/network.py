@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import NetworkErrorState, initial_network_state, mse_block
+from . import analysis
 from .estimators import (
     FilterRun,
     FreqTrace,
@@ -241,18 +241,15 @@ def reference_network() -> tuple[Topology, BridgeAssignment]:
 class _Mixing:
     """One run's diffusion over the node axis, resolved once before the loop.
 
-    ``assignment`` and ``weights`` are the resolved setup.  ``matrix`` maps
-    the nodes' posteriors to their combined estimates (None: no diffusion).
-    It is ``gamma @ beta``: ``beta`` holds the aggregation rows of the
-    ``aggregators`` (the bridges, or every node in the one-stage modes), and
-    ``gamma`` each node's redistribution row over them.  A route ``(phase,
-    src, dst, row)`` is one logged transfer per tick; ``row`` indexes the
-    node posteriors followed by the aggregates, whose outputs the
-    ``from_bridge`` messages carry.
+    ``matrix`` maps the nodes' posteriors to their combined estimates (None:
+    no diffusion).  It is ``gamma @ beta``: ``beta`` holds the aggregation
+    rows of the ``aggregators`` (the bridges, or every node in the one-stage
+    modes), and ``gamma`` each node's redistribution row over them.  A route
+    ``(phase, src, dst, row)`` is one logged transfer per tick; ``row``
+    indexes the node posteriors followed by the aggregates, whose outputs
+    the ``from_bridge`` messages carry.
     """
 
-    assignment: BridgeAssignment | None
-    weights: DiffusionWeights | None
     matrix: np.ndarray | None
     aggregators: tuple
     beta: np.ndarray
@@ -324,14 +321,14 @@ def _mixing(
         if weights is not None:
             _unread(weights.beta, "aggregation", "diffusion none")
             _unread(weights.gamma, "redistribution", "diffusion none")
-        return _Mixing(assignment, weights, None, ids, identity, identity, ())
+        return _Mixing(None, ids, identity, identity, ())
     pos = {n: j for j, n in enumerate(ids)}
     if diffusion == "conventional":
         weights = weights or conventional_weights(topology)
         _unread(weights.gamma, "redistribution", "conventional diffusion")
         matrix = _stage(weights.beta, ids, ids, "aggregation", "a topology node", "a topology node")
         routes = [("to_neighbor", nb, i, pos[nb]) for i in ids for nb in topology.neighbors(i)]
-        return _Mixing(assignment, weights, matrix, ids, matrix, identity, tuple(routes))
+        return _Mixing(matrix, ids, matrix, identity, tuple(routes))
     assignment = assignment or select_bridges(topology)
     weights = weights or uniform_weights(topology, assignment)
     bridges = sorted(assignment.bridges, key=str)
@@ -346,7 +343,7 @@ def _mixing(
     for r, b in enumerate(bridges):
         routes += [("to_bridge", nb, b, pos[nb]) for nb in topology.neighbors(b)]
         routes += [("from_bridge", b, nb, len(ids) + r) for nb in topology.neighbors(b)]
-    return _Mixing(assignment, weights, gamma @ beta, tuple(bridges), beta, gamma, tuple(routes))
+    return _Mixing(gamma @ beta, tuple(bridges), beta, gamma, tuple(routes))
 
 
 def _diffuse_all(x: np.ndarray, mixing: _Mixing) -> np.ndarray:
@@ -358,63 +355,11 @@ def _diffuse_all(x: np.ndarray, mixing: _Mixing) -> np.ndarray:
     return (mixing.matrix @ x.T.reshape(-1, len(mixing.matrix), n)).reshape(-1, n).T
 
 
-#: ticks of seed row 0's diagnostics that the error recursion buffers per block step
-_THEORY_BLOCK_TICKS = 128
-#: bytes that a block's (ticks, Y d, Y d) aggregator maps may take; wider maps get shorter blocks
-_THEORY_BLOCK_BYTES = 1 << 20
-
-
-class _TheoryBlock:
-    """The error recursion of a run, fed seed row 0's diagnostics one tick at a time.
-
-    :meth:`record` copies the tick's gain top block row and the array
-    values of its H and A terms into buffers of ``ticks`` ticks; a scalar
-    term value is a constant of the model, filled in on the first tick.
-    When the buffers fill, and once in :meth:`finish`, one
-    :func:`mse_block` call steps ``state`` over the recorded ticks.
-    """
-
-    def __init__(self, state: NetworkErrorState):
-        self.state, self.filled, self.gain = state, 0, None
-        width = len(state.aggregator_ids) * state.block_dim
-        self.ticks = max(1, min(_THEORY_BLOCK_TICKS, _THEORY_BLOCK_BYTES // (16 * width**2)))
-
-    def record(self, out: _Stepped) -> None:
-        terms = out.H + out.A
-        if self.gain is None:
-            shape = (self.ticks, len(self.state.node_ids))
-            self.gain = np.empty(shape + out.k.shape[:2], dtype=complex)
-            self.values = np.empty(shape + (len(terms),), dtype=complex)
-            self.arrays = [i for i, (*_, v) in enumerate(terms) if isinstance(v, np.ndarray)]
-            self.values[:] = [0 if i in self.arrays else v for i, (*_, v) in enumerate(terms)]
-            self.keys, self.n_h = [term[:-1] for term in terms], len(out.H)
-        t = self.filled
-        nodes = self.gain.shape[1]  # seed row 0: the first rows
-        np.copyto(self.gain[t], out.k[..., :nodes].transpose(2, 0, 1))
-        for i in self.arrays:
-            self.values[t, :, i] = terms[i][-1][:nodes]
-        self.filled += 1
-        if self.filled == self.ticks:
-            self._flush()
-
-    def _flush(self) -> None:
-        t = self.filled
-        terms = tuple((*key, self.values[:t, :, i]) for i, key in enumerate(self.keys))
-        self.state, _ = mse_block(self.state, self.gain[:t], terms[: self.n_h], terms[self.n_h :])
-        self.filled = 0
-
-    def finish(self) -> NetworkErrorState:
-        """The state after every recorded tick."""
-        if self.filled:
-            self._flush()
-        return self.state
-
-
 def _tick(
     aux_plan: _StepPlan,
     shared_plan: _StepPlan | None,
     mixing: _Mixing,
-    errors: _TheoryBlock | None,
+    errors: analysis._TheoryBlock | None,
     state: tuple,
     y: np.ndarray,
 ) -> tuple[tuple, _Stepped, tuple]:
@@ -432,10 +377,9 @@ def _tick(
     filter's posteriors (the shared filters', or the trackers' own in
     full-state mode, where ``shared`` is None) then run through the run's
     ``mixing``, and that filter restarts from its combined value.  The
-    error recursion ``errors`` (None without theory) copies seed row 0 of
-    that filter's step, and steps once a block of ticks is full.  As a step of
-    :func:`_run_ticks`, returns the new state, that step and the output
-    posterior top halves after and before the diffusion.
+    theory recorder ``errors`` (None without theory) records that filter's
+    step.  As a step of :func:`_run_ticks`, returns the new state, that
+    step and the output posterior top halves after and before the diffusion.
 
     In ``dfe`` mode the auxiliary tracker stays fully local: overwriting its
     increment entry with the diffused value couples the two filters into a
@@ -463,7 +407,7 @@ class DistributedRun(FilterRun):
     """What :func:`run_distributed` produced: arrays shaped (seeds, nodes, ticks).
 
     ``f_true_hz`` is (nodes, ticks).  ``mixing`` is the diffusion the run
-    resolved and ran: its bridges and weights, its matrices and the routes
+    resolved and ran: its aggregators, its matrices and the routes
     that :meth:`message_log` sends.  With ``detail``, ``local_states``
     holds the output filter's posterior top halves before diffusion, shaped
     like ``states``: both keep the leading ``detail`` seed rows only.  The
@@ -472,7 +416,7 @@ class DistributedRun(FilterRun):
 
     topology: Topology
     mixing: _Mixing
-    error_state: NetworkErrorState | None = None  # after the last tick
+    error_state: analysis.NetworkErrorState | None = None  # after the last tick
     local_states: np.ndarray | None = None
 
     @property
@@ -560,9 +504,8 @@ def run_distributed(
     (``states``), and its innovation power.  With ``theory`` the
     error-covariance recursion of :mod:`gridfreq.analysis` starts from the
     output filter's initial covariance and covers every tick of that
-    filter's diagnostics for seed row 0: the loop buffers them, and
-    :func:`~gridfreq.analysis.mse_block` steps them in blocks of up to
-    ``_THEORY_BLOCK_TICKS`` ticks.  The run returns the final state as
+    filter's step for seed row 0, which the loop hands to the recorder
+    ``analysis._TheoryBlock``.  The run returns the final state as
     ``error_state``.
     """
     per_node = _resolve_scenarios(topology, scenarios)
@@ -593,11 +536,9 @@ def run_distributed(
     # through iter(), the first block is freed once the loop has passed it
     blocks, first = itertools.chain(iter([first]), blocks), None
 
-    errors = None
-    if theory:
-        errors = _TheoryBlock(initial_network_state(
-            ids, mixing.aggregators, mixing.beta, mixing.gamma, m0, out_model.Cu, out_model.Cn,
-        ))
+    errors = analysis._TheoryBlock(analysis.initial_network_state(
+        ids, mixing.aggregators, mixing.beta, mixing.gamma, m0, out_model.Cu, out_model.Cn,
+    )) if theory else None
 
     f_hat, flags, (states, local_states), innov = _run_ticks(
         # without a shared filter, its plan and its state are None

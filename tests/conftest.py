@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+import gridfreq.analysis
 import gridfreq.network
 from gridfreq.analysis import mse_block
 
@@ -54,5 +55,5 @@ def theory_log(monkeypatch):
         return nxt, vs
 
     monkeypatch.setattr(gridfreq.network, "_tick", tick)
-    monkeypatch.setattr(gridfreq.network, "mse_block", block)
+    monkeypatch.setattr(gridfreq.analysis, "mse_block", block)
     return log

@@ -26,6 +26,7 @@ from gridfreq.network import (
     Topology,
     reference_network,
     run_distributed,
+    uniform_weights,
 )
 from gridfreq.signals import (
     Scenario,
@@ -218,7 +219,7 @@ def _bound_margins(topo, assign, seed, theory_log):
     theory_log.clear()
     run = run_distributed(topo, scn, [seed], snr_db=30.0, assignment=assign, theory=True)
     assert len(theory_log) == scn.n_samples - 1
-    w = run.mixing.weights
+    w = uniform_weights(topo, assign)
     worst = worst_multi = np.inf
     for _, state in theory_log:
         for node in topo.node_ids:

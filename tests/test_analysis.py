@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from dense_reference import complex_normal, full, jacobian
 
-import gridfreq.network
+import gridfreq.analysis
 from gridfreq.analysis import (
     AnalysisError,
     _full,
@@ -291,7 +291,7 @@ class TestStackedRecursionMatchesDenseReference:
                     assert err <= 1e-12, f"seed {seed}, tick {k}: {what} off by {err:.2e}"
 
 
-B = gridfreq.network._THEORY_BLOCK_TICKS
+B = gridfreq.analysis._THEORY_BLOCK_TICKS
 
 
 class TestBlockBoundaries:
@@ -306,13 +306,13 @@ class TestBlockBoundaries:
         model = (shared_increment_model if mode == "dfe" else nss_model)(FS, snr_db=30.0)
         offs = (0.0, math.radians(20.0), math.radians(-20.0))
         scn = make_scenario((ticks + 1) / FS, amps=(0.2, 1.0, 1.0), offs=offs)
-        calls, block = [], gridfreq.network.mse_block
+        calls, block = [], gridfreq.analysis.mse_block
 
         def counted(state, gain, H, A):
             calls.append(len(gain))
             return block(state, gain, H, A)
 
-        monkeypatch.setattr(gridfreq.network, "mse_block", counted)
+        monkeypatch.setattr(gridfreq.analysis, "mse_block", counted)
         kw = dict(snr_db=30.0, mode=mode, assignment=b, theory=True)
         alone = run_distributed(t, scn, [5], **kw).error_state
         assert calls == [B] * (ticks // B) + [ticks % B] * (ticks % B > 0)
@@ -324,6 +324,28 @@ class TestBlockBoundaries:
         batch = run_distributed(t, scn, [5, 6], **kw).error_state
         np.testing.assert_array_equal(batch.E, alone.E)
         np.testing.assert_array_equal(batch.V, alone.V)
+
+
+@pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
+def test_recorder_keeps_copies_of_seed_row_0(monkeypatch, mode):
+    # views into the step's (n, 2, seeds * nodes) arrays would pin each kept tick's
+    # whole batch until its block is stepped
+    kept, finish = [], gridfreq.analysis._TheoryBlock.finish
+
+    def spy(self):
+        kept.extend(self.kept)
+        return finish(self)
+
+    monkeypatch.setattr(gridfreq.analysis._TheoryBlock, "finish", spy)
+    t, b = reference_network()
+    scn = make_scenario(0.05, amps=(0.2, 1.0, 1.0))
+    run_distributed(t, scn, range(40), snr_db=30.0, mode=mode, assignment=b, theory=True)
+    assert len(kept) == scn.n_samples - 1
+    n = 1 if mode == "dfe" else 3
+    for gain, H, A in kept:
+        assert gain.shape == (7, n, 2) and gain.base is None
+        arrays = [v for *_, v in H + A if isinstance(v, np.ndarray)]
+        assert arrays and all(v.shape == (7,) and v.base is None for v in arrays)
 
 
 class TestErrorSpectrum:

@@ -1,5 +1,6 @@
-"""``tools/compare_outputs.py``: its config files validate, and its exit status reports
-any output difference, and any verdict change or new text among the diagnostics."""
+"""``tools/compare_outputs.py``: its config files validate, its exit status reports
+any output difference, and any verdict change or new text among the diagnostics, and
+its design line counts each checkout's package lines and public names."""
 
 import importlib.util
 from pathlib import Path
@@ -21,6 +22,20 @@ def load_tool():
     return tool
 
 
+def checkouts(tmp_path) -> list[str]:
+    """Two checkouts' packages for the design line: the change has one line and
+    one public name more, in a second module."""
+    sides = []
+    for side, names in (("parent", ["a"]), ("change", ["a", "b"])):
+        package = tmp_path / side / "src" / "gridfreq"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(f'"""Doc."""\n__all__ = {names!r}\n\n')
+        if side == "change":
+            (package / "extra.py").write_text("b = 1\n")
+        sides.append(str(tmp_path / side))
+    return sides
+
+
 @pytest.mark.parametrize(
     "change_files, status",
     [
@@ -40,9 +55,12 @@ def test_exit_status(tmp_path, monkeypatch, capsys, change_files, status):
 
     monkeypatch.setattr(tool, "run", run)
     monkeypatch.setattr(tool, "diagnostics", lambda checkout, configs: [[]] * len(configs))
-    assert tool.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == status
+    assert tool.main(checkouts(tmp_path)) == status
     report = capsys.readouterr().out
     assert report.count("byte-identical") == len(tool.CONFIGS)
+    # the design line comes first and leaves the exit status to the outputs
+    design = "design: src/gridfreq/*.py 3 -> 4 lines, gridfreq.__all__ 1 -> 2 names\n"
+    assert report.startswith(design)
 
 
 PARENT_DIAGNOSTICS = [[], ["a: unknown field"], ["b: required", "c: required"]]
@@ -72,7 +90,7 @@ def test_diagnostics_exit_status(monkeypatch, capsys, tmp_path, change_diagnosti
     monkeypatch.setattr(tool, "run", run)
     monkeypatch.setattr(tool, "corpus", lambda: [{}] * len(PARENT_DIAGNOSTICS))
     monkeypatch.setattr(tool, "diagnostics", diagnostics)
-    assert tool.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == status
+    assert tool.main(checkouts(tmp_path)) == status
     assert line in capsys.readouterr().out
 
 
@@ -100,6 +118,6 @@ def test_every_config_file_validates(monkeypatch, capsys):
     # relative config paths are read from the checkout's root, as the tool runs them
     monkeypatch.chdir(TOOL.parents[1])
     files = [config for config, _ in load_tool().CONFIGS if config.endswith(".yaml")]
-    assert len(files) == 3
+    assert len(files) == 4
     for config in files:
         assert main(["validate", config]) == 0, capsys.readouterr().out

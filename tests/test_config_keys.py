@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import gridfreq.cli
 from gridfreq.cli import _KEYS, load_config, main, validate_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -106,6 +107,31 @@ def test_out_dir_last_component_must_leave_room_to_stage(tmp_path, monkeypatch, 
     cfg.write_text(QUICK_SINGLE)
     assert main(["run", str(cfg), "--out-dir", f"probe/{'y' * 245}"]) == 0
     assert (tmp_path / "probe" / ("y" * 245) / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "source", [["--out-dir", "F"], ["--out-dir", "F/sub"], ["GRIDFREQ_OUT_DIR", "F"]],
+    ids=["out-dir", "below-out-dir", "env"],
+)
+def test_out_dir_through_a_file_fails_before_the_run(tmp_path, monkeypatch, capsys, source):
+    # the output path runs through the regular file F: a config error before anything
+    # runs, not a FileExistsError once every output is computed
+    (tmp_path / "F").write_bytes(b"kept\n")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(QUICK_SINGLE)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gridfreq.cli, "_run_single", lambda *args: pytest.fail("ran"))
+    argv = ["run", str(cfg)]
+    if source[0] == "GRIDFREQ_OUT_DIR":
+        monkeypatch.setenv(*source)
+    else:
+        argv += source
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out_dir: ") and err.endswith(": 'F' is not a directory\n")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "cfg.yaml"]
+    assert (tmp_path / "F").read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize("key", ["sample_rate_hz", "duration_s"])

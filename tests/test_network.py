@@ -221,7 +221,7 @@ class TestMixingConnectivity:
     def test_greedy_bridges_and_conventional_diffusion_mix(self, diffusion, bridges, lambda_2):
         t, _ = reference_network()
         mixing = _mixing(t, None, None, diffusion)
-        assert (mixing.assignment and mixing.assignment.bridges) == bridges
+        assert set(mixing.aggregators) == (bridges or set(t.node_ids))
         assert support_components(t, mixing.matrix) == {frozenset(t.node_ids)}
         moduli = np.sort(np.abs(np.linalg.eigvals(mixing.matrix)))[::-1]
         assert moduli[0] == pytest.approx(1.0) and moduli[1] == pytest.approx(lambda_2, abs=5e-4)
@@ -647,7 +647,7 @@ class TestDistributedRuns:
                               detail=1)
         routes, _ = run.message_log()
         assert len(calls) == 1
-        assert routes == run.mixing.routes and run.mixing.assignment is b
+        assert routes == run.mixing.routes and run.mixing.aggregators == (4, 6)
 
     def test_theory_reads_seed_row_0(self):
         # the error recursion of a seed batch is the one of its first seed alone

@@ -2,20 +2,26 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
-Runs ``gridfreq run`` from each checkout's ``src/`` on ten configs (the
+Runs ``gridfreq run`` from each checkout's ``src/`` on eleven configs (the
 four bundled experiments, ``experiment1_sag_step --seeds 100``,
 ``experiment4_network7 --seeds 24``, ``experiment4_network7_mixed --seeds
 24``, ``benchmarks/configs/network_fullstate.yaml``,
-``tools/configs/experiment4_network7_messages.yaml`` and
-``tools/configs/experiment4_network7_ragged.yaml --seeds 3``) at seeds 0
+``tools/configs/experiment4_network7_messages.yaml``,
+``tools/configs/experiment4_network7_ragged.yaml --seeds 3`` and
+``tools/configs/network7_fullstate_theory.yaml --seeds 3``) at seeds 0
 and 3, into a temporary directory; ``experiment4_network7 --seeds 24`` is
 one theory run whose error recursion reads seed row 0 of a Monte-Carlo
 batch.  ``network_fullstate`` logs conventional ``to_neighbor`` messages,
 and ``experiment4_network7_messages`` the bridge messages: ``to_bridge``
 and the ``from_bridge`` aggregates.  ``experiment4_network7_ragged`` runs
-257 ticks, so its last block of observations is not a full one.  The
+257 ticks, so its last block of observations is not a full one.
+``network7_fullstate_theory`` runs the theory of full-state conventional
+diffusion, whose 42 x 42 maps step in blocks of 37 ticks, not 128.  The
 ``tools/configs`` files are read from this tool's own checkout, so both
 sides run the same file.
+First it prints one design line: the lines in ``src/gridfreq/*.py`` and the
+names in ``gridfreq.__all__``, parent -> change.  It does not change the
+exit status.
 For each config it prints the largest |Δ f_hat| over every ``f_hat*``
 column, whether every ``flags`` column is identical, the largest relative
 change of ``theoretical_trace``, whether ``bound_ok`` is identical, and
@@ -42,6 +48,7 @@ either checkout.
 from __future__ import annotations
 
 import argparse
+import ast
 import copy
 import csv
 import math
@@ -68,6 +75,8 @@ CONFIGS = (
     ("benchmarks/configs/network_fullstate.yaml", []),
     (str(Path(__file__).resolve().parent / "configs" / "experiment4_network7_messages.yaml"), []),
     (str(Path(__file__).resolve().parent / "configs" / "experiment4_network7_ragged.yaml"),
+     ["--seeds", "3"]),
+    (str(Path(__file__).resolve().parent / "configs" / "network7_fullstate_theory.yaml"),
      ["--seeds", "3"]),
 )
 SEEDS = (0, 3)
@@ -100,6 +109,17 @@ for cfg in pickle.load(sys.stdin.buffer):
         out.append([f"raised {type(exc).__name__}: {exc}"])
 sys.stdout.buffer.write(pickle.dumps(out))
 """
+
+
+def design(checkout: Path) -> tuple[int, int]:
+    """The lines in ``src/gridfreq/*.py`` (as ``wc -l`` counts them) and the names in
+    ``gridfreq.__all__``, read from the package's ``__init__.py`` without importing it."""
+    package = checkout / "src" / "gridfreq"
+    lines = sum(p.read_bytes().count(b"\n") for p in package.glob("*.py"))
+    init = ast.parse((package / "__init__.py").read_bytes())
+    names = next(node.value for node in init.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    return lines, len(ast.literal_eval(names))
 
 
 def run(checkout: Path, config: str, extra: list, seed: int, out: Path) -> None:
@@ -264,6 +284,9 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path)
     args = p.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
+    (lines_a, names_a), (lines_b, names_b) = design(parent), design(change)
+    print(f"design: src/gridfreq/*.py {lines_a} -> {lines_b} lines,"
+          f" gridfreq.__all__ {names_a} -> {names_b} names")
     same = compare_outputs(parent, change)
     return 0 if compare_diagnostics(parent, change) and same else 1
 
