@@ -189,7 +189,8 @@ _name = _kind(*_IS_STR, lambda v: _file_name_ok(v) and _file_name_ok(f".{v}_out.
               "{v!r} cannot name the output directory: it must be one path component"
               " of at most 241 UTF-8 bytes, not '.' or '..'")
 # an output_dir or --out-dir path is written through a sibling .<last component>.XXXXXXXX
-_out_dir = _kind(*_IS_STR, lambda v: _file_name_ok(f".{Path(v).name}.XXXXXXXX"),
+_out_dir = _kind(*_IS_STR, bool, "the path is empty",
+                 lambda v: _file_name_ok(f".{Path(v).name}.XXXXXXXX"),
                  "{v!r} cannot name the output directory: its last path component"
                  " must be at most 245 UTF-8 bytes, without NUL")
 _estimator = _kind(*_IS_STR, lambda v: v in _ESTIMATORS,
@@ -494,12 +495,10 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     text: a node id that needs quotes gets them and None is left blank.  A
     str array holds cells already written as text, which go out as they
     are.  Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``, each by one
-    ``%`` of a line template, so at most one block is held as strings.  The
-    other cells are formatted once each, a coded column's number labels
-    once per block that reaches them and its other labels once per column,
-    when first reached; columns that share one codes array share each
-    block's ``np.unique`` of it.  A column of another length than the first
-    raises ValueError naming it.
+    ``%`` of a line template, so at most one block is held as strings.  A
+    coded column's labels are formatted once, up front, as a plain column of
+    them would be, and each block gathers its texts by its codes.  A column
+    of another length than the first raises ValueError naming it.
     """
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
@@ -510,31 +509,24 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     for name, length in zip(header, lengths):
         if length != lengths[0]:
             raise ValueError(f"column {name!r} has {length} rows, {header[0]!r} has {lengths[0]}")
+    for j, (labels, codes) in enumerate(columns):
+        if codes is not None:  # its labels' texts, as a plain column of them writes them
+            number = _NUMBER_CODES.get(labels.dtype.kind)
+            texts = [number % c if number else _cell_text(c) for c in labels.tolist()]
+            columns[j] = np.array(texts, object), codes
     n_rows, width = (lengths or [0])[0], len(columns)
-    texts = [{} for _ in columns]  # a coded column's label texts, by label
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, n_rows)
-            codes, flat, unique = ["%s"] * width, [None] * ((stop - start) * width), {}
+            codes, flat = ["%s"] * width, [None] * ((stop - start) * width)
             for j, (labels, idx) in enumerate(columns):
                 number = _NUMBER_CODES.get(labels.dtype.kind)
                 if idx is None and number:
                     codes[j], flat[j::width] = number, labels[start:stop].tolist()
                     continue
-                if idx is None:
-                    cells = list(map(_cell_text, labels[start:stop].tolist()))
-                else:
-                    if id(idx) not in unique:
-                        unique[id(idx)] = [a.tolist() for a in np.unique(
-                            idx[start:stop], return_inverse=True)]
-                    used, at = unique[id(idx)]
-                    known = {} if number else texts[j]
-                    new = [u for u in used if u not in known]
-                    cells = labels[new].tolist()
-                    known.update(zip(new, [number % c for c in cells] if number
-                                     else map(_cell_text, cells)))
-                    cells = list(map([known[u] for u in used].__getitem__, at))
+                cells = (list(map(_cell_text, labels[start:stop].tolist())) if idx is None
+                         else labels[idx[start:stop]].tolist())
                 # csv.writer quotes a row's one field when it is blank
                 flat[j::width] = [t or '""' for t in cells] if width == 1 else cells
             fh.write(((",".join(codes) + "\r\n") * (stop - start)) % tuple(flat))
@@ -614,16 +606,15 @@ def _tables(plan: RunPlan, run, nodes: list) -> list[tuple]:
         tables.append(("spectrum.csv", ["freq_hz", "power"], [spectrum.freq_hz, spectrum.power]))
     if plan.messages_csv:
         routes, payloads = run.message_log()
-        # a row per (tick, route, entry): phase, src and dst coded by route,
-        # the payload by its sender's (tick, row, entry)
-        sent = np.arange(payloads.size).reshape(payloads.shape).take([r[3] for r in routes], 1)
-        k, route = np.repeat(np.indices(sent.shape[:2]).reshape(2, -1), sent.shape[2], axis=1)
+        # a row per (tick, route, entry): phase, src and dst coded by route, the
+        # payload read from the route's payload row
+        rows, (ticks, _, entries) = [r[3] for r in routes], payloads.shape
+        k, route = np.repeat(np.indices((ticks, len(rows))).reshape(2, -1), entries, axis=1)
         phase, src, dst = ([r[i] for r in routes] for i in range(3))
-        sent = sent.ravel()  # one codes array, so both payload columns share its np.unique
         tables.append((
             "messages.csv", ["k", "phase", "src", "dst", "payload_re", "payload_im"],
             [k + 1, (phase, route), (src, route), (dst, route),
-             (payloads.ravel().real, sent), (payloads.ravel().imag, sent)],
+             payloads.real.take(rows, 1).ravel(), payloads.imag.take(rows, 1).ravel()],
         ))
     mc = slice(int(len(run.f_hat_hz) > 1), None)  # the Monte-Carlo rows, or row 0 alone
     if mc.start:
@@ -660,10 +651,10 @@ def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b
     Nothing is written before every output is computed.  The files are
     written into a sibling temporary directory and moved into out_dir only
     once all of them are written; if writing raises, the temporary directory
-    and the directories this call created are removed again.  An out_dir
-    whose last component leaves no room for the temporary directory's name,
-    or that runs through an existing file, raises :class:`ConfigError`
-    before anything runs.
+    and the directories this call created are removed again.  An empty
+    out_dir, one whose last component leaves no room for the temporary
+    directory's name, or one that runs through an existing file raises
+    :class:`ConfigError` before anything runs.
     """
     if _out_dir(str(out_dir), "out_dir", diags := []) is None:
         raise ConfigError(diags)
@@ -716,15 +707,14 @@ def run_plan(plan: RunPlan, out_dir, seed=None, n_seeds: int = 1, raw: bytes = b
 # command line
 
 
-def _resolve_out_dir(cli_out, plan: RunPlan) -> Path:
-    if cli_out:
-        return Path(cli_out)
+def _resolve_out_dir(cli_out, plan: RunPlan):
+    """An empty --out-dir is kept, for run_plan to reject; an empty $GRIDFREQ_OUT_DIR is unset."""
+    if cli_out is not None:
+        return cli_out
     env = os.environ.get("GRIDFREQ_OUT_DIR")
     if env:
         return Path(env) / plan.name
-    if plan.output_dir:
-        return Path(plan.output_dir)
-    return Path(f"{plan.name}_out")
+    return Path(plan.output_dir or f"{plan.name}_out")
 
 
 def _cmd_run(args) -> int:

@@ -401,6 +401,26 @@ spectrum:
         assert main(["run", cfg]) == 0
         assert (tmp_path / "envbase" / "quick_single" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("key", ["out_dir", "output_dir"])
+    def test_an_empty_output_path_is_a_config_error(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GRIDFREQ_OUT_DIR", raising=False)
+        if key == "out_dir":
+            argv = ["run", write_config(tmp_path, QUICK_SINGLE), "--out-dir", ""]
+        else:
+            argv = ["run", write_config(tmp_path, QUICK_SINGLE + 'output_dir: ""\n')]
+            assert main(["validate", argv[1]]) == 1
+            assert capsys.readouterr().out == "output_dir: the path is empty\n"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {key}: the path is empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    def test_an_empty_out_dir_env_var_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GRIDFREQ_OUT_DIR", "")
+        assert main(["run", write_config(tmp_path, QUICK_SINGLE)]) == 0
+        assert (tmp_path / "quick_single_out" / "trace.csv").exists()
+
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
         out = capsys.readouterr().out

@@ -118,6 +118,6 @@ def test_every_config_file_validates(monkeypatch, capsys):
     # relative config paths are read from the checkout's root, as the tool runs them
     monkeypatch.chdir(TOOL.parents[1])
     files = [config for config, _ in load_tool().CONFIGS if config.endswith(".yaml")]
-    assert len(files) == 4
+    assert len(files) == 5
     for config in files:
         assert main(["validate", config]) == 0, capsys.readouterr().out

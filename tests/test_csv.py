@@ -1,6 +1,7 @@
 """The block CSV writer writes the bytes of the row-at-a-time reference writer."""
 
 import collections
+import csv
 import os
 import subprocess
 import sys
@@ -131,7 +132,7 @@ class TestMatchesReference:
         assert (tmp_path / "one.csv").read_bytes() == b'x\r\n""\r\n""\r\na\r\n1.5\r\n'
 
 
-    def test_a_coded_column_formats_each_reached_label_once_per_column(self, tmp_path):
+    def test_each_label_of_a_coded_column_is_formatted_once_per_file(self, tmp_path):
         texts = collections.Counter()
 
         class Label:
@@ -146,23 +147,10 @@ class TestMatchesReference:
         codes = np.array([2, 1, 2, 1, 1, 2, 2])
         with mock.patch.object(gridfreq.cli, "_CSV_BLOCK_ROWS", 3):
             _write_csv(tmp_path / "c.csv", ["x", "k"], [(labels, codes), np.arange(7)])
-        assert texts == {"b,c": 1, "d": 1}  # reached in blocks {d, b,c}, {b,c, d}, {d}
+        assert texts == {"a": 1, "b,c": 1, "d": 1, "e": 1}  # once, whatever blocks reach it
         assert (tmp_path / "c.csv").read_bytes() == (
             b'x,k\r\nd,0\r\n"b,c",1\r\nd,2\r\n"b,c",3\r\n"b,c",4\r\nd,5\r\nd,6\r\n'
         )
-
-
-    def test_columns_that_share_codes_share_each_blocks_unique(self, tmp_path, monkeypatch):
-        calls, real = [], np.unique
-        monkeypatch.setattr(np, "unique", lambda a, **kw: calls.append(len(a)) or real(a, **kw))
-        route, other = np.array([2, 1, 2, 1, 1, 2, 2]), np.array([0, 0, 1, 1, 0, 0, 1])
-        labels = np.array(["a", "b", "c"], dtype=object)
-        columns = [(labels, route), (labels[::-1], route), (labels, other), (labels, route)]
-        with mock.patch.object(gridfreq.cli, "_CSV_BLOCK_ROWS", 3):
-            _write_csv(tmp_path / "c.csv", ["p", "q", "r", "s"], columns)
-        assert calls == [3, 3, 3, 3, 1, 1]  # per block: one for route, one for other
-        lines = (tmp_path / "c.csv").read_text().splitlines()
-        assert lines[1:3] == ["c,a,a,c", "b,b,a,b"]
 
 
 class TestUnequalColumns:
@@ -223,8 +211,53 @@ def test_run_writes_the_reference_bytes(tmp_path, monkeypatch):
     files = run_plan(build_plan(yaml.safe_load(CONVENTIONAL)), tmp_path / "out")
     messages = next(cols for name, _, cols in kept if name == "messages.csv")
     assert len(messages[0]) > BLOCK
-    assert all(isinstance(col, tuple) for col in messages[1:])
+    assert all(isinstance(col, tuple) for col in messages[1:4])
+    assert all(col.dtype == float for col in messages[4:])
     assert sorted(f.name for f in files) == sorted([t[0] for t in kept] + ["manifest.json"])
     for name, header, columns in kept:
         write_csv(tmp_path / "ref.csv", header, [expand(col) for col in columns])
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+
+
+BRIDGE = """
+name: bridge_messages
+estimator: dfe
+snr_db: 30
+duration_s: 0.3
+topology:
+  nodes: ["a,b", 'q"t', "ä"]
+  edges: [["a,b", 'q"t'], ['q"t', "ä"]]
+bridges: ['q"t']
+messages_csv: true
+scenario:
+  segments:
+    - {start_s: 0.0, end_s: 0.3, freq_hz: 50.0}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, phases",
+    [(BRIDGE, {"to_bridge", "from_bridge"}), (CONVENTIONAL, {"to_neighbor"})],
+    ids=["bridge", "conventional"],
+)
+def test_messages_csv_is_the_message_log(tmp_path, monkeypatch, text, phases):
+    real, runs = gridfreq.cli._tables, []
+
+    def keep(plan, run, nodes):
+        runs.append(run)
+        return real(plan, run, nodes)
+
+    monkeypatch.setattr(gridfreq.cli, "_tables", keep)
+    run_plan(build_plan(yaml.safe_load(text)), tmp_path / "out")
+    routes, payloads = runs[0].message_log()
+    # a row per (tick, route, entry), each payload as its %.15g text reads back
+    expected = [
+        [str(k + 1), phase, src, dst, float("%.15g" % v.real), float("%.15g" % v.imag)]
+        for k in range(len(payloads)) for phase, src, dst, row in routes
+        for v in payloads[k, row].tolist()
+    ]
+    with open(tmp_path / "out" / "messages.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["k", "phase", "src", "dst", "payload_re", "payload_im"]
+    assert len(expected) > BLOCK and {r[1] for r in expected} == phases
+    assert [[*r[:4], float(r[4]), float(r[5])] for r in rows] == expected

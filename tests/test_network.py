@@ -578,12 +578,13 @@ class TestDistributedRuns:
         assert payloads.shape[:1] + payloads.shape[2:] == (scn.n_samples - 1, 1)
 
     def test_messages_csv_roundtrip(self, tmp_path):
-        # coded as the CLI codes them: phase, src and dst by route, the payload by sender
+        # laid out as the CLI lays them out: phase, src and dst coded by route,
+        # the payloads plain float columns
         payload = np.array([0.5 - 0.25j, 1 / 3 + 0j])
-        route, sent = np.array([0, 1]), np.array([1, 0])
+        route = np.array([0, 1])
         columns = [
             np.array([1, 1]), (["to_bridge", "from_bridge"], route), ([2, "a,b"], route),
-            (["a,b", 2], route), (payload.real[::-1], sent), (payload.imag[::-1], sent),
+            (["a,b", 2], route), payload.real, payload.imag,
         ]
         header = ["k", "phase", "src", "dst", "payload_re", "payload_im"]
         path = tmp_path / "msgs.csv"

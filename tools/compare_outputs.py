@@ -2,13 +2,14 @@
 
     python tools/compare_outputs.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
-Runs ``gridfreq run`` from each checkout's ``src/`` on eleven configs (the
+Runs ``gridfreq run`` from each checkout's ``src/`` on twelve configs (the
 four bundled experiments, ``experiment1_sag_step --seeds 100``,
 ``experiment4_network7 --seeds 24``, ``experiment4_network7_mixed --seeds
 24``, ``benchmarks/configs/network_fullstate.yaml``,
 ``tools/configs/experiment4_network7_messages.yaml``,
-``tools/configs/experiment4_network7_ragged.yaml --seeds 3`` and
-``tools/configs/network7_fullstate_theory.yaml --seeds 3``) at seeds 0
+``tools/configs/experiment4_network7_ragged.yaml --seeds 3``,
+``tools/configs/network7_fullstate_theory.yaml --seeds 3`` and
+``tools/configs/network3_quoted_messages.yaml --seeds 3``) at seeds 0
 and 3, into a temporary directory; ``experiment4_network7 --seeds 24`` is
 one theory run whose error recursion reads seed row 0 of a Monte-Carlo
 batch.  ``network_fullstate`` logs conventional ``to_neighbor`` messages,
@@ -16,7 +17,10 @@ and ``experiment4_network7_messages`` the bridge messages: ``to_bridge``
 and the ``from_bridge`` aggregates.  ``experiment4_network7_ragged`` runs
 257 ticks, so its last block of observations is not a full one.
 ``network7_fullstate_theory`` runs the theory of full-state conventional
-diffusion, whose 42 x 42 maps step in blocks of 37 ticks, not 128.  The
+diffusion, whose 42 x 42 maps step in blocks of 37 ticks, not 128.
+``network3_quoted_messages`` logs bridge messages between node ids that
+``csv.writer`` quotes (``a,b``, ``q"t``) or writes in two UTF-8 bytes
+(``ä``).  The
 ``tools/configs`` files are read from this tool's own checkout, so both
 sides run the same file.
 First it prints one design line: the lines in ``src/gridfreq/*.py`` and the
@@ -77,6 +81,8 @@ CONFIGS = (
     (str(Path(__file__).resolve().parent / "configs" / "experiment4_network7_ragged.yaml"),
      ["--seeds", "3"]),
     (str(Path(__file__).resolve().parent / "configs" / "network7_fullstate_theory.yaml"),
+     ["--seeds", "3"]),
+    (str(Path(__file__).resolve().parent / "configs" / "network3_quoted_messages.yaml"),
      ["--seeds", "3"]),
 )
 SEEDS = (0, 3)
