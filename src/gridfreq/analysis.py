@@ -272,43 +272,39 @@ _THEORY_BLOCK_BYTES = 1 << 20
 class _TheoryBlock:
     """The error recursion of a network run, fed seed row 0's step one tick at a time.
 
-    :meth:`record` keeps a copy of the step's gain top block row and of
-    each array term value, cut to seed row 0's rows, the first
-    ``len(state.node_ids)``; a scalar term is kept as it is.  When
-    ``ticks`` ticks are kept, and once in :meth:`finish`, one
-    :func:`mse_block` call steps ``state`` over them.
+    :meth:`record` writes seed row 0's values, its first ``len(state.node_ids)`` rows, into row
+    ``t`` of block arrays laid out on the first step: the gain top block rows (ticks, nodes, n,
+    2) and a (ticks, nodes) array per array-valued term; a scalar term is kept as it is.  Once
+    ``ticks`` rows are filled, and in :meth:`finish`, one :func:`mse_block` call steps ``state``.
     """
 
     def __init__(self, state: NetworkErrorState):
-        self.state, self.kept = state, []
+        self.state, self.t, self.gain = state, 0, None
         width = len(state.aggregator_ids) * state.block_dim
         self.ticks = max(1, min(_THEORY_BLOCK_TICKS, _THEORY_BLOCK_BYTES // (16 * width**2)))
 
     def record(self, out: _Stepped) -> None:
-        """Keep seed row 0's part of a tick's step."""
-        n = len(self.state.node_ids)
-        H, A = ([(*t[:-1], t[-1][:n].copy()) if isinstance(t[-1], np.ndarray) else t for t in terms]
-                for terms in (out.H, out.A))
-        self.kept.append((out.k[..., :n].transpose(2, 0, 1).copy(), H, A))
-        if len(self.kept) == self.ticks:
-            self._flush()
-
-    def _flush(self) -> None:
-        gain, H, A = zip(*self.kept)
-        self.state, _ = mse_block(self.state, np.array(gain), _stacked(H), _stacked(A))
-        self.kept = []
+        """Write seed row 0's part of a tick's step into the block arrays."""
+        n, t, terms = len(self.state.node_ids), self.t, out.H + out.A
+        if self.gain is None:
+            self.gain = np.empty((self.ticks, n) + out.k.shape[:2], out.k.dtype)
+            self.n_h, self.terms = len(out.H), [(*u[:-1], np.empty((self.ticks, n), u[-1].dtype))
+                                                if np.ndim(u[-1]) else u for u in terms]
+            self.slots = [(j, u[-1]) for j, u in enumerate(self.terms) if np.ndim(u[-1])]
+        self.gain[t] = out.k[..., :n].transpose(2, 0, 1)
+        for j, buf in self.slots:
+            buf[t] = terms[j][-1][:n]
+        self.t = t + 1
+        if self.t == self.ticks:
+            self.finish()
 
     def finish(self) -> NetworkErrorState:
-        """The state after every recorded tick."""
-        if self.kept:
-            self._flush()
+        """The state after every recorded tick: one :func:`mse_block` call on the filled rows."""
+        if t := self.t:
+            cut = [(*u[:-1], u[-1][:t]) if np.ndim(u[-1]) else u for u in self.terms]
+            self.state, _ = mse_block(self.state, self.gain[:t], cut[:self.n_h], cut[self.n_h:])
+            self.t = 0
         return self.state
-
-
-def _stacked(ticks: tuple) -> list:
-    """A block's terms from its ticks': an array value stacked over them, a scalar as it is."""
-    return [(*same[0][:-1], np.array([t[-1] for t in same])) if isinstance(same[0][-1], np.ndarray)
-            else same[0] for same in zip(*ticks)]
 
 
 # ---------------------------------------------------------------------------

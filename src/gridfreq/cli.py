@@ -534,24 +534,28 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
 
 def _clock_columns(t_s: np.ndarray) -> list:
     """The ``k`` and ``t_s`` columns of a run's tables, formatted once as text."""
-    return [np.array(["%d" % k for k in range(t_s.size)]),
-            np.array(["%.15g" % t for t in t_s.tolist()])]
+    return [np.array(["%d" % k for k in range(t_s.size)]), _float_text(t_s)]
 
 
-def _trace_table(name: str, trace: FreqTrace, clock: list) -> tuple:
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """A float column as the text cells ``_write_csv`` writes for it."""
+    return np.array(["%.15g" % v for v in values.tolist()])
+
+
+def _trace_table(name: str, trace: FreqTrace, clock: list, truth: np.ndarray) -> tuple:
     err = trace.f_hat_hz - trace.f_true_hz
     return name, ["k", "t_s", "f_hat_hz", "f_true_hz", "err_hz", "innov_power", "flags"], [
-        *clock, trace.f_hat_hz, trace.f_true_hz, err, trace.innovation_power, trace.flags,
+        *clock, trace.f_hat_hz, truth, err, trace.innovation_power, trace.flags,
     ]
 
 
-def _mc_table(name: str, clock: list, f_true, f_hat) -> tuple:
-    """Summarize a (seeds, ticks) frequency-estimate array tick by tick."""
+def _mc_table(name: str, clock: list, f_true, truth: np.ndarray, f_hat) -> tuple:
+    """Summarize a (seeds, ticks) estimate array tick by tick; ``truth`` is ``f_true`` as text."""
     err = f_hat - f_true
     err_mean = err.mean(axis=0)
     err_rms = np.sqrt(np.mean(np.square(err, out=err), axis=0))  # squared in place
     return name, ["k", "t_s", "f_true_hz", "f_hat_mean_hz", "err_mean_hz", "err_rms_hz"], [
-        *clock, f_true, f_hat.mean(axis=0), err_mean, err_rms,
+        *clock, truth, f_hat.mean(axis=0), err_mean, err_rms,
     ]
 
 
@@ -600,7 +604,10 @@ def _tables(plan: RunPlan, run, nodes: list) -> list[tuple]:
     scopes to the run kind that writes them.
     """
     clock = _clock_columns(run.t_s)
-    tables = [_trace_table(name, trace, clock) for name, _, trace, _ in nodes]
+    keys = [trace.f_true_hz.tobytes() for _, _, trace, _ in nodes]
+    texts = {key: _float_text(np.frombuffer(key)) for key in set(keys)}  # once per distinct truth
+    tables = [_trace_table(name, trace, clock, texts[key])
+              for (name, _, trace, _), key in zip(nodes, keys)]
     if plan.spectrum_window_s is not None:
         spectrum = error_spectrum(nodes[0][2], _ticks(plan.spectrum_window_s, plan.sample_rate_hz))
         tables.append(("spectrum.csv", ["freq_hz", "power"], [spectrum.freq_hz, spectrum.power]))
@@ -618,8 +625,8 @@ def _tables(plan: RunPlan, run, nodes: list) -> list[tuple]:
         ))
     mc = slice(int(len(run.f_hat_hz) > 1), None)  # the Monte-Carlo rows, or row 0 alone
     if mc.start:
-        tables += [_mc_table(name, clock, trace.f_true_hz, f_hat[mc])
-                   for _, name, trace, f_hat in nodes]
+        tables += [_mc_table(name, clock, trace.f_true_hz, texts[key], f_hat[mc])
+                   for (_, name, trace, f_hat), key in zip(nodes, keys)]
     if plan.mse_window_s is not None:
         ids, errors = run.node_ids, run.error_state
         mse = empirical_mse(run.f_hat_hz[mc], run.f_true_hz,

@@ -17,6 +17,7 @@ weight rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -34,7 +35,7 @@ from .estimators import (
     nss_model,
     shared_increment_model,
 )
-from .signals import Scenario, add_noise, clarke_arrays, generate_arrays
+from .signals import Scenario, _noise_std, clarke_arrays, generate_arrays
 
 __all__ = [
     "DistributedConfigError",
@@ -444,19 +445,25 @@ class DistributedRun(FilterRun):
 def _observations(clean: list, seeds: tuple, snr_db: float | None, n_ticks: int):
     """Yield every (seed, node) row's observations, batch-last, a block of ticks at a time.
 
-    Row (s, j) adds to ``clean[j]`` the noise of one generator seeded ``[seeds[s], j]``.
+    Row (s, j) adds to ``clean[j]`` the noise of one generator seeded ``[seeds[s], j]``: the
+    scaled standard normals, the bits of ``add_noise``'s ``normal(0, std)``, ``0.0 + std z``.
     A block is one 2-D Clarke product, rounding each row as a product over its run alone
     does; a 1-tick run, whose lone rows BLAS rounds apart, transforms each row alone."""
     rngs = [np.random.default_rng([seed, j]) for seed in seeds for j in range(len(clean))]
     ends = list(range(_OBS_BLOCK_TICKS, n_ticks - 1, _OBS_BLOCK_TICKS)) + [n_ticks]
     for k0, k1 in zip([0] + ends[:-1], ends):  # a 1-tick remainder joins the last block
-        vabc = np.empty((k1 - k0, len(rngs), 3))
-        for r, g in enumerate(rngs):
-            vabc[:, r] = add_noise(clean[r % len(clean)][k0:k1], g, snr_db)
-        if k1 - k0 == 1:
-            yield np.concatenate([clarke_arrays(row)[1] for row in vabc[0, :, None]])[None]
+        rows = np.empty((len(seeds), len(clean), k1 - k0, 3))
+        if snr_db is None:
+            rows[:] = [c[k0:k1] for c in clean]
         else:
-            yield clarke_arrays(vabc.reshape(-1, 3))[1].reshape(k1 - k0, -1)
+            for g, row in zip(rngs, rows.reshape(len(rngs), k1 - k0, 3)):
+                g.standard_normal(out=row)
+            rows *= _noise_std(snr_db)
+            rows += [c[k0:k1] for c in clean]
+        if k1 - k0 == 1:
+            yield np.concatenate([clarke_arrays(row)[1] for row in rows.reshape(-1, 1, 3)])[None]
+        else:  # the (ticks, seeds, nodes, 3) copy in C order
+            yield clarke_arrays(np.moveaxis(rows, 2, 0).reshape(-1, 3))[1].reshape(k1 - k0, -1)
 
 
 def _resolve_scenarios(topology: Topology, scenarios) -> dict:
@@ -541,8 +548,8 @@ def run_distributed(
     )) if theory else None
 
     f_hat, flags, (states, local_states), innov = _run_ticks(
-        # without a shared filter, its plan and its state are None
-        lambda state, y: _tick(*(plans + [None])[:2], mixing, errors, state, y),
+        # _tick as it is at the run's start; without a shared filter, its plan and state are None
+        functools.partial(_tick, *(plans + [None])[:2], mixing, errors),
         tuple(filters), (x0,) * 2, blocks, batch + (n_ticks,),
         out_model.extract_freq, detail, lambda row: f"node {ids[row[1]]!r}: seed {seeds[row[0]]}",
     )

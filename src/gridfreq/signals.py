@@ -166,21 +166,23 @@ def generate_arrays(scenario: Scenario) -> np.ndarray:
     return amps * np.cos(phases)
 
 
+def _noise_std(snr_db: float) -> float:
+    """Noise std of a phase sample: variance 0.5 * 10^(-snr_db/10), per-unit amplitude."""
+    return math.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
+
+
 def add_noise(
     vabc: np.ndarray, seed: int | Sequence[int] | np.random.Generator | None, snr_db: float | None
 ) -> np.ndarray:
-    """``vabc`` plus independent zero-mean Gaussian noise on each sample.
+    """``vabc`` plus independent zero-mean Gaussian noise of std :func:`_noise_std` on each sample.
 
-    The noise has variance 0.5 * 10^(-snr_db/10) (per-unit amplitude
-    reference) and is drawn from ``numpy.random.default_rng(seed)`` in one
-    call of ``vabc``'s shape, so one clean waveform can take the noise of
-    many seeds; a Generator, drawn from as it stands, draws over consecutive
-    blocks what one call draws.  With ``snr_db`` None, ``vabc`` comes back unchanged.
+    The noise is drawn from ``numpy.random.default_rng(seed)`` (a Generator as it stands) in
+    one call of ``vabc``'s shape, so one clean waveform can take the noise of many seeds.  With
+    ``snr_db`` None, ``vabc`` comes back unchanged.
     """
     if snr_db is None:
         return vabc
-    sigma = math.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-    return vabc + np.random.default_rng(seed).normal(0.0, sigma, size=vabc.shape)
+    return vabc + np.random.default_rng(seed).normal(0.0, _noise_std(snr_db), size=vabc.shape)
 
 
 def clarke_arrays(vabc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

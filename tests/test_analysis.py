@@ -326,26 +326,59 @@ class TestBlockBoundaries:
         np.testing.assert_array_equal(batch.V, alone.V)
 
 
+def _arrays(obj) -> list:
+    """The arrays in ``obj``, looking into tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [a for item in obj for a in _arrays(item)] if isinstance(obj, (tuple, list)) else []
+
+
 @pytest.mark.parametrize("mode", ["dfe", "distributed-acekf"])
 def test_recorder_keeps_copies_of_seed_row_0(monkeypatch, mode):
-    # views into the step's (n, 2, seeds * nodes) arrays would pin each kept tick's
+    # every block holds seed row 0's gain and array term values, tick by tick, in memory of
+    # its own: views into the step's (n, 2, seeds * nodes) arrays would pin each kept tick's
     # whole batch until its block is stepped
-    kept, finish = [], gridfreq.analysis._TheoryBlock.finish
-
-    def spy(self):
-        kept.extend(self.kept)
-        return finish(self)
-
-    monkeypatch.setattr(gridfreq.analysis._TheoryBlock, "finish", spy)
-    t, b = reference_network()
-    scn = make_scenario(0.05, amps=(0.2, 1.0, 1.0))
-    run_distributed(t, scn, range(40), snr_db=30.0, mode=mode, assignment=b, theory=True)
-    assert len(kept) == scn.n_samples - 1
     n = 1 if mode == "dfe" else 3
-    for gain, H, A in kept:
-        assert gain.shape == (7, n, 2) and gain.base is None
-        arrays = [v for *_, v in H + A if isinstance(v, np.ndarray)]
-        assert arrays and all(v.shape == (7,) and v.base is None for v in arrays)
+    steps, blocks, tick, block = [], [], gridfreq.network._tick, gridfreq.analysis.mse_block
+
+    def stepped(out):
+        return _arrays(list(out[:5]) + [t[-1] for t in out.H + out.A])
+
+    def spy_tick(*args):
+        out = tick(*args)
+        steps.append(out[1])
+        held = _arrays(list(vars(args[3]).values()))
+        assert not any(np.shares_memory(a, s) for a in held for s in stepped(out[1]))
+        return out
+
+    def spy_block(state, gain, H, A):
+        # the recorder fills the same arrays again after this call: keep their values now
+        terms = [(*term[:-1], np.copy(term[-1])) for term in H + A]
+        blocks.append((gain.copy(), terms, _arrays([gain, H, A])))
+        return block(state, gain, H, A)
+
+    monkeypatch.setattr(gridfreq.network, "_tick", spy_tick)
+    monkeypatch.setattr(gridfreq.analysis, "mse_block", spy_block)
+    t, b = reference_network()
+    scn = make_scenario((B + 21) / FS, amps=(0.2, 1.0, 1.0))
+    run_distributed(t, scn, range(40), snr_db=30.0, mode=mode, assignment=b, theory=True)
+    assert [len(gain) for gain, *_ in blocks] == [B, 20] and len(steps) == scn.n_samples - 1
+    ticks = iter(steps)
+    for gain, terms, held in blocks:
+        arrays = [v for *_, v in terms if v.ndim]
+        assert gain.shape == (len(gain), 7, n, 2)
+        assert arrays and all(v.shape == (len(gain), 7) for v in arrays)
+        for t, out in zip(range(len(gain)), ticks):
+            assert [term[:-1] for term in terms] == [term[:-1] for term in out.H + out.A]
+            np.testing.assert_array_equal(gain[t], out.k[..., :7].transpose(2, 0, 1))
+            for (*_, got), (*_, want) in zip(terms, out.H + out.A):
+                if got.ndim:
+                    np.testing.assert_array_equal(got[t], want[:7])
+                else:
+                    assert got == want
+        assert not any(np.shares_memory(a, s) for a in held for out in steps for s in stepped(out))
 
 
 class TestErrorSpectrum:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import gridfreq
 import gridfreq.cli
-from gridfreq.cli import _CSV_BLOCK_ROWS, _write_csv, build_plan, run_plan
+from gridfreq.cli import _CSV_BLOCK_ROWS, _write_csv, build_plan, load_config, run_plan
 
 BLOCK = _CSV_BLOCK_ROWS
 NAN_NEG = float(np.copysign(np.nan, -1.0))
@@ -217,6 +217,37 @@ def test_run_writes_the_reference_bytes(tmp_path, monkeypatch):
     for name, header, columns in kept:
         write_csv(tmp_path / "ref.csv", header, [expand(col) for col in columns])
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+
+
+@pytest.mark.parametrize("node_1_hz", [50.0, 50.5], ids=["one_truth", "two_truths"])
+def test_each_truth_series_is_formatted_once(tmp_path, monkeypatch, node_1_hz):
+    # the bundled mixed config gives node 1 a scenario of its own, but every node reads
+    # 50 Hz throughout, so all its tables share one truth column; at 50.5 Hz node 1's
+    # trace and Monte-Carlo tables share a column of their own
+    real, kept = gridfreq.cli._tables, []
+
+    def keep(plan, run, nodes):
+        kept.append(run)
+        kept.extend(real(plan, run, nodes))
+        return kept[1:]
+
+    monkeypatch.setattr(gridfreq.cli, "_tables", keep)
+    cfg, _ = load_config("experiment4_network7_mixed")
+    cfg["node_scenarios"][1]["segments"][0]["freq_hz"] = node_1_hz
+    run_plan(build_plan(cfg), tmp_path / "out", n_seeds=3)
+    run, *tables = kept
+    truth = {name: cols[header.index("f_true_hz")] for name, header, cols in tables
+             if "f_true_hz" in header}
+    assert len(truth) == 14
+    for j, n in enumerate(run.node_ids):
+        text = truth[f"node_{n}_trace.csv"]
+        assert truth[f"mc_node_{n}.csv"] is text
+        assert text.tolist() == ["%.15g" % f for f in run.f_true_hz[j].tolist()]
+        if np.array_equal(run.f_true_hz[j], run.f_true_hz[0]):
+            assert text is truth["node_1_trace.csv"]
+        else:
+            assert not np.array_equal(text, truth["node_1_trace.csv"])
+    assert len({id(col) for col in truth.values()}) == (1 if node_1_hz == 50.0 else 2)
 
 
 BRIDGE = """

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import gridfreq.analysis
 import gridfreq.estimators
 import gridfreq.network
-from gridfreq.cli import _clock_columns, _trace_table, _write_csv
+from gridfreq.cli import _clock_columns, _float_text, _trace_table, _write_csv
 from gridfreq.estimators import (
     COND_LIMIT,
     FLAG_NEGATIVE_IM_H,
@@ -863,7 +863,8 @@ def test_trace_csv_format(tmp_path):
     v = clarke_series(scn, seed=3, snr_db=30.0)
     trace = run_filter(lss_model(FS, snr_db=30.0), v, FS, f_true=scn.true_freq(), detail=True)
     path = tmp_path / "trace.csv"
-    _, header, columns = _trace_table("trace.csv", trace.trace(), _clock_columns(trace.t_s))
+    _, header, columns = _trace_table("trace.csv", trace.trace(), _clock_columns(trace.t_s),
+                                      _float_text(trace.f_true_hz))
     _write_csv(path, header, columns)
     lines = path.read_bytes().decode().split("\r\n")
     assert lines[0] == "k,t_s,f_hat_hz,f_true_hz,err_hz,innov_power,flags"
@@ -874,5 +875,6 @@ def test_trace_csv_format(tmp_path):
     assert float(cells[4]) == pytest.approx(float(cells[2]) - 50.0, rel=1e-10)
     # a NaN truth gives NaN cells, not blanks
     blind = dataclasses.replace(trace.trace(), f_true_hz=np.full(scn.n_samples, np.nan))
-    _write_csv(path, *_trace_table("trace.csv", blind, columns[:2])[1:])
+    truth = _float_text(blind.f_true_hz)
+    _write_csv(path, *_trace_table("trace.csv", blind, columns[:2], truth)[1:])
     assert path.read_text().splitlines()[2].split(",")[3:5] == ["nan", "nan"]

@@ -31,16 +31,18 @@ def test_reports_each_cell(tmp_path, monkeypatch, capsys, edit, status):
         assert edit[0] in text
         est.write_text(text.replace(edit[0], edit[1]))
     monkeypatch.setattr(tool, "SHAPES", ((1, 7), (3,)))
-    monkeypatch.setattr(tool, "DRIVERS", (("filter", 3), ("dfe", 1)))
+    monkeypatch.setattr(tool, "DRIVERS", (("filter", 3), ("dfe", 1), ("theory", 1)))
     monkeypatch.setattr(tool, "DRIVER_SECONDS", 0.02)
     monkeypatch.setattr(tool, "TARGET_S", 1e-4)
     monkeypatch.setattr("sys.dont_write_bytecode", False)
 
     assert tool.main([*checkouts, "--rounds", "2"]) == status
     cells = capsys.readouterr().out.splitlines()[1:]
-    assert [line.split()[0] for line in cells] == ["nss", "nss", "shared", "shared", "filter", "dfe"]
+    assert [line.split()[0] for line in cells] == [
+        "nss", "nss", "shared", "shared", "filter", "dfe", "theory",
+    ]
     # the edit changes the process noise of both models, and so every driver's outputs
     assert all(line.endswith(str(edit is None)) for line in cells)
-    # the ratio of the medians, marked ~ when the two sides' q1-q3 ranges overlap
+    # the median of the per-round change/parent ratios, marked ~ when their q1-q3 holds 1.000
     assert all(re.fullmatch(r"\d+\.\d{3}~?", line.split()[-2]) for line in cells)
     assert not list(tmp_path.rglob("__pycache__"))

@@ -16,8 +16,9 @@ on from that posterior, so each runs from the memory layout its own step
 leaves.
 The driver rows time whole runs through the public API: ``run_filter`` of
 the ``nss`` model over 101 rows, and ``run_distributed`` in ``dfe`` mode on
-the reference network with 1 and 24 seeds, each 0.25 s long; their times
-are per filter-tick (a ``dfe`` node runs two filters a tick).  Each round
+the reference network with 1 and 24 seeds and, as the ``theory`` row, with
+1 seed and the error recursion on, each 0.25 s long; their times are per
+filter-tick (a ``dfe`` node runs two filters a tick).  Each round
 times both sides as ``SUB_BATCHES`` short sub-batches that alternate
 parent and change, the side that goes first alternating too, so a swing of
 the host's speed within a round reaches both sides alike.  For each cell it
@@ -29,7 +30,8 @@ the two sides' outputs are bit-identical,
 the line's last field: for a step, its ``x``, ``m``, ``k``, ``p`` and ``innov``
 fields (the posterior state and covariance, gain, prior covariance and
 innovation) over two consecutive steps; for a driver, the estimates,
-flags, kept posteriors and innovation power.  Exits 1 when any cell's
+flags, kept posteriors and innovation power, and for the ``theory`` row
+also the final error state's ``V`` and ``E``.  Exits 1 when any cell's
 outputs differ, after printing the full table.  Needs numpy and the
 standard library only; it writes nothing inside either checkout.
 """
@@ -48,8 +50,8 @@ import numpy as np
 
 SHAPES = ((1, 7), (25, 7), (101,), (2000,))
 MODELS = ("nss", "shared")
-#: driver rows: ``filter`` with its (rows,) batch, ``dfe`` with its seed count
-DRIVERS = (("filter", 101), ("dfe", 1), ("dfe", 24))
+#: driver rows: ``filter`` with its (rows,) batch, ``dfe`` and ``theory`` with their seed counts
+DRIVERS = (("filter", 101), ("dfe", 1), ("dfe", 24), ("theory", 1))
 #: length of a driver row's run
 DRIVER_SECONDS = 0.25
 #: seconds one side of a round should last; sets the calls per sub-batch
@@ -144,11 +146,13 @@ class DriverCell:
             scenario = side.sig.Scenario([segment], FS, DRIVER_SECONDS)
             self.call = lambda: side.net.run_distributed(
                 topology, scenario, range(size), snr_db=SNR_DB, mode="dfe", assignment=bridges,
-                detail=1,
+                theory=kind == "theory", detail=1,
             )
             self.filter_ticks = 2 * len(topology.node_ids) * size * (ticks - 1)
         run = self.call()
         self.outputs = [run.f_hat_hz, run.flags, run.states, run.innovation_power]
+        if kind == "theory":
+            self.outputs += [run.error_state.V, run.error_state.E]
 
 
 def quartiles(times: list) -> tuple:
